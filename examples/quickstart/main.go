@@ -66,9 +66,9 @@ func main() {
 
 	fmt.Printf("sent      %d messages (mode %q)\n", sensor.Stats.Sent, core.ModeBare.Name)
 	fmt.Printf("upgraded  %d at the DTN (mode %q: features %v)\n",
-		dtn.Stats.Upgraded, core.ModeWAN.Name, core.ModeWAN.Features)
+		dtn.Stats().Upgraded, core.ModeWAN.Name, core.ModeWAN.Features)
 	fmt.Printf("delivered %d (%d recovered via %d NAKs served by the DTN buffer)\n",
-		delivered, recovered, dtn.Stats.NAKs)
+		delivered, recovered, dtn.Stats().NAKs)
 	fmt.Printf("losses remaining: %d\n", receiver.Stats.Lost)
 	fmt.Printf("origin→delivery latency: %v\n", receiver.LatencyHist)
 }

@@ -94,7 +94,7 @@ func main() {
 	nw.Loop().Run()
 
 	fmt.Printf("telescope sent %d messages; DTN upgraded %d to mode %q\n",
-		scope.Stats.Sent, dtn.Stats.Upgraded, core.ModeWAN.Name)
+		scope.Stats.Sent, dtn.Stats().Upgraded, core.ModeWAN.Name)
 	fmt.Printf("delivered: %d image segments, %d alerts (%d recovered from the base DTN)\n",
 		images, alerts, recovered)
 	fmt.Printf("bulk  latency: %s\n", bulkLat)

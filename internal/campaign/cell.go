@@ -375,7 +375,7 @@ func runCell(cell Cell, spec Spec) CellResult {
 	for _, s := range env.senders {
 		res.Sent += s.Stats.Sent
 	}
-	res.Upgraded = env.upgrader.Stats.Upgraded
+	res.Upgraded = env.upgrader.Stats().Upgraded
 	st := recv.Stats
 	res.Delivered = st.Delivered
 	res.Duplicates = st.Duplicates
@@ -384,7 +384,7 @@ func runCell(cell Cell, spec Spec) CellResult {
 	res.Rejected = st.Rejected
 	res.NAKsSent = st.NAKsSent
 	for i := range env.buffers {
-		bs := env.buffers[i].Stats
+		bs := env.buffers[i].Stats()
 		res.Retransmits += bs.Retransmits
 		res.Misses += bs.Misses
 		res.Evicted += bs.Evicted

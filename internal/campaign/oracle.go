@@ -176,7 +176,7 @@ func checkOracles(env *cellEnv, led *ledger, res *CellResult) []string {
 	// (internal/monitor/oracles), which evaluates the same invariant at
 	// runtime from the dmtp.buf.stash_imbalance_bytes gauge.
 	for _, b := range env.buffers {
-		bs := b.Stats
+		bs := b.Stats()
 		if !oracles.StashBalanced(bs.BufferedBytes, bs.ReleasedBytes, uint64(b.BufferedBytes())) {
 			out = append(out, fmt.Sprintf(
 				"oracle/stash: buffer byte leak: stashed %d − released %d = %d, but occupancy is %d",
@@ -207,10 +207,10 @@ func checkOracles(env *cellEnv, led *ledger, res *CellResult) []string {
 			want uint64
 			name string
 		}{
-			{metrics.EvReshape, b.Stats.Upgraded, "reshape vs Upgraded"},
-			{metrics.EvNAKServed, b.Stats.NAKs, "nak-served vs NAKs"},
-			{metrics.EvEvict, b.Stats.Evicted, "evict vs Evicted"},
-			{metrics.EvCrash, b.Stats.Crashes, "crash vs Crashes"},
+			{metrics.EvReshape, b.Stats().Upgraded, "reshape vs Upgraded"},
+			{metrics.EvNAKServed, b.Stats().NAKs, "nak-served vs NAKs"},
+			{metrics.EvEvict, b.Stats().Evicted, "evict vs Evicted"},
+			{metrics.EvCrash, b.Stats().Crashes, "crash vs Crashes"},
 		}
 		for _, p := range bufPairs {
 			if n, ok := kindCount(env.bufRecs[i], p.kind); ok && n != p.want {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -87,56 +86,34 @@ type BufferConfig struct {
 }
 
 // BufferStats are cumulative buffer-node counters: the engine's stash,
-// NAK-service and trim counters plus the adapter's forwarding counters.
+// NAK-service, trim and forwarding counters plus the adapter's own.
 type BufferStats struct {
-	dmtp.BufferStats
-	Upgraded    uint64
-	Forwarded   uint64
+	dmtp.RelayStats
 	Repointed   uint64 // transit packets re-homed to this buffer
 	DroppedDown uint64 // frames discarded while crashed
+}
+
+// route is a flow's downstream on the simulator: the destination address
+// and the egress port toward it.
+type route struct {
+	wire.Addr
+	port int
 }
 
 // BufferNode is the first-line DTN: it upgrades sensor streams into the
 // WAN mode, assigns sequence numbers, buffers sequenced packets, and serves
 // retransmissions on NAK — the paper's "closer source" that shortens
 // recovery RTT relative to retransmitting from the instrument (§5.1).
-// The stash, NAK service, cumulative trim and crash/restart live in
-// dmtp.BufferEngine; this type adapts them to the simulator substrate.
+// All of that is dmtp.RelayEngine; this type adapts it to the simulator
+// substrate: netsim ports, transit routing and adoption, the cipher seal.
 type BufferNode struct {
 	cfg  BufferConfig
 	node *netsim.Node
 	nw   *netsim.Network
-	eng  *dmtp.ShardedBuffer
-	// jset is the per-shard write-ahead journal set (nil without
-	// JournalDir).
-	jset *journal.Set
-	// reshapeC counts reshapes into the node's upgrade config; installed
-	// by RegisterMetrics, nil (and skipped) until then.
-	reshapeC *metrics.Counter
+	eng  *dmtp.RelayEngine[route]
 
-	// flows maps (frame source, experiment) to a registered downstream
-	// route, mirroring the live relay's flow table: registration happens
-	// on a flow's first packet and Crash clears the table, so a restart
-	// re-resolves every flow.
-	flows     map[simFlowKey]*simFlow
-	flowStats dmtp.FlowStats
-	lastSweep sim.Time
-
-	Stats BufferStats
-}
-
-// simFlowKey identifies one flow through the node: the sender's address
-// plus the experiment ID carried in the packet header.
-type simFlowKey struct {
-	src wire.Addr
-	exp wire.ExperimentID
-}
-
-// simFlow is one registered flow's downstream route and idle clock.
-type simFlow struct {
-	dst      wire.Addr
-	port     int
-	lastSeen sim.Time
+	repointed   uint64
+	droppedDown uint64
 }
 
 // NewBufferNode creates a buffer node and registers it on the network.
@@ -150,96 +127,94 @@ func NewBufferNode(nw *netsim.Network, name string, addr wire.Addr, cfg BufferCo
 // callers that wrap it in a decorating handler (e.g. discovery.Wrap); the
 // node is bound via Attach when the wrapper is registered.
 func NewBufferHandler(nw *netsim.Network, cfg BufferConfig) *BufferNode {
-	b := &BufferNode{cfg: cfg, nw: nw, flows: make(map[simFlowKey]*simFlow)}
-	nsh := cfg.Shards
-	if nsh < 1 {
-		nsh = 1
+	b := &BufferNode{cfg: cfg, nw: nw}
+	ecfg := dmtp.RelayConfig[route]{
+		Shards: cfg.Shards,
+		Buffer: dmtp.BufferConfig{CapacityBytes: cfg.CapacityBytes, Recorder: cfg.Recorder, Clock: loopClock{nw}},
+		// Retransmissions leave via the WAN egress; the datapath clones
+		// stash entries before framing them (the engine keeps ownership).
+		Datapath:    nodeDatapath{node: func() *netsim.Node { return b.node }, nw: nw, port: cfg.ForwardPort},
+		Alloc:       func(n int) []byte { return make([]byte, n) }, // heap; the GC collects
+		JournalDir:  cfg.JournalDir,
+		JournalSync: cfg.JournalSync,
+		Resolve:     b.resolve,
+		MaxFlows:    cfg.MaxFlows,
+		FlowTTL:     cfg.FlowTTL,
+		UpgradeFrom: cfg.UpgradeFrom,
+		ConfigID:    cfg.Upgrade.ConfigID,
+		Features:    cfg.Upgrade.Features,
+		Upgrade: dmtp.Upgrade{
+			MaxAge:           cfg.MaxAge,
+			DeadlineBudget:   cfg.DeadlineBudget,
+			DeadlineNotify:   cfg.DeadlineNotify,
+			BackPressureSink: cfg.BackPressureSink,
+		},
+		Emit: b.emit,
 	}
-	perShard := cfg.CapacityBytes
-	if nsh > 1 && perShard > 0 {
-		perShard /= nsh
-		if perShard < 1 {
-			perShard = 1
-		}
+	if cfg.Cipher != nil && cfg.Upgrade.Features.Has(wire.FeatEncrypted) {
+		ecfg.PostStamp = b.seal
 	}
-	if cfg.JournalDir != "" {
-		set, err := journal.OpenSet(cfg.JournalDir, nsh, cfg.JournalSync, 0)
-		if err != nil {
-			panic(fmt.Sprintf("core: opening stash journal: %v", err))
-		}
-		b.jset = set
+	eng, err := dmtp.NewRelayEngine(ecfg)
+	if err != nil {
+		panic(fmt.Sprintf("core: %v", err))
 	}
-	// Retransmissions leave via the WAN egress; the datapath clones
-	// stash entries before framing them (the engine keeps ownership).
-	// Every shard shares one stats struct — sound under the simulator's
-	// single event-loop goroutine — so callers keep reading b.Stats.
-	b.eng = dmtp.NewShardedBuffer(nsh, func(i int) *dmtp.BufferEngine {
-		var jr dmtp.Journal
-		if b.jset != nil {
-			jr = b.jset.Shard(i)
-		}
-		return dmtp.NewBufferEngine(
-			nodeDatapath{node: func() *netsim.Node { return b.node }, nw: nw, port: cfg.ForwardPort},
-			dmtp.BufferConfig{
-				CapacityBytes: perShard,
-				Stats:         &b.Stats.BufferStats,
-				Recorder:      cfg.Recorder,
-				Clock:         loopClock{nw},
-				Journal:       jr,
-			},
-		)
-	})
-	if b.jset != nil {
-		// A journal that survived a previous process restores its stash
-		// before the node serves traffic.
-		for i := 0; i < nsh; i++ {
-			b.restoreShard(i, b.jset.Recovered(i))
-		}
-	}
+	b.eng = eng
 	return b
 }
 
-// restoreShard replays one shard's recovery into its engine: surviving
-// entries re-stashed (without re-journaling) and sequence counters
-// raised to the journal's floor.
-func (b *BufferNode) restoreShard(i int, rec *journal.Recovered) {
-	eng := b.eng.At(i)
-	for _, e := range rec.Entries {
-		eng.RestoreStash(e.Exp, e.Seq, e.Payload)
+// resolve is the engine's flow-registration hook.
+func (b *BufferNode) resolve(src wire.Addr, exp wire.ExperimentID) (route, bool) {
+	if b.cfg.Resolver == nil {
+		return route{b.cfg.Forward, b.cfg.ForwardPort}, true
 	}
-	for exp, seq := range rec.Seqs {
-		eng.RestoreSeq(exp, seq)
-	}
+	dst, port := b.cfg.Resolver(src, exp)
+	return route{dst, port}, !dst.IsZero()
+}
+
+// emit is the engine's Emit. The frame gets an independent copy: a netsim
+// frame keeps its Data slice in flight and downstream elements mutate
+// headers, while the engine's stash must retransmit the packet as it left
+// this node.
+func (b *BufferNode) emit(_ int, f *dmtp.Flow[route], pkt []byte) {
+	b.node.Port(f.Dst.port).Send(&netsim.Frame{
+		Src:  b.node.Addr,
+		Dst:  f.Dst.Addr,
+		Data: wire.View(pkt).Clone(),
+		Born: b.nw.Now(),
+	})
+	f.Sent(1)
+}
+
+// seal is the engine's PostStamp when the upgrade mode encrypts: payloads
+// are encrypted at the DTN (Req 5; the sensor stays cheap), keyed by epoch
+// with the sequence number as nonce.
+func (b *BufferNode) seal(up wire.View, seq uint64) {
+	nonce := uint32(seq)
+	off, _ := up.Features().ExtOffset(wire.FeatEncrypted)
+	ext := up[wire.CoreHeaderLen+off:]
+	ext[0], ext[1], ext[2], ext[3] = byte(b.cfg.KeyEpoch>>24), byte(b.cfg.KeyEpoch>>16), byte(b.cfg.KeyEpoch>>8), byte(b.cfg.KeyEpoch)
+	ext[4], ext[5], ext[6], ext[7] = byte(nonce>>24), byte(nonce>>16), byte(nonce>>8), byte(nonce)
+	b.cfg.Cipher.Seal(b.cfg.KeyEpoch, nonce, up.Payload())
+}
+
+// Stats returns a snapshot of the node's counters.
+func (b *BufferNode) Stats() BufferStats {
+	return BufferStats{RelayStats: b.eng.Stats(), Repointed: b.repointed, DroppedDown: b.droppedDown}
 }
 
 // JournalStats returns the journal counters (zero without a journal).
-func (b *BufferNode) JournalStats() journal.Stats {
-	if b.jset == nil {
-		return journal.Stats{}
-	}
-	return b.jset.Stats()
-}
+func (b *BufferNode) JournalStats() journal.Stats { return b.eng.JournalStats() }
 
 // JournalRecoveries returns the most recent per-shard journal recovery
 // (the startup scan, or the last crash replay); nil without a journal.
 // The campaign's journal-balance oracle inspects these.
-func (b *BufferNode) JournalRecoveries() []*journal.Recovered {
-	if b.jset == nil {
-		return nil
-	}
-	return b.jset.Recoveries()
-}
+func (b *BufferNode) JournalRecoveries() []*journal.Recovered { return b.eng.JournalRecoveries() }
 
 // CloseJournal stops the journal writers and closes the segment files.
 // The node itself has no other lifecycle on the simulator substrate;
 // journaled harnesses (campaign durable cells, tests) must call this
 // when the run drains, or the writer goroutines outlive the cell.
-func (b *BufferNode) CloseJournal() error {
-	if b.jset == nil {
-		return nil
-	}
-	return b.jset.Close()
-}
+func (b *BufferNode) CloseJournal() error { return b.eng.Close() }
 
 // Node returns the buffer's network node.
 func (b *BufferNode) Node() *netsim.Node { return b.node }
@@ -248,134 +223,44 @@ func (b *BufferNode) Node() *netsim.Node { return b.node }
 func (b *BufferNode) Addr() wire.Addr { return b.node.Addr }
 
 // BufferedBytes returns current buffer occupancy across all shards.
-func (b *BufferNode) BufferedBytes() int { return b.eng.BufferedBytes() }
+func (b *BufferNode) BufferedBytes() int { return b.eng.Stats().Occupancy }
 
 // SeqOf returns the last sequence number this node assigned to exp (zero
 // if it never sequenced the experiment). Campaign oracles use it to prove
 // sequence state never bleeds across flows.
-func (b *BufferNode) SeqOf(exp wire.ExperimentID) uint64 { return b.eng.SeqOf(exp) }
-
-// FlowStats returns the node's flow-table counters.
-func (b *BufferNode) FlowStats() dmtp.FlowStats { return b.flowStats }
-
-// flowFor returns the registered flow for (src, exp), registering it on
-// first sight. Returns nil when the registration is rejected (table full,
-// or the resolver refused the flow).
-func (b *BufferNode) flowFor(src wire.Addr, exp wire.ExperimentID) *simFlow {
-	now := b.nw.Now()
-	k := simFlowKey{src: src, exp: exp}
-	if fl, ok := b.flows[k]; ok {
-		fl.lastSeen = now
-		return fl
-	}
-	if b.cfg.MaxFlows > 0 && len(b.flows) >= b.cfg.MaxFlows {
-		b.flowStats.Rejected++
-		return nil
-	}
-	dst, port := b.cfg.Forward, b.cfg.ForwardPort
-	if b.cfg.Resolver != nil {
-		dst, port = b.cfg.Resolver(src, exp)
-		if dst.IsZero() {
-			b.flowStats.Rejected++
-			return nil
-		}
-	}
-	fl := &simFlow{dst: dst, port: port, lastSeen: now}
-	b.flows[k] = fl
-	b.flowStats.Opened++
-	b.flowStats.Active++
-	return fl
-}
-
-// sweepFlows lazily expires idle flows; invoked from the frame path so it
-// advances with virtual time, at most once per half-TTL.
-func (b *BufferNode) sweepFlows() {
-	ttl := b.cfg.FlowTTL
-	if ttl <= 0 {
-		ttl = 60 * time.Second
-	}
-	now := b.nw.Now()
-	if now-b.lastSweep < sim.Time(ttl)/2 {
-		return
-	}
-	b.lastSweep = now
-	for k, fl := range b.flows {
-		if now-fl.lastSeen >= sim.Time(ttl) {
-			delete(b.flows, k)
-			b.flowStats.Expired++
-			b.flowStats.Active--
-		}
-	}
-}
+func (b *BufferNode) SeqOf(exp wire.ExperimentID) uint64 { return b.eng.Buffer().SeqOf(exp) }
 
 // RegisterMetrics publishes the node's metric set on reg: the engine's
-// dmtp.buf.* counters (via the shared helper, so names match the live
-// relay), the adapter's dmtp.relay.* forwarding counters, and the
-// reshape-family counter for the node's upgrade config. The simulator loop
-// is single-threaded: sample the registry from loop context or after the
-// run has drained.
+// (shared with the live relay, so names match by construction) plus the
+// adapter's transit and crash-discard counters. The simulator loop is
+// single-threaded: sample the registry from loop context or after the run
+// has drained.
 func (b *BufferNode) RegisterMetrics(reg *metrics.Registry) {
-	dmtp.RegisterBufferMetrics(reg,
-		func() dmtp.BufferStats { return b.Stats.BufferStats },
-		b.BufferedBytes)
-	// The simulator loop is single-threaded, so stats and occupancy are
-	// trivially consistent: a healthy engine samples exactly 0.
-	dmtp.RegisterStashImbalance(reg, func() int64 {
-		bs := b.Stats.BufferStats
-		return int64(bs.BufferedBytes) - int64(bs.ReleasedBytes) - int64(b.BufferedBytes())
-	})
-	reg.RegisterFunc(metrics.MetricRelayUpgraded, func() int64 { return int64(b.Stats.Upgraded) })
-	reg.RegisterFunc(metrics.MetricRelayForwarded, func() int64 { return int64(b.Stats.Forwarded) })
-	reg.RegisterFunc(metrics.MetricRelayRepointed, func() int64 { return int64(b.Stats.Repointed) })
-	reg.RegisterFunc(metrics.MetricRelayDroppedDown, func() int64 { return int64(b.Stats.DroppedDown) })
-	dmtp.RegisterFlowMetrics(reg, b.FlowStats)
-	for i := 0; i < b.eng.NumShards(); i++ {
-		dmtp.RegisterShardOccupancy(reg, i, b.eng.At(i).BufferedBytes)
-	}
-	b.reshapeC = reg.Counter(fmt.Sprintf("%s%d", metrics.MetricRelayReshapePrefix, b.cfg.Upgrade.ConfigID))
-	if b.jset != nil {
-		b.jset.RegisterMetrics(reg)
-	}
-	dmtp.RegisterPoolMetrics(reg)
+	b.eng.RegisterMetrics(reg)
+	reg.RegisterFunc(metrics.MetricRelayRepointed, func() int64 { return int64(b.repointed) })
+	reg.RegisterFunc(metrics.MetricRelayDroppedDown, func() int64 { return int64(b.droppedDown) })
 }
 
 // Attach implements netsim.Handler.
-func (b *BufferNode) Attach(n *netsim.Node) { b.node = n }
-
-// Crash models the DTN process dying: from now until Restart every
-// arriving frame — data, NAKs, ACKs, transit — is discarded, and the
-// retransmission buffer is lost. Without a journal, sequence counters
-// survive in memory but buffered payloads do not, so post-Restart NAKs
-// for pre-crash packets meet a cold buffer. With JournalDir set the
-// write-ahead log is flushed here (the OS had the writes; the process
-// lost its memory) and Restart replays it. The flow table dies with the
-// process either way: flows re-register (and re-resolve their downstream
-// route) on their first post-Restart packet, so no stale forward address
-// survives a crash.
-func (b *BufferNode) Crash() {
-	if b.jset != nil {
-		b.jset.Flush()
-	}
-	b.eng.Crash()
-	clear(b.flows)
-	b.flowStats.Active = 0
+func (b *BufferNode) Attach(n *netsim.Node) {
+	b.node = n
+	b.eng.SetSelf(n.Addr)
 }
 
-// Restart brings a crashed node back into service. Without a journal
-// the buffer is cold; with one, the log is replayed first — stash
-// entries and sequence floors restored shard by shard — so NAK service
-// resumes warm and the crash costs zero messages.
+// Crash models the DTN process dying (dmtp.RelayEngine.Crash): from now
+// until Restart every arriving frame — data, NAKs, ACKs, transit — is
+// discarded, and the retransmission buffer and flow table are lost; a
+// journal, when configured, is flushed here (the OS had the writes; the
+// process lost its memory) for Restart to replay.
+func (b *BufferNode) Crash() { b.eng.Crash(nil) }
+
+// Restart brings a crashed node back into service — warm when journaled,
+// cold otherwise. A journal that cannot be replayed panics, like a bad
+// JournalDir at construction.
 func (b *BufferNode) Restart() {
-	if b.jset != nil {
-		recs, err := b.jset.Replay()
-		if err != nil {
-			panic(fmt.Sprintf("core: journal replay on restart: %v", err))
-		}
-		for i, rec := range recs {
-			b.restoreShard(i, rec)
-		}
+	if err := b.eng.Restart(nil); err != nil {
+		panic(fmt.Sprintf("core: %v", err))
 	}
-	b.eng.Restart()
 }
 
 // IsDown reports whether the node is crashed.
@@ -384,19 +269,23 @@ func (b *BufferNode) IsDown() bool { return b.eng.Down() }
 // HandleFrame implements netsim.Handler.
 func (b *BufferNode) HandleFrame(ingress *netsim.Port, f *netsim.Frame) {
 	if b.eng.Down() {
-		b.Stats.DroppedDown++
+		b.droppedDown++
 		return
 	}
-	b.sweepFlows()
+	now := int64(b.nw.Now())
+	// Idle-flow expiry rides the frame path so it advances with virtual
+	// time.
+	b.eng.Sweep(now)
 	v := wire.View(f.Data)
 	if _, err := v.Check(); err != nil {
 		return
 	}
 	if v.IsControl() {
-		b.handleControl(ingress, f, v)
-		return
-	}
-	if f.Dst != b.node.Addr && !f.Dst.IsZero() {
+		if f.Dst != b.node.Addr {
+			b.forwardRaw(f)
+			return
+		}
+	} else if f.Dst != b.node.Addr && !f.Dst.IsZero() {
 		// Transit data traffic: optionally adopt it (stash + repoint),
 		// then route onward.
 		if b.cfg.StashTransit {
@@ -405,72 +294,7 @@ func (b *BufferNode) HandleFrame(ingress *netsim.Port, f *netsim.Frame) {
 		b.forwardRaw(f)
 		return
 	}
-	if v.ConfigID() != b.cfg.UpgradeFrom {
-		// Already upgraded or an unknown mode: pass through downstream
-		// along the packet's registered flow.
-		fl := b.flowFor(f.Src, v.Experiment())
-		if fl == nil {
-			return
-		}
-		b.send(fl.port, fl.dst, f.Data)
-		b.Stats.Forwarded++
-		return
-	}
-	b.upgradeAndForward(f.Src, v)
-}
-
-func (b *BufferNode) upgradeAndForward(src wire.Addr, v wire.View) {
-	// Register the flow before spending a sequence number, so a rejected
-	// flow (table full, resolver refusal) consumes no sequencing state.
-	fl := b.flowFor(src, v.Experiment())
-	if fl == nil {
-		return
-	}
-	// FeatTraced rides along: an upgrade must not strip an in-band trace,
-	// and the reshape itself is recorded as a hop stamp below.
-	want := b.cfg.Upgrade.Features | v.Features()&wire.FeatTraced
-	up, err := v.Reshape(b.cfg.Upgrade.ConfigID, want)
-	if err != nil {
-		return
-	}
-	if up.TraceSampled() {
-		_ = up.AppendHopStamp(wire.TraceReshapeHop(b.cfg.Upgrade.ConfigID), int64(b.nw.Now()))
-	}
-	feats := up.Features()
-	exp := up.Experiment()
-	var seq uint64
-	if feats.Has(wire.FeatSequenced) {
-		seq = b.eng.NextSeq(exp)
-	}
-	dmtp.StampUpgrade(up, seq, int64(b.nw.Now()), dmtp.Upgrade{
-		Self:             b.node.Addr,
-		MaxAge:           b.cfg.MaxAge,
-		DeadlineBudget:   b.cfg.DeadlineBudget,
-		DeadlineNotify:   b.cfg.DeadlineNotify,
-		BackPressureSink: b.cfg.BackPressureSink,
-	})
-	if feats.Has(wire.FeatEncrypted) && b.cfg.Cipher != nil {
-		nonce := uint32(seq)
-		off, _ := feats.ExtOffset(wire.FeatEncrypted)
-		ext := up[wire.CoreHeaderLen+off:]
-		ext[0], ext[1], ext[2], ext[3] = byte(b.cfg.KeyEpoch>>24), byte(b.cfg.KeyEpoch>>16), byte(b.cfg.KeyEpoch>>8), byte(b.cfg.KeyEpoch)
-		ext[4], ext[5], ext[6], ext[7] = byte(nonce>>24), byte(nonce>>16), byte(nonce>>8), byte(nonce)
-		b.cfg.Cipher.Seal(b.cfg.KeyEpoch, nonce, up.Payload())
-	}
-	b.Stats.Upgraded++
-	if b.reshapeC != nil {
-		b.reshapeC.Inc()
-	}
-	b.cfg.Recorder.RecordAt(int64(b.nw.Now()), metrics.EvReshape,
-		uint64(exp), seq, uint64(b.cfg.Upgrade.ConfigID))
-	if feats.Has(wire.FeatSequenced) {
-		// Stash an independent copy: downstream elements mutate headers
-		// in flight, and the buffer must retransmit the packet as it
-		// left this node.
-		b.eng.Stash(exp, seq, []byte(up.Clone()))
-	}
-	b.send(fl.port, fl.dst, up)
-	b.Stats.Forwarded++
+	b.eng.Handle(b.eng.ShardIndex(v.Experiment()), f.Src, v, now)
 }
 
 // adoptTransit buffers a sequenced transit packet and rewrites its
@@ -490,38 +314,8 @@ func (b *BufferNode) adoptTransit(v wire.View) {
 	if err := v.SetRetransmitBuffer(b.node.Addr); err != nil {
 		return
 	}
-	b.eng.Stash(v.Experiment(), seq, []byte(v.Clone()))
-	b.Stats.Repointed++
-}
-
-func (b *BufferNode) handleControl(ingress *netsim.Port, f *netsim.Frame, v wire.View) {
-	if f.Dst != b.node.Addr {
-		b.forwardRaw(f)
-		return
-	}
-	switch v.ConfigID() {
-	case wire.ConfigNAK:
-		nak, err := wire.DecodeNAK(f.Data)
-		if err != nil {
-			return
-		}
-		b.eng.ServeNAK(nak)
-	case wire.ConfigAck:
-		ack, err := wire.DecodeAck(f.Data)
-		if err != nil {
-			return
-		}
-		b.eng.Trim(ack.Experiment, ack.CumulativeSeq)
-	}
-}
-
-func (b *BufferNode) send(port int, dst wire.Addr, data []byte) {
-	b.node.Port(port).Send(&netsim.Frame{
-		Src:  b.node.Addr,
-		Dst:  dst,
-		Data: data,
-		Born: b.nw.Now(),
-	})
+	b.eng.Buffer().Stash(v.Experiment(), seq, []byte(v.Clone()))
+	b.repointed++
 }
 
 // forwardRaw routes a transit frame by destination.

@@ -62,8 +62,8 @@ func TestBufferEvictsOldestWhenFull(t *testing.T) {
 		rig.sendBare(t, string(make([]byte, 1000)))
 	}
 	rig.nw.Loop().Run()
-	if rig.buf.Stats.Evicted == 0 {
-		t.Fatalf("no evictions: %+v", rig.buf.Stats)
+	if rig.buf.Stats().Evicted == 0 {
+		t.Fatalf("no evictions: %+v", rig.buf.Stats())
 	}
 	if rig.buf.BufferedBytes() > 3000 {
 		t.Fatalf("capacity exceeded: %d", rig.buf.BufferedBytes())
@@ -81,8 +81,8 @@ func TestBufferEvictsOldestWhenFull(t *testing.T) {
 	nakFor(1) // evicted
 	nakFor(5) // retained
 	rig.nw.Loop().Run()
-	if rig.buf.Stats.Misses != 1 || rig.buf.Stats.Retransmits != 1 {
-		t.Fatalf("misses=%d retransmits=%d", rig.buf.Stats.Misses, rig.buf.Stats.Retransmits)
+	if rig.buf.Stats().Misses != 1 || rig.buf.Stats().Retransmits != 1 {
+		t.Fatalf("misses=%d retransmits=%d", rig.buf.Stats().Misses, rig.buf.Stats().Retransmits)
 	}
 }
 
@@ -100,8 +100,8 @@ func TestBufferTrimOnAck(t *testing.T) {
 	}
 	rig.downN.SendTo(rig.bufAddr, data)
 	rig.nw.Loop().Run()
-	if rig.buf.Stats.Trimmed != 3 {
-		t.Fatalf("trimmed %d", rig.buf.Stats.Trimmed)
+	if rig.buf.Stats().Trimmed != 3 {
+		t.Fatalf("trimmed %d", rig.buf.Stats().Trimmed)
 	}
 	if rig.buf.BufferedBytes() >= before {
 		t.Fatal("occupancy not reduced")
@@ -180,7 +180,7 @@ func TestBufferPassesThroughForeignModes(t *testing.T) {
 	if got == nil || got.ConfigID() != 9 {
 		t.Fatalf("foreign mode mangled: %v", got)
 	}
-	if rig.buf.Stats.Upgraded != 0 {
+	if rig.buf.Stats().Upgraded != 0 {
 		t.Fatal("foreign mode upgraded")
 	}
 }

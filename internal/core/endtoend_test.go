@@ -145,8 +145,8 @@ func TestEndToEndLossRecoveryFromDTN1(t *testing.T) {
 	if len(seen) != 1000 {
 		t.Fatalf("distinct messages %d", len(seen))
 	}
-	if p.dtn1.Stats.Retransmits == 0 || p.dtn1.Stats.NAKs == 0 {
-		t.Fatalf("buffer stats %+v", p.dtn1.Stats)
+	if p.dtn1.Stats().Retransmits == 0 || p.dtn1.Stats().NAKs == 0 {
+		t.Fatalf("buffer stats %+v", p.dtn1.Stats())
 	}
 	// Recovery must come from DTN1 (RTT ≈ 32 ms), far faster than a
 	// sensor-based retry could be if the source kept no buffer at all
@@ -179,8 +179,8 @@ func TestEndToEndGivesUpAfterMaxNAKs(t *testing.T) {
 	if p.receiver.OutstandingGaps() != 0 {
 		t.Fatalf("%d gaps still pending at quiescence", p.receiver.OutstandingGaps())
 	}
-	if p.dtn1.Stats.Evicted == 0 {
-		t.Fatalf("tiny buffer never evicted: %+v", p.dtn1.Stats)
+	if p.dtn1.Stats().Evicted == 0 {
+		t.Fatalf("tiny buffer never evicted: %+v", p.dtn1.Stats())
 	}
 }
 
@@ -258,8 +258,8 @@ func TestEndToEndAcksTrimBuffer(t *testing.T) {
 	p.sender.Stream(src)
 	p.nw.Loop().Run()
 
-	if p.dtn1.Stats.Trimmed == 0 {
-		t.Fatalf("acks never trimmed the buffer: %+v", p.dtn1.Stats)
+	if p.dtn1.Stats().Trimmed == 0 {
+		t.Fatalf("acks never trimmed the buffer: %+v", p.dtn1.Stats())
 	}
 	if p.dtn1.BufferedBytes() >= 100*5000 {
 		t.Fatalf("buffer occupancy %d not reduced", p.dtn1.BufferedBytes())
@@ -285,7 +285,7 @@ func TestEndToEndModeProgression(t *testing.T) {
 			sawWAN = true
 		}
 	}
-	sawBare = p.sender.Stats.Sent == 10 && p.dtn1.Stats.Upgraded == 10
+	sawBare = p.sender.Stats.Sent == 10 && p.dtn1.Stats().Upgraded == 10
 	if !sawBare || !sawWAN {
 		t.Fatalf("mode progression broken: bare=%v wan=%v", sawBare, sawWAN)
 	}

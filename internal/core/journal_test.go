@@ -46,8 +46,8 @@ func TestEndToEndJournaledCrashZeroLoss(t *testing.T) {
 	if st.Recovered == 0 {
 		t.Fatalf("no recoveries under 5%% WAN loss: %+v", st)
 	}
-	if p.dtn1.Stats.BufferStats.Crashes != 1 {
-		t.Fatalf("crash not recorded: %+v", p.dtn1.Stats.BufferStats)
+	if p.dtn1.Stats().BufferStats.Crashes != 1 {
+		t.Fatalf("crash not recorded: %+v", p.dtn1.Stats().BufferStats)
 	}
 	js := p.dtn1.JournalStats()
 	if js.Replayed == 0 {

@@ -70,8 +70,8 @@ func TestOsmoticSensorsJoinTheDMTPWorld(t *testing.T) {
 	}
 	// The readings went through the full DMTP treatment: upgraded at the
 	// DTN, sequenced, attributed to the right experiment.
-	if dtn.Stats.Upgraded != 2*perSensor {
-		t.Fatalf("dtn upgraded %d", dtn.Stats.Upgraded)
+	if dtn.Stats().Upgraded != 2*perSensor {
+		t.Fatalf("dtn upgraded %d", dtn.Stats().Upgraded)
 	}
 	if sampleExp.Experiment() != 0x05E || sampleSeq == 0 {
 		t.Fatalf("last message: %v seq %d", sampleExp, sampleSeq)

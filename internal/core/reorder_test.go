@@ -53,7 +53,7 @@ func TestReorderToleranceAbsorbsJitter(t *testing.T) {
 	if rcv.Stats.GapsSeen == 0 {
 		t.Fatal("jitter produced no transient gaps; test is vacuous")
 	}
-	if rcv.Stats.NAKsSent != 0 || dtn.Stats.NAKs != 0 {
+	if rcv.Stats.NAKsSent != 0 || dtn.Stats().NAKs != 0 {
 		t.Fatalf("spurious NAKs under pure reordering: %d sent", rcv.Stats.NAKsSent)
 	}
 	if rcv.Stats.Lost != 0 || rcv.Stats.Recovered != 0 {
@@ -73,7 +73,7 @@ func TestTinyNAKDelayCausesSpuriousRecovery(t *testing.T) {
 	if rcv.Stats.Delivered != 1000 {
 		t.Fatalf("delivered %d", rcv.Stats.Delivered)
 	}
-	if rcv.Stats.NAKsSent == 0 || dtn.Stats.Retransmits == 0 {
+	if rcv.Stats.NAKsSent == 0 || dtn.Stats().Retransmits == 0 {
 		t.Fatal("aggressive NAK delay produced no spurious recovery; test is vacuous")
 	}
 	if rcv.Stats.Duplicates == 0 {

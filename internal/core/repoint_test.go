@@ -72,15 +72,15 @@ func TestMidPathBufferRepointing(t *testing.T) {
 		}
 	}
 	// Without repointing, NAKs travel to DTN1; with it, to MID.
-	if dtn1Far.Stats.Retransmits == 0 || midOff.Stats.Retransmits != 0 {
+	if dtn1Far.Stats().Retransmits == 0 || midOff.Stats().Retransmits != 0 {
 		t.Fatalf("far config served from wrong buffer: dtn1=%d mid=%d",
-			dtn1Far.Stats.Retransmits, midOff.Stats.Retransmits)
+			dtn1Far.Stats().Retransmits, midOff.Stats().Retransmits)
 	}
-	if midOn.Stats.Retransmits == 0 || dtn1Near.Stats.Retransmits != 0 {
+	if midOn.Stats().Retransmits == 0 || dtn1Near.Stats().Retransmits != 0 {
 		t.Fatalf("near config served from wrong buffer: dtn1=%d mid=%d",
-			dtn1Near.Stats.Retransmits, midOn.Stats.Retransmits)
+			dtn1Near.Stats().Retransmits, midOn.Stats().Retransmits)
 	}
-	if midOn.Stats.Repointed == 0 {
+	if midOn.Stats().Repointed == 0 {
 		t.Fatal("no packets repointed")
 	}
 	// The headline claim: the closer buffer roughly halves recovery time
@@ -103,7 +103,7 @@ func TestRepointedRetransmissionsAreDeduplicated(t *testing.T) {
 	// receiver must still dedupe if both a late original and a
 	// retransmission arrive.
 	_, _, mid, rcv := repointPath(t, true, 2e-2)
-	if mid.Stats.Retransmits == 0 {
+	if mid.Stats().Retransmits == 0 {
 		t.Fatal("no retransmissions at 2% loss")
 	}
 	if rcv.Stats.Lost != 0 {

@@ -25,12 +25,26 @@ type BufferStats struct {
 	Crashes       uint64 // Crash() invocations (chaos testing)
 }
 
+// Add accumulates o into s, field by field — the one place per-shard
+// counters are summed.
+func (s *BufferStats) Add(o BufferStats) {
+	s.Buffered += o.Buffered
+	s.BufferedBytes += o.BufferedBytes
+	s.ReleasedBytes += o.ReleasedBytes
+	s.Evicted += o.Evicted
+	s.Trimmed += o.Trimmed
+	s.NAKs += o.NAKs
+	s.Retransmits += o.Retransmits
+	s.Misses += o.Misses
+	s.Crashes += o.Crashes
+}
+
 // Journal is the optional write-ahead contract a BufferEngine keeps its
 // stash durable through: an append for every stash insert, a tombstone
 // for every capacity eviction, and a trim mark for every cumulative-ACK
 // release. Crash() deliberately journals nothing — process death loses
-// memory, and the journal is exactly the state that survives it; the
-// adapter replays the journal into RestoreStash/RestoreSeq on restart.
+// memory, and the journal is exactly the state that survives it;
+// RelayEngine replays the journal into RestoreStash/RestoreSeq on restart.
 // internal/journal provides the implementation; the engine only knows
 // this interface, so a nil journal keeps today's behavior byte-for-byte.
 type Journal interface {

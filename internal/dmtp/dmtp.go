@@ -1,9 +1,11 @@
 // Package dmtp holds the substrate-agnostic DMTP protocol engines: the
 // state machines that define the protocol's behaviour — encapsulation and
-// pacing (SenderEngine: Encap + Pacer), mode upgrade, stash, NAK service
-// and cumulative trim (BufferEngine), and sequence-gap detection, NAK
-// scheduling with capped jittered exponential backoff, reorder/flush and
-// the destination timeliness check (ReceiverEngine).
+// pacing (SenderEngine: Encap + Pacer), the relay element (RelayEngine:
+// flow table, mode upgrade and journal lifecycle over sharded
+// BufferEngines, which own the stash, NAK service and cumulative trim),
+// and sequence-gap detection, NAK scheduling with capped jittered
+// exponential backoff, reorder/flush and the destination timeliness check
+// (ReceiverEngine).
 //
 // The engines never touch a socket, a simulator loop, or the wall clock
 // directly. They are driven purely through three narrow contracts:

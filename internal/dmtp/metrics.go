@@ -1,18 +1,16 @@
 package dmtp
 
 import (
-	"strconv"
-
 	"repro/internal/metrics"
 	"repro/internal/tracespan"
 	"repro/internal/wire"
 )
 
 // This file holds the shared metric-registration helpers. Both substrate
-// adapters (internal/core for the simulator, internal/live for UDP) publish
-// their engine counters through these functions, which use only the
-// canonical name constants from internal/metrics — so a simulator run and a
-// live daemon export identical metric names by construction.
+// adapters publish their receiver counters through these functions (the
+// relay's go through RelayEngine.RegisterMetrics), which use only the
+// canonical name constants from internal/metrics — so a simulator run and
+// a live daemon export identical metric names by construction.
 //
 // All helpers register sampled func gauges: the adapter supplies a snapshot
 // closure that is invoked only when the registry is scraped, so the
@@ -45,36 +43,7 @@ func RegisterReceiverGauges(reg *metrics.Registry, gaps func() int, latency func
 	reg.RegisterFunc(metrics.MetricRxLatencyP99, func() int64 { _, p99 := latency(); return p99 })
 }
 
-// RegisterBufferMetrics publishes the dmtp.buf.* counter set on reg,
-// sampling snap (cumulative counters) and occupancy (current buffered
-// bytes) at scrape time.
-func RegisterBufferMetrics(reg *metrics.Registry, snap func() BufferStats, occupancy func() int) {
-	reg.RegisterFunc(metrics.MetricBufStashed, func() int64 { return int64(snap().Buffered) })
-	reg.RegisterFunc(metrics.MetricBufStashedBytes, func() int64 { return int64(snap().BufferedBytes) })
-	reg.RegisterFunc(metrics.MetricBufEvicted, func() int64 { return int64(snap().Evicted) })
-	reg.RegisterFunc(metrics.MetricBufTrimmed, func() int64 { return int64(snap().Trimmed) })
-	reg.RegisterFunc(metrics.MetricBufNAKsServed, func() int64 { return int64(snap().NAKs) })
-	reg.RegisterFunc(metrics.MetricBufRetransmits, func() int64 { return int64(snap().Retransmits) })
-	reg.RegisterFunc(metrics.MetricBufNAKMisses, func() int64 { return int64(snap().Misses) })
-	reg.RegisterFunc(metrics.MetricBufCrashes, func() int64 { return int64(snap().Crashes) })
-	reg.RegisterFunc(metrics.MetricBufOccupancyBytes, func() int64 { return int64(occupancy()) })
-}
-
-// RegisterStashImbalance publishes the stash-balance invariant as the
-// dmtp.buf.stash_imbalance_bytes gauge. imbalance must compute cumulative
-// stashed bytes − released bytes − current occupancy with all three reads
-// made atomically with respect to stash mutation (per shard under one
-// shard-lock hold on the live relay; trivially consistent on the
-// single-threaded simulator), so a healthy engine samples exactly 0 at
-// any instant — which is what lets the fleet monitor treat any nonzero
-// sample as an invariant violation rather than a scrape-skew artifact.
-func RegisterStashImbalance(reg *metrics.Registry, imbalance func() int64) {
-	reg.RegisterFunc(metrics.MetricBufStashImbalance, imbalance)
-}
-
 // FlowStats are a relay's flow-table counters (see dmtp.relay.flows.*).
-// Both substrates' many-flow adapters fill one from their own state so
-// the exported metric names match by construction.
 type FlowStats struct {
 	// Active is the number of currently registered flows.
 	Active uint64
@@ -84,23 +53,6 @@ type FlowStats struct {
 	Expired uint64
 	// Rejected counts refused registrations (table full, or no route).
 	Rejected uint64
-}
-
-// RegisterFlowMetrics publishes the dmtp.relay.flows.* set on reg,
-// sampling snap at scrape time.
-func RegisterFlowMetrics(reg *metrics.Registry, snap func() FlowStats) {
-	reg.RegisterFunc(metrics.MetricRelayFlowsActive, func() int64 { return int64(snap().Active) })
-	reg.RegisterFunc(metrics.MetricRelayFlowsOpened, func() int64 { return int64(snap().Opened) })
-	reg.RegisterFunc(metrics.MetricRelayFlowsExpired, func() int64 { return int64(snap().Expired) })
-	reg.RegisterFunc(metrics.MetricRelayFlowsRejected, func() int64 { return int64(snap().Rejected) })
-}
-
-// RegisterShardOccupancy publishes one shard's stash-occupancy gauge
-// (the dmtp.buf.occupancy_bytes.shard<N> family), sampled at scrape
-// time.
-func RegisterShardOccupancy(reg *metrics.Registry, shard int, occupancy func() int) {
-	reg.RegisterFunc(metrics.MetricBufShardOccupancyPrefix+strconv.Itoa(shard),
-		func() int64 { return int64(occupancy()) })
 }
 
 // RegisterTraceMetrics publishes the dmtp.trace.* set on reg: the collector's

@@ -1,0 +1,608 @@
+package dmtp
+
+// RelayEngine: the paper's DTN 1 (§5.1) as one protocol element. Both
+// substrate adapters (core.BufferNode, live.Relay) drive it, so the flow
+// table, the upgrade recipe and the journal lifecycle exist once;
+// substrate-only behaviour enters as data — the Upgrade value, the buffer
+// hooks, Emit/Flush, PostStamp — never as a branch on who is calling.
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/journal"
+	"repro/internal/metrics"
+	"repro/internal/wire"
+)
+
+// defaultFlowTTL is how long a flow may stay idle before the relay
+// forgets it (and a fresh first packet re-registers and re-resolves it).
+const defaultFlowTTL = 60 * time.Second
+
+// RelayConfig configures a RelayEngine. D is the adapter's per-flow
+// destination: whatever Resolve returns is kept on the flow and handed
+// back on every Emit.
+type RelayConfig[D fmt.Stringer] struct {
+	// Shards is the number of buffer shards experiments are partitioned
+	// across (zero means 1).
+	Shards int
+	// Buffer is the template for every shard's BufferEngine, with
+	// CapacityBytes the relay's total (split evenly) and Stats and Journal
+	// left for the engine to fill per shard. Its Clock also stamps flow
+	// idle times, its Recorder also gets reshape and injected-drop events.
+	Buffer BufferConfig
+	// Datapath carries NAK retransmissions.
+	Datapath Datapath
+	// Alloc supplies the length-n buffer an upgraded packet (or a
+	// journal-restored entry) is written into; the stash owns it from then
+	// on and hands it to Buffer.Release exactly once.
+	Alloc func(n int) []byte
+	// JournalDir, when non-empty, enables the stash write-ahead journal
+	// (internal/journal) with fsync policy JournalSync.
+	JournalDir  string
+	JournalSync string
+	// Locker, when non-nil, returns the mutex under which the adapter
+	// calls Handle for the given shard; the engine takes it in every
+	// method not marked "caller holds the shard lock". Nil suits a
+	// single-goroutine substrate.
+	Locker func(shard int) sync.Locker
+
+	// Resolve maps a new flow to its destination; false rejects the flow.
+	// Called once per registration, not per packet.
+	Resolve func(src wire.Addr, exp wire.ExperimentID) (D, bool)
+	// MaxFlows bounds the flow table across all shards (zero: unlimited);
+	// FlowTTL is how long an idle flow stays registered (default 60s).
+	MaxFlows int
+	FlowTTL  time.Duration
+
+	// UpgradeFrom is the config ID of arriving sensor traffic; anything
+	// else passes through unmodified along its flow. ConfigID and Features
+	// are the mode installed for the onward leg (an incoming FeatTraced is
+	// preserved on top) and Upgrade the header fields stamped into it;
+	// Upgrade.Self arrives later through SetSelf.
+	UpgradeFrom uint8
+	ConfigID    uint8
+	Features    wire.Features
+	Upgrade     Upgrade
+	// TraceSample, when positive, originates a sampled in-band trace on
+	// every TraceSample'th upgraded packet that does not already carry one
+	// — adding FeatTraced is just another config rewrite at the boundary.
+	TraceSample int
+	// PostStamp, when non-nil, runs on each upgraded packet after its
+	// header is stamped and before it is stashed.
+	PostStamp func(up wire.View, seq uint64)
+	// DropEveryN, when > 0, stashes but does not emit every Nth sequenced
+	// packet — fault injection so demos exercise recovery.
+	DropEveryN int
+
+	// Emit sends pkt onward to f.Dst. Ownership stays with the engine (or
+	// the arriving packet's owner), as with Datapath.SendData: an adapter
+	// that retains the bytes past the call must copy them or provide Flush.
+	Emit func(shard int, f *Flow[D], pkt []byte)
+	// Flush, when non-nil, pushes out everything Emit retained on the
+	// shard. The engine calls it before a stash insert that would evict (an
+	// evicted buffer could be one emitted earlier in the burst) and before
+	// a control packet (retransmissions must not overtake emitted data, and
+	// a trim releases stash buffers).
+	Flush func(shard int)
+}
+
+// Flow is one registered flow, owned by its shard.
+type Flow[D fmt.Stringer] struct {
+	// Dst is the destination Resolve returned at registration.
+	Dst D
+	// Pinned, while set by the adapter, exempts the flow from idle expiry:
+	// the live adapter pins a flow whose forwards are still queued.
+	Pinned bool
+
+	key       flowKey
+	sh        *relayShard[D]
+	lastSeen  int64 // engine-clock nanos of the last handled packet
+	upgraded  uint64
+	forwarded uint64
+}
+
+// Sent records n packets of the flow as forwarded. Caller holds the shard
+// lock.
+func (f *Flow[D]) Sent(n int) {
+	f.forwarded += uint64(n)
+	f.sh.forwarded += uint64(n)
+}
+
+// flowKey identifies a flow: who is sending, and which experiment.
+type flowKey struct {
+	src wire.Addr
+	exp wire.ExperimentID
+}
+
+// FlowInfo describes one registered flow — the /flows endpoint and
+// SIGUSR1 dump shape.
+type FlowInfo struct {
+	Src        wire.Addr
+	Experiment wire.ExperimentID
+	Dst        string
+	Shard      int
+	Upgraded   uint64
+	Forwarded  uint64
+	// IdleNs is how long ago the flow last saw a packet, on the engine
+	// clock.
+	IdleNs int64
+}
+
+// RelayStats are the relay counters summed across shards: cumulative,
+// except Occupancy, the bytes buffered right now. Each shard's share is
+// read under one lock hold, so BufferedBytes − ReleasedBytes − Occupancy
+// (the stash-balance invariant behind dmtp.buf.stash_imbalance_bytes) is
+// exactly 0 on a healthy engine at any instant — which is what lets the
+// fleet monitor treat a nonzero sample as a violation, not scrape skew.
+// Crashes counts one per shard per crash event, like the flight events.
+type RelayStats struct {
+	BufferStats
+	Occupancy     int
+	Upgraded      uint64
+	Forwarded     uint64
+	InjectedDrops uint64
+}
+
+// relayShard is one partition of the relay: a buffer engine for its
+// experiments and the flows that map to it, serialized by mu.
+type relayShard[D fmt.Stringer] struct {
+	mu    sync.Locker
+	buf   *BufferEngine
+	flows map[flowKey]*Flow[D]
+	nak   wire.NAK // scratch decode target, reusing Ranges capacity
+
+	upgraded      uint64 // also drives boundary trace sampling
+	injectedDrops uint64
+	forwarded     uint64
+}
+
+type nopLocker struct{}
+
+func (nopLocker) Lock()   {}
+func (nopLocker) Unlock() {}
+
+// RelayEngine is the substrate-agnostic relay state machine.
+type RelayEngine[D fmt.Stringer] struct {
+	cfg    RelayConfig[D]
+	sb     *ShardedBuffer
+	shards []*relayShard[D]
+	// jset is the per-shard write-ahead journal set (nil without
+	// JournalDir). Hot-path appends go through the shard engines' Journal
+	// hooks; the engine touches it directly only for lifecycle.
+	jset *journal.Set
+
+	lastSweep     int64
+	flowsActive   atomic.Int64
+	flowsOpened   atomic.Uint64
+	flowsExpired  atomic.Uint64
+	flowsRejected atomic.Uint64
+
+	// reshapeC counts reshapes into ConfigID; installed by
+	// RegisterMetrics, nil (and skipped) until then.
+	reshapeC atomic.Pointer[metrics.Counter]
+}
+
+// NewRelayEngine builds the shards, opens the journal when configured and
+// restores whatever a previous process left in it — recovered first, then
+// serving.
+func NewRelayEngine[D fmt.Stringer](cfg RelayConfig[D]) (*RelayEngine[D], error) {
+	if cfg.Buffer.Clock == nil {
+		cfg.Buffer.Clock = WallClock{}
+	}
+	if cfg.FlowTTL <= 0 {
+		cfg.FlowTTL = defaultFlowTTL
+	}
+	nsh := max(cfg.Shards, 1)
+	bcfg := cfg.Buffer
+	if bcfg.CapacityBytes > 0 && nsh > 1 {
+		bcfg.CapacityBytes = max(bcfg.CapacityBytes/nsh, 1)
+	}
+	e := &RelayEngine[D]{cfg: cfg, lastSweep: bcfg.Clock.Now()}
+	if cfg.JournalDir != "" {
+		set, err := journal.OpenSet(cfg.JournalDir, nsh, cfg.JournalSync, 0)
+		if err != nil {
+			return nil, fmt.Errorf("dmtp: opening stash journal: %w", err)
+		}
+		e.jset = set
+	}
+	e.shards = make([]*relayShard[D], nsh)
+	e.sb = NewShardedBuffer(nsh, func(i int) *BufferEngine {
+		sh := &relayShard[D]{mu: nopLocker{}, flows: make(map[flowKey]*Flow[D])}
+		if cfg.Locker != nil {
+			sh.mu = cfg.Locker(i)
+		}
+		// The interface value must stay nil (not a typed nil) when
+		// journaling is off, or the buffer engine would call through it.
+		c := bcfg
+		if e.jset != nil {
+			c.Journal = e.jset.Shard(i)
+		}
+		sh.buf = NewBufferEngine(cfg.Datapath, c)
+		e.shards[i] = sh
+		return sh.buf
+	})
+	if e.jset != nil {
+		for i, sh := range e.shards {
+			e.restoreShard(sh, e.jset.Recovered(i))
+		}
+	}
+	return e, nil
+}
+
+// restoreShard replays one shard's journal recovery into its buffer
+// engine: surviving entries are copied into Alloc'd buffers (the stash
+// owns and releases its entries) and re-stashed without re-journaling,
+// then sequence counters are raised to the journal's floors so later
+// upgrades never reuse a sequence number. Caller holds the shard lock, or
+// runs before the adapter can reach the engine.
+func (e *RelayEngine[D]) restoreShard(sh *relayShard[D], rec *journal.Recovered) {
+	for _, ent := range rec.Entries {
+		pkt := e.cfg.Alloc(len(ent.Payload))
+		copy(pkt, ent.Payload)
+		sh.buf.RestoreStash(ent.Exp, ent.Seq, pkt)
+	}
+	for exp, seq := range rec.Seqs {
+		sh.buf.RestoreSeq(exp, seq)
+	}
+}
+
+// SetSelf installs the relay's own address, which upgraded packets name as
+// their retransmission buffer, before traffic flows: at Attach or bind.
+func (e *RelayEngine[D]) SetSelf(self wire.Addr) { e.cfg.Upgrade.Self = self }
+
+// ShardIndex maps an experiment to the shard owning its state; NAKs and
+// ACKs carry the experiment in the core header, so they route the same way.
+func (e *RelayEngine[D]) ShardIndex(exp wire.ExperimentID) int { return e.sb.ShardIndex(exp) }
+
+// Buffer exposes the sharded stash for callers that sequence or stash
+// outside the upgrade path (transit adoption, oracles, tests). Its methods
+// need the owning shard's lock.
+func (e *RelayEngine[D]) Buffer() *ShardedBuffer { return e.sb }
+
+// Handle processes one packet that has passed View.Check on shard
+// si = ShardIndex(v.Experiment()). Caller holds the shard lock. Anything
+// Emit retained must be flushed before the lock is released.
+func (e *RelayEngine[D]) Handle(si int, src wire.Addr, v wire.View, now int64) {
+	sh := e.shards[si]
+	if v.IsControl() {
+		e.handleControl(si, sh, v)
+		return
+	}
+	if sh.buf.Down() {
+		// Crash swept this shard mid-burst; model the process death —
+		// nothing is handled until Restart.
+		return
+	}
+	exp := v.Experiment()
+	// Register the flow before spending a sequence number, so a rejected
+	// flow (table full, resolver refusal) consumes no sequencing state.
+	f := e.flowFor(sh, src, exp, now)
+	if f == nil {
+		return
+	}
+	if v.ConfigID() != e.cfg.UpgradeFrom {
+		// Already upgraded or an unknown mode: pass through along the
+		// packet's registered flow.
+		e.cfg.Emit(si, f, v)
+		return
+	}
+	// An in-band trace rides along through the upgrade; the relay can also
+	// originate one at the boundary.
+	feats := e.cfg.Features | v.Features()&wire.FeatTraced
+	n := sh.upgraded + 1
+	originate := e.cfg.TraceSample > 0 && !feats.Has(wire.FeatTraced) && n%uint64(e.cfg.TraceSample) == 0
+	if originate {
+		feats |= wire.FeatTraced
+	}
+	// Reshape directly into a buffer sized for the upgraded packet; the
+	// buffer doubles as the stash entry, so with a pooled Alloc the
+	// upgrade path performs no steady-state allocation.
+	extLen, _ := feats.ExtLen()
+	up, err := v.ReshapeInto(e.cfg.Alloc(len(v)+extLen), e.cfg.ConfigID, feats)
+	if err != nil {
+		return
+	}
+	sequenced := feats.Has(wire.FeatSequenced)
+	var seq uint64
+	if sequenced {
+		seq = sh.buf.NextSeq(exp)
+	}
+	StampUpgrade(up, seq, now, e.cfg.Upgrade)
+	if originate {
+		_ = up.SetTrace(wire.TraceExt{TraceID: uint32(n), Flags: wire.TraceSampledFlag})
+	}
+	if up.TraceSampled() {
+		_ = up.AppendHopStamp(wire.TraceReshapeHop(e.cfg.ConfigID), now)
+	}
+	if e.cfg.PostStamp != nil {
+		e.cfg.PostStamp(up, seq)
+	}
+	sh.upgraded = n
+	f.upgraded++
+	if c := e.reshapeC.Load(); c != nil {
+		c.Inc()
+	}
+	e.cfg.Buffer.Recorder.RecordAt(now, metrics.EvReshape, uint64(exp), seq, uint64(e.cfg.ConfigID))
+	if sequenced {
+		// The stash takes ownership of the buffer: downstream elements
+		// mutate headers in flight, and the buffer must retransmit the
+		// packet as it left here.
+		if e.cfg.Flush != nil && sh.buf.BufferedBytes()+len(up) > sh.buf.CapacityBytes() {
+			e.cfg.Flush(si)
+		}
+		sh.buf.Stash(exp, seq, up)
+		if e.cfg.DropEveryN > 0 && seq%uint64(e.cfg.DropEveryN) == 0 {
+			sh.injectedDrops++
+			e.cfg.Buffer.Recorder.RecordAt(now, metrics.EvInjectedDrop, uint64(exp), seq, 0)
+			return
+		}
+	}
+	e.cfg.Emit(si, f, up)
+}
+
+// handleControl serves NAKs and ACKs addressed to the relay.
+func (e *RelayEngine[D]) handleControl(si int, sh *relayShard[D], v wire.View) {
+	if e.cfg.Flush != nil {
+		e.cfg.Flush(si)
+	}
+	switch v.ConfigID() {
+	case wire.ConfigNAK:
+		if err := sh.nak.DecodeFrom(v); err != nil {
+			return
+		}
+		sh.buf.ServeNAK(&sh.nak)
+	case wire.ConfigAck:
+		ack, err := wire.DecodeAck(v)
+		if err != nil {
+			return
+		}
+		sh.buf.Trim(ack.Experiment, ack.CumulativeSeq)
+	}
+}
+
+// flowFor returns the registered flow for (src, exp), registering it on
+// first packet: the destination is resolved now and kept for the flow's
+// lifetime. Nil means the registration was rejected.
+func (e *RelayEngine[D]) flowFor(sh *relayShard[D], src wire.Addr, exp wire.ExperimentID, now int64) *Flow[D] {
+	k := flowKey{src: src, exp: exp}
+	if f, ok := sh.flows[k]; ok {
+		f.lastSeen = now
+		return f
+	}
+	if max := e.cfg.MaxFlows; max > 0 && e.flowsActive.Load() >= int64(max) {
+		e.flowsRejected.Add(1)
+		return nil
+	}
+	dst, ok := e.cfg.Resolve(src, exp)
+	if !ok {
+		e.flowsRejected.Add(1)
+		return nil
+	}
+	f := &Flow[D]{Dst: dst, key: k, sh: sh, lastSeen: now}
+	sh.flows[k] = f
+	e.flowsActive.Add(1)
+	e.flowsOpened.Add(1)
+	return f
+}
+
+// Sweep lazily expires flows idle for FlowTTL or longer, at most once per
+// half-TTL. Adapters call it between packets or bursts with no shard lock
+// held, so it costs nothing on the packet path.
+func (e *RelayEngine[D]) Sweep(now int64) {
+	ttl := int64(e.cfg.FlowTTL)
+	if now-e.lastSweep < ttl/2 {
+		return
+	}
+	e.lastSweep = now
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		for k, f := range sh.flows {
+			if now-f.lastSeen >= ttl && !f.Pinned {
+				delete(sh.flows, k)
+				e.flowsActive.Add(-1)
+				e.flowsExpired.Add(1)
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// Crash models the relay process dying: every shard's retransmission
+// buffer is lost and the flow table is cleared (a real restart re-learns
+// its sessions — and re-resolves their destinations, so no stale forward
+// address survives). Without a journal, post-Restart NAKs meet a cold
+// buffer — the condition NAK-based recovery must degrade gracefully under.
+// With one, the log is flushed once quiesce (non-nil where the packet path
+// runs on its own goroutine) has stopped that path: every append the
+// shards enqueued is then in the writer's queue and the barrier pushes it
+// to disk. Crash reports false, and does nothing, when already down.
+func (e *RelayEngine[D]) Crash(quiesce func()) bool {
+	if e.Down() {
+		return false
+	}
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		sh.buf.Crash() // releases every stash buffer
+		e.flowsActive.Add(-int64(len(sh.flows)))
+		clear(sh.flows)
+		sh.mu.Unlock()
+	}
+	if quiesce != nil {
+		quiesce()
+	}
+	if e.jset != nil {
+		e.jset.Flush()
+	}
+	return true
+}
+
+// Restart brings a crashed relay back with an empty flow table. Without a
+// journal the buffers come back cold; with one, the log is replayed first
+// — stash entries and sequence floors rebuilt shard by shard — so NAK
+// service resumes warm. rebind (nil on the simulator) reopens the
+// substrate's ingress after the replay and before the shards are marked
+// up; if it fails the relay stays down.
+func (e *RelayEngine[D]) Restart(rebind func() error) error {
+	if e.jset != nil {
+		recs, err := e.jset.Replay()
+		if err != nil {
+			return fmt.Errorf("dmtp: journal replay on restart: %w", err)
+		}
+		for i, sh := range e.shards {
+			sh.mu.Lock()
+			e.restoreShard(sh, recs[i])
+			sh.mu.Unlock()
+		}
+	}
+	if rebind != nil {
+		if err := rebind(); err != nil {
+			return err
+		}
+	}
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		sh.buf.Restart()
+		sh.mu.Unlock()
+	}
+	return nil
+}
+
+// Down reports whether the relay is crashed and awaiting Restart. Shards
+// crash and restart together; the first speaks for all.
+func (e *RelayEngine[D]) Down() bool {
+	sh := e.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.buf.Down()
+}
+
+// Close stops the journal writers and closes the segment files. The
+// engine has no other resources.
+func (e *RelayEngine[D]) Close() error {
+	if e.jset == nil {
+		return nil
+	}
+	return e.jset.Close()
+}
+
+// JournalStats returns the journal counters (zero without a journal).
+func (e *RelayEngine[D]) JournalStats() journal.Stats {
+	if e.jset == nil {
+		return journal.Stats{}
+	}
+	return e.jset.Stats()
+}
+
+// JournalRecoveries returns the most recent per-shard journal recovery —
+// the startup scan, or the last crash replay. Nil without a journal.
+func (e *RelayEngine[D]) JournalRecoveries() []*journal.Recovered {
+	if e.jset == nil {
+		return nil
+	}
+	return e.jset.Recoveries()
+}
+
+// Stats returns a snapshot of the counters.
+func (e *RelayEngine[D]) Stats() RelayStats {
+	var s RelayStats
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		s.BufferStats.Add(sh.buf.Stats())
+		s.Occupancy += sh.buf.BufferedBytes()
+		s.Upgraded += sh.upgraded
+		s.Forwarded += sh.forwarded
+		s.InjectedDrops += sh.injectedDrops
+		sh.mu.Unlock()
+	}
+	return s
+}
+
+// FlowStats returns the flow-table counters (dmtp.relay.flows.*).
+func (e *RelayEngine[D]) FlowStats() FlowStats {
+	return FlowStats{
+		Active:   uint64(e.flowsActive.Load()),
+		Opened:   e.flowsOpened.Load(),
+		Expired:  e.flowsExpired.Load(),
+		Rejected: e.flowsRejected.Load(),
+	}
+}
+
+// Flows snapshots the flow table across all shards, ordered by shard,
+// then source, then experiment.
+func (e *RelayEngine[D]) Flows() []FlowInfo {
+	now := e.cfg.Buffer.Clock.Now()
+	var out []FlowInfo
+	for i, sh := range e.shards {
+		sh.mu.Lock()
+		for _, f := range sh.flows {
+			out = append(out, FlowInfo{
+				Src:        f.key.src,
+				Experiment: f.key.exp,
+				Dst:        f.Dst.String(),
+				Shard:      i,
+				Upgraded:   f.upgraded,
+				Forwarded:  f.forwarded,
+				IdleNs:     now - f.lastSeen,
+			})
+		}
+		sh.mu.Unlock()
+	}
+	slices.SortFunc(out, func(a, b FlowInfo) int {
+		if c := cmp.Compare(a.Shard, b.Shard); c != 0 || a.Src == b.Src {
+			return cmp.Or(c, cmp.Compare(a.Experiment, b.Experiment))
+		}
+		return strings.Compare(a.Src.String(), b.Src.String())
+	})
+	return out
+}
+
+// RegisterMetrics publishes the relay's metric set on reg — dmtp.buf.*
+// (with per-shard occupancy), dmtp.relay.*, the flow-table family, the
+// reshape counter for ConfigID, the journal family when journaled, the
+// shared packet-pool counters — as gauges sampled under the shard locks
+// at scrape time only. Both substrates register through here, so their
+// metric names match by construction.
+func (e *RelayEngine[D]) RegisterMetrics(reg *metrics.Registry) {
+	gauge := func(name string, f func(RelayStats) uint64) {
+		reg.RegisterFunc(name, func() int64 { return int64(f(e.Stats())) })
+	}
+	gauge(metrics.MetricBufStashed, func(s RelayStats) uint64 { return s.Buffered })
+	gauge(metrics.MetricBufStashedBytes, func(s RelayStats) uint64 { return s.BufferedBytes })
+	gauge(metrics.MetricBufEvicted, func(s RelayStats) uint64 { return s.Evicted })
+	gauge(metrics.MetricBufTrimmed, func(s RelayStats) uint64 { return s.Trimmed })
+	gauge(metrics.MetricBufNAKsServed, func(s RelayStats) uint64 { return s.NAKs })
+	gauge(metrics.MetricBufRetransmits, func(s RelayStats) uint64 { return s.Retransmits })
+	gauge(metrics.MetricBufNAKMisses, func(s RelayStats) uint64 { return s.Misses })
+	gauge(metrics.MetricBufCrashes, func(s RelayStats) uint64 { return s.Crashes })
+	gauge(metrics.MetricBufOccupancyBytes, func(s RelayStats) uint64 { return uint64(s.Occupancy) })
+	gauge(metrics.MetricBufStashImbalance, func(s RelayStats) uint64 {
+		return s.BufferedBytes - s.ReleasedBytes - uint64(s.Occupancy)
+	})
+	gauge(metrics.MetricRelayUpgraded, func(s RelayStats) uint64 { return s.Upgraded })
+	gauge(metrics.MetricRelayForwarded, func(s RelayStats) uint64 { return s.Forwarded })
+	gauge(metrics.MetricRelayInjectedDrops, func(s RelayStats) uint64 { return s.InjectedDrops })
+	for i, sh := range e.shards {
+		reg.RegisterFunc(metrics.MetricBufShardOccupancyPrefix+strconv.Itoa(i), func() int64 {
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			return int64(sh.buf.BufferedBytes())
+		})
+	}
+	flows := e.FlowStats
+	reg.RegisterFunc(metrics.MetricRelayFlowsActive, func() int64 { return int64(flows().Active) })
+	reg.RegisterFunc(metrics.MetricRelayFlowsOpened, func() int64 { return int64(flows().Opened) })
+	reg.RegisterFunc(metrics.MetricRelayFlowsExpired, func() int64 { return int64(flows().Expired) })
+	reg.RegisterFunc(metrics.MetricRelayFlowsRejected, func() int64 { return int64(flows().Rejected) })
+	e.reshapeC.Store(reg.Counter(metrics.MetricRelayReshapePrefix + strconv.Itoa(int(e.cfg.ConfigID))))
+	if e.jset != nil {
+		e.jset.RegisterMetrics(reg)
+	}
+	RegisterPoolMetrics(reg)
+}

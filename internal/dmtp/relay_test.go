@@ -1,0 +1,431 @@
+package dmtp
+
+// RelayEngine tests: the flow table, the upgrade recipe and the journal
+// lifecycle driven directly — FakeClock, a recording datapath, no sockets
+// and no simulator — so both substrate adapters inherit one tested
+// behaviour.
+
+import (
+	"errors"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/wire"
+)
+
+// testDst is the adapter-typed flow destination of the test rig.
+type testDst string
+
+func (d testDst) String() string { return string(d) }
+
+type emitted struct {
+	dst testDst
+	seq uint64 // zero for pass-through packets without a sequence field
+}
+
+// relayRig is a RelayEngine over a fake clock with every callback
+// recorded. log interleaves "emit", "flush" and the datapath's "rtx" so
+// ordering contracts can be asserted.
+type relayRig struct {
+	t     *testing.T
+	cfg   RelayConfig[testDst]
+	eng   *RelayEngine[testDst]
+	clock *FakeClock
+	dp    *recDatapath
+	route map[wire.ExperimentID]testDst // absent: Resolve refuses
+	out   []emitted
+	log   []string
+}
+
+var (
+	rigSrcA = wire.AddrFrom(10, 0, 0, 1, 4000)
+	rigSrcB = wire.AddrFrom(10, 0, 0, 2, 4000)
+	rigSelf = wire.AddrFrom(10, 0, 1, 1, 7000)
+	rigReq  = wire.AddrFrom(10, 0, 2, 1, 7000)
+	expA    = wire.NewExperimentID(701, 0)
+	expB    = wire.NewExperimentID(702, 0)
+)
+
+const rigStart = int64(time.Hour)
+
+func newRelayRig(t *testing.T, mutate func(*RelayConfig[testDst])) *relayRig {
+	t.Helper()
+	r := &relayRig{
+		t:     t,
+		clock: NewFakeClock(rigStart),
+		dp:    &recDatapath{},
+		route: map[wire.ExperimentID]testDst{expA: "rx-a", expB: "rx-b"},
+	}
+	r.cfg = RelayConfig[testDst]{
+		Buffer:   BufferConfig{Clock: r.clock},
+		Datapath: r,
+		Alloc:    func(n int) []byte { return make([]byte, n) },
+		Resolve: func(_ wire.Addr, exp wire.ExperimentID) (testDst, bool) {
+			d, ok := r.route[exp]
+			return d, ok
+		},
+		FlowTTL:  time.Second,
+		ConfigID: 1,
+		Features: wire.FeatSequenced | wire.FeatReliable | wire.FeatTimestamped,
+		Emit: func(_ int, f *Flow[testDst], pkt []byte) {
+			seq, _ := wire.View(pkt).Seq()
+			r.out = append(r.out, emitted{f.Dst, seq})
+			r.log = append(r.log, "emit")
+			f.Sent(1)
+		},
+		Flush: func(int) { r.log = append(r.log, "flush") },
+	}
+	if mutate != nil {
+		mutate(&r.cfg)
+	}
+	r.eng = r.open()
+	t.Cleanup(func() { r.eng.Close() })
+	return r
+}
+
+// open builds a fresh engine from the rig's config — the "new process on
+// the same journal directory" step.
+func (r *relayRig) open() *RelayEngine[testDst] {
+	r.t.Helper()
+	eng, err := NewRelayEngine(r.cfg)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	eng.SetSelf(rigSelf)
+	return eng
+}
+
+func (r *relayRig) SendControl(dst wire.Addr, pkt []byte) { r.dp.SendControl(dst, pkt) }
+func (r *relayRig) SendData(dst wire.Addr, pkt []byte) {
+	r.log = append(r.log, "rtx")
+	r.dp.SendData(dst, pkt)
+}
+
+// ingest hands one mode-0 data packet of (src, exp) to the engine.
+func (r *relayRig) ingest(src wire.Addr, exp wire.ExperimentID) {
+	r.t.Helper()
+	enc, err := (&wire.Header{Experiment: exp}).AppendTo(nil)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.handle(src, append(enc, "payload"...))
+}
+
+func (r *relayRig) nak(exp wire.ExperimentID, from, to uint64) {
+	r.t.Helper()
+	n := wire.NAK{Experiment: exp, Requester: rigReq, Ranges: []wire.SeqRange{{From: from, To: to}}}
+	enc, err := n.AppendTo(nil)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.handle(rigReq, enc)
+}
+
+func (r *relayRig) handle(src wire.Addr, pkt []byte) {
+	r.t.Helper()
+	v := wire.View(pkt)
+	if _, err := v.Check(); err != nil {
+		r.t.Fatal(err)
+	}
+	r.eng.Handle(r.eng.ShardIndex(v.Experiment()), src, v, r.clock.Now())
+}
+
+func (r *relayRig) wantFlows(want FlowStats) {
+	r.t.Helper()
+	if got := r.eng.FlowStats(); got != want {
+		r.t.Fatalf("flow stats %+v, want %+v", got, want)
+	}
+}
+
+func (r *relayRig) wantOut(want ...emitted) {
+	r.t.Helper()
+	if !slices.Equal(r.out, want) {
+		r.t.Fatalf("emitted %+v, want %+v", r.out, want)
+	}
+}
+
+func TestRelayEngine(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*RelayConfig[testDst])
+		run    func(t *testing.T, r *relayRig)
+	}{
+		{
+			name: "first packet registers the flow and upgrades",
+			run: func(t *testing.T, r *relayRig) {
+				r.ingest(rigSrcA, expA)
+				r.ingest(rigSrcA, expA)
+				r.ingest(rigSrcB, expA) // same experiment, other source: its own flow
+				r.wantFlows(FlowStats{Active: 2, Opened: 2})
+				r.wantOut(emitted{"rx-a", 1}, emitted{"rx-a", 2}, emitted{"rx-a", 3})
+				flows := r.eng.Flows()
+				if len(flows) != 2 || flows[0].Src != rigSrcA || flows[0].Upgraded != 2 ||
+					flows[0].Forwarded != 2 || flows[0].Dst != "rx-a" || flows[1].Upgraded != 1 {
+					t.Fatalf("flows %+v", flows)
+				}
+				st := r.eng.Stats()
+				if st.Upgraded != 3 || st.Forwarded != 3 || st.Buffered != 3 || st.Occupancy == 0 {
+					t.Fatalf("stats %+v", st)
+				}
+				// The stash holds the packet as stamped: retransmission
+				// pointer at the relay, origin timestamp from the clock.
+				r.nak(expA, 2, 2)
+				if len(r.dp.data) != 1 {
+					t.Fatalf("NAK served %d packets, want 1", len(r.dp.data))
+				}
+				up := wire.View(r.dp.data[0])
+				if buf, _ := up.RetransmitBuffer(); buf != rigSelf {
+					t.Fatalf("retransmit buffer %v, want %v", buf, rigSelf)
+				}
+				if ts, _ := up.OriginTimestamp(); ts != uint64(rigStart) {
+					t.Fatalf("origin timestamp %d, want %d", ts, rigStart)
+				}
+			},
+		},
+		{
+			name: "resolver refusal consumes no sequence number",
+			run: func(t *testing.T, r *relayRig) {
+				delete(r.route, expB)
+				r.ingest(rigSrcA, expB)
+				r.wantFlows(FlowStats{Rejected: 1})
+				r.wantOut()
+				if seq := r.eng.Buffer().SeqOf(expB); seq != 0 {
+					t.Fatalf("refused flow consumed sequence %d", seq)
+				}
+			},
+		},
+		{
+			name:   "MaxFlows rejection consumes no sequence number",
+			mutate: func(c *RelayConfig[testDst]) { c.MaxFlows = 1; c.Shards = 2 },
+			run: func(t *testing.T, r *relayRig) {
+				r.ingest(rigSrcA, expA)
+				r.ingest(rigSrcA, expB)
+				r.ingest(rigSrcA, expA)
+				r.wantFlows(FlowStats{Active: 1, Opened: 1, Rejected: 1})
+				r.wantOut(emitted{"rx-a", 1}, emitted{"rx-a", 2})
+				if seq := r.eng.Buffer().SeqOf(expB); seq != 0 {
+					t.Fatalf("rejected flow consumed sequence %d", seq)
+				}
+			},
+		},
+		{
+			name: "idle expiry exactly at the TTL boundary",
+			run: func(t *testing.T, r *relayRig) {
+				r.ingest(rigSrcA, expA) // idle == TTL at the sweep: expires
+				r.clock.Advance(1)
+				r.ingest(rigSrcA, expB) // idle == TTL − 1ns: survives
+				r.clock.Advance(time.Second/2 - 2)
+				r.eng.Sweep(r.clock.Now()) // not yet half a TTL since construction
+				r.wantFlows(FlowStats{Active: 2, Opened: 2})
+				r.clock.AdvanceTo(rigStart + int64(time.Second))
+				r.eng.Sweep(r.clock.Now())
+				r.wantFlows(FlowStats{Active: 1, Opened: 2, Expired: 1})
+				if flows := r.eng.Flows(); len(flows) != 1 || flows[0].Experiment != expB ||
+					flows[0].IdleNs != int64(time.Second)-1 {
+					t.Fatalf("surviving flows %+v", flows)
+				}
+				// The expired flow re-registers (and re-resolves) on its next
+				// packet; its sequence numbering carries on.
+				r.ingest(rigSrcA, expA)
+				r.wantFlows(FlowStats{Active: 2, Opened: 3, Expired: 1})
+				r.wantOut(emitted{"rx-a", 1}, emitted{"rx-b", 1}, emitted{"rx-a", 2})
+			},
+		},
+		{
+			name: "a pinned flow is not expired",
+			mutate: func(c *RelayConfig[testDst]) {
+				emit := c.Emit
+				c.Emit = func(si int, f *Flow[testDst], pkt []byte) { f.Pinned = true; emit(si, f, pkt) }
+			},
+			run: func(t *testing.T, r *relayRig) {
+				r.ingest(rigSrcA, expA)
+				r.clock.Advance(5 * time.Second)
+				r.eng.Sweep(r.clock.Now())
+				r.wantFlows(FlowStats{Active: 1, Opened: 1})
+			},
+		},
+		{
+			name:   "crash clears the flow table; restart re-resolves",
+			mutate: func(c *RelayConfig[testDst]) { c.Shards = 2 },
+			run: func(t *testing.T, r *relayRig) {
+				r.ingest(rigSrcA, expA)
+				r.ingest(rigSrcA, expB)
+				if !r.eng.Crash(nil) || !r.eng.Down() {
+					t.Fatal("Crash did not take the relay down")
+				}
+				if r.eng.Crash(nil) {
+					t.Fatal("second Crash reported a fresh crash")
+				}
+				r.wantFlows(FlowStats{Opened: 2})
+				if n := len(r.eng.Flows()); n != 0 {
+					t.Fatalf("%d flows survived the crash", n)
+				}
+				if st := r.eng.Stats(); st.Occupancy != 0 || st.Crashes != 2 ||
+					st.BufferedBytes != st.ReleasedBytes {
+					t.Fatalf("after crash (want one crash per shard, cold stash): %+v", st)
+				}
+				r.ingest(rigSrcA, expA) // down: dropped unsequenced
+				r.wantFlows(FlowStats{Opened: 2})
+
+				// A rebind failure leaves the relay down.
+				boom := errors.New("bind failed")
+				if err := r.eng.Restart(func() error { return boom }); !errors.Is(err, boom) || !r.eng.Down() {
+					t.Fatalf("failed rebind: err=%v down=%v", err, r.eng.Down())
+				}
+				r.route[expB] = "rx-b2" // B's receiver moved while the relay was down
+				if err := r.eng.Restart(nil); err != nil || r.eng.Down() {
+					t.Fatalf("Restart: err=%v down=%v", err, r.eng.Down())
+				}
+				r.ingest(rigSrcA, expA)
+				r.ingest(rigSrcA, expB)
+				r.wantFlows(FlowStats{Active: 2, Opened: 4})
+				// Sequence counters survive in memory; the pre-crash stash
+				// does not, so its NAK is a miss.
+				r.wantOut(emitted{"rx-a", 1}, emitted{"rx-b", 1}, emitted{"rx-a", 2}, emitted{"rx-b2", 2})
+				r.nak(expB, 1, 1)
+				if st := r.eng.Stats(); st.Misses != 1 || st.Retransmits != 0 {
+					t.Fatalf("cold-buffer NAK: %+v", st)
+				}
+			},
+		},
+		{
+			name: "journaled crash and reopen restore stash and sequence floors",
+			mutate: func(c *RelayConfig[testDst]) {
+				c.Shards = 2
+				c.JournalDir = t.TempDir()
+				c.DropEveryN = 3
+			},
+			run: func(t *testing.T, r *relayRig) {
+				for i := 0; i < 4; i++ {
+					r.ingest(rigSrcA, expA)
+					r.ingest(rigSrcA, expB)
+				}
+				warm := r.eng.Stats().Occupancy
+				quiesced := false
+				r.eng.Crash(func() { quiesced = true })
+				if !quiesced || r.eng.Stats().Occupancy != 0 {
+					t.Fatalf("crash: quiesced=%v buffered=%d", quiesced, r.eng.Stats().Occupancy)
+				}
+				if err := r.eng.Restart(nil); err != nil {
+					t.Fatal(err)
+				}
+				if got := r.eng.Stats().Occupancy; got != warm {
+					t.Fatalf("replayed stash holds %d bytes, want %d", got, warm)
+				}
+				if js := r.eng.JournalStats(); js.Replayed != 8 {
+					t.Fatalf("journal stats %+v, want 8 replayed", js)
+				}
+				// Seq 3 was an injected drop: never emitted, but journaled —
+				// the restarted relay serves it warm.
+				r.nak(expA, 3, 3)
+				if st := r.eng.Stats(); st.Retransmits != 1 || st.Misses != 0 {
+					t.Fatalf("warm NAK: %+v", st)
+				}
+				r.ingest(rigSrcA, expA)
+				if last := r.out[len(r.out)-1]; last != (emitted{"rx-a", 5}) {
+					t.Fatalf("post-restart upgrade %+v, want seq 5 (floor restored)", last)
+				}
+
+				// Process death: a new engine on the same directory comes up
+				// with the stash rebuilt before it serves anything.
+				if err := r.eng.Close(); err != nil {
+					t.Fatal(err)
+				}
+				r.eng = r.open()
+				recovered := 0
+				for _, rec := range r.eng.JournalRecoveries() {
+					recovered += len(rec.Entries)
+				}
+				if recovered != 9 || r.eng.Stats().Occupancy <= warm {
+					t.Fatalf("reopen recovered %d entries, %d bytes", recovered, r.eng.Stats().Occupancy)
+				}
+				r.ingest(rigSrcA, expB)
+				if last := r.out[len(r.out)-1]; last != (emitted{"rx-b", 5}) {
+					t.Fatalf("post-reopen upgrade %+v, want seq 5", last)
+				}
+			},
+		},
+		{
+			name:   "DropEveryN counts and stashes but does not emit",
+			mutate: func(c *RelayConfig[testDst]) { c.DropEveryN = 2 },
+			run: func(t *testing.T, r *relayRig) {
+				for i := 0; i < 4; i++ {
+					r.ingest(rigSrcA, expA)
+				}
+				r.wantOut(emitted{"rx-a", 1}, emitted{"rx-a", 3})
+				st := r.eng.Stats()
+				if st.Upgraded != 4 || st.InjectedDrops != 2 || st.Forwarded != 2 || st.Buffered != 4 {
+					t.Fatalf("stats %+v", st)
+				}
+				r.nak(expA, 2, 2)
+				if len(r.dp.data) != 1 {
+					t.Fatal("dropped packet not recoverable from the stash")
+				}
+			},
+		},
+		{
+			name: "flush precedes eviction and control service",
+			mutate: func(c *RelayConfig[testDst]) {
+				c.Buffer.CapacityBytes = 100 // two upgraded packets
+			},
+			run: func(t *testing.T, r *relayRig) {
+				r.ingest(rigSrcA, expA)
+				r.ingest(rigSrcA, expA)
+				r.ingest(rigSrcA, expA) // evicts seq 1
+				r.nak(expA, 3, 3)
+				want := []string{"emit", "emit", "flush", "emit", "flush", "rtx"}
+				if !slices.Equal(r.log, want) {
+					t.Fatalf("order %v, want %v", r.log, want)
+				}
+				if st := r.eng.Stats(); st.Evicted != 1 {
+					t.Fatalf("stats %+v, want one eviction", st)
+				}
+			},
+		},
+		{
+			name: "already-upgraded traffic passes through along its flow",
+			run: func(t *testing.T, r *relayRig) {
+				pkt := seqPacket(t, 9, rigSrcB, "x")
+				pkt.SetExperiment(expB)
+				r.handle(rigSrcA, pkt)
+				r.wantOut(emitted{"rx-b", 9})
+				if st := r.eng.Stats(); st.Upgraded != 0 || st.Forwarded != 1 || st.Buffered != 0 {
+					t.Fatalf("stats %+v", st)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run(t, newRelayRig(t, tc.mutate))
+		})
+	}
+}
+
+// TestRelayEngineBoundaryTrace pins the trace half of the upgrade recipe:
+// every TraceSample'th untraced packet gets a relay-originated trace with
+// a reshape hop stamp, and the sample counter is the shard's upgrade
+// count.
+func TestRelayEngineBoundaryTrace(t *testing.T) {
+	var traced []uint32
+	r := newRelayRig(t, func(c *RelayConfig[testDst]) {
+		c.TraceSample = 2
+		c.Emit = func(_ int, _ *Flow[testDst], pkt []byte) {
+			v := wire.View(pkt)
+			if !v.TraceSampled() {
+				return
+			}
+			tr, err := v.Trace()
+			if err != nil || tr.HopCount != 1 {
+				t.Errorf("trace %+v err %v, want one reshape hop", tr, err)
+			}
+			traced = append(traced, tr.TraceID)
+		}
+	})
+	for i := 0; i < 5; i++ {
+		r.ingest(rigSrcA, expA)
+	}
+	if len(traced) != 2 || traced[0] != 2 || traced[1] != 4 {
+		t.Fatalf("traced upgrades %v, want IDs [2 4]", traced)
+	}
+}

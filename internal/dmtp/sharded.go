@@ -13,19 +13,16 @@ import "repro/internal/wire"
 // Like BufferEngine itself, ShardedBuffer is not self-synchronizing: it
 // contains no locks. The adapter serializes access per shard (the live
 // relay holds one mutex per shard; the simulator's single event loop
-// needs none). Methods that touch every shard — Crash, Restart, Down,
-// BufferedBytes, Stats — require the caller to hold every shard's
-// serialization.
+// needs none). Whatever touches every shard — crash, restart, stats,
+// occupancy — is RelayEngine's job, which takes each shard's lock in
+// turn.
 type ShardedBuffer struct {
 	shards []*BufferEngine
 }
 
 // NewShardedBuffer builds n shards (n < 1 is treated as 1) by calling
-// mk once per shard index. The constructor indirection lets each
-// adapter choose per-shard wiring: the live relay gives every shard its
-// own stats struct (read under different locks); the simulator points
-// all shards at one shared stats struct, which is sound because a
-// single goroutine drives them.
+// mk once per shard index, so the caller chooses per-shard wiring (its
+// journal, its stats struct).
 func NewShardedBuffer(n int, mk func(shard int) *BufferEngine) *ShardedBuffer {
 	if n < 1 {
 		n = 1
@@ -36,9 +33,6 @@ func NewShardedBuffer(n int, mk func(shard int) *BufferEngine) *ShardedBuffer {
 	}
 	return s
 }
-
-// NumShards returns the shard count.
-func (s *ShardedBuffer) NumShards() int { return len(s.shards) }
 
 // ShardIndex maps an experiment ID to its shard. The multiplicative
 // mix spreads the experiment<<8|slice structure of ExperimentID (low
@@ -83,62 +77,4 @@ func (s *ShardedBuffer) ServeNAK(nak *wire.NAK) {
 // Trim drops stashed packets for exp with seq <= cum on its shard.
 func (s *ShardedBuffer) Trim(exp wire.ExperimentID, cum uint64) {
 	s.Shard(exp).Trim(exp, cum)
-}
-
-// Crash crashes every shard: all stashes are released, all shards mark
-// themselves down. Sequence counters survive, as on BufferEngine.
-func (s *ShardedBuffer) Crash() {
-	for _, sh := range s.shards {
-		sh.Crash()
-	}
-}
-
-// Restart brings every shard back into service with cold stashes.
-func (s *ShardedBuffer) Restart() {
-	for _, sh := range s.shards {
-		sh.Restart()
-	}
-}
-
-// Down reports whether the buffer is crashed. Shards crash and restart
-// together, so the first shard's state speaks for all.
-func (s *ShardedBuffer) Down() bool { return s.shards[0].Down() }
-
-// BufferedBytes sums stash occupancy across shards.
-func (s *ShardedBuffer) BufferedBytes() int {
-	total := 0
-	for _, sh := range s.shards {
-		total += sh.BufferedBytes()
-	}
-	return total
-}
-
-// CapacityBytes sums the per-shard capacity bounds.
-func (s *ShardedBuffer) CapacityBytes() int {
-	total := 0
-	for _, sh := range s.shards {
-		total += sh.CapacityBytes()
-	}
-	return total
-}
-
-// Stats sums per-shard counter snapshots. Callers that pointed every
-// shard at one shared BufferStats (the simulator) must read that struct
-// directly instead — summing shared counters would multiply them by
-// the shard count.
-func (s *ShardedBuffer) Stats() BufferStats {
-	var agg BufferStats
-	for _, sh := range s.shards {
-		st := sh.Stats()
-		agg.Buffered += st.Buffered
-		agg.BufferedBytes += st.BufferedBytes
-		agg.ReleasedBytes += st.ReleasedBytes
-		agg.Evicted += st.Evicted
-		agg.Trimmed += st.Trimmed
-		agg.NAKs += st.NAKs
-		agg.Retransmits += st.Retransmits
-		agg.Misses += st.Misses
-		agg.Crashes += st.Crashes
-	}
-	return agg
 }

@@ -108,7 +108,7 @@ func (p *e5Path) row(label string, sent uint64) E5Row {
 		Lost:          st.Lost,
 		NAKsSent:      st.NAKsSent,
 		InjectedDrops: p.plan.Counters().Total("inject.drop."),
-		Crashes:       p.dtn1.Stats.Crashes,
+		Crashes:       p.dtn1.Stats().Crashes,
 		RecoveryP50:   time.Duration(p.receiver.RecoveryHist.Quantile(0.5)),
 		RecoveryP99:   time.Duration(p.receiver.RecoveryHist.Quantile(0.99)),
 	}

@@ -142,8 +142,8 @@ func TestSimChaosRelayRestartUnderBurstLoss(t *testing.T) {
 	if st.Recovered == 0 {
 		t.Fatalf("no recoveries under 10%% loss: %+v", st)
 	}
-	if p.dtn1.Stats.Crashes != 1 {
-		t.Fatalf("crashes %d", p.dtn1.Stats.Crashes)
+	if p.dtn1.Stats().Crashes != 1 {
+		t.Fatalf("crashes %d", p.dtn1.Stats().Crashes)
 	}
 	c := p.plan.Counters()
 	if c.Get(faults.CounterDropBurst) == 0 {
@@ -265,8 +265,8 @@ func TestSimChaosMidFlowCrashDegradesGracefully(t *testing.T) {
 	if uint64(len(p.gaps)) != st.Lost {
 		t.Fatalf("OnGap reported %d holes, stats say %d", len(p.gaps), st.Lost)
 	}
-	if p.dtn1.Stats.DroppedDown == 0 {
-		t.Fatalf("no frames hit the crashed node: %+v", p.dtn1.Stats)
+	if p.dtn1.Stats().DroppedDown == 0 {
+		t.Fatalf("no frames hit the crashed node: %+v", p.dtn1.Stats())
 	}
 	// Every sequenced packet is accounted for: delivered or written off.
 	var maxSeq uint64

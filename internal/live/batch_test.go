@@ -189,20 +189,14 @@ func TestBatchedChaosRecovery(t *testing.T) {
 		}
 	}
 
-	// Nudge the sequence space with flush traffic until every tracked
+	// Probe the sequence space with flush traffic until every tracked
 	// payload has landed (a dropped tail is only revealed by later
 	// packets) and no gaps remain.
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
+	probeUntil(20*time.Second, func() { snd.Send([]byte("flush"), 0) }, recv.OutstandingGaps, func() bool {
 		mu.Lock()
-		got := len(delivered)
-		mu.Unlock()
-		if got >= tracked && recv.OutstandingGaps() == 0 {
-			break
-		}
-		snd.Send([]byte("flush"), 0)
-		time.Sleep(2 * time.Millisecond)
-	}
+		defer mu.Unlock()
+		return len(delivered) >= tracked
+	})
 	mu.Lock()
 	got := len(delivered)
 	for p, n := range delivered {

@@ -108,44 +108,39 @@ func (rig *chaosRig) deliveredTracked() int {
 	return len(rig.payloads)
 }
 
-// driveUntilDelivered sends flush messages (which advance the sequence
-// space and so reveal any dropped-tail gaps) until want distinct tracked
-// payloads have been delivered and no gaps remain outstanding.
+func (rig *chaosRig) flush() { rig.snd.Send([]byte("flush"), 0) }
+
+// driveUntilDelivered probes the stream with flush messages (which advance
+// the sequence space and so reveal any dropped-tail gaps; see probeUntil)
+// until want distinct tracked payloads have been delivered and no gaps
+// remain outstanding.
 func (rig *chaosRig) driveUntilDelivered(want int, timeout time.Duration) {
 	rig.t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if rig.deliveredTracked() >= want && rig.recv.OutstandingGaps() == 0 {
-			return
-		}
-		rig.snd.Send([]byte("flush"), 0)
-		time.Sleep(2 * time.Millisecond)
+	if probeUntil(timeout, rig.flush, rig.recv.OutstandingGaps, func() bool { return rig.deliveredTracked() >= want }) {
+		return
 	}
 	rig.t.Fatalf("timed out: delivered %d/%d tracked payloads, %d gaps outstanding\nrecv %+v\nsender %+v\nrelay %+v\nplan %s",
 		rig.deliveredTracked(), want, rig.recv.OutstandingGaps(),
 		rig.recv.Stats(), rig.snd.Stats(), rig.relay.Stats(), rig.plan.Counters())
 }
 
-// settle drives flush traffic until every packet the relay has sequenced
-// has been received (distinct receptions == the relay's upgraded count) and
-// no gaps are outstanding. Required before a Crash in tests that assert
-// zero permanent loss: a packet the relay sequenced moments ago but burst
+// settle probes until every packet the relay has sequenced has been
+// received (distinct receptions == the relay's upgraded count) and no gaps
+// are outstanding. Required before a Crash in tests that assert zero
+// permanent loss: a packet the relay sequenced moments ago but burst
 // loss dropped on egress leaves no observable gap until later traffic
 // arrives, and crashing in that window strands it unrecoverable — a test
 // race, not a transport bug.
 func (rig *chaosRig) settle(timeout time.Duration) {
 	rig.t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	received := func() bool {
 		up := rig.relay.Stats().Upgraded
 		st := rig.recv.Stats()
-		if st.Received-st.Duplicates == up && rig.recv.OutstandingGaps() == 0 {
-			return
-		}
-		rig.snd.Send([]byte("flush"), 0)
-		time.Sleep(2 * time.Millisecond)
+		return st.Received-st.Duplicates == up
 	}
-	rig.t.Fatalf("timed out settling: recv %+v relay %+v", rig.recv.Stats(), rig.relay.Stats())
+	if !probeUntil(timeout, rig.flush, rig.recv.OutstandingGaps, received) {
+		rig.t.Fatalf("timed out settling: recv %+v relay %+v", rig.recv.Stats(), rig.relay.Stats())
+	}
 }
 
 // TestLiveChaosRelayRestartUnderBurstLoss is the acceptance scenario on the
@@ -385,7 +380,7 @@ func TestLiveSenderReconnectsAfterRelayDeath(t *testing.T) {
 	// port-unreachable it provokes fails a subsequent write, which makes
 	// the sender redial and re-send inside Send (so no error escapes).
 	for i := 0; i < 20; i++ {
-		rig.snd.Send([]byte("flush"), 0)
+		rig.flush()
 		time.Sleep(2 * time.Millisecond)
 	}
 	if err := rig.relay.Restart(); err != nil {

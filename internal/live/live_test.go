@@ -23,6 +23,30 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string)
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// probeUntil nudges a stream toward done() one flush at a time and
+// reports whether done() came to hold with no gap outstanding. A lossy
+// path can hide a dropped tail until later traffic arrives, so tests
+// must keep the sequence space moving — but every flush may itself be
+// dropped and open a gap that lives at least a NAK delay, so flushing on
+// a fixed cadence can make "no gaps outstanding" unreachable. Here a
+// flush goes out only while no gap is open and done() does not hold yet:
+// injection pauses until the previous probe's gap has closed and stops
+// for good once the target is met, which makes the exit condition a
+// fixed point rather than a scheduling accident.
+func probeUntil(timeout time.Duration, flush func(), gaps func() int, done func() bool) bool {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if gaps() == 0 {
+			if done() {
+				return true
+			}
+			flush()
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return false
+}
+
 func pipeline(t *testing.T, dropEveryN int, rcfg ReceiverConfig) (*Sender, *Relay, *Receiver, *sync.Map) {
 	t.Helper()
 	var delivered sync.Map

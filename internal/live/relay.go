@@ -1,30 +1,23 @@
 package live
 
 // The live relay: the software network element / first-line DTN on the
-// UDP substrate. Since the many-flow scale-out it is a sharded,
-// flow-demultiplexing element:
+// UDP substrate. The protocol element itself — flow table, upgrade
+// recipe, sharded stash, NAK/ACK service, journal lifecycle — is
+// dmtp.RelayEngine; this file is its socket glue:
 //
-//   - Per-experiment protocol state (sequencing, the retransmission
-//     stash, NAK service, cumulative trim) lives in a
-//     dmtp.ShardedBuffer: N BufferEngines, each owning a disjoint set
-//     of experiments, each guarded by its own shard mutex. Bursts from
-//     the batch datapath are partitioned by experiment and handled one
-//     shard at a time, so two shards never contend and per-experiment
-//     packet order is preserved exactly.
+//   - Bursts from the batch datapath are partitioned by experiment and
+//     handed to the engine one shard at a time, each under that shard's
+//     mutex, so two shards never contend and per-experiment packet order
+//     is preserved exactly.
 //
-//   - Forwarding goes through a flow table (the session-table/demux
-//     idiom): a flow is (source address, experiment ID), registered on
-//     first packet and mapped to its downstream receiver — the
-//     configured default, or whatever RelayConfig.Resolver returns.
-//     Each flow keeps its own forward queue, flushed with one batched
-//     WriteBatchTo per flow per burst. Idle flows expire after FlowTTL;
-//     Crash clears the table, so Restart re-resolves every destination
-//     instead of reviving a stale one.
+//   - Each flow's destination carries its own forward queue, flushed
+//     with one batched WriteBatchTo per flow per burst — and, on the
+//     engine's request, before a stash eviction or a control packet
+//     could release a buffer the queue still references.
 
 import (
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,10 +27,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
-
-// defaultFlowTTL is how long a flow may stay idle before the relay
-// forgets it (and a fresh first packet re-registers and re-resolves it).
-const defaultFlowTTL = 60 * time.Second
 
 // RelayConfig configures the software network element.
 type RelayConfig struct {
@@ -109,69 +98,32 @@ type RelayConfig struct {
 	Blackbox func(reason string)
 }
 
-// RelayStats are cumulative relay counters, summed across shards.
+// RelayStats are the engine's relay counters plus the adapter's count of
+// packets dropped by failed fire-and-forget writes.
 type RelayStats struct {
-	Upgraded      uint64
-	Forwarded     uint64
-	InjectedDrops uint64
-	NAKs          uint64
-	Retransmits   uint64
-	Misses        uint64
-	Trimmed       uint64 // stash entries released after cumulative ACK
-	Crashes       uint64
-	TxErrors      uint64 // packets dropped by failed fire-and-forget writes
+	dmtp.RelayStats
+	TxErrors uint64
 }
 
-// FlowInfo describes one registered flow — the /flows endpoint and
-// SIGUSR1 dump shape.
-type FlowInfo struct {
-	Src        wire.Addr
-	Experiment wire.ExperimentID
-	Dst        string
-	Shard      int
-	Upgraded   uint64
-	Forwarded  uint64
-	// IdleNs is how long ago the flow last saw a packet, on the relay
-	// clock.
-	IdleNs int64
+// forwardQueue is a flow's downstream: the address resolved at
+// registration, and this burst's forward-leg packets awaiting one
+// batched WriteBatchTo. The engine's Flow.Pinned marks membership in the
+// shard's dirty list.
+type forwardQueue struct {
+	dst  *net.UDPAddr
+	pkts [][]byte
 }
 
-// flowKey identifies a flow: who is sending, and which experiment.
-type flowKey struct {
-	src wire.Addr
-	exp wire.ExperimentID
-}
+func (q *forwardQueue) String() string { return q.dst.String() }
 
-// flowEntry is one registered flow's state, owned by its shard.
-type flowEntry struct {
-	key flowKey
-	dst *net.UDPAddr
-	// fwdq queues this burst's forward-leg packets for one batched
-	// WriteBatchTo; queued marks membership in the shard's dirty list.
-	fwdq      [][]byte
-	queued    bool
-	lastSeen  int64 // relay-clock nanos of the last ingested packet
-	upgraded  uint64
-	forwarded uint64
-}
+type relayFlow = dmtp.Flow[*forwardQueue]
 
-// relayShard is one partition of the relay: a buffer engine for its
-// experiments, the flows that map to it, and the mutex serializing both.
-// The shard lock replaces the former single relay lock — bursts touching
-// disjoint shards no longer contend.
+// relayShard is the adapter's half of one engine shard: the mutex
+// serializing it, and the flows with queued forwards this burst. Every
+// lock hold ends with a flush, so dirty is empty whenever mu is free.
 type relayShard struct {
-	mu       sync.Mutex
-	eng      *dmtp.BufferEngine
-	engStats dmtp.BufferStats
-	flows    map[flowKey]*flowEntry
-	dirty    []*flowEntry // flows with queued forwards this burst
-	nq       int          // total queued packets across dirty flows
-	nak      wire.NAK     // scratch decode target, reusing Ranges capacity
-	upgradeN uint64       // upgraded packets, driving boundary trace sampling
-
-	upgraded      uint64
-	injectedDrops uint64
-	forwarded     uint64
+	mu    sync.Mutex
+	dirty []*relayFlow
 }
 
 // pendPkt is one ingested packet awaiting its shard's handling pass.
@@ -180,14 +132,11 @@ type pendPkt struct {
 	src wire.Addr
 }
 
-// Relay is the live-path network element + buffer. Per-experiment
-// protocol state lives in dmtp.BufferEngine shards behind a
-// dmtp.ShardedBuffer; this type adapts them to UDP sockets, with pooled
-// stash buffers released back to wire's shared pool and forwarding
-// demultiplexed through a per-flow table.
+// Relay is the live-path network element + buffer: dmtp.RelayEngine
+// adapted to UDP sockets, with stash buffers drawn from wire's shared pool
+// and forwarding demultiplexed through per-flow queues.
 type Relay struct {
-	cfg   RelayConfig
-	clock dmtp.Clock
+	cfg RelayConfig
 
 	// mu guards lifecycle state only: the socket, bind address, closed
 	// flag. Datapath state is under the shard locks.
@@ -198,33 +147,21 @@ type Relay struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	sb     *dmtp.ShardedBuffer
-	shards []*relayShard
-	// jset is the per-shard write-ahead journal set (nil without
-	// JournalDir). Hot-path appends go through the shard engines'
-	// dmtp.Journal hooks; the relay touches it directly only for
-	// lifecycle (flush on crash, replay on restart, close).
-	jset *journal.Set
+	eng    *dmtp.RelayEngine[*forwardQueue]
+	shards []relayShard
 
-	// fwdAddr is the default downstream for flows the Resolver does not
-	// cover; SetForward swaps it. Registered flows keep the destination
-	// they resolved — only registration (first packet, or the first
-	// packet after a crash or idle expiry) reads this.
-	fwdAddr atomic.Pointer[net.UDPAddr]
+	// fwd is the default downstream for flows the Resolver does not
+	// cover. Registered flows keep the destination they resolved — only
+	// registration (first packet, or the first packet after a crash or
+	// idle expiry) reads this.
+	fwd *net.UDPAddr
 
-	flowsActive   atomic.Int64
-	flowsOpened   atomic.Uint64
-	flowsExpired  atomic.Uint64
-	flowsRejected atomic.Uint64
-	txErrN        atomic.Uint64
-
-	// reshapeC counts reshapes into the relay's output config; installed
-	// by RegisterMetrics, nil (and skipped) until then.
-	reshapeC atomic.Pointer[metrics.Counter]
-	txErr    atomic.Pointer[metrics.Counter]
+	txErrN atomic.Uint64
+	txErr  atomic.Pointer[metrics.Counter]
 
 	// bc is the batch datapath over the current socket (rebuilt by
-	// bind on Restart).
+	// bind on Restart). Like conn it is stable while a receive loop
+	// runs: rebinds only happen after the loop has exited.
 	bc     *batchConn
 	bstats batchStats
 }
@@ -259,62 +196,47 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = dmtp.WallClock{}
 	}
-	r := &Relay{cfg: cfg, clock: cfg.Clock}
+	r := &Relay{cfg: cfg}
 	if cfg.Forward != "" {
 		fwd, err := net.ResolveUDPAddr("udp4", cfg.Forward)
 		if err != nil {
 			return nil, fmt.Errorf("live: resolve forward %q: %w", cfg.Forward, err)
 		}
-		r.fwdAddr.Store(fwd)
+		r.fwd = fwd
 	} else if cfg.Resolver == nil {
 		return nil, fmt.Errorf("live: relay needs a Forward address or a Resolver")
 	}
 
-	nsh := cfg.Shards
-	if nsh < 1 {
-		nsh = 1
-	}
-	perShardCap := cfg.CapacityBytes
-	if perShardCap > 0 && nsh > 1 {
-		perShardCap /= nsh
-		if perShardCap < 1 {
-			perShardCap = 1
-		}
-	}
-	if cfg.JournalDir != "" {
-		set, err := journal.OpenSet(cfg.JournalDir, nsh, cfg.JournalSync, 0)
-		if err != nil {
-			return nil, fmt.Errorf("live: opening stash journal: %w", err)
-		}
-		r.jset = set
-	}
-	r.shards = make([]*relayShard, nsh)
-	r.sb = dmtp.NewShardedBuffer(nsh, func(i int) *dmtp.BufferEngine {
-		// The interface value must stay nil (not a typed nil) when
-		// journaling is off, or the engine would call through it.
-		var jr dmtp.Journal
-		if r.jset != nil {
-			jr = r.jset.Shard(i)
-		}
-		sh := &relayShard{flows: make(map[flowKey]*flowEntry)}
-		sh.eng = dmtp.NewBufferEngine(relayDatapath{r}, dmtp.BufferConfig{
-			CapacityBytes: perShardCap,
-			Release:       func(b []byte) { releaseBuffer(b) },
-			Stats:         &sh.engStats,
+	r.shards = make([]relayShard, max(cfg.Shards, 1))
+	eng, err := dmtp.NewRelayEngine(dmtp.RelayConfig[*forwardQueue]{
+		Shards: cfg.Shards,
+		Buffer: dmtp.BufferConfig{
+			CapacityBytes: cfg.CapacityBytes,
+			Release:       releaseBuffer,
 			Recorder:      cfg.Recorder,
 			Clock:         cfg.Clock,
-			Journal:       jr,
-		})
-		r.shards[i] = sh
-		return sh.eng
+		},
+		Datapath:    relayDatapath{r},
+		Alloc:       wire.GetBuffer,
+		JournalDir:  cfg.JournalDir,
+		JournalSync: cfg.JournalSync,
+		Locker:      func(i int) sync.Locker { return &r.shards[i].mu },
+		Resolve:     r.resolve,
+		MaxFlows:    cfg.MaxFlows,
+		FlowTTL:     cfg.FlowTTL,
+		// The live relay reshapes every mode-0 packet into config 1.
+		ConfigID:    1,
+		Features:    wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped,
+		Upgrade:     dmtp.Upgrade{MaxAge: cfg.MaxAge, DeadlineBudget: cfg.DeadlineBudget},
+		TraceSample: cfg.TraceSample,
+		DropEveryN:  cfg.DropEveryN,
+		Emit:        r.queue,
+		Flush:       r.flushShard,
 	})
-	if r.jset != nil {
-		// A journal left by a previous relay process rebuilds the stash
-		// before the socket opens — recovered first, then serving.
-		for i, sh := range r.shards {
-			restoreShardLocked(sh, r.jset.Recovered(i))
-		}
+	if err != nil {
+		return nil, err
 	}
+	r.eng = eng
 
 	laddr, err := net.ResolveUDPAddr("udp4", cfg.Listen)
 	if err != nil {
@@ -323,48 +245,18 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.bind(laddr); err != nil {
-		if r.jset != nil {
-			r.jset.Close()
-		}
+		r.eng.Close()
 		return nil, err
 	}
 	return r, nil
 }
 
-// restoreShardLocked replays one shard's journal recovery into its
-// engine: surviving entries are copied into pooled buffers (the stash
-// owns its entries and releases them through the shared pool) and
-// re-stashed without re-journaling, then sequence counters are raised to
-// the journal's floors so post-restart upgrades never reuse a sequence
-// number. Callers either hold sh.mu or run before the receive loop
-// exists.
-func restoreShardLocked(sh *relayShard, rec *journal.Recovered) {
-	for _, e := range rec.Entries {
-		pkt := wire.GetBuffer(len(e.Payload))
-		copy(pkt, e.Payload)
-		sh.eng.RestoreStash(e.Exp, e.Seq, pkt)
-	}
-	for exp, seq := range rec.Seqs {
-		sh.eng.RestoreSeq(exp, seq)
-	}
-}
-
 // JournalStats returns the journal counters (zero without a journal).
-func (r *Relay) JournalStats() journal.Stats {
-	if r.jset == nil {
-		return journal.Stats{}
-	}
-	return r.jset.Stats()
-}
+func (r *Relay) JournalStats() journal.Stats { return r.eng.JournalStats() }
 
 // JournalRecoveries returns the most recent per-shard journal recovery —
 // the startup scan, or the last crash replay. Nil without a journal.
-func (r *Relay) JournalRecoveries() []*journal.Recovered {
-	if r.jset == nil {
-		return nil
-	}
-	return r.jset.Recoveries()
-}
+func (r *Relay) JournalRecoveries() []*journal.Recovered { return r.eng.JournalRecoveries() }
 
 // bind opens the socket at laddr and starts the receive loop. Callers are
 // the constructor or Restart (holding r.mu).
@@ -393,14 +285,14 @@ func (r *Relay) bind(laddr *net.UDPAddr) error {
 	r.conn = c
 	r.bound = conn.LocalAddr().(*net.UDPAddr)
 	r.self = self
+	r.eng.SetSelf(self)
 	// The batch datapath reads bursts with recvmmsg (GRO enabled) and
 	// flushes each flow's forward queue with sendmmsg/GSO where the
 	// kernel allows; wrapped sockets fall back to the portable loop so
 	// fault middleware still sees every packet.
-	bc := newBatchConn(c, &r.bstats, true)
-	r.bc = bc
+	r.bc = newBatchConn(c, &r.bstats, true)
 	r.wg.Add(1)
-	go r.loop(bc)
+	go r.loop(r.bc)
 	return nil
 }
 
@@ -418,165 +310,28 @@ func (r *Relay) WireAddr() wire.Addr {
 	return r.self
 }
 
-// NumShards returns the shard count.
-func (r *Relay) NumShards() int { return len(r.shards) }
-
-// SetForward re-points the default downstream. Only flow registration
-// reads it — already-registered flows keep their resolved destination
-// until they expire or the relay crashes, which is why Crash clears the
-// flow table: Restart must re-resolve, never revive a stale address.
-func (r *Relay) SetForward(addr string) error {
-	fwd, err := net.ResolveUDPAddr("udp4", addr)
-	if err != nil {
-		return fmt.Errorf("live: resolve forward %q: %w", addr, err)
-	}
-	r.fwdAddr.Store(fwd)
-	return nil
-}
-
-// Stats returns a snapshot of the counters: the adapter's forwarding
-// counters merged with the engines' stash/NAK-service counters, summed
-// across shards. Crashes is per crash event (shards crash together).
-func (r *Relay) Stats() RelayStats {
-	var s RelayStats
-	for i, sh := range r.shards {
-		sh.mu.Lock()
-		s.Upgraded += sh.upgraded
-		s.Forwarded += sh.forwarded
-		s.InjectedDrops += sh.injectedDrops
-		s.NAKs += sh.engStats.NAKs
-		s.Retransmits += sh.engStats.Retransmits
-		s.Misses += sh.engStats.Misses
-		s.Trimmed += sh.engStats.Trimmed
-		if i == 0 {
-			s.Crashes = sh.engStats.Crashes
-		}
-		sh.mu.Unlock()
-	}
-	s.TxErrors = r.txErrN.Load()
-	return s
-}
+// Stats returns a snapshot of the counters.
+func (r *Relay) Stats() RelayStats { return RelayStats{r.eng.Stats(), r.txErrN.Load()} }
 
 // FlowStats returns the flow-table counters (dmtp.relay.flows.*).
-func (r *Relay) FlowStats() dmtp.FlowStats {
-	active := r.flowsActive.Load()
-	if active < 0 {
-		active = 0
-	}
-	return dmtp.FlowStats{
-		Active:   uint64(active),
-		Opened:   r.flowsOpened.Load(),
-		Expired:  r.flowsExpired.Load(),
-		Rejected: r.flowsRejected.Load(),
-	}
-}
+func (r *Relay) FlowStats() dmtp.FlowStats { return r.eng.FlowStats() }
 
 // Flows snapshots the flow table across all shards, ordered by shard,
 // then source, then experiment — the SIGUSR1 dump and /flows endpoint.
-func (r *Relay) Flows() []FlowInfo {
-	now := r.clock.Now()
-	var out []FlowInfo
-	for i, sh := range r.shards {
-		sh.mu.Lock()
-		for _, f := range sh.flows {
-			out = append(out, FlowInfo{
-				Src:        f.key.src,
-				Experiment: f.key.exp,
-				Dst:        f.dst.String(),
-				Shard:      i,
-				Upgraded:   f.upgraded,
-				Forwarded:  f.forwarded,
-				IdleNs:     now - f.lastSeen,
-			})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Shard != out[b].Shard {
-			return out[a].Shard < out[b].Shard
-		}
-		if out[a].Src != out[b].Src {
-			return out[a].Src.String() < out[b].Src.String()
-		}
-		return out[a].Experiment < out[b].Experiment
-	})
-	return out
-}
+func (r *Relay) Flows() []dmtp.FlowInfo { return r.eng.Flows() }
 
 // BufferedBytes returns current retransmission-buffer occupancy, summed
 // across shards.
-func (r *Relay) BufferedBytes() int {
-	total := 0
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		total += sh.eng.BufferedBytes()
-		sh.mu.Unlock()
-	}
-	return total
-}
+func (r *Relay) BufferedBytes() int { return r.eng.Stats().Occupancy }
 
-// RegisterMetrics publishes the relay's metric set on reg: the engines'
-// dmtp.buf.* counters summed across shards (via the shared helper, so
-// names match the simulator), per-shard occupancy gauges, the adapter's
-// dmtp.relay.* forwarding counters, the flow-table family, the
-// reshape-family counter for the relay's output config, and the shared
-// packet-pool counters. All sampled values are read under the shard
-// locks only at scrape time.
+// RegisterMetrics publishes the relay's metric set on reg: the engine's
+// (dmtp.buf.*, dmtp.relay.*, flow table, journal, packet pool — shared
+// with the simulator, so names match by construction) plus the adapter's
+// kernel-batch and transmit-error counters.
 func (r *Relay) RegisterMetrics(reg *metrics.Registry) {
-	bufSnap := func() dmtp.BufferStats {
-		var agg dmtp.BufferStats
-		for i, sh := range r.shards {
-			sh.mu.Lock()
-			st := sh.engStats
-			sh.mu.Unlock()
-			agg.Buffered += st.Buffered
-			agg.BufferedBytes += st.BufferedBytes
-			agg.ReleasedBytes += st.ReleasedBytes
-			agg.Evicted += st.Evicted
-			agg.Trimmed += st.Trimmed
-			agg.NAKs += st.NAKs
-			agg.Retransmits += st.Retransmits
-			agg.Misses += st.Misses
-			if i == 0 {
-				agg.Crashes = st.Crashes
-			}
-		}
-		return agg
-	}
-	dmtp.RegisterBufferMetrics(reg, bufSnap, r.BufferedBytes)
-	// The stash-balance invariant as a gauge: each shard's contribution is
-	// read under one shard-lock hold, so stats and occupancy are mutually
-	// consistent and a healthy engine sums to exactly 0 at any instant.
-	dmtp.RegisterStashImbalance(reg, func() int64 {
-		var imb int64
-		for _, sh := range r.shards {
-			sh.mu.Lock()
-			imb += int64(sh.engStats.BufferedBytes) - int64(sh.engStats.ReleasedBytes) - int64(sh.eng.BufferedBytes())
-			sh.mu.Unlock()
-		}
-		return imb
-	})
-	for i := range r.shards {
-		sh := r.shards[i]
-		dmtp.RegisterShardOccupancy(reg, i, func() int {
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			return sh.eng.BufferedBytes()
-		})
-	}
-	dmtp.RegisterFlowMetrics(reg, r.FlowStats)
-	snap := r.Stats
-	reg.RegisterFunc(metrics.MetricRelayUpgraded, func() int64 { return int64(snap().Upgraded) })
-	reg.RegisterFunc(metrics.MetricRelayForwarded, func() int64 { return int64(snap().Forwarded) })
-	reg.RegisterFunc(metrics.MetricRelayInjectedDrops, func() int64 { return int64(snap().InjectedDrops) })
-	// The live relay reshapes every mode-0 packet into config 1.
-	r.reshapeC.Store(reg.Counter(metrics.MetricRelayReshapePrefix + "1"))
+	r.eng.RegisterMetrics(reg)
 	r.bstats.install(reg)
 	r.txErr.Store(reg.Counter(metrics.MetricLiveTxErrors))
-	if r.jset != nil {
-		r.jset.RegisterMetrics(reg)
-	}
-	dmtp.RegisterPoolMetrics(reg)
 }
 
 // relayDatapath serves engine output (NAK retransmissions) over the
@@ -587,11 +342,7 @@ func (r *Relay) RegisterMetrics(reg *metrics.Registry) {
 // loop exits).
 type relayDatapath struct{ r *Relay }
 
-func (d relayDatapath) SendControl(dst wire.Addr, pkt []byte) {
-	if _, err := d.r.conn.WriteToUDP(pkt, toUDPAddr(dst)); err != nil {
-		d.r.countTxErr(1)
-	}
-}
+func (d relayDatapath) SendControl(dst wire.Addr, pkt []byte) { d.SendData(dst, pkt) }
 
 func (d relayDatapath) SendData(dst wire.Addr, pkt []byte) {
 	if _, err := d.r.conn.WriteToUDP(pkt, toUDPAddr(dst)); err != nil {
@@ -599,16 +350,11 @@ func (d relayDatapath) SendData(dst wire.Addr, pkt []byte) {
 	}
 }
 
-// Crash models the relay process dying: the socket closes abruptly, the
-// retransmission buffers of every shard are lost, and the flow table is
-// cleared (a real restart re-learns its sessions — and re-resolves their
-// destinations, so no stale forward address survives). Without a
-// journal, buffered payloads die with the process and post-Restart NAKs
-// meet a cold buffer — the condition NAK-based recovery must degrade
-// gracefully under. With JournalDir set, the write-ahead log is flushed
-// once the receive loop has drained (the log survives the process; its
-// in-memory tail does not survive losing the writer) and Restart
-// replays it.
+// Crash models the relay process dying (dmtp.RelayEngine.Crash): stash
+// and flow table are lost, the socket closes abruptly, and once the
+// receive loop has drained the journal, if any, is flushed — the log
+// survives the process; its in-memory tail does not survive losing the
+// writer.
 func (r *Relay) Crash() {
 	r.mu.Lock()
 	if r.closed {
@@ -617,71 +363,29 @@ func (r *Relay) Crash() {
 	}
 	conn := r.conn
 	r.mu.Unlock()
-	if r.Down() {
-		return
-	}
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		sh.eng.Crash() // releases every stash buffer back to the pool
-		// Queued forwards reference buffers the crash just released;
-		// drop them, then forget every flow.
-		for _, f := range sh.dirty {
-			f.fwdq = f.fwdq[:0]
-			f.queued = false
-		}
-		sh.dirty = sh.dirty[:0]
-		sh.nq = 0
-		r.flowsActive.Add(-int64(len(sh.flows)))
-		sh.flows = make(map[flowKey]*flowEntry)
-		sh.mu.Unlock()
-	}
-	conn.Close()
-	r.wg.Wait()
-	if r.jset != nil {
-		// The loop has exited, so every append the engines enqueued is in
-		// the writer's channel; the flush barrier pushes them to disk.
-		r.jset.Flush()
-	}
-	if r.cfg.Blackbox != nil {
+	crashed := r.eng.Crash(func() {
+		conn.Close()
+		r.wg.Wait()
+	})
+	if crashed && r.cfg.Blackbox != nil {
 		r.cfg.Blackbox("crash")
 	}
 }
 
 // Restart rebinds the crashed relay on its original address with an
-// empty flow table and resumes forwarding. Without a journal the
-// buffers come back cold; with one, the log is replayed first — stash
-// entries and sequence floors rebuilt shard by shard before the socket
-// reopens — so NAK service resumes warm. It is an error to Restart a
-// relay that has not crashed or is closed.
+// empty flow table and resumes forwarding; a journaled stash is replayed
+// before the socket reopens, so NAK service resumes warm. It is an error
+// to Restart a relay that has not crashed or is closed.
 func (r *Relay) Restart() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return fmt.Errorf("live: relay closed")
 	}
-	if !r.Down() {
+	if !r.eng.Down() {
 		return fmt.Errorf("live: relay not crashed")
 	}
-	if r.jset != nil {
-		recs, err := r.jset.Replay()
-		if err != nil {
-			return fmt.Errorf("live: journal replay on restart: %w", err)
-		}
-		for i, sh := range r.shards {
-			sh.mu.Lock()
-			restoreShardLocked(sh, recs[i])
-			sh.mu.Unlock()
-		}
-	}
-	if err := r.bind(r.bound); err != nil {
-		return err
-	}
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		sh.eng.Restart()
-		sh.mu.Unlock()
-	}
-	return nil
+	return r.eng.Restart(func() error { return r.bind(r.bound) })
 }
 
 // Ready reports whether the relay can serve traffic, with a reason when
@@ -691,7 +395,7 @@ func (r *Relay) Restart() error {
 // reports not-ready while the stash is still being rebuilt.
 func (r *Relay) Ready() (bool, string) {
 	if r.Down() {
-		if r.jset != nil {
+		if r.cfg.JournalDir != "" {
 			return false, "relay crashed; journal replay pending until restart"
 		}
 		return false, "relay crashed; awaiting restart"
@@ -708,13 +412,7 @@ func (r *Relay) Ready() (bool, string) {
 }
 
 // Down reports whether the relay is crashed and awaiting Restart.
-// Shards crash and restart together; the first speaks for all.
-func (r *Relay) Down() bool {
-	sh := r.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.eng.Down()
-}
+func (r *Relay) Down() bool { return r.eng.Down() }
 
 // Close stops the relay.
 func (r *Relay) Close() error {
@@ -731,28 +429,22 @@ func (r *Relay) Close() error {
 		err = conn.Close()
 	}
 	r.wg.Wait()
-	if r.jset != nil {
-		if jerr := r.jset.Close(); err == nil {
-			err = jerr
-		}
+	if jerr := r.eng.Close(); err == nil {
+		err = jerr
 	}
 	return err
 }
 
 // loop is the receive loop: read a burst, partition it by shard, then
-// handle and flush each touched shard under its own lock. The pend
-// slices are owned by this goroutine; ring buffers stay valid until the
-// next ReadBatch, which is after every queued forward has been flushed.
+// hand each touched shard's packets to the engine and flush its forward
+// queues under the shard's lock. The pend slices are owned by this
+// goroutine; ring buffers stay valid until the next ReadBatch, which is
+// after every queued forward has been flushed.
 func (r *Relay) loop(bc *batchConn) {
 	defer r.wg.Done()
 	defer bc.Close()
 	pend := make([][]pendPkt, len(r.shards))
 	touched := make([]int, 0, len(r.shards))
-	lastSweep := r.clock.Now()
-	ttl := int64(r.cfg.FlowTTL)
-	if ttl <= 0 {
-		ttl = int64(defaultFlowTTL)
-	}
 	for {
 		n, err := bc.ReadBatch()
 		if err != nil {
@@ -764,227 +456,77 @@ func (r *Relay) loop(bc *batchConn) {
 			}
 			continue
 		}
-		now := r.clock.Now()
+		now := r.cfg.Clock.Now()
 		touched = touched[:0]
 		bc.PacketsSrc(n, func(pkt []byte, src wire.Addr) {
 			v := wire.View(pkt)
 			if _, err := v.Check(); err != nil {
 				return
 			}
-			// Control packets carry the experiment in the core header,
-			// so NAKs and ACKs route to the shard owning their stash.
-			si := r.sb.ShardIndex(v.Experiment())
+			si := r.eng.ShardIndex(v.Experiment())
 			if len(pend[si]) == 0 {
 				touched = append(touched, si)
 			}
 			pend[si] = append(pend[si], pendPkt{pkt: pkt, src: src})
 		})
 		for _, si := range touched {
-			sh := r.shards[si]
+			sh := &r.shards[si]
 			sh.mu.Lock()
 			for _, pp := range pend[si] {
-				r.handleShardLocked(sh, bc, pp.pkt, pp.src, now)
+				r.eng.Handle(si, pp.src, wire.View(pp.pkt), now)
 			}
-			r.flushShardLocked(sh, bc)
+			r.flushShard(si)
 			sh.mu.Unlock()
 			pend[si] = pend[si][:0]
 		}
-		if now-lastSweep >= ttl/2 {
-			lastSweep = now
-			r.expireFlows(now, ttl)
-		}
+		r.eng.Sweep(now)
 	}
 }
 
-// expireFlows drops flows idle past ttl. Runs from the loop goroutine
-// between bursts, so it costs nothing on the packet path.
-func (r *Relay) expireFlows(now, ttl int64) {
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for k, f := range sh.flows {
-			if now-f.lastSeen > ttl && !f.queued {
-				delete(sh.flows, k)
-				r.flowsActive.Add(-1)
-				r.flowsExpired.Add(1)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// flowFor returns the registered flow for (src, exp), registering it on
-// first packet: the downstream address is resolved now (Resolver, or
-// the current default forward) and kept for the flow's lifetime.
-func (r *Relay) flowFor(sh *relayShard, src wire.Addr, exp wire.ExperimentID, now int64) *flowEntry {
-	k := flowKey{src: src, exp: exp}
-	if f, ok := sh.flows[k]; ok {
-		f.lastSeen = now
-		return f
-	}
-	if max := r.cfg.MaxFlows; max > 0 && r.flowsActive.Load() >= int64(max) {
-		r.flowsRejected.Add(1)
-		return nil
-	}
-	var dst *net.UDPAddr
+// resolve is the engine's flow-registration hook: the downstream address
+// comes from Resolver when set, else the current default forward.
+func (r *Relay) resolve(src wire.Addr, exp wire.ExperimentID) (*forwardQueue, bool) {
+	dst := r.fwd
 	if r.cfg.Resolver != nil {
 		s := r.cfg.Resolver(src, exp)
 		if s == "" {
-			r.flowsRejected.Add(1)
-			return nil
+			return nil, false
 		}
 		a, err := net.ResolveUDPAddr("udp4", s)
 		if err != nil {
-			r.flowsRejected.Add(1)
-			return nil
+			return nil, false
 		}
 		dst = a
-	} else if dst = r.fwdAddr.Load(); dst == nil {
-		r.flowsRejected.Add(1)
-		return nil
 	}
-	f := &flowEntry{key: k, dst: dst, lastSeen: now}
-	sh.flows[k] = f
-	r.flowsActive.Add(1)
-	r.flowsOpened.Add(1)
-	return f
+	return &forwardQueue{dst: dst}, true
 }
 
-// queueOn appends pkt to f's forward queue and marks the flow dirty.
-func (r *Relay) queueOn(sh *relayShard, f *flowEntry, pkt []byte) {
-	if !f.queued {
-		f.queued = true
-		sh.dirty = append(sh.dirty, f)
+// queue is the engine's Emit: append pkt to f's forward queue and mark
+// the flow dirty. pkt points into the batch ring or a stash-owned
+// buffer; both outlive the flush that ends this lock hold.
+func (r *Relay) queue(si int, f *relayFlow, pkt []byte) {
+	if !f.Pinned {
+		f.Pinned = true
+		r.shards[si].dirty = append(r.shards[si].dirty, f)
 	}
-	f.fwdq = append(f.fwdq, pkt)
-	sh.nq++
+	f.Dst.pkts = append(f.Dst.pkts, pkt)
 }
 
-// flushShardLocked drains every dirty flow's queued forwards, one
-// batched write per flow. Failed tails are dropped (loss recovery is
-// the protocol's job) and counted in dmtp.live.tx.errors.
-func (r *Relay) flushShardLocked(sh *relayShard, bc *batchConn) {
+// flushShard drains every dirty flow's queued forwards, one batched
+// write per flow. Failed tails are dropped (loss recovery is the
+// protocol's job) and counted in dmtp.live.tx.errors. Caller holds the
+// shard lock.
+func (r *Relay) flushShard(si int) {
+	sh := &r.shards[si]
 	for _, f := range sh.dirty {
-		if n := len(f.fwdq); n > 0 {
-			sent, err := bc.WriteBatchTo(f.fwdq, f.dst)
-			sh.forwarded += uint64(sent)
-			f.forwarded += uint64(sent)
-			if err != nil {
-				r.countTxErr(n - sent)
-			}
-			f.fwdq = f.fwdq[:0]
+		q := f.Dst
+		sent, err := r.bc.WriteBatchTo(q.pkts, q.dst)
+		f.Sent(sent)
+		if err != nil {
+			r.countTxErr(len(q.pkts) - sent)
 		}
-		f.queued = false
+		q.pkts = q.pkts[:0]
+		f.Pinned = false
 	}
 	sh.dirty = sh.dirty[:0]
-	sh.nq = 0
-}
-
-// handleShardLocked processes one ingested packet under its shard's
-// lock, queueing any forward on its flow (flushed before the lock is
-// released).
-func (r *Relay) handleShardLocked(sh *relayShard, bc *batchConn, pkt []byte, src wire.Addr, now int64) {
-	v := wire.View(pkt)
-	if _, err := v.Check(); err != nil {
-		return
-	}
-	if v.IsControl() {
-		r.handleControlShardLocked(sh, bc, pkt, v)
-		return
-	}
-	if sh.eng.Down() {
-		// Crash() swept this shard mid-burst; model the process death —
-		// nothing is handled until Restart.
-		return
-	}
-	exp := v.Experiment()
-	if v.ConfigID() != 0 {
-		// Already upgraded: forward unmodified through the flow table.
-		// The queued slice points into the batch ring, which is stable
-		// until the next ReadBatch — after this burst's flush.
-		if f := r.flowFor(sh, src, exp, now); f != nil {
-			r.queueOn(sh, f, pkt)
-		}
-		return
-	}
-	f := r.flowFor(sh, src, exp, now)
-	if f == nil {
-		return // flow table full, or no route for this flow
-	}
-	// Reshape directly into a pooled buffer sized for the upgraded packet;
-	// the buffer doubles as the stash entry (released on evict or crash),
-	// so the upgrade path performs no steady-state allocation.
-	upFeats := wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped
-	// An in-band trace rides along through the upgrade; the relay can also
-	// originate one at the boundary (add FeatTraced = config rewrite).
-	upFeats |= v.Features() & wire.FeatTraced
-	sh.upgradeN++
-	originate := r.cfg.TraceSample > 0 && !upFeats.Has(wire.FeatTraced) &&
-		sh.upgradeN%uint64(r.cfg.TraceSample) == 0
-	if originate {
-		upFeats |= wire.FeatTraced
-	}
-	extLen, _ := upFeats.ExtLen()
-	up, err := v.ReshapeInto(wire.GetBuffer(len(pkt)+extLen), 1, upFeats)
-	if err != nil {
-		return
-	}
-	seq := sh.eng.NextSeq(exp)
-	dmtp.StampUpgrade(up, seq, now, dmtp.Upgrade{
-		Self:           r.self,
-		MaxAge:         r.cfg.MaxAge,
-		DeadlineBudget: r.cfg.DeadlineBudget,
-	})
-	if originate {
-		_ = up.SetTrace(wire.TraceExt{
-			TraceID: uint32(sh.upgradeN),
-			Flags:   wire.TraceSampledFlag,
-		})
-	}
-	if up.TraceSampled() {
-		_ = up.AppendHopStamp(wire.TraceReshapeHop(up.ConfigID()), now)
-	}
-	sh.upgraded++
-	f.upgraded++
-	if c := r.reshapeC.Load(); c != nil {
-		c.Inc()
-	}
-	r.cfg.Recorder.RecordAt(now, metrics.EvReshape, uint64(exp), seq, uint64(up.ConfigID()))
-	// The stash takes ownership of the pooled buffer; it is released on
-	// eviction, cumulative-ACK trim, or crash. Queued forwards reference
-	// stash-owned buffers, so if this stash would evict (and release)
-	// entries, the shard's queues must drain first — an evicted buffer
-	// could be one queued earlier in this burst.
-	if sh.nq > 0 && sh.eng.BufferedBytes()+len(up) > sh.eng.CapacityBytes() {
-		r.flushShardLocked(sh, bc)
-	}
-	sh.eng.Stash(exp, seq, up)
-	if r.cfg.DropEveryN > 0 && seq%uint64(r.cfg.DropEveryN) == 0 {
-		sh.injectedDrops++
-		r.cfg.Recorder.RecordAt(now, metrics.EvInjectedDrop, uint64(exp), seq, 0)
-		return
-	}
-	r.queueOn(sh, f, up)
-}
-
-// handleControlShardLocked serves NAKs and ACKs under the shard lock.
-// The shard's queued forwards are flushed first: retransmissions must
-// not overtake data queued earlier in the burst, and an ACK trim
-// releases stash buffers the queues may still reference.
-func (r *Relay) handleControlShardLocked(sh *relayShard, bc *batchConn, pkt []byte, v wire.View) {
-	r.flushShardLocked(sh, bc)
-	switch v.ConfigID() {
-	case wire.ConfigNAK:
-		// Decode into the shard's scratch NAK, reusing its Ranges capacity.
-		nak := &sh.nak
-		if err := nak.DecodeFrom(pkt); err != nil {
-			return
-		}
-		sh.eng.ServeNAK(nak)
-	case wire.ConfigAck:
-		ack, err := wire.DecodeAck(pkt)
-		if err != nil {
-			return
-		}
-		sh.eng.Trim(ack.Experiment, ack.CumulativeSeq)
-	}
 }

@@ -8,6 +8,7 @@ package live
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -222,14 +223,18 @@ func TestRelayCrashClearsFlowsAndReResolves(t *testing.T) {
 // once warm, ingesting and forwarding a burst that spans four flows on
 // two shards — flow lookup, reshape into a pooled stash buffer, per-flow
 // queue, batched per-flow flush, periodic cumulative trim — performs zero
-// allocations. The burst is driven directly through the shard handlers
+// allocations. The burst is driven directly through the engine
 // (the loop goroutine stays parked in its read syscall), exactly the
 // per-packet work the receive loop performs.
 func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; the pooled steady state cannot hold")
 	}
-	sink, err := NewReceiver(ReceiverConfig{Listen: "127.0.0.1:0"})
+	// AllocsPerRun counts the whole process, so the forward leg lands on
+	// a plain socket nobody reads (forwarding is fire-and-forget): a live
+	// Receiver here would allocate per delivery whenever its goroutine
+	// got scheduled inside the measurement.
+	sink, err := net.ListenPacket("udp4", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +242,7 @@ func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 
 	relay, err := NewRelay(RelayConfig{
 		Listen:  "127.0.0.1:0",
-		Forward: sink.Addr(),
+		Forward: sink.LocalAddr().String(),
 		Shards:  2,
 		MaxAge:  time.Hour,
 	})
@@ -264,22 +269,23 @@ func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 	seq := uint64(0)
 	burst := func() {
 		seq++
-		for si, sh := range relay.shards {
+		for si := range relay.shards {
+			sh := &relay.shards[si]
 			sh.mu.Lock()
 			for _, f := range flows {
-				if relay.sb.ShardIndex(f.exp) != si {
+				if relay.eng.ShardIndex(f.exp) != si {
 					continue
 				}
-				relay.handleShardLocked(sh, relay.bc, f.pkt, f.src, 0)
+				relay.eng.Handle(si, f.src, f.pkt, 0)
 			}
-			relay.flushShardLocked(sh, relay.bc)
+			relay.flushShard(si)
 			if seq%16 == 0 {
 				// Cumulative trim releases the stash back to the packet
 				// pool, as a downstream ACK would — without it the stash
 				// grows and GetBuffer must allocate fresh buffers.
 				for _, f := range flows {
-					if relay.sb.ShardIndex(f.exp) == si {
-						sh.eng.Trim(f.exp, seq)
+					if relay.eng.ShardIndex(f.exp) == si {
+						relay.eng.Buffer().Trim(f.exp, seq)
 					}
 				}
 			}
@@ -325,7 +331,7 @@ func TestRelayShardTortureManyFlows(t *testing.T) {
 	// Collect experiment numbers that all land on shard 0.
 	var exps []uint32
 	for e := uint32(900); len(exps) < 6; e++ {
-		if relay.sb.ShardIndex(wire.NewExperimentID(e, 0)) == 0 {
+		if relay.eng.ShardIndex(wire.NewExperimentID(e, 0)) == 0 {
 			exps = append(exps, e)
 		}
 	}

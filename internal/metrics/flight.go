@@ -150,6 +150,8 @@ func (e Event) String() string {
 // version so writers never block and a concurrent Snapshot never reads a
 // torn event: ver is odd while a write is in progress, and a reader
 // discards any slot whose version changed (or was odd) across its reads.
+// A seqlock admits one writer at a time, so a writer claims the slot by
+// CAS from even to odd; whoever loses the claim drops its event.
 type frSlot struct {
 	ver  atomic.Uint64
 	at   atomic.Int64
@@ -161,21 +163,23 @@ type frSlot struct {
 
 // FlightRecorder is a fixed-size lock-free ring of recent protocol events —
 // the always-on black box of the live daemons, dumped on demand via the
-// /events debug endpoint (the role internal/trace's Tap plays for the
-// simulator, but cheap enough to leave running in production). Recording
+// /events debug endpoint; the simulator's engines record into one too,
+// stamped with virtual time (what the campaign oracles count). Recording
 // never allocates, never takes a lock, and overwrites the oldest events
 // once the ring is full.
 //
-// Writers claim distinct slots with one atomic add; a slot is only ever
-// contended if the ring wraps fully while a write is still in flight,
-// in which case the slot's seqlock makes the loser's event torn-and-
-// discarded rather than corrupt. A nil *FlightRecorder is a valid no-op
-// recorder, so components take one unconditionally.
+// Writers pick distinct slots with one atomic add; a slot is only ever
+// contended if the ring wraps fully while a write is still in flight, in
+// which case the writer that finds the slot claimed drops its event
+// (counted in Dropped) rather than interleave its fields with the other's.
+// A nil *FlightRecorder is a valid no-op recorder, so components take one
+// unconditionally.
 type FlightRecorder struct {
-	mask  uint64
-	pos   atomic.Uint64 // next index to claim; total events ever recorded
-	slots []frSlot
-	now   func() int64
+	mask    uint64
+	pos     atomic.Uint64 // next index to claim; total events ever recorded
+	dropped atomic.Uint64 // events lost to a slot another writer held
+	slots   []frSlot
+	now     func() int64
 }
 
 // DefaultFlightRecorderSize is the ring capacity NewFlightRecorder applies
@@ -218,13 +222,17 @@ func (r *FlightRecorder) RecordAt(at int64, kind EventKind, exp, seq, aux uint64
 	}
 	i := r.pos.Add(1) - 1
 	s := &r.slots[i&r.mask]
-	s.ver.Add(1) // odd: write in progress
+	v := s.ver.Load()
+	if v%2 != 0 || !s.ver.CompareAndSwap(v, v+1) { // odd: write in progress
+		r.dropped.Add(1)
+		return
+	}
 	s.at.Store(at)
 	s.kind.Store(uint32(kind))
 	s.exp.Store(exp)
 	s.seq.Store(seq)
 	s.aux.Store(aux)
-	s.ver.Add(1) // even: stable
+	s.ver.Store(v + 2) // even: stable
 }
 
 // Total returns how many events were ever recorded (including ones already
@@ -234,6 +242,16 @@ func (r *FlightRecorder) Total() uint64 {
 		return 0
 	}
 	return r.pos.Load()
+}
+
+// Dropped returns how many of those events were lost because the ring
+// lapped onto a slot another writer was still filling. Zero on a nil
+// recorder.
+func (r *FlightRecorder) Dropped() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.dropped.Load()
 }
 
 // Cap returns the ring capacity. Zero on a nil recorder.

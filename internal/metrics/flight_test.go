@@ -141,3 +141,26 @@ func TestEventStringWallVsVirtual(t *testing.T) {
 		t.Errorf("wall-clock event rendered as %q", s)
 	}
 }
+
+// TestFlightRecorderDropsOnClaimedSlot pins the multi-writer rule: a
+// writer that laps onto a slot another writer still holds (odd version)
+// drops its event and counts it, instead of interleaving fields with the
+// holder's — after which the holder's event is intact.
+func TestFlightRecorderDropsOnClaimedSlot(t *testing.T) {
+	rec := NewFlightRecorder(1)
+	rec.RecordAt(1, EvGapDetected, 7, 7, 7)
+	s := &rec.slots[0]
+	s.ver.Add(1) // a stalled writer holds the slot
+	rec.RecordAt(2, EvWriteOff, 9, 9, 9)
+	if rec.Dropped() != 1 || rec.Total() != 2 {
+		t.Fatalf("dropped %d total %d, want 1 and 2", rec.Dropped(), rec.Total())
+	}
+	if got := rec.Snapshot(); len(got) != 0 {
+		t.Fatalf("snapshot returned a slot mid-write: %+v", got)
+	}
+	s.ver.Add(1) // the stalled writer finishes
+	got := rec.Snapshot()
+	if len(got) != 1 || got[0].Kind != EvGapDetected || got[0].Seq != 7 {
+		t.Fatalf("holder's event damaged by the dropped write: %+v", got)
+	}
+}

@@ -1,8 +1,8 @@
 // Package metrics is the runtime-observability layer shared by both DMTP
 // substrates: a concurrent registry of named instruments cheap enough to
 // live on the datapath, plus a flight recorder (flight.go) — a fixed-size
-// lock-free ring of recent protocol events, the live-path counterpart of
-// internal/trace.
+// lock-free ring of recent protocol events, recorded by both substrates'
+// engines and dumped by /events and the crash black boxes.
 //
 // Three instrument families exist:
 //

@@ -182,7 +182,7 @@ var Catalog = []Info{
 	{MetricBufNAKsServed, KindGauge, "packets", "NAK packets served from the stash"},
 	{MetricBufRetransmits, KindGauge, "packets", "retransmissions sent in response to NAKs"},
 	{MetricBufNAKMisses, KindGauge, "seqs", "NAKed sequence numbers no longer buffered (evicted, trimmed, or lost to a crash)"},
-	{MetricBufCrashes, KindGauge, "events", "buffer crash events (chaos testing / process death)"},
+	{MetricBufCrashes, KindGauge, "events", "buffer crash events, one per shard per crash (chaos testing / process death)"},
 	{MetricBufOccupancyBytes, KindGauge, "bytes", "current retransmission-buffer occupancy"},
 	{MetricBufStashImbalance, KindGauge, "bytes", "stash accounting imbalance (stashed − released − occupancy, per shard under one lock); nonzero means a buffer byte leak"},
 	{MetricBufShardOccupancyPrefix + "*", KindGauge, "bytes", "current retransmission-buffer occupancy, one gauge per shard"},

@@ -262,10 +262,10 @@ func Run(cfg Config) (Results, error) {
 	res.Duplicates = st.Duplicates
 	res.Aged = st.Aged
 	res.Late = st.Late
-	res.NAKs = dtn1.Stats.NAKs
-	res.Retransmits = dtn1.Stats.Retransmits
+	res.NAKs = dtn1.Stats().NAKs
+	res.Retransmits = dtn1.Stats().Retransmits
 	res.BufferPeak = peak
-	res.ModeTransitions = dtn1.Stats.Upgraded
+	res.ModeTransitions = dtn1.Stats().Upgraded
 	res.Elapsed = lastDelivery
 	if span := lastDelivery - firstDelivery; span > 0 {
 		res.GoodputBps = float64(receiver.Meter.Bytes*8) / span.Seconds()

@@ -1,9 +1,8 @@
 package wire
 
-// Packet-kind vocabulary. The sim packet tap (internal/trace), the live
-// flight-recorder dumps, and the tracespan span labels all name packet
-// classes with these strings, so one grep matches the same protocol event
-// across every observability surface.
+// Packet-kind vocabulary. The flight-recorder dumps and the tracespan
+// span labels name packet classes with these strings, so one grep
+// matches the same protocol event across every observability surface.
 const (
 	// KindData is an untraced DMTP data packet.
 	KindData = "data"
