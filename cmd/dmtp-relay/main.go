@@ -31,7 +31,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /events, /flows and pprof on this address (off when empty)")
 	traceSample := flag.Int("trace-sample", 0, "originate an in-band trace on every Nth untraced upgrade (0 = off)")
 	traceOut := flag.String("trace-out", "", "write the flight-recorder timeline as Perfetto trace JSON on exit")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "buffer shards experiments are partitioned across")
+	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "stash and journal partitions experiments are spread across")
 	maxFlows := flag.Int("max-flows", 0, "flow-table bound; registrations beyond it are rejected (0 = unlimited)")
 	journalDir := flag.String("journal-dir", "", "stash write-ahead journal directory; on restart the stash is replayed from it (off when empty)")
 	journalSync := flag.String("journal-sync", "batch", "journal fsync policy: batch, none, or always")

@@ -51,10 +51,9 @@ type BufferConfig struct {
 	// (lower RTT) retransmission buffer" (§1, §5.1): downstream receivers
 	// then recover from this closer node instead of the WAN entrance.
 	StashTransit bool
-	// Shards is the number of buffer shards experiments are partitioned
-	// across (zero means 1). The simulator loop is single-threaded, so
-	// sharding here buys no parallelism — it exists so conformance can
-	// diff the sharded partitioning logic against the live relay.
+	// Shards is the number of stash and journal partitions experiments are
+	// spread across (zero means 1) — the same partitioning the live relay
+	// runs, so conformance can diff the two.
 	Shards int
 	// MaxFlows bounds the flow table; registrations beyond it are
 	// rejected. Zero means unlimited.
@@ -175,7 +174,7 @@ func (b *BufferNode) resolve(src wire.Addr, exp wire.ExperimentID) (route, bool)
 // frame keeps its Data slice in flight and downstream elements mutate
 // headers, while the engine's stash must retransmit the packet as it left
 // this node.
-func (b *BufferNode) emit(_ int, f *dmtp.Flow[route], pkt []byte) {
+func (b *BufferNode) emit(f *dmtp.Flow[route], pkt []byte) {
 	b.node.Port(f.Dst.port).Send(&netsim.Frame{
 		Src:  b.node.Addr,
 		Dst:  f.Dst.Addr,
@@ -294,7 +293,7 @@ func (b *BufferNode) HandleFrame(ingress *netsim.Port, f *netsim.Frame) {
 		b.forwardRaw(f)
 		return
 	}
-	b.eng.Handle(b.eng.ShardIndex(v.Experiment()), f.Src, v, now)
+	b.eng.Handle(f.Src, v, now)
 }
 
 // adoptTransit buffers a sequenced transit packet and rewrites its

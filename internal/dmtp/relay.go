@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/journal"
@@ -47,11 +46,11 @@ type RelayConfig[D fmt.Stringer] struct {
 	// (internal/journal) with fsync policy JournalSync.
 	JournalDir  string
 	JournalSync string
-	// Locker, when non-nil, returns the mutex under which the adapter
-	// calls Handle for the given shard; the engine takes it in every
-	// method not marked "caller holds the shard lock". Nil suits a
-	// single-goroutine substrate.
-	Locker func(shard int) sync.Locker
+	// Locker, when non-nil, is the one lock serializing the engine: the
+	// adapter holds it around Handle, Flow.Sent and anything it does through
+	// Buffer(), and the engine takes it in every method not marked "caller
+	// holds the lock". Nil suits a single-goroutine substrate.
+	Locker sync.Locker
 
 	// Resolve maps a new flow to its destination; false rejects the flow.
 	// Called once per registration, not per packet.
@@ -84,16 +83,16 @@ type RelayConfig[D fmt.Stringer] struct {
 	// Emit sends pkt onward to f.Dst. Ownership stays with the engine (or
 	// the arriving packet's owner), as with Datapath.SendData: an adapter
 	// that retains the bytes past the call must copy them or provide Flush.
-	Emit func(shard int, f *Flow[D], pkt []byte)
-	// Flush, when non-nil, pushes out everything Emit retained on the
-	// shard. The engine calls it before a stash insert that would evict (an
-	// evicted buffer could be one emitted earlier in the burst) and before
-	// a control packet (retransmissions must not overtake emitted data, and
-	// a trim releases stash buffers).
-	Flush func(shard int)
+	Emit func(f *Flow[D], pkt []byte)
+	// Flush, when non-nil, pushes out everything Emit retained. The engine
+	// calls it before a stash insert that would evict (an evicted buffer
+	// could be one emitted earlier in the burst) and before a control packet
+	// (retransmissions must not overtake emitted data, and a trim releases
+	// stash buffers).
+	Flush func()
 }
 
-// Flow is one registered flow, owned by its shard.
+// Flow is one registered flow.
 type Flow[D fmt.Stringer] struct {
 	// Dst is the destination Resolve returned at registration.
 	Dst D
@@ -101,18 +100,16 @@ type Flow[D fmt.Stringer] struct {
 	// the live adapter pins a flow whose forwards are still queued.
 	Pinned bool
 
-	key       flowKey
-	sh        *relayShard[D]
+	eng       *RelayEngine[D]
 	lastSeen  int64 // engine-clock nanos of the last handled packet
 	upgraded  uint64
 	forwarded uint64
 }
 
-// Sent records n packets of the flow as forwarded. Caller holds the shard
-// lock.
+// Sent records n packets of the flow as forwarded. Caller holds the lock.
 func (f *Flow[D]) Sent(n int) {
 	f.forwarded += uint64(n)
-	f.sh.forwarded += uint64(n)
+	f.eng.forwarded += uint64(n)
 }
 
 // flowKey identifies a flow: who is sending, and which experiment.
@@ -136,8 +133,8 @@ type FlowInfo struct {
 }
 
 // RelayStats are the relay counters summed across shards: cumulative,
-// except Occupancy, the bytes buffered right now. Each shard's share is
-// read under one lock hold, so BufferedBytes − ReleasedBytes − Occupancy
+// except Occupancy, the bytes buffered right now. The whole snapshot is
+// taken under one lock hold, so BufferedBytes − ReleasedBytes − Occupancy
 // (the stash-balance invariant behind dmtp.buf.stash_imbalance_bytes) is
 // exactly 0 on a healthy engine at any instant — which is what lets the
 // fleet monitor treat a nonzero sample as a violation, not scrape skew.
@@ -150,43 +147,32 @@ type RelayStats struct {
 	InjectedDrops uint64
 }
 
-// relayShard is one partition of the relay: a buffer engine for its
-// experiments and the flows that map to it, serialized by mu.
-type relayShard[D fmt.Stringer] struct {
-	mu    sync.Locker
-	buf   *BufferEngine
-	flows map[flowKey]*Flow[D]
-	nak   wire.NAK // scratch decode target, reusing Ranges capacity
-
-	upgraded      uint64 // also drives boundary trace sampling
-	injectedDrops uint64
-	forwarded     uint64
-}
-
-type nopLocker struct{}
-
-func (nopLocker) Lock()   {}
-func (nopLocker) Unlock() {}
-
-// RelayEngine is the substrate-agnostic relay state machine.
+// RelayEngine is the substrate-agnostic relay state machine. All of its
+// state is serialized by cfg.Locker; which shard an experiment lives on is
+// its own business.
 type RelayEngine[D fmt.Stringer] struct {
-	cfg    RelayConfig[D]
-	sb     *ShardedBuffer
-	shards []*relayShard[D]
+	cfg RelayConfig[D]
+	// sb partitions sequence counters, stash and journal by experiment: a
+	// cumulative-ACK trim scans only its shard's FIFO, and each shard has
+	// its own journal files and writer goroutine.
+	sb *ShardedBuffer
 	// jset is the per-shard write-ahead journal set (nil without
 	// JournalDir). Hot-path appends go through the shard engines' Journal
 	// hooks; the engine touches it directly only for lifecycle.
 	jset *journal.Set
 
-	lastSweep     int64
-	flowsActive   atomic.Int64
-	flowsOpened   atomic.Uint64
-	flowsExpired  atomic.Uint64
-	flowsRejected atomic.Uint64
+	flows     map[flowKey]*Flow[D]
+	fstats    FlowStats // Active is filled in from len(flows) on read
+	lastSweep int64
+	nak       wire.NAK // scratch decode target, reusing Ranges capacity
+
+	upgraded      uint64 // also drives boundary trace sampling
+	injectedDrops uint64
+	forwarded     uint64
 
 	// reshapeC counts reshapes into ConfigID; installed by
 	// RegisterMetrics, nil (and skipped) until then.
-	reshapeC atomic.Pointer[metrics.Counter]
+	reshapeC *metrics.Counter
 }
 
 // NewRelayEngine builds the shards, opens the journal when configured and
@@ -204,7 +190,7 @@ func NewRelayEngine[D fmt.Stringer](cfg RelayConfig[D]) (*RelayEngine[D], error)
 	if bcfg.CapacityBytes > 0 && nsh > 1 {
 		bcfg.CapacityBytes = max(bcfg.CapacityBytes/nsh, 1)
 	}
-	e := &RelayEngine[D]{cfg: cfg, lastSweep: bcfg.Clock.Now()}
+	e := &RelayEngine[D]{cfg: cfg, flows: make(map[flowKey]*Flow[D]), lastSweep: bcfg.Clock.Now()}
 	if cfg.JournalDir != "" {
 		set, err := journal.OpenSet(cfg.JournalDir, nsh, cfg.JournalSync, 0)
 		if err != nil {
@@ -212,44 +198,50 @@ func NewRelayEngine[D fmt.Stringer](cfg RelayConfig[D]) (*RelayEngine[D], error)
 		}
 		e.jset = set
 	}
-	e.shards = make([]*relayShard[D], nsh)
 	e.sb = NewShardedBuffer(nsh, func(i int) *BufferEngine {
-		sh := &relayShard[D]{mu: nopLocker{}, flows: make(map[flowKey]*Flow[D])}
-		if cfg.Locker != nil {
-			sh.mu = cfg.Locker(i)
-		}
 		// The interface value must stay nil (not a typed nil) when
 		// journaling is off, or the buffer engine would call through it.
 		c := bcfg
 		if e.jset != nil {
 			c.Journal = e.jset.Shard(i)
 		}
-		sh.buf = NewBufferEngine(cfg.Datapath, c)
-		e.shards[i] = sh
-		return sh.buf
+		return NewBufferEngine(cfg.Datapath, c)
 	})
 	if e.jset != nil {
-		for i, sh := range e.shards {
-			e.restoreShard(sh, e.jset.Recovered(i))
+		for i, buf := range e.sb.shards {
+			e.restoreShard(buf, e.jset.Recovered(i))
 		}
 	}
 	return e, nil
+}
+
+// lock and unlock take cfg.Locker, when the adapter supplied one.
+func (e *RelayEngine[D]) lock() {
+	if e.cfg.Locker != nil {
+		e.cfg.Locker.Lock()
+	}
+}
+
+func (e *RelayEngine[D]) unlock() {
+	if e.cfg.Locker != nil {
+		e.cfg.Locker.Unlock()
+	}
 }
 
 // restoreShard replays one shard's journal recovery into its buffer
 // engine: surviving entries are copied into Alloc'd buffers (the stash
 // owns and releases its entries) and re-stashed without re-journaling,
 // then sequence counters are raised to the journal's floors so later
-// upgrades never reuse a sequence number. Caller holds the shard lock, or
-// runs before the adapter can reach the engine.
-func (e *RelayEngine[D]) restoreShard(sh *relayShard[D], rec *journal.Recovered) {
+// upgrades never reuse a sequence number. Caller holds the lock, or runs
+// before the adapter can reach the engine.
+func (e *RelayEngine[D]) restoreShard(buf *BufferEngine, rec *journal.Recovered) {
 	for _, ent := range rec.Entries {
 		pkt := e.cfg.Alloc(len(ent.Payload))
 		copy(pkt, ent.Payload)
-		sh.buf.RestoreStash(ent.Exp, ent.Seq, pkt)
+		buf.RestoreStash(ent.Exp, ent.Seq, pkt)
 	}
 	for exp, seq := range rec.Seqs {
-		sh.buf.RestoreSeq(exp, seq)
+		buf.RestoreSeq(exp, seq)
 	}
 }
 
@@ -257,46 +249,43 @@ func (e *RelayEngine[D]) restoreShard(sh *relayShard[D], rec *journal.Recovered)
 // their retransmission buffer, before traffic flows: at Attach or bind.
 func (e *RelayEngine[D]) SetSelf(self wire.Addr) { e.cfg.Upgrade.Self = self }
 
-// ShardIndex maps an experiment to the shard owning its state; NAKs and
-// ACKs carry the experiment in the core header, so they route the same way.
-func (e *RelayEngine[D]) ShardIndex(exp wire.ExperimentID) int { return e.sb.ShardIndex(exp) }
-
 // Buffer exposes the sharded stash for callers that sequence or stash
-// outside the upgrade path (transit adoption, oracles, tests). Its methods
-// need the owning shard's lock.
+// outside the upgrade path (transit adoption, oracles, tests). Caller holds
+// the lock.
 func (e *RelayEngine[D]) Buffer() *ShardedBuffer { return e.sb }
 
-// Handle processes one packet that has passed View.Check on shard
-// si = ShardIndex(v.Experiment()). Caller holds the shard lock. Anything
-// Emit retained must be flushed before the lock is released.
-func (e *RelayEngine[D]) Handle(si int, src wire.Addr, v wire.View, now int64) {
-	sh := e.shards[si]
-	if v.IsControl() {
-		e.handleControl(si, sh, v)
-		return
-	}
-	if sh.buf.Down() {
-		// Crash swept this shard mid-burst; model the process death —
-		// nothing is handled until Restart.
-		return
-	}
+// Handle processes one packet that has passed View.Check; NAKs and ACKs
+// carry the experiment in the core header, so they find their shard the way
+// data does. Caller holds the lock, and flushes whatever Emit retained
+// before releasing it.
+func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 	exp := v.Experiment()
+	buf := e.sb.Shard(exp)
+	if v.IsControl() {
+		e.handleControl(buf, v)
+		return
+	}
+	if buf.Down() {
+		// Crashed — possibly between two packets of one burst; model the
+		// process death: nothing is handled until Restart.
+		return
+	}
 	// Register the flow before spending a sequence number, so a rejected
 	// flow (table full, resolver refusal) consumes no sequencing state.
-	f := e.flowFor(sh, src, exp, now)
+	f := e.flowFor(src, exp, now)
 	if f == nil {
 		return
 	}
 	if v.ConfigID() != e.cfg.UpgradeFrom {
 		// Already upgraded or an unknown mode: pass through along the
 		// packet's registered flow.
-		e.cfg.Emit(si, f, v)
+		e.cfg.Emit(f, v)
 		return
 	}
 	// An in-band trace rides along through the upgrade; the relay can also
 	// originate one at the boundary.
 	feats := e.cfg.Features | v.Features()&wire.FeatTraced
-	n := sh.upgraded + 1
+	n := e.upgraded + 1
 	originate := e.cfg.TraceSample > 0 && !feats.Has(wire.FeatTraced) && n%uint64(e.cfg.TraceSample) == 0
 	if originate {
 		feats |= wire.FeatTraced
@@ -312,7 +301,7 @@ func (e *RelayEngine[D]) Handle(si int, src wire.Addr, v wire.View, now int64) {
 	sequenced := feats.Has(wire.FeatSequenced)
 	var seq uint64
 	if sequenced {
-		seq = sh.buf.NextSeq(exp)
+		seq = buf.NextSeq(exp)
 	}
 	StampUpgrade(up, seq, now, e.cfg.Upgrade)
 	if originate {
@@ -324,93 +313,89 @@ func (e *RelayEngine[D]) Handle(si int, src wire.Addr, v wire.View, now int64) {
 	if e.cfg.PostStamp != nil {
 		e.cfg.PostStamp(up, seq)
 	}
-	sh.upgraded = n
+	e.upgraded = n
 	f.upgraded++
-	if c := e.reshapeC.Load(); c != nil {
-		c.Inc()
+	if e.reshapeC != nil {
+		e.reshapeC.Inc()
 	}
 	e.cfg.Buffer.Recorder.RecordAt(now, metrics.EvReshape, uint64(exp), seq, uint64(e.cfg.ConfigID))
 	if sequenced {
 		// The stash takes ownership of the buffer: downstream elements
 		// mutate headers in flight, and the buffer must retransmit the
 		// packet as it left here.
-		if e.cfg.Flush != nil && sh.buf.BufferedBytes()+len(up) > sh.buf.CapacityBytes() {
-			e.cfg.Flush(si)
+		if e.cfg.Flush != nil && buf.BufferedBytes()+len(up) > buf.CapacityBytes() {
+			e.cfg.Flush()
 		}
-		sh.buf.Stash(exp, seq, up)
+		buf.Stash(exp, seq, up)
 		if e.cfg.DropEveryN > 0 && seq%uint64(e.cfg.DropEveryN) == 0 {
-			sh.injectedDrops++
+			e.injectedDrops++
 			e.cfg.Buffer.Recorder.RecordAt(now, metrics.EvInjectedDrop, uint64(exp), seq, 0)
 			return
 		}
 	}
-	e.cfg.Emit(si, f, up)
+	e.cfg.Emit(f, up)
 }
 
 // handleControl serves NAKs and ACKs addressed to the relay.
-func (e *RelayEngine[D]) handleControl(si int, sh *relayShard[D], v wire.View) {
+func (e *RelayEngine[D]) handleControl(buf *BufferEngine, v wire.View) {
 	if e.cfg.Flush != nil {
-		e.cfg.Flush(si)
+		e.cfg.Flush()
 	}
 	switch v.ConfigID() {
 	case wire.ConfigNAK:
-		if err := sh.nak.DecodeFrom(v); err != nil {
+		if err := e.nak.DecodeFrom(v); err != nil {
 			return
 		}
-		sh.buf.ServeNAK(&sh.nak)
+		buf.ServeNAK(&e.nak)
 	case wire.ConfigAck:
 		ack, err := wire.DecodeAck(v)
 		if err != nil {
 			return
 		}
-		sh.buf.Trim(ack.Experiment, ack.CumulativeSeq)
+		buf.Trim(ack.Experiment, ack.CumulativeSeq)
 	}
 }
 
 // flowFor returns the registered flow for (src, exp), registering it on
 // first packet: the destination is resolved now and kept for the flow's
 // lifetime. Nil means the registration was rejected.
-func (e *RelayEngine[D]) flowFor(sh *relayShard[D], src wire.Addr, exp wire.ExperimentID, now int64) *Flow[D] {
+func (e *RelayEngine[D]) flowFor(src wire.Addr, exp wire.ExperimentID, now int64) *Flow[D] {
 	k := flowKey{src: src, exp: exp}
-	if f, ok := sh.flows[k]; ok {
+	if f, ok := e.flows[k]; ok {
 		f.lastSeen = now
 		return f
 	}
-	if max := e.cfg.MaxFlows; max > 0 && e.flowsActive.Load() >= int64(max) {
-		e.flowsRejected.Add(1)
+	if max := e.cfg.MaxFlows; max > 0 && len(e.flows) >= max {
+		e.fstats.Rejected++
 		return nil
 	}
 	dst, ok := e.cfg.Resolve(src, exp)
 	if !ok {
-		e.flowsRejected.Add(1)
+		e.fstats.Rejected++
 		return nil
 	}
-	f := &Flow[D]{Dst: dst, key: k, sh: sh, lastSeen: now}
-	sh.flows[k] = f
-	e.flowsActive.Add(1)
-	e.flowsOpened.Add(1)
+	f := &Flow[D]{Dst: dst, eng: e, lastSeen: now}
+	e.flows[k] = f
+	e.fstats.Opened++
 	return f
 }
 
 // Sweep lazily expires flows idle for FlowTTL or longer, at most once per
-// half-TTL. Adapters call it between packets or bursts with no shard lock
-// held, so it costs nothing on the packet path.
+// half-TTL. The adapter's packet goroutine calls it between packets or
+// bursts with the lock released, so it costs nothing on the packet path.
 func (e *RelayEngine[D]) Sweep(now int64) {
 	ttl := int64(e.cfg.FlowTTL)
 	if now-e.lastSweep < ttl/2 {
 		return
 	}
 	e.lastSweep = now
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		for k, f := range sh.flows {
-			if now-f.lastSeen >= ttl && !f.Pinned {
-				delete(sh.flows, k)
-				e.flowsActive.Add(-1)
-				e.flowsExpired.Add(1)
-			}
+	e.lock()
+	defer e.unlock()
+	for k, f := range e.flows {
+		if now-f.lastSeen >= ttl && !f.Pinned {
+			delete(e.flows, k)
+			e.fstats.Expired++
 		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -424,15 +409,17 @@ func (e *RelayEngine[D]) Sweep(now int64) {
 // shards enqueued is then in the writer's queue and the barrier pushes it
 // to disk. Crash reports false, and does nothing, when already down.
 func (e *RelayEngine[D]) Crash(quiesce func()) bool {
-	if e.Down() {
-		return false
+	e.lock()
+	down := e.down()
+	if !down {
+		for _, buf := range e.sb.shards {
+			buf.Crash() // releases every stash buffer
+		}
+		clear(e.flows)
 	}
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		sh.buf.Crash() // releases every stash buffer
-		e.flowsActive.Add(-int64(len(sh.flows)))
-		clear(sh.flows)
-		sh.mu.Unlock()
+	e.unlock()
+	if down {
+		return false
 	}
 	if quiesce != nil {
 		quiesce()
@@ -455,32 +442,34 @@ func (e *RelayEngine[D]) Restart(rebind func() error) error {
 		if err != nil {
 			return fmt.Errorf("dmtp: journal replay on restart: %w", err)
 		}
-		for i, sh := range e.shards {
-			sh.mu.Lock()
-			e.restoreShard(sh, recs[i])
-			sh.mu.Unlock()
+		e.lock()
+		for i, buf := range e.sb.shards {
+			e.restoreShard(buf, recs[i])
 		}
+		e.unlock()
 	}
 	if rebind != nil {
 		if err := rebind(); err != nil {
 			return err
 		}
 	}
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		sh.buf.Restart()
-		sh.mu.Unlock()
+	e.lock()
+	defer e.unlock()
+	for _, buf := range e.sb.shards {
+		buf.Restart()
 	}
 	return nil
 }
 
-// Down reports whether the relay is crashed and awaiting Restart. Shards
-// crash and restart together; the first speaks for all.
+// down is Down for a caller that holds the lock. Shards crash and restart
+// together; the first speaks for all.
+func (e *RelayEngine[D]) down() bool { return e.sb.shards[0].Down() }
+
+// Down reports whether the relay is crashed and awaiting Restart.
 func (e *RelayEngine[D]) Down() bool {
-	sh := e.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.buf.Down()
+	e.lock()
+	defer e.unlock()
+	return e.down()
 }
 
 // Close stops the journal writers and closes the segment files. The
@@ -511,49 +500,43 @@ func (e *RelayEngine[D]) JournalRecoveries() []*journal.Recovered {
 
 // Stats returns a snapshot of the counters.
 func (e *RelayEngine[D]) Stats() RelayStats {
-	var s RelayStats
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		s.BufferStats.Add(sh.buf.Stats())
-		s.Occupancy += sh.buf.BufferedBytes()
-		s.Upgraded += sh.upgraded
-		s.Forwarded += sh.forwarded
-		s.InjectedDrops += sh.injectedDrops
-		sh.mu.Unlock()
+	e.lock()
+	defer e.unlock()
+	s := RelayStats{Upgraded: e.upgraded, Forwarded: e.forwarded, InjectedDrops: e.injectedDrops}
+	for _, buf := range e.sb.shards {
+		s.BufferStats.Add(buf.Stats())
+		s.Occupancy += buf.BufferedBytes()
 	}
 	return s
 }
 
 // FlowStats returns the flow-table counters (dmtp.relay.flows.*).
 func (e *RelayEngine[D]) FlowStats() FlowStats {
-	return FlowStats{
-		Active:   uint64(e.flowsActive.Load()),
-		Opened:   e.flowsOpened.Load(),
-		Expired:  e.flowsExpired.Load(),
-		Rejected: e.flowsRejected.Load(),
-	}
+	e.lock()
+	defer e.unlock()
+	s := e.fstats
+	s.Active = uint64(len(e.flows))
+	return s
 }
 
-// Flows snapshots the flow table across all shards, ordered by shard,
-// then source, then experiment.
+// Flows snapshots the flow table, ordered by shard, then source, then
+// experiment.
 func (e *RelayEngine[D]) Flows() []FlowInfo {
 	now := e.cfg.Buffer.Clock.Now()
 	var out []FlowInfo
-	for i, sh := range e.shards {
-		sh.mu.Lock()
-		for _, f := range sh.flows {
-			out = append(out, FlowInfo{
-				Src:        f.key.src,
-				Experiment: f.key.exp,
-				Dst:        f.Dst.String(),
-				Shard:      i,
-				Upgraded:   f.upgraded,
-				Forwarded:  f.forwarded,
-				IdleNs:     now - f.lastSeen,
-			})
-		}
-		sh.mu.Unlock()
+	e.lock()
+	for k, f := range e.flows {
+		out = append(out, FlowInfo{
+			Src:        k.src,
+			Experiment: k.exp,
+			Dst:        f.Dst.String(),
+			Shard:      e.sb.ShardIndex(k.exp),
+			Upgraded:   f.upgraded,
+			Forwarded:  f.forwarded,
+			IdleNs:     now - f.lastSeen,
+		})
 	}
+	e.unlock()
 	slices.SortFunc(out, func(a, b FlowInfo) int {
 		if c := cmp.Compare(a.Shard, b.Shard); c != 0 || a.Src == b.Src {
 			return cmp.Or(c, cmp.Compare(a.Experiment, b.Experiment))
@@ -566,9 +549,9 @@ func (e *RelayEngine[D]) Flows() []FlowInfo {
 // RegisterMetrics publishes the relay's metric set on reg — dmtp.buf.*
 // (with per-shard occupancy), dmtp.relay.*, the flow-table family, the
 // reshape counter for ConfigID, the journal family when journaled, the
-// shared packet-pool counters — as gauges sampled under the shard locks
-// at scrape time only. Both substrates register through here, so their
-// metric names match by construction.
+// shared packet-pool counters — as gauges sampled under the lock at scrape
+// time only. Both substrates register through here, so their metric names
+// match by construction.
 func (e *RelayEngine[D]) RegisterMetrics(reg *metrics.Registry) {
 	gauge := func(name string, f func(RelayStats) uint64) {
 		reg.RegisterFunc(name, func() int64 { return int64(f(e.Stats())) })
@@ -588,11 +571,11 @@ func (e *RelayEngine[D]) RegisterMetrics(reg *metrics.Registry) {
 	gauge(metrics.MetricRelayUpgraded, func(s RelayStats) uint64 { return s.Upgraded })
 	gauge(metrics.MetricRelayForwarded, func(s RelayStats) uint64 { return s.Forwarded })
 	gauge(metrics.MetricRelayInjectedDrops, func(s RelayStats) uint64 { return s.InjectedDrops })
-	for i, sh := range e.shards {
+	for i, buf := range e.sb.shards {
 		reg.RegisterFunc(metrics.MetricBufShardOccupancyPrefix+strconv.Itoa(i), func() int64 {
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			return int64(sh.buf.BufferedBytes())
+			e.lock()
+			defer e.unlock()
+			return int64(buf.BufferedBytes())
 		})
 	}
 	flows := e.FlowStats
@@ -600,7 +583,9 @@ func (e *RelayEngine[D]) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterFunc(metrics.MetricRelayFlowsOpened, func() int64 { return int64(flows().Opened) })
 	reg.RegisterFunc(metrics.MetricRelayFlowsExpired, func() int64 { return int64(flows().Expired) })
 	reg.RegisterFunc(metrics.MetricRelayFlowsRejected, func() int64 { return int64(flows().Rejected) })
-	e.reshapeC.Store(reg.Counter(metrics.MetricRelayReshapePrefix + strconv.Itoa(int(e.cfg.ConfigID))))
+	e.lock()
+	e.reshapeC = reg.Counter(metrics.MetricRelayReshapePrefix + strconv.Itoa(int(e.cfg.ConfigID)))
+	e.unlock()
 	if e.jset != nil {
 		e.jset.RegisterMetrics(reg)
 	}

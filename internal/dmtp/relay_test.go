@@ -44,7 +44,7 @@ var (
 	rigSelf = wire.AddrFrom(10, 0, 1, 1, 7000)
 	rigReq  = wire.AddrFrom(10, 0, 2, 1, 7000)
 	expA    = wire.NewExperimentID(701, 0)
-	expB    = wire.NewExperimentID(702, 0)
+	expB    = wire.NewExperimentID(703, 0) // not on expA's shard when there are two
 )
 
 const rigStart = int64(time.Hour)
@@ -68,13 +68,13 @@ func newRelayRig(t *testing.T, mutate func(*RelayConfig[testDst])) *relayRig {
 		FlowTTL:  time.Second,
 		ConfigID: 1,
 		Features: wire.FeatSequenced | wire.FeatReliable | wire.FeatTimestamped,
-		Emit: func(_ int, f *Flow[testDst], pkt []byte) {
+		Emit: func(f *Flow[testDst], pkt []byte) {
 			seq, _ := wire.View(pkt).Seq()
 			r.out = append(r.out, emitted{f.Dst, seq})
 			r.log = append(r.log, "emit")
 			f.Sent(1)
 		},
-		Flush: func(int) { r.log = append(r.log, "flush") },
+		Flush: func() { r.log = append(r.log, "flush") },
 	}
 	if mutate != nil {
 		mutate(&r.cfg)
@@ -128,7 +128,7 @@ func (r *relayRig) handle(src wire.Addr, pkt []byte) {
 	if _, err := v.Check(); err != nil {
 		r.t.Fatal(err)
 	}
-	r.eng.Handle(r.eng.ShardIndex(v.Experiment()), src, v, r.clock.Now())
+	r.eng.Handle(src, v, r.clock.Now())
 }
 
 func (r *relayRig) wantFlows(want FlowStats) {
@@ -236,7 +236,7 @@ func TestRelayEngine(t *testing.T) {
 			name: "a pinned flow is not expired",
 			mutate: func(c *RelayConfig[testDst]) {
 				emit := c.Emit
-				c.Emit = func(si int, f *Flow[testDst], pkt []byte) { f.Pinned = true; emit(si, f, pkt) }
+				c.Emit = func(f *Flow[testDst], pkt []byte) { f.Pinned = true; emit(f, pkt) }
 			},
 			run: func(t *testing.T, r *relayRig) {
 				r.ingest(rigSrcA, expA)
@@ -384,6 +384,36 @@ func TestRelayEngine(t *testing.T) {
 			},
 		},
 		{
+			name:   "a burst interleaving two shards is handled in arrival order",
+			mutate: func(c *RelayConfig[testDst]) { c.Shards = 2 },
+			run: func(t *testing.T, r *relayRig) {
+				if r.eng.sb.ShardIndex(expA) == r.eng.sb.ShardIndex(expB) {
+					t.Fatal("test experiments share a shard")
+				}
+				r.ingest(rigSrcA, expA)
+				r.ingest(rigSrcB, expB)
+				r.ingest(rigSrcA, expA)
+				r.nak(expA, 1, 1) // flushes B's queued forward too, then serves
+				r.ingest(rigSrcB, expB)
+				r.ingest(rigSrcA, expA)
+				burst := []emitted{{"rx-a", 1}, {"rx-b", 1}, {"rx-a", 2}, {"rx-b", 2}, {"rx-a", 3}}
+				r.wantOut(burst...)
+				want := []string{"emit", "emit", "emit", "flush", "rtx", "emit", "emit"}
+				if !slices.Equal(r.log, want) {
+					t.Fatalf("order %v, want %v", r.log, want)
+				}
+				// A crash between two packets of the burst sweeps both shards:
+				// the rest of the burst is dropped, whichever shard it maps to.
+				r.eng.Crash(nil)
+				r.ingest(rigSrcA, expA)
+				r.ingest(rigSrcB, expB)
+				r.wantOut(burst...)
+				if st := r.eng.Stats(); st.Upgraded != 5 || st.Occupancy != 0 {
+					t.Fatalf("after mid-burst crash: %+v", st)
+				}
+			},
+		},
+		{
 			name: "already-upgraded traffic passes through along its flow",
 			run: func(t *testing.T, r *relayRig) {
 				pkt := seqPacket(t, 9, rigSrcB, "x")
@@ -404,13 +434,13 @@ func TestRelayEngine(t *testing.T) {
 
 // TestRelayEngineBoundaryTrace pins the trace half of the upgrade recipe:
 // every TraceSample'th untraced packet gets a relay-originated trace with
-// a reshape hop stamp, and the sample counter is the shard's upgrade
+// a reshape hop stamp, and the sample counter is the relay's upgrade
 // count.
 func TestRelayEngineBoundaryTrace(t *testing.T) {
 	var traced []uint32
 	r := newRelayRig(t, func(c *RelayConfig[testDst]) {
 		c.TraceSample = 2
-		c.Emit = func(_ int, _ *Flow[testDst], pkt []byte) {
+		c.Emit = func(_ *Flow[testDst], pkt []byte) {
 			v := wire.View(pkt)
 			if !v.TraceSampled() {
 				return

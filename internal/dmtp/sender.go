@@ -40,6 +40,14 @@ type Encap struct {
 	msgN uint64
 }
 
+// NextTraced reports whether the next AppendPacket originates a sampled
+// trace. A substrate whose clock costs a call (the live sender's mode 0
+// uses nowNanos for nothing else) can skip reading it for every other
+// message.
+func (e *Encap) NextTraced() bool {
+	return e.TraceSample > 0 && (e.msgN+1)%uint64(e.TraceSample) == 0
+}
+
 // AppendPacket appends the encoded packet for msg to dst (allocating a
 // right-sized buffer when dst is nil) and returns the result. The fast
 // path reuses dst's capacity, so steady-state senders allocate nothing.
@@ -64,8 +72,9 @@ func (e *Encap) AppendPacket(dst []byte, nowNanos int64, msg []byte, slice uint8
 			Notify:        e.DeadlineNotify,
 		}
 	}
+	traced := e.NextTraced()
 	e.msgN++
-	if e.TraceSample > 0 && e.msgN%uint64(e.TraceSample) == 0 {
+	if traced {
 		h.Features |= wire.FeatTraced
 		h.Trace = wire.TraceExt{
 			TraceID:      uint32(e.msgN),

@@ -6,16 +6,17 @@ import "repro/internal/wire"
 // wire.ExperimentID. Every per-experiment structure the engine owns —
 // sequence counters, the retransmission stash, NAK service, cumulative
 // trim — already lives under the experiment key, so routing each
-// experiment to a fixed shard preserves per-experiment ordering exactly
-// while letting adapters drive disjoint shards from different
-// goroutines.
+// experiment to a fixed shard preserves per-experiment ordering exactly.
+// What a shard buys is smaller state per operation, not parallelism: a
+// cumulative-ACK Trim scans only its shard's FIFO, eviction is FIFO per
+// shard, and RelayEngine gives each shard its own journal file set and
+// writer goroutine.
 //
 // Like BufferEngine itself, ShardedBuffer is not self-synchronizing: it
-// contains no locks. The adapter serializes access per shard (the live
-// relay holds one mutex per shard; the simulator's single event loop
-// needs none). Whatever touches every shard — crash, restart, stats,
-// occupancy — is RelayEngine's job, which takes each shard's lock in
-// turn.
+// contains no locks, and one caller-side lock covers all shards
+// (RelayConfig.Locker; the simulator's single event loop needs none).
+// Whatever touches every shard — crash, restart, stats, occupancy — is
+// RelayEngine's job.
 type ShardedBuffer struct {
 	shards []*BufferEngine
 }

@@ -4,7 +4,7 @@
 // start.
 //
 // One Journal serves one buffer shard. The hot path (Append / Tombstone /
-// TrimTo, called under the shard lock) frames a CRC-32C-protected record
+// TrimTo, called under the relay lock) frames a CRC-32C-protected record
 // into a pooled buffer and hands it to a writer goroutine — no file I/O,
 // no fsync, and no allocation on the ingest path. The writer drains
 // records in batches, writes them with one coalesced file write, and
@@ -110,6 +110,10 @@ type Stats struct {
 	Replayed uint64
 	// TruncatedTails is torn final-segment tails truncated by Open.
 	TruncatedTails uint64
+	// WriteErrors is failed segment writes, fsyncs, closes and opens: each
+	// one is durability the journal promised and did not deliver (ENOSPC, a
+	// dying disk). The writer carries on; recovery then sees a shorter log.
+	WriteErrors uint64
 }
 
 // sealedSeg is a no-longer-active segment awaiting recycling.
@@ -134,6 +138,7 @@ type Journal struct {
 	recycled    atomic.Uint64
 	replayed    atomic.Uint64
 	tornTails   atomic.Uint64
+	writeErrs   atomic.Uint64
 	// fsyncHist, when installed by RegisterMetrics, receives per-fsync
 	// latency observations.
 	fsyncHist atomic.Pointer[metrics.Histogram]
@@ -249,6 +254,7 @@ func (j *Journal) Stats() Stats {
 		SegmentsRecycled: j.recycled.Load(),
 		Replayed:         j.replayed.Load(),
 		TruncatedTails:   j.tornTails.Load(),
+		WriteErrors:      j.writeErrs.Load(),
 	}
 }
 
@@ -474,24 +480,29 @@ func (j *Journal) flushWbuf() {
 	}
 }
 
-// write appends buf to the active segment. Write errors are swallowed —
-// journalling is best-effort durability on top of a protocol whose
-// recovery already tolerates a cold stash — but the segment accounting
-// stays consistent either way.
+// write appends buf to the active segment. An error is counted, not
+// returned — journalling is best-effort durability on top of a protocol
+// whose recovery already tolerates a cold stash — and the segment
+// accounting stays consistent either way.
 func (j *Journal) write(buf []byte) {
-	n, _ := j.f.Write(buf)
+	n, err := j.f.Write(buf)
 	j.segBytes += n
+	if err != nil {
+		j.writeErrs.Add(1)
+	}
 }
 
 // sync fsyncs the active segment, timing the call into the installed
 // latency histogram.
 func (j *Journal) sync() {
 	start := time.Now()
-	if err := j.f.Sync(); err == nil {
-		j.fsyncs.Add(1)
-		if h := j.fsyncHist.Load(); h != nil {
-			h.Observe(time.Since(start).Nanoseconds())
-		}
+	if err := j.f.Sync(); err != nil {
+		j.writeErrs.Add(1)
+		return
+	}
+	j.fsyncs.Add(1)
+	if h := j.fsyncHist.Load(); h != nil {
+		h.Observe(time.Since(start).Nanoseconds())
 	}
 }
 
@@ -514,12 +525,18 @@ func (j *Journal) bookkeep(rec []byte) {
 	}
 }
 
-// roll seals the active segment (fsync + close) and opens the next one.
+// roll seals the active segment (fsync unless SyncNone, then close) and
+// opens the next one.
 func (j *Journal) roll() {
-	j.sync()
-	j.f.Close()
+	if j.opts.Sync != SyncNone {
+		j.sync()
+	}
+	if err := j.f.Close(); err != nil {
+		j.writeErrs.Add(1)
+	}
 	j.sealed = append(j.sealed, sealedSeg{index: j.segIndex, expMax: j.segExpMax})
 	if err := j.openSegment(j.segIndex + 1); err != nil {
+		j.writeErrs.Add(1)
 		// Reopen the sealed segment for append so the journal stays
 		// writable; the next roll retries.
 		f, ferr := os.OpenFile(filepath.Join(j.opts.Dir, segFileName(j.opts.Shard, j.segIndex)),
@@ -528,7 +545,6 @@ func (j *Journal) roll() {
 			j.f = f
 			j.sealed = j.sealed[:len(j.sealed)-1]
 		}
-		_ = err
 	}
 }
 

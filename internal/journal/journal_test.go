@@ -284,25 +284,60 @@ func TestJournalRejectsMidSegmentCorruption(t *testing.T) {
 func TestJournalSyncPolicies(t *testing.T) {
 	for _, sync := range []string{SyncBatch, SyncNone, SyncAlways} {
 		dir := t.TempDir()
-		j, _ := openT(t, Options{Dir: dir, Sync: sync})
-		for seq := uint64(1); seq <= 5; seq++ {
+		// Segments a few records long, and a Flush per append so no batch
+		// spans more than one roll.
+		j, _ := openT(t, Options{Dir: dir, Sync: sync, SegmentBytes: 256})
+		for seq := uint64(1); seq <= 12; seq++ {
 			j.Append(testExp, seq, payload(seq, 64))
+			j.Flush()
+		}
+		segs, err := j.listSegments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) < 4 {
+			t.Fatalf("sync=%s: %d segments, want at least 3 rolls", sync, len(segs))
+		}
+		st := j.Stats()
+		if sync == SyncNone && st.Fsyncs != 0 {
+			t.Fatalf("sync=none journal counted %d fsyncs across %d rolls", st.Fsyncs, len(segs)-1)
+		}
+		if sync != SyncNone && st.Fsyncs == 0 {
+			t.Fatalf("sync=%s journal never fsynced", sync)
+		}
+		if st.WriteErrors != 0 {
+			t.Fatalf("sync=%s: %d write errors on a healthy directory", sync, st.WriteErrors)
 		}
 		j.Close()
 		j2, rec := openT(t, Options{Dir: dir, Sync: sync})
-		if rec.Replayed != 5 {
-			t.Fatalf("sync=%s: replayed %d, want 5", sync, rec.Replayed)
-		}
-		st := j2.Stats()
 		j2.Close()
-		if sync == SyncNone && st.Fsyncs != 0 {
-			// Stats are per-journal; the reopened journal has done no
-			// appends yet, so this only sanity-checks the policy plumbed.
-			t.Fatalf("sync=none journal counted %d fsyncs before any write", st.Fsyncs)
+		if rec.Replayed != 12 {
+			t.Fatalf("sync=%s: replayed %d, want 12", sync, rec.Replayed)
 		}
 	}
 	if _, _, err := Open(Options{Dir: t.TempDir(), Sync: "sometimes"}); err == nil {
 		t.Fatal("Open accepted an unknown sync policy")
+	}
+}
+
+// TestJournalCountsWriteErrors pulls the active segment file out from
+// under the writer: the failed write and the failed group-commit fsync
+// must each show up in WriteErrors instead of vanishing.
+func TestJournalCountsWriteErrors(t *testing.T) {
+	j, _ := openT(t, Options{Dir: t.TempDir()})
+	defer j.Close()
+	j.Append(testExp, 1, payload(1, 64))
+	j.Flush()
+	if st := j.Stats(); st.WriteErrors != 0 {
+		t.Fatalf("%d write errors before the fault", st.WriteErrors)
+	}
+	// The barrier above leaves the writer parked in its select, and this
+	// goroutine's next channel send orders the Close before its next write.
+	j.f.Close()
+	j.Append(testExp, 2, payload(2, 64))
+	j.Flush()
+	if st := j.Stats(); st.WriteErrors < 2 {
+		t.Fatalf("write errors = %d after a write and an fsync on a closed file, want 2", st.WriteErrors)
 	}
 }
 

@@ -113,6 +113,7 @@ func (s *Set) Stats() Stats {
 		agg.SegmentsRecycled += st.SegmentsRecycled
 		agg.Replayed += st.Replayed
 		agg.TruncatedTails += st.TruncatedTails
+		agg.WriteErrors += st.WriteErrors
 	}
 	return agg
 }
@@ -142,6 +143,7 @@ func (s *Set) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterFunc(metrics.MetricJournalSegmentsRecycled, func() int64 { return int64(snap().SegmentsRecycled) })
 	reg.RegisterFunc(metrics.MetricJournalReplayed, func() int64 { return int64(snap().Replayed) })
 	reg.RegisterFunc(metrics.MetricJournalTruncatedTails, func() int64 { return int64(snap().TruncatedTails) })
+	reg.RegisterFunc(metrics.MetricJournalWriteErrors, func() int64 { return int64(snap().WriteErrors) })
 	reg.RegisterFunc(metrics.MetricJournalPending, func() int64 { return int64(s.Pending()) })
 	// The latest recovery's balance, summed across shards: the fleet
 	// monitor's journal-balance watchdog checks appended − tombstoned ==

@@ -175,10 +175,9 @@ func TestLiveJournaledRelayProcessReopen(t *testing.T) {
 	// The old process assigned sequences 1..n for experiment 42 slice 0;
 	// the journal's floor must stop the new process from reusing them.
 	exp := wire.NewExperimentID(42, 0)
-	sh := &r2.shards[r2.eng.ShardIndex(exp)]
-	sh.mu.Lock()
+	r2.engMu.Lock()
 	next := r2.eng.Buffer().NextSeq(exp)
-	sh.mu.Unlock()
+	r2.engMu.Unlock()
 	if next != n+1 {
 		t.Fatalf("sequence numbering regressed: next=%d want %d", next, n+1)
 	}

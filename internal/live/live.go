@@ -141,12 +141,12 @@ type Sender struct {
 	mu    sync.Mutex
 	conn  UDPConn
 	stats SenderStats
+	// encap builds the mode-0 packets and counts messages (not send
+	// attempts), which drives trace sampling and trace-ID assignment.
+	encap dmtp.Encap
 	// pkt is the per-connection encode buffer reused by every unary Send;
 	// growth persists, so steady-state sends allocate nothing.
 	pkt []byte
-	// msgN counts messages (not send attempts: a redial retry re-encodes
-	// the same message), driving trace sampling and trace-ID assignment.
-	msgN uint64
 	// deadlineArmed is when the socket write deadline was last set; the
 	// deadline is only re-armed after SendTimeout/4 so the per-send
 	// deadline syscall cost is amortized across many writes.
@@ -202,7 +202,12 @@ func NewSenderWithConfig(cfg SenderConfig) (*Sender, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: resolve %q: %w", cfg.Dst, err)
 	}
-	s := &Sender{cfg: cfg, raddr: raddr, pkt: make([]byte, 0, 2048)}
+	s := &Sender{
+		cfg:   cfg,
+		raddr: raddr,
+		encap: dmtp.Encap{Experiment: cfg.Experiment, TraceSample: cfg.TraceSample},
+		pkt:   make([]byte, 0, 2048),
+	}
 	if err := s.dial(); err != nil {
 		return nil, err
 	}
@@ -244,30 +249,13 @@ func (s *Sender) dial() error {
 	return nil
 }
 
-// encodeInto appends the mode-0 packet for msg to dst, reusing its capacity.
-// Callers hold s.mu and have already advanced s.msgN for this message.
-func (s *Sender) encodeInto(dst, msg []byte, slice uint8) ([]byte, error) {
-	h := wire.Header{
-		ConfigID:   0,
-		Experiment: wire.NewExperimentID(s.cfg.Experiment, slice),
+// traceNow is the clock behind the tx hop stamp — the only use mode 0 has
+// for it — read only for a message that will carry one. Callers hold s.mu.
+func (s *Sender) traceNow() int64 {
+	if s.encap.NextTraced() {
+		return time.Now().UnixNano()
 	}
-	if s.cfg.TraceSample > 0 && s.msgN%uint64(s.cfg.TraceSample) == 0 {
-		h.Features = wire.FeatTraced
-		h.Trace = wire.TraceExt{
-			TraceID:  uint32(s.msgN),
-			Flags:    wire.TraceSampledFlag,
-			HopCount: 1,
-		}
-		h.Trace.Hops[0] = wire.TraceHop{
-			Hop:   wire.TraceHopTx,
-			Stamp: uint64(time.Now().UnixNano()) & wire.TraceStampMask,
-		}
-	}
-	pkt, err := h.AppendTo(dst)
-	if err != nil {
-		return nil, err
-	}
-	return append(pkt, msg...), nil
+	return 0
 }
 
 // armDeadlineLocked refreshes the socket write deadline only once a quarter
@@ -294,7 +282,7 @@ func (s *Sender) Send(msg []byte, slice uint8) error {
 	}
 	backoff := s.cfg.RedialBackoff
 	var lastErr error
-	counted := false // msgN advances once per message, not per attempt
+	var pkt []byte // encoded once per message; every attempt sends these bytes
 	for attempt := 0; attempt <= s.cfg.Redials; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
@@ -304,10 +292,6 @@ func (s *Sender) Send(msg []byte, slice uint8) error {
 		if s.closed {
 			s.mu.Unlock()
 			return fmt.Errorf("live: sender closed")
-		}
-		if !counted {
-			s.msgN++
-			counted = true
 		}
 		if s.conn == nil {
 			if err := s.dial(); err != nil {
@@ -319,17 +303,20 @@ func (s *Sender) Send(msg []byte, slice uint8) error {
 			s.cfg.Counters.Inc(telemetry.CounterReconnect)
 			s.cfg.Recorder.Record(metrics.EvReconnect, 0, 0, uint64(attempt))
 		}
-		// Encode under the lock into the connection's reusable buffer
-		// (the header is ~50 ns to write; re-encoding per attempt is
-		// cheaper than giving every attempt its own allocation).
-		pkt, err := s.encodeInto(s.pkt[:0], msg, slice)
-		if err != nil {
-			s.mu.Unlock()
-			return err
+		fresh := pkt == nil
+		if fresh {
+			// Encode under the lock into the connection's reusable buffer.
+			// A retry resends the same bytes, so a traced message keeps the
+			// ID of its ordinal however many attempts it takes.
+			var err error
+			if pkt, err = s.encap.AppendPacket(s.pkt[:0], s.traceNow(), msg, slice); err != nil {
+				s.mu.Unlock()
+				return err
+			}
+			s.pkt = pkt[:0] // keep any growth for subsequent sends
 		}
-		s.pkt = pkt[:0] // keep any growth for subsequent sends
 		s.armDeadlineLocked()
-		_, err = s.conn.Write(pkt)
+		_, err := s.conn.Write(pkt)
 		if err == nil {
 			s.stats.Sent++
 			s.mu.Unlock()
@@ -343,6 +330,10 @@ func (s *Sender) Send(msg []byte, slice uint8) error {
 		s.conn.Close()
 		s.conn = nil
 		s.bconn = nil
+		if fresh {
+			// s.pkt is another Send's to overwrite once the lock drops.
+			pkt = append([]byte(nil), pkt...)
+		}
 		s.mu.Unlock()
 	}
 	return fmt.Errorf("live: send: %w", lastErr)
@@ -356,8 +347,7 @@ func (s *Sender) sendBatched(msg []byte, slice uint8) error {
 	if s.closed {
 		return fmt.Errorf("live: sender closed")
 	}
-	s.msgN++
-	enc, err := s.encodeInto(s.batch[s.batchN][:0], msg, slice)
+	enc, err := s.encap.AppendPacket(s.batch[s.batchN][:0], s.traceNow(), msg, slice)
 	if err != nil {
 		return err
 	}

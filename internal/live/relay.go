@@ -5,10 +5,8 @@ package live
 // recipe, sharded stash, NAK/ACK service, journal lifecycle — is
 // dmtp.RelayEngine; this file is its socket glue:
 //
-//   - Bursts from the batch datapath are partitioned by experiment and
-//     handed to the engine one shard at a time, each under that shard's
-//     mutex, so two shards never contend and per-experiment packet order
-//     is preserved exactly.
+//   - Each burst from the batch datapath is handed to the engine packet
+//     by packet, in arrival order, under one hold of the engine lock.
 //
 //   - Each flow's destination carries its own forward queue, flushed
 //     with one batched WriteBatchTo per flow per burst — and, on the
@@ -41,9 +39,9 @@ type RelayConfig struct {
 	// experiment ID) to its downstream address. Returning "" rejects
 	// the flow. Called once per flow registration, not per packet.
 	Resolver func(src wire.Addr, exp wire.ExperimentID) string
-	// Shards is the number of buffer shards (and shard locks) the
-	// relay partitions experiments across. Zero means 1 — the
-	// single-flow relay's exact behavior.
+	// Shards is the number of stash and journal partitions experiments
+	// are spread across (one FIFO, one journal file set and writer per
+	// shard; one lock over all of them). Zero means 1.
 	Shards int
 	// MaxFlows bounds the flow table across all shards; registrations
 	// beyond it are rejected (counted in dmtp.relay.flows.rejected).
@@ -108,7 +106,7 @@ type RelayStats struct {
 // forwardQueue is a flow's downstream: the address resolved at
 // registration, and this burst's forward-leg packets awaiting one
 // batched WriteBatchTo. The engine's Flow.Pinned marks membership in the
-// shard's dirty list.
+// relay's dirty list.
 type forwardQueue struct {
 	dst  *net.UDPAddr
 	pkts [][]byte
@@ -118,20 +116,6 @@ func (q *forwardQueue) String() string { return q.dst.String() }
 
 type relayFlow = dmtp.Flow[*forwardQueue]
 
-// relayShard is the adapter's half of one engine shard: the mutex
-// serializing it, and the flows with queued forwards this burst. Every
-// lock hold ends with a flush, so dirty is empty whenever mu is free.
-type relayShard struct {
-	mu    sync.Mutex
-	dirty []*relayFlow
-}
-
-// pendPkt is one ingested packet awaiting its shard's handling pass.
-type pendPkt struct {
-	pkt []byte
-	src wire.Addr
-}
-
 // Relay is the live-path network element + buffer: dmtp.RelayEngine
 // adapted to UDP sockets, with stash buffers drawn from wire's shared pool
 // and forwarding demultiplexed through per-flow queues.
@@ -139,7 +123,7 @@ type Relay struct {
 	cfg RelayConfig
 
 	// mu guards lifecycle state only: the socket, bind address, closed
-	// flag. Datapath state is under the shard locks.
+	// flag. Datapath state is under engMu.
 	mu     sync.Mutex
 	conn   UDPConn
 	bound  *net.UDPAddr // concrete bind address, reused by Restart
@@ -147,8 +131,13 @@ type Relay struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	eng    *dmtp.RelayEngine[*forwardQueue]
-	shards []relayShard
+	// engMu is the engine's Locker: it serializes the receive loop's
+	// bursts against scrapes, Crash and Restart. dirty — the flows with
+	// queued forwards — is emptied by the flush that ends every hold, so it
+	// is empty whenever engMu is free.
+	engMu sync.Mutex
+	eng   *dmtp.RelayEngine[*forwardQueue]
+	dirty []*relayFlow
 
 	// fwd is the default downstream for flows the Resolver does not
 	// cover. Registered flows keep the destination they resolved — only
@@ -207,7 +196,6 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		return nil, fmt.Errorf("live: relay needs a Forward address or a Resolver")
 	}
 
-	r.shards = make([]relayShard, max(cfg.Shards, 1))
 	eng, err := dmtp.NewRelayEngine(dmtp.RelayConfig[*forwardQueue]{
 		Shards: cfg.Shards,
 		Buffer: dmtp.BufferConfig{
@@ -220,7 +208,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		Alloc:       wire.GetBuffer,
 		JournalDir:  cfg.JournalDir,
 		JournalSync: cfg.JournalSync,
-		Locker:      func(i int) sync.Locker { return &r.shards[i].mu },
+		Locker:      &r.engMu,
 		Resolve:     r.resolve,
 		MaxFlows:    cfg.MaxFlows,
 		FlowTTL:     cfg.FlowTTL,
@@ -231,7 +219,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		TraceSample: cfg.TraceSample,
 		DropEveryN:  cfg.DropEveryN,
 		Emit:        r.queue,
-		Flush:       r.flushShard,
+		Flush:       r.flush,
 	})
 	if err != nil {
 		return nil, err
@@ -316,8 +304,8 @@ func (r *Relay) Stats() RelayStats { return RelayStats{r.eng.Stats(), r.txErrN.L
 // FlowStats returns the flow-table counters (dmtp.relay.flows.*).
 func (r *Relay) FlowStats() dmtp.FlowStats { return r.eng.FlowStats() }
 
-// Flows snapshots the flow table across all shards, ordered by shard,
-// then source, then experiment — the SIGUSR1 dump and /flows endpoint.
+// Flows snapshots the flow table, ordered by shard, then source, then
+// experiment — the SIGUSR1 dump and /flows endpoint.
 func (r *Relay) Flows() []dmtp.FlowInfo { return r.eng.Flows() }
 
 // BufferedBytes returns current retransmission-buffer occupancy, summed
@@ -336,10 +324,9 @@ func (r *Relay) RegisterMetrics(reg *metrics.Registry) {
 
 // relayDatapath serves engine output (NAK retransmissions) over the
 // relay's socket. Socket writes do not retain the packet, so the engine's
-// pooled stash entries go out without copying. Called under the owning
-// shard's lock, always from the receive-loop goroutine — which also
-// makes r.conn stable for the duration (rebinds only happen after the
-// loop exits).
+// pooled stash entries go out without copying. Called under engMu,
+// always from the receive-loop goroutine — which also makes r.conn stable
+// for the duration (rebinds only happen after the loop exits).
 type relayDatapath struct{ r *Relay }
 
 func (d relayDatapath) SendControl(dst wire.Addr, pkt []byte) { d.SendData(dst, pkt) }
@@ -435,16 +422,23 @@ func (r *Relay) Close() error {
 	return err
 }
 
-// loop is the receive loop: read a burst, partition it by shard, then
-// hand each touched shard's packets to the engine and flush its forward
-// queues under the shard's lock. The pend slices are owned by this
-// goroutine; ring buffers stay valid until the next ReadBatch, which is
-// after every queued forward has been flushed.
+// loop is the receive loop: read a burst, hand its packets to the engine
+// in arrival order and flush the forward queues, all under one hold of
+// engMu. Ring buffers stay valid until the next ReadBatch, which is after
+// every queued forward has been flushed; the engine may also flush from
+// inside the callback, which is safe because the batch datapath's receive
+// and send rings are disjoint.
 func (r *Relay) loop(bc *batchConn) {
 	defer r.wg.Done()
 	defer bc.Close()
-	pend := make([][]pendPkt, len(r.shards))
-	touched := make([]int, 0, len(r.shards))
+	var now int64
+	handle := func(pkt []byte, src wire.Addr) {
+		v := wire.View(pkt)
+		if _, err := v.Check(); err != nil {
+			return
+		}
+		r.eng.Handle(src, v, now)
+	}
 	for {
 		n, err := bc.ReadBatch()
 		if err != nil {
@@ -456,29 +450,11 @@ func (r *Relay) loop(bc *batchConn) {
 			}
 			continue
 		}
-		now := r.cfg.Clock.Now()
-		touched = touched[:0]
-		bc.PacketsSrc(n, func(pkt []byte, src wire.Addr) {
-			v := wire.View(pkt)
-			if _, err := v.Check(); err != nil {
-				return
-			}
-			si := r.eng.ShardIndex(v.Experiment())
-			if len(pend[si]) == 0 {
-				touched = append(touched, si)
-			}
-			pend[si] = append(pend[si], pendPkt{pkt: pkt, src: src})
-		})
-		for _, si := range touched {
-			sh := &r.shards[si]
-			sh.mu.Lock()
-			for _, pp := range pend[si] {
-				r.eng.Handle(si, pp.src, wire.View(pp.pkt), now)
-			}
-			r.flushShard(si)
-			sh.mu.Unlock()
-			pend[si] = pend[si][:0]
-		}
+		now = r.cfg.Clock.Now()
+		r.engMu.Lock()
+		bc.PacketsSrc(n, handle)
+		r.flush()
+		r.engMu.Unlock()
 		r.eng.Sweep(now)
 	}
 }
@@ -504,21 +480,19 @@ func (r *Relay) resolve(src wire.Addr, exp wire.ExperimentID) (*forwardQueue, bo
 // queue is the engine's Emit: append pkt to f's forward queue and mark
 // the flow dirty. pkt points into the batch ring or a stash-owned
 // buffer; both outlive the flush that ends this lock hold.
-func (r *Relay) queue(si int, f *relayFlow, pkt []byte) {
+func (r *Relay) queue(f *relayFlow, pkt []byte) {
 	if !f.Pinned {
 		f.Pinned = true
-		r.shards[si].dirty = append(r.shards[si].dirty, f)
+		r.dirty = append(r.dirty, f)
 	}
 	f.Dst.pkts = append(f.Dst.pkts, pkt)
 }
 
-// flushShard drains every dirty flow's queued forwards, one batched
-// write per flow. Failed tails are dropped (loss recovery is the
-// protocol's job) and counted in dmtp.live.tx.errors. Caller holds the
-// shard lock.
-func (r *Relay) flushShard(si int) {
-	sh := &r.shards[si]
-	for _, f := range sh.dirty {
+// flush drains every dirty flow's queued forwards, one batched write per
+// flow. Failed tails are dropped (loss recovery is the protocol's job) and
+// counted in dmtp.live.tx.errors. Caller holds engMu.
+func (r *Relay) flush() {
+	for _, f := range r.dirty {
 		q := f.Dst
 		sent, err := r.bc.WriteBatchTo(q.pkts, q.dst)
 		f.Sent(sent)
@@ -528,5 +502,5 @@ func (r *Relay) flushShard(si int) {
 		q.pkts = q.pkts[:0]
 		f.Pinned = false
 	}
-	sh.dirty = sh.dirty[:0]
+	r.dirty = r.dirty[:0]
 }

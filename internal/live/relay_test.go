@@ -4,9 +4,10 @@ package live
 // idle expiry, the crash-clears-flows invariant (no stale forward address
 // survives a restart), per-flow NAK-service isolation across a crash, the
 // multi-flow forward path's zero-alloc gate, and a -race torture test
-// hammering a single shard from many flows.
+// hammering the one engine lock from many flows, scrapers and a crasher.
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/dmtp"
+	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -269,27 +271,19 @@ func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 	seq := uint64(0)
 	burst := func() {
 		seq++
-		for si := range relay.shards {
-			sh := &relay.shards[si]
-			sh.mu.Lock()
+		relay.engMu.Lock()
+		defer relay.engMu.Unlock()
+		for _, f := range flows {
+			relay.eng.Handle(f.src, f.pkt, 0)
+		}
+		relay.flush()
+		if seq%16 == 0 {
+			// Cumulative trim releases the stash back to the packet pool,
+			// as a downstream ACK would — without it the stash grows and
+			// GetBuffer must allocate fresh buffers.
 			for _, f := range flows {
-				if relay.eng.ShardIndex(f.exp) != si {
-					continue
-				}
-				relay.eng.Handle(si, f.src, f.pkt, 0)
+				relay.eng.Buffer().Trim(f.exp, seq)
 			}
-			relay.flushShard(si)
-			if seq%16 == 0 {
-				// Cumulative trim releases the stash back to the packet
-				// pool, as a downstream ACK would — without it the stash
-				// grows and GetBuffer must allocate fresh buffers.
-				for _, f := range flows {
-					if relay.eng.ShardIndex(f.exp) == si {
-						relay.eng.Buffer().Trim(f.exp, seq)
-					}
-				}
-			}
-			sh.mu.Unlock()
 		}
 	}
 	for i := 0; i < 64; i++ {
@@ -301,11 +295,11 @@ func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 	}
 }
 
-// TestRelayShardTortureManyFlows hammers a single shard from many
-// concurrent flows while other goroutines scrape every introspection
-// surface — the -race gate for the shard lock discipline. Experiments
-// are picked so they all hash to shard 0 of 4: maximum contention on one
-// lock, with the other shards idle.
+// TestRelayShardTortureManyFlows hammers the relay from many concurrent
+// flows while other goroutines scrape every introspection surface and
+// crash and restart it — the -race gate for the one-lock discipline.
+// Experiments are picked so they all hash to shard 0 of 4: one stash FIFO
+// and one flow table under maximum churn, with the other shards idle.
 func TestRelayShardTortureManyFlows(t *testing.T) {
 	recv, err := NewReceiver(ReceiverConfig{
 		Listen:   "127.0.0.1:0",
@@ -327,79 +321,99 @@ func TestRelayShardTortureManyFlows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer relay.Close()
+	reg := metrics.NewRegistry()
+	relay.RegisterMetrics(reg)
 
-	// Collect experiment numbers that all land on shard 0.
+	// Collect experiment numbers that all land on shard 0: six to torture
+	// with, six more for the quiet round afterwards.
 	var exps []uint32
-	for e := uint32(900); len(exps) < 6; e++ {
-		if relay.eng.ShardIndex(wire.NewExperimentID(e, 0)) == 0 {
+	for e := uint32(900); len(exps) < 12; e++ {
+		if relay.eng.Buffer().ShardIndex(wire.NewExperimentID(e, 0)) == 0 {
 			exps = append(exps, e)
 		}
 	}
+	torture, quiet := exps[:6], exps[6:]
 
-	const perFlow = 500
-	var wg sync.WaitGroup
-	sendErrs := make([]error, len(exps))
-	for i, exp := range exps {
-		snd, err := NewSenderWithConfig(SenderConfig{
-			Dst:        relay.Addr(),
-			Experiment: exp,
-			BatchSize:  16,
-		})
-		if err != nil {
-			t.Fatal(err)
+	// flood sends n messages for every experiment, each from its own sender
+	// goroutine, and returns what the sends reported.
+	flood := func(exps []uint32, n int) error {
+		var wg sync.WaitGroup
+		errs := make([]error, len(exps))
+		for i, exp := range exps {
+			snd, err := NewSenderWithConfig(SenderConfig{
+				Dst:        relay.Addr(),
+				Experiment: exp,
+				BatchSize:  16,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer snd.Close()
+				for k := 0; k < n; k++ {
+					if err := snd.Send([]byte("torture"), 0); err != nil {
+						errs[i] = err
+					}
+				}
+			}()
 		}
-		defer snd.Close()
-		wg.Add(1)
-		go func(i int, snd *Sender) {
-			defer wg.Done()
-			for k := 0; k < perFlow; k++ {
-				if err := snd.Send([]byte("torture"), 0); err != nil {
-					sendErrs[i] = err
+		wg.Wait()
+		return errors.Join(errs...)
+	}
+
+	// Concurrent scrapers and a crasher: the introspection surfaces and the
+	// lifecycle calls must be safe while the relay is hot.
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	background := func(f func()) {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for {
+				select {
+				case <-stop:
 					return
+				default:
+					f()
 				}
 			}
-			sendErrs[i] = snd.Close()
-		}(i, snd)
+		}()
 	}
-
-	// Concurrent scrapers: the introspection surfaces must be safe to
-	// read while the shard is hot.
-	stop := make(chan struct{})
-	var scrape sync.WaitGroup
-	scrape.Add(1)
-	go func() {
-		defer scrape.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = relay.Flows()
-			_ = relay.FlowStats()
-			_ = relay.Stats()
-			_ = relay.BufferedBytes()
+	background(func() {
+		_ = relay.Flows()
+		_ = relay.FlowStats()
+		_ = relay.Stats()
+		_ = reg.Snapshot()
+	})
+	background(func() {
+		relay.Crash()
+		if err := relay.Restart(); err != nil {
+			t.Errorf("restart: %v", err)
 		}
-	}()
-
-	wg.Wait()
+		time.Sleep(5 * time.Millisecond)
+	})
+	_ = flood(torture, 500) // a flush into a crashed relay is refused; the crasher's doing
 	close(stop)
-	scrape.Wait()
-	for i, err := range sendErrs {
-		if err != nil {
-			t.Fatalf("flow %d send: %v", i, err)
-		}
-	}
+	bg.Wait()
 
+	// The relay is up again: every flow of a quiet round registers (packets
+	// the torture left in the socket cannot stand in for them — they carry
+	// other experiments), each on the shard it was picked for.
+	if err := flood(quiet, 1); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, 10*time.Second, func() bool {
-		return relay.FlowStats().Active == uint64(len(exps))
-	}, "all torture flows registered")
-	for _, f := range relay.Flows() {
-		if f.Shard != 0 {
-			t.Fatalf("flow %v landed on shard %d, want 0", f.Experiment, f.Shard)
+		n := 0
+		for _, f := range relay.Flows() {
+			if f.Shard != 0 {
+				t.Fatalf("flow %v landed on shard %d, want 0", f.Experiment, f.Shard)
+			}
+			if f.Experiment >= wire.NewExperimentID(quiet[0], 0) {
+				n++
+			}
 		}
-	}
-	if up := relay.Stats().Upgraded; up == 0 {
-		t.Fatal("shard 0 serviced nothing")
-	}
+		return n == len(quiet)
+	}, "post-torture round registered")
 }

@@ -37,8 +37,8 @@ const (
 	MetricBufOccupancyBytes = "dmtp.buf.occupancy_bytes"
 	// MetricBufStashImbalance is the stash-balance invariant as a gauge:
 	// cumulative stashed bytes − released bytes − current occupancy,
-	// computed per shard under one shard-lock hold so it is exactly 0 in
-	// a healthy engine at any instant. The monitor's stash-balance
+	// summed over shards under one hold of the relay lock so it is exactly
+	// 0 in a healthy engine at any instant. The monitor's stash-balance
 	// watchdog alerts on any nonzero sample.
 	MetricBufStashImbalance = "dmtp.buf.stash_imbalance_bytes"
 	// MetricBufShardOccupancyPrefix is a gauge family: one occupancy
@@ -56,6 +56,7 @@ const (
 	MetricJournalSegmentsRecycled = "dmtp.journal.segments_recycled"
 	MetricJournalReplayed         = "dmtp.journal.replayed"
 	MetricJournalTruncatedTails   = "dmtp.journal.truncated_tails"
+	MetricJournalWriteErrors      = "dmtp.journal.write_errors"
 	// MetricJournalPending is the journal flush lag: records enqueued to
 	// the per-shard writers but not yet written to the segment files.
 	MetricJournalPending = "dmtp.journal.pending"
@@ -184,7 +185,7 @@ var Catalog = []Info{
 	{MetricBufNAKMisses, KindGauge, "seqs", "NAKed sequence numbers no longer buffered (evicted, trimmed, or lost to a crash)"},
 	{MetricBufCrashes, KindGauge, "events", "buffer crash events, one per shard per crash (chaos testing / process death)"},
 	{MetricBufOccupancyBytes, KindGauge, "bytes", "current retransmission-buffer occupancy"},
-	{MetricBufStashImbalance, KindGauge, "bytes", "stash accounting imbalance (stashed − released − occupancy, per shard under one lock); nonzero means a buffer byte leak"},
+	{MetricBufStashImbalance, KindGauge, "bytes", "stash accounting imbalance (stashed − released − occupancy, summed over shards under one lock hold); nonzero means a buffer byte leak"},
 	{MetricBufShardOccupancyPrefix + "*", KindGauge, "bytes", "current retransmission-buffer occupancy, one gauge per shard"},
 	{MetricJournalAppends, KindGauge, "records", "stash inserts journalled to the write-ahead log"},
 	{MetricJournalAppendBytes, KindGauge, "bytes", "stash payload bytes journalled by those appends"},
@@ -194,6 +195,7 @@ var Catalog = []Info{
 	{MetricJournalSegmentsRecycled, KindGauge, "segments", "fully-trimmed journal segment files deleted"},
 	{MetricJournalReplayed, KindGauge, "records", "stash entries rebuilt from the journal by recovery (startup open plus crash replays)"},
 	{MetricJournalTruncatedTails, KindGauge, "events", "torn final-segment tails truncated during recovery"},
+	{MetricJournalWriteErrors, KindGauge, "errors", "failed journal segment writes, fsyncs, closes and opens (ENOSPC, a dying disk): durability lost while the relay carries on"},
 	{MetricJournalPending, KindGauge, "records", "journal flush lag: records enqueued to the writers but not yet in the segment files"},
 	{MetricJournalRecoveryAppended, KindGauge, "records", "append records scanned by the most recent journal recovery (summed across shards)"},
 	{MetricJournalRecoveryTombstoned, KindGauge, "records", "entry removals applied by the most recent journal recovery (tombstones, trim sweeps, overwrites)"},

@@ -38,7 +38,7 @@ type Finding struct {
 }
 
 // StashBalance checks the scraped stash-balance gauge: the target
-// computes dmtp.buf.stash_imbalance_bytes under its shard locks, so any
+// computes dmtp.buf.stash_imbalance_bytes under one lock hold, so any
 // nonzero sample is a real accounting leak, not scrape skew. Targets
 // without a buffer (sender, receiver) export no such gauge and pass.
 func StashBalance(cur []metrics.Sample) []Finding {
