@@ -65,8 +65,8 @@ type BufferConfig struct {
 	CapacityBytes int
 	// Release, when non-nil, is called exactly once for every stashed
 	// buffer the engine lets go of (eviction, trim, crash). The live
-	// adapter returns pooled buffers to wire.BufferPool here; the
-	// simulator adapter leaves it nil and lets the GC collect clones.
+	// adapter returns pooled buffers to wire.BufferPool here, once no queued
+	// forward references them; the simulator lets the GC collect clones.
 	Release func([]byte)
 	// Stats, when non-nil, is where the engine counts; adapters expose
 	// it as part of their own stats. Nil allocates a private struct.
@@ -136,12 +136,6 @@ func (b *BufferEngine) Stats() BufferStats { return *b.stats }
 
 // BufferedBytes returns current buffer occupancy.
 func (b *BufferEngine) BufferedBytes() int { return b.bytes }
-
-// CapacityBytes returns the configured buffer bound (after defaulting):
-// a Stash that would push occupancy past it evicts oldest entries first,
-// releasing their buffers. Callers holding references into the stash use
-// this to predict eviction.
-func (b *BufferEngine) CapacityBytes() int { return b.cfg.CapacityBytes }
 
 // NextSeq assigns the next sequence number for the experiment.
 func (b *BufferEngine) NextSeq(exp wire.ExperimentID) uint64 {
@@ -252,14 +246,18 @@ func (b *BufferEngine) RestoreSeq(exp wire.ExperimentID, seq uint64) {
 	}
 }
 
-// ServeNAK retransmits every requested sequence number still buffered,
+// ServeNAK retransmits the requested sequence numbers still buffered,
 // directly to the requester. The engine retains ownership of the stash
-// entries (Datapath.SendData contract).
+// entries (Datapath.SendData contract). A NAK is outside input and can
+// name the whole sequence space: it gets at most DefaultMaxSeqJump
+// lookups, and what it names beyond them is missed unvisited.
 func (b *BufferEngine) ServeNAK(nak *wire.NAK) {
 	b.stats.NAKs++
-	var served, missed uint64
+	var served uint64
+	budget := DefaultMaxSeqJump
 	for _, r := range nak.Ranges {
-		for seq := r.From; seq <= r.To && r.To >= r.From; seq++ {
+		for seq := r.From; seq <= r.To && budget > 0; seq++ {
+			budget--
 			if pkt, ok := b.store[bufKey{nak.Experiment, seq}]; ok {
 				if v := wire.View(pkt); v.TraceSampled() {
 					// Stash entries are engine-owned, so stamping in place is
@@ -270,15 +268,15 @@ func (b *BufferEngine) ServeNAK(nak *wire.NAK) {
 				b.dp.SendData(nak.Requester, pkt)
 				b.stats.Retransmits++
 				served++
-			} else {
-				b.stats.Misses++
-				missed++
 			}
 			if seq == r.To { // avoid uint64 wrap on To == MaxUint64
 				break
 			}
 		}
 	}
+	// Requested and not retransmitted, visited or not; wraps like the counter.
+	missed := nak.TotalMissing() - served
+	b.stats.Misses += missed
 	if b.cfg.Recorder != nil && len(nak.Ranges) > 0 {
 		now := b.cfg.Clock.Now()
 		b.cfg.Recorder.RecordAt(now, metrics.EvNAKServed,

@@ -61,6 +61,7 @@ type Datapath interface {
 	// entry being retransmitted). The engine keeps ownership: a datapath
 	// that queues or retains the bytes must copy them first. Writing to
 	// a socket is a copy; handing the slice to a simulator frame is not.
+	// It leaves at once, ahead of anything a relay's Emit still retains.
 	SendData(dst wire.Addr, pkt []byte)
 }
 

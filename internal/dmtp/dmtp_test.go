@@ -1,6 +1,7 @@
 package dmtp
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -408,5 +409,46 @@ func TestBufferEngineEvictsFIFO(t *testing.T) {
 		Ranges: []wire.SeqRange{{From: 1, To: 1}, {From: 2, To: 3}}})
 	if st := eng.Stats(); st.Misses != 1 || st.Retransmits != 2 {
 		t.Fatalf("post-evict stats %+v", st)
+	}
+}
+
+// TestBufferEngineServeNAKBoundsWideRanges: a NAK is outside input, and one
+// datagram can name the whole sequence space. Service must look up a bounded
+// number of sequence numbers, retransmit what it holds among them once, and
+// account every other requested number as a miss without visiting it.
+func TestBufferEngineServeNAKBoundsWideRanges(t *testing.T) {
+	const max = math.MaxUint64
+	for _, tc := range []struct {
+		name   string
+		ranges []wire.SeqRange
+		rtx    uint64
+		misses uint64
+	}{
+		{"whole space", []wire.SeqRange{{From: 1, To: max}}, 3, max - 3},
+		{"inverted", []wire.SeqRange{{From: 5, To: 4}}, 0, 0},
+		{"overlapping", []wire.SeqRange{{From: 1, To: 1 << 40}, {From: 2, To: 1 << 41}}, 3, 1<<40 - 3 + 1<<41 - 1},
+		{"budget spent before the stash is reached", []wire.SeqRange{{From: 4, To: 1 << 40}, {From: 1, To: 3}}, 0, 1<<40 - 3 + 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dp := &recDatapath{}
+			eng := NewBufferEngine(dp, BufferConfig{})
+			exp := wire.NewExperimentID(7, 0)
+			for seq := uint64(1); seq <= 3; seq++ {
+				eng.Stash(exp, seq, []byte("pkt"))
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				eng.ServeNAK(&wire.NAK{Experiment: exp, Requester: wire.AddrFrom(10, 0, 0, 9, 900), Ranges: tc.ranges})
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("ServeNAK still walking after 5s")
+			}
+			if st := eng.Stats(); st.Retransmits != tc.rtx || st.Misses != tc.misses || st.NAKs != 1 {
+				t.Fatalf("stats %+v, want %d retransmits and %d misses", st, tc.rtx, tc.misses)
+			}
+		})
 	}
 }

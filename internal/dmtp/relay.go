@@ -4,7 +4,7 @@ package dmtp
 // substrate adapters (core.BufferNode, live.Relay) drive it, so the flow
 // table, the upgrade recipe and the journal lifecycle exist once;
 // substrate-only behaviour enters as data — the Upgrade value, the buffer
-// hooks, Emit/Flush, PostStamp — never as a branch on who is calling.
+// hooks, Emit, PostStamp — never as a branch on who is calling.
 
 import (
 	"cmp"
@@ -81,24 +81,18 @@ type RelayConfig[D fmt.Stringer] struct {
 	DropEveryN int
 
 	// Emit sends pkt onward to f.Dst. Ownership stays with the engine (or
-	// the arriving packet's owner), as with Datapath.SendData: an adapter
-	// that retains the bytes past the call must copy them or provide Flush.
+	// the arriving packet's owner), as with Datapath.SendData. An adapter
+	// may keep the reference while Handle's caller holds the lock: a stash
+	// buffer let go meanwhile comes to its own Buffer.Release, where it
+	// defers the recycling. The engine never asks for a flush, so a
+	// retransmission (Datapath, sent at once) may overtake retained data.
 	Emit func(f *Flow[D], pkt []byte)
-	// Flush, when non-nil, pushes out everything Emit retained. The engine
-	// calls it before a stash insert that would evict (an evicted buffer
-	// could be one emitted earlier in the burst) and before a control packet
-	// (retransmissions must not overtake emitted data, and a trim releases
-	// stash buffers).
-	Flush func()
 }
 
 // Flow is one registered flow.
 type Flow[D fmt.Stringer] struct {
 	// Dst is the destination Resolve returned at registration.
 	Dst D
-	// Pinned, while set by the adapter, exempts the flow from idle expiry:
-	// the live adapter pins a flow whose forwards are still queued.
-	Pinned bool
 
 	eng       *RelayEngine[D]
 	lastSeen  int64 // engine-clock nanos of the last handled packet
@@ -256,8 +250,8 @@ func (e *RelayEngine[D]) Buffer() *ShardedBuffer { return e.sb }
 
 // Handle processes one packet that has passed View.Check; NAKs and ACKs
 // carry the experiment in the core header, so they find their shard the way
-// data does. Caller holds the lock, and flushes whatever Emit retained
-// before releasing it.
+// data does. Caller holds the lock, and sends whatever Emit retained before
+// releasing it.
 func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 	exp := v.Experiment()
 	buf := e.sb.Shard(exp)
@@ -323,9 +317,6 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 		// The stash takes ownership of the buffer: downstream elements
 		// mutate headers in flight, and the buffer must retransmit the
 		// packet as it left here.
-		if e.cfg.Flush != nil && buf.BufferedBytes()+len(up) > buf.CapacityBytes() {
-			e.cfg.Flush()
-		}
 		buf.Stash(exp, seq, up)
 		if e.cfg.DropEveryN > 0 && seq%uint64(e.cfg.DropEveryN) == 0 {
 			e.injectedDrops++
@@ -338,9 +329,6 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 
 // handleControl serves NAKs and ACKs addressed to the relay.
 func (e *RelayEngine[D]) handleControl(buf *BufferEngine, v wire.View) {
-	if e.cfg.Flush != nil {
-		e.cfg.Flush()
-	}
 	switch v.ConfigID() {
 	case wire.ConfigNAK:
 		if err := e.nak.DecodeFrom(v); err != nil {
@@ -392,7 +380,7 @@ func (e *RelayEngine[D]) Sweep(now int64) {
 	e.lock()
 	defer e.unlock()
 	for k, f := range e.flows {
-		if now-f.lastSeen >= ttl && !f.Pinned {
+		if now-f.lastSeen >= ttl {
 			delete(e.flows, k)
 			e.fstats.Expired++
 		}

@@ -25,8 +25,8 @@ type emitted struct {
 }
 
 // relayRig is a RelayEngine over a fake clock with every callback
-// recorded. log interleaves "emit", "flush" and the datapath's "rtx" so
-// ordering contracts can be asserted.
+// recorded. log interleaves "emit" and the datapath's "rtx" — everything
+// the engine calls on its adapter per packet besides the buffer hooks.
 type relayRig struct {
 	t     *testing.T
 	cfg   RelayConfig[testDst]
@@ -36,6 +36,10 @@ type relayRig struct {
 	route map[wire.ExperimentID]testDst // absent: Resolve refuses
 	out   []emitted
 	log   []string
+	// allocated lists every buffer Alloc handed out, by its first byte;
+	// released counts Buffer.Release calls per buffer.
+	allocated []*byte
+	released  map[*byte]int
 }
 
 var (
@@ -56,11 +60,17 @@ func newRelayRig(t *testing.T, mutate func(*RelayConfig[testDst])) *relayRig {
 		clock: NewFakeClock(rigStart),
 		dp:    &recDatapath{},
 		route: map[wire.ExperimentID]testDst{expA: "rx-a", expB: "rx-b"},
+
+		released: map[*byte]int{},
 	}
 	r.cfg = RelayConfig[testDst]{
-		Buffer:   BufferConfig{Clock: r.clock},
+		Buffer:   BufferConfig{Clock: r.clock, Release: func(b []byte) { r.released[&b[0]]++ }},
 		Datapath: r,
-		Alloc:    func(n int) []byte { return make([]byte, n) },
+		Alloc: func(n int) []byte {
+			b := make([]byte, n)
+			r.allocated = append(r.allocated, &b[0])
+			return b
+		},
 		Resolve: func(_ wire.Addr, exp wire.ExperimentID) (testDst, bool) {
 			d, ok := r.route[exp]
 			return d, ok
@@ -74,7 +84,6 @@ func newRelayRig(t *testing.T, mutate func(*RelayConfig[testDst])) *relayRig {
 			r.log = append(r.log, "emit")
 			f.Sent(1)
 		},
-		Flush: func() { r.log = append(r.log, "flush") },
 	}
 	if mutate != nil {
 		mutate(&r.cfg)
@@ -116,6 +125,15 @@ func (r *relayRig) nak(exp wire.ExperimentID, from, to uint64) {
 	r.t.Helper()
 	n := wire.NAK{Experiment: exp, Requester: rigReq, Ranges: []wire.SeqRange{{From: from, To: to}}}
 	enc, err := n.AppendTo(nil)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.handle(rigReq, enc)
+}
+
+func (r *relayRig) ack(exp wire.ExperimentID, cum uint64) {
+	r.t.Helper()
+	enc, err := (&wire.Ack{Experiment: exp, CumulativeSeq: cum, Acker: rigReq}).AppendTo(nil)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -230,19 +248,6 @@ func TestRelayEngine(t *testing.T) {
 				r.ingest(rigSrcA, expA)
 				r.wantFlows(FlowStats{Active: 2, Opened: 3, Expired: 1})
 				r.wantOut(emitted{"rx-a", 1}, emitted{"rx-b", 1}, emitted{"rx-a", 2})
-			},
-		},
-		{
-			name: "a pinned flow is not expired",
-			mutate: func(c *RelayConfig[testDst]) {
-				emit := c.Emit
-				c.Emit = func(f *Flow[testDst], pkt []byte) { f.Pinned = true; emit(f, pkt) }
-			},
-			run: func(t *testing.T, r *relayRig) {
-				r.ingest(rigSrcA, expA)
-				r.clock.Advance(5 * time.Second)
-				r.eng.Sweep(r.clock.Now())
-				r.wantFlows(FlowStats{Active: 1, Opened: 1})
 			},
 		},
 		{
@@ -365,7 +370,7 @@ func TestRelayEngine(t *testing.T) {
 			},
 		},
 		{
-			name: "flush precedes eviction and control service",
+			name: "each stash buffer is released exactly once; the adapter sees only Emit and the datapath",
 			mutate: func(c *RelayConfig[testDst]) {
 				c.Buffer.CapacityBytes = 100 // two upgraded packets
 			},
@@ -374,12 +379,27 @@ func TestRelayEngine(t *testing.T) {
 				r.ingest(rigSrcA, expA)
 				r.ingest(rigSrcA, expA) // evicts seq 1
 				r.nak(expA, 3, 3)
-				want := []string{"emit", "emit", "flush", "emit", "flush", "rtx"}
-				if !slices.Equal(r.log, want) {
+				if want := []string{"emit", "emit", "emit", "rtx"}; !slices.Equal(r.log, want) {
 					t.Fatalf("order %v, want %v", r.log, want)
 				}
-				if st := r.eng.Stats(); st.Evicted != 1 {
-					t.Fatalf("stats %+v, want one eviction", st)
+				if st := r.eng.Stats(); st.Evicted != 1 || len(r.released) != 1 {
+					t.Fatalf("stats %+v, %d released, want one eviction", st, len(r.released))
+				}
+				r.ack(expA, 2) // trims seq 2
+				if st := r.eng.Stats(); st.Trimmed != 1 || len(r.released) != 2 {
+					t.Fatalf("stats %+v, %d released, want one trim", st, len(r.released))
+				}
+				r.eng.Crash(nil) // loses seq 3
+				if len(r.allocated) != 3 || len(r.released) != 3 {
+					t.Fatalf("%d buffers allocated, %d released, want 3 and 3", len(r.allocated), len(r.released))
+				}
+				for _, b := range r.allocated {
+					if n := r.released[b]; n != 1 {
+						t.Fatalf("a stash buffer was released %d times", n)
+					}
+				}
+				if st := r.eng.Stats(); st.BufferedBytes != st.ReleasedBytes || st.Occupancy != 0 {
+					t.Fatalf("stash imbalance after crash: %+v", st)
 				}
 			},
 		},
@@ -393,12 +413,12 @@ func TestRelayEngine(t *testing.T) {
 				r.ingest(rigSrcA, expA)
 				r.ingest(rigSrcB, expB)
 				r.ingest(rigSrcA, expA)
-				r.nak(expA, 1, 1) // flushes B's queued forward too, then serves
+				r.nak(expA, 1, 1)
 				r.ingest(rigSrcB, expB)
 				r.ingest(rigSrcA, expA)
 				burst := []emitted{{"rx-a", 1}, {"rx-b", 1}, {"rx-a", 2}, {"rx-b", 2}, {"rx-a", 3}}
 				r.wantOut(burst...)
-				want := []string{"emit", "emit", "emit", "flush", "rtx", "emit", "emit"}
+				want := []string{"emit", "emit", "emit", "rtx", "emit", "emit"}
 				if !slices.Equal(r.log, want) {
 					t.Fatalf("order %v, want %v", r.log, want)
 				}

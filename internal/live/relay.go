@@ -9,9 +9,9 @@ package live
 //     by packet, in arrival order, under one hold of the engine lock.
 //
 //   - Each flow's destination carries its own forward queue, flushed
-//     with one batched WriteBatchTo per flow per burst — and, on the
-//     engine's request, before a stash eviction or a control packet
-//     could release a buffer the queue still references.
+//     with one batched WriteBatchTo per flow per burst; a stash buffer
+//     the engine releases mid-burst is recycled only after that flush,
+//     since a queue may still reference it.
 
 import (
 	"fmt"
@@ -105,8 +105,8 @@ type RelayStats struct {
 
 // forwardQueue is a flow's downstream: the address resolved at
 // registration, and this burst's forward-leg packets awaiting one
-// batched WriteBatchTo. The engine's Flow.Pinned marks membership in the
-// relay's dirty list.
+// batched WriteBatchTo. A non-empty pkts marks membership in the relay's
+// dirty list.
 type forwardQueue struct {
 	dst  *net.UDPAddr
 	pkts [][]byte
@@ -132,12 +132,13 @@ type Relay struct {
 	wg     sync.WaitGroup
 
 	// engMu is the engine's Locker: it serializes the receive loop's
-	// bursts against scrapes, Crash and Restart. dirty — the flows with
-	// queued forwards — is emptied by the flush that ends every hold, so it
-	// is empty whenever engMu is free.
-	engMu sync.Mutex
-	eng   *dmtp.RelayEngine[*forwardQueue]
-	dirty []*relayFlow
+	// bursts against scrapes, Crash and Restart. The flush that ends every
+	// hold empties dirty (flows with queued forwards) and retired (stash
+	// buffers released meanwhile), so both are empty whenever it is free.
+	engMu   sync.Mutex
+	eng     *dmtp.RelayEngine[*forwardQueue]
+	dirty   []*relayFlow
+	retired [][]byte
 
 	// fwd is the default downstream for flows the Resolver does not
 	// cover. Registered flows keep the destination they resolved — only
@@ -200,7 +201,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		Shards: cfg.Shards,
 		Buffer: dmtp.BufferConfig{
 			CapacityBytes: cfg.CapacityBytes,
-			Release:       releaseBuffer,
+			Release:       r.release,
 			Recorder:      cfg.Recorder,
 			Clock:         cfg.Clock,
 		},
@@ -219,7 +220,6 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		TraceSample: cfg.TraceSample,
 		DropEveryN:  cfg.DropEveryN,
 		Emit:        r.queue,
-		Flush:       r.flush,
 	})
 	if err != nil {
 		return nil, err
@@ -425,9 +425,7 @@ func (r *Relay) Close() error {
 // loop is the receive loop: read a burst, hand its packets to the engine
 // in arrival order and flush the forward queues, all under one hold of
 // engMu. Ring buffers stay valid until the next ReadBatch, which is after
-// every queued forward has been flushed; the engine may also flush from
-// inside the callback, which is safe because the batch datapath's receive
-// and send rings are disjoint.
+// every queued forward has been flushed.
 func (r *Relay) loop(bc *batchConn) {
 	defer r.wg.Done()
 	defer bc.Close()
@@ -478,19 +476,30 @@ func (r *Relay) resolve(src wire.Addr, exp wire.ExperimentID) (*forwardQueue, bo
 }
 
 // queue is the engine's Emit: append pkt to f's forward queue and mark
-// the flow dirty. pkt points into the batch ring or a stash-owned
-// buffer; both outlive the flush that ends this lock hold.
+// the flow dirty. pkt points into the batch ring or a stash buffer; the
+// ring outlives this lock hold's flush, and release makes the buffer do so.
 func (r *Relay) queue(f *relayFlow, pkt []byte) {
-	if !f.Pinned {
-		f.Pinned = true
+	if len(f.Dst.pkts) == 0 {
 		r.dirty = append(r.dirty, f)
 	}
 	f.Dst.pkts = append(f.Dst.pkts, pkt)
 }
 
+// release is the engine's Buffer.Release. A queued forward may point at b,
+// so b returns to the pool only after flush — at once when nothing is
+// queued (Crash, Restart, a burst's first packet). Caller holds engMu.
+func (r *Relay) release(b []byte) {
+	if len(r.dirty) == 0 {
+		releaseBuffer(b)
+		return
+	}
+	r.retired = append(r.retired, b)
+}
+
 // flush drains every dirty flow's queued forwards, one batched write per
-// flow. Failed tails are dropped (loss recovery is the protocol's job) and
-// counted in dmtp.live.tx.errors. Caller holds engMu.
+// flow, then recycles the retired buffers. Failed tails are dropped (loss
+// recovery is the protocol's job) and counted in dmtp.live.tx.errors.
+// Caller holds engMu.
 func (r *Relay) flush() {
 	for _, f := range r.dirty {
 		q := f.Dst
@@ -500,7 +509,10 @@ func (r *Relay) flush() {
 			r.countTxErr(len(q.pkts) - sent)
 		}
 		q.pkts = q.pkts[:0]
-		f.Pinned = false
 	}
 	r.dirty = r.dirty[:0]
+	for _, b := range r.retired {
+		releaseBuffer(b)
+	}
+	r.retired = r.retired[:0]
 }

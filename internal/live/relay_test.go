@@ -7,6 +7,8 @@ package live
 // hammering the one engine lock from many flows, scrapers and a crasher.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -416,4 +418,177 @@ func TestRelayShardTortureManyFlows(t *testing.T) {
 		}
 		return n == len(quiet)
 	}, "post-torture round registered")
+}
+
+// TestRelayBurstForwardOutlivesRelease guards the one aliasing the live
+// relay has: its forward queues hold references into stash buffers until
+// the flush that ends a burst, and the engine may let a buffer go — an
+// eviction, a cumulative-ACK trim — while it is still queued. Released
+// buffers are poisoned here before they go back to the pool, so a buffer
+// recycled ahead of its forward reaches the sink as garbage, or as a later
+// packet's bytes if the pool has already handed it out again.
+//
+// Each round is queued on the relay's (unwrapped, kernel-batched) socket
+// while the test holds the engine lock — a relay descheduled for a moment —
+// so the relay meets it as real bursts: at most one short read it made
+// before blocking, then everything else.
+func TestRelayBurstForwardOutlivesRelease(t *testing.T) {
+	orig := releaseBuffer
+	releaseBuffer = func(b []byte) {
+		for i := range b {
+			b[i] = 0xDB
+		}
+		orig(b)
+	}
+	t.Cleanup(func() { releaseBuffer = orig })
+
+	const (
+		rounds   = 24
+		perRound = 64
+		batch    = 8 // sender flush size; the acked variant ACKs after every flush
+		expNum   = 4242
+	)
+	// message i is its index followed by bytes only i produces.
+	msg := func(i uint64) []byte {
+		m := make([]byte, 8, 200)
+		binary.BigEndian.PutUint64(m, i)
+		for j := 8; j < cap(m); j++ {
+			m = append(m, byte(i*131+uint64(j)*7))
+		}
+		return m
+	}
+	extLen, _ := (wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped).ExtLen()
+	upLen := wire.CoreHeaderLen + extLen + len(msg(0))
+
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		acked    bool
+	}{
+		{"evictions", 2 * upLen, false},
+		{"trims", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink.SetReadBuffer(4 << 20)
+
+			// The sink checks every forwarded datagram: intact header, the
+			// payload its index implies, the sequence number the relay gave
+			// that index (one flow, in-order loopback: index + 1), no repeats.
+			var mu sync.Mutex
+			var got int
+			var bad []string
+			seen := make(map[uint64]bool)
+			sinkDone := make(chan struct{})
+			defer func() {
+				sink.Close()
+				<-sinkDone
+			}()
+			go func() {
+				defer close(sinkDone)
+				buf := make([]byte, 2048)
+				for {
+					n, _, err := sink.ReadFromUDP(buf)
+					if err != nil {
+						return
+					}
+					why := ""
+					v := wire.View(buf[:n])
+					if _, err := v.Check(); err != nil {
+						why = err.Error()
+					} else if seq, err := v.Seq(); err != nil {
+						why = err.Error()
+					} else if p := v.Payload(); len(p) < 8 || !bytes.Equal(p, msg(binary.BigEndian.Uint64(p))) {
+						why = fmt.Sprintf("seq %d carries a payload no message has", seq)
+					} else if i := binary.BigEndian.Uint64(p); seq != i+1 {
+						why = fmt.Sprintf("seq %d carries message %d", seq, i)
+					} else if seen[seq] {
+						why = fmt.Sprintf("seq %d forwarded twice", seq)
+					} else {
+						seen[seq] = true
+					}
+					mu.Lock()
+					got++
+					if why != "" && len(bad) < 5 {
+						bad = append(bad, why)
+					}
+					mu.Unlock()
+				}
+			}()
+
+			relay, err := NewRelay(RelayConfig{
+				Listen:        "127.0.0.1:0",
+				Forward:       sink.LocalAddr().String(),
+				CapacityBytes: tc.capacity,
+				MaxAge:        time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer relay.Close()
+			snd, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: expNum, BatchSize: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snd.Close()
+			relayAddr, _ := net.ResolveUDPAddr("udp4", relay.Addr())
+			acker, _ := toWireAddr(sink.LocalAddr().(*net.UDPAddr))
+
+			var sent uint64
+			sendRound := func() error {
+				relay.engMu.Lock()
+				defer relay.engMu.Unlock()
+				for k := 0; k < perRound; k++ {
+					if err := snd.Send(msg(sent), 0); err != nil {
+						return err
+					}
+					sent++
+					if tc.acked && sent%batch == 0 {
+						// Acknowledge everything sent so far: queued behind the
+						// data it covers, the trim lands mid-burst.
+						ack, _ := (&wire.Ack{Experiment: wire.NewExperimentID(expNum, 0), CumulativeSeq: sent, Acker: acker}).AppendTo(nil)
+						if _, err := sink.WriteToUDP(ack, relayAddr); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			}
+			for round := 0; round < rounds; round++ {
+				if err := sendRound(); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, 5*time.Second, func() bool {
+					mu.Lock()
+					defer mu.Unlock()
+					return got >= int(sent) && (!tc.acked || relay.Stats().Trimmed == sent)
+				}, "the round to reach the sink")
+				// ReleasedBytes counts a buffer when the engine lets go, not
+				// when the pool gets it back: the balance holds either way.
+				st := relay.Stats()
+				if st.BufferedBytes-st.ReleasedBytes-uint64(st.Occupancy) != 0 {
+					t.Fatalf("round %d: stash imbalance: %+v", round, st)
+				}
+			}
+
+			mu.Lock()
+			defer mu.Unlock()
+			if len(bad) > 0 || got != int(sent) || len(seen) != int(sent) {
+				t.Fatalf("sink saw %d datagrams, %d distinct and intact, want %d of each; first faults: %q", got, len(seen), sent, bad)
+			}
+			st := relay.Stats()
+			if st.Forwarded != sent || st.TxErrors != 0 {
+				t.Fatalf("relay forwarded %d of %d, %d tx errors", st.Forwarded, sent, st.TxErrors)
+			}
+			if tc.acked && (st.Trimmed != sent || st.Evicted != 0) {
+				t.Fatalf("trims did not do the releasing: %+v", st)
+			}
+			if !tc.acked && st.Evicted < sent-3 {
+				t.Fatalf("evictions did not do the releasing: %+v", st)
+			}
+		})
+	}
 }
