@@ -84,6 +84,48 @@ func TestIngestUntracedZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGapOpenCloseZeroAlloc extends the ingest gate to loss: once the gap
+// list has its capacity, opening gaps and closing them by reordered
+// arrivals — the newest one, and one from the middle of the list —
+// allocates nothing; a lost number costs no heap object. The NAK timer is
+// not part of the claim: an older gap stays open throughout and keeps one
+// pending, as sustained loss does.
+func TestGapOpenCloseZeroAlloc(t *testing.T) {
+	eng := NewReceiverEngine(NewFakeClock(0), nopDatapath{}, ReceiverConfig{
+		NAKDelay:        time.Millisecond,
+		NAKRetry:        5 * time.Millisecond,
+		NAKRetryMax:     500 * time.Millisecond,
+		MaxNAKs:         3,
+		FinalizePayload: func(wire.View) []byte { return nil },
+	})
+	pkt := seqPacket(t, 1, wire.AddrFrom(10, 0, 0, 1, 100), "payload")
+	ingest := func(seq uint64) {
+		if err := pkt.SetSeq(seq); err != nil {
+			t.Fatal(err)
+		}
+		eng.Ingest(pkt)
+	}
+	ingest(1)
+	ingest(3) // 2 stays open for the whole test: the NAK timer stays armed
+	seq := uint64(3)
+	step := func() {
+		ingest(seq + 3) // opens seq+1 and seq+2
+		ingest(seq + 2) // closes the newest
+		ingest(seq + 1) // closes one from the middle of the list
+		seq += 3
+	}
+	for i := 0; i < 64; i++ {
+		step() // warm: gap-list capacity
+	}
+	if avg := testing.AllocsPerRun(300, step); avg != 0 {
+		t.Fatalf("opening and closing gaps allocates %.2f allocs/op, want 0", avg)
+	}
+	ingest(2) // closing the oldest: the list is empty again
+	if got := eng.OutstandingGaps(); got != 0 {
+		t.Fatalf("%d gaps left open", got)
+	}
+}
+
 // TestCampaignScenarioLoopZeroAlloc locks in the invariant the campaign
 // runner's throughput rests on: the per-packet path a clean steady-state
 // scenario drives — sequence assignment, stash, in-order ingest, and the

@@ -3,6 +3,7 @@ package dmtp
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -15,6 +16,7 @@ import (
 func TestToRangesQuick(t *testing.T) {
 	f := func(seqs []uint64) bool {
 		in := append([]uint64(nil), seqs...)
+		slices.Sort(in) // ToRanges takes ascending input
 		ranges := ToRanges(in)
 		// Every input seq must be covered.
 		for _, s := range seqs {
@@ -43,7 +45,7 @@ func TestToRangesQuick(t *testing.T) {
 }
 
 func TestToRangesCompresses(t *testing.T) {
-	got := ToRanges([]uint64{5, 1, 2, 3, 9})
+	got := ToRanges([]uint64{1, 2, 3, 5, 9})
 	want := []wire.SeqRange{{From: 1, To: 3}, {From: 5, To: 5}, {From: 9, To: 9}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -52,7 +54,7 @@ func TestToRangesCompresses(t *testing.T) {
 		t.Fatal("empty input should produce nil")
 	}
 	// Duplicates merge.
-	got = ToRanges([]uint64{4, 4, 5, 4})
+	got = ToRanges([]uint64{4, 4, 4, 5})
 	want = []wire.SeqRange{{From: 4, To: 5}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -186,7 +188,7 @@ func (d *recDatapath) SendData(dst wire.Addr, pkt []byte) {
 	d.data = append(d.data, append([]byte(nil), pkt...))
 }
 
-func seqPacket(t *testing.T, seq uint64, buffer wire.Addr, payload string) wire.View {
+func seqPacket(t testing.TB, seq uint64, buffer wire.Addr, payload string) wire.View {
 	t.Helper()
 	h := wire.Header{
 		ConfigID:   1,

@@ -31,6 +31,7 @@ func RegisterReceiverMetrics(reg *metrics.Registry, snap func() ReceiverStats) {
 	reg.RegisterFunc(metrics.MetricRxAged, func() int64 { return int64(snap().Aged) })
 	reg.RegisterFunc(metrics.MetricRxLate, func() int64 { return int64(snap().Late) })
 	reg.RegisterFunc(metrics.MetricRxUnsequenced, func() int64 { return int64(snap().Unsequenced) })
+	reg.RegisterFunc(metrics.MetricRxRejected, func() int64 { return int64(snap().Rejected) })
 }
 
 // RegisterReceiverGauges publishes the receiver's instantaneous gauges:

@@ -2,15 +2,13 @@ package dmtp
 
 import "repro/internal/wire"
 
-// ToRanges compresses a list of sequence numbers (sorted or not; seqs is
-// sorted in place) into inclusive ranges, merging duplicates and
-// adjacent values. It is the one shared NAK range builder; both
-// substrates' NAKs are produced through it.
+// ToRanges compresses an ascending list of sequence numbers into
+// inclusive ranges, merging duplicates and adjacent values. It is the one
+// shared NAK range builder; both substrates' NAKs are produced through it.
 func ToRanges(seqs []uint64) []wire.SeqRange {
 	if len(seqs) == 0 {
 		return nil
 	}
-	sortSeqs(seqs)
 	var out []wire.SeqRange
 	cur := wire.SeqRange{From: seqs[0], To: seqs[0]}
 	for _, s := range seqs[1:] {
@@ -22,13 +20,4 @@ func ToRanges(seqs []uint64) []wire.SeqRange {
 		cur = wire.SeqRange{From: s, To: s}
 	}
 	return append(out, cur)
-}
-
-// sortSeqs insertion-sorts in place: NAK bursts are small.
-func sortSeqs(seqs []uint64) {
-	for i := 1; i < len(seqs); i++ {
-		for j := i; j > 0 && seqs[j] < seqs[j-1]; j-- {
-			seqs[j], seqs[j-1] = seqs[j-1], seqs[j]
-		}
-	}
 }

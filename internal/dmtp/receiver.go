@@ -2,6 +2,7 @@ package dmtp
 
 import (
 	"math/rand"
+	"sort"
 	"time"
 
 	"repro/internal/metrics"
@@ -43,7 +44,9 @@ type ReceiverStats struct {
 	Late        uint64
 	Unsequenced uint64
 	// Rejected counts packets discarded by the MaxSeqJump corruption
-	// guard: their sequence field jumped implausibly far ahead.
+	// guard: their sequence field jumped implausibly far ahead. Climbing
+	// while Delivered stands still, it means the window has lost the
+	// stream's baseline and resync (see resyncRun) is not restoring it.
 	Rejected uint64
 }
 
@@ -52,6 +55,18 @@ type ReceiverStats struct {
 // gap by at most a few thousand sequences (rate × recovery window); a
 // corrupted sequence field gaps by up to 2^63.
 const DefaultMaxSeqJump = 1 << 20
+
+// maxNAKRanges caps the ranges in one NAK so the packet fits an
+// unfragmented datagram at a 1500-byte MTU: 8 (core header) + 10 (fixed
+// body) + 16·90 = 1458 ≤ 1472. A fire with more due ranges sends several.
+const maxNAKRanges = 90
+
+// resyncRun is how many consecutive packets the MaxSeqJump guard must
+// reject, each above the last and all within MaxSeqJump of the first,
+// before the stream is re-based below the first: one corrupted sequence
+// field is still dropped, a receiver that joined (or fell) more than
+// MaxSeqJump behind a running stream catches up after resyncRun packets.
+const resyncRun = 8
 
 // ReceiverConfig configures a ReceiverEngine. Adapters apply their own
 // substrate defaults (the simulator's reorder tolerance is hundreds of
@@ -76,8 +91,9 @@ type ReceiverConfig struct {
 	// packet. The gap tracker materialises per-sequence recovery state
 	// for every number between maxSeen and an arriving seq, so one
 	// corrupted sequence field could otherwise demand ~2^63 entries.
-	// Packets jumping further are dropped and counted as Rejected. Zero
-	// means DefaultMaxSeqJump.
+	// Packets jumping further are dropped and counted as Rejected, until
+	// resyncRun of them in a row look like the stream itself. Zero means
+	// DefaultMaxSeqJump.
 	MaxSeqJump uint64
 	// AckInterval, when nonzero, emits cumulative ACKs to the buffer so
 	// it can trim acknowledged packets.
@@ -123,20 +139,25 @@ type ReceiverConfig struct {
 	Tracer *tracespan.Collector
 }
 
-type rxMissing struct {
+// rxGap is the recovery state of one missing sequence number.
+type rxGap struct {
+	seq      uint64
 	detected int64
 	naks     int
 	nextNAK  int64
 }
 
+// rxStream is one experiment's receive window. maxSeen and the gap list
+// are all it knows about individual sequence numbers: a number ≤ maxSeen
+// has arrived or been written off exactly when it is not in the list. An
+// in-order packet moves maxSeen and touches nothing else.
 type rxStream struct {
 	exp     wire.ExperimentID
 	maxSeen uint64
-	floor   uint64 // every seq ≤ floor is received or written off
-	// received tracks seqs above the floor that have arrived; entries
-	// are deleted as the floor advances over them.
-	received map[uint64]bool
-	missing  map[uint64]*rxMissing
+	// gaps[head:] are the open gaps in ascending sequence order: a gap is
+	// born above every older one, and closing the oldest advances head.
+	gaps     []rxGap
+	head     int
 	buffer   wire.Addr // most recent retransmission-buffer pointer
 	timer    Timer
 	timerAt  int64
@@ -148,6 +169,51 @@ type rxStream struct {
 	// sequence number to hand to the application.
 	pending     map[uint64]pendingRx
 	nextDeliver uint64
+	// The current run of consecutive MaxSeqJump rejections (see resyncRun).
+	runFirst, runLast uint64
+	runLen            int
+}
+
+// floor is the cumulative-ACK point: all of 1..floor arrived or was written off.
+func (st *rxStream) floor() uint64 {
+	if st.head < len(st.gaps) {
+		return st.gaps[st.head].seq - 1
+	}
+	return st.maxSeen
+}
+
+// openGap appends g, which lies above every open gap. The dead prefix
+// below head is reclaimed only once it is half a full slice, so a steady
+// window neither grows nor copies per packet.
+func (st *rxStream) openGap(g rxGap) {
+	if len(st.gaps) == cap(st.gaps) && st.head*2 >= len(st.gaps) {
+		st.gaps = st.gaps[:copy(st.gaps, st.gaps[st.head:])]
+		st.head = 0
+	}
+	st.gaps = append(st.gaps, g)
+}
+
+// closeGap removes and returns seq's gap, if it has one.
+func (st *rxStream) closeGap(seq uint64) (g rxGap, ok bool) {
+	open := st.gaps[st.head:]
+	i := sort.Search(len(open), func(i int) bool { return open[i].seq >= seq })
+	if i == len(open) || open[i].seq != seq {
+		return rxGap{}, false
+	}
+	g = open[i]
+	if i == 0 {
+		st.head++
+	} else {
+		st.gaps = append(st.gaps[:st.head+i], open[i+1:]...)
+	}
+	return g, true
+}
+
+func (st *rxStream) stopNAKTimer() {
+	if st.timer != nil {
+		st.timer.Stop()
+		st.timer = nil
+	}
 }
 
 type pendingRx struct {
@@ -160,7 +226,9 @@ type pendingRx struct {
 // the nearest upstream buffer with capped jittered exponential backoff,
 // writes gaps off as permanent loss after MaxNAKs, and performs the
 // destination timeliness check. It is substrate-agnostic: internal/core
-// drives it from the simulator, internal/live from UDP sockets.
+// drives it from the simulator, internal/live from UDP sockets. Per stream
+// it keeps one receive window (rxStream); ingest costs the same however
+// many gaps are open, and only a NAK-timer fire walks them.
 //
 // The engine is not self-synchronizing: the adapter must serialize
 // Ingest, timer fires (via its Clock), and every accessor.
@@ -173,8 +241,7 @@ type ReceiverEngine struct {
 	stats *ReceiverStats
 
 	streams map[wire.ExperimentID]*rxStream
-	scratch []uint64 // due-seq sweep, reused across fires
-	due     []uint64 // NAKable subset, reused across fires
+	due     []uint64 // seqs NAKed by the current fire, reused across fires
 }
 
 // NewReceiverEngine builds an engine over the given substrate contracts.
@@ -208,7 +275,7 @@ func (e *ReceiverEngine) Stats() ReceiverStats { return *e.stats }
 func (e *ReceiverEngine) OutstandingGaps() int {
 	n := 0
 	for _, st := range e.streams {
-		n += len(st.missing)
+		n += len(st.gaps) - st.head
 	}
 	return n
 }
@@ -216,10 +283,7 @@ func (e *ReceiverEngine) OutstandingGaps() int {
 // Stop cancels every pending engine timer.
 func (e *ReceiverEngine) Stop() {
 	for _, st := range e.streams {
-		if st.timer != nil {
-			st.timer.Stop()
-			st.timer = nil
-		}
+		st.stopNAKTimer()
 		if st.ackTimer != nil {
 			st.ackTimer.Stop()
 			st.ackTimer = nil
@@ -286,63 +350,57 @@ func (e *ReceiverEngine) Ingest(v wire.View) {
 	msg.Seq = seq
 
 	st := e.stream(exp, now)
-	if seq > st.maxSeen && seq-st.maxSeen > e.cfg.MaxSeqJump {
+	if seq > st.maxSeen && seq-st.maxSeen > e.cfg.MaxSeqJump && !e.resync(st, seq, now) {
 		// A forward jump this large is a corrupted sequence field, not
 		// real traffic: accepting it would materialise recovery state
 		// for every sequence in between. Reject the packet outright;
 		// if it was genuine, its NAKed retransmission will arrive with
-		// the stream caught up.
+		// the stream caught up — or, if the stream itself is that far
+		// ahead, the next resyncRun packets will re-base the window.
 		e.stats.Rejected++
 		return
 	}
+	st.runLen = 0
 	if feats.Has(wire.FeatReliable) {
 		if buf, err := v.RetransmitBuffer(); err == nil && !buf.IsZero() {
 			st.buffer = buf
 		}
 	}
-	if seq <= st.floor || st.received[seq] {
-		e.stats.Duplicates++
-		return
-	}
-	st.received[seq] = true
-	var recDetected int64
-	var recNAKs int
-	if m, wasMissing := st.missing[seq]; wasMissing {
-		delete(st.missing, seq)
+	var rec rxGap // the gap this packet closed after ≥1 NAK, for the trace
+	if seq > st.maxSeen {
+		if first := max(st.maxSeen, st.floor()+GapFloorBias) + 1; first < seq {
+			for s := first; s < seq; s++ {
+				st.openGap(rxGap{seq: s, detected: now, nextNAK: now + int64(e.cfg.NAKDelay)})
+			}
+			e.stats.GapsSeen += seq - first
+			e.cfg.Recorder.RecordAt(now, metrics.EvGapDetected, uint64(exp), first, seq-1)
+			e.armTimer(st, now+int64(e.cfg.NAKDelay))
+		}
+		st.maxSeen = seq
+	} else {
+		g, wasMissing := st.closeGap(seq)
+		if !wasMissing {
+			e.stats.Duplicates++
+			return
+		}
+		if st.head == len(st.gaps) {
+			st.stopNAKTimer()
+		}
 		// Only arrivals that needed a NAK count as recovered; a packet
 		// that shows up before the first NAK fires was merely reordered,
 		// not lost.
-		if m.naks > 0 {
+		if g.naks > 0 {
 			msg.Recovered = true
-			recDetected, recNAKs = m.detected, m.naks
+			rec = g
 			e.stats.Recovered++
 			e.cfg.Counters.Inc(telemetry.CounterRecovered)
-			e.cfg.Recorder.RecordAt(now, metrics.EvRecovered, uint64(exp), seq, uint64(m.naks))
+			e.cfg.Recorder.RecordAt(now, metrics.EvRecovered, uint64(exp), seq, uint64(g.naks))
 			if e.cfg.RecoveryHist != nil {
-				e.cfg.RecoveryHist.ObserveDuration(time.Duration(now - m.detected))
+				e.cfg.RecoveryHist.ObserveDuration(time.Duration(now - g.detected))
 			}
 		}
 	}
-	if seq > st.maxSeen {
-		var gapFirst, gapLast uint64
-		for s := st.maxSeen + 1; s < seq; s++ {
-			if s > st.floor+GapFloorBias && !st.received[s] {
-				st.missing[s] = &rxMissing{detected: now, nextNAK: now + int64(e.cfg.NAKDelay)}
-				e.stats.GapsSeen++
-				if gapFirst == 0 {
-					gapFirst = s
-				}
-				gapLast = s
-			}
-		}
-		if gapFirst != 0 {
-			e.cfg.Recorder.RecordAt(now, metrics.EvGapDetected, uint64(exp), gapFirst, gapLast)
-		}
-		st.maxSeen = seq
-	}
-	e.advanceFloor(st)
-	e.armTimer(st)
-	e.observeTrace(v, msg, now, recDetected, recNAKs)
+	e.observeTrace(v, msg, now, rec.detected, rec.naks)
 	if e.cfg.Ordered {
 		st.pending[seq] = pendingRx{msg: e.finalize(v, msg), arrived: now}
 		e.flushOrdered(st, now)
@@ -405,7 +463,7 @@ func (e *ReceiverEngine) flushOrdered(st *rxStream, now int64) {
 			st.nextDeliver++
 			continue
 		}
-		if st.nextDeliver <= st.floor {
+		if st.nextDeliver <= st.floor() {
 			st.nextDeliver++ // written off as lost; skip its slot
 			continue
 		}
@@ -418,8 +476,6 @@ func (e *ReceiverEngine) stream(exp wire.ExperimentID, now int64) *rxStream {
 	if !ok {
 		st = &rxStream{
 			exp:         exp,
-			received:    make(map[uint64]bool),
-			missing:     make(map[uint64]*rxMissing),
 			pending:     make(map[uint64]pendingRx),
 			nextDeliver: 1,
 		}
@@ -433,100 +489,113 @@ func (e *ReceiverEngine) stream(exp wire.ExperimentID, now int64) *rxStream {
 	return st
 }
 
-func (e *ReceiverEngine) advanceFloor(st *rxStream) {
-	for st.received[st.floor+1] {
-		delete(st.received, st.floor+1)
-		st.floor++
+// resync extends the run of rejected packets with seq and reports whether
+// the run is now long enough to be the stream itself rather than
+// corruption. If so it re-bases the window just below the run's first
+// number: open gaps are written off, the run's own rejected packets become
+// ordinary gaps when the caller goes on to ingest seq, and NAKs fetch them.
+func (e *ReceiverEngine) resync(st *rxStream, seq uint64, now int64) bool {
+	if st.runLen == 0 || seq <= st.runLast || seq-st.runFirst > e.cfg.MaxSeqJump {
+		st.runFirst, st.runLen = seq, 0
+	}
+	st.runLast = seq
+	if st.runLen++; st.runLen < resyncRun {
+		return false
+	}
+	for _, g := range st.gaps[st.head:] {
+		e.writeOff(st, g, now)
+	}
+	st.gaps, st.head = st.gaps[:0], 0
+	st.stopNAKTimer()
+	if e.cfg.Ordered {
+		e.flushOrdered(st, now) // hand over what the written-off gaps held back
+		st.nextDeliver = st.runFirst
+	}
+	st.maxSeen = st.runFirst - 1
+	return true
+}
+
+// writeOff gives up on g: it is counted as lost and no longer tracked, so
+// delivery degrades to deliver-with-gap instead of NAKing forever.
+func (e *ReceiverEngine) writeOff(st *rxStream, g rxGap, now int64) {
+	e.stats.Lost++
+	e.cfg.Counters.Inc(telemetry.CounterPermanentLoss)
+	e.cfg.Recorder.RecordAt(now, metrics.EvWriteOff, uint64(st.exp), g.seq, uint64(g.naks))
+	if e.cfg.OnGap != nil {
+		e.cfg.OnGap(st.exp, g.seq)
 	}
 }
 
-// armTimer (re)schedules the NAK timer for the earliest pending action.
-func (e *ReceiverEngine) armTimer(st *rxStream) {
-	if len(st.missing) == 0 {
-		if st.timer != nil {
-			st.timer.Stop()
-			st.timer = nil
-		}
-		return
-	}
-	var earliest int64
-	first := true
-	for _, m := range st.missing {
-		if first || m.nextNAK < earliest {
-			earliest = m.nextNAK
-			first = false
-		}
-	}
+// armTimer schedules the NAK timer for at unless one is pending no later:
+// a timer that comes due early costs one sweep, which re-arms it.
+func (e *ReceiverEngine) armTimer(st *rxStream, at int64) {
 	if st.timer != nil {
-		if st.timerAt <= earliest {
+		if st.timerAt <= at {
 			return
 		}
 		st.timer.Stop()
-		st.timer = nil
 	}
-	if now := e.clock.Now(); earliest < now {
-		earliest = now
+	if now := e.clock.Now(); at < now {
+		at = now
 	}
-	st.timerAt = earliest
-	st.timer = e.clock.Schedule(earliest, func() {
+	st.timerAt = at
+	st.timer = e.clock.Schedule(at, func() {
 		st.timer = nil
 		e.fireNAKs(st)
 	})
 }
 
-// fireNAKs retries or writes off every due gap, then emits one NAK for
-// the batch. The sweep runs in ascending sequence order so jitter draws,
+// fireNAKs retries or writes off every due gap, NAKs the batch in packets
+// of at most maxNAKRanges ranges and re-arms for the earliest deadline
+// left. The gap list is in ascending sequence order, so jitter draws,
 // write-off notifications and the resulting ranges are identical for
 // identical histories — the property the conformance suite checks.
 func (e *ReceiverEngine) fireNAKs(st *rxStream) {
 	now := e.clock.Now()
-	e.scratch = e.scratch[:0]
-	for seq, m := range st.missing {
-		if m.nextNAK <= now {
-			e.scratch = append(e.scratch, seq)
-		}
-	}
-	sortSeqs(e.scratch)
 	e.due = e.due[:0]
-	for _, seq := range e.scratch {
-		m := st.missing[seq]
-		if m.naks >= e.cfg.MaxNAKs {
-			// Give up: count as lost and stop tracking, so delivery
-			// degrades to deliver-with-gap instead of NAKing forever.
-			delete(st.missing, seq)
-			st.received[seq] = true // write off so the floor advances
-			e.stats.Lost++
-			e.cfg.Counters.Inc(telemetry.CounterPermanentLoss)
-			e.cfg.Recorder.RecordAt(now, metrics.EvWriteOff, uint64(st.exp), seq, uint64(m.naks))
-			if e.cfg.OnGap != nil {
-				e.cfg.OnGap(st.exp, seq)
+	open := st.gaps[st.head:]
+	kept := open[:0]
+	var next int64
+	for _, g := range open {
+		if g.nextNAK <= now {
+			if g.naks >= e.cfg.MaxNAKs {
+				e.writeOff(st, g, now)
+				continue
 			}
-			continue
+			e.due = append(e.due, g.seq)
+			g.naks++
+			g.nextNAK = now + int64(e.retryBackoff(g.naks))
 		}
-		e.due = append(e.due, seq)
-		m.naks++
-		m.nextNAK = now + int64(e.retryBackoff(m.naks))
+		if len(kept) == 0 || g.nextNAK < next {
+			next = g.nextNAK
+		}
+		kept = append(kept, g)
 	}
-	e.advanceFloor(st)
+	st.gaps = st.gaps[:st.head+len(kept)]
 	if e.cfg.Ordered {
 		e.flushOrdered(st, now) // written-off slots unblock ordered delivery
 	}
-	if len(e.due) > 0 && !st.buffer.IsZero() {
-		nak := wire.NAK{
-			Experiment: st.exp,
-			Requester:  e.self,
-			Ranges:     ToRanges(e.due),
-		}
-		if data, err := nak.AppendTo(nil); err == nil {
-			e.dp.SendControl(st.buffer, data)
-			e.stats.NAKsSent++
-			e.cfg.Recorder.RecordAt(now, metrics.EvNAKSent, uint64(st.exp), e.due[0], uint64(len(e.due)))
-			if e.cfg.OnNAK != nil {
-				e.cfg.OnNAK(st.exp, nak.Ranges)
+	if !st.buffer.IsZero() {
+		for ranges := ToRanges(e.due); len(ranges) > 0; {
+			nak := wire.NAK{
+				Experiment: st.exp,
+				Requester:  e.self,
+				Ranges:     ranges[:min(len(ranges), maxNAKRanges)],
+			}
+			ranges = ranges[len(nak.Ranges):]
+			if data, err := nak.AppendTo(nil); err == nil {
+				e.dp.SendControl(st.buffer, data)
+				e.stats.NAKsSent++
+				e.cfg.Recorder.RecordAt(now, metrics.EvNAKSent, uint64(st.exp), nak.Ranges[0].From, nak.TotalMissing())
+				if e.cfg.OnNAK != nil {
+					e.cfg.OnNAK(st.exp, nak.Ranges)
+				}
 			}
 		}
 	}
-	e.armTimer(st)
+	if len(kept) > 0 {
+		e.armTimer(st, next)
+	}
 }
 
 // retryBackoff returns the backoff before retry n (1-based): base·2^(n-1)
@@ -550,8 +619,8 @@ func (e *ReceiverEngine) retryBackoff(n int) time.Duration {
 func (e *ReceiverEngine) scheduleAck(st *rxStream) {
 	st.ackTimer = e.clock.Schedule(e.clock.Now()+int64(e.cfg.AckInterval), func() {
 		st.ackTimer = nil
-		if st.floor > 0 && !st.buffer.IsZero() {
-			ack := wire.Ack{Experiment: st.exp, CumulativeSeq: st.floor, Acker: e.self}
+		if floor := st.floor(); floor > 0 && !st.buffer.IsZero() {
+			ack := wire.Ack{Experiment: st.exp, CumulativeSeq: floor, Acker: e.self}
 			if data, err := ack.AppendTo(nil); err == nil {
 				e.dp.SendControl(st.buffer, data)
 			}

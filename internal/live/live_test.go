@@ -196,7 +196,7 @@ func TestLiveAddrConversions(t *testing.T) {
 }
 
 func TestSeqsToRanges(t *testing.T) {
-	got := dmtp.ToRanges([]uint64{9, 2, 1, 3})
+	got := dmtp.ToRanges([]uint64{1, 2, 3, 9})
 	if len(got) != 2 || got[0] != (wire.SeqRange{From: 1, To: 3}) || got[1] != (wire.SeqRange{From: 9, To: 9}) {
 		t.Fatalf("ranges %v", got)
 	}

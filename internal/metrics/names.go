@@ -21,6 +21,7 @@ const (
 	MetricRxAged            = "dmtp.rx.aged"
 	MetricRxLate            = "dmtp.rx.late"
 	MetricRxUnsequenced     = "dmtp.rx.unsequenced"
+	MetricRxRejected        = "dmtp.rx.rejected"
 	MetricRxOutstandingGaps = "dmtp.rx.outstanding_gaps"
 	MetricRxLatencyP50      = "dmtp.rx.latency_p50_ns"
 	MetricRxLatencyP99      = "dmtp.rx.latency_p99_ns"
@@ -173,6 +174,7 @@ var Catalog = []Info{
 	{MetricRxAged, KindGauge, "packets", "packets delivered with the age budget exceeded"},
 	{MetricRxLate, KindGauge, "packets", "packets that missed their delivery deadline"},
 	{MetricRxUnsequenced, KindGauge, "packets", "packets delivered outside any sequenced stream (mode 0)"},
+	{MetricRxRejected, KindGauge, "packets", "packets dropped by the MaxSeqJump guard: sequence number implausibly far ahead"},
 	{MetricRxOutstandingGaps, KindGauge, "seqs", "sequence numbers currently awaiting recovery"},
 	{MetricRxLatencyP50, KindGauge, "ns", "median origin→delivery latency"},
 	{MetricRxLatencyP99, KindGauge, "ns", "99th-percentile origin→delivery latency"},
