@@ -49,7 +49,10 @@ type BufferConfig struct {
 	// through it (not just ones it upgrades) and repoint their
 	// retransmission-buffer field to itself — the paper's "more 'recent'
 	// (lower RTT) retransmission buffer" (§1, §5.1): downstream receivers
-	// then recover from this closer node instead of the WAN entrance.
+	// then recover from this closer node instead of the WAN entrance. A
+	// packet whose number is at or below the newest this node holds for its
+	// experiment (an upstream retransmission, a reordered straggler) passes
+	// through untouched: not stashed, not repointed.
 	StashTransit bool
 	// Shards is the number of stash and journal partitions experiments are
 	// spread across (zero means 1) — the same partitioning the live relay
@@ -298,9 +301,11 @@ func (b *BufferNode) HandleFrame(ingress *netsim.Port, f *netsim.Frame) {
 
 // adoptTransit buffers a sequenced transit packet and rewrites its
 // retransmission pointer to this node, so downstream NAKs travel a shorter
-// round trip. Retransmissions served by an upstream buffer pass through
-// here again and are simply re-adopted, which is harmless (same bytes,
-// same key).
+// round trip. The stash takes ascending numbers only: a retransmission
+// served by an upstream buffer that passes through while this node still
+// holds that number (or a newer one) is refused, and travels on unchanged —
+// uncounted here, still naming the upstream buffer that just proved it has
+// the packet.
 func (b *BufferNode) adoptTransit(v wire.View) {
 	feats := v.Features()
 	if !feats.Has(wire.FeatSequenced) || !feats.Has(wire.FeatReliable) {
@@ -310,10 +315,13 @@ func (b *BufferNode) adoptTransit(v wire.View) {
 	if err != nil || seq == 0 {
 		return
 	}
-	if err := v.SetRetransmitBuffer(b.node.Addr); err != nil {
+	// The stashed copy names this node; the packet itself is repointed only
+	// once the stash has accepted the copy.
+	kept := v.Clone()
+	if kept.SetRetransmitBuffer(b.node.Addr) != nil || !b.eng.Buffer().Stash(v.Experiment(), seq, kept) {
 		return
 	}
-	b.eng.Buffer().Stash(v.Experiment(), seq, []byte(v.Clone()))
+	_ = v.SetRetransmitBuffer(b.node.Addr) // same header layout as kept: cannot fail
 	b.repointed++
 }
 

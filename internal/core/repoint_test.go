@@ -114,3 +114,92 @@ func TestRepointedRetransmissionsAreDeduplicated(t *testing.T) {
 		t.Fatalf("delivered %d (dups leaked through?)", rcv.Stats.Delivered)
 	}
 }
+
+// TestRefusedTransitKeepsUpstreamPointer: a retransmission served by DTN1
+// crosses MID again on its way down. While MID still holds that number it
+// used to re-stash the packet over its own live entry — leaking the first
+// copy out of the stash accounting — and repoint it regardless. Now the
+// stash refuses it: MID counts nothing, and the packet travels on naming
+// DTN1, the buffer that just proved it holds the packet. Once MID has let
+// the number go, the same retransmission is adopted like any transit packet.
+func TestRefusedTransitKeepsUpstreamPointer(t *testing.T) {
+	nw := netsim.New(1)
+	upAddr := wire.AddrFrom(10, 15, 0, 1, 1)
+	dtn1Addr := wire.AddrFrom(10, 15, 1, 1, 1)
+	midAddr := wire.AddrFrom(10, 15, 2, 1, 1)
+	downAddr := wire.AddrFrom(10, 15, 3, 1, 1)
+	exp := wire.NewExperimentID(4, 0)
+
+	up, down := &netsim.Host{}, &netsim.Host{}
+	upN := nw.AddNode("up", upAddr, up)
+	downN := nw.AddNode("down", downAddr, down)
+	dtn1 := NewBufferNode(nw, "dtn1", dtn1Addr, BufferConfig{
+		UpgradeFrom: ModeBare.ConfigID, Upgrade: ModeWAN,
+		Forward: downAddr, ForwardPort: 1,
+		Routes: map[wire.Addr]int{upAddr: 0},
+	})
+	mid := NewBufferNode(nw, "mid", midAddr, BufferConfig{
+		UpgradeFrom: 0xEE, Upgrade: ModeWAN, // never matches: MID only adopts transit
+		Forward: downAddr, ForwardPort: 1, StashTransit: true,
+		Routes: map[wire.Addr]int{upAddr: 0, dtn1Addr: 0},
+	})
+	link := netsim.LinkConfig{RateBps: netsim.Gbps(10), Delay: time.Microsecond}
+	nw.Connect(upN, dtn1.Node(), link)
+	nw.Connect(dtn1.Node(), mid.Node(), link)
+	nw.Connect(mid.Node(), downN, link)
+
+	var arrived []wire.View
+	down.Recv = func(f *netsim.Frame) { arrived = append(arrived, wire.View(f.Data)) }
+	// pointerOfLast returns the retransmission pointer of the newest arrival.
+	pointerOfLast := func() wire.Addr {
+		t.Helper()
+		ptr, err := arrived[len(arrived)-1].RetransmitBuffer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ptr
+	}
+	control := func(dst wire.Addr, encode func([]byte) ([]byte, error)) {
+		t.Helper()
+		data, err := encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		downN.SendTo(dst, data)
+		nw.Loop().Run()
+	}
+	nakSeq2 := wire.NAK{Experiment: exp, Requester: downAddr, Ranges: []wire.SeqRange{{From: 2, To: 2}}}
+
+	h := wire.Header{ConfigID: ModeBare.ConfigID, Experiment: exp}
+	bare, err := h.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		upN.SendTo(dtn1Addr, append(bare[:len(bare):len(bare)], "payload"...))
+	}
+	nw.Loop().Run()
+	before := mid.Stats()
+	if len(arrived) != 3 || before.Repointed != 3 || before.Buffered != 3 || pointerOfLast() != midAddr {
+		t.Fatalf("adoption: %d arrived, mid %+v", len(arrived), before)
+	}
+
+	control(dtn1Addr, nakSeq2.AppendTo)
+	after := mid.Stats()
+	if len(arrived) != 4 || dtn1.Stats().Retransmits != 1 {
+		t.Fatalf("retransmission: %d arrived, dtn1 %+v", len(arrived), dtn1.Stats())
+	}
+	if after.Repointed != 3 || after.Buffered != 3 || after.Occupancy != before.Occupancy || after.Refused != 1 {
+		t.Fatalf("mid re-adopted a number it holds:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if ptr := pointerOfLast(); ptr != dtn1Addr {
+		t.Fatalf("refused retransmission names %v, want its server %v", ptr, dtn1Addr)
+	}
+
+	ack := wire.Ack{Experiment: exp, CumulativeSeq: 3, Acker: downAddr}
+	control(midAddr, ack.AppendTo)
+	control(dtn1Addr, nakSeq2.AppendTo)
+	if st := mid.Stats(); st.Repointed != 4 || st.Buffered != 4 || st.Refused != 1 || pointerOfLast() != midAddr {
+		t.Fatalf("after MID let go of 1..3 the retransmission should be adopted: %+v, pointer %v", st, pointerOfLast())
+	}
+}

@@ -1,6 +1,8 @@
 package dmtp
 
 import (
+	"container/heap"
+	"sort"
 	"time"
 
 	"repro/internal/metrics"
@@ -19,6 +21,7 @@ type BufferStats struct {
 	ReleasedBytes uint64
 	Evicted       uint64
 	Trimmed       uint64 // dropped after cumulative ACK
+	Refused       uint64 // inserts turned away: seq at or below the newest held
 	NAKs          uint64
 	Retransmits   uint64
 	Misses        uint64 // NAKed sequence numbers no longer buffered
@@ -33,6 +36,7 @@ func (s *BufferStats) Add(o BufferStats) {
 	s.ReleasedBytes += o.ReleasedBytes
 	s.Evicted += o.Evicted
 	s.Trimmed += o.Trimmed
+	s.Refused += o.Refused
 	s.NAKs += o.NAKs
 	s.Retransmits += o.Retransmits
 	s.Misses += o.Misses
@@ -85,29 +89,70 @@ type BufferConfig struct {
 	Journal Journal
 }
 
-type bufKey struct {
-	exp wire.ExperimentID
+// stashSlot is one stashed packet.
+type stashSlot struct {
 	seq uint64
+	// stamp is the engine's insertion ordinal: the smallest one held is the
+	// next capacity eviction, whichever experiment it belongs to.
+	stamp uint64
+	pkt   []byte
+}
+
+// expStash is everything the engine knows about one experiment: its
+// sequence counter and the packets it still holds.
+type expStash struct {
+	exp  wire.ExperimentID
+	next uint64 // last sequence number handed out; RestoreSeq may raise it
+	// slots[head:] are the stashed packets in ascending seq, which is also
+	// ascending stamp: an insert lands above every older one, and eviction
+	// and trim only ever take the front. Holes are allowed (slots carry
+	// their seq); the dead prefix below head is reclaimed by a later insert.
+	slots []stashSlot
+	head  int
+	pos   int // index in BufferEngine.oldest while non-empty
+}
+
+// held returns the stashed entries, oldest first.
+func (st *expStash) held() []stashSlot { return st.slots[st.head:] }
+
+// evictHeap orders the non-empty experiments by their front slot's stamp
+// (container/heap), so the shard's oldest entry is its root's front. Swap
+// keeps each member's pos; whoever pushes one sets its pos first.
+type evictHeap []*expStash
+
+func (h evictHeap) Len() int { return len(h) }
+func (h evictHeap) Less(i, j int) bool {
+	return h[i].slots[h[i].head].stamp < h[j].slots[h[j].head].stamp
+}
+func (h evictHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos, h[j].pos = i, j
+}
+func (h *evictHeap) Push(x any) { *h = append(*h, x.(*expStash)) }
+func (h *evictHeap) Pop() any {
+	st := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return st
 }
 
 // BufferEngine is the retransmission-buffer state machine shared by the
 // simulator's BufferNode and the live Relay: per-experiment sequence
 // assignment, a FIFO-evicted stash that owns its entries, NAK service,
-// cumulative-ACK trim, and crash/restart. Like ReceiverEngine it is not
-// self-synchronizing; the adapter serializes access.
+// cumulative-ACK trim, and crash/restart. The stash is one ascending run
+// per experiment and nothing else: occupancy per experiment, the trim
+// floor (slots[head].seq − 1) and "is seq buffered" are read off it. Like
+// ReceiverEngine it is not self-synchronizing; the adapter serializes
+// access.
 type BufferEngine struct {
 	cfg   BufferConfig
 	dp    Datapath
 	stats *BufferStats
 
-	seqs  map[wire.ExperimentID]uint64
-	store map[bufKey][]byte
-	order []bufKey // FIFO for eviction
-	bytes int
-	down  bool // crashed: adapters discard traffic until Restart
-	// restoring suppresses journal appends while RestoreStash re-inserts
-	// journal-recovered entries (they are already on disk).
-	restoring bool
+	exps   map[wire.ExperimentID]*expStash
+	oldest evictHeap // the non-empty experiments
+	stamp  uint64    // last insertion ordinal handed out
+	bytes  int
+	down   bool // crashed: adapters discard traffic until Restart
 }
 
 // NewBufferEngine builds an engine over the given datapath.
@@ -126,8 +171,7 @@ func NewBufferEngine(dp Datapath, cfg BufferConfig) *BufferEngine {
 		cfg:   cfg,
 		dp:    dp,
 		stats: stats,
-		seqs:  make(map[wire.ExperimentID]uint64),
-		store: make(map[bufKey][]byte),
+		exps:  make(map[wire.ExperimentID]*expStash),
 	}
 }
 
@@ -137,17 +181,61 @@ func (b *BufferEngine) Stats() BufferStats { return *b.stats }
 // BufferedBytes returns current buffer occupancy.
 func (b *BufferEngine) BufferedBytes() int { return b.bytes }
 
+// expFor returns exp's record, creating it on first use: for the calls
+// that sequence or stash.
+func (b *BufferEngine) expFor(exp wire.ExperimentID) *expStash {
+	st := b.exps[exp]
+	if st == nil {
+		st = &expStash{exp: exp}
+		b.exps[exp] = st
+	}
+	return st
+}
+
+// lookup returns exp's record without creating one: for queries and for
+// ACKs and NAKs, which are outside input and must not grow the table. An
+// experiment the engine has never seen reads as an empty record.
+func (b *BufferEngine) lookup(exp wire.ExperimentID) *expStash {
+	if st := b.exps[exp]; st != nil {
+		return st
+	}
+	return &expStash{}
+}
+
 // NextSeq assigns the next sequence number for the experiment.
 func (b *BufferEngine) NextSeq(exp wire.ExperimentID) uint64 {
-	b.seqs[exp]++
-	return b.seqs[exp]
+	st := b.expFor(exp)
+	st.next++
+	return st.next
 }
 
 // SeqOf returns the last sequence number assigned to exp, zero if none.
 // Oracles use it to check which experiments an upgrader actually
 // sequenced (a delivery for an experiment with SeqOf == 0 means
 // sequence state bled across flows).
-func (b *BufferEngine) SeqOf(exp wire.ExperimentID) uint64 { return b.seqs[exp] }
+func (b *BufferEngine) SeqOf(exp wire.ExperimentID) uint64 { return b.lookup(exp).next }
+
+// release lets go of st's n oldest entries and restores st's place in the
+// eviction heap. Every stashed buffer leaves the engine through here —
+// eviction, trim, crash — so the byte accounting and the Release hook
+// happen once.
+func (b *BufferEngine) release(st *expStash, n int) {
+	gone := st.held()[:n]
+	for _, s := range gone {
+		b.bytes -= len(s.pkt)
+		if b.cfg.Release != nil {
+			b.cfg.Release(s.pkt)
+		}
+		b.stats.ReleasedBytes += uint64(len(s.pkt))
+	}
+	clear(gone)
+	st.head += n
+	if len(st.held()) == 0 {
+		heap.Remove(&b.oldest, st.pos)
+	} else {
+		heap.Fix(&b.oldest, st.pos)
+	}
+}
 
 // Crash models the buffering process dying: the retransmission buffer
 // is lost (entries are released), and the engine marks itself down so
@@ -167,15 +255,9 @@ func (b *BufferEngine) Crash() {
 	if b.cfg.Recorder != nil {
 		b.cfg.Recorder.RecordAt(b.cfg.Clock.Now(), metrics.EvCrash, 0, 0, uint64(b.bytes))
 	}
-	for _, pkt := range b.store {
-		b.stats.ReleasedBytes += uint64(len(pkt))
-		if b.cfg.Release != nil {
-			b.cfg.Release(pkt)
-		}
+	for len(b.oldest) > 0 {
+		b.release(b.oldest[0], len(b.oldest[0].held()))
 	}
-	b.store = make(map[bufKey][]byte)
-	b.order = nil
-	b.bytes = 0
 }
 
 // Restart brings a crashed engine back into service with a cold buffer.
@@ -194,56 +276,67 @@ func (b *BufferEngine) Down() bool { return b.down }
 // Callers whose packet buffers have other owners must pass a copy —
 // downstream elements mutate headers in flight (age, back-pressure
 // level), and the buffer must retransmit the packet as it left here.
-func (b *BufferEngine) Stash(exp wire.ExperimentID, seq uint64, pkt []byte) {
-	for b.bytes+len(pkt) > b.cfg.CapacityBytes && len(b.order) > 0 {
-		oldest := b.order[0]
-		b.order = b.order[1:]
-		if old, ok := b.store[oldest]; ok {
-			b.bytes -= len(old)
-			delete(b.store, oldest)
-			if b.cfg.Release != nil {
-				b.cfg.Release(old)
-			}
-			b.stats.ReleasedBytes += uint64(len(old))
-			b.stats.Evicted++
-			if b.cfg.Journal != nil {
-				b.cfg.Journal.Tombstone(oldest.exp, oldest.seq)
-			}
-			if b.cfg.Recorder != nil {
-				b.cfg.Recorder.RecordAt(b.cfg.Clock.Now(), metrics.EvEvict,
-					uint64(oldest.exp), oldest.seq, uint64(len(old)))
-			}
+//
+// Sequence numbers ascend per experiment. A seq at or below the newest
+// one exp still holds is refused: Stash returns false, counts
+// BufferStats.Refused, and pkt stays the caller's. A seq further ahead
+// than newest+1 is accepted and leaves a hole.
+func (b *BufferEngine) Stash(exp wire.ExperimentID, seq uint64, pkt []byte) bool {
+	ok := b.RestoreStash(exp, seq, pkt)
+	if ok && b.cfg.Journal != nil {
+		b.cfg.Journal.Append(exp, seq, pkt)
+	}
+	return ok
+}
+
+// RestoreStash is Stash without the journal append: it re-inserts a
+// journal-recovered entry, whose record is already on disk. Capacity
+// evictions triggered by the restore still journal their tombstones,
+// keeping the log consistent with the rebuilt stash. Lost records just
+// leave holes; a record that does not ascend is refused like any other.
+func (b *BufferEngine) RestoreStash(exp wire.ExperimentID, seq uint64, pkt []byte) bool {
+	st := b.expFor(exp)
+	if held := st.held(); len(held) > 0 && seq <= held[len(held)-1].seq {
+		b.stats.Refused++
+		return false
+	}
+	for b.bytes+len(pkt) > b.cfg.CapacityBytes && len(b.oldest) > 0 {
+		victim := b.oldest[0]
+		old := victim.held()[0]
+		b.release(victim, 1)
+		b.stats.Evicted++
+		if b.cfg.Journal != nil {
+			b.cfg.Journal.Tombstone(victim.exp, old.seq)
+		}
+		if b.cfg.Recorder != nil {
+			b.cfg.Recorder.RecordAt(b.cfg.Clock.Now(), metrics.EvEvict,
+				uint64(victim.exp), old.seq, uint64(len(old.pkt)))
 		}
 	}
-	k := bufKey{exp, seq}
-	b.store[k] = pkt
-	b.order = append(b.order, k)
+	// Reclaim the dead prefix only once it is half a full slice, so a
+	// steady window neither grows nor copies per packet.
+	if len(st.slots) == cap(st.slots) && st.head*2 >= len(st.slots) {
+		st.slots = st.slots[:copy(st.slots, st.slots[st.head:])]
+		st.head = 0
+	}
+	b.stamp++
+	st.slots = append(st.slots, stashSlot{seq: seq, stamp: b.stamp, pkt: pkt})
+	if len(st.held()) == 1 {
+		st.pos = len(b.oldest)
+		heap.Push(&b.oldest, st)
+	}
 	b.bytes += len(pkt)
 	b.stats.Buffered++
 	b.stats.BufferedBytes += uint64(len(pkt))
-	if b.cfg.Journal != nil && !b.restoring {
-		b.cfg.Journal.Append(exp, seq, pkt)
-	}
-}
-
-// RestoreStash re-inserts a journal-recovered entry without journaling a
-// fresh append (the record is already on disk). Capacity evictions
-// triggered by the restore still journal their tombstones, keeping the
-// log consistent with the rebuilt stash. Like Stash, the engine takes
-// ownership of pkt.
-func (b *BufferEngine) RestoreStash(exp wire.ExperimentID, seq uint64, pkt []byte) {
-	b.restoring = true
-	b.Stash(exp, seq, pkt)
-	b.restoring = false
+	return true
 }
 
 // RestoreSeq raises exp's sequence-assignment counter to at least seq.
 // Restart recovery calls it with the journal's sequence floor so a
 // restarted relay never re-assigns a sequence number it already used.
 func (b *BufferEngine) RestoreSeq(exp wire.ExperimentID, seq uint64) {
-	if b.seqs[exp] < seq {
-		b.seqs[exp] = seq
-	}
+	st := b.expFor(exp)
+	st.next = max(st.next, seq)
 }
 
 // ServeNAK retransmits the requested sequence numbers still buffered,
@@ -253,21 +346,26 @@ func (b *BufferEngine) RestoreSeq(exp wire.ExperimentID, seq uint64) {
 // lookups, and what it names beyond them is missed unvisited.
 func (b *BufferEngine) ServeNAK(nak *wire.NAK) {
 	b.stats.NAKs++
+	held := b.lookup(nak.Experiment).held()
 	var served uint64
 	budget := DefaultMaxSeqJump
 	for _, r := range nak.Ranges {
+		// held ascends, so one search finds the range's first candidate and
+		// the walk below keeps held[i].seq >= seq from there.
+		i := sort.Search(len(held), func(i int) bool { return held[i].seq >= r.From })
 		for seq := r.From; seq <= r.To && budget > 0; seq++ {
 			budget--
-			if pkt, ok := b.store[bufKey{nak.Experiment, seq}]; ok {
-				if v := wire.View(pkt); v.TraceSampled() {
+			if i < len(held) && held[i].seq == seq {
+				if v := wire.View(held[i].pkt); v.TraceSampled() {
 					// Stash entries are engine-owned, so stamping in place is
 					// safe on both substrates; the reshape→rtx stamp gap makes
 					// stash residency visible in the reconstructed span tree.
 					_ = v.AppendHopStamp(wire.TraceHopRetransmit, b.cfg.Clock.Now())
 				}
-				b.dp.SendData(nak.Requester, pkt)
+				b.dp.SendData(nak.Requester, held[i].pkt)
 				b.stats.Retransmits++
 				served++
+				i++
 			}
 			if seq == r.To { // avoid uint64 wrap on To == MaxUint64
 				break
@@ -288,32 +386,22 @@ func (b *BufferEngine) ServeNAK(nak *wire.NAK) {
 	}
 }
 
-// Trim drops buffered packets up to and including cum, releasing them.
+// Trim drops exp's buffered packets up to and including cum, releasing
+// them: work in proportion to what it releases, whatever else the shard
+// holds.
 func (b *BufferEngine) Trim(exp wire.ExperimentID, cum uint64) {
-	kept := b.order[:0]
-	var released uint64
-	for _, k := range b.order {
-		if k.exp == exp && k.seq <= cum {
-			if old, ok := b.store[k]; ok {
-				b.bytes -= len(old)
-				delete(b.store, k)
-				if b.cfg.Release != nil {
-					b.cfg.Release(old)
-				}
-				b.stats.ReleasedBytes += uint64(len(old))
-				b.stats.Trimmed++
-				released++
-			}
-			continue
-		}
-		kept = append(kept, k)
+	st := b.lookup(exp)
+	held := st.held()
+	n := sort.Search(len(held), func(i int) bool { return held[i].seq > cum })
+	if n > 0 {
+		b.release(st, n)
+		b.stats.Trimmed += uint64(n)
 	}
-	b.order = kept
 	if b.cfg.Journal != nil {
 		b.cfg.Journal.TrimTo(exp, cum)
 	}
-	if released > 0 && b.cfg.Recorder != nil {
-		b.cfg.Recorder.RecordAt(b.cfg.Clock.Now(), metrics.EvTrim, uint64(exp), cum, released)
+	if n > 0 && b.cfg.Recorder != nil {
+		b.cfg.Recorder.RecordAt(b.cfg.Clock.Now(), metrics.EvTrim, uint64(exp), cum, uint64(n))
 	}
 }
 

@@ -146,9 +146,9 @@ type RelayStats struct {
 // its own business.
 type RelayEngine[D fmt.Stringer] struct {
 	cfg RelayConfig[D]
-	// sb partitions sequence counters, stash and journal by experiment: a
-	// cumulative-ACK trim scans only its shard's FIFO, and each shard has
-	// its own journal files and writer goroutine.
+	// sb partitions sequence counters, stash and journal by experiment:
+	// each shard evicts on its own and has its own journal files and writer
+	// goroutine.
 	sb *ShardedBuffer
 	// jset is the per-shard write-ahead journal set (nil without
 	// JournalDir). Hot-path appends go through the shard engines' Journal
@@ -226,13 +226,17 @@ func (e *RelayEngine[D]) unlock() {
 // engine: surviving entries are copied into Alloc'd buffers (the stash
 // owns and releases its entries) and re-stashed without re-journaling,
 // then sequence counters are raised to the journal's floors so later
-// upgrades never reuse a sequence number. Caller holds the lock, or runs
-// before the adapter can reach the engine.
+// upgrades never reuse a sequence number. The journal is outside input: an
+// entry that does not ascend is refused (and counted) by the stash, and its
+// copy goes back the way a stashed one would. Caller holds the lock, or
+// runs before the adapter can reach the engine.
 func (e *RelayEngine[D]) restoreShard(buf *BufferEngine, rec *journal.Recovered) {
 	for _, ent := range rec.Entries {
 		pkt := e.cfg.Alloc(len(ent.Payload))
 		copy(pkt, ent.Payload)
-		buf.RestoreStash(ent.Exp, ent.Seq, pkt)
+		if !buf.RestoreStash(ent.Exp, ent.Seq, pkt) && e.cfg.Buffer.Release != nil {
+			e.cfg.Buffer.Release(pkt)
+		}
 	}
 	for exp, seq := range rec.Seqs {
 		buf.RestoreSeq(exp, seq)
@@ -316,7 +320,10 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 	if sequenced {
 		// The stash takes ownership of the buffer: downstream elements
 		// mutate headers in flight, and the buffer must retransmit the
-		// packet as it left here.
+		// packet as it left here. It cannot refuse: seq is fresh from
+		// NextSeq, which stays at or above the newest number held (nothing
+		// else feeds this path, and a restore's RestoreSeq follows its
+		// RestoreStash).
 		buf.Stash(exp, seq, up)
 		if e.cfg.DropEveryN > 0 && seq%uint64(e.cfg.DropEveryN) == 0 {
 			e.injectedDrops++
@@ -548,6 +555,7 @@ func (e *RelayEngine[D]) RegisterMetrics(reg *metrics.Registry) {
 	gauge(metrics.MetricBufStashedBytes, func(s RelayStats) uint64 { return s.BufferedBytes })
 	gauge(metrics.MetricBufEvicted, func(s RelayStats) uint64 { return s.Evicted })
 	gauge(metrics.MetricBufTrimmed, func(s RelayStats) uint64 { return s.Trimmed })
+	gauge(metrics.MetricBufRefused, func(s RelayStats) uint64 { return s.Refused })
 	gauge(metrics.MetricBufNAKsServed, func(s RelayStats) uint64 { return s.NAKs })
 	gauge(metrics.MetricBufRetransmits, func(s RelayStats) uint64 { return s.Retransmits })
 	gauge(metrics.MetricBufNAKMisses, func(s RelayStats) uint64 { return s.Misses })

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/wire"
 )
 
@@ -477,5 +478,46 @@ func TestRelayEngineBoundaryTrace(t *testing.T) {
 	}
 	if len(traced) != 2 || traced[0] != 2 || traced[1] != 4 {
 		t.Fatalf("traced upgrades %v, want IDs [2 4]", traced)
+	}
+}
+
+// TestRelayRestoreReleasesRefusedEntries: the journal is outside input. A
+// log whose records for one experiment do not ascend restores what ascends;
+// the record that does not is refused by the stash and counted, and the
+// buffer restore allocated for it goes back through Buffer.Release — once,
+// like every buffer the stash did accept.
+func TestRelayRestoreReleasesRefusedEntries(t *testing.T) {
+	dir := t.TempDir()
+	set, err := journal.OpenSet(dir, 1, journal.SyncNone, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []uint64{2, 1, 4} { // 1 is out of order; 3 was lost
+		set.Shard(0).Append(expA, seq, seqPacket(t, seq, rigSelf, "journaled"))
+	}
+	if err := set.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := newRelayRig(t, func(c *RelayConfig[testDst]) { c.JournalDir = dir })
+	st := r.eng.Stats()
+	if st.Buffered != 2 || st.Refused != 1 || len(r.allocated) != 3 {
+		t.Fatalf("restore of [2 1 4]: %+v from %d buffers, want 2 stashed and 1 refused of 3", st, len(r.allocated))
+	}
+	if n := r.released[r.allocated[1]]; n != 1 || len(r.released) != 1 {
+		t.Fatalf("refused entry's buffer released %d times, %d buffers released in all; want it alone, once", n, len(r.released))
+	}
+	r.nak(expA, 1, 4)
+	if st := r.eng.Stats(); st.Retransmits != 2 || st.Misses != 2 {
+		t.Fatalf("NAK 1..4 over a restored {2, 4}: %+v", st)
+	}
+	r.ingest(rigSrcA, expA)
+	r.wantOut(emitted{"rx-a", 5}) // the floor covers every record, refused or not
+
+	r.ack(expA, 5)
+	for i, b := range r.allocated {
+		if r.released[b] != 1 {
+			t.Fatalf("buffer %d released %d times, want once", i, r.released[b])
+		}
 	}
 }

@@ -7,10 +7,11 @@ import "repro/internal/wire"
 // sequence counters, the retransmission stash, NAK service, cumulative
 // trim — already lives under the experiment key, so routing each
 // experiment to a fixed shard preserves per-experiment ordering exactly.
-// What a shard buys is smaller state per operation, not parallelism: a
-// cumulative-ACK Trim scans only its shard's FIFO, eviction is FIFO per
-// shard, and RelayEngine gives each shard its own journal file set and
-// writer goroutine.
+// What a shard buys is neither parallelism nor cheaper operations — stash,
+// trim and NAK service touch only the experiment's own run, whatever else
+// the shard holds. A shard is an eviction domain (capacity is split evenly
+// and eviction is FIFO per shard) and, under RelayEngine, a journal file
+// set with its own writer goroutine; nothing else.
 //
 // Like BufferEngine itself, ShardedBuffer is not self-synchronizing: it
 // contains no locks, and one caller-side lock covers all shards
@@ -64,10 +65,10 @@ func (s *ShardedBuffer) SeqOf(exp wire.ExperimentID) uint64 {
 	return s.Shard(exp).SeqOf(exp)
 }
 
-// Stash retains pkt for retransmission on exp's shard; ownership
-// semantics are BufferEngine.Stash's.
-func (s *ShardedBuffer) Stash(exp wire.ExperimentID, seq uint64, pkt []byte) {
-	s.Shard(exp).Stash(exp, seq, pkt)
+// Stash retains pkt for retransmission on exp's shard; the ownership and
+// ascending-seq contract, and the refusal result, are BufferEngine.Stash's.
+func (s *ShardedBuffer) Stash(exp wire.ExperimentID, seq uint64, pkt []byte) bool {
+	return s.Shard(exp).Stash(exp, seq, pkt)
 }
 
 // ServeNAK routes the NAK to the shard owning its experiment's stash.

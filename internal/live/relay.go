@@ -39,9 +39,11 @@ type RelayConfig struct {
 	// experiment ID) to its downstream address. Returning "" rejects
 	// the flow. Called once per flow registration, not per packet.
 	Resolver func(src wire.Addr, exp wire.ExperimentID) string
-	// Shards is the number of stash and journal partitions experiments
-	// are spread across (one FIFO, one journal file set and writer per
-	// shard; one lock over all of them). Zero means 1.
+	// Shards is the number of partitions experiments are spread across.
+	// A shard is an eviction domain (CapacityBytes is split evenly, each
+	// shard evicts its own oldest) and a journal file set with its own
+	// writer goroutine, nothing else; one lock covers all of them. Zero
+	// means 1.
 	Shards int
 	// MaxFlows bounds the flow table across all shards; registrations
 	// beyond it are rejected (counted in dmtp.relay.flows.rejected).

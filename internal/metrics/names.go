@@ -31,6 +31,7 @@ const (
 	MetricBufStashedBytes   = "dmtp.buf.stashed_bytes"
 	MetricBufEvicted        = "dmtp.buf.evicted"
 	MetricBufTrimmed        = "dmtp.buf.trimmed"
+	MetricBufRefused        = "dmtp.buf.refused"
 	MetricBufNAKsServed     = "dmtp.buf.naks_served"
 	MetricBufRetransmits    = "dmtp.buf.retransmits"
 	MetricBufNAKMisses      = "dmtp.buf.nak_misses"
@@ -182,6 +183,7 @@ var Catalog = []Info{
 	{MetricBufStashedBytes, KindGauge, "bytes", "cumulative bytes stashed"},
 	{MetricBufEvicted, KindGauge, "packets", "stash entries evicted for capacity (oldest first)"},
 	{MetricBufTrimmed, KindGauge, "packets", "stash entries released by cumulative ACKs"},
+	{MetricBufRefused, KindGauge, "packets", "stash inserts refused: sequence number at or below the newest held — a re-adopted retransmission or a non-ascending journal record"},
 	{MetricBufNAKsServed, KindGauge, "packets", "NAK packets served from the stash"},
 	{MetricBufRetransmits, KindGauge, "packets", "retransmissions sent in response to NAKs"},
 	{MetricBufNAKMisses, KindGauge, "seqs", "NAKed sequence numbers no longer buffered (evicted, trimmed, or lost to a crash)"},
