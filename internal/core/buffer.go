@@ -192,10 +192,7 @@ func (b *BufferNode) emit(f *dmtp.Flow[route], pkt []byte) {
 // with the sequence number as nonce.
 func (b *BufferNode) seal(up wire.View, seq uint64) {
 	nonce := uint32(seq)
-	off, _ := up.Features().ExtOffset(wire.FeatEncrypted)
-	ext := up[wire.CoreHeaderLen+off:]
-	ext[0], ext[1], ext[2], ext[3] = byte(b.cfg.KeyEpoch>>24), byte(b.cfg.KeyEpoch>>16), byte(b.cfg.KeyEpoch>>8), byte(b.cfg.KeyEpoch)
-	ext[4], ext[5], ext[6], ext[7] = byte(nonce>>24), byte(nonce>>16), byte(nonce>>8), byte(nonce)
+	up.SetCipher(wire.CipherExt{KeyEpoch: b.cfg.KeyEpoch, Nonce: nonce})
 	b.cfg.Cipher.Seal(b.cfg.KeyEpoch, nonce, up.Payload())
 }
 

@@ -200,8 +200,8 @@ func (r *Receiver) HandleFrame(_ *netsim.Port, f *netsim.Frame) {
 // the frame (simulator frames outlive delivery).
 func (r *Receiver) finalizePayload(v wire.View) []byte {
 	payload := v.Payload()
-	if v.Features().Has(wire.FeatEncrypted) && r.cfg.Cipher != nil {
-		if ext, err := cipherExt(v); err == nil {
+	if r.cfg.Cipher != nil {
+		if ext, err := v.Cipher(); err == nil {
 			// Decrypt a copy: the view may alias a buffered frame.
 			dec := append([]byte(nil), payload...)
 			r.cfg.Cipher.Open(ext.KeyEpoch, ext.Nonce, dec)
@@ -217,16 +217,4 @@ func (r *Receiver) handOver(msg Message) {
 	if r.cfg.OnMessage != nil {
 		r.cfg.OnMessage(msg)
 	}
-}
-
-func cipherExt(v wire.View) (wire.CipherExt, error) {
-	off, err := v.Features().ExtOffset(wire.FeatEncrypted)
-	if err != nil {
-		return wire.CipherExt{}, err
-	}
-	b := v[wire.CoreHeaderLen+off:]
-	return wire.CipherExt{
-		KeyEpoch: uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]),
-		Nonce:    uint32(b[4])<<24 | uint32(b[5])<<16 | uint32(b[6])<<8 | uint32(b[7]),
-	}, nil
 }

@@ -445,12 +445,10 @@ func StampUpgrade(up wire.View, seq uint64, nowNanos int64, u Upgrade) {
 		up.SetDeadline(uint64(nowNanos)+uint64(u.DeadlineBudget), u.DeadlineNotify)
 	}
 	if feats.Has(wire.FeatBackPressure) {
-		if off, err := feats.ExtOffset(wire.FeatBackPressure); err == nil {
-			ext := up[wire.CoreHeaderLen+off:]
-			copy(ext[:4], u.BackPressureSink.IP[:])
-			ext[4] = byte(u.BackPressureSink.Port >> 8)
-			ext[5] = byte(u.BackPressureSink.Port)
-		}
+		// A level set upstream survives the reshape; only the sink is ours.
+		bp, _ := up.BackPressure()
+		bp.Sink = u.BackPressureSink
+		up.SetBackPressure(bp)
 	}
 	if feats.Has(wire.FeatTimestamped) {
 		if ts, err := up.OriginTimestamp(); err == nil && ts == 0 {

@@ -8,6 +8,8 @@ package live
 import (
 	"net"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestBatchConnSendAllocs gates the raw batched write path: a warm
@@ -81,7 +83,7 @@ func TestBatchConnRecvAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rd.Packets(n, func(pkt []byte) {
+			rd.PacketsSrc(n, func(pkt []byte, _ wire.Addr) {
 				seen += len(pkt)
 				got++
 			})

@@ -214,7 +214,7 @@ func (bc *batchConn) Close() {
 
 // ReadBatch blocks until at least one datagram is available and returns
 // the number received into the ring (1 on the portable path). The
-// datagrams are visited with Packets; their buffers are valid only
+// datagrams are visited with PacketsSrc; their buffers are valid only
 // until the next ReadBatch.
 func (bc *batchConn) ReadBatch() (int, error) {
 	if bc.k != nil {
@@ -236,24 +236,13 @@ func (bc *batchConn) ReadBatch() (int, error) {
 	return 1, nil
 }
 
-// Packets invokes fn once per wire packet of the last ReadBatch (n is
-// ReadBatch's return), splitting GRO-coalesced datagrams at their
-// segment boundaries. fn must not retain pkt past its return.
-func (bc *batchConn) Packets(n int, fn func(pkt []byte)) {
-	if bc.k != nil {
-		bc.k.packets(n, fn)
-		return
-	}
-	if n > 0 {
-		fn(bc.rbuf[:bc.rlen])
-	}
-}
-
-// PacketsSrc is Packets with each wire packet's source address attached
-// — the relay's flow-demultiplexing ingest. GRO only coalesces
-// datagrams of a single flow, so split segments inherit their
-// datagram's source. A zero src means the source could not be captured
-// (non-IPv4 peer); callers treat those as unroutable.
+// PacketsSrc invokes fn once per wire packet of the last ReadBatch (n is
+// ReadBatch's return) with the packet's source address — what the relay
+// demultiplexes flows on — splitting GRO-coalesced datagrams at their
+// segment boundaries. GRO only coalesces datagrams of a single flow, so
+// split segments inherit their datagram's source. A zero src means the
+// source could not be captured (non-IPv4 peer); callers treat those as
+// unroutable. fn must not retain pkt past its return.
 func (bc *batchConn) PacketsSrc(n int, fn func(pkt []byte, src wire.Addr)) {
 	if bc.k != nil {
 		bc.k.packetsSrc(n, fn)

@@ -226,33 +226,11 @@ func (k *kernelBatch) readBatch() (int, error) {
 	return n, nil
 }
 
-// packets visits each wire packet of the last readBatch, splitting
-// GRO-coalesced datagrams at their segment boundaries (the last
-// segment may be shorter).
-func (k *kernelBatch) packets(n int, fn func(pkt []byte)) {
-	if n > len(k.rhdrs) {
-		n = len(k.rhdrs)
-	}
-	for i := 0; i < n; i++ {
-		buf := k.rbufs[i][:k.rlens[i]]
-		seg := k.rsegs[i]
-		if seg <= 0 || len(buf) <= seg {
-			fn(buf)
-			continue
-		}
-		for off := 0; off < len(buf); off += seg {
-			end := off + seg
-			if end > len(buf) {
-				end = len(buf)
-			}
-			fn(buf[off:end])
-		}
-	}
-}
-
-// packetsSrc is packets with the datagram's source address attached to
-// every wire packet. GRO only coalesces datagrams of one flow, so all
-// segments split from a slot share that slot's source.
+// packetsSrc visits each wire packet of the last readBatch with its
+// datagram's source address, splitting GRO-coalesced datagrams at their
+// segment boundaries (the last segment may be shorter). GRO only
+// coalesces datagrams of one flow, so all segments split from a slot
+// share that slot's source.
 func (k *kernelBatch) packetsSrc(n int, fn func(pkt []byte, src wire.Addr)) {
 	if n > len(k.rhdrs) {
 		n = len(k.rhdrs)

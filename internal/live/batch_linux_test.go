@@ -13,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"unsafe"
+
+	"repro/internal/wire"
 )
 
 // batchPair builds a bound reader and a connected writer over loopback,
@@ -47,7 +49,7 @@ func drain(t *testing.T, rd *batchConn, want int) [][]byte {
 		if err != nil {
 			t.Fatalf("ReadBatch after %d pkts: %v", len(got), err)
 		}
-		rd.Packets(n, func(pkt []byte) {
+		rd.PacketsSrc(n, func(pkt []byte, _ wire.Addr) {
 			got = append(got, append([]byte(nil), pkt...))
 		})
 	}

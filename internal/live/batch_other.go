@@ -19,7 +19,6 @@ type kernelBatch struct{}
 func newKernelBatch(*net.UDPConn, *batchStats, bool, *BatchCaps) *kernelBatch { return nil }
 
 func (*kernelBatch) readBatch() (int, error)                        { return 0, nil }
-func (*kernelBatch) packets(int, func([]byte))                      {}
 func (*kernelBatch) packetsSrc(int, func([]byte, wire.Addr))        {}
 func (*kernelBatch) writeBatch([][]byte, *net.UDPAddr) (int, error) { return 0, nil }
 func (*kernelBatch) close()                                         {}

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // stubConn scripts UDPConn behavior for fallback tests.
@@ -120,9 +122,9 @@ func TestBatchConnFallbackReadShort(t *testing.T) {
 		t.Fatalf("ReadBatch = (%d, %v), want (1, nil)", n, err)
 	}
 	var got [][]byte
-	bc.Packets(n, func(pkt []byte) { got = append(got, append([]byte(nil), pkt...)) })
+	bc.PacketsSrc(n, func(pkt []byte, _ wire.Addr) { got = append(got, append([]byte(nil), pkt...)) })
 	if len(got) != 1 || len(got[0]) != 33 || got[0][0] != 5 {
-		t.Fatalf("Packets surfaced %v", got)
+		t.Fatalf("PacketsSrc surfaced %v", got)
 	}
 	if st := stats.snapshot(); st.RecvPackets != 1 {
 		t.Fatalf("RecvPackets = %d, want 1", st.RecvPackets)

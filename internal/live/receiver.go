@@ -325,6 +325,13 @@ func (r *Receiver) readLoop() {
 	// non-Linux sockets serve the same loop one datagram at a time.
 	bc := newBatchConn(r.conn, &r.bstats, true)
 	defer bc.Close()
+	ingest := func(pkt []byte, _ wire.Addr) {
+		v := wire.View(pkt)
+		if _, err := v.Check(); err != nil || v.IsControl() {
+			return
+		}
+		r.eng.Ingest(v)
+	}
 	for {
 		n, err := bc.ReadBatch()
 		if err != nil {
@@ -344,13 +351,7 @@ func (r *Receiver) readLoop() {
 			r.mu.Unlock()
 			return
 		}
-		bc.Packets(n, func(pkt []byte) {
-			v := wire.View(pkt)
-			if _, err := v.Check(); err != nil || v.IsControl() {
-				return
-			}
-			r.eng.Ingest(v)
-		})
+		bc.PacketsSrc(n, ingest)
 		f := r.takeFlushLocked()
 		r.mu.Unlock()
 		r.dispatch(f)

@@ -128,12 +128,12 @@ func (m *ModeChanger) Process(ctx *Context, pkt wire.View, meta *Meta) (wire.Vie
 		}
 	}
 	if added.Has(wire.FeatBackPressure) {
-		if err := setBackPressureSink(out, act.BackPressureSink, 0); err != nil {
+		if err := out.SetBackPressure(wire.BackPressureExt{Sink: act.BackPressureSink}); err != nil {
 			return nil, err
 		}
 	}
 	if added.Has(wire.FeatDuplicate) {
-		if err := setDup(out, act.DupGroup, act.DupScope); err != nil {
+		if err := out.SetDup(wire.DupExt{Group: act.DupGroup, Scope: act.DupScope}); err != nil {
 			return nil, err
 		}
 	}
@@ -160,33 +160,6 @@ func (m *ModeChanger) Process(ctx *Context, pkt wire.View, meta *Meta) (wire.Vie
 	}
 	m.Transitions++
 	return out, nil
-}
-
-// setBackPressureSink writes the full back-pressure extension. wire.View
-// only exposes a level setter (the common in-flight mutation), so the mode
-// changer reaches the field through the offset API.
-func setBackPressureSink(v wire.View, sink wire.Addr, level uint8) error {
-	off, err := v.Features().ExtOffset(wire.FeatBackPressure)
-	if err != nil {
-		return err
-	}
-	b := v[wire.CoreHeaderLen+off:]
-	copy(b[:4], sink.IP[:])
-	b[4] = byte(sink.Port >> 8)
-	b[5] = byte(sink.Port)
-	b[6] = level
-	return nil
-}
-
-func setDup(v wire.View, group uint32, scope uint8) error {
-	off, err := v.Features().ExtOffset(wire.FeatDuplicate)
-	if err != nil {
-		return err
-	}
-	b := v[wire.CoreHeaderLen+off:]
-	b[0], b[1], b[2], b[3] = byte(group>>24), byte(group>>16), byte(group>>8), byte(group)
-	b[4] = scope
-	return nil
 }
 
 // TraceStamper records this element's transit in sampled in-band traces:

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // be is the protocol byte order. DMTP fields are big-endian, as is
@@ -69,11 +70,17 @@ type SeqExt struct {
 	Seq uint64
 }
 
+func (e SeqExt) put(b []byte)         { be.PutUint64(b, e.Seq) }
+func seqExtFromBytes(b []byte) SeqExt { return SeqExt{Seq: be.Uint64(b)} }
+
 // RetransmitExt is the FeatReliable extension: the nearest upstream
 // retransmission buffer from which missing packets may be requested.
 type RetransmitExt struct {
 	Buffer Addr
 }
+
+func (e RetransmitExt) put(b []byte)                { e.Buffer.put(b) }
+func retransmitExtFromBytes(b []byte) RetransmitExt { return RetransmitExt{Buffer: addrFromBytes(b)} }
 
 // DeadlineExt is the FeatTimely extension: the absolute delivery deadline
 // (nanoseconds on the deployment's time base) and where to send a
@@ -81,6 +88,15 @@ type RetransmitExt struct {
 type DeadlineExt struct {
 	DeadlineNanos uint64
 	Notify        Addr
+}
+
+func (e DeadlineExt) put(b []byte) {
+	be.PutUint64(b[0:8], e.DeadlineNanos)
+	e.Notify.put(b[8:14])
+}
+
+func deadlineExtFromBytes(b []byte) DeadlineExt {
+	return DeadlineExt{DeadlineNanos: be.Uint64(b[0:8]), Notify: addrFromBytes(b[8:14])}
 }
 
 // Age-extension flag bits.
@@ -103,11 +119,30 @@ type AgeExt struct {
 // Aged reports whether the aged flag has been set.
 func (a AgeExt) Aged() bool { return a.Flags&AgedFlag != 0 }
 
+func (a AgeExt) put(b []byte) {
+	be.PutUint32(b[0:4], a.AgeMicros)
+	be.PutUint32(b[4:8], a.MaxAgeMicros)
+	b[8] = a.Flags
+}
+
+func ageExtFromBytes(b []byte) AgeExt {
+	return AgeExt{AgeMicros: be.Uint32(b[0:4]), MaxAgeMicros: be.Uint32(b[4:8]), Flags: b[8]}
+}
+
 // PaceExt is the FeatPaced extension: the pacing rate assigned to the
 // sender, in megabits per second, and the permitted burst in kilobytes.
 type PaceExt struct {
 	RateMbps uint32
 	BurstKB  uint32
+}
+
+func (e PaceExt) put(b []byte) {
+	be.PutUint32(b[0:4], e.RateMbps)
+	be.PutUint32(b[4:8], e.BurstKB)
+}
+
+func paceExtFromBytes(b []byte) PaceExt {
+	return PaceExt{RateMbps: be.Uint32(b[0:4]), BurstKB: be.Uint32(b[4:8])}
 }
 
 // BackPressureExt is the FeatBackPressure extension: where on-path elements
@@ -118,6 +153,15 @@ type BackPressureExt struct {
 	Level uint8
 }
 
+func (e BackPressureExt) put(b []byte) {
+	e.Sink.put(b[0:6])
+	b[6] = e.Level
+}
+
+func backPressureExtFromBytes(b []byte) BackPressureExt {
+	return BackPressureExt{Sink: addrFromBytes(b[0:6]), Level: b[6]}
+}
+
 // DupExt is the FeatDuplicate extension: the pre-configured distribution
 // group toward which on-path elements duplicate the stream, and a scope
 // limiting how many duplication stages may act on it.
@@ -126,6 +170,13 @@ type DupExt struct {
 	Scope uint8
 }
 
+func (e DupExt) put(b []byte) {
+	be.PutUint32(b[0:4], e.Group)
+	b[4] = e.Scope
+}
+
+func dupExtFromBytes(b []byte) DupExt { return DupExt{Group: be.Uint32(b[0:4]), Scope: b[4]} }
+
 // CipherExt is the FeatEncrypted extension: key epoch and per-packet nonce
 // for the (external, Req 5) payload cipher.
 type CipherExt struct {
@@ -133,11 +184,23 @@ type CipherExt struct {
 	Nonce    uint32
 }
 
+func (e CipherExt) put(b []byte) {
+	be.PutUint32(b[0:4], e.KeyEpoch)
+	be.PutUint32(b[4:8], e.Nonce)
+}
+
+func cipherExtFromBytes(b []byte) CipherExt {
+	return CipherExt{KeyEpoch: be.Uint32(b[0:4]), Nonce: be.Uint32(b[4:8])}
+}
+
 // TimestampExt is the FeatTimestamped extension: the origin timestamp of
 // the datagram in nanoseconds on the deployment's time base.
 type TimestampExt struct {
 	OriginNanos uint64
 }
+
+func (e TimestampExt) put(b []byte)               { be.PutUint64(b, e.OriginNanos) }
+func timestampExtFromBytes(b []byte) TimestampExt { return TimestampExt{OriginNanos: be.Uint64(b)} }
 
 // Header is the decoded form of a DMTP data-packet header: the core header
 // plus whichever extension fields the feature bits activate. The zero value
@@ -161,16 +224,18 @@ type Header struct {
 
 // WireSize returns the encoded size of the header in bytes.
 func (h *Header) WireSize() int {
-	n, err := h.Features.ExtLen()
-	if err != nil {
-		// Undefined bits contribute no extensions; Encode rejects them.
-		n = 0
-	}
+	// A set with undefined bits counts no extensions; AppendTo rejects it.
+	n, _ := h.Features.ExtLen()
 	return CoreHeaderLen + n
 }
 
 // IsControl reports whether the header's ConfigID marks a control packet.
 func (h *Header) IsControl() bool { return h.ConfigID >= ControlBase }
+
+// zeroExt is a zeroed field of the largest size: AppendTo appends each
+// field zeroed, so reserved bytes are zero on the wire, and its codec then
+// writes only the defined bytes.
+var zeroExt = make([]byte, slices.Max(extSizes[:]))
 
 // AppendTo appends the encoded header to b and returns the extended slice.
 // It returns an error if a data packet's feature set contains undefined
@@ -192,44 +257,35 @@ func (h *Header) AppendTo(b []byte) ([]byte, error) {
 		return b, nil
 	}
 
-	var scratch [maxExtSize]byte
 	for i := 0; i < featureCount; i++ {
 		bit := Features(1) << i
 		if h.Features&bit == 0 {
 			continue
 		}
-		ext := scratch[:extSizes[i]]
-		clear(ext)
+		b = append(b, zeroExt[:extSizes[i]]...)
+		ext := b[len(b)-extSizes[i]:]
 		switch bit {
 		case FeatSequenced:
-			be.PutUint64(ext, h.Seq.Seq)
+			h.Seq.put(ext)
 		case FeatReliable:
-			h.Retransmit.Buffer.put(ext)
+			h.Retransmit.put(ext)
 		case FeatTimely:
-			be.PutUint64(ext[0:8], h.Deadline.DeadlineNanos)
-			h.Deadline.Notify.put(ext[8:14])
+			h.Deadline.put(ext)
 		case FeatAgeTracked:
-			be.PutUint32(ext[0:4], h.Age.AgeMicros)
-			be.PutUint32(ext[4:8], h.Age.MaxAgeMicros)
-			ext[8] = h.Age.Flags
+			h.Age.put(ext)
 		case FeatPaced:
-			be.PutUint32(ext[0:4], h.Pace.RateMbps)
-			be.PutUint32(ext[4:8], h.Pace.BurstKB)
+			h.Pace.put(ext)
 		case FeatBackPressure:
-			h.BackPressure.Sink.put(ext[0:6])
-			ext[6] = h.BackPressure.Level
+			h.BackPressure.put(ext)
 		case FeatDuplicate:
-			be.PutUint32(ext[0:4], h.Dup.Group)
-			ext[4] = h.Dup.Scope
+			h.Dup.put(ext)
 		case FeatEncrypted:
-			be.PutUint32(ext[0:4], h.Cipher.KeyEpoch)
-			be.PutUint32(ext[4:8], h.Cipher.Nonce)
+			h.Cipher.put(ext)
 		case FeatTimestamped:
-			be.PutUint64(ext, h.Timestamp.OriginNanos)
+			h.Timestamp.put(ext)
 		case FeatTraced:
 			h.Trace.put(ext)
 		}
-		b = append(b, ext...)
 	}
 	return b, nil
 }
@@ -266,30 +322,23 @@ func (h *Header) DecodeFromBytes(b []byte) (n int, err error) {
 		ext := b[off : off+sz]
 		switch bit {
 		case FeatSequenced:
-			h.Seq.Seq = be.Uint64(ext)
+			h.Seq = seqExtFromBytes(ext)
 		case FeatReliable:
-			h.Retransmit.Buffer = addrFromBytes(ext)
+			h.Retransmit = retransmitExtFromBytes(ext)
 		case FeatTimely:
-			h.Deadline.DeadlineNanos = be.Uint64(ext[0:8])
-			h.Deadline.Notify = addrFromBytes(ext[8:14])
+			h.Deadline = deadlineExtFromBytes(ext)
 		case FeatAgeTracked:
-			h.Age.AgeMicros = be.Uint32(ext[0:4])
-			h.Age.MaxAgeMicros = be.Uint32(ext[4:8])
-			h.Age.Flags = ext[8]
+			h.Age = ageExtFromBytes(ext)
 		case FeatPaced:
-			h.Pace.RateMbps = be.Uint32(ext[0:4])
-			h.Pace.BurstKB = be.Uint32(ext[4:8])
+			h.Pace = paceExtFromBytes(ext)
 		case FeatBackPressure:
-			h.BackPressure.Sink = addrFromBytes(ext[0:6])
-			h.BackPressure.Level = ext[6]
+			h.BackPressure = backPressureExtFromBytes(ext)
 		case FeatDuplicate:
-			h.Dup.Group = be.Uint32(ext[0:4])
-			h.Dup.Scope = ext[4]
+			h.Dup = dupExtFromBytes(ext)
 		case FeatEncrypted:
-			h.Cipher.KeyEpoch = be.Uint32(ext[0:4])
-			h.Cipher.Nonce = be.Uint32(ext[4:8])
+			h.Cipher = cipherExtFromBytes(ext)
 		case FeatTimestamped:
-			h.Timestamp.OriginNanos = be.Uint64(ext)
+			h.Timestamp = timestampExtFromBytes(ext)
 		case FeatTraced:
 			h.Trace = traceExtFromBytes(ext)
 		}

@@ -43,6 +43,12 @@ func canonHeader(h Header) Header {
 	if f.Has(FeatTimestamped) {
 		out.Timestamp = h.Timestamp
 	}
+	if f.Has(FeatTraced) {
+		out.Trace = h.Trace
+		for i := range out.Trace.Hops {
+			out.Trace.Hops[i].Stamp &= TraceStampMask
+		}
+	}
 	return out
 }
 
@@ -128,31 +134,6 @@ func TestHeaderTruncation(t *testing.T) {
 		if _, err := got.DecodeFromBytes(enc[:cut]); err == nil {
 			t.Fatalf("decode accepted truncation to %d of %d bytes", cut, len(enc))
 		}
-	}
-}
-
-func TestExtOffsetsAreOrderedAndPacked(t *testing.T) {
-	f := FeatSequenced | FeatTimely | FeatPaced | FeatTimestamped
-	want := 0
-	for _, feat := range []Features{FeatSequenced, FeatTimely, FeatPaced, FeatTimestamped} {
-		off, err := f.ExtOffset(feat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if off != want {
-			t.Fatalf("offset of %v = %d, want %d", feat, off, want)
-		}
-		want += FeatureSize(feat)
-	}
-	total, err := f.ExtLen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != want {
-		t.Fatalf("ExtLen %d, want %d", total, want)
-	}
-	if _, err := f.ExtOffset(FeatReliable); err == nil {
-		t.Fatal("ExtOffset returned an offset for an inactive feature")
 	}
 }
 

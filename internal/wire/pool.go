@@ -24,7 +24,7 @@ import (
 //     memory still in use (e.g. a sub-slice handed to another goroutine).
 //
 // SetChecked(true) turns on double-release and foreign-release detection for
-// tests; the production fast path is a single atomic-free bool read.
+// tests; with it off, Get and Release pay one atomic load and take no lock.
 type BufferPool struct {
 	classes [len(classSizes)]sync.Pool
 	nodes   sync.Pool // *pbuf nodes with b == nil, recycled between classes
@@ -35,8 +35,8 @@ type BufferPool struct {
 	hits     atomic.Uint64
 	oversize atomic.Uint64
 
-	mu      sync.Mutex
-	checked bool
+	checked atomic.Bool   // written under mu; the fast path only loads it
+	mu      sync.Mutex    // guards out
 	out     map[*byte]int // first-byte pointer -> class, outstanding buffers
 }
 
@@ -81,7 +81,7 @@ func NewBufferPool() *BufferPool { return &BufferPool{} }
 func (p *BufferPool) SetChecked(on bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.checked = on
+	p.checked.Store(on)
 	if on && p.out == nil {
 		p.out = make(map[*byte]int)
 	}
@@ -118,7 +118,7 @@ func (p *BufferPool) Get(n int) []byte {
 		b = make([]byte, classSizes[ci])
 	}
 	b = b[:n]
-	if p.isChecked() {
+	if p.checked.Load() {
 		p.track(b, ci)
 	}
 	return b
@@ -131,7 +131,7 @@ func (p *BufferPool) Release(b []byte) {
 		return
 	}
 	ci := releaseClassFor(cap(b))
-	if p.isChecked() {
+	if p.checked.Load() {
 		p.untrack(b, ci)
 	}
 	if ci < 0 {
@@ -157,18 +157,11 @@ func releaseClassFor(c int) int {
 	return -1
 }
 
-func (p *BufferPool) isChecked() bool {
-	p.mu.Lock()
-	on := p.checked
-	p.mu.Unlock()
-	return on
-}
-
 func (p *BufferPool) track(b []byte, ci int) {
 	key := &b[:1][0]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.checked {
+	if !p.checked.Load() {
 		return
 	}
 	p.out[key] = ci
@@ -178,7 +171,7 @@ func (p *BufferPool) untrack(b []byte, ci int) {
 	key := &b[:1][0]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.checked {
+	if !p.checked.Load() {
 		return
 	}
 	if _, ok := p.out[key]; !ok {

@@ -3,6 +3,7 @@ package wire
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestPoolSizeClasses(t *testing.T) {
@@ -151,4 +152,23 @@ func TestPoolConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPoolUncheckedTakesNoLock holds the checking mutex while another
+// goroutine uses the pool with checking off: the unchecked Get and Release
+// must not wait for it.
+func TestPoolUncheckedTakesNoLock(t *testing.T) {
+	p := NewBufferPool()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Release(p.Get(100))
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Get/Release with checking off blocked on the pool mutex")
+	}
 }

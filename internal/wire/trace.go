@@ -114,15 +114,32 @@ type TraceExt struct {
 // Sampled reports whether the sampling decision bit is set.
 func (t TraceExt) Sampled() bool { return t.Flags&TraceSampledFlag != 0 }
 
+// Byte offsets within the trace extension of the two fields the datapath
+// touches without decoding the whole ring.
+const (
+	traceFlagsOff    = 4
+	traceHopCountOff = 5
+)
+
+// hopSlot returns ring slot i of the extension area b.
+func hopSlot(b []byte, i int) []byte { return b[8+8*i : 16+8*i] }
+
+func (h TraceHop) put(b []byte) { be.PutUint64(b, uint64(h.Hop)<<56|h.Stamp&TraceStampMask) }
+
+func traceHopFromBytes(b []byte) TraceHop {
+	s := be.Uint64(b)
+	return TraceHop{Hop: uint8(s >> 56), Stamp: s & TraceStampMask}
+}
+
 // put encodes t into the 40-byte extension area b.
 func (t TraceExt) put(b []byte) {
 	be.PutUint32(b[0:4], t.TraceID)
-	b[4] = t.Flags
-	b[5] = t.HopCount
+	b[traceFlagsOff] = t.Flags
+	b[traceHopCountOff] = t.HopCount
 	b[6] = t.OriginConfig
 	b[7] = 0
 	for i, h := range t.Hops {
-		be.PutUint64(b[8+8*i:16+8*i], uint64(h.Hop)<<56|h.Stamp&TraceStampMask)
+		h.put(hopSlot(b, i))
 	}
 }
 
@@ -130,13 +147,12 @@ func (t TraceExt) put(b []byte) {
 func traceExtFromBytes(b []byte) TraceExt {
 	t := TraceExt{
 		TraceID:      be.Uint32(b[0:4]),
-		Flags:        b[4],
-		HopCount:     b[5],
+		Flags:        b[traceFlagsOff],
+		HopCount:     b[traceHopCountOff],
 		OriginConfig: b[6],
 	}
 	for i := range t.Hops {
-		s := be.Uint64(b[8+8*i : 16+8*i])
-		t.Hops[i] = TraceHop{Hop: uint8(s >> 56), Stamp: s & TraceStampMask}
+		t.Hops[i] = traceHopFromBytes(hopSlot(b, i))
 	}
 	return t
 }
@@ -148,23 +164,12 @@ func (v View) traceExt() []byte {
 	if len(v) < CoreHeaderLen {
 		return nil
 	}
-	off, err := v.Features().ExtOffset(FeatTraced)
-	if err != nil {
+	start, end, err := v.Features().extRange(FeatTraced)
+	if err != nil || len(v) < end {
 		return nil
 	}
-	end := CoreHeaderLen + off + extSizes[featTracedBit]
-	if len(v) < end {
-		return nil
-	}
-	return v[CoreHeaderLen+off : end]
+	return v[start:end]
 }
-
-// featTracedBit is FeatTraced's bit position (index into extSizes).
-const featTracedBit = 9
-
-// Compile-time guard that featTracedBit matches FeatTraced's position:
-// the array length is 1 only when FeatTraced == 1<<featTracedBit.
-var _ [1]struct{} = [FeatTraced >> featTracedBit]struct{}{}
 
 // Trace decodes the FeatTraced extension.
 func (v View) Trace() (TraceExt, error) {
@@ -190,7 +195,7 @@ func (v View) SetTrace(t TraceExt) error {
 // with no allocation and no atomics.
 func (v View) TraceSampled() bool {
 	ext := v.traceExt()
-	return ext != nil && ext[4]&TraceSampledFlag != 0
+	return ext != nil && ext[traceFlagsOff]&TraceSampledFlag != 0
 }
 
 // AppendHopStamp records one hop stamp in place: slot HopCount mod
@@ -201,15 +206,10 @@ func (v View) AppendHopStamp(hop uint8, nowNanos int64) error {
 	if ext == nil {
 		return ErrMissingFeature
 	}
-	n := ext[5]
-	slot := ext[8+8*(int(n)%TraceHopSlots):]
-	be.PutUint64(slot[:8], uint64(hop)<<56|uint64(nowNanos)&TraceStampMask)
+	n := ext[traceHopCountOff]
+	TraceHop{Hop: hop, Stamp: uint64(nowNanos)}.put(hopSlot(ext, int(n)%TraceHopSlots))
 	if n < 255 {
-		ext[5] = n + 1
+		ext[traceHopCountOff] = n + 1
 	}
 	return nil
 }
-
-// maxExtSize is the size of the largest extension field, sizing the
-// per-extension scratch buffer in Header.AppendTo.
-const maxExtSize = 40

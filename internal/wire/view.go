@@ -9,6 +9,13 @@ import "fmt"
 // Operations that change the header length (activating or deactivating
 // features, i.e. changing mode) return a new byte slice; everything else
 // mutates the underlying buffer directly.
+//
+// Every extension field has a getter and a setter here, and they are the
+// only in-place route to it: a field is found through the extLens table and
+// its bytes go through the same put/…FromBytes codec Header uses, so no
+// caller computes an offset or lays out extension bytes itself. Each
+// accessor refuses a control packet, a feature set with undefined bits, an
+// inactive feature and a buffer too short to hold the field.
 type View []byte
 
 // Check validates that v holds at least a complete DMTP header and returns
@@ -75,44 +82,49 @@ func (v View) ext(feat Features) ([]byte, error) {
 	if v.IsControl() {
 		return nil, ErrControlPacket
 	}
-	off, err := v.Features().ExtOffset(feat)
+	start, end, err := v.Features().extRange(feat)
 	if err != nil {
 		return nil, err
 	}
-	start := CoreHeaderLen + off
-	end := start + FeatureSize(feat)
 	if len(v) < end {
 		return nil, fmt.Errorf("%w: extension %v at %d..%d, packet %d bytes", ErrTruncated, feat, start, end, len(v))
 	}
 	return v[start:end], nil
 }
 
-// Seq returns the sequence number; the packet must carry FeatSequenced.
-func (v View) Seq() (uint64, error) {
-	ext, err := v.ext(FeatSequenced)
+// field decodes the extension field of one active feature with its codec.
+func field[T any](v View, feat Features, fromBytes func([]byte) T) (T, error) {
+	ext, err := v.ext(feat)
 	if err != nil {
-		return 0, err
+		var zero T
+		return zero, err
 	}
-	return be.Uint64(ext), nil
+	return fromBytes(ext), nil
 }
 
-// SetSeq overwrites the sequence number in place.
-func (v View) SetSeq(seq uint64) error {
-	ext, err := v.ext(FeatSequenced)
+// setField encodes e over the extension field of one active feature.
+func setField[T interface{ put([]byte) }](v View, feat Features, e T) error {
+	ext, err := v.ext(feat)
 	if err != nil {
 		return err
 	}
-	be.PutUint64(ext, seq)
+	e.put(ext)
 	return nil
 }
 
+// Seq returns the sequence number; the packet must carry FeatSequenced.
+func (v View) Seq() (uint64, error) {
+	e, err := field(v, FeatSequenced, seqExtFromBytes)
+	return e.Seq, err
+}
+
+// SetSeq overwrites the sequence number in place.
+func (v View) SetSeq(seq uint64) error { return setField(v, FeatSequenced, SeqExt{Seq: seq}) }
+
 // RetransmitBuffer returns the nearest-upstream retransmission buffer address.
 func (v View) RetransmitBuffer() (Addr, error) {
-	ext, err := v.ext(FeatReliable)
-	if err != nil {
-		return Addr{}, err
-	}
-	return addrFromBytes(ext), nil
+	e, err := field(v, FeatReliable, retransmitExtFromBytes)
+	return e.Buffer, err
 }
 
 // SetRetransmitBuffer repoints the retransmission buffer in place. This is
@@ -120,155 +132,108 @@ func (v View) RetransmitBuffer() (Addr, error) {
 // closer buffer becomes available, elements update the header so receivers
 // request retransmission from the shorter-RTT source.
 func (v View) SetRetransmitBuffer(a Addr) error {
-	ext, err := v.ext(FeatReliable)
-	if err != nil {
-		return err
-	}
-	a.put(ext)
-	return nil
+	return setField(v, FeatReliable, RetransmitExt{Buffer: a})
 }
 
 // Deadline returns the delivery deadline and notification address.
 func (v View) Deadline() (deadlineNanos uint64, notify Addr, err error) {
-	ext, err := v.ext(FeatTimely)
-	if err != nil {
-		return 0, Addr{}, err
-	}
-	return be.Uint64(ext[0:8]), addrFromBytes(ext[8:14]), nil
+	e, err := field(v, FeatTimely, deadlineExtFromBytes)
+	return e.DeadlineNanos, e.Notify, err
 }
 
 // SetDeadline overwrites the deadline extension in place.
 func (v View) SetDeadline(deadlineNanos uint64, notify Addr) error {
-	ext, err := v.ext(FeatTimely)
-	if err != nil {
-		return err
-	}
-	be.PutUint64(ext[0:8], deadlineNanos)
-	notify.put(ext[8:14])
-	return nil
+	return setField(v, FeatTimely, DeadlineExt{DeadlineNanos: deadlineNanos, Notify: notify})
 }
 
 // Age returns the age extension.
-func (v View) Age() (AgeExt, error) {
-	ext, err := v.ext(FeatAgeTracked)
-	if err != nil {
-		return AgeExt{}, err
-	}
-	return AgeExt{
-		AgeMicros:    be.Uint32(ext[0:4]),
-		MaxAgeMicros: be.Uint32(ext[4:8]),
-		Flags:        ext[8],
-	}, nil
-}
+func (v View) Age() (AgeExt, error) { return field(v, FeatAgeTracked, ageExtFromBytes) }
 
 // AddAge accumulates deltaMicros onto the age field, saturating instead of
 // wrapping, and sets the aged flag if the accumulated age meets or exceeds
 // the maximum age. It returns the post-update aged status. This is the
 // exact per-element operation from paper §5.4.
 func (v View) AddAge(deltaMicros uint32) (aged bool, err error) {
-	ext, err := v.ext(FeatAgeTracked)
+	a, err := v.Age()
 	if err != nil {
 		return false, err
 	}
-	age := be.Uint32(ext[0:4])
-	if age > ^uint32(0)-deltaMicros {
-		age = ^uint32(0)
+	if a.AgeMicros > ^uint32(0)-deltaMicros {
+		a.AgeMicros = ^uint32(0)
 	} else {
-		age += deltaMicros
+		a.AgeMicros += deltaMicros
 	}
-	be.PutUint32(ext[0:4], age)
-	maxAge := be.Uint32(ext[4:8])
-	if maxAge != 0 && age >= maxAge {
-		ext[8] |= AgedFlag
+	if a.MaxAgeMicros != 0 && a.AgeMicros >= a.MaxAgeMicros {
+		a.Flags |= AgedFlag
 	}
-	return ext[8]&AgedFlag != 0, nil
+	return a.Aged(), setField(v, FeatAgeTracked, a)
 }
 
 // SetMaxAge overwrites the maximum-age budget in place.
 func (v View) SetMaxAge(maxMicros uint32) error {
-	ext, err := v.ext(FeatAgeTracked)
+	a, err := v.Age()
 	if err != nil {
 		return err
 	}
-	be.PutUint32(ext[4:8], maxMicros)
-	return nil
+	a.MaxAgeMicros = maxMicros
+	return setField(v, FeatAgeTracked, a)
 }
 
 // Pace returns the pacing extension.
-func (v View) Pace() (PaceExt, error) {
-	ext, err := v.ext(FeatPaced)
-	if err != nil {
-		return PaceExt{}, err
-	}
-	return PaceExt{RateMbps: be.Uint32(ext[0:4]), BurstKB: be.Uint32(ext[4:8])}, nil
-}
+func (v View) Pace() (PaceExt, error) { return field(v, FeatPaced, paceExtFromBytes) }
 
 // SetPace overwrites the pacing extension in place.
-func (v View) SetPace(p PaceExt) error {
-	ext, err := v.ext(FeatPaced)
-	if err != nil {
-		return err
-	}
-	be.PutUint32(ext[0:4], p.RateMbps)
-	be.PutUint32(ext[4:8], p.BurstKB)
-	return nil
-}
+func (v View) SetPace(p PaceExt) error { return setField(v, FeatPaced, p) }
 
 // BackPressure returns the back-pressure extension.
 func (v View) BackPressure() (BackPressureExt, error) {
-	ext, err := v.ext(FeatBackPressure)
-	if err != nil {
-		return BackPressureExt{}, err
-	}
-	return BackPressureExt{Sink: addrFromBytes(ext[0:6]), Level: ext[6]}, nil
+	return field(v, FeatBackPressure, backPressureExtFromBytes)
 }
+
+// SetBackPressure overwrites the back-pressure extension in place.
+func (v View) SetBackPressure(bp BackPressureExt) error { return setField(v, FeatBackPressure, bp) }
 
 // SetBackPressureLevel overwrites the advisory back-pressure level in place.
 func (v View) SetBackPressureLevel(level uint8) error {
-	ext, err := v.ext(FeatBackPressure)
+	bp, err := v.BackPressure()
 	if err != nil {
 		return err
 	}
-	ext[6] = level
-	return nil
+	bp.Level = level
+	return v.SetBackPressure(bp)
 }
 
 // Dup returns the duplication extension.
-func (v View) Dup() (DupExt, error) {
-	ext, err := v.ext(FeatDuplicate)
-	if err != nil {
-		return DupExt{}, err
-	}
-	return DupExt{Group: be.Uint32(ext[0:4]), Scope: ext[4]}, nil
-}
+func (v View) Dup() (DupExt, error) { return field(v, FeatDuplicate, dupExtFromBytes) }
+
+// SetDup overwrites the duplication extension in place.
+func (v View) SetDup(d DupExt) error { return setField(v, FeatDuplicate, d) }
 
 // SetDupScope overwrites the remaining duplication scope in place.
 func (v View) SetDupScope(scope uint8) error {
-	ext, err := v.ext(FeatDuplicate)
+	d, err := v.Dup()
 	if err != nil {
 		return err
 	}
-	ext[4] = scope
-	return nil
+	d.Scope = scope
+	return v.SetDup(d)
 }
+
+// Cipher returns the encryption extension.
+func (v View) Cipher() (CipherExt, error) { return field(v, FeatEncrypted, cipherExtFromBytes) }
+
+// SetCipher overwrites the encryption extension in place.
+func (v View) SetCipher(c CipherExt) error { return setField(v, FeatEncrypted, c) }
 
 // OriginTimestamp returns the origin timestamp in nanoseconds.
 func (v View) OriginTimestamp() (uint64, error) {
-	ext, err := v.ext(FeatTimestamped)
-	if err != nil {
-		return 0, err
-	}
-	return be.Uint64(ext), nil
+	e, err := field(v, FeatTimestamped, timestampExtFromBytes)
+	return e.OriginNanos, err
 }
 
 // SetOriginTimestamp overwrites the origin timestamp in place.
 func (v View) SetOriginTimestamp(nanos uint64) error {
-	ext, err := v.ext(FeatTimestamped)
-	if err != nil {
-		return err
-	}
-	be.PutUint64(ext, nanos)
-	return nil
+	return setField(v, FeatTimestamped, TimestampExt{OriginNanos: nanos})
 }
 
 // Activate returns a new packet with the given features additionally
@@ -278,23 +243,19 @@ func (v View) SetOriginTimestamp(nanos uint64) error {
 // operation a network element performs when switching the packet to a
 // richer mode; on P4 hardware it corresponds to header add + deparse.
 func (v View) Activate(newConfigID uint8, add Features) (View, error) {
-	return v.reshape(newConfigID, v.Features()|add)
+	return v.ReshapeInto(nil, newConfigID, v.Features()|add)
 }
 
 // Deactivate returns a new packet with the given features removed and the
 // ConfigID set to newConfigID.
 func (v View) Deactivate(newConfigID uint8, remove Features) (View, error) {
-	return v.reshape(newConfigID, v.Features()&^remove)
+	return v.ReshapeInto(nil, newConfigID, v.Features()&^remove)
 }
 
 // Reshape returns a new packet whose feature set is exactly want, copying
 // values of features that remain active, zero-filling newly added ones, and
 // setting the ConfigID. The payload is shared-copied into the new slice.
 func (v View) Reshape(newConfigID uint8, want Features) (View, error) {
-	return v.reshape(newConfigID, want)
-}
-
-func (v View) reshape(newConfigID uint8, want Features) (View, error) {
 	return v.ReshapeInto(nil, newConfigID, want)
 }
 
@@ -330,18 +291,23 @@ func (v View) ReshapeInto(dst []byte, newConfigID uint8, want Features) (View, e
 	copy(out[4:8], v[4:8])
 	out.SetConfigID(newConfigID)
 	out.setFeatures(want)
-	// Zero the extension area, then copy surviving values field by field
-	// (newly activated fields must read as zero even in a recycled buffer).
-	clear(out[CoreHeaderLen : CoreHeaderLen+wantExtLen])
+	// One pass over the fields in wire order: a surviving field is copied, a
+	// newly activated one zeroed (it must read as zero even in a recycled
+	// buffer), a dropped one skipped.
+	src, ext := v[CoreHeaderLen:oldLen], out[CoreHeaderLen:CoreHeaderLen+wantExtLen]
 	for i := 0; i < featureCount; i++ {
-		bit := Features(1) << i
-		if want&bit == 0 || have&bit == 0 {
-			continue
+		bit, n := Features(1)<<i, extSizes[i]
+		if want&bit != 0 {
+			if have&bit != 0 {
+				copy(ext[:n], src[:n])
+			} else {
+				clear(ext[:n])
+			}
+			ext = ext[n:]
 		}
-		srcOff, _ := have.ExtOffset(bit)
-		dstOff, _ := want.ExtOffset(bit)
-		copy(out[CoreHeaderLen+dstOff:CoreHeaderLen+dstOff+extSizes[i]],
-			v[CoreHeaderLen+srcOff:CoreHeaderLen+srcOff+extSizes[i]])
+		if have&bit != 0 {
+			src = src[n:]
+		}
 	}
 	copy(out[CoreHeaderLen+wantExtLen:], v[oldLen:])
 	return out, nil

@@ -32,6 +32,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Protocol identification constants for the supported encapsulations
@@ -157,42 +158,41 @@ func (f Features) Has(mask Features) bool { return f&mask == mask }
 // Valid reports whether f only uses defined feature bits.
 func (f Features) Valid() bool { return f&^AllFeatures == 0 }
 
+// extLens indexes a valid feature set to the total byte length of its
+// extension fields. It is the one place the header layout is computed:
+// because fields sit in ascending bit order, the offset of feature bit feat
+// within set f is extLens[f&(feat-1)] (the fields below it) and the size of
+// feat's own field is extLens[feat]. The longest header is 124 bytes, so a
+// byte per entry suffices.
+var extLens = func() (t [1 << featureCount]uint8) {
+	for f := 1; f < len(t); f++ {
+		// f's lowest field plus the (already computed) rest of the set.
+		t[f] = uint8(extSizes[bits.TrailingZeros(uint(f))]) + t[f&(f-1)]
+	}
+	return t
+}()
+
 // ExtLen returns the total byte length of the extension fields implied by
 // the feature set. It returns an error if an undefined bit is set.
 func (f Features) ExtLen() (int, error) {
 	if !f.Valid() {
 		return 0, fmt.Errorf("%w: %#x", ErrUnknownFeature, uint32(f&^AllFeatures))
 	}
-	n := 0
-	for i := 0; i < featureCount; i++ {
-		if f&(1<<i) != 0 {
-			n += extSizes[i]
-		}
-	}
-	return n, nil
+	return int(extLens[f]), nil
 }
 
-// ExtOffset returns the byte offset, relative to the start of the extension
-// area (i.e. CoreHeaderLen into the packet), of the extension field for
-// feature bit feat. It returns ErrMissingFeature if feat is not active.
-func (f Features) ExtOffset(feat Features) (int, error) {
+// extRange returns the byte range, within a data packet whose feature set
+// is f, of the extension field for feature bit feat. It returns
+// ErrMissingFeature if feat is not exactly one feature bit active in f.
+func (f Features) extRange(feat Features) (start, end int, err error) {
 	if !f.Valid() {
-		return 0, fmt.Errorf("%w: %#x", ErrUnknownFeature, uint32(f&^AllFeatures))
+		return 0, 0, fmt.Errorf("%w: %#x", ErrUnknownFeature, uint32(f&^AllFeatures))
 	}
-	if f&feat == 0 {
-		return 0, ErrMissingFeature
+	if f&feat == 0 || feat&(feat-1) != 0 {
+		return 0, 0, ErrMissingFeature
 	}
-	off := 0
-	for i := 0; i < featureCount; i++ {
-		bit := Features(1) << i
-		if bit == feat {
-			return off, nil
-		}
-		if f&bit != 0 {
-			off += extSizes[i]
-		}
-	}
-	return 0, ErrMissingFeature
+	start = CoreHeaderLen + int(extLens[f&(feat-1)])
+	return start, start + int(extLens[feat]), nil
 }
 
 // String renders the feature set as a compact list, e.g. "seq|rel|age".
@@ -216,15 +216,4 @@ func (f Features) String() string {
 		s += fmt.Sprintf("unknown(%#x)", uint32(f&^AllFeatures))
 	}
 	return s
-}
-
-// FeatureSize returns the extension size in bytes for a single feature bit,
-// or 0 if feat is not a single defined feature.
-func FeatureSize(feat Features) int {
-	for i := 0; i < featureCount; i++ {
-		if feat == 1<<i {
-			return extSizes[i]
-		}
-	}
-	return 0
 }
