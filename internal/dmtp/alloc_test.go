@@ -32,7 +32,8 @@ func tracedSeqPacket(t *testing.T, seq uint64, flags uint8) wire.View {
 // TestIngestUntracedZeroAlloc locks in the PR invariant on the receive
 // path: with a span collector configured, in-order ingestion of untraced
 // and sampled-out packets allocates nothing — the collector is only ever
-// reached behind the TraceSampled gate.
+// reached behind the TraceSampled gate — and, FinalizePayload being nil,
+// the delivered payload is the ingested packet's own bytes, not a copy.
 func TestIngestUntracedZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -49,16 +50,14 @@ func TestIngestUntracedZeroAlloc(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fc := NewFakeClock(0)
 			tracer := tracespan.NewCollector(0)
+			var got []byte
 			eng := NewReceiverEngine(fc, nopDatapath{}, ReceiverConfig{
 				NAKDelay:    time.Millisecond,
 				NAKRetry:    5 * time.Millisecond,
 				NAKRetryMax: 500 * time.Millisecond,
 				MaxNAKs:     3,
 				Tracer:      tracer,
-				// The default finalize copies the payload out of the packet
-				// buffer (one unavoidable alloc); bypass it to measure the
-				// engine's own path.
-				FinalizePayload: func(wire.View) []byte { return nil },
+				Deliver:     func(m Message) { got = m.Payload },
 			})
 			seq := uint64(0)
 			warm := tc.pkt(1)
@@ -77,6 +76,9 @@ func TestIngestUntracedZeroAlloc(t *testing.T) {
 			}); avg != 0 {
 				t.Fatalf("%s ingest allocates %.2f allocs/op, want 0", tc.name, avg)
 			}
+			if p := warm.Payload(); string(got) != "payload" || &got[0] != &p[0] {
+				t.Fatalf("delivered payload %q at %p is not the packet's own at %p", got, got, p)
+			}
 			if tracer.Sampled() != 0 {
 				t.Fatalf("collector observed %d records from %s packets", tracer.Sampled(), tc.name)
 			}
@@ -87,16 +89,16 @@ func TestIngestUntracedZeroAlloc(t *testing.T) {
 // TestGapOpenCloseZeroAlloc extends the ingest gate to loss: once the gap
 // list has its capacity, opening gaps and closing them by reordered
 // arrivals — the newest one, and one from the middle of the list —
-// allocates nothing; a lost number costs no heap object. The NAK timer is
-// not part of the claim: an older gap stays open throughout and keeps one
-// pending, as sustained loss does.
+// allocates nothing; a lost number costs no heap object, and neither does
+// a delivered one (FinalizePayload is nil: deliveries alias the packet).
+// The NAK timer is not part of the claim: an older gap stays open
+// throughout and keeps one pending, as sustained loss does.
 func TestGapOpenCloseZeroAlloc(t *testing.T) {
 	eng := NewReceiverEngine(NewFakeClock(0), nopDatapath{}, ReceiverConfig{
-		NAKDelay:        time.Millisecond,
-		NAKRetry:        5 * time.Millisecond,
-		NAKRetryMax:     500 * time.Millisecond,
-		MaxNAKs:         3,
-		FinalizePayload: func(wire.View) []byte { return nil },
+		NAKDelay:    time.Millisecond,
+		NAKRetry:    5 * time.Millisecond,
+		NAKRetryMax: 500 * time.Millisecond,
+		MaxNAKs:     3,
 	})
 	pkt := seqPacket(t, 1, wire.AddrFrom(10, 0, 0, 1, 100), "payload")
 	ingest := func(seq uint64) {

@@ -17,9 +17,16 @@ import (
 type Message struct {
 	Experiment wire.ExperimentID
 	Seq        uint64 // 0 when the stream is unsequenced
-	Payload    []byte
-	// Latency is origin-to-delivery time when the packet carried an
-	// origin timestamp; otherwise -1.
+	// Payload is a view of the packet the message arrived in (the
+	// simulator's decrypted payloads are the one copy). It is valid until
+	// the delivery callback returns; a caller that keeps it clones it.
+	Payload []byte
+	// Latency is the time from the origin timestamp to the engine-clock
+	// reading that ingested the packet, or -1 without an origin timestamp.
+	// The live receiver reads its clock once per socket read, so there this
+	// is origin → the read that delivered the packet, up to one burst's
+	// ingest time earlier than the callback. Aged and Late are judged
+	// against the same reading.
 	Latency time.Duration
 	// Aged reports the in-network age flag.
 	Aged bool
@@ -100,6 +107,9 @@ type ReceiverConfig struct {
 	AckInterval time.Duration
 	// Ordered buffers sequenced messages and delivers them in sequence
 	// order instead of on arrival (the head-of-line-blocking ablation).
+	// Parked messages are held across Ingest calls, so the substrate's
+	// frames must be immutable or FinalizePayload must copy: the simulator
+	// qualifies, the live adapter's receive ring does not and never sets it.
 	Ordered bool
 	// OnGap reports each sequence number written off as permanently
 	// lost after MaxNAKs — the deliver-with-gap degradation signal.
@@ -110,9 +120,10 @@ type ReceiverConfig struct {
 	// Counters, when non-nil, records recoveries and permanent losses
 	// (normally shared with a faults.Plan's counter set).
 	Counters *telemetry.CounterSet
-	// FinalizePayload extracts the delivered payload from a view. The
-	// returned bytes outlive the Ingest call; substrates whose views
-	// alias transient buffers must copy here. Nil means "always copy".
+	// FinalizePayload extracts the delivered payload from a view; the
+	// simulator decrypts here. Nil means v.Payload() itself: the message
+	// aliases the ingested packet, which the adapter must keep intact
+	// until Deliver's message has been handed to the application.
 	FinalizePayload func(v wire.View) []byte
 	// Deliver hands each finalized message to the adapter. Called
 	// synchronously from Ingest and timer fires; adapters that must not
@@ -437,7 +448,7 @@ func (e *ReceiverEngine) finalize(v wire.View, msg Message) Message {
 	if e.cfg.FinalizePayload != nil {
 		msg.Payload = e.cfg.FinalizePayload(v)
 	} else {
-		msg.Payload = append([]byte(nil), v.Payload()...)
+		msg.Payload = v.Payload()
 	}
 	return msg
 }

@@ -15,10 +15,12 @@ package live
 // setup (sendmmsg/recvmmsg presence, UDP_SEGMENT/UDP_GRO sockopts) and
 // any feature the kernel refuses — at probe time or mid-run — drops out
 // gracefully, counted in dmtp.live.batch.fallbacks. The batch ring owns
-// a fixed set of pooled 64 KiB wire buffers for its lifetime; received
-// packets are handed to the role handlers synchronously and never
-// escape a burst, preserving the buffer-ownership discipline of the
-// zero-allocation datapath.
+// a fixed set of pooled 64 KiB wire buffers for its lifetime; a received
+// packet stays where the kernel wrote it until the next ReadBatch, and
+// the roles use exactly that window — the relay's forward queues and the
+// receiver's delivered payloads point into the ring and are flushed
+// before the role reads again — so nothing is copied out of it and
+// nothing allocated, and no view of it outlives its burst.
 
 import (
 	"net"
@@ -242,7 +244,9 @@ func (bc *batchConn) ReadBatch() (int, error) {
 // segment boundaries. GRO only coalesces datagrams of a single flow, so
 // split segments inherit their datagram's source. A zero src means the
 // source could not be captured (non-IPv4 peer); callers treat those as
-// unroutable. fn must not retain pkt past its return.
+// unroutable. pkt is valid until the next ReadBatch, on either path: fn
+// may queue it, provided the queue is drained before the caller reads
+// again.
 func (bc *batchConn) PacketsSrc(n int, fn func(pkt []byte, src wire.Addr)) {
 	if bc.k != nil {
 		bc.k.packetsSrc(n, fn)

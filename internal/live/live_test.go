@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -58,7 +59,7 @@ func pipeline(t *testing.T, dropEveryN int, rcfg ReceiverConfig) (*Sender, *Rela
 		mu.Lock()
 		count++
 		mu.Unlock()
-		delivered.Store(m.Seq, m)
+		delivered.Store(m.Seq, struct{}{}) // m.Payload dies with this call
 		if userCB != nil {
 			userCB(m)
 		}
@@ -158,6 +159,7 @@ func TestLiveModeUpgradeVisibleAtReceiver(t *testing.T) {
 	var gotMu sync.Mutex
 	var got []Message
 	snd, _, recv, _ := pipeline(t, 0, ReceiverConfig{OnMessage: func(m Message) {
+		m.Payload = bytes.Clone(m.Payload) // kept past the callback
 		gotMu.Lock()
 		got = append(got, m)
 		gotMu.Unlock()

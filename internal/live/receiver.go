@@ -38,9 +38,15 @@ type ReceiverConfig struct {
 	AckInterval time.Duration
 	// Clock overrides the engine clock; nil means the wall clock. Tests
 	// and the conformance suite inject a dmtp.FakeClock here to drive NAK
-	// timing deterministically.
+	// timing deterministically. It is read once per socket read, and every
+	// packet that read returned is judged against that reading: Latency,
+	// Late and Aged measure origin → the read that delivered the packet.
+	// Timer fires between reads take a reading of their own.
 	Clock dmtp.Clock
 	// OnMessage delivers each message; called from the receive goroutine.
+	// m.Payload is a view of the receive ring, valid until OnMessage
+	// returns: the next socket read overwrites it, so a callback that
+	// keeps the bytes clones them (bytes.Clone).
 	OnMessage func(m Message)
 	// OnGap reports each sequence number written off as permanently lost
 	// — the graceful-degradation signal for deliver-with-gap consumers.
@@ -85,6 +91,13 @@ type ReceiverStats struct {
 // type adapts it to UDP sockets and real (or injected) clocks. Engine
 // callbacks run under r.mu and queue their effects; socket writes and
 // application callbacks are flushed after the lock is released.
+//
+// Delivered payloads are views of the receive ring, which rests on one
+// invariant: pendMsgs is empty whenever r.mu is free. Only Ingest delivers
+// (Ordered parking, the one way a timer fire could, is not exposed here),
+// and readLoop takes the flush before it unlocks; so a timer goroutine's
+// flush never carries messages, and every OnMessage of a burst runs on the
+// read goroutine before the next ReadBatch reuses the ring.
 type Receiver struct {
 	cfg   ReceiverConfig
 	conn  UDPConn
@@ -94,7 +107,10 @@ type Receiver struct {
 	mu     sync.Mutex
 	eng    *dmtp.ReceiverEngine
 	closed bool
-	wg     sync.WaitGroup
+	// burstNow is the clock reading shared by the burst being ingested
+	// (see rxClock.Now); zero between bursts.
+	burstNow int64
+	wg       sync.WaitGroup
 
 	// Effect queues, filled by engine callbacks under mu and drained
 	// outside it (socket writes and user callbacks must not run under the
@@ -226,7 +242,15 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 // their queued effects are flushed outside it.
 type rxClock struct{ r *Receiver }
 
-func (c rxClock) Now() int64 { return c.r.clock.Now() }
+// Now is the burst's one reading while readLoop ingests a burst, and a
+// fresh one for timer fires between bursts. (A clock standing at zero is
+// re-read each time, to the same effect.)
+func (c rxClock) Now() int64 {
+	if now := c.r.burstNow; now != 0 {
+		return now
+	}
+	return c.r.clock.Now()
+}
 
 func (c rxClock) Schedule(at int64, fn func()) dmtp.Timer {
 	r := c.r
@@ -343,20 +367,30 @@ func (r *Receiver) readLoop() {
 			}
 			continue
 		}
-		// Ingest is synchronous and copies the payload before it escapes
-		// (Message.Payload is owned by the delivery callback), so the ring
-		// buffers are handed over directly and reused for the next burst.
+		// Queued messages point into the ring: the flush is taken under
+		// this hold of the lock and dispatched before the next ReadBatch.
 		r.mu.Lock()
 		if r.closed {
 			r.mu.Unlock()
 			return
 		}
+		r.burstNow = r.clock.Now()
 		bc.PacketsSrc(n, ingest)
+		r.burstNow = 0
 		f := r.takeFlushLocked()
 		r.mu.Unlock()
 		r.dispatch(f)
+		if poisonRing != nil {
+			bc.PacketsSrc(n, poisonRing)
+		}
 	}
 }
+
+// poisonRing, when set, is run over each burst's packets in the ring once
+// the burst's dispatch has returned. Only this package's TestMain sets it,
+// to overwrite them, so that a payload view kept past OnMessage reads as
+// poison at once instead of whenever a later burst happens to land on it.
+var poisonRing func(pkt []byte, src wire.Addr)
 
 type rxFlush struct {
 	msgs  []Message
@@ -396,7 +430,8 @@ func (r *Receiver) dispatch(f rxFlush) {
 	}
 	// Recycle queue capacity: the steady state flushes one message per
 	// datagram, and re-allocating the slice each time would put an append
-	// on every delivery.
+	// on every delivery. The burst's views of the ring go first.
+	clear(f.msgs)
 	r.mu.Lock()
 	if r.pendMsgs == nil && cap(f.msgs) > 0 {
 		r.pendMsgs = f.msgs[:0]
