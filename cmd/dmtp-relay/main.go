@@ -34,7 +34,7 @@ func main() {
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "stash and journal partitions experiments are spread across")
 	maxFlows := flag.Int("max-flows", 0, "flow-table bound; registrations beyond it are rejected (0 = unlimited)")
 	journalDir := flag.String("journal-dir", "", "stash write-ahead journal directory; on restart the stash is replayed from it (off when empty)")
-	journalSync := flag.String("journal-sync", "batch", "journal fsync policy: batch, none, or always")
+	journalSync := flag.String("journal-sync", "batch", "journal fsync policy: batch or none")
 	blackboxDir := flag.String("blackbox-dir", "", "write a crash black box (flight ring + final metrics) here on panic or relay crash; defaults to -journal-dir when set")
 	flag.Parse()
 	if *blackboxDir == "" {

@@ -83,7 +83,7 @@ type BufferConfig struct {
 	// NewBufferNode has no error return to thread it through.
 	JournalDir string
 	// JournalSync is the journal fsync policy (journal.SyncBatch when
-	// empty, or SyncNone / SyncAlways).
+	// empty, or SyncNone).
 	JournalSync string
 }
 

@@ -55,7 +55,9 @@ type Journal interface {
 	// Append journals one stash insert. The engine retains ownership of
 	// pkt; implementations must copy what they keep.
 	Append(exp wire.ExperimentID, seq uint64, pkt []byte)
-	// Tombstone journals one capacity eviction of (exp, seq).
+	// Tombstone journals one capacity eviction of (exp, seq). The engine
+	// evicts an experiment's oldest entry, so nothing of exp at or below
+	// seq is held afterwards; internal/journal recycles segments on that.
 	Tombstone(exp wire.ExperimentID, seq uint64)
 	// TrimTo journals a cumulative-ACK trim: every entry of exp at or
 	// below cum is released.

@@ -2,7 +2,9 @@ package journal
 
 import (
 	"fmt"
+	"os"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -11,8 +13,10 @@ import (
 // one sync policy. Periodic trims let segment recycling bound disk use,
 // so long -benchtime runs don't fill the filesystem; the closing Flush
 // puts the writer's backlog inside the measured window, making ns/op an
-// honest end-to-end figure rather than a channel-send figure.
-func benchAppend(b *testing.B, sync string, payloadLen int) {
+// honest end-to-end figure rather than a staging figure. blocked-ns/op is
+// the part of it the hot path spent waiting for the writer. Returns the
+// journal's counters at the end of the measured window.
+func benchAppend(b *testing.B, sync string, payloadLen int) Stats {
 	j, _, err := Open(Options{Dir: b.TempDir(), Shard: 0, Sync: sync})
 	if err != nil {
 		b.Fatal(err)
@@ -34,6 +38,9 @@ func benchAppend(b *testing.B, sync string, payloadLen int) {
 		}
 	}
 	j.Flush()
+	st := j.Stats()
+	b.ReportMetric(float64(st.AppendBlockedNs)/float64(b.N), "blocked-ns/op")
+	return st
 }
 
 // BenchmarkJournalAppend is the headline figure: the default batch-fsync
@@ -52,4 +59,21 @@ func BenchmarkJournalAppendSizes(b *testing.B) {
 			benchAppend(b, SyncBatch, n)
 		})
 	}
+}
+
+// BenchmarkJournalAppendSlowDisk is the journal on a disk that is slow in
+// a repeatable way: every fsync is a fixed 5 ms sleep instead of whatever
+// the machine's disk and its other tenants make of it. The writer is then
+// the bottleneck by construction: fsync-ns/op is the injected sleep per
+// record (a stage holds about 3900 of these; takes, rolls and recycles
+// each fsync), and ns/op should sit just above it, nearly all of it
+// blocked time — a per-record hand-off cost on top is the regression this
+// guards against.
+func BenchmarkJournalAppendSlowDisk(b *testing.B) {
+	const slow = 5 * time.Millisecond
+	real := fsync
+	fsync = func(*os.File) error { time.Sleep(slow); return nil }
+	defer func() { fsync = real }()
+	st := benchAppend(b, SyncBatch, 512)
+	b.ReportMetric(float64(st.Fsyncs)*float64(slow)/float64(b.N), "fsync-ns/op")
 }

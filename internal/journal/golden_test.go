@@ -113,10 +113,14 @@ func TestGoldenSegmentHeaderLayout(t *testing.T) {
 func TestGoldenRecordLayout(t *testing.T) {
 	for _, g := range goldenRecords {
 		t.Run(g.name, func(t *testing.T) {
-			framed := frameRecord(g.typ, g.exp, g.seq, g.payload)
-			defer wire.ReleaseBuffer(framed)
+			framed := appendRecord(nil, g.typ, g.exp, g.seq, g.payload)
 			if !bytes.Equal(framed, g.framed) {
 				t.Fatalf("frame layout drifted from PROTOCOL.md:\n got % x\nwant % x", framed, g.framed)
+			}
+			// On the stage a record follows other records: what is already
+			// there is neither touched nor covered by the new record's CRC.
+			if staged := appendRecord([]byte{0xEE, 0xEE}, g.typ, g.exp, g.seq, g.payload); !bytes.Equal(staged[:2], []byte{0xEE, 0xEE}) || !bytes.Equal(staged[2:], g.framed) {
+				t.Fatalf("record framed after two staged bytes = % x, want them and then % x", staged, g.framed)
 			}
 			typ, exp, seq, payload, size, ok := parseRecord(g.framed)
 			if !ok {

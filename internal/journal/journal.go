@@ -3,16 +3,21 @@
 // with a warm retransmission buffer instead of today's bounded-loss cold
 // start.
 //
-// One Journal serves one buffer shard. The hot path (Append / Tombstone /
-// TrimTo, called under the relay lock) frames a CRC-32C-protected record
-// into a pooled buffer and hands it to a writer goroutine — no file I/O,
-// no fsync, and no allocation on the ingest path. The writer drains
-// records in batches, writes them with one coalesced file write, and
-// group-commits with a single fsync per drained batch (policy "batch";
-// "none" and "always" are available). Segments roll at a size bound and
-// are deleted ("recycled") once the cumulative-ACK trim floor passes
-// every entry they hold, after counter floors are re-journalled so
-// sequence numbering never regresses across a recycle.
+// One Journal serves one buffer shard, and one byte buffer — the stage —
+// is its only queue. The hot path (Append / Tombstone / TrimTo, called
+// under the relay lock) frames a CRC-32C-protected record straight onto
+// the stage under a small mutex: one copy, no file I/O, no fsync, no
+// allocation, and no hand-off to another goroutine. The writer goroutine
+// takes the whole stage by swapping it for its spare, writes the take
+// with one file write per segment it touches, fsyncs once per take
+// (policy "batch"; "none" leaves flushing to the OS), and comes back for
+// whatever accumulated meanwhile — group commit sized by the disk, not
+// by a constant. A full stage blocks the hot path until the next take
+// (dmtp.journal.append_blocked_ns counts the wait). Segments roll at a
+// size bound and are deleted ("recycled") once every entry they hold has
+// been released — trimmed by a cumulative ACK or evicted — after counter
+// floors are re-journalled so sequence numbering never regresses across
+// a recycle.
 //
 // Recovery is Open (scan all segments, truncating a torn tail in the
 // final one) or Replay (re-scan a live journal after an in-process
@@ -38,34 +43,33 @@ import (
 
 // Sync policies: when the writer goroutine calls fsync.
 const (
-	// SyncBatch group-commits: one fsync per drained batch of records —
-	// the default, amortising fsync cost across the batch.
+	// SyncBatch group-commits: one fsync per take — everything staged while
+	// the previous take was being written. The default.
 	SyncBatch = "batch"
 	// SyncNone never fsyncs (the OS flushes on its own schedule).
 	// Survives process crashes — every record is written before a
 	// Flush-barriered replay reads — but not machine crashes.
 	SyncNone = "none"
-	// SyncAlways fsyncs after every record: maximum durability, one
-	// fsync per stash insert.
-	SyncAlways = "always"
 )
 
 // DefaultSegmentBytes is the segment roll threshold when
 // Options.SegmentBytes is zero.
 const DefaultSegmentBytes = 4 << 20
 
-// queueDepth bounds the hot-path → writer channel; a full queue blocks
-// Append (back-pressure) rather than dropping records.
-const queueDepth = 8192
+// stageBytes bounds the stage: a record that would grow a non-empty stage
+// past it blocks the hot path (back-pressure, not loss) until the writer
+// takes the stage. It is what a stalled disk may hold of the datapath
+// before the relay feels it. A byte bound because memory and stall time
+// are in bytes: the 8192-record channel it replaces held about 2.6 MB of
+// flows64's 317-byte records but 60 MB of dmtp-send's 7.6 KB ones. 2 MiB
+// keeps the small-packet headroom (about 6600 and 270 of those) at two
+// fixed buffers per shard, and a writer that needs 5 ms per fsync still
+// drains 400 MB/s.
+const stageBytes = 2 << 20
 
-// batchMax bounds how many staged records one writer drain coalesces
-// into a single file write (and, under SyncBatch, one fsync).
-const batchMax = 256
-
-// wbufCap is the writer's coalescing buffer capacity, allocated once;
-// batches larger than it are written in wbufCap-sized chunks so the
-// steady state never grows the buffer.
-const wbufCap = 256 << 10
+// fsync is how the writer makes a segment durable; tests swap it to hold
+// the writer inside a slow disk.
+var fsync = (*os.File).Sync
 
 // ReplayDropBias deliberately breaks replay for oracle self-tests: when
 // positive, every ReplayDropBias'th surviving append record is silently
@@ -84,8 +88,7 @@ type Options struct {
 	// Shard is this journal's shard index (stamped into filenames and
 	// segment headers).
 	Shard int
-	// Sync is the fsync policy: SyncBatch (default when empty), SyncNone,
-	// or SyncAlways.
+	// Sync is the fsync policy: SyncBatch (default when empty) or SyncNone.
 	Sync string
 	// SegmentBytes rolls the active segment once it exceeds this size;
 	// zero means DefaultSegmentBytes.
@@ -104,7 +107,8 @@ type Stats struct {
 	Tombstones uint64
 	// Fsyncs is fsync calls issued by the writer.
 	Fsyncs uint64
-	// SegmentsRecycled is fully-trimmed segment files deleted.
+	// SegmentsRecycled is segment files deleted once every entry in them
+	// was trimmed or evicted.
 	SegmentsRecycled uint64
 	// Replayed is stash entries rebuilt by Open and Replay combined.
 	Replayed uint64
@@ -114,20 +118,23 @@ type Stats struct {
 	// one is durability the journal promised and did not deliver (ENOSPC, a
 	// dying disk). The writer carries on; recovery then sees a shorter log.
 	WriteErrors uint64
+	// AppendBlockedNs is the cumulative time the hot path waited for room
+	// on a full stage: the share of the relay loop the disk was holding.
+	AppendBlockedNs uint64
 }
 
 // sealedSeg is a no-longer-active segment awaiting recycling.
 type sealedSeg struct {
 	index uint64
 	// expMax is the highest appended sequence per experiment in the
-	// segment; the segment recycles once the trim floor covers them all.
+	// segment; the segment recycles once the released floor covers them all.
 	expMax map[wire.ExperimentID]uint64
 }
 
 // Journal is one shard's write-ahead log. The record-producing methods
 // (Append, Tombstone, TrimTo) must be called from the shard's serialised
 // context (the same discipline dmtp.BufferEngine requires); Flush,
-// Replay, Stats and Close are safe from any goroutine.
+// Replay, Stats, Pending and Close are safe from any goroutine.
 type Journal struct {
 	opts Options
 
@@ -139,6 +146,7 @@ type Journal struct {
 	replayed    atomic.Uint64
 	tornTails   atomic.Uint64
 	writeErrs   atomic.Uint64
+	blockedNs   atomic.Uint64
 	// fsyncHist, when installed by RegisterMetrics, receives per-fsync
 	// latency observations.
 	fsyncHist atomic.Pointer[metrics.Histogram]
@@ -147,15 +155,24 @@ type Journal struct {
 	// serialised caller context.
 	lastTrim map[wire.ExperimentID]uint64
 
-	in       chan []byte
-	flushMu  sync.Mutex
-	flushReq chan struct{}
-	flushAck chan struct{}
-	done     chan struct{}
-	wg       sync.WaitGroup
+	// mu guards stage, staged, written and closed. cond (on mu) is
+	// broadcast at every change somebody may be waiting for: a record
+	// staged onto an empty stage (the writer), the stage taken (a blocked
+	// hot path), a take written (Flush), closed (all of them).
+	mu   sync.Mutex
+	cond sync.Cond
+	// stage holds the framed records the writer has not taken yet, back to
+	// back.
+	stage []byte
+	// staged and written count records ever framed onto the stage and
+	// records the writer has put into a segment file; the difference is
+	// Pending, and written catching up with staged is the Flush barrier.
+	staged, written uint64
+	closed          bool
 
-	// closeOnce guards double-Close; closeErr is the writer's shutdown
-	// outcome.
+	// wg waits for the writer; closeOnce guards double-Close; closeErr is
+	// the writer's shutdown outcome.
+	wg        sync.WaitGroup
 	closeOnce sync.Once
 	closeErr  error
 
@@ -165,10 +182,15 @@ type Journal struct {
 	segBytes  int
 	segExpMax map[wire.ExperimentID]uint64
 	sealed    []sealedSeg
+	// released is, per experiment, the sequence at or below which the stash
+	// holds nothing any more: the higher of the cumulative-ACK trim floor
+	// and the highest evicted sequence (the stash releases each
+	// experiment's run from the front, so a tombstone for seq vouches for
+	// everything below it). Sealed segments recycle against it. trimFloor
+	// and seqFloor are what RecFloors carries across a recycle.
+	released  map[wire.ExperimentID]uint64
 	trimFloor map[wire.ExperimentID]uint64
 	seqFloor  map[wire.ExperimentID]uint64
-	batch     [][]byte
-	wbuf      []byte
 }
 
 // Open recovers the shard's journal from disk and starts its writer.
@@ -183,9 +205,9 @@ func Open(opts Options) (*Journal, *Recovered, error) {
 		opts.Sync = SyncBatch
 	}
 	switch opts.Sync {
-	case SyncBatch, SyncNone, SyncAlways:
+	case SyncBatch, SyncNone:
 	default:
-		return nil, nil, fmt.Errorf("journal: unknown sync policy %q (valid: batch, none, always)", opts.Sync)
+		return nil, nil, fmt.Errorf("journal: unknown sync policy %q (valid: batch, none)", opts.Sync)
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -195,20 +217,15 @@ func Open(opts Options) (*Journal, *Recovered, error) {
 	}
 
 	j := &Journal{
-		opts:     opts,
-		lastTrim: make(map[wire.ExperimentID]uint64),
-		in:       make(chan []byte, queueDepth),
-		flushReq: make(chan struct{}),
-		// Buffered so the writer's ack never blocks even if the flusher
-		// abandoned the wait because the journal closed underneath it.
-		flushAck:  make(chan struct{}, 1),
-		done:      make(chan struct{}),
+		opts:      opts,
+		lastTrim:  make(map[wire.ExperimentID]uint64),
+		stage:     make([]byte, 0, stageBytes),
 		segExpMax: make(map[wire.ExperimentID]uint64),
+		released:  make(map[wire.ExperimentID]uint64),
 		trimFloor: make(map[wire.ExperimentID]uint64),
 		seqFloor:  make(map[wire.ExperimentID]uint64),
-		batch:     make([][]byte, 0, batchMax),
-		wbuf:      make([]byte, 0, wbufCap),
 	}
+	j.cond.L = &j.mu
 
 	segs, err := j.listSegments()
 	if err != nil {
@@ -228,6 +245,7 @@ func Open(opts Options) (*Journal, *Recovered, error) {
 	for exp, cum := range rec.Trims {
 		j.trimFloor[exp] = cum
 		j.lastTrim[exp] = cum
+		j.released[exp] = max(j.released[exp], cum)
 	}
 
 	next := uint64(0)
@@ -240,7 +258,7 @@ func Open(opts Options) (*Journal, *Recovered, error) {
 	j.recycleSealed()
 
 	j.wg.Add(1)
-	go j.run()
+	go j.run(make([]byte, 0, stageBytes))
 	return j, rec, nil
 }
 
@@ -255,28 +273,62 @@ func (j *Journal) Stats() Stats {
 		Replayed:         j.replayed.Load(),
 		TruncatedTails:   j.tornTails.Load(),
 		WriteErrors:      j.writeErrs.Load(),
+		AppendBlockedNs:  j.blockedNs.Load(),
 	}
 }
 
-// Pending returns the journal's flush lag: records enqueued to the
-// writer goroutine but not yet drained into the segment file. Exposed as
-// the dmtp.journal.pending gauge — sustained growth means the writer
-// (typically its fsyncs) cannot keep up with the stash rate.
-func (j *Journal) Pending() int { return len(j.in) }
+// Pending returns the journal's flush lag: records staged but not yet in
+// the segment file — the stage's, plus the take the writer is working on.
+// Exposed as the dmtp.journal.pending gauge — sustained growth means the
+// writer (typically its fsyncs) cannot keep up with the stash rate.
+func (j *Journal) Pending() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return int(j.staged - j.written)
+}
 
-// Append journals one stash insert. It frames the record into a pooled
-// buffer and enqueues it for the writer; the packet itself is copied
-// into the frame, so the stash keeps exclusive ownership of pkt.
+// put frames one record onto the stage, first waiting for the writer to
+// take the stage if the record does not fit. The clock is read only on
+// that blocked path. A record offered to a closed journal is counted as a
+// write error and dropped.
+func (j *Journal) put(typ byte, exp wire.ExperimentID, seq uint64, payload []byte) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	full := func() bool {
+		return len(j.stage) > 0 && len(j.stage)+RecOverhead+len(payload) > stageBytes && !j.closed
+	}
+	if full() {
+		start := time.Now()
+		for full() {
+			j.cond.Wait()
+		}
+		j.blockedNs.Add(uint64(time.Since(start)))
+	}
+	if j.closed {
+		j.writeErrs.Add(1)
+		return
+	}
+	if len(j.stage) == 0 {
+		j.cond.Broadcast() // the writer may be waiting for work
+	}
+	j.stage = appendRecord(j.stage, typ, exp, seq, payload)
+	j.staged++
+}
+
+// Append journals one stash insert. The packet is copied onto the stage,
+// so the stash keeps exclusive ownership of pkt.
 func (j *Journal) Append(exp wire.ExperimentID, seq uint64, pkt []byte) {
 	j.appends.Add(1)
 	j.appendBytes.Add(uint64(len(pkt)))
-	j.in <- frameRecord(RecAppend, exp, seq, pkt)
+	j.put(RecAppend, exp, seq, pkt)
 }
 
-// Tombstone journals one capacity eviction.
+// Tombstone journals one capacity eviction. Evictions take an
+// experiment's oldest entry, so the writer also reads it as "nothing of
+// exp at or below seq is held any more" when it recycles segments.
 func (j *Journal) Tombstone(exp wire.ExperimentID, seq uint64) {
 	j.tombstones.Add(1)
-	j.in <- frameRecord(RecTombstone, exp, seq, nil)
+	j.put(RecTombstone, exp, seq, nil)
 }
 
 // TrimTo journals one cumulative-ACK trim. Trims that do not advance the
@@ -288,25 +340,20 @@ func (j *Journal) TrimTo(exp wire.ExperimentID, cum uint64) {
 	}
 	j.lastTrim[exp] = cum
 	j.tombstones.Add(1)
-	j.in <- frameRecord(RecTrim, exp, cum, nil)
+	j.put(RecTrim, exp, cum, nil)
 }
 
-// Flush blocks until every record enqueued before the call has been
-// written to the active segment file (not necessarily fsynced). The
+// Flush blocks until every record staged before the call has been
+// written to a segment file (not necessarily fsynced). The
 // crash-consistency barrier: an in-process Crash flushes before Replay,
 // modelling that the OS had the writes even though the process died.
 // Allocation-free, so alloc-gated tests can barrier the writer inside a
 // measured loop.
 func (j *Journal) Flush() {
-	j.flushMu.Lock()
-	defer j.flushMu.Unlock()
-	select {
-	case j.flushReq <- struct{}{}:
-		select {
-		case <-j.flushAck:
-		case <-j.done:
-		}
-	case <-j.done:
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for target := j.staged; j.written < target; {
+		j.cond.Wait()
 	}
 }
 
@@ -329,10 +376,15 @@ func (j *Journal) Replay() (*Recovered, error) {
 }
 
 // Close drains and stops the writer, fsyncs, and closes the active
-// segment. The journal is unusable afterwards.
+// segment. The journal is unusable afterwards: a record offered to it is
+// dropped and counted in WriteErrors, and a hot path blocked on a full
+// stage is let go the same way.
 func (j *Journal) Close() error {
 	j.closeOnce.Do(func() {
-		close(j.done)
+		j.mu.Lock()
+		j.closed = true
+		j.cond.Broadcast()
+		j.mu.Unlock()
 		j.wg.Wait()
 		j.closeErr = j.f.Close()
 	})
@@ -391,93 +443,61 @@ func (j *Journal) openSegment(index uint64) error {
 	return nil
 }
 
-// run is the writer goroutine: drain staged records, coalesce them into
-// one file write, group-commit, roll and recycle segments. Steady-state
-// allocation-free (reused batch and write buffers, pooled records
-// released after writing) so the ingest-path alloc gates hold with
-// journaling enabled.
-func (j *Journal) run() {
+// run is the writer goroutine: take the whole stage, write it, come back
+// for whatever was staged meanwhile, and park only on an empty stage.
+// spare is the buffer it swaps in; the two change places on every take,
+// so the steady state allocates nothing and the ingest-path alloc gates
+// hold with journaling enabled. Close lets it drain, then fsync and exit.
+func (j *Journal) run(spare []byte) {
 	defer j.wg.Done()
+	j.mu.Lock()
 	for {
-		select {
-		case rec := <-j.in:
-			j.drainAndWrite(rec)
-		case <-j.flushReq:
-			j.drainPending()
-			j.flushAck <- struct{}{}
-		case <-j.done:
-			j.drainPending()
-			j.sync()
-			return
+		for len(j.stage) == 0 && !j.closed {
+			j.cond.Wait()
 		}
+		if len(j.stage) == 0 {
+			break
+		}
+		take, upTo := j.stage, j.staged
+		j.stage = spare[:0]
+		j.cond.Broadcast() // a blocked hot path finds a whole empty stage
+		j.mu.Unlock()
+		j.writeTake(take)
+		spare = take
+		j.mu.Lock()
+		j.written = upTo
+		j.cond.Broadcast() // Flush barriers
 	}
+	j.mu.Unlock()
+	j.sync()
 }
 
-// drainPending writes every record currently staged in the channel.
-func (j *Journal) drainPending() {
-	for {
-		select {
-		case rec := <-j.in:
-			j.drainAndWrite(rec)
-		default:
-			return
+// writeTake puts one take — whole records, back to back — into the
+// journal: it walks the records once for bookkeep, cuts the take where a
+// record carries the active segment to SegmentBytes (write, roll, carry
+// on in the next segment), so each segment the take touches gets one
+// write, then applies the sync policy once and recycles.
+func (j *Journal) writeTake(take []byte) {
+	from, stuck := 0, false
+	for off := 0; off < len(take); {
+		end := off + RecOverhead + int(binary.BigEndian.Uint32(take[off+13:]))
+		j.bookkeep(take[off:end])
+		off = end
+		// A roll that failed leaves the segment over its bound; the next
+		// take retries, not the next record.
+		if j.segBytes+off-from >= j.opts.SegmentBytes && !stuck {
+			j.write(take[from:off])
+			from = off
+			stuck = !j.roll()
 		}
 	}
-}
-
-// drainAndWrite batches rec with whatever else is already staged (up to
-// batchMax), writes the batch with one coalesced file write, applies the
-// sync policy, and handles segment roll + recycling.
-func (j *Journal) drainAndWrite(rec []byte) {
-	j.batch = j.batch[:0]
-	j.batch = append(j.batch, rec)
-	for len(j.batch) < batchMax {
-		select {
-		case r := <-j.in:
-			j.batch = append(j.batch, r)
-		default:
-			goto drained
-		}
+	if from < len(take) {
+		j.write(take[from:])
 	}
-drained:
-	j.wbuf = j.wbuf[:0]
-	for _, r := range j.batch {
-		j.bookkeep(r)
-		switch {
-		case j.opts.Sync == SyncAlways:
-			j.write(r)
-			j.sync()
-		case len(j.wbuf)+len(r) > cap(j.wbuf):
-			j.flushWbuf()
-			if len(r) > cap(j.wbuf) {
-				j.write(r)
-			} else {
-				j.wbuf = append(j.wbuf, r...)
-			}
-		default:
-			j.wbuf = append(j.wbuf, r...)
-		}
-	}
-	j.flushWbuf()
 	if j.opts.Sync == SyncBatch {
 		j.sync()
 	}
-	for i, r := range j.batch {
-		wire.ReleaseBuffer(r)
-		j.batch[i] = nil
-	}
-	if j.segBytes >= j.opts.SegmentBytes {
-		j.roll()
-	}
 	j.recycleSealed()
-}
-
-// flushWbuf writes the coalescing buffer's contents, if any.
-func (j *Journal) flushWbuf() {
-	if len(j.wbuf) > 0 {
-		j.write(j.wbuf)
-		j.wbuf = j.wbuf[:0]
-	}
 }
 
 // write appends buf to the active segment. An error is counted, not
@@ -496,7 +516,7 @@ func (j *Journal) write(buf []byte) {
 // latency histogram.
 func (j *Journal) sync() {
 	start := time.Now()
-	if err := j.f.Sync(); err != nil {
+	if err := fsync(j.f); err != nil {
 		j.writeErrs.Add(1)
 		return
 	}
@@ -512,22 +532,19 @@ func (j *Journal) bookkeep(rec []byte) {
 	seq := binary.BigEndian.Uint64(rec[5:13])
 	switch rec[0] {
 	case RecAppend:
-		if seq > j.segExpMax[exp] {
-			j.segExpMax[exp] = seq
-		}
-		if seq > j.seqFloor[exp] {
-			j.seqFloor[exp] = seq
-		}
+		j.segExpMax[exp] = max(j.segExpMax[exp], seq)
+		j.seqFloor[exp] = max(j.seqFloor[exp], seq)
+	case RecTombstone:
+		j.released[exp] = max(j.released[exp], seq)
 	case RecTrim:
-		if seq > j.trimFloor[exp] {
-			j.trimFloor[exp] = seq
-		}
+		j.trimFloor[exp] = max(j.trimFloor[exp], seq)
+		j.released[exp] = max(j.released[exp], seq)
 	}
 }
 
 // roll seals the active segment (fsync unless SyncNone, then close) and
-// opens the next one.
-func (j *Journal) roll() {
+// opens the next one, reporting whether it did.
+func (j *Journal) roll() bool {
 	if j.opts.Sync != SyncNone {
 		j.sync()
 	}
@@ -535,7 +552,8 @@ func (j *Journal) roll() {
 		j.writeErrs.Add(1)
 	}
 	j.sealed = append(j.sealed, sealedSeg{index: j.segIndex, expMax: j.segExpMax})
-	if err := j.openSegment(j.segIndex + 1); err != nil {
+	err := j.openSegment(j.segIndex + 1)
+	if err != nil {
 		j.writeErrs.Add(1)
 		// Reopen the sealed segment for append so the journal stays
 		// writable; the next roll retries.
@@ -546,27 +564,28 @@ func (j *Journal) roll() {
 			j.sealed = j.sealed[:len(j.sealed)-1]
 		}
 	}
+	return err == nil
 }
 
-// recycleSealed deletes sealed segments whose every appended entry the
-// cumulative-ACK trim floor has passed, first re-journalling the counter
+// recycleSealed deletes sealed segments whose every appended entry has
+// been released (trimmed or evicted), first re-journalling the counter
 // floors of the experiments they held so a later replay cannot regress
 // sequence numbering.
 func (j *Journal) recycleSealed() {
 	for len(j.sealed) > 0 {
 		seg := j.sealed[0]
-		for exp, max := range seg.expMax {
-			if j.trimFloor[exp] < max {
+		for exp, top := range seg.expMax {
+			if j.released[exp] < top {
 				return
 			}
 		}
+		var floors []byte
 		for exp := range seg.expMax {
 			var tf [8]byte
 			binary.BigEndian.PutUint64(tf[:], j.trimFloor[exp])
-			fr := frameRecord(RecFloors, exp, j.seqFloor[exp], tf[:])
-			j.write(fr)
-			wire.ReleaseBuffer(fr)
+			floors = appendRecord(floors, RecFloors, exp, j.seqFloor[exp], tf[:])
 		}
+		j.write(floors)
 		if j.opts.Sync != SyncNone {
 			j.sync()
 		}

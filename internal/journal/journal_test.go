@@ -107,14 +107,30 @@ func TestJournalReappendAfterTombstoneKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestJournalTornTailEveryOffset truncates the journal at every byte
-// offset inside the final record and asserts recovery truncates the torn
-// tail cleanly and replays exactly the intact records.
+// TestJournalTornTailEveryOffset cuts one multi-record write at every
+// byte offset — a take is a single write(2) of many records, so a process
+// death can leave any prefix of it — and asserts recovery keeps the
+// longest whole-record prefix, truncates the rest away and counts it.
 func TestJournalTornTailEveryOffset(t *testing.T) {
+	const (
+		inTake = 3
+		recLen = RecOverhead + 24
+	)
+	d := holdFsync(t)
 	base := t.TempDir()
 	j, _ := openT(t, Options{Dir: base})
-	for seq := uint64(1); seq <= 4; seq++ {
-		j.Append(testExp, seq, payload(seq, 48))
+	defer d.free()
+	// The first record parks the writer in its fsync; the next three are
+	// staged behind it and leave as one take, one write.
+	j.Append(testExp, 1, payload(1, 24))
+	<-d.entered
+	for seq := uint64(2); seq <= 1+inTake; seq++ {
+		j.Append(testExp, seq, payload(seq, 24))
+	}
+	d.free()
+	j.Flush()
+	if got := j.Stats().Fsyncs; got != 2 {
+		t.Fatalf("%d fsyncs for the one-record take and the %d-record take, want 2", got, inTake)
 	}
 	j.Close()
 	segPath := filepath.Join(base, segFileName(0, 0))
@@ -122,50 +138,46 @@ func TestJournalTornTailEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recLen := RecOverhead + 48
-	lastStart := len(whole) - recLen
+	takeStart := len(whole) - inTake*recLen
+	if takeStart != SegHeaderLen+recLen {
+		t.Fatalf("segment is %d bytes, want header + %d records of %d", len(whole), 1+inTake, recLen)
+	}
 
-	for cut := lastStart + 1; cut < len(whole); cut++ {
+	for cut := takeStart; cut < len(whole); cut++ {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, segFileName(0, 0)), whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j2, rec := openT(t, Options{Dir: dir})
-		if !rec.TruncatedTail {
-			t.Fatalf("cut at %d: torn tail not detected", cut)
+		intact := uint64(1 + (cut-takeStart)/recLen)
+		boundary := takeStart + (cut-takeStart)/recLen*recLen
+		// A cut at an exact record boundary is not torn — just a shorter log.
+		torn, wantTails := cut != boundary, uint64(0)
+		if torn {
+			wantTails = 1
+		}
+		j2, rec := openT(t, Options{Dir: dir, Sync: SyncNone})
+		if rec.TruncatedTail != torn || j2.Stats().TruncatedTails != wantTails {
+			t.Fatalf("cut at %d: torn tail reported %v and counted %d, want %v and %d",
+				cut, rec.TruncatedTail, j2.Stats().TruncatedTails, torn, wantTails)
 		}
 		checkBalance(t, rec)
-		if got, want := rec.Replayed, uint64(3); got != want {
-			t.Fatalf("cut at %d: replayed %d, want %d", cut, got, want)
+		if rec.Replayed != intact {
+			t.Fatalf("cut at %d: replayed %d, want the %d whole records", cut, rec.Replayed, intact)
 		}
-		if got := rec.Seqs[testExp]; got != 3 {
-			t.Fatalf("cut at %d: sequence floor %d, want 3", cut, got)
+		if got := rec.Seqs[testExp]; got != intact {
+			t.Fatalf("cut at %d: sequence floor %d, want %d", cut, got, intact)
 		}
-		if fi, err := os.Stat(filepath.Join(dir, segFileName(0, 0))); err != nil || fi.Size() != int64(lastStart) {
-			t.Fatalf("cut at %d: torn segment not truncated to %d (size %d, err %v)", cut, lastStart, fi.Size(), err)
+		if fi, err := os.Stat(filepath.Join(dir, segFileName(0, 0))); err != nil || fi.Size() != int64(boundary) {
+			t.Fatalf("cut at %d: torn segment not truncated to %d (size %d, err %v)", cut, boundary, fi.Size(), err)
 		}
 		// The journal must be writable after a torn-tail recovery.
-		j2.Append(testExp, 4, payload(4, 48))
+		j2.Append(testExp, intact+1, payload(intact+1, 24))
 		j2.Close()
-		j3, rec3 := openT(t, Options{Dir: dir})
-		if rec3.Replayed != 4 {
+		j3, rec3 := openT(t, Options{Dir: dir, Sync: SyncNone})
+		if rec3.Replayed != intact+1 {
 			t.Fatalf("cut at %d: post-recovery append lost (replayed %d)", cut, rec3.Replayed)
 		}
 		j3.Close()
-	}
-
-	// A cut at the exact record boundary is not torn — just a shorter log.
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, segFileName(0, 0)), whole[:lastStart], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j4, rec4 := openT(t, Options{Dir: dir})
-	defer j4.Close()
-	if rec4.TruncatedTail {
-		t.Fatal("boundary cut misreported as torn")
-	}
-	if rec4.Replayed != 3 {
-		t.Fatalf("boundary cut replayed %d, want 3", rec4.Replayed)
 	}
 }
 
@@ -210,6 +222,71 @@ func TestJournalSegmentRecycling(t *testing.T) {
 	if rec.Replayed != 1 || rec.Entries[0].Seq != n+1 {
 		t.Fatalf("replayed %d entries, want exactly the untrimmed seq %d", rec.Replayed, n+1)
 	}
+}
+
+// TestJournalRecyclesWithoutACKs is the daemons' default: a receiver that
+// never ACKs, so the stash is bounded by capacity eviction alone and the
+// journal sees tombstones in eviction order and no trim, ever. The stash
+// releases each experiment from the front, so those tombstones release
+// segments just as trims do and the disk tracks the live window, not
+// history.
+func TestJournalRecyclesWithoutACKs(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, Options{Dir: dir, SegmentBytes: 2048})
+	exps := []wire.ExperimentID{testExp, testExp + 1}
+	const n, held = 2500, 50 // appends and live entries per experiment
+	for seq := uint64(1); seq <= n; seq++ {
+		for _, exp := range exps {
+			if seq > held {
+				j.Tombstone(exp, seq-held) // the insert below evicts the oldest
+			}
+			j.Append(exp, seq, payload(seq, 96))
+		}
+		if seq%10 == 0 {
+			j.Flush()
+		}
+	}
+	j.Flush()
+	st := j.Stats()
+	if st.SegmentsRecycled == 0 {
+		t.Fatalf("no segment recycled after %d evictions (stats %+v)", st.Tombstones, st)
+	}
+	// A segment is released once both experiments have moved on by held
+	// inserts: 100 tombstone + append pairs of 138 bytes, seven segments,
+	// plus the takes in between and the active one. History is 337.
+	if segs := listTestSegments(t, dir); len(segs) > 12 {
+		t.Fatalf("%d segment files for a live window of %d entries: the disk tracks history, not the stash",
+			len(segs), len(exps)*held)
+	}
+	j.Close()
+
+	j2, rec := openT(t, Options{Dir: dir, SegmentBytes: 2048})
+	checkBalance(t, rec)
+	if rec.Replayed != uint64(len(exps)*held) {
+		t.Fatalf("replayed %d entries, want the %d live ones", rec.Replayed, len(exps)*held)
+	}
+	for _, e := range rec.Entries {
+		if e.Seq <= n-held || e.Seq > n {
+			t.Fatalf("replayed (exp %d, seq %d), outside the live window (%d, %d]", e.Exp, e.Seq, n-held, n)
+		}
+	}
+	for _, exp := range exps {
+		if got := rec.Seqs[exp]; got != n {
+			t.Fatalf("exp %d: sequence floor %d after recycling, want %d", exp, got, n)
+		}
+	}
+	// The floors a previous process earned from tombstones survive a
+	// reopen: evicting the rest lets the reopened journal recycle what it
+	// inherited.
+	for _, exp := range exps {
+		j2.Tombstone(exp, n)
+	}
+	j2.Append(testExp, n+1, payload(n+1, 96))
+	j2.Flush()
+	if segs := listTestSegments(t, dir); len(segs) > 2 {
+		t.Fatalf("%d segment files after everything inherited was evicted, want the active one (and at most one sealed)", len(segs))
+	}
+	j2.Close()
 }
 
 // TestJournalReplayAfterProcessCrash exercises the in-process crash
@@ -282,28 +359,22 @@ func TestJournalRejectsMidSegmentCorruption(t *testing.T) {
 }
 
 func TestJournalSyncPolicies(t *testing.T) {
-	for _, sync := range []string{SyncBatch, SyncNone, SyncAlways} {
+	for _, sync := range []string{SyncBatch, SyncNone} {
 		dir := t.TempDir()
-		// Segments a few records long, and a Flush per append so no batch
-		// spans more than one roll.
+		// A Flush per append makes every take one record, and a segment
+		// reaches its 256 bytes with its third (16 + 3 × 85): twelve takes,
+		// four rolls, nothing to recycle.
 		j, _ := openT(t, Options{Dir: dir, Sync: sync, SegmentBytes: 256})
 		for seq := uint64(1); seq <= 12; seq++ {
 			j.Append(testExp, seq, payload(seq, 64))
 			j.Flush()
 		}
-		segs, err := j.listSegments()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(segs) < 4 {
-			t.Fatalf("sync=%s: %d segments, want at least 3 rolls", sync, len(segs))
+		if segs := listTestSegments(t, dir); len(segs) != 5 {
+			t.Fatalf("sync=%s: %d segments, want 4 sealed and the active one", sync, len(segs))
 		}
 		st := j.Stats()
-		if sync == SyncNone && st.Fsyncs != 0 {
-			t.Fatalf("sync=none journal counted %d fsyncs across %d rolls", st.Fsyncs, len(segs)-1)
-		}
-		if sync != SyncNone && st.Fsyncs == 0 {
-			t.Fatalf("sync=%s journal never fsynced", sync)
+		if want := map[string]uint64{SyncBatch: 12 + 4, SyncNone: 0}[sync]; st.Fsyncs != want {
+			t.Fatalf("sync=%s: %d fsyncs over 12 takes and 4 rolls, want %d", sync, st.Fsyncs, want)
 		}
 		if st.WriteErrors != 0 {
 			t.Fatalf("sync=%s: %d write errors on a healthy directory", sync, st.WriteErrors)
@@ -315,8 +386,53 @@ func TestJournalSyncPolicies(t *testing.T) {
 			t.Fatalf("sync=%s: replayed %d, want 12", sync, rec.Replayed)
 		}
 	}
-	if _, _, err := Open(Options{Dir: t.TempDir(), Sync: "sometimes"}); err == nil {
-		t.Fatal("Open accepted an unknown sync policy")
+	// "always" went with the writer that could honour it record by record.
+	for _, sync := range []string{"sometimes", "always"} {
+		if _, _, err := Open(Options{Dir: t.TempDir(), Sync: sync}); err == nil {
+			t.Fatalf("Open accepted sync policy %q", sync)
+		}
+	}
+}
+
+// TestJournalTakeSpansSegments stages eleven records behind a held writer
+// so that they leave as one take across four segments: every segment must
+// end at the first record boundary at or past SegmentBytes and parse on
+// its own, under one fsync per roll and one for the take.
+func TestJournalTakeSpansSegments(t *testing.T) {
+	d := holdFsync(t)
+	dir := t.TempDir()
+	j, _ := openT(t, Options{Dir: dir, SegmentBytes: 256})
+	defer j.Close()
+	defer d.free()
+	j.Append(testExp, 1, payload(1, 64))
+	<-d.entered // the writer is inside the first take's fsync
+	for seq := uint64(2); seq <= 12; seq++ {
+		j.Append(testExp, seq, payload(seq, 64))
+	}
+	d.free()
+	rec, err := j.Replay()
+	if err != nil {
+		t.Fatalf("Replay across the segments of one take: %v", err)
+	}
+	if rec.Replayed != 12 {
+		t.Fatalf("replayed %d, want 12", rec.Replayed)
+	}
+	// 16 + 3 × 85 = 271 ≥ 256: three records a segment, whoever wrote them.
+	segs := listTestSegments(t, dir)
+	if len(segs) != 5 {
+		t.Fatalf("%d segments, want 4 sealed and the active one", len(segs))
+	}
+	for i, path := range segs {
+		want := int64(SegHeaderLen + 3*(RecOverhead+64))
+		if i == 4 {
+			want = SegHeaderLen
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != want {
+			t.Fatalf("segment %d is %d bytes (err %v), want %d", i, fi.Size(), err, want)
+		}
+	}
+	if got := j.Stats().Fsyncs; got != 1+4+1 {
+		t.Fatalf("%d fsyncs, want one per take and one per roll: 6", got)
 	}
 }
 
@@ -331,8 +447,9 @@ func TestJournalCountsWriteErrors(t *testing.T) {
 	if st := j.Stats(); st.WriteErrors != 0 {
 		t.Fatalf("%d write errors before the fault", st.WriteErrors)
 	}
-	// The barrier above leaves the writer parked in its select, and this
-	// goroutine's next channel send orders the Close before its next write.
+	// The barrier above leaves the writer parked on an empty stage, and it
+	// next touches the file only after taking the journal's mutex behind
+	// this goroutine's next Append, which orders the Close before its write.
 	j.f.Close()
 	j.Append(testExp, 2, payload(2, 64))
 	j.Flush()

@@ -37,7 +37,8 @@ const (
 	// packet exactly as the buffer engine retains it.
 	RecAppend = 0x01
 	// RecTombstone journals one capacity eviction (empty payload); the
-	// sequence field names the evicted entry.
+	// sequence field names the evicted entry, the oldest its experiment
+	// still held.
 	RecTombstone = 0x02
 	// RecTrim journals one cumulative-ACK trim (empty payload); the
 	// sequence field is the cumulative sequence — every live entry of the
@@ -47,8 +48,8 @@ const (
 	// recycling: the sequence field is the sequence-assignment floor (the
 	// highest sequence ever journalled) and the 8-byte payload is the
 	// cumulative-ACK trim floor. Written into the active segment just
-	// before a fully-trimmed older segment is deleted, so replay never
-	// regresses sequence numbering.
+	// before an older segment whose every entry is released is deleted, so
+	// replay never regresses sequence numbering.
 	RecFloors = 0x04
 )
 
@@ -60,20 +61,18 @@ const maxRecPayload = 1 << 20
 // castagnoli is the CRC-32C table shared by framing and recovery.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frameRecord serialises one record into a pooled buffer sized exactly
-// RecOverhead + len(payload). The caller (the hot path) hands the buffer
-// to the writer goroutine, which releases it after the file write — the
-// append path itself performs no allocation.
-func frameRecord(typ byte, exp wire.ExperimentID, seq uint64, payload []byte) []byte {
-	rec := wire.GetBuffer(RecOverhead + len(payload))
-	rec[0] = typ
-	binary.BigEndian.PutUint32(rec[1:5], uint32(exp))
-	binary.BigEndian.PutUint64(rec[5:13], seq)
-	binary.BigEndian.PutUint32(rec[13:17], uint32(len(payload)))
-	copy(rec[RecHeaderLen:], payload)
-	crc := crc32.Checksum(rec[:RecHeaderLen+len(payload)], castagnoli)
-	binary.BigEndian.PutUint32(rec[RecHeaderLen+len(payload):], crc)
-	return rec
+// appendRecord frames one record onto dst — header, payload, then the
+// CRC-32C of both — and returns the extended slice. It is the package's
+// only record encoder: the hot path frames onto the stage with it, the
+// recycler frames RecFloors, and the golden vectors pin its bytes.
+func appendRecord(dst []byte, typ byte, exp wire.ExperimentID, seq uint64, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, typ)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(exp))
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, payload...)
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // segHeader serialises the segment header for (shard, index).

@@ -59,11 +59,12 @@ type replayKey struct {
 // recoverSegments scans segs in order and reconstructs the surviving
 // stash. When forOpen is true (the constructor's recovery path), a torn
 // tail in the final segment is truncated on disk, and the per-segment
-// append maxima are seeded into j.sealed so recycling bookkeeping
-// resumes where the previous process left off (safe: the writer
-// goroutine has not started). When forOpen is false (Replay on a live
-// journal), a torn record fails the scan instead — the Flush barrier
-// guarantees complete records, so a bad frame is real corruption.
+// append maxima and the highest tombstone per experiment are seeded into
+// j.sealed and j.released so recycling bookkeeping resumes where the
+// previous process left off (safe: the writer goroutine has not
+// started). When forOpen is false (Replay on a live journal), a torn
+// record fails the scan instead — the Flush barrier guarantees complete
+// records, so a bad frame is real corruption.
 func (j *Journal) recoverSegments(segs []segRef, forOpen bool) (*Recovered, error) {
 	rec := &Recovered{
 		Seqs:  make(map[wire.ExperimentID]uint64),
@@ -122,6 +123,9 @@ func (j *Journal) recoverSegments(segs []segRef, forOpen bool) (*Recovered, erro
 				order = append(order, k)
 			case RecTombstone:
 				drop(replayKey{exp, seq})
+				if forOpen {
+					j.released[exp] = max(j.released[exp], seq)
+				}
 			case RecTrim:
 				if seq > rec.Trims[exp] {
 					rec.Trims[exp] = seq

@@ -54,8 +54,8 @@ func (s *Set) Recovered(i int) *Recovered {
 	return s.recs[i]
 }
 
-// Flush barriers every shard: all records enqueued before the call are
-// in the segment files when it returns.
+// Flush barriers every shard: all records staged before the call are in
+// the segment files when it returns.
 func (s *Set) Flush() {
 	for _, j := range s.js {
 		j.Flush()
@@ -91,8 +91,8 @@ func (s *Set) Recoveries() []*Recovered {
 	return out
 }
 
-// Pending sums the per-shard journals' flush lag (records enqueued to
-// the writers but not yet in the segment files).
+// Pending sums the per-shard journals' flush lag (records staged but not
+// yet in the segment files).
 func (s *Set) Pending() int {
 	total := 0
 	for _, j := range s.js {
@@ -114,6 +114,7 @@ func (s *Set) Stats() Stats {
 		agg.Replayed += st.Replayed
 		agg.TruncatedTails += st.TruncatedTails
 		agg.WriteErrors += st.WriteErrors
+		agg.AppendBlockedNs += st.AppendBlockedNs
 	}
 	return agg
 }
@@ -144,6 +145,7 @@ func (s *Set) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterFunc(metrics.MetricJournalReplayed, func() int64 { return int64(snap().Replayed) })
 	reg.RegisterFunc(metrics.MetricJournalTruncatedTails, func() int64 { return int64(snap().TruncatedTails) })
 	reg.RegisterFunc(metrics.MetricJournalWriteErrors, func() int64 { return int64(snap().WriteErrors) })
+	reg.RegisterFunc(metrics.MetricJournalAppendBlockedNs, func() int64 { return int64(snap().AppendBlockedNs) })
 	reg.RegisterFunc(metrics.MetricJournalPending, func() int64 { return int64(s.Pending()) })
 	// The latest recovery's balance, summed across shards: the fleet
 	// monitor's journal-balance watchdog checks appended − tombstoned ==

@@ -87,8 +87,7 @@ type RelayConfig struct {
 	// in-memory-only behavior exactly.
 	JournalDir string
 	// JournalSync is the journal fsync policy: journal.SyncBatch when
-	// empty (one group-committed fsync per writer drain), or SyncNone /
-	// SyncAlways.
+	// empty (one group-committed fsync per writer take), or SyncNone.
 	JournalSync string
 	// Blackbox, when non-nil, is invoked at the end of Crash(), after the
 	// receive loop has drained and the journal (if any) has flushed — the

@@ -59,7 +59,10 @@ const (
 	MetricJournalReplayed         = "dmtp.journal.replayed"
 	MetricJournalTruncatedTails   = "dmtp.journal.truncated_tails"
 	MetricJournalWriteErrors      = "dmtp.journal.write_errors"
-	// MetricJournalPending is the journal flush lag: records enqueued to
+	// MetricJournalAppendBlockedNs is the cumulative time the relay's hot
+	// path waited for room in a full journal stage.
+	MetricJournalAppendBlockedNs = "dmtp.journal.append_blocked_ns"
+	// MetricJournalPending is the journal flush lag: records staged for
 	// the per-shard writers but not yet written to the segment files.
 	MetricJournalPending = "dmtp.journal.pending"
 	// The dmtp.journal.recovery.* gauges expose the most recent journal
@@ -194,13 +197,14 @@ var Catalog = []Info{
 	{MetricJournalAppends, KindGauge, "records", "stash inserts journalled to the write-ahead log"},
 	{MetricJournalAppendBytes, KindGauge, "bytes", "stash payload bytes journalled by those appends"},
 	{MetricJournalTombstones, KindGauge, "records", "release records journalled (capacity evictions plus cumulative-ACK trims)"},
-	{MetricJournalFsyncs, KindGauge, "syncs", "fsync calls issued by the journal writers (one per group-committed batch under -journal-sync batch)"},
+	{MetricJournalFsyncs, KindGauge, "syncs", "fsync calls issued by the journal writers (one per take under -journal-sync batch)"},
 	{MetricJournalFsyncNs, KindHist, "ns", "fsync latency of the journal writers"},
-	{MetricJournalSegmentsRecycled, KindGauge, "segments", "fully-trimmed journal segment files deleted"},
+	{MetricJournalSegmentsRecycled, KindGauge, "segments", "journal segment files deleted once every entry in them was trimmed or evicted"},
 	{MetricJournalReplayed, KindGauge, "records", "stash entries rebuilt from the journal by recovery (startup open plus crash replays)"},
 	{MetricJournalTruncatedTails, KindGauge, "events", "torn final-segment tails truncated during recovery"},
 	{MetricJournalWriteErrors, KindGauge, "errors", "failed journal segment writes, fsyncs, closes and opens (ENOSPC, a dying disk): durability lost while the relay carries on"},
-	{MetricJournalPending, KindGauge, "records", "journal flush lag: records enqueued to the writers but not yet in the segment files"},
+	{MetricJournalAppendBlockedNs, KindGauge, "ns", "cumulative time the relay's hot path waited for room in a full journal stage; its rate is the fraction of the relay loop the disk is holding"},
+	{MetricJournalPending, KindGauge, "records", "journal flush lag: records staged for the writers but not yet in the segment files"},
 	{MetricJournalRecoveryAppended, KindGauge, "records", "append records scanned by the most recent journal recovery (summed across shards)"},
 	{MetricJournalRecoveryTombstoned, KindGauge, "records", "entry removals applied by the most recent journal recovery (tombstones, trim sweeps, overwrites)"},
 	{MetricJournalRecoveryReplayed, KindGauge, "records", "stash entries the most recent journal recovery rebuilt; appended − tombstoned must equal this"},
