@@ -2,6 +2,7 @@ package faults
 
 import (
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 )
@@ -11,7 +12,7 @@ import (
 // into any live role via its Wrap config hook without an import cycle.
 type PacketConn interface {
 	ReadFromUDP(b []byte) (int, *net.UDPAddr, error)
-	WriteToUDP(b []byte, addr *net.UDPAddr) (int, error)
+	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
 	Write(b []byte) (int, error)
 	LocalAddr() net.Addr
 	Close() error
@@ -44,9 +45,9 @@ func (c *Conn) ReadFromUDP(b []byte) (int, *net.UDPAddr, error) {
 	return c.inner.ReadFromUDP(b)
 }
 
-// WriteToUDP applies the fault plan, then forwards survivors.
-func (c *Conn) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
-	return c.faultedWrite(b, func(p []byte) (int, error) { return c.inner.WriteToUDP(p, addr) })
+// WriteToUDPAddrPort applies the fault plan, then forwards survivors.
+func (c *Conn) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) {
+	return c.faultedWrite(b, func(p []byte) (int, error) { return c.inner.WriteToUDPAddrPort(p, addr) })
 }
 
 // Write applies the fault plan on a connected socket.

@@ -24,6 +24,7 @@ package live
 
 import (
 	"net"
+	"net/netip"
 	"sync/atomic"
 
 	"repro/internal/metrics"
@@ -264,7 +265,7 @@ func (bc *batchConn) PacketsSrc(n int, fn func(pkt []byte, src wire.Addr)) {
 // pkts[sent:].
 func (bc *batchConn) WriteBatch(pkts [][]byte) (sent int, err error) {
 	if bc.k != nil {
-		return bc.k.writeBatch(pkts, nil)
+		return bc.k.writeBatch(pkts, netip.AddrPort{})
 	}
 	bc.stats.fallback()
 	for _, p := range pkts {
@@ -278,15 +279,15 @@ func (bc *batchConn) WriteBatch(pkts [][]byte) (sent int, err error) {
 }
 
 // WriteBatchTo is WriteBatch for an unconnected socket: every packet
-// goes to addr (the relay's forward leg — one destination per burst,
-// which is exactly the shape GSO coalesces).
-func (bc *batchConn) WriteBatchTo(pkts [][]byte, addr *net.UDPAddr) (sent int, err error) {
+// goes to addr (the relay's forward leg — one call per destination per
+// burst, which is exactly the shape GSO coalesces).
+func (bc *batchConn) WriteBatchTo(pkts [][]byte, addr netip.AddrPort) (sent int, err error) {
 	if bc.k != nil {
 		return bc.k.writeBatch(pkts, addr)
 	}
 	bc.stats.fallback()
 	for _, p := range pkts {
-		if _, err := bc.c.WriteToUDP(p, addr); err != nil {
+		if _, err := bc.c.WriteToUDPAddrPort(p, addr); err != nil {
 			return sent, err
 		}
 		sent++

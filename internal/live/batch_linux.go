@@ -22,6 +22,7 @@ package live
 
 import (
 	"net"
+	"net/netip"
 	"syscall"
 	"unsafe"
 
@@ -282,20 +283,20 @@ func groSegSize(ctrl []byte) int {
 }
 
 // writeBatch sends every packet, preferring GSO super-datagrams for
-// runs of equal-size packets and sendmmsg for the rest. addr nil means
-// the connected-socket path (the sender); non-nil is the relay's
-// forward leg. Returns how many packets were fully handed to the
-// kernel; on error the unsent tail is pkts[sent:].
-func (k *kernelBatch) writeBatch(pkts [][]byte, addr *net.UDPAddr) (int, error) {
+// runs of equal-size packets and sendmmsg for the rest. An invalid
+// (zero) addr means the connected-socket path (the sender); a valid one
+// is the relay's forward leg. Returns how many packets were fully handed
+// to the kernel; on error the unsent tail is pkts[sent:].
+func (k *kernelBatch) writeBatch(pkts [][]byte, addr netip.AddrPort) (int, error) {
 	var name *syscall.RawSockaddrInet4
-	if addr != nil {
+	if addr.IsValid() {
 		if !k.setAddr(addr) {
 			// Non-IPv4 destination: the mmsg path only carries the
 			// sockaddr_in fast case; fall back to single writes.
 			k.stats.fallback()
 			sent := 0
 			for _, p := range pkts {
-				if _, err := k.uc.WriteToUDP(p, addr); err != nil {
+				if _, err := k.uc.WriteToUDPAddrPort(p, addr); err != nil {
 					return sent, err
 				}
 				sent++
@@ -438,15 +439,16 @@ func (k *kernelBatch) submit(vlen int) error {
 
 // setAddr caches addr as a raw sockaddr_in for the msghdr Name field.
 // Returns false for non-IPv4 addresses.
-func (k *kernelBatch) setAddr(addr *net.UDPAddr) bool {
-	ip4 := addr.IP.To4()
-	if ip4 == nil {
+func (k *kernelBatch) setAddr(addr netip.AddrPort) bool {
+	ip := addr.Addr()
+	if !ip.Is4() {
 		return false
 	}
 	k.sname.Family = syscall.AF_INET
 	// sin_port is in network byte order.
-	k.sname.Port = uint16(addr.Port>>8) | uint16(addr.Port&0xff)<<8
-	copy(k.sname.Addr[:], ip4)
+	p := addr.Port()
+	k.sname.Port = p>>8 | p<<8
+	k.sname.Addr = ip.As4()
 	return true
 }
 

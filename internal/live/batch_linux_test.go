@@ -143,7 +143,7 @@ func TestKernelBatchLargeWriteTo(t *testing.T) {
 	for i := 0; i < total; i++ {
 		pkts = append(pkts, pktOf(100+i%97, i)) // varying sizes: no GSO runs
 	}
-	sent, err := wr.WriteBatchTo(pkts, raddr)
+	sent, err := wr.WriteBatchTo(pkts, raddr.AddrPort())
 	if err != nil || sent != total {
 		t.Fatalf("WriteBatchTo = (%d, %v), want (%d, nil)", sent, err, total)
 	}

@@ -4,6 +4,7 @@ package live
 
 import (
 	"net"
+	"net/netip"
 
 	"repro/internal/wire"
 )
@@ -18,7 +19,7 @@ type kernelBatch struct{}
 
 func newKernelBatch(*net.UDPConn, *batchStats, bool, *BatchCaps) *kernelBatch { return nil }
 
-func (*kernelBatch) readBatch() (int, error)                        { return 0, nil }
-func (*kernelBatch) packetsSrc(int, func([]byte, wire.Addr))        {}
-func (*kernelBatch) writeBatch([][]byte, *net.UDPAddr) (int, error) { return 0, nil }
-func (*kernelBatch) close()                                         {}
+func (*kernelBatch) readBatch() (int, error)                          { return 0, nil }
+func (*kernelBatch) packetsSrc(int, func([]byte, wire.Addr))          {}
+func (*kernelBatch) writeBatch([][]byte, netip.AddrPort) (int, error) { return 0, nil }
+func (*kernelBatch) close()                                           {}

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"strings"
 	"sync"
 	"testing"
@@ -20,28 +21,30 @@ import (
 // stubConn scripts UDPConn behavior for fallback tests.
 type stubConn struct {
 	mu       sync.Mutex
-	written  [][]byte // packets accepted by Write/WriteToUDP
-	failFrom int      // fail writes once this many have succeeded (-1 = never)
-	inbox    [][]byte // packets served by ReadFromUDP, in order
+	written  [][]byte         // packets accepted by Write/WriteToUDPAddrPort
+	to       []netip.AddrPort // each accepted packet's address (zero for Write)
+	failFrom int              // fail writes once this many have succeeded (-1 = never)
+	inbox    [][]byte         // packets served by ReadFromUDP, in order
 }
 
 func newStubConn() *stubConn { return &stubConn{failFrom: -1} }
 
 var errStubWrite = errors.New("stub: scripted write failure")
 
-func (s *stubConn) write(b []byte) (int, error) {
+func (s *stubConn) write(b []byte, to netip.AddrPort) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.failFrom >= 0 && len(s.written) >= s.failFrom {
 		return 0, errStubWrite
 	}
 	s.written = append(s.written, append([]byte(nil), b...))
+	s.to = append(s.to, to)
 	return len(b), nil
 }
 
-func (s *stubConn) Write(b []byte) (int, error) { return s.write(b) }
-func (s *stubConn) WriteToUDP(b []byte, _ *net.UDPAddr) (int, error) {
-	return s.write(b)
+func (s *stubConn) Write(b []byte) (int, error) { return s.write(b, netip.AddrPort{}) }
+func (s *stubConn) WriteToUDPAddrPort(b []byte, to netip.AddrPort) (int, error) {
+	return s.write(b, to)
 }
 
 func (s *stubConn) ReadFromUDP(b []byte) (int, *net.UDPAddr, error) {
@@ -101,12 +104,16 @@ func TestBatchConnFallbackWriteTo(t *testing.T) {
 	bc := newBatchConn(stub, &stats, false)
 	defer bc.Close()
 	pkts := [][]byte{pktOf(10, 7), pktOf(20, 8)}
-	sent, err := bc.WriteBatchTo(pkts, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9})
+	dst := netip.MustParseAddrPort("127.0.0.1:9")
+	sent, err := bc.WriteBatchTo(pkts, dst)
 	if err != nil || sent != 2 {
 		t.Fatalf("WriteBatchTo = (%d, %v), want (2, nil)", sent, err)
 	}
 	if len(stub.written) != 2 || len(stub.written[1]) != 20 {
 		t.Fatalf("stub saw %d writes", len(stub.written))
+	}
+	if stub.to[0] != dst || stub.to[1] != dst {
+		t.Fatalf("stub saw writes to %v, want %v", stub.to, dst)
 	}
 }
 

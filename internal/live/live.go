@@ -22,6 +22,7 @@ package live
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,7 +42,7 @@ var releaseBuffer = wire.ReleaseBuffer
 // hook can interpose fault injection without the roles knowing.
 type UDPConn interface {
 	ReadFromUDP(b []byte) (int, *net.UDPAddr, error)
-	WriteToUDP(b []byte, addr *net.UDPAddr) (int, error)
+	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
 	Write(b []byte) (int, error)
 	LocalAddr() net.Addr
 	Close() error
@@ -61,9 +62,10 @@ func toWireAddr(a *net.UDPAddr) (wire.Addr, error) {
 	return w, nil
 }
 
-// toUDPAddr converts a protocol address back to a dialable UDP address.
-func toUDPAddr(a wire.Addr) *net.UDPAddr {
-	return &net.UDPAddr{IP: net.IPv4(a.IP[0], a.IP[1], a.IP[2], a.IP[3]), Port: int(a.Port)}
+// addrPort converts a protocol address to the value form socket writes
+// take, which (unlike *net.UDPAddr) costs no allocation per packet.
+func addrPort(a wire.Addr) netip.AddrPort {
+	return netip.AddrPortFrom(netip.AddrFrom4(a.IP), a.Port)
 }
 
 // SenderConfig configures the instrument-side source.

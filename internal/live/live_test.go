@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -187,8 +188,7 @@ func TestLiveModeUpgradeVisibleAtReceiver(t *testing.T) {
 
 func TestLiveAddrConversions(t *testing.T) {
 	w := wire.AddrFrom(127, 0, 0, 1, 4567)
-	u := toUDPAddr(w)
-	back, err := toWireAddr(u)
+	back, err := toWireAddr(net.UDPAddrFromAddrPort(addrPort(w)))
 	if err != nil {
 		t.Fatal(err)
 	}

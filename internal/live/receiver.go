@@ -409,7 +409,7 @@ func (r *Receiver) takeFlushLocked() rxFlush {
 // (recovery latency beats delivery callbacks), then application callbacks.
 func (r *Receiver) dispatch(f rxFlush) {
 	for _, s := range f.sends {
-		if _, err := r.conn.WriteToUDP(s.pkt, toUDPAddr(s.dst)); err != nil {
+		if _, err := r.conn.WriteToUDPAddrPort(s.pkt, addrPort(s.dst)); err != nil {
 			r.countTxErr()
 		}
 	}

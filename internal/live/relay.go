@@ -8,14 +8,18 @@ package live
 //   - Each burst from the batch datapath is handed to the engine packet
 //     by packet, in arrival order, under one hold of the engine lock.
 //
-//   - Each flow's destination carries its own forward queue, flushed
-//     with one batched WriteBatchTo per flow per burst; a stash buffer
-//     the engine releases mid-burst is recycled only after that flush,
-//     since a queue may still reference it.
+//   - Each downstream address is one destination, shared by every flow
+//     that resolved to it and flushed with one batched WriteBatchTo per
+//     destination per burst — each flow's packets of the burst contiguous
+//     in it, so a flow's equal-size run stays one GSO send however the
+//     flows interleaved on arrival; a stash buffer the engine releases
+//     mid-burst is recycled only after that flush, since a queued packet
+//     may still reference it.
 
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,22 +108,32 @@ type RelayStats struct {
 	TxErrors uint64
 }
 
-// forwardQueue is a flow's downstream: the address resolved at
-// registration, and this burst's forward-leg packets awaiting one
-// batched WriteBatchTo. A non-empty pkts marks membership in the relay's
-// dirty list.
+// destination is one downstream address, shared by every flow that
+// resolved to it. flows lists the flows with forward-leg packets this
+// burst, in the order each first queued one; flush gathers their packets
+// into pkts, flow by flow, for one batched WriteBatchTo. A non-empty flows
+// marks membership in the relay's dirty list.
+type destination struct {
+	addr  netip.AddrPort
+	flows []*relayFlow
+	pkts  [][]byte
+}
+
+// forwardQueue is a flow's handle on its destination (dmtp.Flow.Dst):
+// the shared destination, and the flow's own packets of this burst, in
+// order, awaiting the destination's flush.
 type forwardQueue struct {
-	dst  *net.UDPAddr
+	dst  *destination
 	pkts [][]byte
 }
 
-func (q *forwardQueue) String() string { return q.dst.String() }
+func (q *forwardQueue) String() string { return q.dst.addr.String() }
 
 type relayFlow = dmtp.Flow[*forwardQueue]
 
 // Relay is the live-path network element + buffer: dmtp.RelayEngine
 // adapted to UDP sockets, with stash buffers drawn from wire's shared pool
-// and forwarding demultiplexed through per-flow queues.
+// and forwarding gathered into one send per downstream address per burst.
 type Relay struct {
 	cfg RelayConfig
 
@@ -134,18 +148,25 @@ type Relay struct {
 
 	// engMu is the engine's Locker: it serializes the receive loop's
 	// bursts against scrapes, Crash and Restart. The flush that ends every
-	// hold empties dirty (flows with queued forwards) and retired (stash
-	// buffers released meanwhile), so both are empty whenever it is free.
+	// hold empties dirty (destinations with queued forwards) and retired
+	// (stash buffers released meanwhile), so both are empty whenever it is
+	// free. dsts interns one destination per downstream address; it holds
+	// only destinations some registered flow may use (Crash clears it,
+	// prune drops the rest once per half FlowTTL).
 	engMu   sync.Mutex
 	eng     *dmtp.RelayEngine[*forwardQueue]
-	dirty   []*relayFlow
+	dsts    map[netip.AddrPort]*destination
+	dirty   []*destination
 	retired [][]byte
 
 	// fwd is the default downstream for flows the Resolver does not
 	// cover. Registered flows keep the destination they resolved — only
 	// registration (first packet, or the first packet after a crash or
 	// idle expiry) reads this.
-	fwd *net.UDPAddr
+	fwd netip.AddrPort
+	// pruned is the relay-clock time of the last prune; only the loop
+	// goroutine touches it.
+	pruned int64
 
 	txErrN atomic.Uint64
 	txErr  atomic.Pointer[metrics.Counter]
@@ -187,9 +208,14 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = dmtp.WallClock{}
 	}
-	r := &Relay{cfg: cfg}
+	if cfg.FlowTTL <= 0 {
+		// The engine's default, made explicit: prune runs on its sweep's
+		// half-TTL schedule.
+		cfg.FlowTTL = 60 * time.Second
+	}
+	r := &Relay{cfg: cfg, dsts: make(map[netip.AddrPort]*destination), pruned: cfg.Clock.Now()}
 	if cfg.Forward != "" {
-		fwd, err := net.ResolveUDPAddr("udp4", cfg.Forward)
+		fwd, err := resolveAddrPort(cfg.Forward)
 		if err != nil {
 			return nil, fmt.Errorf("live: resolve forward %q: %w", cfg.Forward, err)
 		}
@@ -276,7 +302,7 @@ func (r *Relay) bind(laddr *net.UDPAddr) error {
 	r.self = self
 	r.eng.SetSelf(self)
 	// The batch datapath reads bursts with recvmmsg (GRO enabled) and
-	// flushes each flow's forward queue with sendmmsg/GSO where the
+	// flushes each destination's forwards with sendmmsg/GSO where the
 	// kernel allows; wrapped sockets fall back to the portable loop so
 	// fault middleware still sees every packet.
 	r.bc = newBatchConn(c, &r.bstats, true)
@@ -333,7 +359,7 @@ type relayDatapath struct{ r *Relay }
 func (d relayDatapath) SendControl(dst wire.Addr, pkt []byte) { d.SendData(dst, pkt) }
 
 func (d relayDatapath) SendData(dst wire.Addr, pkt []byte) {
-	if _, err := d.r.conn.WriteToUDP(pkt, toUDPAddr(dst)); err != nil {
+	if _, err := d.r.conn.WriteToUDPAddrPort(pkt, addrPort(dst)); err != nil {
 		d.r.countTxErr(1)
 	}
 }
@@ -354,6 +380,11 @@ func (r *Relay) Crash() {
 	crashed := r.eng.Crash(func() {
 		conn.Close()
 		r.wg.Wait()
+		// The flow table is gone and the loop with it: no flow uses any
+		// destination, and Restart's flows resolve afresh.
+		r.engMu.Lock()
+		clear(r.dsts)
+		r.engMu.Unlock()
 	})
 	if crashed && r.cfg.Blackbox != nil {
 		r.cfg.Blackbox("crash")
@@ -455,11 +486,17 @@ func (r *Relay) loop(bc *batchConn) {
 		r.flush()
 		r.engMu.Unlock()
 		r.eng.Sweep(now)
+		if now-r.pruned >= int64(r.cfg.FlowTTL)/2 {
+			r.pruned = now
+			r.prune()
+		}
 	}
 }
 
 // resolve is the engine's flow-registration hook: the downstream address
-// comes from Resolver when set, else the current default forward.
+// comes from Resolver when set, else the current default forward, and
+// the flow's queue hangs off the relay's one destination for that
+// address. Caller holds engMu.
 func (r *Relay) resolve(src wire.Addr, exp wire.ExperimentID) (*forwardQueue, bool) {
 	dst := r.fwd
 	if r.cfg.Resolver != nil {
@@ -467,23 +504,64 @@ func (r *Relay) resolve(src wire.Addr, exp wire.ExperimentID) (*forwardQueue, bo
 		if s == "" {
 			return nil, false
 		}
-		a, err := net.ResolveUDPAddr("udp4", s)
+		a, err := resolveAddrPort(s)
 		if err != nil {
 			return nil, false
 		}
 		dst = a
 	}
-	return &forwardQueue{dst: dst}, true
+	d := r.dsts[dst]
+	if d == nil {
+		d = &destination{addr: dst}
+		r.dsts[dst] = d
+	}
+	return &forwardQueue{dst: d}, true
 }
 
-// queue is the engine's Emit: append pkt to f's forward queue and mark
-// the flow dirty. pkt points into the batch ring or a stash buffer; the
-// ring outlives this lock hold's flush, and release makes the buffer do so.
-func (r *Relay) queue(f *relayFlow, pkt []byte) {
-	if len(f.Dst.pkts) == 0 {
-		r.dirty = append(r.dirty, f)
+// resolveAddrPort resolves a "host:port" string to the IPv4 form
+// destinations are interned under.
+func resolveAddrPort(s string) (netip.AddrPort, error) {
+	a, err := net.ResolveUDPAddr("udp4", s)
+	if err != nil {
+		return netip.AddrPort{}, err
 	}
-	f.Dst.pkts = append(f.Dst.pkts, pkt)
+	ap := a.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
+}
+
+// prune forgets every destination no registered flow uses; the loop runs
+// it on the engine sweep's half-TTL schedule, so an expired flow's
+// destination goes within one more half TTL. Only the receive loop
+// registers flows, and it is the caller, so the snapshot cannot go stale
+// before the lock is retaken.
+func (r *Relay) prune() {
+	used := make(map[string]bool)
+	for _, f := range r.eng.Flows() {
+		used[f.Dst] = true
+	}
+	r.engMu.Lock()
+	defer r.engMu.Unlock()
+	for a := range r.dsts {
+		if !used[a.String()] {
+			delete(r.dsts, a)
+		}
+	}
+}
+
+// queue is the engine's Emit: append pkt to f's queue, and on the flow's
+// first packet of the burst list it on its destination, marking that
+// dirty. pkt points into the batch ring or a stash buffer; the ring
+// outlives this lock hold's flush, and release makes the buffer do so.
+func (r *Relay) queue(f *relayFlow, pkt []byte) {
+	q := f.Dst
+	if len(q.pkts) == 0 {
+		d := q.dst
+		if len(d.flows) == 0 {
+			r.dirty = append(r.dirty, d)
+		}
+		d.flows = append(d.flows, f)
+	}
+	q.pkts = append(q.pkts, pkt)
 }
 
 // release is the engine's Buffer.Release. A queued forward may point at b,
@@ -497,19 +575,32 @@ func (r *Relay) release(b []byte) {
 	r.retired = append(r.retired, b)
 }
 
-// flush drains every dirty flow's queued forwards, one batched write per
-// flow, then recycles the retired buffers. Failed tails are dropped (loss
-// recovery is the protocol's job) and counted in dmtp.live.tx.errors.
-// Caller holds engMu.
+// flush drains every dirty destination with one batched write: its flows'
+// queued forwards gathered flow by flow, so each flow's packets stay in
+// order and contiguous — equal-size flows still merge into one GSO run, a
+// flow of another size starts a run of its own. Each flow is credited the
+// share of the kernel-accepted prefix it owns; failed tails are dropped
+// (loss recovery is the protocol's job) and counted in
+// dmtp.live.tx.errors. Then the retired buffers are recycled. Caller
+// holds engMu.
 func (r *Relay) flush() {
-	for _, f := range r.dirty {
-		q := f.Dst
-		sent, err := r.bc.WriteBatchTo(q.pkts, q.dst)
-		f.Sent(sent)
-		if err != nil {
-			r.countTxErr(len(q.pkts) - sent)
+	for _, d := range r.dirty {
+		pkts := d.pkts[:0]
+		for _, f := range d.flows {
+			pkts = append(pkts, f.Dst.pkts...)
 		}
-		q.pkts = q.pkts[:0]
+		sent, err := r.bc.WriteBatchTo(pkts, d.addr)
+		if err != nil {
+			r.countTxErr(len(pkts) - sent)
+		}
+		for _, f := range d.flows {
+			n := min(sent, len(f.Dst.pkts))
+			f.Sent(n)
+			sent -= n
+			f.Dst.pkts = f.Dst.pkts[:0]
+		}
+		d.pkts = pkts[:0]
+		d.flows = d.flows[:0]
 	}
 	r.dirty = r.dirty[:0]
 	for _, b := range r.retired {

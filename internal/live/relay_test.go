@@ -3,8 +3,12 @@ package live
 // Flow-table and shard tests for the many-flow relay: registration and
 // idle expiry, the crash-clears-flows invariant (no stale forward address
 // survives a restart), per-flow NAK-service isolation across a crash, the
-// multi-flow forward path's zero-alloc gate, and a -race torture test
-// hammering the one engine lock from many flows, scrapers and a crasher.
+// multi-flow forward path's zero-alloc gate, the shared per-destination
+// send (one per destination, each flow one contiguous run in it, exact
+// per-flow credit, a bounded destination set), the retransmission's
+// zero-alloc gate, and a
+// -race torture test hammering the one engine lock from many flows,
+// scrapers and a crasher.
 
 import (
 	"bytes"
@@ -12,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -225,11 +230,12 @@ func TestRelayCrashClearsFlowsAndReResolves(t *testing.T) {
 
 // TestRelayMultiFlowForwardAllocs gates the multi-flow forward fast path:
 // once warm, ingesting and forwarding a burst that spans four flows on
-// two shards — flow lookup, reshape into a pooled stash buffer, per-flow
-// queue, batched per-flow flush, periodic cumulative trim — performs zero
-// allocations. The burst is driven directly through the engine
-// (the loop goroutine stays parked in its read syscall), exactly the
-// per-packet work the receive loop performs.
+// two shards — flow lookup, reshape into a pooled stash buffer, the
+// shared destination queue, one batched flush, periodic cumulative trim —
+// performs zero allocations, and on the kernel path the four flows' one
+// destination costs one write syscall per burst. The burst is driven
+// directly through the engine (the loop goroutine stays parked in its
+// read syscall), exactly the per-packet work the receive loop performs.
 func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; the pooled steady state cannot hold")
@@ -294,6 +300,433 @@ func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 
 	if avg := testing.AllocsPerRun(100, burst); avg != 0 {
 		t.Fatalf("multi-flow forward allocates %.2f allocs per burst, want 0", avg)
+	}
+
+	if !relay.BatchCaps().Mmsg {
+		return // the portable path counts no syscalls
+	}
+	const bursts = 16
+	before := relay.BatchStats()
+	for i := 0; i < bursts; i++ {
+		burst()
+	}
+	after := relay.BatchStats()
+	if got := after.Syscalls - before.Syscalls; got != bursts {
+		t.Fatalf("%d write syscalls for %d four-flow bursts to one destination, want one per burst", got, bursts)
+	}
+	if got := after.SentPackets - before.SentPackets; got != 4*bursts {
+		t.Fatalf("sent %d packets, want %d", got, 4*bursts)
+	}
+}
+
+// destinations is the size of the relay's interned destination set.
+func (r *Relay) destinations() int {
+	r.engMu.Lock()
+	defer r.engMu.Unlock()
+	return len(r.dsts)
+}
+
+// TestRelayOneWritePerDestination sends bursts of 64 flows that a
+// Resolver splits over two sinks: each burst costs two write syscalls on
+// the kernel path, one per destination, and each sink sees every one of
+// its flows' sequence numbers ascending — sharing a queue keeps each
+// flow's order.
+func TestRelayOneWritePerDestination(t *testing.T) {
+	const (
+		nflows = 64
+		bursts = 20
+		expLo  = 1000
+	)
+	type sinkLog struct {
+		conn *net.UDPConn
+		mu   sync.Mutex
+		seqs map[uint32][]uint64
+		n    int
+	}
+	var sinks [2]*sinkLog
+	var readers sync.WaitGroup
+	for i := range sinks {
+		c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadBuffer(4 << 20)
+		s := &sinkLog{conn: c, seqs: make(map[uint32][]uint64)}
+		sinks[i] = s
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			buf := make([]byte, 2048)
+			for {
+				n, _, err := c.ReadFromUDP(buf)
+				if err != nil {
+					return
+				}
+				v := wire.View(buf[:n])
+				if _, err := v.Check(); err != nil {
+					continue
+				}
+				seq, err := v.Seq()
+				if err != nil {
+					continue
+				}
+				exp := uint32(v.Experiment()) >> 8
+				s.mu.Lock()
+				s.seqs[exp] = append(s.seqs[exp], seq)
+				s.n++
+				s.mu.Unlock()
+			}
+		}()
+	}
+	defer func() {
+		for _, s := range sinks {
+			s.conn.Close()
+		}
+		readers.Wait()
+	}()
+
+	relay, err := NewRelay(RelayConfig{
+		Listen: "127.0.0.1:0",
+		Resolver: func(_ wire.Addr, exp wire.ExperimentID) string {
+			return sinks[(uint32(exp)>>8)%2].conn.LocalAddr().String()
+		},
+		Shards: 2,
+		MaxAge: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+
+	pkts := make([][]byte, nflows)
+	for i := range pkts {
+		pkts[i] = mode0Pkt(t, uint32(expLo+i), "one-destination-per-send")
+	}
+	src := wire.AddrFrom(10, 0, 0, 1, 4000)
+	before := relay.BatchStats()
+	for b := 0; b < bursts; b++ {
+		relay.engMu.Lock()
+		for _, p := range pkts {
+			relay.eng.Handle(src, p, 0)
+		}
+		relay.flush()
+		relay.engMu.Unlock()
+	}
+	if relay.BatchCaps().Mmsg {
+		if got := relay.BatchStats().Syscalls - before.Syscalls; got != 2*bursts {
+			t.Fatalf("%d write syscalls for %d bursts over two destinations, want %d", got, bursts, 2*bursts)
+		}
+	}
+	if n := relay.destinations(); n != 2 {
+		t.Fatalf("%d interned destinations, want 2", n)
+	}
+
+	waitFor(t, 10*time.Second, func() bool {
+		for _, s := range sinks {
+			s.mu.Lock()
+			n := s.n
+			s.mu.Unlock()
+			if n < nflows/2*bursts {
+				return false
+			}
+		}
+		return true
+	}, "every forward at its sink")
+	for i, s := range sinks {
+		s.mu.Lock()
+		if len(s.seqs) != nflows/2 {
+			t.Errorf("sink %d saw %d flows, want %d", i, len(s.seqs), nflows/2)
+		}
+		for exp, seqs := range s.seqs {
+			if exp%2 != uint32(i) {
+				t.Errorf("sink %d got experiment %d, resolved to the other sink", i, exp)
+			}
+			if len(seqs) != bursts {
+				t.Errorf("sink %d, experiment %d: %d packets, want %d", i, exp, len(seqs), bursts)
+			}
+			for k, seq := range seqs {
+				if seq != uint64(k+1) {
+					t.Errorf("sink %d, experiment %d: sequence numbers %v, want 1..%d ascending", i, exp, seqs, bursts)
+					break
+				}
+			}
+		}
+		s.mu.Unlock()
+	}
+}
+
+// TestRelayMixedSizeFlowsShareDestination interleaves a 1 KiB flow and a
+// 256 B flow to one destination, A1 B1 A2 B2 …: the shared send still
+// carries each flow as one run, so on the kernel path a burst costs at
+// most two write syscalls — one GSO run per flow, as with a queue per
+// flow. Sending in arrival order would cut a GSO run at every size
+// change: one syscall per pair.
+func TestRelayMixedSizeFlowsShareDestination(t *testing.T) {
+	const (
+		perFlow = 8
+		bursts  = 16
+	)
+	sink, err := net.ListenPacket("udp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	relay, err := NewRelay(RelayConfig{
+		Listen:  "127.0.0.1:0",
+		Forward: sink.LocalAddr().String(),
+		MaxAge:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	caps := relay.BatchCaps()
+	if !caps.Mmsg {
+		t.Skip("portable path: no write syscalls to count")
+	}
+
+	big := mode0Pkt(t, 821, string(bytes.Repeat([]byte{'a'}, 1024)))
+	small := mode0Pkt(t, 822, string(bytes.Repeat([]byte{'b'}, 256)))
+	srcA, srcB := wire.AddrFrom(10, 0, 0, 1, 4000), wire.AddrFrom(10, 0, 0, 2, 4000)
+	before := relay.BatchStats()
+	for b := 0; b < bursts; b++ {
+		relay.engMu.Lock()
+		for i := 0; i < perFlow; i++ {
+			relay.eng.Handle(srcA, big, 0)
+			relay.eng.Handle(srcB, small, 0)
+		}
+		relay.flush()
+		relay.engMu.Unlock()
+	}
+	after := relay.BatchStats()
+	if got := after.SentPackets - before.SentPackets; got != 2*perFlow*bursts {
+		t.Fatalf("sent %d packets, want %d", got, 2*perFlow*bursts)
+	}
+	if got := after.Syscalls - before.Syscalls; got > 2*bursts {
+		t.Fatalf("%d write syscalls for %d bursts of two interleaved flow sizes, want at most %d", got, bursts, 2*bursts)
+	}
+	if caps.GSO {
+		if got := after.GSOSegments - before.GSOSegments; got != 2*perFlow*bursts {
+			t.Fatalf("%d of %d packets rode GSO", got, 2*perFlow*bursts)
+		}
+	}
+}
+
+// TestRelayFlushCreditsAcceptedPrefix checks the forward leg's per-flow
+// accounting when a shared write fails part-way. Flows A and B share a
+// destination, C has its own; over the portable path a stub socket accepts
+// k packets and fails the rest. The shared write carries each flow's
+// packets contiguously, each flow is credited exactly its packets in the
+// accepted prefix, the unsent tail is counted as tx errors, and
+// upgraded = forwarded + injected drops + tx errors.
+func TestRelayFlushCreditsAcceptedPrefix(t *testing.T) {
+	const (
+		expA, expB, expC = 501, 502, 503
+		rounds           = 4
+	)
+	shared, own := netip.MustParseAddrPort("127.0.0.1:9"), netip.MustParseAddrPort("127.0.0.1:10")
+	// DropEveryN 3 withholds each flow's seq 3, so the burst arrives as
+	// A1 B1 C1 A2 B2 C2 A4 B4 C4 and leaves as A1 A2 A4 B1 B2 B4 to the
+	// shared destination, then C1 C2 C4.
+	order := []uint32{expA, expA, expA, expB, expB, expB, expC, expC, expC}
+	for _, tc := range []struct {
+		failFrom int
+		want     map[uint32]uint64 // forwarded per experiment
+	}{
+		{4, map[uint32]uint64{expA: 3, expB: 1, expC: 0}},
+		{7, map[uint32]uint64{expA: 3, expB: 3, expC: 1}},
+	} {
+		t.Run(fmt.Sprintf("fail-after-%d", tc.failFrom), func(t *testing.T) {
+			relay, err := NewRelay(RelayConfig{
+				Listen: "127.0.0.1:0",
+				Resolver: func(_ wire.Addr, exp wire.ExperimentID) string {
+					if uint32(exp)>>8 == expC {
+						return own.String()
+					}
+					return shared.String()
+				},
+				MaxAge:     time.Hour,
+				DropEveryN: 3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer relay.Close()
+			reg := metrics.NewRegistry()
+			relay.RegisterMetrics(reg)
+
+			stub := newStubConn()
+			stub.failFrom = tc.failFrom
+			relay.mu.Lock()
+			relay.engMu.Lock()
+			relay.bc = newBatchConn(stub, &relay.bstats, false)
+			relay.engMu.Unlock()
+			relay.mu.Unlock()
+
+			relay.engMu.Lock()
+			for i := 0; i < rounds; i++ {
+				for k, exp := range []uint32{expA, expB, expC} {
+					relay.eng.Handle(wire.AddrFrom(10, 0, 0, byte(1+k), 4000), mode0Pkt(t, exp, "x"), 0)
+				}
+			}
+			relay.flush()
+			relay.engMu.Unlock()
+
+			// What the stub accepted, in what order, per flow, and where
+			// it went.
+			wrote := make(map[uint32]uint64)
+			for i, p := range stub.written {
+				exp := uint32(wire.View(p).Experiment()) >> 8
+				if exp != order[i] {
+					t.Errorf("write %d carried experiment %d, want %d (each flow contiguous: %v)", i, exp, order[i], order)
+				}
+				wrote[exp]++
+				want := shared
+				if exp == expC {
+					want = own
+				}
+				if stub.to[i] != want {
+					t.Errorf("experiment %d's packet went to %v, want %v", exp, stub.to[i], want)
+				}
+			}
+			var forwarded uint64
+			for _, f := range relay.Flows() {
+				exp := uint32(f.Experiment) >> 8
+				if f.Forwarded != tc.want[exp] || f.Forwarded != wrote[exp] {
+					t.Errorf("experiment %d: Forwarded %d, stub accepted %d, want %d", exp, f.Forwarded, wrote[exp], tc.want[exp])
+				}
+				forwarded += f.Forwarded
+			}
+			st := relay.Stats()
+			if st.Forwarded != forwarded || forwarded != uint64(tc.failFrom) {
+				t.Errorf("RelayStats.Forwarded %d, flows sum to %d, want %d", st.Forwarded, forwarded, tc.failFrom)
+			}
+			emitted := uint64(3 * (rounds - 1)) // each flow's seq 3 is withheld
+			txErrs := reg.Counter(metrics.MetricLiveTxErrors).Value()
+			if txErrs != st.TxErrors || txErrs != emitted-uint64(tc.failFrom) {
+				t.Errorf("tx errors: counter %d, stats %d, want %d", txErrs, st.TxErrors, emitted-uint64(tc.failFrom))
+			}
+			if st.Upgraded != 3*rounds || st.InjectedDrops != 3 || st.Upgraded != st.Forwarded+st.InjectedDrops+txErrs {
+				t.Errorf("upgraded %d != forwarded %d + injected drops %d + tx errors %d", st.Upgraded, st.Forwarded, st.InjectedDrops, txErrs)
+			}
+		})
+	}
+}
+
+// TestRelayDestinationSetBounded gives every new flow a fresh downstream
+// port: once idle flows expire and a sweep runs, the interned destination
+// set keeps only live flows' destinations; Crash empties it, and a flow
+// after Restart resolves afresh.
+func TestRelayDestinationSetBounded(t *testing.T) {
+	var ports atomic.Uint32
+	fc := dmtp.NewFakeClock(0)
+	relay, err := NewRelay(RelayConfig{
+		Listen: "127.0.0.1:0",
+		Resolver: func(wire.Addr, wire.ExperimentID) string {
+			return fmt.Sprintf("127.0.0.1:%d", 45000+ports.Add(1))
+		},
+		FlowTTL: time.Second,
+		Clock:   fc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	send := func(exp uint32) {
+		t.Helper()
+		snd, err := NewSender(relay.Addr(), exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snd.Close()
+		if err := snd.Send([]byte("d"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for exp := uint32(601); exp <= 603; exp++ {
+		send(exp)
+	}
+	waitFor(t, 5*time.Second, func() bool { return relay.FlowStats().Opened == 3 }, "three registrations")
+	if n := relay.destinations(); n != 3 {
+		t.Fatalf("%d destinations for three flows with fresh ports, want 3", n)
+	}
+
+	// Past the TTL, a fourth flow's burst triggers the sweep that expires
+	// the first three.
+	fc.AdvanceTo(int64(2 * time.Second))
+	send(604)
+	waitFor(t, 5*time.Second, func() bool {
+		return relay.FlowStats().Expired == 3 && relay.destinations() == 1
+	}, "expired flows' destinations pruned")
+	flows := relay.Flows()
+	if len(flows) != 1 || flows[0].Dst != "127.0.0.1:45004" {
+		t.Fatalf("surviving flows: %+v", flows)
+	}
+
+	relay.Crash()
+	if n := relay.destinations(); n != 0 {
+		t.Fatalf("%d destinations survived the crash", n)
+	}
+	if err := relay.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	send(604)
+	waitFor(t, 5*time.Second, func() bool { return relay.FlowStats().Active == 1 }, "re-registration after restart")
+	if flows := relay.Flows(); len(flows) != 1 || flows[0].Dst != "127.0.0.1:45005" {
+		t.Fatalf("flow after restart did not re-resolve: %+v", flows)
+	}
+	if n := relay.destinations(); n != 1 {
+		t.Fatalf("%d destinations after restart, want 1", n)
+	}
+}
+
+// TestRelayRetransmitAllocs gates the control send: once warm, serving a
+// NAK — decode, stash lookup, the retransmission's socket write through
+// relayDatapath — allocates nothing.
+func TestRelayRetransmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; the pooled steady state cannot hold")
+	}
+	sink, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	relay, err := NewRelay(RelayConfig{
+		Listen:  "127.0.0.1:0",
+		Forward: sink.LocalAddr().String(),
+		MaxAge:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+
+	requester, err := toWireAddr(sink.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := wire.NewExperimentID(811, 0)
+	relay.engMu.Lock()
+	relay.eng.Handle(wire.AddrFrom(10, 0, 0, 1, 4000), mode0Pkt(t, 811, "stashed"), 0)
+	relay.flush()
+	relay.engMu.Unlock()
+	nak, err := (&wire.NAK{Experiment: exp, Requester: requester, Ranges: []wire.SeqRange{{From: 1, To: 1}}}).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retransmit := func() {
+		relay.engMu.Lock()
+		relay.eng.Handle(requester, nak, 0)
+		relay.engMu.Unlock()
+	}
+	retransmit() // warm: the NAK decode target's ranges
+	if avg := testing.AllocsPerRun(100, retransmit); avg != 0 {
+		t.Fatalf("a NAK retransmission allocates %.2f, want 0", avg)
+	}
+	if st := relay.Stats(); st.Retransmits != 102 || st.TxErrors != 0 {
+		t.Fatalf("retransmits %d, tx errors %d; want 102 and 0", st.Retransmits, st.TxErrors)
 	}
 }
 

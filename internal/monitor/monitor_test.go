@@ -224,7 +224,9 @@ func TestMonitorJournalImbalanceAlert(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, func() bool { return relay.Stats().Forwarded > 0 }, "relay traffic")
+	// The bias drops every second append record, so the replay needs two:
+	// a crash after the first forward alone would replay in balance.
+	waitFor(t, 5*time.Second, func() bool { return relay.Stats().Forwarded >= 2 }, "relay traffic")
 
 	relay.Crash()
 	journal.ReplayDropBias = 2
