@@ -12,8 +12,9 @@
 //
 //   - Clock: current protocol time plus one-shot timers. The simulator
 //     adapter (internal/core) backs it with internal/sim virtual-time
-//     timers; the UDP adapter (internal/live) backs it with the wall
-//     clock, or with FakeClock in tests and the conformance suite.
+//     timers; the UDP adapter (internal/live) reads the wall clock once
+//     per socket read and keeps the timers in a TimerQueue that its read
+//     loop fires, or uses FakeClock in tests and the conformance suite.
 //   - Datapath: "send these bytes to this address". Substrates decide
 //     what an address means (a netsim node, a UDP endpoint) and obey the
 //     ownership contract documented on the interface.
@@ -40,14 +41,16 @@ type Clock interface {
 	// the live path. Engines only ever subtract and add durations.
 	Now() int64
 	// Schedule runs fn once at absolute time at (clamped to now if the
-	// instant has passed). The returned Timer cancels a pending fn;
-	// stopping an already-fired timer is a no-op.
+	// instant has passed). The returned Timer cancels a pending fn.
 	Schedule(at int64, fn func()) Timer
 }
 
-// Timer is a handle on a scheduled callback.
+// Timer is a handle on a scheduled callback. A handle is dead once its
+// callback starts or its Stop returns: a clock may reuse it for a later
+// timer (a TimerQueue does), so stopping a dead handle can cancel
+// another timer. The engines drop their handle at both points.
 type Timer interface {
-	// Stop cancels the callback if it has not fired yet.
+	// Stop cancels the callback if it has not started.
 	Stop()
 }
 

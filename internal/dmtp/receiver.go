@@ -174,6 +174,9 @@ type rxStream struct {
 	timerAt  int64
 	ackTimer Timer
 	ackArmed bool
+	// fireNAK and fireAck are the stream's timer callbacks, bound once so
+	// that arming a timer allocates nothing.
+	fireNAK, fireAck func()
 	// lastActivity gates the ack cycle's idle shutdown.
 	lastActivity int64
 	// Ordered-delivery state: messages awaiting their turn and the next
@@ -490,6 +493,11 @@ func (e *ReceiverEngine) stream(exp wire.ExperimentID, now int64) *rxStream {
 			pending:     make(map[uint64]pendingRx),
 			nextDeliver: 1,
 		}
+		st.fireNAK = func() {
+			st.timer = nil
+			e.fireNAKs(st)
+		}
+		st.fireAck = func() { e.fireAcks(st) }
 		e.streams[exp] = st
 	}
 	st.lastActivity = now
@@ -550,10 +558,7 @@ func (e *ReceiverEngine) armTimer(st *rxStream, at int64) {
 		at = now
 	}
 	st.timerAt = at
-	st.timer = e.clock.Schedule(at, func() {
-		st.timer = nil
-		e.fireNAKs(st)
-	})
+	st.timer = e.clock.Schedule(at, st.fireNAK)
 }
 
 // fireNAKs retries or writes off every due gap, NAKs the batch in packets
@@ -628,20 +633,25 @@ func (e *ReceiverEngine) retryBackoff(n int) time.Duration {
 }
 
 func (e *ReceiverEngine) scheduleAck(st *rxStream) {
-	st.ackTimer = e.clock.Schedule(e.clock.Now()+int64(e.cfg.AckInterval), func() {
-		st.ackTimer = nil
-		if floor := st.floor(); floor > 0 && !st.buffer.IsZero() {
-			ack := wire.Ack{Experiment: st.exp, CumulativeSeq: floor, Acker: e.self}
-			if data, err := ack.AppendTo(nil); err == nil {
-				e.dp.SendControl(st.buffer, data)
-			}
+	st.ackTimer = e.clock.Schedule(e.clock.Now()+int64(e.cfg.AckInterval), st.fireAck)
+}
+
+// fireAcks is the stream's ACK timer: a cumulative ACK to its buffer, then
+// the next arming unless the stream has gone idle.
+func (e *ReceiverEngine) fireAcks(st *rxStream) {
+	st.ackTimer = nil
+	if floor := st.floor(); floor > 0 && !st.buffer.IsZero() {
+		ack := wire.Ack{Experiment: st.exp, CumulativeSeq: floor, Acker: e.self}
+		// The one allocation per ACK: SendControl takes ownership.
+		if data, err := ack.AppendTo(nil); err == nil {
+			e.dp.SendControl(st.buffer, data)
 		}
-		// Stop re-arming once the stream has gone idle, so simulations
-		// drain; the next arriving packet re-arms the cycle.
-		if e.clock.Now()-st.lastActivity > 4*int64(e.cfg.AckInterval) {
-			st.ackArmed = false
-			return
-		}
-		e.scheduleAck(st)
-	})
+	}
+	// Stop re-arming once the stream has gone idle, so simulations
+	// drain; the next arriving packet re-arms the cycle.
+	if e.clock.Now()-st.lastActivity > 4*int64(e.cfg.AckInterval) {
+		st.ackArmed = false
+		return
+	}
+	e.scheduleAck(st)
 }

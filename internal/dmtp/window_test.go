@@ -209,6 +209,7 @@ type windowSchedule struct {
 	loss, reorder, dup, burst int
 	maxNAKs                   int
 	ordered                   bool
+	ackInterval               time.Duration
 }
 
 // The timing every schedule runs with.
@@ -232,6 +233,7 @@ func runWindowSchedule(t testing.TB, sc windowSchedule) {
 		MaxNAKs:         sc.maxNAKs,
 		Seed:            sc.seed,
 		Ordered:         sc.ordered,
+		AckInterval:     sc.ackInterval,
 		FinalizePayload: func(wire.View) []byte { return nil },
 	}
 	ref := newRefWindow(cfg)
@@ -267,7 +269,7 @@ func runWindowSchedule(t testing.TB, sc windowSchedule) {
 			}
 		}
 	}
-	eng := NewReceiverEngine(fc, nopDatapath{}, cfg)
+	eng := NewReceiverEngine(strictClock{fc, t}, nopDatapath{}, cfg)
 	eng.SetSelf(wire.AddrFrom(10, 0, 0, 2, 200))
 
 	losing := 0
@@ -361,6 +363,8 @@ func TestReceiverWindowMatchesReference(t *testing.T) {
 		{loss: 10, reorder: 50, maxNAKs: 0},           // written off at the first fire
 		{loss: 10, reorder: 20, dup: 5, maxNAKs: 3, ordered: true},
 		{loss: 30, burst: 5, maxNAKs: 2, ordered: true},
+		{loss: 10, reorder: 20, dup: 5, maxNAKs: 3, ackInterval: 50 * time.Microsecond},
+		{loss: 20, burst: 5, maxNAKs: 2, ordered: true, ackInterval: time.Millisecond},
 	} {
 		sc.n = 1500
 		for seed := int64(1); seed <= 6; seed++ {
@@ -456,7 +460,7 @@ func TestLateJoinResyncs(t *testing.T) {
 		buffer := wire.AddrFrom(10, 0, 0, 1, 100)
 		var delivered, lost []uint64
 		var naks [][]wire.SeqRange
-		eng := NewReceiverEngine(fc, &recDatapath{}, ReceiverConfig{
+		eng := NewReceiverEngine(strictClock{fc, t}, &recDatapath{}, ReceiverConfig{
 			NAKDelay: time.Millisecond, NAKRetry: 5 * time.Millisecond, NAKRetryMax: 500 * time.Millisecond,
 			MaxNAKs: 3, Ordered: ordered,
 			Deliver: func(m Message) { delivered = append(delivered, m.Seq) },

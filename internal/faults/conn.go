@@ -17,6 +17,7 @@ type PacketConn interface {
 	LocalAddr() net.Addr
 	Close() error
 	SetReadBuffer(bytes int) error
+	SetReadDeadline(t time.Time) error
 	SetWriteDeadline(t time.Time) error
 }
 
@@ -97,6 +98,9 @@ func (c *Conn) LocalAddr() net.Addr { return c.inner.LocalAddr() }
 
 // SetReadBuffer passes through.
 func (c *Conn) SetReadBuffer(bytes int) error { return c.inner.SetReadBuffer(bytes) }
+
+// SetReadDeadline passes through.
+func (c *Conn) SetReadDeadline(t time.Time) error { return c.inner.SetReadDeadline(t) }
 
 // SetWriteDeadline passes through.
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }

@@ -61,6 +61,7 @@ func (s *stubConn) ReadFromUDP(b []byte) (int, *net.UDPAddr, error) {
 func (s *stubConn) LocalAddr() net.Addr              { return &net.UDPAddr{} }
 func (s *stubConn) Close() error                     { return nil }
 func (s *stubConn) SetReadBuffer(int) error          { return nil }
+func (s *stubConn) SetReadDeadline(time.Time) error  { return nil }
 func (s *stubConn) SetWriteDeadline(time.Time) error { return nil }
 
 func pktOf(n, fill int) []byte {

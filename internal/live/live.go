@@ -47,6 +47,7 @@ type UDPConn interface {
 	LocalAddr() net.Addr
 	Close() error
 	SetReadBuffer(bytes int) error
+	SetReadDeadline(t time.Time) error
 	SetWriteDeadline(t time.Time) error
 }
 

@@ -41,7 +41,11 @@ type ReceiverConfig struct {
 	// timing deterministically. It is read once per socket read, and every
 	// packet that read returned is judged against that reading: Latency,
 	// Late and Aged measure origin → the read that delivered the packet.
-	// Timer fires between reads take a reading of their own.
+	// With the wall clock, the engine's NAK and ACK timers fire on the read
+	// goroutine after each read, at that read's reading, and a read
+	// deadline at the earliest pending timer wakes an idle socket. An
+	// injected clock fires its timers when its owner advances it, each
+	// fire taking a reading of its own.
 	Clock dmtp.Clock
 	// OnMessage delivers each message; called from the receive goroutine.
 	// m.Payload is a view of the receive ring, valid until OnMessage
@@ -92,25 +96,34 @@ type ReceiverStats struct {
 // callbacks run under r.mu and queue their effects; socket writes and
 // application callbacks are flushed after the lock is released.
 //
+// With the wall clock only the read goroutine drives the engine (Close
+// stops it): after each read it ingests the burst, fires every timer due
+// at the read's reading, and dispatches the lot, so the NAKs and ACKs a
+// read finds due leave in one batched send per destination.
+//
 // Delivered payloads are views of the receive ring, which rests on one
 // invariant: pendMsgs is empty whenever r.mu is free. Only Ingest delivers
 // (Ordered parking, the one way a timer fire could, is not exposed here),
-// and readLoop takes the flush before it unlocks; so a timer goroutine's
-// flush never carries messages, and every OnMessage of a burst runs on the
+// and readLoop takes the flush before it unlocks; so an injected clock's
+// fire never flushes messages, and every OnMessage of a burst runs on the
 // read goroutine before the next ReadBatch reuses the ring.
 type Receiver struct {
 	cfg   ReceiverConfig
 	conn  UDPConn
+	bc    *batchConn
 	self  wire.Addr
-	clock dmtp.Clock
+	clock dmtp.Clock // the Now behind rxClock: cfg.Clock, or the wall clock
 
 	mu     sync.Mutex
 	eng    *dmtp.ReceiverEngine
 	closed bool
-	// burstNow is the clock reading shared by the burst being ingested
-	// (see rxClock.Now); zero between bursts.
+	// burstNow is the clock reading shared by the burst being ingested and
+	// the timers fired after it (see rxClock.Now); zero between bursts.
 	burstNow int64
-	wg       sync.WaitGroup
+	// timers holds the engine's timers when no Clock is injected; readLoop
+	// fires them.
+	timers dmtp.TimerQueue
+	wg     sync.WaitGroup
 
 	// Effect queues, filled by engine callbacks under mu and drained
 	// outside it (socket writes and user callbacks must not run under the
@@ -126,6 +139,12 @@ type Receiver struct {
 	// injected faults sharing the set.
 	Counters *telemetry.CounterSet
 
+	// sendMu serializes control sends on bc: the read goroutine's, and an
+	// injected clock's fires on its owner's goroutine. ctrlPkts is the
+	// gather slice it guards.
+	sendMu   sync.Mutex
+	ctrlPkts [][]byte
+
 	// txErrs counts control packets dropped by failed fire-and-forget
 	// writes in dispatch, which runs outside r.mu — hence atomics.
 	txErrs atomic.Uint64
@@ -133,14 +152,15 @@ type Receiver struct {
 	bstats batchStats
 }
 
-// BatchStats returns the receiver's kernel-batch datapath counters.
+// BatchStats returns the receiver's kernel-batch datapath counters: its
+// reads, and its control sends.
 func (r *Receiver) BatchStats() BatchStats { return r.bstats.snapshot() }
 
-// countTxErr records one control packet dropped by a failed write.
-func (r *Receiver) countTxErr() {
-	r.txErrs.Add(1)
+// countTxErr records n control packets dropped by a failed write.
+func (r *Receiver) countTxErr(n int) {
+	r.txErrs.Add(uint64(n))
 	if c := r.txErr.Load(); c != nil {
-		c.Inc()
+		c.Add(uint64(n))
 	}
 }
 
@@ -176,9 +196,6 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.Counters == nil {
 		cfg.Counters = telemetry.NewCounterSet()
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = dmtp.WallClock{}
-	}
 	laddr, err := net.ResolveUDPAddr("udp4", cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("live: resolve %q: %w", cfg.Listen, err)
@@ -208,6 +225,14 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		LatencyHist: telemetry.NewHistogram(),
 		Counters:    cfg.Counters,
 	}
+	if r.clock == nil {
+		r.clock = dmtp.WallClock{}
+	}
+	// Bursts arrive through the batch datapath — one recvmmsg fills the
+	// ring (GRO-coalesced runs are split back into wire packets) — and
+	// control packets leave through it. Wrapped or non-Linux sockets serve
+	// the same calls one datagram at a time.
+	r.bc = newBatchConn(c, &r.bstats, true)
 	r.eng = dmtp.NewReceiverEngine(rxClock{r}, rxDatapath{r}, dmtp.ReceiverConfig{
 		NAKDelay:    cfg.NAKDelay,
 		NAKRetry:    cfg.NAKRetry,
@@ -237,14 +262,15 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	return r, nil
 }
 
-// rxClock adapts the configured clock so timer fires are serialized under
-// the receiver mutex (wall-clock timers fire on their own goroutines) and
-// their queued effects are flushed outside it.
+// rxClock is the engine's clock. Without an injected clock its timers go
+// into r.timers, which readLoop fires under r.mu. An injected clock fires
+// them on its owner's goroutine, so this wraps each one to run under
+// r.mu and flush its effects outside it.
 type rxClock struct{ r *Receiver }
 
-// Now is the burst's one reading while readLoop ingests a burst, and a
-// fresh one for timer fires between bursts. (A clock standing at zero is
-// re-read each time, to the same effect.)
+// Now is the read's one reading while readLoop ingests a burst and fires
+// the timers due, and a fresh one for an injected clock's fires. (A clock
+// standing at zero is re-read each time, to the same effect.)
 func (c rxClock) Now() int64 {
 	if now := c.r.burstNow; now != 0 {
 		return now
@@ -254,6 +280,9 @@ func (c rxClock) Now() int64 {
 
 func (c rxClock) Schedule(at int64, fn func()) dmtp.Timer {
 	r := c.r
+	if r.cfg.Clock == nil {
+		return r.timers.Schedule(at, fn)
+	}
 	return r.clock.Schedule(at, func() {
 		r.mu.Lock()
 		if r.closed {
@@ -341,14 +370,13 @@ func (r *Receiver) Close() error {
 	return err
 }
 
+// readLoop ingests each burst and fires the timers due at its reading
+// under one hold of the lock. A read that fails — the deadline at the
+// earliest pending timer passing on an idle socket, most often — ingests
+// nothing and fires all the same.
 func (r *Receiver) readLoop() {
 	defer r.wg.Done()
-	// Bursts arrive through the batch datapath — one recvmmsg fills the
-	// ring (GRO-coalesced runs are split back into wire packets) and the
-	// whole burst is ingested under one lock acquisition. Wrapped or
-	// non-Linux sockets serve the same loop one datagram at a time.
-	bc := newBatchConn(r.conn, &r.bstats, true)
-	defer bc.Close()
+	defer r.bc.Close()
 	ingest := func(pkt []byte, _ wire.Addr) {
 		v := wire.View(pkt)
 		if _, err := v.Check(); err != nil || v.IsControl() {
@@ -356,16 +384,11 @@ func (r *Receiver) readLoop() {
 		}
 		r.eng.Ingest(v)
 	}
+	var deadline int64 // the read deadline set on the socket; 0 for none
 	for {
-		n, err := bc.ReadBatch()
+		n, err := r.bc.ReadBatch()
 		if err != nil {
-			r.mu.Lock()
-			closed := r.closed
-			r.mu.Unlock()
-			if closed {
-				return
-			}
-			continue
+			n = 0
 		}
 		// Queued messages point into the ring: the flush is taken under
 		// this hold of the lock and dispatched before the next ReadBatch.
@@ -375,13 +398,24 @@ func (r *Receiver) readLoop() {
 			return
 		}
 		r.burstNow = r.clock.Now()
-		bc.PacketsSrc(n, ingest)
+		r.bc.PacketsSrc(n, ingest)
+		r.timers.Fire(r.burstNow)
 		r.burstNow = 0
+		next, _ := r.timers.NextAt()
 		f := r.takeFlushLocked()
 		r.mu.Unlock()
 		r.dispatch(f)
+		if next != deadline {
+			deadline = next
+			var t time.Time
+			if next != 0 {
+				t = time.Unix(0, next)
+			}
+			// It fails only on a closed socket, whose next read ends the loop.
+			_ = r.conn.SetReadDeadline(t)
+		}
 		if poisonRing != nil {
-			bc.PacketsSrc(n, poisonRing)
+			r.bc.PacketsSrc(n, poisonRing)
 		}
 	}
 }
@@ -408,10 +442,8 @@ func (r *Receiver) takeFlushLocked() rxFlush {
 // dispatch runs the queued effects without the lock: NAKs/ACKs out first
 // (recovery latency beats delivery callbacks), then application callbacks.
 func (r *Receiver) dispatch(f rxFlush) {
-	for _, s := range f.sends {
-		if _, err := r.conn.WriteToUDPAddrPort(s.pkt, addrPort(s.dst)); err != nil {
-			r.countTxErr()
-		}
+	if len(f.sends) > 0 {
+		r.sendControl(f.sends)
 	}
 	if r.cfg.OnMessage != nil {
 		for _, m := range f.msgs {
@@ -440,4 +472,30 @@ func (r *Receiver) dispatch(f rxFlush) {
 		r.pendSends = f.sends[:0]
 	}
 	r.mu.Unlock()
+}
+
+// sendControl writes queued NAKs and ACKs with one WriteBatchTo per
+// destination, in queue order within each; runs of equal-size packets,
+// such as every ACK, ride one GSO send. It reorders sends in place. A
+// failed write drops the unsent rest (loss recovery is the protocol's
+// job), counted in dmtp.live.tx.errors.
+func (r *Receiver) sendControl(sends []ctrlSend) {
+	r.sendMu.Lock()
+	defer r.sendMu.Unlock()
+	for len(sends) > 0 {
+		dst := sends[0].dst
+		pkts, rest := r.ctrlPkts[:0], sends[:0]
+		for _, s := range sends {
+			if s.dst == dst {
+				pkts = append(pkts, s.pkt)
+			} else {
+				rest = append(rest, s)
+			}
+		}
+		if sent, err := r.bc.WriteBatchTo(pkts, addrPort(dst)); err != nil {
+			r.countTxErr(len(pkts) - sent)
+		}
+		clear(pkts)
+		r.ctrlPkts, sends = pkts[:0], rest
+	}
 }

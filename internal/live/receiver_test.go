@@ -1,0 +1,263 @@
+package live
+
+import (
+	"net"
+	"net/netip"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/wire"
+)
+
+// The receiver's timers on the wall clock, with no injected clock: they
+// fire on the read goroutine, an idle socket wakes for them at its read
+// deadline, and the NAKs and ACKs a read finds due leave batched.
+
+// relayStub plays the relay for one receiver from a plain socket: it sends
+// sequenced packets naming itself as the retransmission buffer, and reads
+// the NAKs and ACKs that come back.
+type relayStub struct {
+	t    *testing.T
+	conn *net.UDPConn
+	bc   *batchConn
+	self wire.Addr
+	to   netip.AddrPort
+}
+
+func newRelayStub(t *testing.T, recv *Receiver) *relayStub {
+	t.Helper()
+	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadBuffer(4 << 20)
+	to, err := resolveAddrPort(recv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	self, err := toWireAddr(conn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &relayStub{t: t, conn: conn, bc: newBatchConn(conn, &batchStats{}, false), self: self, to: to}
+	t.Cleanup(func() {
+		s.bc.Close()
+		conn.Close()
+	})
+	return s
+}
+
+// pkt encodes packet seq of the stream on slice.
+func (s *relayStub) pkt(slice uint8, seq uint64) []byte {
+	h := wire.Header{
+		ConfigID:   1,
+		Features:   wire.FeatSequenced | wire.FeatReliable,
+		Experiment: wire.NewExperimentID(7, slice),
+	}
+	h.Seq.Seq = seq
+	h.Retransmit.Buffer = s.self
+	enc, err := h.AppendTo(nil)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	return append(enc, "payload"...)
+}
+
+// send writes pkts in one batch, which equal sizes make one GSO datagram
+// where the kernel offers it.
+func (s *relayStub) send(pkts ...[]byte) {
+	if _, err := s.bc.WriteBatchTo(pkts, s.to); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+// next returns the next control packet to arrive within timeout.
+func (s *relayStub) next(timeout time.Duration) (wire.View, bool) {
+	buf := make([]byte, 2048)
+	s.conn.SetReadDeadline(time.Now().Add(timeout))
+	n, _, err := s.conn.ReadFromUDP(buf)
+	if err != nil {
+		return nil, false
+	}
+	return wire.View(buf[:n]), true
+}
+
+// nextNAK waits up to timeout for a NAK and returns its ranges.
+func (s *relayStub) nextNAK(timeout time.Duration) []wire.SeqRange {
+	s.t.Helper()
+	for deadline := time.Now().Add(timeout); ; {
+		v, ok := s.next(time.Until(deadline))
+		if !ok {
+			s.t.Fatalf("no NAK within %v", timeout)
+		}
+		if v.ConfigID() == wire.ConfigNAK {
+			nak, err := wire.DecodeNAK(v)
+			if err != nil {
+				s.t.Fatal(err)
+			}
+			return nak.Ranges
+		}
+	}
+}
+
+// TestReceiverIdleLinkNAKsOnDeadline sends seqs 1, 2, 4 and then nothing,
+// so no read can carry the NAK for 3 out: it must leave when the socket's
+// read deadline passes, NAKDelay after the gap, and recover. Then seq 6
+// goes missing with the relay gone silent: MaxNAKs requests and one
+// write-off, on the backoff schedule's wall time.
+func TestReceiverIdleLinkNAKsOnDeadline(t *testing.T) {
+	const (
+		nakDelay = 20 * time.Millisecond
+		nakRetry = 10 * time.Millisecond
+		retryMax = 40 * time.Millisecond
+		maxNAKs  = 3
+		slack    = 300 * time.Millisecond
+	)
+	var (
+		mu              sync.Mutex
+		recovered, lost []uint64
+		lostAt          time.Time
+	)
+	recv, err := NewReceiver(ReceiverConfig{
+		Listen:      "127.0.0.1:0",
+		NAKDelay:    nakDelay,
+		NAKRetry:    nakRetry,
+		NAKRetryMax: retryMax,
+		MaxNAKs:     maxNAKs,
+		Seed:        1,
+		OnMessage: func(m Message) {
+			if m.Recovered {
+				mu.Lock()
+				recovered = append(recovered, m.Seq)
+				mu.Unlock()
+			}
+		},
+		OnGap: func(_ wire.ExperimentID, seq uint64) {
+			mu.Lock()
+			lost, lostAt = append(lost, seq), time.Now()
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	relay := newRelayStub(t, recv)
+	want := func(got []wire.SeqRange, seq uint64) {
+		t.Helper()
+		if len(got) != 1 || got[0] != (wire.SeqRange{From: seq, To: seq}) {
+			t.Fatalf("NAK requests %v, want %d", got, seq)
+		}
+	}
+
+	start := time.Now()
+	relay.send(relay.pkt(0, 1), relay.pkt(0, 2), relay.pkt(0, 4))
+	want(relay.nextNAK(nakDelay+slack), 3)
+	if d := time.Since(start); d < nakDelay || d > nakDelay+slack {
+		t.Fatalf("NAK for 3 arrived %v after the gap, want %v plus at most %v", d, nakDelay, slack)
+	}
+	relay.send(relay.pkt(0, 3))
+	waitFor(t, 5*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Equal(recovered, []uint64{3})
+	}, "seq 3 recovered")
+
+	start = time.Now()
+	relay.send(relay.pkt(0, 5), relay.pkt(0, 7))
+	for i := 0; i < maxNAKs; i++ {
+		want(relay.nextNAK(nakDelay+retryMax+slack), 6)
+	}
+	// Retry n waits backoff(n) = min(nakRetry·2^(n-1), retryMax), jittered
+	// into [½, 1½)×; the fire after the last retry writes the gap off.
+	var backoffs time.Duration
+	for n := 1; n <= maxNAKs; n++ {
+		backoffs += min(nakRetry<<(n-1), retryMax)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Equal(lost, []uint64{6})
+	}, "seq 6 written off")
+	mu.Lock()
+	d := lostAt.Sub(start)
+	mu.Unlock()
+	if lo, hi := nakDelay+backoffs/2, nakDelay+backoffs*3/2+slack; d < lo || d > hi {
+		t.Fatalf("seq 6 written off %v after the gap, want within [%v, %v]", d, lo, hi)
+	}
+	if st := recv.Stats(); st.NAKsSent != 1+maxNAKs || st.PermanentLoss != 1 {
+		t.Fatalf("stats %+v, want %d NAKs and one write-off", st, 1+maxNAKs)
+	}
+}
+
+// TestReceiverBatchesACKs gives 64 streams one packet each in one burst, so
+// their ACK timers arm at one reading and keep falling due together: each
+// ACK round leaves in one send, GSO-coalesced where the kernel offers it,
+// with no goroutine per timer.
+func TestReceiverBatchesACKs(t *testing.T) {
+	const streams = 64
+	base := runtime.NumGoroutine()
+	recv, err := NewReceiver(ReceiverConfig{Listen: "127.0.0.1:0", AckInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	relay := newRelayStub(t, recv)
+	pkts := make([][]byte, streams)
+	for i := range pkts {
+		pkts[i] = relay.pkt(uint8(i), 1)
+	}
+	relay.send(pkts...)
+	// Once the first ACK is in, the burst has been read: from then on the
+	// receiver only sends, and each stream ACKs every millisecond until it
+	// has been idle for four.
+	if v, ok := relay.next(5 * time.Second); !ok || v.ConfigID() != wire.ConfigAck {
+		t.Fatal("no ACK")
+	}
+	before := recv.BatchStats()
+	acks, peak := 1, 0
+	for {
+		v, ok := relay.next(100 * time.Millisecond)
+		if !ok {
+			break
+		}
+		if v.ConfigID() == wire.ConfigAck {
+			acks++
+		}
+		peak = max(peak, runtime.NumGoroutine())
+	}
+	after := recv.BatchStats()
+	sent, calls := after.SentPackets-before.SentPackets, after.Syscalls-before.Syscalls
+	if acks < 2*streams || sent < streams {
+		t.Fatalf("relay got %d ACKs, %d of them sent through the batch datapath after the first; want rounds of %d",
+			acks, sent, streams)
+	}
+	if after.Fallbacks == 0 && sent < 8*calls {
+		t.Fatalf("%d ACKs in %d send syscalls, want at least 8 per syscall", sent, calls)
+	}
+	if grown := peak - base; grown > 4 {
+		t.Fatalf("%d goroutines more than before the receiver, with %d streams ACKing", grown, streams)
+	}
+}
+
+// TestReceiverCloseWithDeadlinePending: a receiver asleep in its read, its
+// deadline an hour off for a NAK timer, closes at once.
+func TestReceiverCloseWithDeadlinePending(t *testing.T) {
+	recv, err := NewReceiver(ReceiverConfig{Listen: "127.0.0.1:0", NAKDelay: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay := newRelayStub(t, recv)
+	relay.send(relay.pkt(0, 1), relay.pkt(0, 3))
+	waitFor(t, 5*time.Second, func() bool { return recv.OutstandingGaps() == 1 }, "the gap")
+	start := time.Now()
+	if err := recv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with a read deadline pending", d)
+	}
+}

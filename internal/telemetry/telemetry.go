@@ -8,7 +8,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"strings"
 	"time"
 )
@@ -17,25 +17,78 @@ import (
 // non-negative int64 quantity). Buckets grow geometrically by ~8.3%
 // (36 sub-buckets per octave of 10), bounding quantile error to ~4%.
 type Histogram struct {
-	count   uint64
-	sum     float64
-	minV    int64
-	max     int64
-	buckets map[int]uint64
+	count uint64
+	sum   float64
+	minV  int64
+	max   int64
+	// counts[b+1] counts bucket b; counts[0] counts values ≤ 0.
+	counts [numBuckets + 1]uint64
 }
 
 const bucketsPerDecade = 36
 
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{minV: math.MaxInt64, buckets: make(map[int]uint64)}
+// numBuckets is the number of buckets of positive values: bucketFormula
+// maps 1..math.MaxInt64 onto 0..682.
+const numBuckets = 683
+
+// bucketLow[b] is the smallest positive value bucketFormula puts in bucket
+// b or above, and octaveBucket[n] the bucket of 2^(n-1), the smallest value
+// of bit length n. Both are built from bucketFormula at init, so bucketOf
+// agrees with it exactly.
+var (
+	bucketLow    [numBuckets]int64
+	octaveBucket [64]int
+)
+
+func init() {
+	lo := int64(1)
+	for b := range bucketLow {
+		// The formula does not decrease as v grows: bisect for its first
+		// value at or above b, within a bracket around 10^(b/36) where the
+		// formula confirms one (it keeps init to a fraction of a millisecond).
+		hi := int64(math.MaxInt64)
+		e := math.Pow(10, float64(b)/bucketsPerDecade)
+		if l := int64(e * (1 - 1e-12)); l > lo && bucketFormula(l-1) < b {
+			lo = l
+		}
+		if u := e * (1 + 1e-12); u < 9e18 && bucketFormula(int64(u)+1) >= b {
+			hi = int64(u) + 1
+		}
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if bucketFormula(mid) >= b {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		bucketLow[b] = lo
+	}
+	for n := 1; n < len(octaveBucket); n++ {
+		octaveBucket[n] = bucketFormula(1 << (n - 1))
+	}
 }
 
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram { return &Histogram{minV: math.MaxInt64} }
+
+// bucketFormula defines the buckets: v > 0 falls in ⌊36·log10 v⌋.
+func bucketFormula(v int64) int {
+	return int(math.Floor(math.Log10(float64(v)) * bucketsPerDecade))
+}
+
+// bucketOf is bucketFormula by table lookup, or -1 for v ≤ 0: the bit
+// length of v names its octave's first bucket, and an octave spans at most
+// eleven buckets.
 func bucketOf(v int64) int {
 	if v <= 0 {
 		return -1
 	}
-	return int(math.Floor(math.Log10(float64(v)) * bucketsPerDecade))
+	b := octaveBucket[bits.Len64(uint64(v))]
+	for b+1 < numBuckets && bucketLow[b+1] <= v {
+		b++
+	}
+	return b
 }
 
 func bucketMid(b int) int64 {
@@ -57,7 +110,7 @@ func (h *Histogram) Observe(v int64) {
 	if v > h.max {
 		h.max = v
 	}
-	h.buckets[bucketOf(v)]++
+	h.counts[bucketOf(v)+1]++
 }
 
 // ObserveDuration records a duration in nanoseconds.
@@ -97,20 +150,15 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	keys := make([]int, 0, len(h.buckets))
-	for k := range h.buckets {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	target := uint64(math.Ceil(q * float64(h.count)))
 	if target == 0 {
 		target = 1
 	}
 	var cum uint64
-	for _, k := range keys {
-		cum += h.buckets[k]
+	for i, c := range h.counts {
+		cum += c
 		if cum >= target {
-			m := bucketMid(k)
+			m := bucketMid(i - 1)
 			if m < h.minV {
 				m = h.minV
 			}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -98,6 +99,93 @@ func TestHistogramZeroAndClamp(t *testing.T) {
 	}
 	if h.Quantile(-1) != 0 || h.Quantile(2) != 0 {
 		t.Fatal("out-of-range q must clamp")
+	}
+}
+
+// refBucket is the formula that defines the buckets, kept here as the
+// reference the lookup tables must reproduce.
+func refBucket(v int64) int {
+	if v <= 0 {
+		return -1
+	}
+	return int(math.Floor(math.Log10(float64(v)) * bucketsPerDecade))
+}
+
+// TestBucketOfMatchesFormula pins the table lookup to the formula at every
+// bucket boundary ±1, on 2 M random values of every magnitude, and on every
+// value up to 200 000.
+func TestBucketOfMatchesFormula(t *testing.T) {
+	check := func(v int64) {
+		if got, want := bucketOf(v), refBucket(v); got != want {
+			t.Fatalf("bucketOf(%d) = %d, the formula says %d", v, got, want)
+		}
+	}
+	if refBucket(math.MaxInt64) != numBuckets-1 {
+		t.Fatalf("the formula's last bucket is %d, the table has %d", refBucket(math.MaxInt64), numBuckets)
+	}
+	for b, low := range bucketLow {
+		if low > 1 && refBucket(low-1) >= b || refBucket(low) < b {
+			t.Fatalf("bucket %d starts at %d, not where the formula reaches it", b, low)
+		}
+		for _, v := range []int64{low - 1, low, low + 1} {
+			if v < math.MaxInt64 {
+				check(v)
+			}
+		}
+	}
+	check(math.MaxInt64)
+	check(math.MinInt64)
+	for v := int64(-2); v <= 200_000; v++ {
+		check(v)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2_000_000; i++ {
+		check(rng.Int63() >> rng.Intn(63))
+	}
+}
+
+// TestHistogramQuantileMatchesSortedBuckets checks Quantile's array walk
+// against the sorted walk over a bucket map that it replaced.
+func TestHistogramQuantileMatchesSortedBuckets(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	h := NewHistogram()
+	ref := map[int]uint64{}
+	for i := 0; i < 50_000; i++ {
+		v := rng.Int63()>>rng.Intn(63) - 3
+		h.Observe(v)
+		ref[refBucket(v)]++
+	}
+	keys := make([]int, 0, len(ref))
+	for k := range ref {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	for _, q := range []float64{0, 0.001, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
+		target := max(uint64(math.Ceil(q*float64(h.Count()))), 1)
+		var cum uint64
+		want := h.Max()
+		for _, k := range keys {
+			if cum += ref[k]; cum >= target {
+				want = min(max(bucketMid(k), h.Min()), h.Max())
+				break
+			}
+		}
+		if got := h.Quantile(q); got != want {
+			t.Fatalf("q%v = %d, the sorted walk gives %d", q, got, want)
+		}
+	}
+}
+
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewHistogram()
+	vals := make([]int64, 1024)
+	rng := rand.New(rand.NewSource(1))
+	for i := range vals {
+		vals[i] = int64(100_000 + rng.Intn(900_000)) // 0.1–1 ms, the receiver's latency range
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(vals[i&1023])
 	}
 }
 

@@ -1,6 +1,9 @@
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Control packets reuse the 8-byte core header with a ConfigID in the
 // control range; the control body follows immediately. The experiment ID is
@@ -44,13 +47,14 @@ func (n *NAK) TotalMissing() uint64 {
 // nakBodyFixed is requester (6) + reserved (2) + range count (2).
 const nakBodyFixed = 10
 
-// AppendTo appends the encoded NAK packet (core header + body) to b.
+// AppendTo appends the encoded NAK packet (core header + body) to b,
+// growing b at most once.
 func (n *NAK) AppendTo(b []byte) ([]byte, error) {
 	if len(n.Ranges) > 0xFFFF {
 		return nil, fmt.Errorf("wire: NAK with %d ranges exceeds 65535", len(n.Ranges))
 	}
 	h := Header{ConfigID: ConfigNAK, Experiment: n.Experiment}
-	b, err := h.AppendTo(b)
+	b, err := h.AppendTo(slices.Grow(b, CoreHeaderLen+nakBodyFixed+16*len(n.Ranges)))
 	if err != nil {
 		return nil, err
 	}
@@ -244,10 +248,10 @@ type Ack struct {
 
 const ackBodyLen = 8 + 6 + 2
 
-// AppendTo appends the encoded ACK packet to b.
+// AppendTo appends the encoded ACK packet to b, growing b at most once.
 func (a *Ack) AppendTo(b []byte) ([]byte, error) {
 	h := Header{ConfigID: ConfigAck, Experiment: a.Experiment}
-	b, err := h.AppendTo(b)
+	b, err := h.AppendTo(slices.Grow(b, CoreHeaderLen+ackBodyLen))
 	if err != nil {
 		return nil, err
 	}
