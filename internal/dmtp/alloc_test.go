@@ -249,6 +249,62 @@ func TestJournaledStashZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRelayUpgradeZeroAlloc gates the relay's upgrade path: once warm,
+// Handle on untraced and traced mode-0 packets, with boundary traces
+// originated on some of the untraced ones — three recipes — plus the
+// periodic trim, allocates nothing when Alloc recycles what Release returns.
+func TestRelayUpgradeZeroAlloc(t *testing.T) {
+	var free [][]byte
+	eng, err := NewRelayEngine(RelayConfig[testDst]{
+		Shards:   2,
+		Buffer:   BufferConfig{Release: func(b []byte) { free = append(free, b) }, Recorder: metrics.NewFlightRecorder(64)},
+		Datapath: nopDatapath{},
+		Alloc: func(n int) []byte {
+			if k := len(free) - 1; k >= 0 && cap(free[k]) >= n {
+				b := free[k][:n]
+				free = free[:k]
+				return b
+			}
+			return make([]byte, n, 256)
+		},
+		Resolve:     func(wire.Addr, wire.ExperimentID) (testDst, bool) { return "rx", true },
+		ConfigID:    1,
+		Features:    liveUpgrade,
+		Upgrade:     Upgrade{MaxAge: time.Second, DeadlineBudget: time.Second},
+		TraceSample: 3,
+		Emit:        func(f *Flow[testDst], _ []byte) { f.Sent(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetSelf(rigSelf)
+	untraced, err := (&wire.Header{Experiment: expA}).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := (&wire.Header{Features: wire.FeatTraced, Experiment: expB,
+		Trace: wire.TraceExt{TraceID: 1, Flags: wire.TraceSampledFlag, HopCount: 1}}).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	untraced, traced = append(untraced, "payload"...), append(traced, "payload"...)
+	n := 0
+	step := func() {
+		eng.Handle(rigSrcA, untraced, rigStart)
+		eng.Handle(rigSrcB, traced, rigStart)
+		if n++; n%16 == 0 {
+			eng.Buffer().Trim(expA, eng.Buffer().SeqOf(expA))
+			eng.Buffer().Trim(expB, eng.Buffer().SeqOf(expB))
+		}
+	}
+	for i := 0; i < 64; i++ {
+		step() // warm: flows, recipes, stash runs, the free list
+	}
+	if avg := testing.AllocsPerRun(300, step); avg != 0 {
+		t.Fatalf("relay upgrade allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
 // TestServeNAKUntracedZeroAlloc locks in the relay-side invariant: serving
 // NAKs from a stash of untraced (and sampled-out) packets — the path that
 // probes every stash entry with TraceSampled before retransmitting —

@@ -117,6 +117,12 @@ type expStash struct {
 // held returns the stashed entries, oldest first.
 func (st *expStash) held() []stashSlot { return st.slots[st.head:] }
 
+// nextSeq assigns the experiment's next sequence number.
+func (st *expStash) nextSeq() uint64 {
+	st.next++
+	return st.next
+}
+
 // evictHeap orders the non-empty experiments by their front slot's stamp
 // (container/heap), so the shard's oldest entry is its root's front. Swap
 // keeps each member's pos; whoever pushes one sets its pos first.
@@ -184,7 +190,8 @@ func (b *BufferEngine) Stats() BufferStats { return *b.stats }
 func (b *BufferEngine) BufferedBytes() int { return b.bytes }
 
 // expFor returns exp's record, creating it on first use: for the calls
-// that sequence or stash.
+// that sequence or stash. A record, once created, is never replaced or
+// deleted, so a caller may keep the pointer (RelayEngine's flows do).
 func (b *BufferEngine) expFor(exp wire.ExperimentID) *expStash {
 	st := b.exps[exp]
 	if st == nil {
@@ -205,11 +212,7 @@ func (b *BufferEngine) lookup(exp wire.ExperimentID) *expStash {
 }
 
 // NextSeq assigns the next sequence number for the experiment.
-func (b *BufferEngine) NextSeq(exp wire.ExperimentID) uint64 {
-	st := b.expFor(exp)
-	st.next++
-	return st.next
-}
+func (b *BufferEngine) NextSeq(exp wire.ExperimentID) uint64 { return b.expFor(exp).nextSeq() }
 
 // SeqOf returns the last sequence number assigned to exp, zero if none.
 // Oracles use it to check which experiments an upgrader actually
@@ -284,9 +287,14 @@ func (b *BufferEngine) Down() bool { return b.down }
 // BufferStats.Refused, and pkt stays the caller's. A seq further ahead
 // than newest+1 is accepted and leaves a hole.
 func (b *BufferEngine) Stash(exp wire.ExperimentID, seq uint64, pkt []byte) bool {
-	ok := b.RestoreStash(exp, seq, pkt)
+	return b.stash(b.expFor(exp), seq, pkt)
+}
+
+// stash is Stash into a run the caller already holds.
+func (b *BufferEngine) stash(st *expStash, seq uint64, pkt []byte) bool {
+	ok := b.restore(st, seq, pkt)
 	if ok && b.cfg.Journal != nil {
-		b.cfg.Journal.Append(exp, seq, pkt)
+		b.cfg.Journal.Append(st.exp, seq, pkt)
 	}
 	return ok
 }
@@ -297,7 +305,11 @@ func (b *BufferEngine) Stash(exp wire.ExperimentID, seq uint64, pkt []byte) bool
 // keeping the log consistent with the rebuilt stash. Lost records just
 // leave holes; a record that does not ascend is refused like any other.
 func (b *BufferEngine) RestoreStash(exp wire.ExperimentID, seq uint64, pkt []byte) bool {
-	st := b.expFor(exp)
+	return b.restore(b.expFor(exp), seq, pkt)
+}
+
+// restore is RestoreStash into a run the caller already holds.
+func (b *BufferEngine) restore(st *expStash, seq uint64, pkt []byte) bool {
 	if held := st.held(); len(held) > 0 && seq <= held[len(held)-1].seq {
 		b.stats.Refused++
 		return false
@@ -408,8 +420,10 @@ func (b *BufferEngine) Trim(exp wire.ExperimentID, cum uint64) {
 }
 
 // Upgrade describes the header fields a buffering element stamps into a
-// packet it upgrades into a richer mode. Both substrates stamp through
-// StampUpgrade so the installed header bytes cannot drift apart.
+// packet it upgrades into a richer mode. StampUpgrade is the one
+// definition of the stamped bytes: RelayEngine, which both substrates
+// drive, compiles its upgrade recipes from it, so the installed header
+// bytes cannot drift apart.
 type Upgrade struct {
 	// Self is the element's own address — what the retransmission-
 	// buffer pointer is set to.
@@ -432,6 +446,12 @@ type Upgrade struct {
 // deadline, back-pressure sink, and — only if not already stamped
 // upstream — the origin timestamp. The reshape has zeroed all extension
 // fields, so skipped stamps read as zero.
+//
+// RelayEngine does not call it per packet: it compiles its upgrade recipes
+// from it (wire.CompileReshape runs it on probe headers once per pair of
+// feature sets). So every byte it writes must stay what that contract
+// allows: a constant, a byte of the reshaped packet, or one of the three
+// per-packet fields (sequence number, deadline, origin timestamp).
 func StampUpgrade(up wire.View, seq uint64, nowNanos int64, u Upgrade) {
 	feats := up.Features()
 	if feats.Has(wire.FeatSequenced) && seq > 0 {

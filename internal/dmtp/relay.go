@@ -94,7 +94,12 @@ type Flow[D fmt.Stringer] struct {
 	// Dst is the destination Resolve returned at registration.
 	Dst D
 
-	eng       *RelayEngine[D]
+	eng *RelayEngine[D]
+	// buf and run are the shard and the stash run of the flow's
+	// experiment, fixed at registration: a shard never replaces or deletes
+	// a run, and Crash clears the flow table.
+	buf       *BufferEngine
+	run       *expStash
 	lastSeen  int64 // engine-clock nanos of the last handled packet
 	upgraded  uint64
 	forwarded uint64
@@ -159,6 +164,9 @@ type RelayEngine[D fmt.Stringer] struct {
 	fstats    FlowStats // Active is filled in from len(flows) on read
 	lastSweep int64
 	nak       wire.NAK // scratch decode target, reusing Ranges capacity
+	// recipes holds the compiled upgrades, one per pair of incoming and
+	// onward feature sets seen; SetSelf empties it.
+	recipes map[[2]wire.Features]*wire.Recipe
 
 	upgraded      uint64 // also drives boundary trace sampling
 	injectedDrops uint64
@@ -184,7 +192,8 @@ func NewRelayEngine[D fmt.Stringer](cfg RelayConfig[D]) (*RelayEngine[D], error)
 	if bcfg.CapacityBytes > 0 && nsh > 1 {
 		bcfg.CapacityBytes = max(bcfg.CapacityBytes/nsh, 1)
 	}
-	e := &RelayEngine[D]{cfg: cfg, flows: make(map[flowKey]*Flow[D]), lastSweep: bcfg.Clock.Now()}
+	e := &RelayEngine[D]{cfg: cfg, flows: make(map[flowKey]*Flow[D]), lastSweep: bcfg.Clock.Now(),
+		recipes: make(map[[2]wire.Features]*wire.Recipe)}
 	if cfg.JournalDir != "" {
 		set, err := journal.OpenSet(cfg.JournalDir, nsh, cfg.JournalSync, 0)
 		if err != nil {
@@ -244,26 +253,51 @@ func (e *RelayEngine[D]) restoreShard(buf *BufferEngine, rec *journal.Recovered)
 }
 
 // SetSelf installs the relay's own address, which upgraded packets name as
-// their retransmission buffer, before traffic flows: at Attach or bind.
-func (e *RelayEngine[D]) SetSelf(self wire.Addr) { e.cfg.Upgrade.Self = self }
+// their retransmission buffer: at Attach or bind. The recipes compiled
+// with the old address go, and the next upgrades compile afresh.
+func (e *RelayEngine[D]) SetSelf(self wire.Addr) {
+	e.lock()
+	defer e.unlock()
+	e.cfg.Upgrade.Self = self
+	clear(e.recipes)
+}
+
+// recipe returns the compiled upgrade of packets with feature set in into
+// ConfigID with feature set out, compiling it on first use from
+// ReshapeInto and StampUpgrade with the engine's Upgrade.
+func (e *RelayEngine[D]) recipe(in, out wire.Features) (*wire.Recipe, error) {
+	k := [2]wire.Features{in, out}
+	if r := e.recipes[k]; r != nil {
+		return r, nil
+	}
+	u := e.cfg.Upgrade
+	r, err := wire.CompileReshape(in, e.cfg.ConfigID, out, func(up wire.View, seq uint64, now int64) {
+		StampUpgrade(up, seq, now, u)
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.recipes[k] = r
+	return r, nil
+}
 
 // Buffer exposes the sharded stash for callers that sequence or stash
 // outside the upgrade path (transit adoption, oracles, tests). Caller holds
 // the lock.
 func (e *RelayEngine[D]) Buffer() *ShardedBuffer { return e.sb }
 
-// Handle processes one packet that has passed View.Check; NAKs and ACKs
-// carry the experiment in the core header, so they find their shard the way
-// data does. Caller holds the lock, and sends whatever Emit retained before
-// releasing it.
+// Handle processes one packet. Precondition: v has passed View.Check; the
+// compiled upgrade copies its header without checking it a second time.
+// NAKs and ACKs carry the experiment in the core header, so they find their
+// shard the way data does. Caller holds the lock, and sends whatever Emit
+// retained before releasing it.
 func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 	exp := v.Experiment()
-	buf := e.sb.Shard(exp)
 	if v.IsControl() {
-		e.handleControl(buf, v)
+		e.handleControl(e.sb.Shard(exp), v)
 		return
 	}
-	if buf.Down() {
+	if e.down() {
 		// Crashed — possibly between two packets of one burst; model the
 		// process death: nothing is handled until Restart.
 		return
@@ -282,26 +316,27 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 	}
 	// An in-band trace rides along through the upgrade; the relay can also
 	// originate one at the boundary.
-	feats := e.cfg.Features | v.Features()&wire.FeatTraced
+	have := v.Features()
+	feats := e.cfg.Features | have&wire.FeatTraced
 	n := e.upgraded + 1
 	originate := e.cfg.TraceSample > 0 && !feats.Has(wire.FeatTraced) && n%uint64(e.cfg.TraceSample) == 0
 	if originate {
 		feats |= wire.FeatTraced
 	}
-	// Reshape directly into a buffer sized for the upgraded packet; the
-	// buffer doubles as the stash entry, so with a pooled Alloc the
-	// upgrade path performs no steady-state allocation.
-	extLen, _ := feats.ExtLen()
-	up, err := v.ReshapeInto(e.cfg.Alloc(len(v)+extLen), e.cfg.ConfigID, feats)
+	r, err := e.recipe(have, feats)
 	if err != nil {
 		return
 	}
 	sequenced := feats.Has(wire.FeatSequenced)
 	var seq uint64
 	if sequenced {
-		seq = buf.NextSeq(exp)
+		seq = f.run.nextSeq()
 	}
-	StampUpgrade(up, seq, now, e.cfg.Upgrade)
+	// Write the upgraded packet directly into a buffer sized for it; the
+	// buffer doubles as the stash entry, so with a pooled Alloc the
+	// upgrade path performs no steady-state allocation.
+	extLen, _ := feats.ExtLen()
+	up := r.Apply(e.cfg.Alloc(len(v)+extLen), v, seq, now)
 	if originate {
 		_ = up.SetTrace(wire.TraceExt{TraceID: uint32(n), Flags: wire.TraceSampledFlag})
 	}
@@ -320,11 +355,11 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 	if sequenced {
 		// The stash takes ownership of the buffer: downstream elements
 		// mutate headers in flight, and the buffer must retransmit the
-		// packet as it left here. It cannot refuse: seq is fresh from
-		// NextSeq, which stays at or above the newest number held (nothing
-		// else feeds this path, and a restore's RestoreSeq follows its
-		// RestoreStash).
-		buf.Stash(exp, seq, up)
+		// packet as it left here. It cannot refuse: seq is fresh from the
+		// run's counter, which stays at or above the newest number held
+		// (nothing else feeds this path, and a restore's RestoreSeq follows
+		// its RestoreStash).
+		f.buf.stash(f.run, seq, up)
 		if e.cfg.DropEveryN > 0 && seq%uint64(e.cfg.DropEveryN) == 0 {
 			e.injectedDrops++
 			e.cfg.Buffer.Recorder.RecordAt(now, metrics.EvInjectedDrop, uint64(exp), seq, 0)
@@ -369,7 +404,8 @@ func (e *RelayEngine[D]) flowFor(src wire.Addr, exp wire.ExperimentID, now int64
 		e.fstats.Rejected++
 		return nil
 	}
-	f := &Flow[D]{Dst: dst, eng: e, lastSeen: now}
+	buf := e.sb.Shard(exp)
+	f := &Flow[D]{Dst: dst, eng: e, buf: buf, run: buf.expFor(exp), lastSeen: now}
 	e.flows[k] = f
 	e.fstats.Opened++
 	return f

@@ -435,6 +435,21 @@ func TestRelayEngine(t *testing.T) {
 			},
 		},
 		{
+			name: "SetSelf after traffic repoints the next upgrade",
+			run: func(t *testing.T, r *relayRig) {
+				moved := wire.AddrFrom(10, 0, 1, 2, 7001)
+				r.ingest(rigSrcA, expA)
+				r.eng.SetSelf(moved)
+				r.ingest(rigSrcA, expA)
+				r.nak(expA, 1, 2)
+				for i, want := range []wire.Addr{rigSelf, moved} {
+					if got, _ := wire.View(r.dp.data[i]).RetransmitBuffer(); got != want {
+						t.Fatalf("seq %d names retransmit buffer %v, want %v", i+1, got, want)
+					}
+				}
+			},
+		},
+		{
 			name: "already-upgraded traffic passes through along its flow",
 			run: func(t *testing.T, r *relayRig) {
 				pkt := seqPacket(t, 9, rigSrcB, "x")

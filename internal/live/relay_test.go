@@ -229,11 +229,11 @@ func TestRelayCrashClearsFlowsAndReResolves(t *testing.T) {
 }
 
 // TestRelayMultiFlowForwardAllocs gates the multi-flow forward fast path:
-// once warm, ingesting and forwarding a burst that spans four flows on
-// two shards — flow lookup, reshape into a pooled stash buffer, the
-// shared destination queue, one batched flush, periodic cumulative trim —
-// performs zero allocations, and on the kernel path the four flows' one
-// destination costs one write syscall per burst. The burst is driven
+// once warm, ingesting and forwarding a burst that spans five flows on
+// two shards, one of them traced — flow lookup, the compiled upgrade into a
+// pooled stash buffer, the shared destination queue, one batched flush,
+// periodic cumulative trim — performs zero allocations, and on the kernel
+// path the five flows' one destination costs one write syscall per burst. The burst is driven
 // directly through the engine (the loop goroutine stays parked in its
 // read syscall), exactly the per-packet work the receive loop performs.
 func TestRelayMultiFlowForwardAllocs(t *testing.T) {
@@ -266,15 +266,26 @@ func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 		pkt []byte
 		src wire.Addr
 	}
-	flows := make([]flow, 4)
+	payload := bytes.Repeat([]byte("alloc-gate"), 8)
+	flows := make([]flow, 5)
 	for i := range flows {
 		exp := uint32(801 + i)
 		flows[i] = flow{
 			exp: wire.NewExperimentID(exp, 0),
-			pkt: mode0Pkt(t, exp, "payload-for-the-alloc-gate"),
+			pkt: mode0Pkt(t, exp, string(payload)),
 			src: wire.AddrFrom(10, 0, 0, byte(1+i), 4000),
 		}
 	}
+	// The last flow arrives traced: a second upgrade recipe, and a hop
+	// stamp on every packet. Its payload is shorter by the trace extension's
+	// 40 bytes, so all five upgrade to one size and stay one GSO run.
+	traced := wire.Header{Features: wire.FeatTraced, Experiment: flows[4].exp,
+		Trace: wire.TraceExt{TraceID: 1, Flags: wire.TraceSampledFlag, HopCount: 1}}
+	enc, err := traced.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows[4].pkt = append(enc, payload[40:]...)
 
 	seq := uint64(0)
 	burst := func() {
@@ -312,10 +323,10 @@ func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 	}
 	after := relay.BatchStats()
 	if got := after.Syscalls - before.Syscalls; got != bursts {
-		t.Fatalf("%d write syscalls for %d four-flow bursts to one destination, want one per burst", got, bursts)
+		t.Fatalf("%d write syscalls for %d five-flow bursts to one destination, want one per burst", got, bursts)
 	}
-	if got := after.SentPackets - before.SentPackets; got != 4*bursts {
-		t.Fatalf("sent %d packets, want %d", got, 4*bursts)
+	if got := after.SentPackets - before.SentPackets; got != uint64(len(flows)*bursts) {
+		t.Fatalf("sent %d packets, want %d", got, len(flows)*bursts)
 	}
 }
 
