@@ -38,6 +38,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/live"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // expTiming is one experiment's entry in the -json document.
@@ -83,7 +84,7 @@ func main() {
 	var reg *metrics.Registry
 	if *withMetrics {
 		reg = metrics.NewRegistry()
-		dmtp.RegisterPoolMetrics(reg)
+		dmtp.RegisterPoolMetrics(reg, wire.DefaultPoolStats)
 		metrics.RegisterProcessMetrics(reg)
 	}
 

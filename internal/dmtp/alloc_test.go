@@ -254,19 +254,12 @@ func TestJournaledStashZeroAlloc(t *testing.T) {
 // originated on some of the untraced ones — three recipes — plus the
 // periodic trim, allocates nothing when Alloc recycles what Release returns.
 func TestRelayUpgradeZeroAlloc(t *testing.T) {
-	var free [][]byte
+	free := wire.NewFreeList(DefaultCapacityBytes)
 	eng, err := NewRelayEngine(RelayConfig[testDst]{
-		Shards:   2,
-		Buffer:   BufferConfig{Release: func(b []byte) { free = append(free, b) }, Recorder: metrics.NewFlightRecorder(64)},
-		Datapath: nopDatapath{},
-		Alloc: func(n int) []byte {
-			if k := len(free) - 1; k >= 0 && cap(free[k]) >= n {
-				b := free[k][:n]
-				free = free[:k]
-				return b
-			}
-			return make([]byte, n, 256)
-		},
+		Shards:      2,
+		Buffer:      BufferConfig{Release: free.Put, Recorder: metrics.NewFlightRecorder(64)},
+		Datapath:    nopDatapath{},
+		Alloc:       free.Get,
 		Resolve:     func(wire.Addr, wire.ExperimentID) (testDst, bool) { return "rx", true },
 		ConfigID:    1,
 		Features:    liveUpgrade,

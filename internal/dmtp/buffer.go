@@ -64,14 +64,18 @@ type Journal interface {
 	TrimTo(exp wire.ExperimentID, cum uint64)
 }
 
+// DefaultCapacityBytes is a BufferEngine's capacity when its config
+// gives none.
+const DefaultCapacityBytes = 64 << 20
+
 // BufferConfig configures a BufferEngine.
 type BufferConfig struct {
 	// CapacityBytes bounds the retransmission buffer; oldest packets
-	// are evicted first. Zero means 64 MiB.
+	// are evicted first. Zero means DefaultCapacityBytes.
 	CapacityBytes int
 	// Release, when non-nil, is called exactly once for every stashed
 	// buffer the engine lets go of (eviction, trim, crash). The live
-	// adapter returns pooled buffers to wire.BufferPool here, once no queued
+	// adapter returns buffers to its wire.FreeList here, once no queued
 	// forward references them; the simulator lets the GC collect clones.
 	Release func([]byte)
 	// Stats, when non-nil, is where the engine counts; adapters expose
@@ -166,7 +170,7 @@ type BufferEngine struct {
 // NewBufferEngine builds an engine over the given datapath.
 func NewBufferEngine(dp Datapath, cfg BufferConfig) *BufferEngine {
 	if cfg.CapacityBytes == 0 {
-		cfg.CapacityBytes = 64 << 20
+		cfg.CapacityBytes = DefaultCapacityBytes
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = WallClock{}

@@ -64,11 +64,14 @@ func RegisterTraceMetrics(reg *metrics.Registry, c *tracespan.Collector) {
 	c.RegisterMetrics(reg)
 }
 
-// RegisterPoolMetrics publishes the shared wire.BufferPool traffic counters
-// (wire.pool.*) on reg, sampled from wire.DefaultPoolStats at scrape time.
-func RegisterPoolMetrics(reg *metrics.Registry) {
-	reg.RegisterFunc(metrics.MetricPoolGets, func() int64 { return int64(wire.DefaultPoolStats().Gets) })
-	reg.RegisterFunc(metrics.MetricPoolHits, func() int64 { return int64(wire.DefaultPoolStats().Hits) })
-	reg.RegisterFunc(metrics.MetricPoolMisses, func() int64 { return int64(wire.DefaultPoolStats().Misses()) })
-	reg.RegisterFunc(metrics.MetricPoolOversize, func() int64 { return int64(wire.DefaultPoolStats().Oversize) })
+// RegisterPoolMetrics publishes a packet pool's traffic counters
+// (wire.pool.*) on reg, sampled from stats at scrape time: the shared
+// wire.BufferPool (wire.DefaultPoolStats) for most roles, the relay's own
+// free list on a live relay. stats must be safe to call from the scrape
+// goroutine.
+func RegisterPoolMetrics(reg *metrics.Registry, stats func() wire.PoolStats) {
+	reg.RegisterFunc(metrics.MetricPoolGets, func() int64 { return int64(stats().Gets) })
+	reg.RegisterFunc(metrics.MetricPoolHits, func() int64 { return int64(stats().Hits) })
+	reg.RegisterFunc(metrics.MetricPoolMisses, func() int64 { return int64(stats().Misses()) })
+	reg.RegisterFunc(metrics.MetricPoolOversize, func() int64 { return int64(stats().Oversize) })
 }

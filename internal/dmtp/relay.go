@@ -579,10 +579,10 @@ func (e *RelayEngine[D]) Flows() []FlowInfo {
 
 // RegisterMetrics publishes the relay's metric set on reg — dmtp.buf.*
 // (with per-shard occupancy), dmtp.relay.*, the flow-table family, the
-// reshape counter for ConfigID, the journal family when journaled, the
-// shared packet-pool counters — as gauges sampled under the lock at scrape
-// time only. Both substrates register through here, so their metric names
-// match by construction.
+// reshape counter for ConfigID, the journal family when journaled — as
+// gauges sampled under the lock at scrape time only. Both substrates
+// register through here, so their metric names match by construction; each
+// adapter adds wire.pool.* (RegisterPoolMetrics) from the pool it reports.
 func (e *RelayEngine[D]) RegisterMetrics(reg *metrics.Registry) {
 	gauge := func(name string, f func(RelayStats) uint64) {
 		reg.RegisterFunc(name, func() int64 { return int64(f(e.Stats())) })
@@ -621,5 +621,4 @@ func (e *RelayEngine[D]) RegisterMetrics(reg *metrics.Registry) {
 	if e.jset != nil {
 		e.jset.RegisterMetrics(reg)
 	}
-	RegisterPoolMetrics(reg)
 }

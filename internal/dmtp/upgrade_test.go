@@ -86,10 +86,10 @@ func FuzzUpgradeRecipe(f *testing.F) {
 
 // BenchmarkRelayUpgrade times RelayEngine.Handle per upgraded packet as
 // the live relay runs it: the live relay's onward mode and Upgrade, two
-// shards, a flight recorder and the reshape counter, stash buffers from
-// wire's pool, and every flow trimmed each 1024 packets as a cumulative ACK
-// would. One flow of 1 KiB packets is the daq1k workloads' shape, 64 flows
-// of 256 B flows64's.
+// shards, a flight recorder and the reshape counter, stash buffers from a
+// wire.FreeList as the live relay's are, and every flow trimmed each 1024
+// packets as a cumulative ACK would. One flow of 1 KiB packets is the daq1k
+// workloads' shape, 64 flows of 256 B flows64's.
 func BenchmarkRelayUpgrade(b *testing.B) {
 	for _, bc := range []struct {
 		name        string
@@ -99,14 +99,15 @@ func BenchmarkRelayUpgrade(b *testing.B) {
 		{"flows=64/size=256", 64, 256},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			free := wire.NewFreeList(DefaultCapacityBytes)
 			eng, err := NewRelayEngine(RelayConfig[testDst]{
 				Shards: 2,
 				Buffer: BufferConfig{
-					Release:  wire.ReleaseBuffer,
+					Release:  free.Put,
 					Recorder: metrics.NewFlightRecorder(0),
 				},
 				Datapath: nopDatapath{},
-				Alloc:    wire.GetBuffer,
+				Alloc:    free.Get,
 				Resolve:  func(wire.Addr, wire.ExperimentID) (testDst, bool) { return "rx", true },
 				ConfigID: 1,
 				Features: liveUpgrade,
@@ -139,7 +140,7 @@ func BenchmarkRelayUpgrade(b *testing.B) {
 				}
 			}
 			for i := 0; i < 4096; i++ {
-				handle(i) // warm: flow registration, the recipe, the pool
+				handle(i) // warm: flow registration, the recipe, the free list
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

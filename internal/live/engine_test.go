@@ -117,15 +117,15 @@ func TestLiveWriteOffWithFakeClock(t *testing.T) {
 // TestLiveRelayTrimReleasesPooledBuffers exercises the cumulative-ACK
 // path end to end: the receiver's ack timer (fake-clock driven) sends a
 // cumulative ACK, the relay's shared BufferEngine trims every acked stash
-// entry, and each trimmed entry is released back to wire's buffer pool.
+// entry, and each trimmed entry is released back to the relay's free list.
 func TestLiveRelayTrimReleasesPooledBuffers(t *testing.T) {
 	var released atomic.Uint64
-	orig := releaseBuffer
-	releaseBuffer = func(b []byte) {
+	orig := recycle
+	recycle = func(f *wire.FreeList, b []byte) {
 		released.Add(1)
-		orig(b)
+		orig(f, b)
 	}
-	t.Cleanup(func() { releaseBuffer = orig })
+	t.Cleanup(func() { recycle = orig })
 
 	fc := dmtp.NewFakeClock(0)
 	snd, relay, recv := fakeClockPipeline(t, fc, 0, ReceiverConfig{

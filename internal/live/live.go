@@ -33,10 +33,6 @@ import (
 	"repro/internal/wire"
 )
 
-// releaseBuffer returns relay stash buffers to the shared pool; tests
-// swap it to observe that trimmed/evicted/crashed entries are released.
-var releaseBuffer = wire.ReleaseBuffer
-
 // UDPConn is the subset of *net.UDPConn the live roles use. Middleware
 // (e.g. internal/faults.Conn) implements the same interface, so a Wrap
 // hook can interpose fault injection without the roles knowing.
@@ -448,7 +444,7 @@ func (s *Sender) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterFunc(metrics.MetricTxReconnects, func() int64 { return int64(snap().Reconnects) })
 	s.bstats.install(reg)
 	s.txErr.Store(reg.Counter(metrics.MetricLiveTxErrors))
-	dmtp.RegisterPoolMetrics(reg)
+	dmtp.RegisterPoolMetrics(reg, wire.DefaultPoolStats)
 }
 
 // LocalAddr returns the sender's bound address.

@@ -352,7 +352,7 @@ func (r *Receiver) RegisterMetrics(reg *metrics.Registry) {
 	})
 	r.bstats.install(reg)
 	r.txErr.Store(reg.Counter(metrics.MetricLiveTxErrors))
-	dmtp.RegisterPoolMetrics(reg)
+	dmtp.RegisterPoolMetrics(reg, wire.DefaultPoolStats)
 }
 
 // Close stops the receiver.

@@ -17,6 +17,7 @@ package live
 //     may still reference it.
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"net/netip"
@@ -59,8 +60,10 @@ type RelayConfig struct {
 	MaxAge time.Duration
 	// DeadlineBudget is the delivery budget; zero disables deadlines.
 	DeadlineBudget time.Duration
-	// CapacityBytes bounds the retransmission buffer (default 64 MiB),
-	// split evenly across shards.
+	// CapacityBytes bounds the retransmission buffer, split evenly across
+	// shards. Zero gives each shard dmtp.DefaultCapacityBytes (64 MiB).
+	// It also bounds the idle buffers the relay keeps for reuse (64 MiB
+	// when zero).
 	CapacityBytes int
 	// DropEveryN, when > 0, deliberately drops every Nth forwarded data
 	// packet — fault injection so loopback demos exercise recovery.
@@ -132,8 +135,9 @@ func (q *forwardQueue) String() string { return q.dst.addr.String() }
 type relayFlow = dmtp.Flow[*forwardQueue]
 
 // Relay is the live-path network element + buffer: dmtp.RelayEngine
-// adapted to UDP sockets, with stash buffers drawn from wire's shared pool
-// and forwarding gathered into one send per downstream address per burst.
+// adapted to UDP sockets, with stash buffers drawn from the relay's own
+// free list and forwarding gathered into one send per downstream address
+// per burst.
 type Relay struct {
 	cfg RelayConfig
 
@@ -150,11 +154,14 @@ type Relay struct {
 	// bursts against scrapes, Crash and Restart. The flush that ends every
 	// hold empties dirty (destinations with queued forwards) and retired
 	// (stash buffers released meanwhile), so both are empty whenever it is
-	// free. dsts interns one destination per downstream address; it holds
-	// only destinations some registered flow may use (Crash clears it,
-	// prune drops the rest once per half FlowTTL).
+	// free. free is the engine's Alloc and where released stash buffers
+	// go back; every call to it runs under engMu. dsts interns one
+	// destination per downstream address; it holds only destinations some
+	// registered flow may use (Crash clears it, prune drops the rest once
+	// per half FlowTTL).
 	engMu   sync.Mutex
 	eng     *dmtp.RelayEngine[*forwardQueue]
+	free    *wire.FreeList
 	dsts    map[netip.AddrPort]*destination
 	dirty   []*destination
 	retired [][]byte
@@ -213,7 +220,9 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		// half-TTL schedule.
 		cfg.FlowTTL = 60 * time.Second
 	}
-	r := &Relay{cfg: cfg, dsts: make(map[netip.AddrPort]*destination), pruned: cfg.Clock.Now()}
+	// The free list exists before the engine: a journal restore Allocs.
+	r := &Relay{cfg: cfg, dsts: make(map[netip.AddrPort]*destination), pruned: cfg.Clock.Now(),
+		free: wire.NewFreeList(cmp.Or(cfg.CapacityBytes, dmtp.DefaultCapacityBytes))}
 	if cfg.Forward != "" {
 		fwd, err := resolveAddrPort(cfg.Forward)
 		if err != nil {
@@ -233,7 +242,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 			Clock:         cfg.Clock,
 		},
 		Datapath:    relayDatapath{r},
-		Alloc:       wire.GetBuffer,
+		Alloc:       r.free.Get,
 		JournalDir:  cfg.JournalDir,
 		JournalSync: cfg.JournalSync,
 		Locker:      &r.engMu,
@@ -340,11 +349,16 @@ func (r *Relay) Flows() []dmtp.FlowInfo { return r.eng.Flows() }
 func (r *Relay) BufferedBytes() int { return r.eng.Stats().Occupancy }
 
 // RegisterMetrics publishes the relay's metric set on reg: the engine's
-// (dmtp.buf.*, dmtp.relay.*, flow table, journal, packet pool — shared
-// with the simulator, so names match by construction) plus the adapter's
-// kernel-batch and transmit-error counters.
+// (dmtp.buf.*, dmtp.relay.*, flow table, journal — shared with the
+// simulator, so names match by construction), wire.pool.* from the relay's
+// free list, and the adapter's kernel-batch and transmit-error counters.
 func (r *Relay) RegisterMetrics(reg *metrics.Registry) {
 	r.eng.RegisterMetrics(reg)
+	dmtp.RegisterPoolMetrics(reg, func() wire.PoolStats {
+		r.engMu.Lock()
+		defer r.engMu.Unlock()
+		return r.free.Stats()
+	})
 	r.bstats.install(reg)
 	r.txErr.Store(reg.Counter(metrics.MetricLiveTxErrors))
 }
@@ -564,12 +578,16 @@ func (r *Relay) queue(f *relayFlow, pkt []byte) {
 	q.pkts = append(q.pkts, pkt)
 }
 
+// recycle returns a released stash buffer to the relay's free list; tests
+// swap it to see every trimmed, evicted or crashed entry on its way back.
+var recycle = (*wire.FreeList).Put
+
 // release is the engine's Buffer.Release. A queued forward may point at b,
-// so b returns to the pool only after flush — at once when nothing is
+// so b returns to the free list only after flush — at once when nothing is
 // queued (Crash, Restart, a burst's first packet). Caller holds engMu.
 func (r *Relay) release(b []byte) {
 	if len(r.dirty) == 0 {
-		releaseBuffer(b)
+		recycle(r.free, b)
 		return
 	}
 	r.retired = append(r.retired, b)
@@ -604,7 +622,7 @@ func (r *Relay) flush() {
 	}
 	r.dirty = r.dirty[:0]
 	for _, b := range r.retired {
-		releaseBuffer(b)
+		recycle(r.free, b)
 	}
 	r.retired = r.retired[:0]
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -231,15 +232,12 @@ func TestRelayCrashClearsFlowsAndReResolves(t *testing.T) {
 // TestRelayMultiFlowForwardAllocs gates the multi-flow forward fast path:
 // once warm, ingesting and forwarding a burst that spans five flows on
 // two shards, one of them traced — flow lookup, the compiled upgrade into a
-// pooled stash buffer, the shared destination queue, one batched flush,
+// stash buffer from the relay's free list, the shared destination queue, one batched flush,
 // periodic cumulative trim — performs zero allocations, and on the kernel
 // path the five flows' one destination costs one write syscall per burst. The burst is driven
 // directly through the engine (the loop goroutine stays parked in its
 // read syscall), exactly the per-packet work the receive loop performs.
 func TestRelayMultiFlowForwardAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector; the pooled steady state cannot hold")
-	}
 	// AllocsPerRun counts the whole process, so the forward leg lands on
 	// a plain socket nobody reads (forwarding is fire-and-forget): a live
 	// Receiver here would allocate per delivery whenever its goroutine
@@ -297,9 +295,9 @@ func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 		}
 		relay.flush()
 		if seq%16 == 0 {
-			// Cumulative trim releases the stash back to the packet pool,
+			// Cumulative trim releases the stash back to the free list,
 			// as a downstream ACK would — without it the stash grows and
-			// GetBuffer must allocate fresh buffers.
+			// every upgrade must allocate a fresh buffer.
 			for _, f := range flows {
 				relay.eng.Buffer().Trim(f.exp, seq)
 			}
@@ -696,9 +694,6 @@ func TestRelayDestinationSetBounded(t *testing.T) {
 // NAK — decode, stash lookup, the retransmission's socket write through
 // relayDatapath — allocates nothing.
 func TestRelayRetransmitAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector; the pooled steady state cannot hold")
-	}
 	sink, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -738,6 +733,83 @@ func TestRelayRetransmitAllocs(t *testing.T) {
 	}
 	if st := relay.Stats(); st.Retransmits != 102 || st.TxErrors != 0 {
 		t.Fatalf("retransmits %d, tx errors %d; want 102 and 0", st.Retransmits, st.TxErrors)
+	}
+}
+
+// TestRelayCrashBoundsFreeList fills a stash whose entries outweigh its
+// capacity in buffer classes, then crashes the relay, which releases every
+// entry at once: the relay's free list keeps no more idle capacity than
+// CapacityBytes and leaves the rest to the GC. After Restart the kept
+// buffers serve the next upgrades, and the relay's wire.pool.* report the
+// free list.
+func TestRelayCrashBoundsFreeList(t *testing.T) {
+	sink, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	const capacity = 16 << 10
+	relay, err := NewRelay(RelayConfig{
+		Listen:        "127.0.0.1:0",
+		Forward:       sink.LocalAddr().String(),
+		CapacityBytes: capacity,
+		MaxAge:        time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	reg := metrics.NewRegistry()
+	relay.RegisterMetrics(reg)
+
+	// ~650 B upgraded: 1 KiB buffers, so the full stash holds ~25 KiB of
+	// buffer capacity. One packet per lock hold: each eviction's buffer
+	// serves the next upgrade, and the free list is empty before the crash.
+	pkt := mode0Pkt(t, 821, strings.Repeat("f", 600))
+	handle := func() {
+		relay.engMu.Lock()
+		defer relay.engMu.Unlock()
+		relay.eng.Handle(wire.AddrFrom(10, 0, 0, 1, 4000), pkt, 0)
+		relay.flush()
+	}
+	for i := 0; i < 64; i++ {
+		handle()
+	}
+	st := relay.Stats()
+	if held := st.Buffered - st.Evicted; st.Evicted == 0 || held*(1<<10) <= capacity {
+		t.Fatalf("stash holds %d entries after %d evictions; want more buffer capacity than %d B", held, st.Evicted, capacity)
+	}
+
+	relay.Crash()
+	relay.engMu.Lock()
+	idle := relay.free.Idle()
+	relay.engMu.Unlock()
+	if idle > capacity || idle == 0 {
+		t.Fatalf("free list holds %d B after the crash, want (0, %d]", idle, capacity)
+	}
+
+	if err := relay.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	stats := func() wire.PoolStats {
+		relay.engMu.Lock()
+		defer relay.engMu.Unlock()
+		return relay.free.Stats()
+	}
+	before := stats()
+	handle()
+	after := stats()
+	if after.Hits != before.Hits+1 {
+		t.Fatalf("the upgrade after Restart missed the free list: %+v → %+v", before, after)
+	}
+	gets := int64(-1)
+	for _, s := range reg.Snapshot() {
+		if s.Name == metrics.MetricPoolGets {
+			gets = s.Value
+		}
+	}
+	if gets != int64(after.Gets) {
+		t.Fatalf("%s = %d, want the free list's %d", metrics.MetricPoolGets, gets, after.Gets)
 	}
 }
 
@@ -868,23 +940,24 @@ func TestRelayShardTortureManyFlows(t *testing.T) {
 // relay has: its forward queues hold references into stash buffers until
 // the flush that ends a burst, and the engine may let a buffer go — an
 // eviction, a cumulative-ACK trim — while it is still queued. Released
-// buffers are poisoned here before they go back to the pool, so a buffer
-// recycled ahead of its forward reaches the sink as garbage, or as a later
-// packet's bytes if the pool has already handed it out again.
+// buffers are poisoned here before they go back to the relay's free list,
+// so a buffer recycled ahead of its forward reaches the sink as garbage, or
+// as a later packet's bytes: the free list hands the last buffer put back
+// to the very next upgrade.
 //
 // Each round is queued on the relay's (unwrapped, kernel-batched) socket
 // while the test holds the engine lock — a relay descheduled for a moment —
 // so the relay meets it as real bursts: at most one short read it made
 // before blocking, then everything else.
 func TestRelayBurstForwardOutlivesRelease(t *testing.T) {
-	orig := releaseBuffer
-	releaseBuffer = func(b []byte) {
+	orig := recycle
+	recycle = func(f *wire.FreeList, b []byte) {
 		for i := range b {
 			b[i] = 0xDB
 		}
-		orig(b)
+		orig(f, b)
 	}
-	t.Cleanup(func() { releaseBuffer = orig })
+	t.Cleanup(func() { recycle = orig })
 
 	const (
 		rounds   = 24
@@ -973,7 +1046,10 @@ func TestRelayBurstForwardOutlivesRelease(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer relay.Close()
-			snd, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: expNum, BatchSize: batch})
+			// Only full rings flush: a timer flush of a partial ring would
+			// leave the tail of the batch an ACK covers behind that ACK, and
+			// the round would end with those packets stashed, never trimmed.
+			snd, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: expNum, BatchSize: batch, FlushInterval: time.Hour})
 			if err != nil {
 				t.Fatal(err)
 			}

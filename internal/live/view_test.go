@@ -408,9 +408,6 @@ func TestReceiverReadsClockOncePerBurst(t *testing.T) {
 // fired on goroutines of their own cost about eight each: that receiver
 // read 0.74–0.88 here on a 2-vCPU Xeon, this one 0.11–0.12.
 func TestLoopbackAllocsPerMessage(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector; the pooled steady state cannot hold")
-	}
 	for _, tc := range []struct {
 		name        string
 		slices      int

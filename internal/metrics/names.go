@@ -119,7 +119,8 @@ const (
 	// failures that have no retry path, unlike dmtp.tx.send_errors.
 	MetricLiveTxErrors = "dmtp.live.tx.errors"
 
-	// Shared packet-buffer pool metrics (wire.BufferPool).
+	// Packet-buffer pool metrics: the shared wire.BufferPool's, or on a
+	// live relay its own wire.FreeList's.
 	MetricPoolGets     = "wire.pool.gets"
 	MetricPoolHits     = "wire.pool.hits"
 	MetricPoolMisses   = "wire.pool.misses"
@@ -234,7 +235,7 @@ var Catalog = []Info{
 	{MetricLiveBatchGROSplits, KindCounter, "packets", "wire packets recovered by splitting GRO-coalesced datagrams on receive"},
 	{MetricLiveBatchFallbacks, KindCounter, "operations", "batch operations served by the portable single-syscall path"},
 	{MetricLiveTxErrors, KindCounter, "packets", "packets dropped by failed fire-and-forget socket writes (no retry path)"},
-	{MetricPoolGets, KindGauge, "buffers", "buffers requested from the shared packet pool"},
+	{MetricPoolGets, KindGauge, "buffers", "buffers requested from the packet pool (a live relay's: its stash free list)"},
 	{MetricPoolHits, KindGauge, "buffers", "pool requests satisfied by a recycled buffer"},
 	{MetricPoolMisses, KindGauge, "buffers", "pool requests that had to allocate"},
 	{MetricPoolOversize, KindGauge, "buffers", "requests larger than every size class (plain allocations)"},
