@@ -306,59 +306,48 @@ func (e *ReceiverEngine) Stop() {
 	}
 }
 
-// Ingest processes one validated data packet (the adapter has already
-// run wire.View.Check and filtered control traffic).
+// Ingest processes one validated data packet: the adapter has already run
+// wire.View.Check and filtered control traffic, so the packet's layout is
+// resolved once and every field is read at its offset unchecked.
 func (e *ReceiverEngine) Ingest(v wire.View) {
 	now := e.clock.Now()
 	e.stats.Received++
 	e.stats.Bytes += uint64(len(v))
-	feats := v.Features()
+	l := v.Layout()
 	exp := v.Experiment()
 
 	msg := Message{Experiment: exp, Latency: -1}
-	if feats.Has(wire.FeatTimestamped) {
-		if origin, err := v.OriginTimestamp(); err == nil && origin > 0 {
-			msg.Latency = time.Duration(uint64(now) - origin)
-			if e.cfg.LatencyHist != nil {
-				e.cfg.LatencyHist.ObserveDuration(msg.Latency)
-			}
+	if origin, ok := l.OriginTimestamp(v); ok && origin > 0 {
+		msg.Latency = time.Duration(uint64(now) - origin)
+		if e.cfg.LatencyHist != nil {
+			e.cfg.LatencyHist.ObserveDuration(msg.Latency)
 		}
 	}
-	if feats.Has(wire.FeatAgeTracked) {
-		if age, err := v.Age(); err == nil {
-			aged := age.Aged()
-			// Destination timeliness check (pilot mode 3): the receiver
-			// recomputes the final age from the origin timestamp, so a
-			// budget blown on the last segment is caught even though no
-			// network element sits there to update the field.
-			if !aged && age.MaxAgeMicros > 0 && msg.Latency >= 0 &&
-				uint64(msg.Latency/time.Microsecond) >= uint64(age.MaxAgeMicros) {
-				aged = true
-			}
-			if aged {
-				msg.Aged = true
-				e.stats.Aged++
-			}
+	if age, ok := l.Age(v); ok {
+		aged := age.Aged()
+		// Destination timeliness check (pilot mode 3): the receiver
+		// recomputes the final age from the origin timestamp, so a budget
+		// blown on the last segment is caught even though no network
+		// element sits there to update the field.
+		if !aged && age.MaxAgeMicros > 0 && msg.Latency >= 0 &&
+			uint64(msg.Latency/time.Microsecond) >= uint64(age.MaxAgeMicros) {
+			aged = true
+		}
+		if aged {
+			msg.Aged = true
+			e.stats.Aged++
 		}
 	}
-	if feats.Has(wire.FeatTimely) {
-		if deadline, _, err := v.Deadline(); err == nil && deadline != 0 && uint64(now) > deadline {
-			msg.Late = true
-			e.stats.Late++
-		}
+	if deadline, ok := l.Deadline(v); ok && deadline != 0 && uint64(now) > deadline {
+		msg.Late = true
+		e.stats.Late++
 	}
 
-	if !feats.Has(wire.FeatSequenced) {
+	seq, ok := l.Seq(v)
+	if !ok || seq == 0 {
 		e.stats.Unsequenced++
 		e.observeTrace(v, msg, now, 0, 0)
-		e.handOver(e.finalize(v, msg))
-		return
-	}
-	seq, err := v.Seq()
-	if err != nil || seq == 0 {
-		e.stats.Unsequenced++
-		e.observeTrace(v, msg, now, 0, 0)
-		e.handOver(e.finalize(v, msg))
+		e.handOver(e.finalize(v, l, msg))
 		return
 	}
 	msg.Seq = seq
@@ -375,10 +364,8 @@ func (e *ReceiverEngine) Ingest(v wire.View) {
 		return
 	}
 	st.runLen = 0
-	if feats.Has(wire.FeatReliable) {
-		if buf, err := v.RetransmitBuffer(); err == nil && !buf.IsZero() {
-			st.buffer = buf
-		}
+	if buf, ok := l.RetransmitBuffer(v); ok && !buf.IsZero() {
+		st.buffer = buf
 	}
 	var rec rxGap // the gap this packet closed after ≥1 NAK, for the trace
 	if seq > st.maxSeen {
@@ -416,11 +403,11 @@ func (e *ReceiverEngine) Ingest(v wire.View) {
 	}
 	e.observeTrace(v, msg, now, rec.detected, rec.naks)
 	if e.cfg.Ordered {
-		st.pending[seq] = pendingRx{msg: e.finalize(v, msg), arrived: now}
+		st.pending[seq] = pendingRx{msg: e.finalize(v, l, msg), arrived: now}
 		e.flushOrdered(st, now)
 		return
 	}
-	e.handOver(e.finalize(v, msg))
+	e.handOver(e.finalize(v, l, msg))
 }
 
 // observeTrace records a sampled traced message's delivery with the span
@@ -446,12 +433,13 @@ func (e *ReceiverEngine) observeTrace(v wire.View, msg Message, now, detected in
 	})
 }
 
-// finalize extracts the payload and completes the message.
-func (e *ReceiverEngine) finalize(v wire.View, msg Message) Message {
+// finalize extracts the payload of v, whose layout is l, and completes the
+// message.
+func (e *ReceiverEngine) finalize(v wire.View, l *wire.Layout, msg Message) Message {
 	if e.cfg.FinalizePayload != nil {
 		msg.Payload = e.cfg.FinalizePayload(v)
 	} else {
-		msg.Payload = v.Payload()
+		msg.Payload = v[l.HeaderLen():]
 	}
 	return msg
 }

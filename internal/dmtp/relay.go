@@ -95,11 +95,17 @@ type Flow[D fmt.Stringer] struct {
 	Dst D
 
 	eng *RelayEngine[D]
+	key flowKey // what the flow index verifies a hit against
 	// buf and run are the shard and the stash run of the flow's
 	// experiment, fixed at registration: a shard never replaces or deletes
 	// a run, and Crash clears the flow table.
-	buf       *BufferEngine
-	run       *expStash
+	buf *BufferEngine
+	run *expStash
+	// recipe is the compiled upgrade for the feature-set pair recipeFor
+	// (incoming, onward) the flow's packets last took, nil until the first
+	// upgrade and after SetSelf.
+	recipe    *wire.Recipe
+	recipeFor [2]wire.Features
 	lastSeen  int64 // engine-clock nanos of the last handled packet
 	upgraded  uint64
 	forwarded uint64
@@ -115,6 +121,14 @@ func (f *Flow[D]) Sent(n int) {
 type flowKey struct {
 	src wire.Addr
 	exp wire.ExperimentID
+}
+
+// flowSlot is the place of the flow of (src, exp) in the 256-slot flow
+// index: a multiplicative hash of the experiment ID, whose low byte (the
+// slice) is what usually tells one source's flows apart, mixed with the
+// source port. Flows that share a slot take turns in it.
+func flowSlot(src wire.Addr, exp wire.ExperimentID) uint8 {
+	return uint8((uint32(exp) ^ uint32(src.Port)<<8) * 0x9E3779B1 >> 24)
 }
 
 // FlowInfo describes one registered flow — the /flows endpoint and
@@ -160,12 +174,17 @@ type RelayEngine[D fmt.Stringer] struct {
 	// hooks; the engine touches it directly only for lifecycle.
 	jset *journal.Set
 
+	// flows is the flow table: registration, MaxFlows, expiry and the
+	// /flows snapshot go through it alone. index caches its entries by
+	// slot, so a packet usually finds its flow without hashing its key;
+	// Sweep and Crash leave no slot holding a flow the table dropped.
 	flows     map[flowKey]*Flow[D]
-	fstats    FlowStats // Active is filled in from len(flows) on read
+	index     [1 << 8]*Flow[D] // one slot per flowSlot value
+	fstats    FlowStats        // Active is filled in from len(flows) on read
 	lastSweep int64
 	nak       wire.NAK // scratch decode target, reusing Ranges capacity
 	// recipes holds the compiled upgrades, one per pair of incoming and
-	// onward feature sets seen; SetSelf empties it.
+	// onward feature sets seen; SetSelf empties it and every flow's.
 	recipes map[[2]wire.Features]*wire.Recipe
 
 	upgraded      uint64 // also drives boundary trace sampling
@@ -254,12 +273,16 @@ func (e *RelayEngine[D]) restoreShard(buf *BufferEngine, rec *journal.Recovered)
 
 // SetSelf installs the relay's own address, which upgraded packets name as
 // their retransmission buffer: at Attach or bind. The recipes compiled
-// with the old address go, and the next upgrades compile afresh.
+// with the old address go, the ones flows hold included, and the next
+// upgrades compile afresh.
 func (e *RelayEngine[D]) SetSelf(self wire.Addr) {
 	e.lock()
 	defer e.unlock()
 	e.cfg.Upgrade.Self = self
 	clear(e.recipes)
+	for _, f := range e.flows {
+		f.recipe = nil
+	}
 }
 
 // recipe returns the compiled upgrade of packets with feature set in into
@@ -323,9 +346,17 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 	if originate {
 		feats |= wire.FeatTraced
 	}
-	r, err := e.recipe(have, feats)
-	if err != nil {
-		return
+	r := f.recipe
+	if pair := [2]wire.Features{have, feats}; r == nil || f.recipeFor != pair {
+		var err error
+		if r, err = e.recipe(have, feats); err != nil {
+			return
+		}
+		// A sampled boundary trace is the exception: it leaves the flow
+		// holding its common-case recipe.
+		if !originate {
+			f.recipe, f.recipeFor = r, pair
+		}
 	}
 	sequenced := feats.Has(wire.FeatSequenced)
 	var seq uint64
@@ -388,26 +419,37 @@ func (e *RelayEngine[D]) handleControl(buf *BufferEngine, v wire.View) {
 
 // flowFor returns the registered flow for (src, exp), registering it on
 // first packet: the destination is resolved now and kept for the flow's
-// lifetime. Nil means the registration was rejected.
+// lifetime. Nil means the registration was rejected. The flow index is
+// tried first; a miss falls back to the table and leaves the flow in its
+// slot.
 func (e *RelayEngine[D]) flowFor(src wire.Addr, exp wire.ExperimentID, now int64) *Flow[D] {
-	k := flowKey{src: src, exp: exp}
-	if f, ok := e.flows[k]; ok {
+	// The hit path compares fields rather than building a flowKey: the key
+	// would be stored field by field and copied back in one wider load,
+	// which stalls store forwarding on every packet.
+	slot := &e.index[flowSlot(src, exp)]
+	if f := *slot; f != nil && f.key.src == src && f.key.exp == exp {
 		f.lastSeen = now
 		return f
 	}
-	if max := e.cfg.MaxFlows; max > 0 && len(e.flows) >= max {
-		e.fstats.Rejected++
-		return nil
-	}
-	dst, ok := e.cfg.Resolve(src, exp)
+	k := flowKey{src: src, exp: exp}
+	f, ok := e.flows[k]
 	if !ok {
-		e.fstats.Rejected++
-		return nil
+		if max := e.cfg.MaxFlows; max > 0 && len(e.flows) >= max {
+			e.fstats.Rejected++
+			return nil
+		}
+		dst, ok := e.cfg.Resolve(src, exp)
+		if !ok {
+			e.fstats.Rejected++
+			return nil
+		}
+		buf := e.sb.Shard(exp)
+		f = &Flow[D]{Dst: dst, eng: e, key: k, buf: buf, run: buf.expFor(exp)}
+		e.flows[k] = f
+		e.fstats.Opened++
 	}
-	buf := e.sb.Shard(exp)
-	f := &Flow[D]{Dst: dst, eng: e, buf: buf, run: buf.expFor(exp), lastSeen: now}
-	e.flows[k] = f
-	e.fstats.Opened++
+	f.lastSeen = now
+	*slot = f
 	return f
 }
 
@@ -425,6 +467,9 @@ func (e *RelayEngine[D]) Sweep(now int64) {
 	for k, f := range e.flows {
 		if now-f.lastSeen >= ttl {
 			delete(e.flows, k)
+			if slot := &e.index[flowSlot(k.src, k.exp)]; *slot == f {
+				*slot = nil
+			}
 			e.fstats.Expired++
 		}
 	}
@@ -447,6 +492,7 @@ func (e *RelayEngine[D]) Crash(quiesce func()) bool {
 			buf.Crash() // releases every stash buffer
 		}
 		clear(e.flows)
+		clear(e.index[:])
 	}
 	e.unlock()
 	if down {

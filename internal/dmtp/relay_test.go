@@ -252,6 +252,50 @@ func TestRelayEngine(t *testing.T) {
 			},
 		},
 		{
+			name: "an expired flow leaves the flow index with the table",
+			run: func(t *testing.T, r *relayRig) {
+				// expC shares expA's index slot.
+				expC := wire.NewExperimentID(900, 0)
+				for flowSlot(rigSrcA, expC) != flowSlot(rigSrcA, expA) {
+					expC++
+				}
+				r.route[expC] = "rx-c"
+				r.ingest(rigSrcA, expA)
+				r.clock.Advance(time.Second)
+				r.eng.Sweep(r.clock.Now())
+				r.wantFlows(FlowStats{Opened: 1, Expired: 1})
+				// The same key comes back re-registered and re-resolved; a
+				// new key in the slot gets its own destination and run.
+				r.route[expA] = "rx-a2"
+				r.ingest(rigSrcA, expA)
+				r.ingest(rigSrcA, expC)
+				r.ingest(rigSrcA, expA)
+				r.wantFlows(FlowStats{Active: 2, Opened: 3, Expired: 1})
+				r.wantOut(emitted{"rx-a", 1}, emitted{"rx-a2", 2}, emitted{"rx-c", 1}, emitted{"rx-a2", 3})
+			},
+		},
+		{
+			name: "two sources of one experiment take turns in one slot",
+			run: func(t *testing.T, r *relayRig) {
+				if flowSlot(rigSrcA, expA) != flowSlot(rigSrcB, expA) {
+					t.Fatal("the rig's sources no longer share a slot")
+				}
+				for _, src := range []wire.Addr{rigSrcA, rigSrcB, rigSrcA, rigSrcB, rigSrcA} {
+					r.ingest(src, expA)
+				}
+				r.wantFlows(FlowStats{Active: 2, Opened: 2})
+				r.wantOut(emitted{"rx-a", 1}, emitted{"rx-a", 2}, emitted{"rx-a", 3}, emitted{"rx-a", 4}, emitted{"rx-a", 5})
+				flows := r.eng.Flows()
+				if len(flows) != 2 || flows[0].Src != rigSrcA || flows[0].Upgraded != 3 || flows[1].Upgraded != 2 {
+					t.Fatalf("flows %+v, want 3 upgrades from A and 2 from B", flows)
+				}
+				r.nak(expA, 1, 5)
+				if len(r.dp.data) != 5 {
+					t.Fatalf("NAK of 1..5 served %d packets from the experiment's run, want 5", len(r.dp.data))
+				}
+			},
+		},
+		{
 			name:   "crash clears the flow table; restart re-resolves",
 			mutate: func(c *RelayConfig[testDst]) { c.Shards = 2 },
 			run: func(t *testing.T, r *relayRig) {
@@ -279,7 +323,8 @@ func TestRelayEngine(t *testing.T) {
 				if err := r.eng.Restart(func() error { return boom }); !errors.Is(err, boom) || !r.eng.Down() {
 					t.Fatalf("failed rebind: err=%v down=%v", err, r.eng.Down())
 				}
-				r.route[expB] = "rx-b2" // B's receiver moved while the relay was down
+				// Both receivers moved while the relay was down.
+				r.route[expA], r.route[expB] = "rx-a2", "rx-b2"
 				if err := r.eng.Restart(nil); err != nil || r.eng.Down() {
 					t.Fatalf("Restart: err=%v down=%v", err, r.eng.Down())
 				}
@@ -288,7 +333,7 @@ func TestRelayEngine(t *testing.T) {
 				r.wantFlows(FlowStats{Active: 2, Opened: 4})
 				// Sequence counters survive in memory; the pre-crash stash
 				// does not, so its NAK is a miss.
-				r.wantOut(emitted{"rx-a", 1}, emitted{"rx-b", 1}, emitted{"rx-a", 2}, emitted{"rx-b2", 2})
+				r.wantOut(emitted{"rx-a", 1}, emitted{"rx-b", 1}, emitted{"rx-a2", 2}, emitted{"rx-b2", 2})
 				r.nak(expB, 1, 1)
 				if st := r.eng.Stats(); st.Misses != 1 || st.Retransmits != 0 {
 					t.Fatalf("cold-buffer NAK: %+v", st)
@@ -488,9 +533,16 @@ func TestRelayEngineBoundaryTrace(t *testing.T) {
 			traced = append(traced, tr.TraceID)
 		}
 	})
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 4; i++ {
 		r.ingest(rigSrcA, expA)
 	}
+	// The last upgrade originated a trace; the flow still holds the
+	// untraced recipe its next packet takes.
+	f := r.eng.flows[flowKey{rigSrcA, expA}]
+	if f.recipe == nil || f.recipeFor[1].Has(wire.FeatTraced) {
+		t.Fatalf("after a boundary trace the flow holds the recipe for %v", f.recipeFor)
+	}
+	r.ingest(rigSrcA, expA)
 	if len(traced) != 2 || traced[0] != 2 || traced[1] != 4 {
 		t.Fatalf("traced upgrades %v, want IDs [2 4]", traced)
 	}

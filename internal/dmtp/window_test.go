@@ -571,33 +571,55 @@ func TestCorruptSeqOnlyRejected(t *testing.T) {
 	}
 }
 
-// BenchmarkReceiverIngest measures in-order ingest with k gaps held open.
-// The cost must not depend on k, and must not allocate.
+// BenchmarkReceiverIngest measures in-order ingest. The gaps=k cases take a
+// Sequenced|Reliable packet with k gaps held open and no payload finalize:
+// their cost must not depend on k. The live case takes the live relay's
+// onward packet (liveUpgrade's five fields, origin timestamp and deadline
+// in range, 1 KiB payload) with the default payload finalize, as the live
+// receiver runs it. None may allocate.
 func BenchmarkReceiverIngest(b *testing.B) {
 	for _, gaps := range []int{0, 64, 4096} {
 		b.Run(fmt.Sprintf("gaps=%d", gaps), func(b *testing.B) {
-			eng := NewReceiverEngine(NewFakeClock(0), nopDatapath{}, ReceiverConfig{
-				NAKDelay: time.Millisecond, NAKRetry: 5 * time.Millisecond, NAKRetryMax: 500 * time.Millisecond,
-				MaxNAKs:         3,
-				FinalizePayload: func(wire.View) []byte { return nil },
-			})
 			pkt := seqPacket(b, 1, wire.AddrFrom(10, 0, 0, 1, 100), "payload")
-			seq := alternatingGaps(b, eng, pkt, gaps)
-			step := func() {
-				if err := pkt.SetSeq(seq); err != nil {
-					b.Fatal(err)
-				}
-				seq++
-				eng.Ingest(pkt)
-			}
-			if avg := testing.AllocsPerRun(100, step); avg != 0 {
-				b.Fatalf("in-order ingest with %d gaps open allocates %.2f allocs/op, want 0", gaps, avg)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step()
-			}
+			benchIngest(b, pkt, func(wire.View) []byte { return nil }, gaps)
 		})
+	}
+	b.Run("live", func(b *testing.B) {
+		h := wire.Header{ConfigID: 1, Features: liveUpgrade, Experiment: wire.NewExperimentID(7, 0)}
+		h.Retransmit.Buffer = rigSelf
+		h.Age.MaxAgeMicros = uint32(500 * time.Millisecond / time.Microsecond)
+		h.Deadline.DeadlineNanos = uint64(rigStart + int64(time.Second))
+		h.Timestamp.OriginNanos = uint64(rigStart - int64(time.Millisecond))
+		enc, err := h.AppendTo(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchIngest(b, append(enc, make([]byte, 1024)...), nil, 0)
+	})
+}
+
+// benchIngest times in-order ingest of pkt, renumbered each step, after
+// opening gaps gaps, and fails if a step allocates.
+func benchIngest(b *testing.B, pkt wire.View, finalize func(wire.View) []byte, gaps int) {
+	eng := NewReceiverEngine(NewFakeClock(rigStart), nopDatapath{}, ReceiverConfig{
+		NAKDelay: time.Millisecond, NAKRetry: 5 * time.Millisecond, NAKRetryMax: 500 * time.Millisecond,
+		MaxNAKs:         3,
+		FinalizePayload: finalize,
+	})
+	seq := alternatingGaps(b, eng, pkt, gaps)
+	step := func() {
+		if err := pkt.SetSeq(seq); err != nil {
+			b.Fatal(err)
+		}
+		seq++
+		eng.Ingest(pkt)
+	}
+	if avg := testing.AllocsPerRun(100, step); avg != 0 {
+		b.Fatalf("in-order ingest with %d gaps open allocates %.2f allocs/op, want 0", gaps, avg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }

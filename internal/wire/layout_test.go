@@ -12,7 +12,7 @@ import (
 	"testing/quick"
 )
 
-// The bit walks the extLens table replaced, kept as the reference model.
+// The bit walks the layouts table replaced, kept as the reference model.
 
 func walkExtLen(f Features) int {
 	n := 0
@@ -82,6 +82,57 @@ func TestLayoutTableMatchesWalk(t *testing.T) {
 			t.Fatalf("%#x: extRange err = %v, want ErrUnknownFeature", uint32(f), err)
 		}
 	}
+}
+
+// FuzzFieldLayout holds the Layout readers to the checked View accessors:
+// any feature set, any bytes from the experiment ID on (what the header
+// does not take is payload) and any data config ID. Whatever passes Check
+// reads the same through the packet's Layout as through View.
+func FuzzFieldLayout(f *testing.F) {
+	live := FeatSequenced | FeatReliable | FeatAgeTracked | FeatTimely | FeatTimestamped
+	nonzero := bytes.Repeat([]byte{0x5a, 0xc3, 0x01}, 60)
+	for _, feats := range []Features{live, AllFeatures} {
+		f.Add(uint16(feats), nonzero, uint8(1))
+		f.Add(uint16(feats), []byte(nil), uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, feats uint16, hdr []byte, cfg uint8) {
+		h := Header{ConfigID: cfg % ControlBase, Features: Features(feats) & AllFeatures}
+		pkt, err := h.AppendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := copy(pkt[4:], hdr)
+		v := View(append(pkt, hdr[n:]...))
+		hdrLen, err := v.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := v.Layout()
+		same := func(field string, got any, ok bool, want any, err error) {
+			t.Helper()
+			if ok != (err == nil) || ok && got != want {
+				t.Fatalf("%v %s: layout %v, %v; View %v, %v", h.Features, field, got, ok, want, err)
+			}
+		}
+		seq, ok := l.Seq(v)
+		wseq, err := v.Seq()
+		same("seq", seq, ok, wseq, err)
+		buf, ok := l.RetransmitBuffer(v)
+		wbuf, err := v.RetransmitBuffer()
+		same("retransmit buffer", buf, ok, wbuf, err)
+		age, ok := l.Age(v)
+		wage, err := v.Age()
+		same("age", age, ok, wage, err)
+		dl, ok := l.Deadline(v)
+		wdl, _, err := v.Deadline()
+		same("deadline", dl, ok, wdl, err)
+		ts, ok := l.OriginTimestamp(v)
+		wts, err := v.OriginTimestamp()
+		same("origin timestamp", ts, ok, wts, err)
+		if l.HeaderLen() != hdrLen || v.HeaderLen() != hdrLen {
+			t.Fatalf("%v: layout header %d, View %d, Check %d", h.Features, l.HeaderLen(), v.HeaderLen(), hdrLen)
+		}
+	})
 }
 
 // TestViewExtRefusals pins the checks every in-place accessor shares.

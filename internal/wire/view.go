@@ -11,11 +11,14 @@ import "fmt"
 // mutates the underlying buffer directly.
 //
 // Every extension field has a getter and a setter here, and they are the
-// only in-place route to it: a field is found through the extLens table and
-// its bytes go through the same put/…FromBytes codec Header uses, so no
-// caller computes an offset or lays out extension bytes itself. Each
-// accessor refuses a control packet, a feature set with undefined bits, an
-// inactive feature and a buffer too short to hold the field.
+// only checked in-place route to it: a field's offset comes from the
+// layouts table (see Layout) and its bytes go through the same
+// put/…FromBytes codec Header uses, so no caller computes an offset or lays
+// out extension bytes itself. Each accessor refuses a control packet, a
+// feature set with undefined bits, an inactive feature and a buffer too
+// short to hold the field. A caller that has already checked the packet
+// can read its fields through the packet's Layout instead, which takes its
+// offsets from the same table.
 type View []byte
 
 // Check validates that v holds at least a complete DMTP header and returns
@@ -70,9 +73,12 @@ func (v View) HeaderLen() int {
 	if v.IsControl() {
 		return CoreHeaderLen
 	}
-	n, _ := v.Features().ExtLen()
-	return CoreHeaderLen + n
+	return v.Layout().HeaderLen()
 }
+
+// Layout returns the field layout of the data packet's feature set. The
+// view must be a data packet that has passed Check.
+func (v View) Layout() *Layout { return &layouts[v.Features()&AllFeatures] }
 
 // Payload returns the bytes after the header. The view must have passed Check.
 func (v View) Payload() []byte { return v[v.HeaderLen():] }

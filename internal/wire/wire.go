@@ -158,16 +158,32 @@ func (f Features) Has(mask Features) bool { return f&mask == mask }
 // Valid reports whether f only uses defined feature bits.
 func (f Features) Valid() bool { return f&^AllFeatures == 0 }
 
-// extLens indexes a valid feature set to the total byte length of its
-// extension fields. It is the one place the header layout is computed:
-// because fields sit in ascending bit order, the offset of feature bit feat
-// within set f is extLens[f&(feat-1)] (the fields below it) and the size of
-// feat's own field is extLens[feat]. The longest header is 124 bytes, so a
-// byte per entry suffices.
-var extLens = func() (t [1 << featureCount]uint8) {
+// Layout is where the data packets of one valid feature set keep their
+// fields: the header length and the offset of each active extension field.
+// The layouts table holds one per feature set and is the one place the
+// header layout is computed; View's accessors, Check and ExtLen read it
+// too. A packet's layout is fixed by its feature bits, so a caller that has
+// checked a packet resolves its layout once (View.Layout) and reads each
+// field at its offset with no further checks.
+type Layout struct {
+	hdrLen uint8
+	// off indexes feature bit position to the field's offset in the
+	// packet, 0 when the feature is inactive (no field sits inside the
+	// core header).
+	off [featureCount]uint8
+}
+
+// layouts indexes a valid feature set to its Layout. Fields sit in
+// ascending bit order, so a set's highest field comes right after the
+// fields of the rest of the set. The longest header is 132 bytes, so a
+// byte per offset suffices.
+var layouts = func() (t [1 << featureCount]Layout) {
+	t[0].hdrLen = CoreHeaderLen
 	for f := 1; f < len(t); f++ {
-		// f's lowest field plus the (already computed) rest of the set.
-		t[f] = uint8(extSizes[bits.TrailingZeros(uint(f))]) + t[f&(f-1)]
+		hi := bits.Len(uint(f)) - 1
+		t[f] = t[f&^(1<<hi)]
+		t[f].off[hi] = t[f].hdrLen
+		t[f].hdrLen += uint8(extSizes[hi])
 	}
 	return t
 }()
@@ -178,7 +194,7 @@ func (f Features) ExtLen() (int, error) {
 	if !f.Valid() {
 		return 0, fmt.Errorf("%w: %#x", ErrUnknownFeature, uint32(f&^AllFeatures))
 	}
-	return int(extLens[f]), nil
+	return int(layouts[f].hdrLen) - CoreHeaderLen, nil
 }
 
 // extRange returns the byte range, within a data packet whose feature set
@@ -191,8 +207,59 @@ func (f Features) extRange(feat Features) (start, end int, err error) {
 	if f&feat == 0 || feat&(feat-1) != 0 {
 		return 0, 0, ErrMissingFeature
 	}
-	start = CoreHeaderLen + int(extLens[f&(feat-1)])
-	return start, start + int(extLens[feat]), nil
+	i := bits.TrailingZeros32(uint32(feat))
+	start = int(layouts[f].off[i])
+	return start, start + extSizes[i], nil
+}
+
+// HeaderLen returns the header length of the layout's packets.
+func (l *Layout) HeaderLen() int { return int(l.hdrLen) }
+
+// at returns the offset of feature bit feat's field, 0 when it is inactive.
+func (l *Layout) at(feat Features) int { return int(l.off[bits.TrailingZeros32(uint32(feat))]) }
+
+// The readers below take a packet of the layout's feature set that has
+// passed Check, and report false for an inactive field. They decode with
+// the same codecs as the View accessors.
+
+// Seq reads the sequence number.
+func (l *Layout) Seq(v View) (uint64, bool) {
+	if off := l.at(FeatSequenced); off != 0 {
+		return seqExtFromBytes(v[off:]).Seq, true
+	}
+	return 0, false
+}
+
+// RetransmitBuffer reads the retransmission buffer address.
+func (l *Layout) RetransmitBuffer(v View) (Addr, bool) {
+	if off := l.at(FeatReliable); off != 0 {
+		return retransmitExtFromBytes(v[off:]).Buffer, true
+	}
+	return Addr{}, false
+}
+
+// Deadline reads the delivery deadline (without its notification address).
+func (l *Layout) Deadline(v View) (deadlineNanos uint64, ok bool) {
+	if off := l.at(FeatTimely); off != 0 {
+		return deadlineExtFromBytes(v[off:]).DeadlineNanos, true
+	}
+	return 0, false
+}
+
+// Age reads the age extension.
+func (l *Layout) Age(v View) (AgeExt, bool) {
+	if off := l.at(FeatAgeTracked); off != 0 {
+		return ageExtFromBytes(v[off:]), true
+	}
+	return AgeExt{}, false
+}
+
+// OriginTimestamp reads the origin timestamp.
+func (l *Layout) OriginTimestamp(v View) (uint64, bool) {
+	if off := l.at(FeatTimestamped); off != 0 {
+		return timestampExtFromBytes(v[off:]).OriginNanos, true
+	}
+	return 0, false
 }
 
 // String renders the feature set as a compact list, e.g. "seq|rel|age".
