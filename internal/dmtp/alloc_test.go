@@ -252,14 +252,15 @@ func TestJournaledStashZeroAlloc(t *testing.T) {
 // TestRelayUpgradeZeroAlloc gates the relay's upgrade path: once warm,
 // Handle on untraced and traced mode-0 packets, with boundary traces
 // originated on some of the untraced ones — three recipes — plus the
-// periodic trim, allocates nothing when Alloc recycles what Release returns.
+// periodic trim, allocates nothing when Alloc and Release are a stash
+// log's Get and Put.
 func TestRelayUpgradeZeroAlloc(t *testing.T) {
-	free := wire.NewFreeList(DefaultCapacityBytes)
+	stash := wire.NewStashLog(DefaultCapacityBytes)
 	eng, err := NewRelayEngine(RelayConfig[testDst]{
 		Shards:      2,
-		Buffer:      BufferConfig{Release: free.Put, Recorder: metrics.NewFlightRecorder(64)},
+		Buffer:      BufferConfig{Release: stash.Put, Recorder: metrics.NewFlightRecorder(64)},
 		Datapath:    nopDatapath{},
-		Alloc:       free.Get,
+		Alloc:       stash.Get,
 		Resolve:     func(wire.Addr, wire.ExperimentID) (testDst, bool) { return "rx", true },
 		ConfigID:    1,
 		Features:    liveUpgrade,
@@ -291,7 +292,7 @@ func TestRelayUpgradeZeroAlloc(t *testing.T) {
 		}
 	}
 	for i := 0; i < 64; i++ {
-		step() // warm: flows, recipes, stash runs, the free list
+		step() // warm: flows, recipes, stash runs, the stash log
 	}
 	if avg := testing.AllocsPerRun(300, step); avg != 0 {
 		t.Fatalf("relay upgrade allocates %.2f allocs/op, want 0", avg)

@@ -75,7 +75,7 @@ type BufferConfig struct {
 	CapacityBytes int
 	// Release, when non-nil, is called exactly once for every stashed
 	// buffer the engine lets go of (eviction, trim, crash). The live
-	// adapter returns buffers to its wire.FreeList here, once no queued
+	// adapter returns buffers to its wire.StashLog here, once no queued
 	// forward references them; the simulator lets the GC collect clones.
 	Release func([]byte)
 	// Stats, when non-nil, is where the engine counts; adapters expose

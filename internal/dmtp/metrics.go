@@ -67,7 +67,7 @@ func RegisterTraceMetrics(reg *metrics.Registry, c *tracespan.Collector) {
 // RegisterPoolMetrics publishes a packet pool's traffic counters
 // (wire.pool.*) on reg, sampled from stats at scrape time: the shared
 // wire.BufferPool (wire.DefaultPoolStats) for most roles, the relay's own
-// free list on a live relay. stats must be safe to call from the scrape
+// stash log on a live relay. stats must be safe to call from the scrape
 // goroutine.
 func RegisterPoolMetrics(reg *metrics.Registry, stats func() wire.PoolStats) {
 	reg.RegisterFunc(metrics.MetricPoolGets, func() int64 { return int64(stats().Gets) })

@@ -2,6 +2,7 @@ package dmtp
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -86,67 +87,70 @@ func FuzzUpgradeRecipe(f *testing.F) {
 
 // BenchmarkRelayUpgrade times RelayEngine.Handle per upgraded packet as
 // the live relay runs it: the live relay's onward mode and Upgrade, two
-// shards, a flight recorder and the reshape counter, stash buffers from a
-// wire.FreeList as the live relay's are, and every flow trimmed each 1024
-// packets as a cumulative ACK would. One flow of 1 KiB packets is the daq1k
-// workloads' shape, 64 flows of 256 B flows64's.
+// shards, a flight recorder and the reshape counter, stash entries from a
+// wire.StashLog as the live relay's are, and every flow trimmed each trim
+// packets as a cumulative ACK would. One flow of 1 KiB packets is the
+// daq1k workloads' shape, 64 flows of 256 B flows64's. A trim depth of
+// 1024 keeps the stash inside a 2 MiB L2; 4096, about 2 ms at flows64's
+// rate, lets it leave the way it does live.
 func BenchmarkRelayUpgrade(b *testing.B) {
 	for _, bc := range []struct {
-		name        string
 		flows, size int
 	}{
-		{"flows=1/size=1024", 1, 1024},
-		{"flows=64/size=256", 64, 256},
+		{1, 1024},
+		{64, 256},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			free := wire.NewFreeList(DefaultCapacityBytes)
-			eng, err := NewRelayEngine(RelayConfig[testDst]{
-				Shards: 2,
-				Buffer: BufferConfig{
-					Release:  free.Put,
-					Recorder: metrics.NewFlightRecorder(0),
-				},
-				Datapath: nopDatapath{},
-				Alloc:    free.Get,
-				Resolve:  func(wire.Addr, wire.ExperimentID) (testDst, bool) { return "rx", true },
-				ConfigID: 1,
-				Features: liveUpgrade,
-				Upgrade:  Upgrade{MaxAge: 500 * time.Millisecond, DeadlineBudget: time.Second},
-				Emit:     func(f *Flow[testDst], _ []byte) { f.Sent(1) },
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			eng.SetSelf(rigSelf)
-			eng.RegisterMetrics(metrics.NewRegistry())
-			exps := make([]wire.ExperimentID, bc.flows)
-			pkts := make([]wire.View, bc.flows)
-			for i := range pkts {
-				exps[i] = wire.NewExperimentID(777, uint8(i))
-				enc, err := (&wire.Header{Experiment: exps[i]}).AppendTo(nil)
+		for _, trim := range []int{1024, 4096} {
+			b.Run(fmt.Sprintf("flows=%d/size=%d/trim=%d", bc.flows, bc.size, trim), func(b *testing.B) {
+				stash := wire.NewStashLog(DefaultCapacityBytes)
+				eng, err := NewRelayEngine(RelayConfig[testDst]{
+					Shards: 2,
+					Buffer: BufferConfig{
+						Release:  stash.Put,
+						Recorder: metrics.NewFlightRecorder(0),
+					},
+					Datapath: nopDatapath{},
+					Alloc:    stash.Get,
+					Resolve:  func(wire.Addr, wire.ExperimentID) (testDst, bool) { return "rx", true },
+					ConfigID: 1,
+					Features: liveUpgrade,
+					Upgrade:  Upgrade{MaxAge: 500 * time.Millisecond, DeadlineBudget: time.Second},
+					Emit:     func(f *Flow[testDst], _ []byte) { f.Sent(1) },
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				pkts[i] = append(enc, make([]byte, bc.size)...)
-			}
-			now := rigStart
-			handle := func(i int) {
-				eng.Handle(rigSrcA, pkts[i%bc.flows], now)
-				if i%1024 == 1023 {
-					for _, exp := range exps {
-						eng.Buffer().Trim(exp, eng.Buffer().SeqOf(exp))
+				defer eng.Close()
+				eng.SetSelf(rigSelf)
+				eng.RegisterMetrics(metrics.NewRegistry())
+				exps := make([]wire.ExperimentID, bc.flows)
+				pkts := make([]wire.View, bc.flows)
+				for i := range pkts {
+					exps[i] = wire.NewExperimentID(777, uint8(i))
+					enc, err := (&wire.Header{Experiment: exps[i]}).AppendTo(nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					pkts[i] = append(enc, make([]byte, bc.size)...)
+				}
+				now := rigStart
+				handle := func(i int) {
+					eng.Handle(rigSrcA, pkts[i%bc.flows], now)
+					if i%trim == trim-1 {
+						for _, exp := range exps {
+							eng.Buffer().Trim(exp, eng.Buffer().SeqOf(exp))
+						}
 					}
 				}
-			}
-			for i := 0; i < 4096; i++ {
-				handle(i) // warm: flow registration, the recipe, the free list
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				handle(i)
-			}
-		})
+				for i := 0; i < 4*trim; i++ {
+					handle(i) // warm: flow registration, the recipe, the stash log
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					handle(i)
+				}
+			})
+		}
 	}
 }

@@ -117,13 +117,13 @@ func TestLiveWriteOffWithFakeClock(t *testing.T) {
 // TestLiveRelayTrimReleasesPooledBuffers exercises the cumulative-ACK
 // path end to end: the receiver's ack timer (fake-clock driven) sends a
 // cumulative ACK, the relay's shared BufferEngine trims every acked stash
-// entry, and each trimmed entry is released back to the relay's free list.
+// entry, and each trimmed entry is released back to the relay's stash log.
 func TestLiveRelayTrimReleasesPooledBuffers(t *testing.T) {
 	var released atomic.Uint64
 	orig := recycle
-	recycle = func(f *wire.FreeList, b []byte) {
+	recycle = func(l *wire.StashLog, b []byte) {
 		released.Add(1)
-		orig(f, b)
+		orig(l, b)
 	}
 	t.Cleanup(func() { recycle = orig })
 

@@ -62,8 +62,8 @@ type RelayConfig struct {
 	DeadlineBudget time.Duration
 	// CapacityBytes bounds the retransmission buffer, split evenly across
 	// shards. Zero gives each shard dmtp.DefaultCapacityBytes (64 MiB).
-	// It also bounds the idle buffers the relay keeps for reuse (64 MiB
-	// when zero).
+	// It also sizes the relay's stash log (64 MiB, plus an eighth, when
+	// zero); entries beyond what the log holds are heap allocations.
 	CapacityBytes int
 	// DropEveryN, when > 0, deliberately drops every Nth forwarded data
 	// packet — fault injection so loopback demos exercise recovery.
@@ -135,8 +135,8 @@ func (q *forwardQueue) String() string { return q.dst.addr.String() }
 type relayFlow = dmtp.Flow[*forwardQueue]
 
 // Relay is the live-path network element + buffer: dmtp.RelayEngine
-// adapted to UDP sockets, with stash buffers drawn from the relay's own
-// free list and forwarding gathered into one send per downstream address
+// adapted to UDP sockets, with stash entries carved from the relay's own
+// log and forwarding gathered into one send per downstream address
 // per burst.
 type Relay struct {
 	cfg RelayConfig
@@ -154,14 +154,14 @@ type Relay struct {
 	// bursts against scrapes, Crash and Restart. The flush that ends every
 	// hold empties dirty (destinations with queued forwards) and retired
 	// (stash buffers released meanwhile), so both are empty whenever it is
-	// free. free is the engine's Alloc and where released stash buffers
+	// free. stash is the engine's Alloc and where released stash buffers
 	// go back; every call to it runs under engMu. dsts interns one
 	// destination per downstream address; it holds only destinations some
 	// registered flow may use (Crash clears it, prune drops the rest once
 	// per half FlowTTL).
 	engMu   sync.Mutex
 	eng     *dmtp.RelayEngine[*forwardQueue]
-	free    *wire.FreeList
+	stash   *wire.StashLog
 	dsts    map[netip.AddrPort]*destination
 	dirty   []*destination
 	retired [][]byte
@@ -220,9 +220,9 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		// half-TTL schedule.
 		cfg.FlowTTL = 60 * time.Second
 	}
-	// The free list exists before the engine: a journal restore Allocs.
+	// The stash log exists before the engine: a journal restore Allocs.
 	r := &Relay{cfg: cfg, dsts: make(map[netip.AddrPort]*destination), pruned: cfg.Clock.Now(),
-		free: wire.NewFreeList(cmp.Or(cfg.CapacityBytes, dmtp.DefaultCapacityBytes))}
+		stash: wire.NewStashLog(cmp.Or(cfg.CapacityBytes, dmtp.DefaultCapacityBytes))}
 	if cfg.Forward != "" {
 		fwd, err := resolveAddrPort(cfg.Forward)
 		if err != nil {
@@ -242,7 +242,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 			Clock:         cfg.Clock,
 		},
 		Datapath:    relayDatapath{r},
-		Alloc:       r.free.Get,
+		Alloc:       r.stash.Get,
 		JournalDir:  cfg.JournalDir,
 		JournalSync: cfg.JournalSync,
 		Locker:      &r.engMu,
@@ -351,13 +351,13 @@ func (r *Relay) BufferedBytes() int { return r.eng.Stats().Occupancy }
 // RegisterMetrics publishes the relay's metric set on reg: the engine's
 // (dmtp.buf.*, dmtp.relay.*, flow table, journal — shared with the
 // simulator, so names match by construction), wire.pool.* from the relay's
-// free list, and the adapter's kernel-batch and transmit-error counters.
+// stash log, and the adapter's kernel-batch and transmit-error counters.
 func (r *Relay) RegisterMetrics(reg *metrics.Registry) {
 	r.eng.RegisterMetrics(reg)
 	dmtp.RegisterPoolMetrics(reg, func() wire.PoolStats {
 		r.engMu.Lock()
 		defer r.engMu.Unlock()
-		return r.free.Stats()
+		return r.stash.Stats()
 	})
 	r.bstats.install(reg)
 	r.txErr.Store(reg.Counter(metrics.MetricLiveTxErrors))
@@ -578,16 +578,16 @@ func (r *Relay) queue(f *relayFlow, pkt []byte) {
 	q.pkts = append(q.pkts, pkt)
 }
 
-// recycle returns a released stash buffer to the relay's free list; tests
+// recycle returns a released stash buffer to the relay's stash log; tests
 // swap it to see every trimmed, evicted or crashed entry on its way back.
-var recycle = (*wire.FreeList).Put
+var recycle = (*wire.StashLog).Put
 
 // release is the engine's Buffer.Release. A queued forward may point at b,
-// so b returns to the free list only after flush — at once when nothing is
+// so b returns to the stash log only after flush — at once when nothing is
 // queued (Crash, Restart, a burst's first packet). Caller holds engMu.
 func (r *Relay) release(b []byte) {
 	if len(r.dirty) == 0 {
-		recycle(r.free, b)
+		recycle(r.stash, b)
 		return
 	}
 	r.retired = append(r.retired, b)
@@ -622,7 +622,7 @@ func (r *Relay) flush() {
 	}
 	r.dirty = r.dirty[:0]
 	for _, b := range r.retired {
-		recycle(r.free, b)
+		recycle(r.stash, b)
 	}
 	r.retired = r.retired[:0]
 }

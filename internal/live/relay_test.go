@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -232,7 +231,7 @@ func TestRelayCrashClearsFlowsAndReResolves(t *testing.T) {
 // TestRelayMultiFlowForwardAllocs gates the multi-flow forward fast path:
 // once warm, ingesting and forwarding a burst that spans five flows on
 // two shards, one of them traced — flow lookup, the compiled upgrade into a
-// stash buffer from the relay's free list, the shared destination queue, one batched flush,
+// stash buffer from the relay's stash log, the shared destination queue, one batched flush,
 // periodic cumulative trim — performs zero allocations, and on the kernel
 // path the five flows' one destination costs one write syscall per burst. The burst is driven
 // directly through the engine (the loop goroutine stays parked in its
@@ -295,7 +294,7 @@ func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 		}
 		relay.flush()
 		if seq%16 == 0 {
-			// Cumulative trim releases the stash back to the free list,
+			// Cumulative trim releases the stash back to the stash log,
 			// as a downstream ACK would — without it the stash grows and
 			// every upgrade must allocate a fresh buffer.
 			for _, f := range flows {
@@ -736,19 +735,23 @@ func TestRelayRetransmitAllocs(t *testing.T) {
 	}
 }
 
-// TestRelayCrashBoundsFreeList fills a stash whose entries outweigh its
-// capacity in buffer classes, then crashes the relay, which releases every
-// entry at once: the relay's free list keeps no more idle capacity than
-// CapacityBytes and leaves the rest to the GC. After Restart the kept
-// buffers serve the next upgrades, and the relay's wire.pool.* report the
-// free list.
-func TestRelayCrashBoundsFreeList(t *testing.T) {
+// TestRelayStashLogPinnedSegments holds the relay's stash log to what it
+// promises when the arena runs out. One experiment is never trimmed and
+// another is trimmed every 16 packets, interleaved, so the untrimmed one's
+// old entries pin segments whose other entries are long gone, and the
+// live entries span more segments than the arena has. Upgrades then fall
+// back to heap buffers: every packet is still forwarded intact, every
+// held one still NAK-servable, and the fallbacks show in wire.pool.*.
+// Crash releases every entry, leaving every segment empty, and the
+// upgrades after Restart are carved from the arena again.
+func TestRelayStashLogPinnedSegments(t *testing.T) {
 	sink, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sink.Close()
-	const capacity = 16 << 10
+	sink.SetReadBuffer(4 << 20)
+	// The arena is this plus an eighth: two 256 KiB segments.
+	const capacity = 448 << 10
 	relay, err := NewRelay(RelayConfig{
 		Listen:        "127.0.0.1:0",
 		Forward:       sink.LocalAddr().String(),
@@ -761,55 +764,160 @@ func TestRelayCrashBoundsFreeList(t *testing.T) {
 	defer relay.Close()
 	reg := metrics.NewRegistry()
 	relay.RegisterMetrics(reg)
+	gauge := func(name string) int64 {
+		for _, s := range reg.Snapshot() {
+			if s.Name == name {
+				return s.Value
+			}
+		}
+		t.Fatalf("%s not registered", name)
+		return 0
+	}
 
-	// ~650 B upgraded: 1 KiB buffers, so the full stash holds ~25 KiB of
-	// buffer capacity. One packet per lock hold: each eviction's buffer
-	// serves the next upgrade, and the free list is empty before the crash.
-	pkt := mode0Pkt(t, 821, strings.Repeat("f", 600))
-	handle := func() {
+	const (
+		pinned, trimmed = 821, 822
+		perExp          = 1500
+	)
+	// Message i of an experiment is i, then 1000 bytes only it produces.
+	msg := func(exp uint32, i uint64) []byte {
+		m := binary.BigEndian.AppendUint64(nil, i)
+		for j := 0; j < 1000; j++ {
+			m = append(m, byte(uint64(exp)+i*131+uint64(j)*7))
+		}
+		return m
+	}
+	// The sink checks every datagram, forward or retransmission: intact
+	// header, the payload its index implies, the sequence number the relay
+	// gave that index (index + 1).
+	var mu sync.Mutex
+	var got int
+	var bad []string
+	sinkDone := make(chan struct{})
+	defer func() {
+		sink.Close()
+		<-sinkDone
+	}()
+	go func() {
+		defer close(sinkDone)
+		buf := make([]byte, 2048)
+		for {
+			n, _, err := sink.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			why := ""
+			v := wire.View(buf[:n])
+			if _, err := v.Check(); err != nil {
+				why = err.Error()
+			} else if seq, err := v.Seq(); err != nil {
+				why = err.Error()
+			} else if p := v.Payload(); len(p) < 8 || !bytes.Equal(p, msg(v.Experiment().Experiment(), binary.BigEndian.Uint64(p))) {
+				why = fmt.Sprintf("seq %d carries a payload no message has", seq)
+			} else if i := binary.BigEndian.Uint64(p); seq != i+1 {
+				why = fmt.Sprintf("seq %d carries message %d", seq, i)
+			}
+			mu.Lock()
+			got++
+			if why != "" && len(bad) < 5 {
+				bad = append(bad, why)
+			}
+			mu.Unlock()
+		}
+	}()
+	sinkSaw := func(want int) {
+		t.Helper()
+		waitFor(t, 5*time.Second, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return got >= want
+		}, "the sink to catch up")
+	}
+
+	src := wire.AddrFrom(10, 0, 0, 1, 4000)
+	acker, err := toWireAddr(sink.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	handle := func(from wire.Addr, pkt []byte) {
 		relay.engMu.Lock()
 		defer relay.engMu.Unlock()
-		relay.eng.Handle(wire.AddrFrom(10, 0, 0, 1, 4000), pkt, 0)
+		relay.eng.Handle(from, pkt, 0)
 		relay.flush()
 	}
-	for i := 0; i < 64; i++ {
-		handle()
+	upgrade := func(exp uint32, i uint64) {
+		enc, err := (&wire.Header{Experiment: wire.NewExperimentID(exp, 0)}).AppendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handle(src, append(enc, msg(exp, i)...))
 	}
+	ack := func(exp uint32, seq uint64) {
+		pkt, _ := (&wire.Ack{Experiment: wire.NewExperimentID(exp, 0), CumulativeSeq: seq, Acker: acker}).AppendTo(nil)
+		handle(acker, pkt)
+	}
+	for i := uint64(0); i < perExp; i++ {
+		upgrade(pinned, i)
+		upgrade(trimmed, i)
+		if (i+1)%16 == 0 {
+			ack(trimmed, i+1)
+			sinkSaw(int(2 * (i + 1)))
+		}
+	}
+	ack(trimmed, perExp)
+	sinkSaw(2 * perExp)
+
 	st := relay.Stats()
-	if held := st.Buffered - st.Evicted; st.Evicted == 0 || held*(1<<10) <= capacity {
-		t.Fatalf("stash holds %d entries after %d evictions; want more buffer capacity than %d B", held, st.Evicted, capacity)
+	if st.Forwarded != 2*perExp || st.TxErrors != 0 {
+		t.Fatalf("forwarded %d of %d, %d tx errors", st.Forwarded, 2*perExp, st.TxErrors)
 	}
+	if st.Trimmed != perExp || st.Evicted == 0 {
+		t.Fatalf("trimmed %d, evicted %d; want %d trimmed and some evicted", st.Trimmed, st.Evicted, perExp)
+	}
+	misses, hits := gauge(metrics.MetricPoolMisses), gauge(metrics.MetricPoolHits)
+	if misses == 0 || hits == 0 || misses+hits != gauge(metrics.MetricPoolGets) {
+		t.Fatalf("wire.pool.* gets %d, hits %d, misses %d; want both hits and fallbacks",
+			gauge(metrics.MetricPoolGets), hits, misses)
+	}
+
+	// NAK the pinned experiment's every number, 64 at a time: each one
+	// held, whether carved from the arena or a fallback, comes back intact.
+	held := st.Buffered - st.Evicted - st.Trimmed
+	want := 2 * perExp
+	for from := uint64(1); from <= perExp; from += 64 {
+		nak, err := (&wire.NAK{Experiment: wire.NewExperimentID(pinned, 0), Requester: acker,
+			Ranges: []wire.SeqRange{{From: from, To: min(from+63, perExp)}}}).AppendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := relay.Stats().Retransmits
+		handle(acker, nak)
+		want += int(relay.Stats().Retransmits - before)
+		sinkSaw(want)
+	}
+	if st := relay.Stats(); st.Retransmits != held || st.Misses != perExp-held {
+		t.Fatalf("NAKs served %d and missed %d, want the %d held served and the rest missed", st.Retransmits, st.Misses, held)
+	}
+	mu.Lock()
+	if len(bad) > 0 || got != want {
+		t.Fatalf("sink saw %d datagrams, want %d; first faults: %q", got, want, bad)
+	}
+	mu.Unlock()
 
 	relay.Crash()
 	relay.engMu.Lock()
-	idle := relay.free.Idle()
+	inUse := relay.stash.Held()
 	relay.engMu.Unlock()
-	if idle > capacity || idle == 0 {
-		t.Fatalf("free list holds %d B after the crash, want (0, %d]", idle, capacity)
+	if inUse != 0 {
+		t.Fatalf("%d segments still held after the crash released every entry", inUse)
 	}
-
 	if err := relay.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	stats := func() wire.PoolStats {
-		relay.engMu.Lock()
-		defer relay.engMu.Unlock()
-		return relay.free.Stats()
-	}
-	before := stats()
-	handle()
-	after := stats()
-	if after.Hits != before.Hits+1 {
-		t.Fatalf("the upgrade after Restart missed the free list: %+v → %+v", before, after)
-	}
-	gets := int64(-1)
-	for _, s := range reg.Snapshot() {
-		if s.Name == metrics.MetricPoolGets {
-			gets = s.Value
-		}
-	}
-	if gets != int64(after.Gets) {
-		t.Fatalf("%s = %d, want the free list's %d", metrics.MetricPoolGets, gets, after.Gets)
+	hits = gauge(metrics.MetricPoolHits)
+	upgrade(pinned, perExp)
+	upgrade(trimmed, perExp)
+	if h := gauge(metrics.MetricPoolHits); h != hits+2 {
+		t.Fatalf("the upgrades after Restart carved %d entries from the arena, want 2", h-hits)
 	}
 }
 
@@ -940,10 +1048,9 @@ func TestRelayShardTortureManyFlows(t *testing.T) {
 // relay has: its forward queues hold references into stash buffers until
 // the flush that ends a burst, and the engine may let a buffer go — an
 // eviction, a cumulative-ACK trim — while it is still queued. Released
-// buffers are poisoned here before they go back to the relay's free list,
-// so a buffer recycled ahead of its forward reaches the sink as garbage, or
-// as a later packet's bytes: the free list hands the last buffer put back
-// to the very next upgrade.
+// buffers are poisoned here before they go back to the relay's stash log,
+// so a buffer recycled ahead of its forward reaches the sink as poison,
+// whether or not the log carves it again before the flush.
 //
 // Each round is queued on the relay's (unwrapped, kernel-batched) socket
 // while the test holds the engine lock — a relay descheduled for a moment —
@@ -951,11 +1058,11 @@ func TestRelayShardTortureManyFlows(t *testing.T) {
 // before blocking, then everything else.
 func TestRelayBurstForwardOutlivesRelease(t *testing.T) {
 	orig := recycle
-	recycle = func(f *wire.FreeList, b []byte) {
+	recycle = func(l *wire.StashLog, b []byte) {
 		for i := range b {
 			b[i] = 0xDB
 		}
-		orig(f, b)
+		orig(l, b)
 	}
 	t.Cleanup(func() { recycle = orig })
 

@@ -6,8 +6,8 @@ import (
 )
 
 // BufferPool recycles packet buffers shared across goroutines so that the
-// steady-state datapath performs no heap allocation (buffers cycled by one
-// owner that serializes its calls belong in a FreeList instead). It is
+// steady-state datapath performs no heap allocation (a relay's stash
+// entries, cycled by one owner, come from a StashLog instead). It is
 // built from size-classed sync.Pools (so idle buffers are released to the GC
 // under memory pressure, like any sync.Pool) with a node-recycling layer on
 // top: Release does not allocate a slice header, which a bare
@@ -41,14 +41,16 @@ type BufferPool struct {
 	out     map[*byte]int // first-byte pointer -> class, outstanding buffers
 }
 
-// PoolStats is a point-in-time snapshot of a pool's traffic counters.
-// Misses (Gets − Hits − Oversize) are Gets that had to allocate a fresh
-// class-sized buffer; a steady-state datapath should show Hits ≈ Gets.
+// PoolStats is a point-in-time snapshot of a pool's traffic counters,
+// a BufferPool's or a StashLog's. Misses (Gets − Hits − Oversize) are Gets
+// that had to allocate a fresh buffer; a steady-state datapath should show
+// Hits ≈ Gets.
 type PoolStats struct {
 	Gets uint64 // buffers requested
-	Hits uint64 // requests satisfied by a recycled buffer
-	// Oversize counts Get sizes beyond the largest class; those buffers
-	// are plain allocations and are dropped on Release.
+	Hits uint64 // requests satisfied by a recycled buffer or the log's arena
+	// Oversize counts Get sizes beyond the largest class (a StashLog's: a
+	// segment); those buffers are plain allocations and are dropped on
+	// Release.
 	Oversize uint64
 }
 
@@ -189,65 +191,9 @@ func (p *BufferPool) Outstanding() int {
 	return len(p.out)
 }
 
-// FreeList is a BufferPool for one owner: the same size classes, one LIFO
-// stack per class, and no lock or atomic — the owner serializes every
-// call. It holds at most limit bytes of idle capacity; a Put beyond that
-// leaves the buffer to the GC. The ownership rules are BufferPool's.
-type FreeList struct {
-	stacks               [len(classSizes)][][]byte
-	idle, limit          int
-	gets, hits, oversize uint64
-}
-
-// NewFreeList returns an empty free list that keeps at most limit bytes of
-// idle capacity.
-func NewFreeList(limit int) *FreeList { return &FreeList{limit: limit} }
-
-// Get returns a buffer of length n with capacity of n's size class: the
-// one last Put in that class, or a fresh one. An n beyond the largest
-// class is a plain allocation.
-func (f *FreeList) Get(n int) []byte {
-	f.gets++
-	ci := classFor(n)
-	if ci < 0 {
-		f.oversize++
-		return make([]byte, n)
-	}
-	s := f.stacks[ci]
-	k := len(s) - 1
-	if k < 0 {
-		return make([]byte, n, classSizes[ci])
-	}
-	b := s[k]
-	s[k] = nil // the stack must not keep a buffer alive once it is handed out
-	f.stacks[ci] = s[:k]
-	f.idle -= cap(b)
-	f.hits++
-	return b[:n]
-}
-
-// Put returns b to its size class. A capacity that matches no class, or
-// one that would take the idle capacity past the limit, is dropped.
-func (f *FreeList) Put(b []byte) {
-	ci := releaseClassFor(cap(b))
-	if ci < 0 || f.idle+cap(b) > f.limit {
-		return
-	}
-	f.stacks[ci] = append(f.stacks[ci], b)
-	f.idle += cap(b)
-}
-
-// Idle returns the capacity, in bytes, of the buffers the list holds.
-func (f *FreeList) Idle() int { return f.idle }
-
-// Stats returns the list's cumulative traffic counters.
-func (f *FreeList) Stats() PoolStats {
-	return PoolStats{Gets: f.gets, Hits: f.hits, Oversize: f.oversize}
-}
-
 // defaultPool backs the package-level helpers: the live path's receive
-// rings, and callers with no free list of their own. The relay stash does
-// not share it; its buffers cycle through the relay's own FreeList.
+// rings, and callers with no allocator of their own. The relay stash does
+// not share it; its entries are carved from the relay's own StashLog.
 var defaultPool = NewBufferPool()
 
 // GetBuffer returns a length-n buffer from the shared pool.

@@ -172,95 +172,3 @@ func TestPoolUncheckedTakesNoLock(t *testing.T) {
 		t.Fatal("Get/Release with checking off blocked on the pool mutex")
 	}
 }
-
-// TestFreeList holds the single-owner free list to its rules: LIFO within
-// a class, class capacities, a bounded idle total, foreign and oversize
-// buffers left to the GC, and the counters wire.pool.* reports.
-func TestFreeList(t *testing.T) {
-	same := func(a, b []byte) bool { return &a[:1][0] == &b[:1][0] }
-	for _, tc := range []struct {
-		name  string
-		limit int
-		run   func(t *testing.T, f *FreeList)
-	}{
-		{"the last Put is the next Get", 1 << 20, func(t *testing.T, f *FreeList) {
-			a, b := f.Get(1000), f.Get(1000)
-			f.Put(a)
-			f.Put(b)
-			if got := f.Get(700); !same(got, b) || len(got) != 700 {
-				t.Fatal("Get did not return the buffer Put last")
-			}
-			if got := f.Get(1000); !same(got, a) {
-				t.Fatal("second Get did not return the buffer Put first")
-			}
-			if st := f.Stats(); st != (PoolStats{Gets: 4, Hits: 2}) || st.Misses() != 2 {
-				t.Fatalf("stats %+v", st)
-			}
-		}},
-		{"a buffer's capacity is its class's", 1 << 20, func(t *testing.T, f *FreeList) {
-			for _, c := range []struct{ n, wantCap int }{
-				{1, 256}, {256, 256}, {257, 1 << 10}, {1500, 2 << 10},
-				{4096, 4 << 10}, {9000, 9216}, {9217, 16 << 10}, {64 << 10, 64 << 10},
-			} {
-				b := f.Get(c.n)
-				if len(b) != c.n || cap(b) != c.wantCap {
-					t.Fatalf("Get(%d): len %d cap %d, want cap %d", c.n, len(b), cap(b), c.wantCap)
-				}
-				f.Put(b[:1]) // a sub-slice re-enters its class
-				if got := f.Get(c.n); !same(got, b) || len(got) != c.n {
-					t.Fatalf("Get(%d) after Put: not the recycled buffer", c.n)
-				}
-			}
-		}},
-		{"a Put beyond the limit is dropped", 2 << 10, func(t *testing.T, f *FreeList) {
-			a, b, c := f.Get(1000), f.Get(1000), f.Get(1000)
-			f.Put(a)
-			f.Put(b)
-			f.Put(c)
-			if f.Idle() != 2<<10 {
-				t.Fatalf("idle %d B, want the 2 KiB limit", f.Idle())
-			}
-			if !same(f.Get(1000), b) || !same(f.Get(1000), a) {
-				t.Fatal("the buffers within the limit did not come back")
-			}
-			if got := f.Get(1000); same(got, c) {
-				t.Fatal("the buffer Put beyond the limit came back")
-			}
-			if f.Idle() != 0 {
-				t.Fatalf("idle %d B after emptying, want 0", f.Idle())
-			}
-		}},
-		{"a foreign capacity is dropped", 1 << 20, func(t *testing.T, f *FreeList) {
-			f.Put(make([]byte, 100, 300))
-			f.Put(make([]byte, 0))
-			f.Put(nil)
-			if f.Idle() != 0 {
-				t.Fatalf("idle %d B, want 0", f.Idle())
-			}
-			if f.Get(100); f.Stats().Hits != 0 {
-				t.Fatal("a foreign buffer was handed out")
-			}
-		}},
-		{"an oversize Get is a plain allocation", 4 << 20, func(t *testing.T, f *FreeList) {
-			b := f.Get(1 << 20)
-			if len(b) != 1<<20 {
-				t.Fatalf("len %d", len(b))
-			}
-			if st := f.Stats(); st.Oversize != 1 || st.Gets != 1 || st.Misses() != 1 {
-				t.Fatalf("stats %+v", st)
-			}
-			f.Put(b)
-			if f.Idle() != 0 {
-				t.Fatalf("an oversize buffer was kept: idle %d B", f.Idle())
-			}
-		}},
-		{"the steady state allocates nothing", 1 << 20, func(t *testing.T, f *FreeList) {
-			f.Put(f.Get(1000))
-			if avg := testing.AllocsPerRun(200, func() { f.Put(f.Get(1000)) }); avg != 0 {
-				t.Fatalf("Get/Put allocates %.1f allocs/op, want 0", avg)
-			}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) { tc.run(t, NewFreeList(tc.limit)) })
-	}
-}
