@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/live"
 	"repro/internal/pilot"
 	"repro/internal/wire"
 )
@@ -250,28 +249,6 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkFanIn regenerates the many-flow relay scale-out measurement:
-// 8 concurrent flows fanned in through one sharded relay to 2 receivers
-// on real loopback sockets, reporting the offered aggregate rate, the
-// relay's serviced rate, and Jain's fairness over per-flow service
-// (cmd/benchtab's f1 section prints the same run as a table).
-func BenchmarkFanIn(b *testing.B) {
-	const flows = 8
-	msgs := b.N / flows
-	if msgs < 1 {
-		msgs = 1
-	}
-	b.ResetTimer()
-	res, err := live.RunFanIn(live.FanInConfig{Flows: flows, Messages: msgs})
-	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.AggregateMsgsPerSec, "msgs/s")
-	b.ReportMetric(res.RelayMsgsPerSec, "relay/s")
-	b.ReportMetric(res.JainFairness, "jain")
 }
 
 // BenchmarkPilotThroughput measures simulator execution speed itself:

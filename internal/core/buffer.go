@@ -230,13 +230,12 @@ func (b *BufferNode) BufferedBytes() int { return b.eng.Stats().Occupancy }
 func (b *BufferNode) SeqOf(exp wire.ExperimentID) uint64 { return b.eng.Buffer().SeqOf(exp) }
 
 // RegisterMetrics publishes the node's metric set on reg: the engine's
-// (shared with the live relay, so names match by construction), the shared
-// packet pool's, plus the adapter's transit and crash-discard counters. The
-// simulator loop is single-threaded: sample the registry from loop context
-// or after the run has drained.
+// (shared with the live relay, so names match by construction) plus the
+// adapter's transit and crash-discard counters. The simulator loop is
+// single-threaded: sample the registry from loop context or after the run
+// has drained.
 func (b *BufferNode) RegisterMetrics(reg *metrics.Registry) {
 	b.eng.RegisterMetrics(reg)
-	dmtp.RegisterPoolMetrics(reg, wire.DefaultPoolStats)
 	reg.RegisterFunc(metrics.MetricRelayRepointed, func() int64 { return int64(b.repointed) })
 	reg.RegisterFunc(metrics.MetricRelayDroppedDown, func() int64 { return int64(b.droppedDown) })
 }

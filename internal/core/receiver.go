@@ -181,7 +181,6 @@ func (r *Receiver) RegisterMetrics(reg *metrics.Registry) {
 	dmtp.RegisterReceiverGauges(reg, r.OutstandingGaps, func() (int64, int64) {
 		return r.LatencyHist.Quantile(0.5), r.LatencyHist.Quantile(0.99)
 	})
-	dmtp.RegisterPoolMetrics(reg, wire.DefaultPoolStats)
 }
 
 // HandleFrame implements netsim.Handler.

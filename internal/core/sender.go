@@ -122,7 +122,6 @@ func (s *Sender) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterFunc(metrics.MetricTxQueued, func() int64 { return int64(s.Stats.Queued) })
 	reg.RegisterFunc(metrics.MetricTxBackPressure, func() int64 { return int64(s.Stats.BackPressure) })
 	reg.RegisterFunc(metrics.MetricTxDeadlineMisses, func() int64 { return int64(s.Stats.DeadlineMiss) })
-	dmtp.RegisterPoolMetrics(reg, wire.DefaultPoolStats)
 }
 
 // Attach implements netsim.Handler.

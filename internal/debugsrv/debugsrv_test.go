@@ -653,10 +653,12 @@ func TestDebugNewRequiresRegistry(t *testing.T) {
 	}
 }
 
-// TestSimLiveMetricNameParity pins the tentpole's name-parity claim: the
-// simulator adapters and the live adapters export identical dmtp.rx.* and
-// dmtp.buf.* name sets, because both register through the shared helpers
-// in internal/dmtp.
+// TestSimLiveMetricNameParity pins the name-parity claim: the simulator
+// adapters and the live adapters export identical dmtp.rx.* and dmtp.buf.*
+// name sets, because both register through the shared helpers in
+// internal/dmtp. It also pins that wire.pool.* is the live relay's alone —
+// its stash log — and that no other role, on either substrate, publishes a
+// packet pool.
 func TestSimLiveMetricNameParity(t *testing.T) {
 	namesWith := func(reg *metrics.Registry, prefix string) []string {
 		var out []string
@@ -677,9 +679,13 @@ func TestSimLiveMetricNameParity(t *testing.T) {
 		Forward:     wire.AddrFrom(10, 0, 2, 1, 7000),
 		MaxAge:      time.Hour,
 	})
-	simRecvReg, simBufReg := metrics.NewRegistry(), metrics.NewRegistry()
+	simSend := core.NewSender(nw, "sensor", wire.AddrFrom(10, 0, 0, 1, 7000), core.SenderConfig{
+		Dst: wire.AddrFrom(10, 0, 1, 1, 7000),
+	})
+	simRecvReg, simBufReg, simSendReg := metrics.NewRegistry(), metrics.NewRegistry(), metrics.NewRegistry()
 	simRecv.RegisterMetrics(simRecvReg)
 	simBuf.RegisterMetrics(simBufReg)
+	simSend.RegisterMetrics(simSendReg)
 
 	// Live substrate.
 	liveRecv, err := live.NewReceiver(live.ReceiverConfig{Listen: "127.0.0.1:0"})
@@ -694,9 +700,15 @@ func TestSimLiveMetricNameParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer liveRelay.Close()
-	liveRecvReg, liveRelayReg := metrics.NewRegistry(), metrics.NewRegistry()
+	liveSend, err := live.NewSender(liveRelay.Addr(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer liveSend.Close()
+	liveRecvReg, liveRelayReg, liveSendReg := metrics.NewRegistry(), metrics.NewRegistry(), metrics.NewRegistry()
 	liveRecv.RegisterMetrics(liveRecvReg)
 	liveRelay.RegisterMetrics(liveRelayReg)
+	liveSend.RegisterMetrics(liveSendReg)
 
 	for _, tc := range []struct {
 		prefix   string
@@ -711,6 +723,24 @@ func TestSimLiveMetricNameParity(t *testing.T) {
 		}
 		if strings.Join(s, ",") != strings.Join(l, ",") {
 			t.Errorf("%s* name sets differ:\n  sim:  %v\n  live: %v", tc.prefix, s, l)
+		}
+	}
+
+	if len(namesWith(liveRelayReg, "wire.pool.")) == 0 {
+		t.Error("no wire.pool.* metrics on the live relay's registry")
+	}
+	for _, tc := range []struct {
+		role string
+		reg  *metrics.Registry
+	}{
+		{"live receiver", liveRecvReg},
+		{"live sender", liveSendReg},
+		{"core receiver", simRecvReg},
+		{"core buffer", simBufReg},
+		{"core sender", simSendReg},
+	} {
+		if n := namesWith(tc.reg, "wire.pool."); len(n) > 0 {
+			t.Errorf("%s publishes %v; wire.pool.* is the live relay's stash log", tc.role, n)
 		}
 	}
 }

@@ -65,9 +65,9 @@ func RegisterTraceMetrics(reg *metrics.Registry, c *tracespan.Collector) {
 }
 
 // RegisterPoolMetrics publishes a packet pool's traffic counters
-// (wire.pool.*) on reg, sampled from stats at scrape time: the shared
-// wire.BufferPool (wire.DefaultPoolStats) for most roles, the relay's own
-// stash log on a live relay. stats must be safe to call from the scrape
+// (wire.pool.*) on reg, sampled from stats at scrape time. Only the live
+// relay registers them, for its stash log: no other role owns a pool whose
+// traffic says anything. stats must be safe to call from the scrape
 // goroutine.
 func RegisterPoolMetrics(reg *metrics.Registry, stats func() wire.PoolStats) {
 	reg.RegisterFunc(metrics.MetricPoolGets, func() int64 { return int64(stats().Gets) })

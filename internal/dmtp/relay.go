@@ -627,8 +627,8 @@ func (e *RelayEngine[D]) Flows() []FlowInfo {
 // (with per-shard occupancy), dmtp.relay.*, the flow-table family, the
 // reshape counter for ConfigID, the journal family when journaled — as
 // gauges sampled under the lock at scrape time only. Both substrates
-// register through here, so their metric names match by construction; each
-// adapter adds wire.pool.* (RegisterPoolMetrics) from the pool it reports.
+// register through here, so their metric names match by construction; the
+// live adapter adds wire.pool.* (RegisterPoolMetrics) from its stash log.
 func (e *RelayEngine[D]) RegisterMetrics(reg *metrics.Registry) {
 	gauge := func(name string, f func(RelayStats) uint64) {
 		reg.RegisterFunc(name, func() int64 { return int64(f(e.Stats())) })

@@ -29,7 +29,6 @@ func TestBatchConnSendAllocs(t *testing.T) {
 	defer wconn.Close()
 	var stats batchStats
 	bc := newBatchConn(wconn, &stats, false)
-	defer bc.Close()
 
 	pkts := make([][]byte, batchRingSize)
 	for i := range pkts {
@@ -64,9 +63,7 @@ func TestBatchConnRecvAllocs(t *testing.T) {
 
 	var rstats, wstats batchStats
 	rd := newBatchConn(rconn, &rstats, true)
-	defer rd.Close()
 	wr := newBatchConn(wconn, &wstats, false)
-	defer wr.Close()
 
 	pkts := make([][]byte, batchRingSize)
 	for i := range pkts {

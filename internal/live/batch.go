@@ -195,25 +195,13 @@ func newBatchConn(c UDPConn, stats *batchStats, wantRead bool) *batchConn {
 		bc.k = newKernelBatch(uc, stats, wantRead, &bc.caps)
 	}
 	if bc.k == nil && wantRead {
-		bc.rbuf = wire.GetBuffer(readBufSize)
+		bc.rbuf = make([]byte, readBufSize)
 	}
 	return bc
 }
 
 // Caps returns the capability set the socket probed to.
 func (bc *batchConn) Caps() BatchCaps { return bc.caps }
-
-// Close releases the batch ring's pooled buffers. The underlying conn
-// is not closed — its owner does that.
-func (bc *batchConn) Close() {
-	if bc.k != nil {
-		bc.k.close()
-	}
-	if bc.rbuf != nil {
-		wire.ReleaseBuffer(bc.rbuf)
-		bc.rbuf = nil
-	}
-}
 
 // ReadBatch blocks until at least one datagram is available and returns
 // the number received into the ring (1 on the portable path). The

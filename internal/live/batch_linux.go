@@ -146,7 +146,7 @@ func newKernelBatch(uc *net.UDPConn, stats *batchStats, wantRead bool, caps *Bat
 		k.rlens = make([]int, batchRingSize)
 		k.rsegs = make([]int, batchRingSize)
 		for i := range k.rhdrs {
-			k.rbufs[i] = wire.GetBuffer(readBufSize)
+			k.rbufs[i] = make([]byte, readBufSize)
 			k.rctrls[i] = make([]byte, 64)
 			k.riovs[i] = syscall.Iovec{Base: &k.rbufs[i][0], Len: readBufSize}
 			k.rhdrs[i].Hdr.Iov = &k.riovs[i]
@@ -170,14 +170,6 @@ func newKernelBatch(uc *net.UDPConn, stats *batchStats, wantRead bool, caps *Bat
 		}
 	}
 	return k
-}
-
-// close returns the receive ring's pooled buffers.
-func (k *kernelBatch) close() {
-	for _, b := range k.rbufs {
-		wire.ReleaseBuffer(b)
-	}
-	k.rbufs = nil
 }
 
 // readBatch fills the ring with one recvmmsg (blocking on the poller

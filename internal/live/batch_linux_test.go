@@ -36,7 +36,6 @@ func batchPair(t *testing.T) (rd, wr *batchConn, rstats, wstats *batchStats, rad
 	rstats, wstats = &batchStats{}, &batchStats{}
 	rd = newBatchConn(rconn, rstats, true)
 	wr = newBatchConn(wconn, wstats, false)
-	t.Cleanup(func() { rd.Close(); wr.Close() })
 	return rd, wr, rstats, wstats, raddr
 }
 
@@ -136,7 +135,6 @@ func TestKernelBatchLargeWriteTo(t *testing.T) {
 	defer wconn.Close()
 	wstats := &batchStats{}
 	wr := newBatchConn(wconn, wstats, false)
-	defer wr.Close()
 
 	const total = 3*batchRingSize + 5
 	var pkts [][]byte

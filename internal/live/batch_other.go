@@ -22,4 +22,3 @@ func newKernelBatch(*net.UDPConn, *batchStats, bool, *BatchCaps) *kernelBatch { 
 func (*kernelBatch) readBatch() (int, error)                          { return 0, nil }
 func (*kernelBatch) packetsSrc(int, func([]byte, wire.Addr))          {}
 func (*kernelBatch) writeBatch([][]byte, netip.AddrPort) (int, error) { return 0, nil }
-func (*kernelBatch) close()                                           {}

@@ -77,7 +77,6 @@ func TestBatchConnFallbackWritePartialFailure(t *testing.T) {
 	stub.failFrom = 2 // third write fails
 	var stats batchStats
 	bc := newBatchConn(stub, &stats, false)
-	defer bc.Close()
 	if caps := bc.Caps(); caps.Mmsg || caps.GSO || caps.GRO {
 		t.Fatalf("stub conn probed kernel caps: %+v", caps)
 	}
@@ -103,7 +102,6 @@ func TestBatchConnFallbackWriteTo(t *testing.T) {
 	stub := newStubConn()
 	var stats batchStats
 	bc := newBatchConn(stub, &stats, false)
-	defer bc.Close()
 	pkts := [][]byte{pktOf(10, 7), pktOf(20, 8)}
 	dst := netip.MustParseAddrPort("127.0.0.1:9")
 	sent, err := bc.WriteBatchTo(pkts, dst)
@@ -123,7 +121,6 @@ func TestBatchConnFallbackReadShort(t *testing.T) {
 	stub.inbox = [][]byte{pktOf(33, 5)} // far smaller than the 64 KiB slot
 	var stats batchStats
 	bc := newBatchConn(stub, &stats, true)
-	defer bc.Close()
 
 	n, err := bc.ReadBatch()
 	if err != nil || n != 1 {
@@ -170,10 +167,11 @@ func TestBatchedChaosRecovery(t *testing.T) {
 	defer recv.Close()
 
 	relay, err := NewRelay(RelayConfig{
-		Listen:     "127.0.0.1:0",
-		Forward:    recv.Addr(),
-		MaxAge:     5 * time.Second,
-		DropEveryN: 5,
+		Listen:        "127.0.0.1:0",
+		CapacityBytes: testCapacity,
+		Forward:       recv.Addr(),
+		MaxAge:        5 * time.Second,
+		DropEveryN:    5,
 	})
 	if err != nil {
 		t.Fatal(err)

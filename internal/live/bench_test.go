@@ -102,32 +102,6 @@ func BenchmarkLiveLoopbackBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkFanIn measures many-flow relay scale-out: 8 concurrent flows
-// through one sharded relay to 2 receivers on real loopback sockets
-// (internal/live.RunFanIn, the same harness behind cmd/benchtab's f1
-// section). b.N is the total message budget split across the flows. The
-// headline metric is the offered aggregate msgs/s; relay/s and
-// delivered/s report what the relay serviced, and jain reports per-flow
-// service fairness (1.0 = every flow served equally).
-func BenchmarkFanIn(b *testing.B) {
-	const flows = 8
-	msgs := b.N / flows
-	if msgs < 1 {
-		msgs = 1
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	res, err := RunFanIn(FanInConfig{Flows: flows, Messages: msgs})
-	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.AggregateMsgsPerSec, "msgs/s")
-	b.ReportMetric(res.RelayMsgsPerSec, "relay/s")
-	b.ReportMetric(res.DeliveredPerSec, "delivered/s")
-	b.ReportMetric(res.JainFairness, "jain")
-}
-
 // BenchmarkRelayIngest measures relay ingest — batched sender → relay
 // (mode upgrade + stash) → receiver on real loopback sockets — with the
 // stash write-ahead journal off and on, the before/after pair the
@@ -135,7 +109,9 @@ func BenchmarkFanIn(b *testing.B) {
 // stash"). The receiver ACKs every 2 ms so cumulative trims exercise
 // the tombstone path, and journalled appends ride the async writer:
 // the delta between the two sub-benchmarks is the journal's hot-path
-// cost, not its fsync latency.
+// cost, not its fsync latency. It reports what the relay serviced —
+// upgraded/s, and appends/s with the journal on — not the rate the
+// sender offered, which UDP may shed at the relay's socket.
 func BenchmarkRelayIngest(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
@@ -145,13 +121,9 @@ func BenchmarkRelayIngest(b *testing.B) {
 		{name: "journal=batch", journal: true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			var delivered atomic.Uint64
 			recv, err := NewReceiver(ReceiverConfig{
 				Listen:      "127.0.0.1:0",
 				AckInterval: 2 * time.Millisecond,
-				OnMessage: func(m Message) {
-					delivered.Add(1)
-				},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -182,7 +154,6 @@ func BenchmarkRelayIngest(b *testing.B) {
 			for i := range payload {
 				payload[i] = byte(i)
 			}
-			b.SetBytes(benchPayloadLen)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -191,7 +162,6 @@ func BenchmarkRelayIngest(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
 			b.ReportMetric(float64(relay.Stats().Upgraded)/b.Elapsed().Seconds(), "upgraded/s")
 			if mode.journal {
 				b.ReportMetric(float64(relay.JournalStats().Appends)/b.Elapsed().Seconds(), "appends/s")

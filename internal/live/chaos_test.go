@@ -54,6 +54,7 @@ func newChaosRig(t *testing.T, spec faults.Spec, rcfg ReceiverConfig, relayOpts 
 	}
 	relayCfg := RelayConfig{
 		Listen:         "127.0.0.1:0",
+		CapacityBytes:  testCapacity,
 		Forward:        recv.Addr(),
 		MaxAge:         5 * time.Second,
 		DeadlineBudget: 10 * time.Second,
@@ -410,7 +411,7 @@ func TestLiveRestartErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer recv.Close()
-	relay, err := NewRelay(RelayConfig{Listen: "127.0.0.1:0", Forward: recv.Addr(), MaxAge: time.Second})
+	relay, err := NewRelay(RelayConfig{Listen: "127.0.0.1:0", Forward: recv.Addr(), MaxAge: time.Second, CapacityBytes: testCapacity})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,12 @@ func fakeClockPipeline(t *testing.T, fc *dmtp.FakeClock, dropEveryN int, rcfg Re
 		t.Fatal(err)
 	}
 	relay, err := NewRelay(RelayConfig{
-		Listen:     "127.0.0.1:0",
-		Forward:    recv.Addr(),
-		MaxAge:     time.Hour,
-		DropEveryN: dropEveryN,
-		Clock:      fc,
+		Listen:        "127.0.0.1:0",
+		CapacityBytes: testCapacity,
+		Forward:       recv.Addr(),
+		MaxAge:        time.Hour,
+		DropEveryN:    dropEveryN,
+		Clock:         fc,
 	})
 	if err != nil {
 		recv.Close()

@@ -129,11 +129,12 @@ func TestLiveJournaledRelayProcessReopen(t *testing.T) {
 
 	mk := func() *Relay {
 		r, err := NewRelay(RelayConfig{
-			Listen:     "127.0.0.1:0",
-			Forward:    sink.LocalAddr().String(),
-			MaxAge:     time.Second,
-			Shards:     2,
-			JournalDir: jdir,
+			Listen:        "127.0.0.1:0",
+			CapacityBytes: testCapacity,
+			Forward:       sink.LocalAddr().String(),
+			MaxAge:        time.Second,
+			Shards:        2,
+			JournalDir:    jdir,
 		})
 		if err != nil {
 			t.Fatal(err)

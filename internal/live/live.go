@@ -435,8 +435,8 @@ func (s *Sender) Stats() SenderStats {
 }
 
 // RegisterMetrics publishes the sender's dmtp.tx.* counters on reg as
-// sampled gauges (read under the sender lock only at scrape time), plus the
-// shared packet-pool counters.
+// sampled gauges (read under the sender lock only at scrape time), plus its
+// kernel-batch and transmit-error counters.
 func (s *Sender) RegisterMetrics(reg *metrics.Registry) {
 	snap := s.Stats
 	reg.RegisterFunc(metrics.MetricTxSent, func() int64 { return int64(snap().Sent) })
@@ -444,7 +444,6 @@ func (s *Sender) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterFunc(metrics.MetricTxReconnects, func() int64 { return int64(snap().Reconnects) })
 	s.bstats.install(reg)
 	s.txErr.Store(reg.Counter(metrics.MetricLiveTxErrors))
-	dmtp.RegisterPoolMetrics(reg, wire.DefaultPoolStats)
 }
 
 // LocalAddr returns the sender's bound address.

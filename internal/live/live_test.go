@@ -12,6 +12,12 @@ import (
 	"repro/internal/wire"
 )
 
+// testCapacity is the stash a test relay holds when its subject is not the
+// stash's capacity. The 64 MiB default costs each relay a 72 MiB arena,
+// reserved and, when reused, zeroed; TestLoopbackAllocsPerMessage keeps
+// the default, so one test still runs the relay as deployed.
+const testCapacity = 4 << 20
+
 // waitFor polls cond up to timeout.
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string) {
 	t.Helper()
@@ -71,6 +77,7 @@ func pipeline(t *testing.T, dropEveryN int, rcfg ReceiverConfig) (*Sender, *Rela
 	}
 	relay, err := NewRelay(RelayConfig{
 		Listen:         "127.0.0.1:0",
+		CapacityBytes:  testCapacity,
 		Forward:        recv.Addr(),
 		MaxAge:         5 * time.Second,
 		DeadlineBudget: 10 * time.Second,

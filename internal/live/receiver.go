@@ -352,7 +352,6 @@ func (r *Receiver) RegisterMetrics(reg *metrics.Registry) {
 	})
 	r.bstats.install(reg)
 	r.txErr.Store(reg.Counter(metrics.MetricLiveTxErrors))
-	dmtp.RegisterPoolMetrics(reg, wire.DefaultPoolStats)
 }
 
 // Close stops the receiver.
@@ -376,7 +375,6 @@ func (r *Receiver) Close() error {
 // nothing and fires all the same.
 func (r *Receiver) readLoop() {
 	defer r.wg.Done()
-	defer r.bc.Close()
 	ingest := func(pkt []byte, _ wire.Addr) {
 		v := wire.View(pkt)
 		if _, err := v.Check(); err != nil || v.IsControl() {

@@ -474,7 +474,6 @@ func (r *Relay) Close() error {
 // every queued forward has been flushed.
 func (r *Relay) loop(bc *batchConn) {
 	defer r.wg.Done()
-	defer bc.Close()
 	var now int64
 	handle := func(pkt []byte, src wire.Addr) {
 		v := wire.View(pkt)

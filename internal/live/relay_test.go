@@ -50,10 +50,11 @@ func TestRelayFlowIdleExpiry(t *testing.T) {
 
 	fc := dmtp.NewFakeClock(0)
 	relay, err := NewRelay(RelayConfig{
-		Listen:  "127.0.0.1:0",
-		Forward: recv.Addr(),
-		FlowTTL: time.Second,
-		Clock:   fc,
+		Listen:        "127.0.0.1:0",
+		CapacityBytes: testCapacity,
+		Forward:       recv.Addr(),
+		FlowTTL:       time.Second,
+		Clock:         fc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +129,8 @@ func TestRelayCrashClearsFlowsAndReResolves(t *testing.T) {
 	var routeMu sync.Mutex
 	route := map[uint32]string{777: recvA.Addr(), 888: recvB.Addr()}
 	relay, err := NewRelay(RelayConfig{
-		Listen: "127.0.0.1:0",
+		Listen:        "127.0.0.1:0",
+		CapacityBytes: testCapacity,
 		Resolver: func(_ wire.Addr, exp wire.ExperimentID) string {
 			routeMu.Lock()
 			defer routeMu.Unlock()
@@ -248,10 +250,11 @@ func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 	defer sink.Close()
 
 	relay, err := NewRelay(RelayConfig{
-		Listen:  "127.0.0.1:0",
-		Forward: sink.LocalAddr().String(),
-		Shards:  2,
-		MaxAge:  time.Hour,
+		Listen:        "127.0.0.1:0",
+		CapacityBytes: testCapacity,
+		Forward:       sink.LocalAddr().String(),
+		Shards:        2,
+		MaxAge:        time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +397,8 @@ func TestRelayOneWritePerDestination(t *testing.T) {
 	}()
 
 	relay, err := NewRelay(RelayConfig{
-		Listen: "127.0.0.1:0",
+		Listen:        "127.0.0.1:0",
+		CapacityBytes: testCapacity,
 		Resolver: func(_ wire.Addr, exp wire.ExperimentID) string {
 			return sinks[(uint32(exp)>>8)%2].conn.LocalAddr().String()
 		},
@@ -480,9 +484,10 @@ func TestRelayMixedSizeFlowsShareDestination(t *testing.T) {
 	}
 	defer sink.Close()
 	relay, err := NewRelay(RelayConfig{
-		Listen:  "127.0.0.1:0",
-		Forward: sink.LocalAddr().String(),
-		MaxAge:  time.Hour,
+		Listen:        "127.0.0.1:0",
+		CapacityBytes: testCapacity,
+		Forward:       sink.LocalAddr().String(),
+		MaxAge:        time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -546,7 +551,8 @@ func TestRelayFlushCreditsAcceptedPrefix(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("fail-after-%d", tc.failFrom), func(t *testing.T) {
 			relay, err := NewRelay(RelayConfig{
-				Listen: "127.0.0.1:0",
+				Listen:        "127.0.0.1:0",
+				CapacityBytes: testCapacity,
 				Resolver: func(_ wire.Addr, exp wire.ExperimentID) string {
 					if uint32(exp)>>8 == expC {
 						return own.String()
@@ -629,7 +635,8 @@ func TestRelayDestinationSetBounded(t *testing.T) {
 	var ports atomic.Uint32
 	fc := dmtp.NewFakeClock(0)
 	relay, err := NewRelay(RelayConfig{
-		Listen: "127.0.0.1:0",
+		Listen:        "127.0.0.1:0",
+		CapacityBytes: testCapacity,
 		Resolver: func(wire.Addr, wire.ExperimentID) string {
 			return fmt.Sprintf("127.0.0.1:%d", 45000+ports.Add(1))
 		},
@@ -699,9 +706,10 @@ func TestRelayRetransmitAllocs(t *testing.T) {
 	}
 	defer sink.Close()
 	relay, err := NewRelay(RelayConfig{
-		Listen:  "127.0.0.1:0",
-		Forward: sink.LocalAddr().String(),
-		MaxAge:  time.Hour,
+		Listen:        "127.0.0.1:0",
+		CapacityBytes: testCapacity,
+		Forward:       sink.LocalAddr().String(),
+		MaxAge:        time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -938,10 +946,11 @@ func TestRelayShardTortureManyFlows(t *testing.T) {
 	defer recv.Close()
 
 	relay, err := NewRelay(RelayConfig{
-		Listen:  "127.0.0.1:0",
-		Forward: recv.Addr(),
-		Shards:  4,
-		MaxAge:  time.Hour,
+		Listen:        "127.0.0.1:0",
+		CapacityBytes: testCapacity,
+		Forward:       recv.Addr(),
+		Shards:        4,
+		MaxAge:        time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

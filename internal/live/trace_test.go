@@ -31,6 +31,7 @@ func TestLiveLoopbackTraceExport(t *testing.T) {
 	defer recv.Close()
 	relay, err := NewRelay(RelayConfig{
 		Listen:         "127.0.0.1:0",
+		CapacityBytes:  testCapacity,
 		Forward:        recv.Addr(),
 		MaxAge:         5 * time.Second,
 		DeadlineBudget: 10 * time.Second,

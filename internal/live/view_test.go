@@ -106,10 +106,11 @@ func TestDeliveredPayloadIsRingView(t *testing.T) {
 			}
 			defer recv.Close()
 			relay, err := NewRelay(RelayConfig{
-				Listen:     "127.0.0.1:0",
-				Forward:    recv.Addr(),
-				MaxAge:     5 * time.Second,
-				DropEveryN: 7,
+				Listen:        "127.0.0.1:0",
+				CapacityBytes: testCapacity,
+				Forward:       recv.Addr(),
+				MaxAge:        5 * time.Second,
+				DropEveryN:    7,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -303,7 +304,6 @@ func TestReceiverReadsClockOncePerBurst(t *testing.T) {
 	defer conn.Close()
 	var wstats batchStats
 	wr := newBatchConn(conn, &wstats, false)
-	defer wr.Close()
 	buffer, err := toWireAddr(conn.LocalAddr().(*net.UDPAddr))
 	if err != nil {
 		t.Fatal(err)

@@ -119,8 +119,8 @@ const (
 	// failures that have no retry path, unlike dmtp.tx.send_errors.
 	MetricLiveTxErrors = "dmtp.live.tx.errors"
 
-	// Packet-buffer pool metrics: the shared wire.BufferPool's, or on a
-	// live relay its own wire.StashLog's (hits carved from its arena).
+	// Packet-pool metrics: the live relay's wire.StashLog, the only role
+	// with a pool worth reporting (hits are entries carved from its arena).
 	MetricPoolGets     = "wire.pool.gets"
 	MetricPoolHits     = "wire.pool.hits"
 	MetricPoolMisses   = "wire.pool.misses"
@@ -235,10 +235,10 @@ var Catalog = []Info{
 	{MetricLiveBatchGROSplits, KindCounter, "packets", "wire packets recovered by splitting GRO-coalesced datagrams on receive"},
 	{MetricLiveBatchFallbacks, KindCounter, "operations", "batch operations served by the portable single-syscall path"},
 	{MetricLiveTxErrors, KindCounter, "packets", "packets dropped by failed fire-and-forget socket writes (no retry path)"},
-	{MetricPoolGets, KindGauge, "buffers", "buffers requested from the packet pool (a live relay's: its stash log)"},
-	{MetricPoolHits, KindGauge, "buffers", "pool requests satisfied by a recycled buffer (a live relay's: carved from its arena)"},
-	{MetricPoolMisses, KindGauge, "buffers", "pool requests that had to allocate (a live relay's: arena full or entry oversize)"},
-	{MetricPoolOversize, KindGauge, "buffers", "requests larger than every size class or stash segment (plain allocations)"},
+	{MetricPoolGets, KindGauge, "buffers", "stash entries the relay asked its stash log for (live relay only)"},
+	{MetricPoolHits, KindGauge, "buffers", "stash entries carved from the log's arena (live relay only)"},
+	{MetricPoolMisses, KindGauge, "buffers", "stash entries that fell back to a heap allocation: no empty segment, or larger than one (live relay only)"},
+	{MetricPoolOversize, KindGauge, "buffers", "stash entries larger than a segment, a subset of the misses (live relay only)"},
 	{MetricProcUptime, KindGauge, "seconds", "process uptime"},
 	{MetricProcGoroutines, KindGauge, "goroutines", "live goroutines"},
 	{MetricProcHeapBytes, KindGauge, "bytes", "heap in use (runtime.MemStats.HeapAlloc)"},

@@ -5,10 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// BufferPool recycles packet buffers shared across goroutines so that the
-// steady-state datapath performs no heap allocation (a relay's stash
-// entries, cycled by one owner, come from a StashLog instead). It is
-// built from size-classed sync.Pools (so idle buffers are released to the GC
+// BufferPool recycles packet buffers shared across goroutines. No datapath
+// role draws from it any more — a relay's stash entries, cycled by one
+// owner, come from a StashLog, and the receive rings are allocated once
+// per bind — but bench/'s per-layer replay still does, through the
+// package-level GetBuffer and ReleaseBuffer. It is built from size-classed sync.Pools (so idle buffers are released to the GC
 // under memory pressure, like any sync.Pool) with a node-recycling layer on
 // top: Release does not allocate a slice header, which a bare
 // sync.Pool.Put(&b) would.
@@ -191,9 +192,9 @@ func (p *BufferPool) Outstanding() int {
 	return len(p.out)
 }
 
-// defaultPool backs the package-level helpers: the live path's receive
-// rings, and callers with no allocator of their own. The relay stash does
-// not share it; its entries are carved from the relay's own StashLog.
+// defaultPool backs the package-level helpers. No datapath role draws from
+// it: the receive rings are plain allocations and the relay carves its
+// stash from its own StashLog.
 var defaultPool = NewBufferPool()
 
 // GetBuffer returns a length-n buffer from the shared pool.
@@ -202,6 +203,7 @@ func GetBuffer(n int) []byte { return defaultPool.Get(n) }
 // ReleaseBuffer returns a GetBuffer buffer to the shared pool.
 func ReleaseBuffer(b []byte) { defaultPool.Release(b) }
 
-// DefaultPoolStats returns the shared pool's cumulative traffic counters
-// (what the wire.pool.* metrics expose everywhere but on a relay).
+// DefaultPoolStats returns the shared pool's cumulative traffic counters.
+// No role publishes them; the wire.pool.* metrics are the live relay's
+// stash log.
 func DefaultPoolStats() PoolStats { return defaultPool.Stats() }
