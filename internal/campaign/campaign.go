@@ -159,9 +159,11 @@ func Enumerate(spec Spec) []Cell {
 // LiveResult is the outcome of a cell's scripted live-substrate replay.
 type LiveResult struct {
 	// Ok reports an empty transcript diff between the simulator and live
-	// runs of the derived scenario.
+	// runs of the derived scenario, and no transcript-oracle finding.
 	Ok bool `json:"ok"`
-	// Diffs lists every transcript divergence (conformance.Diff output).
+	// Diffs lists every transcript divergence (conformance.Diff output),
+	// then each side's transcript-oracle findings (conformance.Check
+	// output, prefixed "sim: " or "live: ").
 	Diffs []string `json:"diffs,omitempty"`
 	// Err is a substrate failure (socket error, quiescence timeout) —
 	// distinct from a divergence.

@@ -17,9 +17,8 @@ func liveScenario(cell Cell) conformance.Scenario {
 	drop := 3 + uint64(cell.Seed%3)     // 3..5: a warm recoverable loss
 	flapFrom := 8 + uint64(cell.Seed%2) // 8..9: a short mid-stream flap
 	return conformance.Scenario{
-		Messages:    14,
+		Flows:       []conformance.FlowSpec{{Experiment: 777, Messages: 14}},
 		Interval:    time.Millisecond,
-		Experiment:  777,
 		DropEgress:  []uint64{drop},
 		DupEgress:   []uint64{flapFrom + 4},
 		FlapEgress:  []faults.IndexWindow{{From: flapFrom, To: flapFrom + 1}},
@@ -37,9 +36,9 @@ func liveScenario(cell Cell) conformance.Scenario {
 // interleaved through one two-shard relay, with a seed-dependent scripted
 // loss landing on exactly one of them (odd merged egress indices belong
 // to the first flow, even to the second).
-func liveMultiFlowScenario(cell Cell) conformance.MultiFlowScenario {
+func liveMultiFlowScenario(cell Cell) conformance.Scenario {
 	drop := 5 + 2*uint64(cell.Seed%3) // 5/7/9: always the first flow's packet
-	return conformance.MultiFlowScenario{
+	return conformance.Scenario{
 		Flows:       []conformance.FlowSpec{{Experiment: 777, Messages: 10}, {Experiment: 888, Messages: 10}},
 		Interval:    time.Millisecond,
 		DropEgress:  []uint64{drop},
@@ -54,28 +53,27 @@ func liveMultiFlowScenario(cell Cell) conformance.MultiFlowScenario {
 }
 
 // runLiveReplay executes the cell's derived scenario on both substrates
-// and records the transcript diff. The outcome is deterministic — both
+// and records the transcript diff plus every transcript-oracle finding
+// (conformance.Check) on either side. The outcome is deterministic — both
 // transcripts are pure functions of the scenario — so sampled cells keep
 // the matrix byte-identical across runs. Fanin cells replay the
-// multi-flow differential form; every other topology replays the
-// single-flow scenario.
+// multi-flow scenario; every other topology replays the single-flow one.
 func runLiveReplay(cell Cell) LiveResult {
-	if cell.Topology == "fanin" {
-		sc := liveMultiFlowScenario(cell)
-		simRes := conformance.RunSimMultiFlow(sc)
-		liveRes, err := conformance.RunLiveMultiFlow(sc)
-		if err != nil {
-			return LiveResult{Err: err.Error()}
-		}
-		diffs := conformance.DiffMultiFlow(simRes, liveRes)
-		return LiveResult{Ok: len(diffs) == 0, Diffs: diffs}
-	}
 	sc := liveScenario(cell)
+	if cell.Topology == "fanin" {
+		sc = liveMultiFlowScenario(cell)
+	}
 	simTr := conformance.RunSim(sc)
 	liveTr, err := conformance.RunLive(sc)
 	if err != nil {
 		return LiveResult{Err: err.Error()}
 	}
 	diffs := conformance.Diff(simTr, liveTr)
+	for _, f := range conformance.Check(sc, simTr) {
+		diffs = append(diffs, "sim: "+f)
+	}
+	for _, f := range conformance.Check(sc, liveTr) {
+		diffs = append(diffs, "live: "+f)
+	}
 	return LiveResult{Ok: len(diffs) == 0, Diffs: diffs}
 }

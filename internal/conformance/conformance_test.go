@@ -16,9 +16,8 @@ import (
 // retry cap must write it off as permanent loss).
 func acceptanceScenario() Scenario {
 	return Scenario{
-		Messages:    20,
+		Flows:       []FlowSpec{{Experiment: 777, Messages: 20}},
 		Interval:    time.Millisecond,
-		Experiment:  777,
 		DropEgress:  []uint64{3, 16},
 		CrashAt:     16*time.Millisecond + 500*time.Microsecond,
 		NAKDelay:    1500 * time.Microsecond,
@@ -28,6 +27,38 @@ func acceptanceScenario() Scenario {
 		Seed:        7,
 		FaultSeed:   7,
 	}
+}
+
+// runBoth runs sc on both substrates and fails the test on any divergence
+// between the transcripts or any transcript-oracle finding on either.
+func runBoth(t *testing.T, sc Scenario) (simTr, liveTr *Transcript) {
+	t.Helper()
+	simTr = RunSim(sc)
+	liveTr, err := RunLive(sc)
+	if err != nil {
+		t.Fatalf("live run: %v", err)
+	}
+	for _, d := range Diff(simTr, liveTr) {
+		t.Errorf("divergence: %s", d)
+	}
+	for _, f := range Check(sc, simTr) {
+		t.Errorf("sim oracle: %s", f)
+	}
+	for _, f := range Check(sc, liveTr) {
+		t.Errorf("live oracle: %s", f)
+	}
+	return simTr, liveTr
+}
+
+// recoveredIn counts a flow's recovered deliveries.
+func recoveredIn(f FlowTranscript) int {
+	n := 0
+	for _, d := range f.Delivered {
+		if d.Recovered {
+			n++
+		}
+	}
+	return n
 }
 
 // TestDifferentialSimVsLiveBatched re-runs the acceptance scenario with
@@ -40,14 +71,7 @@ func acceptanceScenario() Scenario {
 func TestDifferentialSimVsLiveBatched(t *testing.T) {
 	sc := acceptanceScenario()
 	sc.BatchSize = 8
-	simTr := RunSim(sc)
-	liveTr, err := RunLive(sc)
-	if err != nil {
-		t.Fatalf("live run: %v", err)
-	}
-	for _, d := range Diff(simTr, liveTr) {
-		t.Errorf("divergence: %s", d)
-	}
+	simTr, _ := runBoth(t, sc)
 	if simTr.Totals.Recovered != 1 || simTr.Totals.Lost != 1 {
 		t.Fatalf("scenario did not exercise both loss paths: %+v", simTr.Totals)
 	}
@@ -61,14 +85,7 @@ func TestDifferentialSimVsLiveBatched(t *testing.T) {
 // dmtp engines.
 func TestDifferentialSimVsLive(t *testing.T) {
 	sc := acceptanceScenario()
-	simTr := RunSim(sc)
-	liveTr, err := RunLive(sc)
-	if err != nil {
-		t.Fatalf("live run: %v", err)
-	}
-	for _, d := range Diff(simTr, liveTr) {
-		t.Errorf("divergence: %s", d)
-	}
+	simTr, _ := runBoth(t, sc)
 
 	// Sanity-pin the scenario itself (on the sim transcript; the diff
 	// above extends every property to the live one): the warm loss was
@@ -77,15 +94,16 @@ func TestDifferentialSimVsLive(t *testing.T) {
 	if simTr.Totals.Recovered != 1 || simTr.Totals.Lost != 1 {
 		t.Fatalf("scenario did not exercise both loss paths: %+v", simTr.Totals)
 	}
-	if simTr.Totals.Delivered != uint64(sc.Messages-1) || simTr.Totals.Duplicates != 0 {
-		t.Fatalf("deliveries %+v, want %d distinct", simTr.Totals, sc.Messages-1)
+	n := sc.Flows[0].Messages
+	if simTr.Totals.Delivered != uint64(n-1) || simTr.Totals.Duplicates != 0 {
+		t.Fatalf("deliveries %+v, want %d distinct", simTr.Totals, n-1)
 	}
 	// seq 3: one NAK then recovery; seq 15: MaxNAKs requests then loss.
 	if want := uint64(1 + sc.MaxNAKs); simTr.Totals.NAKsSent != want {
-		t.Fatalf("NAKs sent %d, want %d: %v", simTr.Totals.NAKsSent, want, simTr.NAKs)
+		t.Fatalf("NAKs sent %d, want %d: %v", simTr.Totals.NAKsSent, want, simTr.Flows[0].NAKs)
 	}
-	if len(simTr.Gaps) != 1 || simTr.Gaps[0] != 15 {
-		t.Fatalf("write-offs %v, want [15]", simTr.Gaps)
+	if gaps := simTr.Flows[0].Gaps; len(gaps) != 1 || gaps[0] != 15 {
+		t.Fatalf("write-offs %v, want [15]", gaps)
 	}
 }
 
@@ -97,17 +115,11 @@ func TestDifferentialSimVsLive(t *testing.T) {
 func TestDifferentialTraceSpans(t *testing.T) {
 	sc := acceptanceScenario()
 	sc.TraceSample = 1
-	simTr := RunSim(sc)
-	liveTr, err := RunLive(sc)
-	if err != nil {
-		t.Fatalf("live run: %v", err)
-	}
-	for _, d := range Diff(simTr, liveTr) {
-		t.Errorf("divergence: %s", d)
-	}
-	if len(simTr.Spans) != sc.Messages-1 {
+	simTr, _ := runBoth(t, sc)
+	n := sc.Flows[0].Messages
+	if len(simTr.Spans) != n-1 {
 		t.Fatalf("span records %d, want %d (all deliveries traced): %v",
-			len(simTr.Spans), sc.Messages-1, simTr.Spans)
+			len(simTr.Spans), n-1, simTr.Spans)
 	}
 	direct, recovered := 0, 0
 	for _, s := range simTr.Spans {
@@ -121,8 +133,8 @@ func TestDifferentialTraceSpans(t *testing.T) {
 	if recovered != 1 {
 		t.Fatalf("no retransmit-shaped span for the recovered message: %v", simTr.Spans)
 	}
-	if direct != sc.Messages-2 {
-		t.Fatalf("direct spans %d, want %d: %v", direct, sc.Messages-2, simTr.Spans)
+	if direct != n-2 {
+		t.Fatalf("direct spans %d, want %d: %v", direct, n-2, simTr.Spans)
 	}
 }
 
@@ -136,9 +148,8 @@ func TestDifferentialTraceSpans(t *testing.T) {
 // order, NAK ranges, duplicate counts, and span structures.
 func TestDifferentialFlapDupDuringReshape(t *testing.T) {
 	sc := Scenario{
-		Messages:    24,
+		Flows:       []FlowSpec{{Experiment: 777, Messages: 24}},
 		Interval:    time.Millisecond,
-		Experiment:  777,
 		FlapEgress:  []faults.IndexWindow{{From: 7, To: 9}},
 		DupEgress:   []uint64{4, 12},
 		NAKDelay:    1500 * time.Microsecond,
@@ -149,14 +160,7 @@ func TestDifferentialFlapDupDuringReshape(t *testing.T) {
 		FaultSeed:   11,
 		TraceSample: 1,
 	}
-	simTr := RunSim(sc)
-	liveTr, err := RunLive(sc)
-	if err != nil {
-		t.Fatalf("live run: %v", err)
-	}
-	for _, d := range Diff(simTr, liveTr) {
-		t.Errorf("divergence: %s", d)
-	}
+	simTr, _ := runBoth(t, sc)
 
 	// Scenario sanity (sim transcript; the diff extends it to live): the
 	// whole flap window was recovered, nothing was written off, and both
@@ -168,16 +172,17 @@ func TestDifferentialFlapDupDuringReshape(t *testing.T) {
 	if simTr.Totals.Duplicates != 2 {
 		t.Fatalf("duplicates %d, want 2: %+v", simTr.Totals.Duplicates, simTr.Totals)
 	}
-	if simTr.Totals.Delivered != uint64(sc.Messages) {
-		t.Fatalf("delivered %d, want %d", simTr.Totals.Delivered, sc.Messages)
+	n := sc.Flows[0].Messages
+	if simTr.Totals.Delivered != uint64(n) {
+		t.Fatalf("delivered %d, want %d", simTr.Totals.Delivered, n)
 	}
-	if len(simTr.Gaps) != 0 {
-		t.Fatalf("unexpected write-offs: %v", simTr.Gaps)
+	if gaps := simTr.Flows[0].Gaps; len(gaps) != 0 {
+		t.Fatalf("unexpected write-offs: %v", gaps)
 	}
 	// Every delivery is traced; exactly the three flapped messages carry
 	// the retransmit-shaped span (duplicates never add span records).
-	if len(simTr.Spans) != sc.Messages {
-		t.Fatalf("span records %d, want %d: %v", len(simTr.Spans), sc.Messages, simTr.Spans)
+	if len(simTr.Spans) != n {
+		t.Fatalf("span records %d, want %d: %v", len(simTr.Spans), n, simTr.Spans)
 	}
 	recovered := 0
 	for _, s := range simTr.Spans {
@@ -198,12 +203,12 @@ func TestDifferentialFlapDupDuringReshape(t *testing.T) {
 // experiments interleave round-robin through one sharded relay (two
 // shards, one receiver), with a scripted loss seeded onto exactly one
 // flow (merged egress index 5 = flow 777's third packet). Each flow's
-// transcript — delivery order, NAK ranges, write-offs, derived totals —
-// must be byte-identical across substrates, and the clean flow's
-// transcript must show zero fault artifacts: per-flow sequencing, stash
-// partitioning and NAK service never bleed between flows.
+// transcript — delivery order, NAK ranges, write-offs — must be
+// byte-identical across substrates, and the clean flow's transcript must
+// show zero fault artifacts: per-flow sequencing, stash partitioning and
+// NAK service never bleed between flows.
 func TestDifferentialTwoFlowsOneRelay(t *testing.T) {
-	sc := MultiFlowScenario{
+	sc := Scenario{
 		Flows:       []FlowSpec{{Experiment: 777, Messages: 12}, {Experiment: 888, Messages: 12}},
 		Interval:    time.Millisecond,
 		DropEgress:  []uint64{5},
@@ -215,42 +220,66 @@ func TestDifferentialTwoFlowsOneRelay(t *testing.T) {
 		Seed:        7,
 		FaultSeed:   7,
 	}
-	simRes := RunSimMultiFlow(sc)
-	liveRes, err := RunLiveMultiFlow(sc)
-	if err != nil {
-		t.Fatalf("live run: %v", err)
-	}
-	for _, d := range DiffMultiFlow(simRes, liveRes) {
-		t.Errorf("divergence: %s", d)
-	}
+	simTr, _ := runBoth(t, sc)
 
-	// Scenario sanity on the sim result (the diff extends it to live).
+	// Scenario sanity on the sim transcript (the diff extends it to live).
 	// The faulted flow recovered its one loss via a single NAK…
-	faulted := simRes.Flows[777]
-	if faulted.Totals.Delivered != 12 || faulted.Totals.Recovered != 1 ||
-		faulted.Totals.NAKsSent != 1 || faulted.Totals.Lost != 0 {
-		t.Fatalf("faulted flow totals %+v, want 12 delivered / 1 recovered / 1 NAK", faulted.Totals)
+	faulted := simTr.Flows[0]
+	if len(faulted.Delivered) != 12 || recoveredIn(faulted) != 1 ||
+		len(faulted.NAKs) != 1 || len(faulted.Gaps) != 0 {
+		t.Fatalf("faulted flow %+v, want 12 delivered / 1 recovered / 1 NAK", faulted)
 	}
 	// …while the clean flow saw no NAKs, no recoveries, no write-offs:
-	// the seeded fault stayed on its flow.
-	clean := simRes.Flows[888]
-	if clean.Totals.Delivered != 12 || clean.Totals.Recovered != 0 ||
-		clean.Totals.NAKsSent != 0 || clean.Totals.Lost != 0 {
-		t.Fatalf("clean flow contaminated: %+v", clean.Totals)
+	// the seeded fault stayed on its flow. Check above already holds
+	// each flow's sequence space to 1..n, each delivered once.
+	clean := simTr.Flows[1]
+	if len(clean.Delivered) != 12 || recoveredIn(clean) != 0 ||
+		len(clean.NAKs) != 0 || len(clean.Gaps) != 0 {
+		t.Fatalf("clean flow contaminated: %+v", clean)
 	}
-	// Per-flow sequence spaces are independent: each flow delivered
-	// seqs 1..12 in order (modulo the recovered packet's reordering).
-	for exp, tr := range simRes.Flows {
-		seen := make(map[uint64]bool)
-		for _, d := range tr.Delivered {
-			if d.Seq < 1 || d.Seq > 12 || seen[d.Seq] {
-				t.Fatalf("flow %d: bad seq %d in %v", exp, d.Seq, tr.Delivered)
-			}
-			seen[d.Seq] = true
-		}
+	if simTr.Totals.Delivered != 24 || simTr.Totals.Duplicates != 0 {
+		t.Fatalf("totals %+v, want 24 distinct deliveries", simTr.Totals)
 	}
-	if simRes.Global.Delivered != 24 || simRes.Global.Duplicates != 0 {
-		t.Fatalf("global totals %+v, want 24 distinct deliveries", simRes.Global)
+}
+
+// TestDifferentialThreeFlowsEveryFault combines what only one scenario
+// type can express: three flows of different lengths through a two-shard
+// relay, with drops, a duplicate and an index flap on the merged egress
+// order, a crash+restart mid-stream, tracing on every message and the
+// live senders batching. Both substrates must agree and both transcripts
+// must satisfy the oracles.
+func TestDifferentialThreeFlowsEveryFault(t *testing.T) {
+	sc := Scenario{
+		Flows: []FlowSpec{
+			{Experiment: 777, Messages: 12},
+			{Experiment: 888, Messages: 9},
+			{Experiment: 999, Messages: 5},
+		},
+		Interval:    time.Millisecond,
+		DropEgress:  []uint64{3, 20},
+		DupEgress:   []uint64{6},
+		FlapEgress:  []faults.IndexWindow{{From: 10, To: 12}},
+		CrashAt:     9*time.Millisecond + 500*time.Microsecond,
+		Shards:      2,
+		NAKDelay:    1500 * time.Microsecond,
+		NAKRetry:    4 * time.Millisecond,
+		NAKRetryMax: 12 * time.Millisecond,
+		MaxNAKs:     3,
+		Seed:        5,
+		FaultSeed:   5,
+		TraceSample: 1,
+		BatchSize:   8,
+	}
+	simTr, _ := runBoth(t, sc)
+
+	// Sanity on the sim transcript: 26 messages, of which the crash
+	// colded one loss past recovery and four came back through the stash.
+	got := simTr.Totals
+	if got.Delivered != 25 || got.Recovered != 4 || got.Lost != 1 || got.Duplicates != 1 {
+		t.Fatalf("totals %+v, want 25 delivered / 4 recovered / 1 lost / 1 duplicate", got)
+	}
+	if len(simTr.Spans) != 25 {
+		t.Fatalf("span records %d, want 25: %v", len(simTr.Spans), simTr.Spans)
 	}
 }
 
@@ -258,12 +287,12 @@ func TestDifferentialTwoFlowsOneRelay(t *testing.T) {
 // deliberately broken engine fork — the gap-detection floor biased by one
 // via dmtp.GapFloorBias, so a single-packet gap right above the floor is
 // never tracked — must make the differential comparator report
-// divergence. A conformance suite that cannot fail is not evidence.
+// divergence, and the transcript oracles must find it from the broken
+// transcript alone. A conformance suite that cannot fail is not evidence.
 func TestDifferentialDetectsBrokenEngine(t *testing.T) {
 	sc := Scenario{
-		Messages:    8,
+		Flows:       []FlowSpec{{Experiment: 777, Messages: 8}},
 		Interval:    time.Millisecond,
-		Experiment:  777,
 		DropEgress:  []uint64{3},
 		NAKDelay:    1500 * time.Microsecond,
 		NAKRetry:    4 * time.Millisecond,
@@ -287,12 +316,21 @@ func TestDifferentialDetectsBrokenEngine(t *testing.T) {
 		t.Fatal("comparator passed a biased gap floor; the differential test cannot detect broken engines")
 	}
 	// The specific failure mode: the biased engine never detects the gap,
-	// so it neither NAKs nor recovers seq 3.
+	// so it neither NAKs nor recovers seq 3…
 	if brokenTr.Totals.NAKsSent != 0 || brokenTr.Totals.Recovered != 0 {
 		t.Fatalf("bias did not disable gap detection: %+v", brokenTr.Totals)
 	}
 	if liveTr.Totals.Recovered != 1 {
 		t.Fatalf("healthy engine did not recover the drop: %+v", liveTr.Totals)
+	}
+	// …so seq 3 is neither delivered nor written off, which the oracles
+	// see without the other substrate.
+	want := "flow 777: seq 3 neither delivered nor written off"
+	if got := Check(sc, brokenTr); len(got) != 1 || got[0] != want {
+		t.Fatalf("oracles on the broken transcript: %q, want [%q]", got, want)
+	}
+	if got := Check(sc, liveTr); len(got) != 0 {
+		t.Fatalf("oracles on the healthy transcript: %q", got)
 	}
 }
 
@@ -301,16 +339,22 @@ func TestDifferentialDetectsBrokenEngine(t *testing.T) {
 // totals yields one finding per dimension.
 func TestDiffReportsEachDivergenceKind(t *testing.T) {
 	a := &Transcript{
-		Delivered: []Delivery{{Seq: 1}, {Seq: 2}},
-		NAKs:      []string{"2"},
-		Gaps:      []uint64{5},
-		Totals:    Totals{Delivered: 2},
+		Flows: []FlowTranscript{{
+			Experiment: 777,
+			Delivered:  []Delivery{{Seq: 1}, {Seq: 2}},
+			NAKs:       []string{"2"},
+			Gaps:       []uint64{5},
+		}},
+		Totals: Totals{Delivered: 2},
 	}
 	b := &Transcript{
-		Delivered: []Delivery{{Seq: 2}, {Seq: 1}},
-		NAKs:      []string{"2-3"},
-		Gaps:      []uint64{6},
-		Totals:    Totals{Delivered: 3},
+		Flows: []FlowTranscript{{
+			Experiment: 777,
+			Delivered:  []Delivery{{Seq: 2}, {Seq: 1}},
+			NAKs:       []string{"2-3"},
+			Gaps:       []uint64{6},
+		}},
+		Totals: Totals{Delivered: 3},
 	}
 	diff := Diff(a, b)
 	if len(diff) != 5 { // two delivery slots + NAK + gap + totals
@@ -318,5 +362,59 @@ func TestDiffReportsEachDivergenceKind(t *testing.T) {
 	}
 	if len(Diff(a, a)) != 0 {
 		t.Fatalf("self-diff not empty: %v", Diff(a, a))
+	}
+}
+
+// TestCheckReportsEachLaw pins the oracles' coverage: a consistent
+// transcript passes, and breaking one law at a time yields exactly one
+// finding naming it.
+func TestCheckReportsEachLaw(t *testing.T) {
+	sc := Scenario{Flows: []FlowSpec{{Experiment: 777, Messages: 5}}}
+	// Seq 2 recovered after one NAK; seq 4 written off after two.
+	good := func() *Transcript {
+		return &Transcript{
+			Flows: []FlowTranscript{{
+				Experiment: 777,
+				Delivered:  []Delivery{{Seq: 1}, {Seq: 3}, {Seq: 2, Recovered: true}, {Seq: 5}},
+				NAKs:       []string{"2", "4", "4"},
+				Gaps:       []uint64{4},
+			}},
+			Totals: Totals{Received: 5, Delivered: 4, Duplicates: 1, NAKsSent: 3, Recovered: 1, Lost: 1},
+		}
+	}
+	if got := Check(sc, good()); len(got) != 0 {
+		t.Fatalf("consistent transcript flagged: %q", got)
+	}
+	for _, tc := range []struct {
+		law    string
+		mutate func(tr *Transcript)
+		want   string
+	}{
+		{"a seq is never accounted for",
+			func(tr *Transcript) { tr.Flows[0].Delivered[3].Seq = 6 },
+			"flow 777: seq 5 neither delivered nor written off"},
+		{"a seq is delivered and written off",
+			func(tr *Transcript) { tr.Flows[0].Delivered[3].Seq = 4 },
+			"flow 777: seq 4 delivered 1 times, written off 1 times"},
+		{"recovered exceeds NAK-requested",
+			func(tr *Transcript) {
+				tr.Flows[0].Delivered[0].Recovered = true
+				tr.Flows[0].Delivered[1].Recovered = true
+				tr.Totals.Recovered = 3
+			},
+			"flow 777: 3 recovered deliveries, only 2 seqs NAKed"},
+		{"totals disagree with the per-flow sums",
+			func(tr *Transcript) { tr.Totals.NAKsSent = 4 },
+			"totals {Received:0 Delivered:4 Duplicates:0 NAKsSent:4 Recovered:1 Lost:1}, " +
+				"per-flow sums {Received:0 Delivered:4 Duplicates:0 NAKsSent:3 Recovered:1 Lost:1}"},
+		{"received is not delivered + duplicates",
+			func(tr *Transcript) { tr.Totals.Received = 4 },
+			"received 4 ≠ delivered 4 + duplicates 1"},
+	} {
+		tr := good()
+		tc.mutate(tr)
+		if got := Check(sc, tr); len(got) != 1 || got[0] != tc.want {
+			t.Errorf("%s: findings %q, want [%q]", tc.law, got, tc.want)
+		}
 	}
 }

@@ -18,23 +18,21 @@ import (
 // timeout only trips when something is genuinely broken.
 const liveWaitTimeout = 10 * time.Second
 
-// RunLive executes the scenario on the live substrate: real loopback
-// sockets carry the packets while a shared dmtp.FakeClock carries
-// protocol time. The driver advances the clock through the merged event
-// timeline (sends, the crash, every due NAK timer) in virtual order,
-// settling the socket round trips between steps so the live run observes
-// the same event interleaving as the simulator.
+// RunLive executes the scenario on the live substrate: one live.Sender
+// per flow (each a distinct source port, hence a distinct flow-table
+// entry) through one (sharded) relay to one receiver, over real loopback
+// sockets, while a shared dmtp.FakeClock carries protocol time. The
+// driver advances the clock through the merged event timeline (sends,
+// the crash, every due NAK timer) in virtual order, settling the socket
+// round trips between steps so the live run observes the same event
+// interleaving as the simulator.
 func RunLive(sc Scenario) (*Transcript, error) {
 	fc := dmtp.NewFakeClock(0)
-	plan := faults.New(faults.Spec{
-		Seed:        sc.FaultSeed,
-		DropPackets: sc.DropEgress,
-		DupPackets:  sc.DupEgress,
-		DropWindows: sc.FlapEgress,
-	})
-	tr := &Transcript{}
+	plan := sc.plan()
+	tr, flowOf := newTranscript(sc)
 	tracer := tracespan.NewCollector(0)
 	var mu sync.Mutex
+	dispatched := uint64(0)
 
 	recv, err := live.NewReceiver(live.ReceiverConfig{
 		Listen:      "127.0.0.1:0",
@@ -47,17 +45,24 @@ func RunLive(sc Scenario) (*Transcript, error) {
 		Counters:    plan.Counters(),
 		OnMessage: func(m live.Message) {
 			mu.Lock()
-			tr.Delivered = append(tr.Delivered, Delivery{Seq: m.Seq, Recovered: m.Recovered})
+			dispatched++
+			if f := flowOf(m.Experiment); f != nil {
+				f.Delivered = append(f.Delivered, Delivery{Seq: m.Seq, Recovered: m.Recovered})
+			}
 			mu.Unlock()
 		},
-		OnNAK: func(_ wire.ExperimentID, rs []wire.SeqRange) {
+		OnNAK: func(exp wire.ExperimentID, rs []wire.SeqRange) {
 			mu.Lock()
-			tr.NAKs = append(tr.NAKs, FormatRanges(rs))
+			if f := flowOf(exp); f != nil {
+				f.NAKs = append(f.NAKs, FormatRanges(rs))
+			}
 			mu.Unlock()
 		},
-		OnGap: func(_ wire.ExperimentID, seq uint64) {
+		OnGap: func(exp wire.ExperimentID, seq uint64) {
 			mu.Lock()
-			tr.Gaps = append(tr.Gaps, seq)
+			if f := flowOf(exp); f != nil {
+				f.Gaps = append(f.Gaps, seq)
+			}
 			mu.Unlock()
 		},
 		Tracer: tracer,
@@ -72,6 +77,7 @@ func RunLive(sc Scenario) (*Transcript, error) {
 		Forward: recv.Addr(),
 		MaxAge:  time.Hour,
 		Clock:   fc,
+		Shards:  sc.Shards,
 		Wrap:    func(c live.UDPConn) live.UDPConn { return faults.WrapConn(c, plan) },
 	})
 	if err != nil {
@@ -79,22 +85,27 @@ func RunLive(sc Scenario) (*Transcript, error) {
 	}
 	defer relay.Close()
 
-	snd, err := live.NewSenderWithConfig(live.SenderConfig{
-		Dst:         relay.Addr(),
-		Experiment:  sc.Experiment,
-		TraceSample: sc.TraceSample,
-		BatchSize:   sc.BatchSize,
-	})
-	if err != nil {
-		return nil, err
+	senders := make([]*live.Sender, len(sc.Flows))
+	for i, fl := range sc.Flows {
+		snd, err := live.NewSenderWithConfig(live.SenderConfig{
+			Dst:         relay.Addr(),
+			Experiment:  fl.Experiment,
+			TraceSample: sc.TraceSample,
+			BatchSize:   sc.BatchSize,
+		})
+		if err != nil {
+			return nil, err
+		}
+		defer snd.Close()
+		senders[i] = snd
 	}
-	defer snd.Close()
 
 	// settle waits until the socket substrate is quiescent: every NAK the
 	// receiver has emitted was served by the relay, and every surviving
-	// egress packet (forwards + retransmissions − scripted drops) was
-	// ingested and dispatched. All terms are cumulative counters, so the
-	// condition cannot pass early on stale values.
+	// egress packet (forwards + retransmissions + scripted duplicates −
+	// scripted drops) was ingested and dispatched. All terms are
+	// cumulative counters, so the condition cannot pass early on stale
+	// values.
 	settle := func() error {
 		return waitLive(func() bool {
 			if relay.Stats().NAKs != recv.Stats().NAKsSent {
@@ -106,9 +117,9 @@ func RunLive(sc Scenario) (*Transcript, error) {
 			expected := rs.Forwarded + rs.Retransmits +
 				plan.Counters().Get(faults.CounterDuplicate) - drops
 			mu.Lock()
-			dispatched := uint64(len(tr.Delivered))
+			d := dispatched
 			mu.Unlock()
-			return dispatched+recv.Stats().Duplicates == expected
+			return d+recv.Stats().Duplicates == expected
 		})
 	}
 	// drainUntil fires every pending engine timer due at or before target,
@@ -128,12 +139,12 @@ func RunLive(sc Scenario) (*Transcript, error) {
 
 	type event struct {
 		at    time.Duration
-		send  int // 1-based message index; 0 for the crash event
+		send  send
 		crash bool
 	}
 	var events []event
-	for i := 1; i <= sc.Messages; i++ {
-		events = append(events, event{at: time.Duration(i) * sc.Interval, send: i})
+	for _, s := range sc.sends() {
+		events = append(events, event{at: s.at, send: s})
 	}
 	if sc.CrashAt > 0 {
 		events = append(events, event{at: sc.CrashAt, crash: true})
@@ -153,12 +164,13 @@ func RunLive(sc Scenario) (*Transcript, error) {
 			}
 			continue
 		}
-		if err := snd.Send(payload(ev.send), 0); err != nil {
+		exp := sc.Flows[ev.send.flow].Experiment
+		if err := senders[ev.send.flow].Send(payload(exp, ev.send.msg), 0); err != nil {
 			return nil, err
 		}
 		sent++
 		if err := waitLive(func() bool { return relay.Stats().Upgraded == sent }); err != nil {
-			return nil, fmt.Errorf("send %d never reached the relay: %w", ev.send, err)
+			return nil, fmt.Errorf("flow %d send %d never reached the relay: %w", exp, ev.send.msg, err)
 		}
 		if err := settle(); err != nil {
 			return nil, err

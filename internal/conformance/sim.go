@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -22,22 +23,18 @@ var confMode = core.Mode{
 		wire.FeatTimely | wire.FeatTimestamped,
 }
 
-// RunSim executes the scenario on the simulator substrate: the scripted
-// drop plan rides the buffer→receiver link as a netsim fault, sends are
-// scheduled on the virtual timeline, the optional crash+restart fires at
-// its exact virtual instant, and the loop runs to quiescence.
+// RunSim executes the scenario on the simulator substrate: one sender
+// node per flow feeds a (sharded) BufferNode that forwards every flow to
+// one receiver, the scripted drop plan rides the buffer→receiver link as
+// a netsim fault, sends are scheduled on the virtual timeline, the
+// optional crash+restart fires at its exact virtual instant, and the loop
+// runs to quiescence.
 func RunSim(sc Scenario) *Transcript {
 	nw := netsim.New(1)
-	plan := faults.New(faults.Spec{
-		Seed:        sc.FaultSeed,
-		DropPackets: sc.DropEgress,
-		DupPackets:  sc.DupEgress,
-		DropWindows: sc.FlapEgress,
-	})
-	tr := &Transcript{}
+	plan := sc.plan()
+	tr, flowOf := newTranscript(sc)
 	tracer := tracespan.NewCollector(0)
 
-	sensorAddr := wire.AddrFrom(10, 0, 0, 1, 4000)
 	dtnAddr := wire.AddrFrom(10, 0, 1, 1, 7000)
 	recvAddr := wire.AddrFrom(10, 0, 2, 1, 7000)
 
@@ -49,13 +46,19 @@ func RunSim(sc Scenario) *Transcript {
 		Seed:        sc.Seed,
 		Counters:    plan.Counters(),
 		OnMessage: func(m core.Message) {
-			tr.Delivered = append(tr.Delivered, Delivery{Seq: m.Seq, Recovered: m.Recovered})
+			if f := flowOf(m.Experiment); f != nil {
+				f.Delivered = append(f.Delivered, Delivery{Seq: m.Seq, Recovered: m.Recovered})
+			}
 		},
-		OnNAK: func(_ wire.ExperimentID, rs []wire.SeqRange) {
-			tr.NAKs = append(tr.NAKs, FormatRanges(rs))
+		OnNAK: func(exp wire.ExperimentID, rs []wire.SeqRange) {
+			if f := flowOf(exp); f != nil {
+				f.NAKs = append(f.NAKs, FormatRanges(rs))
+			}
 		},
-		OnGap: func(_ wire.ExperimentID, seq uint64) {
-			tr.Gaps = append(tr.Gaps, seq)
+		OnGap: func(exp wire.ExperimentID, seq uint64) {
+			if f := flowOf(exp); f != nil {
+				f.Gaps = append(f.Gaps, seq)
+			}
 		},
 		Tracer: tracer,
 	})
@@ -63,26 +66,34 @@ func RunSim(sc Scenario) *Transcript {
 		UpgradeFrom: core.ModeBare.ConfigID,
 		Upgrade:     confMode,
 		Forward:     recvAddr,
-		ForwardPort: 1,
+		ForwardPort: len(sc.Flows),
 		MaxAge:      time.Hour,
+		Shards:      sc.Shards,
 	})
-	snd := core.NewSender(nw, "sensor", sensorAddr, core.SenderConfig{
-		Experiment:  sc.Experiment,
-		Dst:         dtnAddr,
-		Mode:        core.ModeBare,
-		TraceSample: sc.TraceSample,
-	})
+	senders := make([]*core.Sender, len(sc.Flows))
+	for i, fl := range sc.Flows {
+		addr := wire.AddrFrom(10, 0, 0, byte(i+1), 4000)
+		senders[i] = core.NewSender(nw, fmt.Sprintf("sensor%d", i), addr, core.SenderConfig{
+			Experiment:  fl.Experiment,
+			Dst:         dtnAddr,
+			Mode:        core.ModeBare,
+			TraceSample: sc.TraceSample,
+		})
+	}
 
-	nw.Connect(snd.Node(), dtn.Node(),
-		netsim.LinkConfig{RateBps: netsim.Gbps(100), Delay: time.Microsecond})
+	// Sender links occupy DTN ports 0..n-1 in flow order; the faulted
+	// egress link is port n (= BufferConfig.ForwardPort above).
+	for _, snd := range senders {
+		nw.Connect(snd.Node(), dtn.Node(),
+			netsim.LinkConfig{RateBps: netsim.Gbps(100), Delay: time.Microsecond})
+	}
 	nw.ConnectAsym(dtn.Node(), recv.Node(),
 		netsim.LinkConfig{RateBps: netsim.Gbps(100), Delay: time.Microsecond, Fault: faults.SimFault(plan)},
 		netsim.LinkConfig{RateBps: netsim.Gbps(100), Delay: time.Microsecond})
 
-	for i := 1; i <= sc.Messages; i++ {
-		i := i
-		nw.Loop().At(sim.Time(time.Duration(i)*sc.Interval), func() {
-			snd.Emit(payload(i), 0)
+	for _, s := range sc.sends() {
+		nw.Loop().At(sim.Time(s.at), func() {
+			senders[s.flow].Emit(payload(sc.Flows[s.flow].Experiment, s.msg), 0)
 		})
 	}
 	if sc.CrashAt > 0 {

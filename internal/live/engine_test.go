@@ -96,7 +96,9 @@ func TestLiveWriteOffWithFakeClock(t *testing.T) {
 			break
 		}
 		fc.AdvanceTo(at)
-		time.Sleep(2 * time.Millisecond) // let the NAK→miss round trip land
+		// A fire that NAKs has sent the NAK by now; wait until the relay
+		// served it (the NAK→miss round trip landed), not for a fixed time.
+		waitFor(t, 5*time.Second, func() bool { return relay.Stats().NAKs == recv.Stats().NAKsSent }, "NAK service")
 	}
 	st := recv.Stats()
 	if st.PermanentLoss != 1 || recv.OutstandingGaps() != 0 {
