@@ -241,12 +241,18 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 		}
 	})
+	// A mode change as an element runs it: the 1 → 2 transition compiled
+	// once, then applied into a reused buffer, as the relay applies its
+	// upgrade.
+	rec, err := wire.CompileReshape(h.Features, 2, h.Features|wire.FeatReliable, func(wire.View, uint64, int64) {})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("element/mode-change", func(b *testing.B) {
 		b.SetBytes(int64(len(enc)))
+		var dst []byte
 		for i := 0; i < b.N; i++ {
-			if _, err := v.Activate(2, wire.FeatReliable); err != nil {
-				b.Fatal(err)
-			}
+			dst = rec.Apply(dst, v, 0, int64(i))
 		}
 	})
 }

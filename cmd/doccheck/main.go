@@ -20,6 +20,10 @@
 // the drift that creeps in when a PR adds flags but only updates some
 // walkthroughs. With no files after -snippets it checks the default doc
 // set (README.md, EXPERIMENTS.md, OBSERVABILITY.md, PROTOCOL.md).
+//
+// A third mode, go run ./cmd/doccheck -unused, fails on every declaration
+// under the repository that no main package reaches (see unused.go for
+// the rule, and unusedAllow for the few that stay and why).
 package main
 
 import (
@@ -55,15 +59,16 @@ func main() {
 			docs = defaultDocs
 		}
 		bad, err := checkSnippets(".", docs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-			os.Exit(2)
+		exit(bad, err, "doc snippets use flags the commands do not define")
+	}
+	if len(pkgs) > 0 && pkgs[0] == "-unused" {
+		// bench/ changes only with the benchmark: it adds roots and test
+		// selectors, and its own declarations are never reported.
+		findings, err := findUnused([]string{".", "bench"}, unusedAllow)
+		for _, f := range findings {
+			fmt.Println(f)
 		}
-		if bad > 0 {
-			fmt.Fprintf(os.Stderr, "doccheck: %d doc snippets use flags the commands do not define\n", bad)
-			os.Exit(1)
-		}
-		return
+		exit(len(findings), err, "declarations are reached from no main package")
 	}
 	if len(pkgs) == 0 {
 		pkgs = defaultPackages
@@ -72,15 +77,25 @@ func main() {
 	for _, pkg := range pkgs {
 		n, err := checkDir(strings.TrimPrefix(pkg, "./"))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: %s: %v\n", pkg, err)
-			os.Exit(2)
+			exit(0, fmt.Errorf("%s: %v", pkg, err), "")
 		}
 		bad += n
 	}
+	exit(bad, nil, "exported symbols lack doc comments")
+}
+
+// exit ends the run: status 2 on err, 1 with a count of what is wrong when
+// bad > 0, and 0 otherwise.
+func exit(bad int, err error, what string) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		os.Exit(2)
+	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d exported symbols lack doc comments\n", bad)
+		fmt.Fprintf(os.Stderr, "doccheck: %d %s\n", bad, what)
 		os.Exit(1)
 	}
+	os.Exit(0)
 }
 
 // checkDir parses every non-test .go file in dir and reports undocumented

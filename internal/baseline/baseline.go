@@ -83,13 +83,3 @@ func DecodeSegment(b []byte) (*Segment, error) {
 	s.Payload = b[segHeaderLen : segHeaderLen+n]
 	return s, nil
 }
-
-// MessageFrame prepends the 4-byte length delineation DAQ peers must use
-// on a bytestream (paper §4.1: TCP "requires DAQ peers to use message
-// delineation in the bytestream").
-func MessageFrame(msg []byte) []byte {
-	out := make([]byte, 4+len(msg))
-	binary.BigEndian.PutUint32(out[:4], uint32(len(msg)))
-	copy(out[4:], msg)
-	return out
-}

@@ -189,18 +189,16 @@ func TestUDPSenderSinkAndLoss(t *testing.T) {
 	sAddr := wire.AddrFrom(10, 0, 0, 1, 1)
 	kAddr := wire.AddrFrom(10, 0, 0, 2, 1)
 	snd := NewUDPSender(nw, "udp-snd", sAddr, kAddr)
-	sink := NewUDPSink(nw, "udp-sink", kAddr)
-	nw.Connect(snd.Node(), sink.Node(), netsim.LinkConfig{RateBps: netsim.Gbps(10), Delay: time.Millisecond, LossProb: 0.1})
+	sink := &netsim.Sink{}
+	sinkNode := nw.AddNode("udp-sink", kAddr, sink)
+	nw.Connect(snd.Node(), sinkNode, netsim.LinkConfig{RateBps: netsim.Gbps(10), Delay: time.Millisecond, LossProb: 0.1})
 	snd.Stream(daq.NewGeneric(daq.GenericConfig{MessageSize: 1000, Interval: 10 * time.Microsecond, Count: 2000, Seed: 1}))
 	nw.Loop().Run()
 	if !snd.Done || snd.Sent != 2000 {
 		t.Fatalf("sent %d done=%v", snd.Sent, snd.Done)
 	}
-	if sink.Received == 2000 || sink.Received < 1500 {
-		t.Fatalf("received %d; loss should be ~10%%, never recovered", sink.Received)
-	}
-	if sink.LatencyHist.Count() == 0 {
-		t.Fatal("no latency samples")
+	if sink.Count == 2000 || sink.Count < 1500 {
+		t.Fatalf("received %d; loss should be ~10%%, never recovered", sink.Count)
 	}
 }
 
@@ -235,12 +233,5 @@ func TestSplitProxyRelaysEndToEnd(t *testing.T) {
 	}
 	if snd.Stats.Retransmits != 0 {
 		t.Fatalf("source retransmitted %d across a clean first leg", snd.Stats.Retransmits)
-	}
-}
-
-func TestMessageFrame(t *testing.T) {
-	f := MessageFrame([]byte("abc"))
-	if len(f) != 7 || f[3] != 3 || string(f[4:]) != "abc" {
-		t.Fatalf("frame %v", f)
 	}
 }

@@ -46,9 +46,6 @@ func NewSplitProxy(nw *netsim.Network, name string, addr wire.Addr,
 // Node returns the proxy's node.
 func (p *SplitProxy) Node() *netsim.Node { return p.node }
 
-// In exposes the terminated upstream receiver (for HOL statistics).
-func (p *SplitProxy) In() *TCPReceiver { return p.in }
-
 // Out exposes the downstream sender (for congestion statistics).
 func (p *SplitProxy) Out() *TCPSender { return p.out }
 

@@ -523,12 +523,3 @@ func (r *TCPReceiver) sendAck() {
 	}
 	r.sendFn(r.peer, data)
 }
-
-// NewTCPReceiverOn creates a receiving endpoint hosted on an existing node,
-// for composite handlers that own the node (split proxies, gateways).
-// sendFn transmits the receiver's ACKs out of the right port.
-func NewTCPReceiverOn(nw *netsim.Network, node *netsim.Node, peer wire.Addr, flow uint16, sendFn func(dst wire.Addr, data []byte)) *TCPReceiver {
-	r := newTCPReceiverOn(nw, node, peer, flow)
-	r.sendFn = sendFn
-	return r
-}

@@ -4,7 +4,6 @@ import (
 	"repro/internal/daq"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -66,50 +65,4 @@ func (s *UDPSender) next() {
 		s.Sent++
 		s.next()
 	})
-}
-
-// UDPSink receives bare datagrams and accounts for them; losses are simply
-// never seen (no reliability — the defining gap of stage ① today).
-type UDPSink struct {
-	nw   *netsim.Network
-	node *netsim.Node
-
-	// Received counts datagrams.
-	Received uint64
-	// Meter accumulates payload bytes.
-	Meter telemetry.Meter
-	// LatencyHist records DAQ-timestamp-to-arrival latency when payloads
-	// parse as DAQ messages.
-	LatencyHist *telemetry.Histogram
-	// OnDatagram, if non-nil, receives every payload.
-	OnDatagram func(b []byte)
-}
-
-// NewUDPSink creates the sink and registers its node.
-func NewUDPSink(nw *netsim.Network, name string, addr wire.Addr) *UDPSink {
-	s := &UDPSink{nw: nw, LatencyHist: telemetry.NewHistogram()}
-	s.node = nw.AddNode(name, addr, s)
-	return s
-}
-
-// Node returns the sink's node.
-func (s *UDPSink) Node() *netsim.Node { return s.node }
-
-// Attach implements netsim.Handler.
-func (s *UDPSink) Attach(n *netsim.Node) { s.node = n }
-
-// HandleFrame implements netsim.Handler.
-func (s *UDPSink) HandleFrame(_ *netsim.Port, f *netsim.Frame) {
-	s.Received++
-	s.Meter.Add(len(f.Data))
-	var h daq.Header
-	if _, err := h.DecodeFromBytes(f.Data); err == nil {
-		lat := int64(s.nw.Now().Nanos()) - int64(h.TimestampNs)
-		if lat >= 0 {
-			s.LatencyHist.Observe(lat)
-		}
-	}
-	if s.OnDatagram != nil {
-		s.OnDatagram(f.Data)
-	}
 }

@@ -16,20 +16,15 @@
 //     in the header (not from the source — the paper's generalised
 //     hop-by-hop X.25-style recovery), performs the destination timeliness
 //     check, and delivers discrete messages to the application.
-//   - Registry and ResourceMap capture the mode table and the paper's
-//     "map of in-network programmable resources" (§6), from which Planner
-//     derives the per-element mode-change rules installed into
-//     internal/p4sim switches.
+//   - The Mode values are the pilot's mode table, and ResourceMap is the
+//     paper's "map of in-network programmable resources" (§6), from which
+//     Plan assigns each path segment its mode.
 //
 // Endpoints run on the internal/netsim substrate; the same wire protocol
 // also runs over real UDP sockets in internal/live.
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
 // Mode is a named transport mode: a config ID and the feature set its
 // configuration bits must carry (paper §5.2: "The combination of fields 1
@@ -75,62 +70,3 @@ var (
 		Features: wire.FeatTimely | wire.FeatTimestamped | wire.FeatDuplicate,
 	}
 )
-
-// Registry maps config IDs to modes so endpoints and elements can validate
-// that a packet's configuration bits match its declared mode.
-type Registry struct {
-	byID map[uint8]Mode
-}
-
-// NewRegistry builds a registry over the given modes.
-func NewRegistry(modes ...Mode) (*Registry, error) {
-	r := &Registry{byID: make(map[uint8]Mode, len(modes))}
-	for _, m := range modes {
-		if m.ConfigID >= wire.ControlBase {
-			return nil, fmt.Errorf("core: mode %q config ID %#02x collides with the control range", m.Name, m.ConfigID)
-		}
-		if !m.Features.Valid() {
-			return nil, fmt.Errorf("core: mode %q has undefined feature bits", m.Name)
-		}
-		if dup, ok := r.byID[m.ConfigID]; ok {
-			return nil, fmt.Errorf("core: config ID %d used by both %q and %q", m.ConfigID, dup.Name, m.Name)
-		}
-		r.byID[m.ConfigID] = m
-	}
-	return r, nil
-}
-
-// PilotRegistry returns the registry of the pilot study's modes.
-func PilotRegistry() *Registry {
-	r, err := NewRegistry(ModeBare, ModeWAN, ModeDeliver, ModeAlert)
-	if err != nil {
-		panic(err) // static definitions; cannot fail
-	}
-	return r
-}
-
-// Lookup returns the mode registered under id.
-func (r *Registry) Lookup(id uint8) (Mode, bool) {
-	m, ok := r.byID[id]
-	return m, ok
-}
-
-// Validate checks that a data packet's configuration bits exactly match the
-// mode its config ID names. Control packets validate trivially.
-func (r *Registry) Validate(v wire.View) error {
-	if _, err := v.Check(); err != nil {
-		return err
-	}
-	if v.IsControl() {
-		return nil
-	}
-	m, ok := r.byID[v.ConfigID()]
-	if !ok {
-		return fmt.Errorf("core: unknown mode %d", v.ConfigID())
-	}
-	if v.Features() != m.Features {
-		return fmt.Errorf("core: mode %q expects features %v, packet carries %v",
-			m.Name, m.Features, v.Features())
-	}
-	return nil
-}

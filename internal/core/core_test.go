@@ -9,51 +9,28 @@ import (
 	"repro/internal/wire"
 )
 
-func TestPilotRegistryValidates(t *testing.T) {
-	r := PilotRegistry()
+func TestPilotModesEncode(t *testing.T) {
+	seen := map[uint8]string{}
 	for _, m := range []Mode{ModeBare, ModeWAN, ModeDeliver, ModeAlert} {
-		got, ok := r.Lookup(m.ConfigID)
-		if !ok || got.Name != m.Name {
-			t.Fatalf("lookup %d: %+v %v", m.ConfigID, got, ok)
+		if m.ConfigID >= wire.ControlBase || !m.Features.Valid() {
+			t.Fatalf("mode %q: config ID %#02x, features %v", m.Name, m.ConfigID, m.Features)
 		}
+		if dup, ok := seen[m.ConfigID]; ok {
+			t.Fatalf("config ID %d used by both %q and %q", m.ConfigID, dup, m.Name)
+		}
+		seen[m.ConfigID] = m.Name
 		h := wire.Header{ConfigID: m.ConfigID, Features: m.Features}
 		enc, err := h.AppendTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Validate(wire.View(enc)); err != nil {
+		v := wire.View(enc)
+		if _, err := v.Check(); err != nil {
 			t.Fatalf("mode %q: %v", m.Name, err)
 		}
-	}
-	// Feature bits that disagree with the declared mode must fail.
-	h := wire.Header{ConfigID: ModeWAN.ConfigID, Features: wire.FeatSequenced}
-	enc, _ := h.AppendTo(nil)
-	if err := r.Validate(wire.View(enc)); err == nil {
-		t.Fatal("mismatched features accepted")
-	}
-	// Unknown mode must fail.
-	h2 := wire.Header{ConfigID: 0x77}
-	enc2, _ := h2.AppendTo(nil)
-	if err := r.Validate(wire.View(enc2)); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-	// Control packets validate trivially.
-	h3 := wire.Header{ConfigID: wire.ConfigNAK}
-	enc3, _ := h3.AppendTo(nil)
-	if err := r.Validate(wire.View(enc3)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRegistryRejectsBadModes(t *testing.T) {
-	if _, err := NewRegistry(Mode{Name: "ctl", ConfigID: wire.ConfigNAK}); err == nil {
-		t.Fatal("control-range config ID accepted")
-	}
-	if _, err := NewRegistry(Mode{Name: "bad", ConfigID: 1, Features: 1 << 23}); err == nil {
-		t.Fatal("undefined features accepted")
-	}
-	if _, err := NewRegistry(Mode{Name: "a", ConfigID: 1}, Mode{Name: "b", ConfigID: 1}); err == nil {
-		t.Fatal("duplicate config ID accepted")
+		if v.IsControl() || v.ConfigID() != m.ConfigID || v.Features() != m.Features {
+			t.Fatalf("mode %q decodes as config %d features %v", m.Name, v.ConfigID(), v.Features())
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package daq
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Experiment is one row of the paper's Table 1: a large instrument and its
 // data-acquisition rate.
@@ -31,16 +28,6 @@ func Catalog() []Experiment {
 		{Name: "Mu2e", DAQRateBps: 160e9, Kind: "muon-to-electron conversion", Detector: DetMu2e, MessageBytes: 2048},
 		{Name: "Vera Rubin", DAQRateBps: 400e9, Kind: "optical telescope", Detector: DetRubin, MessageBytes: 1 << 20},
 	}
-}
-
-// FindExperiment returns the catalog row with the given name.
-func FindExperiment(name string) (Experiment, error) {
-	for _, e := range Catalog() {
-		if e.Name == name {
-			return e, nil
-		}
-	}
-	return Experiment{}, fmt.Errorf("daq: experiment %q not in Table 1 catalog", name)
 }
 
 // ScaledRate returns the experiment's DAQ rate divided by scale (e.g.

@@ -2,7 +2,6 @@ package daq
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 )
@@ -240,31 +239,4 @@ func (s *LArTPCSource) Next() (Record, bool) {
 	data = append(data, adc...)
 	s.frame++
 	return Record{At: at, Data: data, Slice: cfg.Slice, Flags: hdr.Flags}, true
-}
-
-// MeanFromSamples returns the mean ADC value, a helper for validating the
-// synthesis statistics in tests and examples.
-func MeanFromSamples(samples []uint16) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range samples {
-		sum += float64(v)
-	}
-	return sum / float64(len(samples))
-}
-
-// StddevFromSamples returns the sample standard deviation.
-func StddevFromSamples(samples []uint16) float64 {
-	if len(samples) < 2 {
-		return 0
-	}
-	m := MeanFromSamples(samples)
-	var ss float64
-	for _, v := range samples {
-		d := float64(v) - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(samples)-1))
 }

@@ -700,7 +700,7 @@ func TestSimLiveMetricNameParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer liveRelay.Close()
-	liveSend, err := live.NewSender(liveRelay.Addr(), 7)
+	liveSend, err := live.NewSenderWithConfig(live.SenderConfig{Dst: liveRelay.Addr(), Experiment: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

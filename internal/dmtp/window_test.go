@@ -434,8 +434,8 @@ func TestNAKSplitsAtDatagramSize(t *testing.T) {
 		if len(data) > 1472 {
 			t.Fatalf("NAK %d is %d bytes: does not fit a 1500-byte-MTU datagram", i, len(data))
 		}
-		nak, err := wire.DecodeNAK(data)
-		if err != nil {
+		var nak wire.NAK
+		if err := nak.DecodeFrom(data); err != nil {
 			t.Fatalf("NAK %d: %v", i, err)
 		}
 		for _, r := range nak.Ranges {

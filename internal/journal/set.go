@@ -41,9 +41,6 @@ func OpenSet(dir string, shards int, sync string, segmentBytes int) (*Set, error
 	return s, nil
 }
 
-// NumShards returns the shard count.
-func (s *Set) NumShards() int { return len(s.js) }
-
 // Shard returns shard i's journal.
 func (s *Set) Shard(i int) *Journal { return s.js[i] }
 

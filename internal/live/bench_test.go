@@ -30,7 +30,7 @@ func BenchmarkLiveLoopback(b *testing.B) {
 	}
 	defer recv.Close()
 
-	sender, err := NewSender(recv.Addr(), 7)
+	sender, err := NewSenderWithConfig(SenderConfig{Dst: recv.Addr(), Experiment: 7})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func fakeClockPipeline(t *testing.T, fc *dmtp.FakeClock, dropEveryN int, rcfg Re
 		recv.Close()
 		t.Fatal(err)
 	}
-	snd, err := NewSender(relay.Addr(), 777)
+	snd, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: 777})
 	if err != nil {
 		relay.Close()
 		recv.Close()

@@ -189,11 +189,6 @@ func (s *Sender) countTxErr(n int) {
 	}
 }
 
-// NewSender dials the relay (or receiver) at dst.
-func NewSender(dst string, experiment uint32) (*Sender, error) {
-	return NewSenderWithConfig(SenderConfig{Dst: dst, Experiment: experiment})
-}
-
 // NewSenderWithConfig dials with full control over timeouts and middleware.
 func NewSenderWithConfig(cfg SenderConfig) (*Sender, error) {
 	cfg = cfg.withDefaults()

@@ -87,7 +87,7 @@ func pipeline(t *testing.T, dropEveryN int, rcfg ReceiverConfig) (*Sender, *Rela
 		recv.Close()
 		t.Fatal(err)
 	}
-	snd, err := NewSender(relay.Addr(), 777)
+	snd, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: 777})
 	if err != nil {
 		relay.Close()
 		recv.Close()

@@ -91,8 +91,8 @@ func (s *relayStub) nextNAK(timeout time.Duration) []wire.SeqRange {
 			s.t.Fatalf("no NAK within %v", timeout)
 		}
 		if v.ConfigID() == wire.ConfigNAK {
-			nak, err := wire.DecodeNAK(v)
-			if err != nil {
+			var nak wire.NAK
+			if err := nak.DecodeFrom(v); err != nil {
 				s.t.Fatal(err)
 			}
 			return nak.Ranges

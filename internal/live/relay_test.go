@@ -61,7 +61,7 @@ func TestRelayFlowIdleExpiry(t *testing.T) {
 	}
 	defer relay.Close()
 
-	sndA, err := NewSender(relay.Addr(), 701)
+	sndA, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: 701})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRelayFlowIdleExpiry(t *testing.T) {
 	// Two fake seconds of idleness, then a packet on a second flow: the
 	// burst triggers the sweep, which must expire only the idle flow.
 	fc.AdvanceTo(int64(2 * time.Second))
-	sndB, err := NewSender(relay.Addr(), 702)
+	sndB, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: 702})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +145,12 @@ func TestRelayCrashClearsFlowsAndReResolves(t *testing.T) {
 	}
 	defer relay.Close()
 
-	sndA, err := NewSender(relay.Addr(), 777)
+	sndA, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: 777})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sndA.Close()
-	sndB, err := NewSender(relay.Addr(), 888)
+	sndB, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: 888})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +649,7 @@ func TestRelayDestinationSetBounded(t *testing.T) {
 	defer relay.Close()
 	send := func(exp uint32) {
 		t.Helper()
-		snd, err := NewSender(relay.Addr(), exp)
+		snd, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: exp})
 		if err != nil {
 			t.Fatal(err)
 		}

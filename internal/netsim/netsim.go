@@ -185,9 +185,6 @@ func (p *Port) Send(f *Frame) {
 // QueueDepth returns the current number of queued frames.
 func (p *Port) QueueDepth() int { return len(p.queue) }
 
-// QueueBytes returns the current number of queued bytes.
-func (p *Port) QueueBytes() int { return p.queueBytes }
-
 // evictAged drops the first queued frame whose DMTP aged flag is set,
 // returning whether an eviction happened.
 func (p *Port) evictAged() bool {
@@ -493,6 +490,3 @@ func (n *Network) ConnectAsym(a, b *Node, ab, ba LinkConfig) (*Port, *Port) {
 // Gbps converts gigabits per second to the bits-per-second rate LinkConfig
 // expects.
 func Gbps(g float64) float64 { return g * 1e9 }
-
-// Mbps converts megabits per second to bits per second.
-func Mbps(m float64) float64 { return m * 1e6 }

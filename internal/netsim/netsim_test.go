@@ -56,7 +56,7 @@ func TestBackToBackFramesSerialize(t *testing.T) {
 }
 
 func TestQueueOverflowDropsTail(t *testing.T) {
-	cfg := LinkConfig{RateBps: Mbps(1), Delay: 0, QueueBytes: 3000, Overhead: 0}
+	cfg := LinkConfig{RateBps: 1e6, Delay: 0, QueueBytes: 3000, Overhead: 0}
 	nw, _, hb, a, _ := twoHosts(t, cfg)
 	for i := 0; i < 10; i++ {
 		a.SendTo(wire.AddrFrom(10, 0, 0, 2, 1), make([]byte, 1000))
@@ -177,7 +177,7 @@ func TestDeadlineAwareAQMEvictsAgedFirst(t *testing.T) {
 
 	// Frames are 1000 B of data + the default 38 B overhead = 1038 wire
 	// bytes; the queue fits exactly two.
-	cfg := LinkConfig{RateBps: Mbps(1), QueueBytes: 2100, DeadlineAware: true}
+	cfg := LinkConfig{RateBps: 1e6, QueueBytes: 2100, DeadlineAware: true}
 	nw, _, hb, a, _ := twoHosts(t, cfg)
 	dst := wire.AddrFrom(10, 0, 0, 2, 1)
 	var delivered [][]byte

@@ -15,21 +15,18 @@ func buildPilotChain(t *testing.T) (*Pipeline, wire.View, *Meta) {
 	t.Helper()
 	fwd := NewForwarder().Route(wire.Addr{IP: [4]byte{10, 0, 0, 2}, Port: 1}, 1)
 	pipe := NewPipeline(NewContext(nil),
-		&Sequencer{},
 		&AgeTracker{PortDeltaMicros: map[int]uint32{WildcardPort: 50}},
 		&DeadlineMarker{SuppressWindow: time.Second},
-		&Policer{},
 		ExperimentCounter{},
 		fwd,
 	)
 	h := wire.Header{
 		ConfigID:   1,
-		Features:   wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped | wire.FeatPaced,
+		Features:   wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped,
 		Experiment: wire.NewExperimentID(12, 1),
 	}
 	h.Age.MaxAgeMicros = 1 << 30
 	h.Deadline.DeadlineNanos = 1 << 62
-	h.Pace.RateMbps = 100000
 	pkt, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -47,8 +44,7 @@ func TestProcessChainZeroAlloc(t *testing.T) {
 	dst := wire.Addr{IP: [4]byte{10, 0, 0, 2}, Port: 1}
 	var now int64
 	run := func() {
-		// Advance virtual time so the policer's token bucket refills
-		// between packets, as it would under a real packet cadence.
+		// Advance virtual time as a real packet cadence would.
 		now += int64(time.Microsecond)
 		meta.Reset(sim.Time(now), 0, wire.Addr{}, dst)
 		if _, err := pipe.Run(pkt, meta); err != nil {
@@ -59,8 +55,6 @@ func TestProcessChainZeroAlloc(t *testing.T) {
 		}
 	}
 	run() // warm-up: registers, counter cache, map buckets
-	// A sequenced packet keeps its number, so steady state is the common
-	// retransmission-free case: seq already assigned.
 	if avg := testing.AllocsPerRun(500, run); avg != 0 {
 		t.Fatalf("Process chain allocates %.1f allocs/op, want 0", avg)
 	}

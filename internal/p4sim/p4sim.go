@@ -163,15 +163,6 @@ func (r *RegisterArray) Read(i uint64) uint64 { return r.vals[r.idx(i)] }
 // Write stores v at index i.
 func (r *RegisterArray) Write(i uint64, v uint64) { r.vals[r.idx(i)] = v }
 
-// FetchAdd adds delta to the register at index i and returns the value
-// before the addition (a single atomic RMW, as P4 externs provide).
-func (r *RegisterArray) FetchAdd(i uint64, delta uint64) uint64 {
-	k := r.idx(i)
-	old := r.vals[k]
-	r.vals[k] = old + delta
-	return old
-}
-
 // Counter counts packets and bytes.
 type Counter struct {
 	Packets uint64

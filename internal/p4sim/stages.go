@@ -162,78 +162,6 @@ func (m *ModeChanger) Process(ctx *Context, pkt wire.View, meta *Meta) (wire.Vie
 	return out, nil
 }
 
-// TraceStamper records this element's transit in sampled in-band traces:
-// one hop stamp per traced packet, written in place into the FeatTraced
-// ring (paper-style INT, but bounded to the extension's fixed slots).
-// Untraced and sampled-out packets pass through untouched at the cost of
-// one feature-bit test.
-type TraceStamper struct {
-	// HopID identifies this element in hop stamps; zero means the generic
-	// wire.TraceHopNet.
-	HopID uint8
-	// Stamped counts hop stamps written.
-	Stamped uint64
-}
-
-// Name implements Stage.
-func (t *TraceStamper) Name() string { return "trace-stamper" }
-
-// Process implements Stage.
-func (t *TraceStamper) Process(ctx *Context, pkt wire.View, meta *Meta) (wire.View, error) {
-	if pkt.IsControl() || !pkt.TraceSampled() {
-		return nil, nil
-	}
-	hop := t.HopID
-	if hop == 0 {
-		hop = wire.TraceHopNet
-	}
-	if err := pkt.AppendHopStamp(hop, int64(ctx.Now().Nanos())); err != nil {
-		return nil, err
-	}
-	t.Stamped++
-	return nil, nil
-}
-
-// Sequencer assigns per-flow sequence numbers to loss-recoverable streams
-// (paper §5.4: "Network elements add a sequence number to loss-recoverable
-// streams"). Sequence numbers start at 1; 0 means "unassigned", so
-// retransmitted packets (which already carry their number) pass through
-// untouched. Flows are indexed by experiment ID into a register array.
-type Sequencer struct {
-	// Slots sizes the flow register array.
-	Slots int
-	// Assigned counts sequence numbers handed out.
-	Assigned uint64
-}
-
-// Name implements Stage.
-func (s *Sequencer) Name() string { return "sequencer" }
-
-// Process implements Stage.
-func (s *Sequencer) Process(ctx *Context, pkt wire.View, meta *Meta) (wire.View, error) {
-	if pkt.IsControl() || !pkt.Features().Has(wire.FeatSequenced) {
-		return nil, nil
-	}
-	seq, err := pkt.Seq()
-	if err != nil {
-		return nil, err
-	}
-	if seq != 0 {
-		return nil, nil // already assigned (e.g. a retransmission)
-	}
-	slots := s.Slots
-	if slots == 0 {
-		slots = 4096
-	}
-	reg := ctx.Register("seq", slots)
-	next := reg.FetchAdd(uint64(pkt.Experiment()), 1) + 1
-	if err := pkt.SetSeq(next); err != nil {
-		return nil, err
-	}
-	s.Assigned++
-	return nil, nil
-}
-
 // AgeTracker accumulates packet age and sets the aged flag (paper §5.4:
 // "An element updates an 'age' field, and it additionally updates an 'aged'
 // flag if a maximum age threshold was exceeded by the time the packet
@@ -570,74 +498,5 @@ func (ExperimentCounter) Process(ctx *Context, pkt wire.View, meta *Meta) (wire.
 	}
 	ent.total.Add(len(pkt))
 	ent.slice.Add(len(pkt))
-	return nil, nil
-}
-
-// Policer enforces the pacing contract carried in FeatPaced headers with a
-// per-experiment token-bucket meter, the P4 analogue of an RFC 2698-style
-// meter extern: senders that exceed their assigned rate have the excess
-// dropped at the edge. This is how a capacity-planned network protects
-// itself from a misconfigured sender without running congestion control
-// (paper §4.1(4): "resource reservation and capacity planning forestall
-// the potential harm from misbehaving peers").
-type Policer struct {
-	// Slots sizes the meter register arrays (default 1024).
-	Slots int
-	// Conformed and Policed count packets passed and dropped.
-	Conformed, Policed uint64
-}
-
-// Name implements Stage.
-func (p *Policer) Name() string { return "policer" }
-
-// Process implements Stage.
-func (p *Policer) Process(ctx *Context, pkt wire.View, meta *Meta) (wire.View, error) {
-	if pkt.IsControl() || !pkt.Features().Has(wire.FeatPaced) {
-		return nil, nil
-	}
-	pace, err := pkt.Pace()
-	if err != nil {
-		return nil, err
-	}
-	if pace.RateMbps == 0 {
-		return nil, nil // unmetered
-	}
-	slots := p.Slots
-	if slots == 0 {
-		slots = 1024
-	}
-	tokens := ctx.Register("meter-tokens", slots) // byte credit, fixed point
-	lastNs := ctx.Register("meter-last", slots)
-	idx := uint64(pkt.Experiment())
-	now := ctx.Now().Nanos()
-
-	burst := uint64(pace.BurstKB) * 1024
-	if burst == 0 {
-		burst = 64 << 10
-	}
-	t := tokens.Read(idx)
-	last := lastNs.Read(idx)
-	switch {
-	case last == 0:
-		t = burst // a flow's first packet sees a full bucket
-	case now > last:
-		// rate [Mbps] × Δt [ns] / 8000 = bytes accrued. Integer-only, as
-		// P4 requires.
-		t += uint64(pace.RateMbps) * (now - last) / 8000
-	}
-	if t > burst {
-		t = burst
-	}
-	lastNs.Write(idx, now)
-	need := uint64(len(pkt))
-	if t < need {
-		tokens.Write(idx, t)
-		p.Policed++
-		meta.Drop = true
-		meta.DropReason = "pace exceeded"
-		return nil, nil
-	}
-	tokens.Write(idx, t-need)
-	p.Conformed++
 	return nil, nil
 }

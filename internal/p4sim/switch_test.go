@@ -47,21 +47,24 @@ func (r *switchRig) sendDMTP(t *testing.T, h wire.Header, payload string) {
 }
 
 func TestSwitchForwardsDMTPThroughPipeline(t *testing.T) {
-	seqr := &Sequencer{}
-	rig := newSwitchRig(t, 400*time.Nanosecond, seqr)
+	at := &AgeTracker{PortDeltaMicros: map[int]uint32{WildcardPort: 100}}
+	rig := newSwitchRig(t, 400*time.Nanosecond, at)
 	var got []wire.View
 	rig.b.Recv = func(f *netsim.Frame) { got = append(got, wire.View(f.Data)) }
 
 	for i := 0; i < 3; i++ {
-		rig.sendDMTP(t, wire.Header{ConfigID: 1, Features: wire.FeatSequenced}, "x")
+		h := wire.Header{ConfigID: 1, Features: wire.FeatAgeTracked}
+		h.Age.AgeMicros = uint32(i)
+		h.Age.MaxAgeMicros = 1000
+		rig.sendDMTP(t, h, "x")
 	}
 	rig.nw.Loop().Run()
 	if len(got) != 3 {
 		t.Fatalf("delivered %d", len(got))
 	}
 	for i, v := range got {
-		if seq, _ := v.Seq(); seq != uint64(i+1) {
-			t.Fatalf("frame %d seq %d", i, seq)
+		if age, _ := v.Age(); age.AgeMicros != uint32(i+100) {
+			t.Fatalf("frame %d age %d", i, age.AgeMicros)
 		}
 	}
 	if rig.sw.Pipeline.Processed != 3 {
@@ -156,10 +159,10 @@ func TestSwitchEmitsMintsAndCopies(t *testing.T) {
 }
 
 func TestSwitchDropReasonOnPipelineError(t *testing.T) {
-	seqr := &Sequencer{}
-	rig := newSwitchRig(t, 400*time.Nanosecond, seqr)
-	// Claim FeatSequenced but truncate the extension: stage error → drop.
-	h := wire.Header{ConfigID: 1, Features: wire.FeatSequenced}
+	at := &AgeTracker{PortDeltaMicros: map[int]uint32{WildcardPort: 100}}
+	rig := newSwitchRig(t, 400*time.Nanosecond, at)
+	// Claim FeatAgeTracked but truncate the extension: stage error → drop.
+	h := wire.Header{ConfigID: 1, Features: wire.FeatAgeTracked}
 	data, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +192,7 @@ func TestBackPressureMonitorReadsRealQueues(t *testing.T) {
 	bNode := nw.AddNode("b", bAddr, b)
 	nw.Connect(swNode, aNode, netsim.LinkConfig{RateBps: netsim.Gbps(10), Delay: time.Microsecond})
 	// Slow egress toward b so its queue builds.
-	nw.Connect(swNode, bNode, netsim.LinkConfig{RateBps: netsim.Mbps(10), Delay: time.Microsecond, QueueBytes: 1 << 20})
+	nw.Connect(swNode, bNode, netsim.LinkConfig{RateBps: 10e6, Delay: time.Microsecond, QueueBytes: 1 << 20})
 	fwd.Route(aAddr, 0).Route(bAddr, 1)
 
 	var signals int

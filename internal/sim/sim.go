@@ -83,9 +83,6 @@ func (t Timer) Pending() bool {
 	return t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0
 }
 
-// When returns the virtual time the timer is (or was) scheduled for.
-func (t Timer) When() Time { return t.at }
-
 type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }

@@ -210,30 +210,6 @@ func (m *Meter) RateGbps(elapsed time.Duration) float64 {
 	return m.RateBps(elapsed) / 1e9
 }
 
-// FlowRecord captures the life of one transfer for flow-completion-time
-// reporting.
-type FlowRecord struct {
-	Name      string
-	Bytes     uint64
-	Messages  uint64
-	Start     time.Duration // virtual time
-	End       time.Duration
-	Losses    uint64
-	Recovered uint64
-}
-
-// FCT returns the flow completion time.
-func (f *FlowRecord) FCT() time.Duration { return f.End - f.Start }
-
-// Goodput returns delivered application throughput in bits per second.
-func (f *FlowRecord) Goodput() float64 {
-	d := f.FCT()
-	if d <= 0 {
-		return 0
-	}
-	return float64(f.Bytes*8) / d.Seconds()
-}
-
 // Table is a minimal fixed-width text table writer used by cmd/benchtab and
 // EXPERIMENTS.md generation to print paper-style result rows.
 type Table struct {

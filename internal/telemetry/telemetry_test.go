@@ -214,20 +214,6 @@ func TestMeterRates(t *testing.T) {
 	}
 }
 
-func TestFlowRecord(t *testing.T) {
-	f := FlowRecord{Bytes: 1e9 / 8, Start: time.Second, End: 2 * time.Second}
-	if f.FCT() != time.Second {
-		t.Fatalf("fct %v", f.FCT())
-	}
-	if math.Abs(f.Goodput()-1e9) > 1 {
-		t.Fatalf("goodput %v", f.Goodput())
-	}
-	zero := FlowRecord{}
-	if zero.Goodput() != 0 {
-		t.Fatal("zero-duration goodput")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("experiment", "rate")
 	tb.Row("DUNE", 120.0)

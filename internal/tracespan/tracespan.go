@@ -331,6 +331,9 @@ type traceEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
+// spanCategory is the trace-event category of every reconstructed span.
+const spanCategory = "trace"
+
 // traceDoc is the top-level Chrome trace-event JSON document.
 type traceDoc struct {
 	TraceEvents     []traceEvent `json:"traceEvents"`
@@ -385,7 +388,7 @@ func (c *Collector) WriteTraceJSON(w io.Writer) error {
 		}
 		for _, sp := range r.Spans() {
 			doc.TraceEvents = append(doc.TraceEvents, traceEvent{
-				Name: sp.Name, Cat: wire.KindTrace, Phase: "X",
+				Name: sp.Name, Cat: spanCategory, Phase: "X",
 				TsUs:  float64(sp.Start-epoch) / 1e3,
 				DurUs: float64(sp.End-sp.Start) / 1e3,
 				Pid:   pid, Tid: r.TraceID, Args: args,

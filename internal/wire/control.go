@@ -71,15 +71,6 @@ func (n *NAK) AppendTo(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeNAK parses a NAK packet (starting at the DMTP core header).
-func DecodeNAK(b []byte) (*NAK, error) {
-	n := &NAK{}
-	if err := n.DecodeFrom(b); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
 // DecodeFrom parses a NAK packet into n, reusing n.Ranges' capacity — the
 // zero-allocation decode path for a relay's steady-state NAK service. b is
 // not retained.

@@ -16,8 +16,8 @@ func TestNAKRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeNAK(enc)
-		if err != nil {
+		got := &NAK{}
+		if err := got.DecodeFrom(enc); err != nil {
 			t.Logf("decode: %v", err)
 			return false
 		}
@@ -47,8 +47,8 @@ func TestNAKDecodeRejectsWrongType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeNAK(enc); err == nil {
-		t.Fatal("DecodeNAK accepted an ACK")
+	if err := new(NAK).DecodeFrom(enc); err == nil {
+		t.Fatal("NAK.DecodeFrom accepted an ACK")
 	}
 }
 
@@ -59,7 +59,7 @@ func TestNAKDecodeTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeNAK(enc[:cut]); err == nil {
+		if err := new(NAK).DecodeFrom(enc[:cut]); err == nil {
 			t.Fatalf("decode accepted truncation to %d bytes", cut)
 		}
 	}
@@ -137,7 +137,7 @@ func TestControlPacketsSurviveStripEncap(t *testing.T) {
 	if !v.IsControl() {
 		t.Fatal("control bit lost")
 	}
-	if _, err := DecodeNAK(v); err != nil {
+	if err := new(NAK).DecodeFrom(v); err != nil {
 		t.Fatal(err)
 	}
 }

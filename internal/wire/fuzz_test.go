@@ -67,7 +67,7 @@ func FuzzControlDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// None of the control decoders may panic.
-		_, _ = DecodeNAK(b)
+		_ = new(NAK).DecodeFrom(b)
 		_, _ = DecodeDeadlineExceeded(b)
 		_, _ = DecodeBackPressure(b)
 		_, _ = DecodeAck(b)

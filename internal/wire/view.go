@@ -326,16 +326,3 @@ func (v View) Clone() View {
 	copy(out, v)
 	return out
 }
-
-// CloneInto copies the packet into dst's storage (reusing its capacity
-// where possible), the pooled-buffer counterpart of Clone.
-func (v View) CloneInto(dst []byte) View {
-	var out View
-	if cap(dst) >= len(v) {
-		out = View(dst[:len(v)])
-	} else {
-		out = make(View, len(v))
-	}
-	copy(out, v)
-	return out
-}

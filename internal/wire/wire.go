@@ -49,10 +49,6 @@ const (
 	UDPPortDMTP = 0x44AC // 17580
 )
 
-// Version is the current ConfigID interpretation version for data packets.
-// Data-packet ConfigIDs 0x00..0xEF name modes; see package core.
-const Version = 1
-
 // CoreHeaderLen is the length in bytes of the fixed DMTP core header.
 const CoreHeaderLen = 8
 
