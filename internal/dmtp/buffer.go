@@ -85,7 +85,8 @@ type BufferConfig struct {
 	// nak-miss, evict, trim, crash, restart) stamped with Clock. Recording
 	// is lock- and allocation-free; nil disables it entirely.
 	Recorder *metrics.FlightRecorder
-	// Clock stamps Recorder events. Nil defaults to WallClock; the
+	// Clock stamps Recorder events — except the evictions RelayEngine.Handle
+	// triggers, which carry Handle's now. Nil defaults to WallClock; the
 	// simulator adapter passes its virtual clock so event timestamps align
 	// with the trace.
 	Clock Clock
@@ -277,6 +278,15 @@ func (b *BufferEngine) Restart() {
 	}
 }
 
+// eventNow is the clock reading that stamps a call's Recorder events; with
+// no Recorder it reads nothing.
+func (b *BufferEngine) eventNow() int64 {
+	if b.cfg.Recorder == nil {
+		return 0
+	}
+	return b.cfg.Clock.Now()
+}
+
 // Down reports whether the engine is crashed.
 func (b *BufferEngine) Down() bool { return b.down }
 
@@ -291,12 +301,13 @@ func (b *BufferEngine) Down() bool { return b.down }
 // BufferStats.Refused, and pkt stays the caller's. A seq further ahead
 // than newest+1 is accepted and leaves a hole.
 func (b *BufferEngine) Stash(exp wire.ExperimentID, seq uint64, pkt []byte) bool {
-	return b.stash(b.expFor(exp), seq, pkt)
+	return b.stash(b.expFor(exp), seq, pkt, b.eventNow())
 }
 
-// stash is Stash into a run the caller already holds.
-func (b *BufferEngine) stash(st *expStash, seq uint64, pkt []byte) bool {
-	ok := b.restore(st, seq, pkt)
+// stash is Stash into a run the caller already holds; now stamps the
+// evictions it triggers.
+func (b *BufferEngine) stash(st *expStash, seq uint64, pkt []byte, now int64) bool {
+	ok := b.restore(st, seq, pkt, now)
 	if ok && b.cfg.Journal != nil {
 		b.cfg.Journal.Append(st.exp, seq, pkt)
 	}
@@ -309,11 +320,12 @@ func (b *BufferEngine) stash(st *expStash, seq uint64, pkt []byte) bool {
 // keeping the log consistent with the rebuilt stash. Lost records just
 // leave holes; a record that does not ascend is refused like any other.
 func (b *BufferEngine) RestoreStash(exp wire.ExperimentID, seq uint64, pkt []byte) bool {
-	return b.restore(b.expFor(exp), seq, pkt)
+	return b.restore(b.expFor(exp), seq, pkt, b.eventNow())
 }
 
-// restore is RestoreStash into a run the caller already holds.
-func (b *BufferEngine) restore(st *expStash, seq uint64, pkt []byte) bool {
+// restore is RestoreStash into a run the caller already holds; now stamps
+// the evictions it triggers, so a burst's inserts read the clock once.
+func (b *BufferEngine) restore(st *expStash, seq uint64, pkt []byte, now int64) bool {
 	if held := st.held(); len(held) > 0 && seq <= held[len(held)-1].seq {
 		b.stats.Refused++
 		return false
@@ -327,7 +339,7 @@ func (b *BufferEngine) restore(st *expStash, seq uint64, pkt []byte) bool {
 			b.cfg.Journal.Tombstone(victim.exp, old.seq)
 		}
 		if b.cfg.Recorder != nil {
-			b.cfg.Recorder.RecordAt(b.cfg.Clock.Now(), metrics.EvEvict,
+			b.cfg.Recorder.RecordAt(now, metrics.EvEvict,
 				uint64(victim.exp), old.seq, uint64(len(old.pkt)))
 		}
 	}

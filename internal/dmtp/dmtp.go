@@ -61,10 +61,14 @@ type Datapath interface {
 	// Ownership of pkt transfers to the datapath.
 	SendControl(dst wire.Addr, pkt []byte)
 	// SendData transmits a data packet the engine retains (e.g. a stash
-	// entry being retransmitted). The engine keeps ownership: a datapath
-	// that queues or retains the bytes must copy them first. Writing to
-	// a socket is a copy; handing the slice to a simulator frame is not.
-	// It leaves at once, ahead of anything a relay's Emit still retains.
+	// entry being retransmitted). The engine keeps ownership. As with a
+	// relay's Emit, a datapath may keep the reference until its caller
+	// releases the engine's lock — a stash buffer let go meanwhile comes to
+	// Buffer.Release, where the adapter defers recycling it — and must copy
+	// what it keeps longer. Writing to a socket is a copy; handing the
+	// slice to a simulator frame is not. The engine never asks for a
+	// flush: the packet may leave at once or queued, before or after
+	// anything a relay's Emit still retains.
 	SendData(dst wire.Addr, pkt []byte)
 }
 

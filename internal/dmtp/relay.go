@@ -85,7 +85,8 @@ type RelayConfig[D fmt.Stringer] struct {
 	// may keep the reference while Handle's caller holds the lock: a stash
 	// buffer let go meanwhile comes to its own Buffer.Release, where it
 	// defers the recycling. The engine never asks for a flush, so a
-	// retransmission (Datapath, sent at once) may overtake retained data.
+	// retransmission (Datapath.SendData, sent at once or queued ahead of
+	// its destination's forwards) may overtake retained data.
 	Emit func(f *Flow[D], pkt []byte)
 }
 
@@ -313,7 +314,7 @@ func (e *RelayEngine[D]) Buffer() *ShardedBuffer { return e.sb }
 // compiled upgrade copies its header without checking it a second time.
 // NAKs and ACKs carry the experiment in the core header, so they find their
 // shard the way data does. Caller holds the lock, and sends whatever Emit
-// retained before releasing it.
+// or the Datapath retained before releasing it.
 func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 	exp := v.Experiment()
 	if v.IsControl() {
@@ -390,7 +391,7 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 		// run's counter, which stays at or above the newest number held
 		// (nothing else feeds this path, and a restore's RestoreSeq follows
 		// its RestoreStash).
-		f.buf.stash(f.run, seq, up)
+		f.buf.stash(f.run, seq, up, now)
 		if e.cfg.DropEveryN > 0 && seq%uint64(e.cfg.DropEveryN) == 0 {
 			e.injectedDrops++
 			e.cfg.Buffer.Recorder.RecordAt(now, metrics.EvInjectedDrop, uint64(exp), seq, 0)

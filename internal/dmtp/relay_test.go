@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -545,6 +546,39 @@ func TestRelayEngineBoundaryTrace(t *testing.T) {
 	r.ingest(rigSrcA, expA)
 	if len(traced) != 2 || traced[0] != 2 || traced[1] != 4 {
 		t.Fatalf("traced upgrades %v, want IDs [2 4]", traced)
+	}
+}
+
+// TestRelayEvictionStampedWithHandleNow: an eviction that an upgrade
+// triggers carries the now Handle was given, not a later clock reading —
+// the live relay reads its clock once per burst and hands that reading to
+// every packet of it.
+func TestRelayEvictionStampedWithHandleNow(t *testing.T) {
+	rec := metrics.NewFlightRecorder(16)
+	r := newRelayRig(t, func(c *RelayConfig[testDst]) {
+		c.Buffer.CapacityBytes = 1 // every insert evicts what is held
+		c.Buffer.Recorder = rec
+	})
+	burst := r.clock.Now()
+	r.clock.Advance(time.Second) // the engine's clock reads later than the burst's
+	enc, err := (&wire.Header{Experiment: expA}).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := wire.View(append(enc, "payload"...))
+	if _, err := pkt.Check(); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.Handle(rigSrcA, pkt, burst)
+	r.eng.Handle(rigSrcA, pkt, burst) // evicts seq 1
+	var evicts []metrics.Event
+	for _, e := range rec.Snapshot() {
+		if e.Kind == metrics.EvEvict {
+			evicts = append(evicts, e)
+		}
+	}
+	if len(evicts) != 1 || evicts[0].Seq != 1 || evicts[0].At != burst {
+		t.Fatalf("evict events %+v, want one for seq 1 at %d (Handle's now), not %d (the clock)", evicts, burst, r.clock.Now())
 	}
 }
 

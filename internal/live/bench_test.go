@@ -1,9 +1,13 @@
 package live
 
 import (
+	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // benchPayload is a DAQ-fragment-sized message body (the pilot's generators
@@ -165,6 +169,63 @@ func BenchmarkRelayIngest(b *testing.B) {
 			b.ReportMetric(float64(relay.Stats().Upgraded)/b.Elapsed().Seconds(), "upgraded/s")
 			if mode.journal {
 				b.ReportMetric(float64(relay.JournalStats().Appends)/b.Elapsed().Seconds(), "appends/s")
+			}
+		})
+	}
+}
+
+// BenchmarkRelayBurst drives the relay's forward path alone, on the
+// kernel path: 256-packet bursts of one flow, 1 KiB and 256 B, handed to
+// the engine and flushed into a loopback socket nobody reads (forwarding
+// is fire-and-forget), with a cumulative trim of the burst before its
+// flush, as an ACK in the burst would. One op is one burst. Beside ns/op
+// it reports the relay's write syscalls per burst and packets per write:
+// how the forward leg cuts a burst into GSO super-datagrams.
+func BenchmarkRelayBurst(b *testing.B) {
+	const burst = 256
+	for _, size := range []int{1024, 256} {
+		b.Run(fmt.Sprintf("size=%dB", size), func(b *testing.B) {
+			sink, err := net.ListenPacket("udp4", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sink.Close()
+			relay, err := NewRelay(RelayConfig{Listen: "127.0.0.1:0", Forward: sink.LocalAddr().String(), MaxAge: time.Hour})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer relay.Close()
+			if !relay.BatchCaps().Mmsg {
+				b.Skip("portable path: no write syscalls to count")
+			}
+			exp := wire.NewExperimentID(7, 0)
+			enc, err := (&wire.Header{Experiment: exp}).AppendTo(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pkt := wire.View(append(enc, make([]byte, size)...))
+			src := wire.AddrFrom(10, 0, 0, 1, 4000)
+			var seq uint64
+			before := relay.BatchStats()
+			b.SetBytes(int64(burst * size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				relay.engMu.Lock()
+				for k := 0; k < burst; k++ {
+					relay.eng.Handle(src, pkt, 0)
+				}
+				seq += burst
+				relay.eng.Buffer().Trim(exp, seq)
+				relay.flush()
+				relay.engMu.Unlock()
+			}
+			b.StopTimer()
+			after := relay.BatchStats()
+			writes := after.Syscalls - before.Syscalls
+			b.ReportMetric(float64(writes)/float64(b.N), "writes/burst")
+			if writes > 0 {
+				b.ReportMetric(float64(after.SentPackets-before.SentPackets)/float64(writes), "pkts/write")
 			}
 		})
 	}

@@ -9,11 +9,14 @@ package live
 //     by packet, in arrival order, under one hold of the engine lock.
 //
 //   - Each downstream address is one destination, shared by every flow
-//     that resolved to it and flushed with one batched WriteBatchTo per
-//     destination per burst — each flow's packets of the burst contiguous
-//     in it, so a flow's equal-size run stays one GSO send however the
-//     flows interleaved on arrival; a stash buffer the engine releases
-//     mid-burst is recycled only after that flush, since a queued packet
+//     that resolved to it, and its queue holds at most one GSO
+//     super-datagram: the packet that would overflow it first writes the
+//     queue with one WriteBatchTo, and the burst's end writes the rest.
+//     Each write gathers its flows' packets contiguously, so a flow's
+//     equal-size run stays one GSO send however the flows interleaved on
+//     arrival. NAK retransmissions join the requester's destination queue
+//     ahead of its forwards. A stash buffer the engine releases mid-burst
+//     is recycled only after the burst's last write, since a queued packet
 //     may still reference it.
 
 import (
@@ -112,19 +115,25 @@ type RelayStats struct {
 }
 
 // destination is one downstream address, shared by every flow that
-// resolved to it. flows lists the flows with forward-leg packets this
-// burst, in the order each first queued one; flush gathers their packets
-// into pkts, flow by flow, for one batched WriteBatchTo. A non-empty flows
-// marks membership in the relay's dirty list.
+// resolved to it. Its queue is at most one GSO super-datagram: rtx holds
+// the retransmissions queued for it, flows the flows with forward-leg
+// packets queued, in the order each first queued one, and n and bytes
+// count both. send gathers them into pkts — retransmissions first, then
+// flow by flow — for one batched WriteBatchTo. dirty marks membership in
+// the relay's dirty list, which lasts until flush even when a send has
+// emptied the queue mid-burst.
 type destination struct {
-	addr  netip.AddrPort
-	flows []*relayFlow
-	pkts  [][]byte
+	addr     netip.AddrPort
+	dirty    bool
+	rtx      [][]byte
+	flows    []*relayFlow
+	n, bytes int
+	pkts     [][]byte
 }
 
 // forwardQueue is a flow's handle on its destination (dmtp.Flow.Dst):
-// the shared destination, and the flow's own packets of this burst, in
-// order, awaiting the destination's flush.
+// the shared destination, and the flow's own packets queued on it, in
+// order, awaiting the destination's next send.
 type forwardQueue struct {
 	dst  *destination
 	pkts [][]byte
@@ -136,8 +145,8 @@ type relayFlow = dmtp.Flow[*forwardQueue]
 
 // Relay is the live-path network element + buffer: dmtp.RelayEngine
 // adapted to UDP sockets, with stash entries carved from the relay's own
-// log and forwarding gathered into one send per downstream address
-// per burst.
+// log and forwarding gathered into one send per downstream address per
+// GSO super-datagram.
 type Relay struct {
 	cfg RelayConfig
 
@@ -152,7 +161,7 @@ type Relay struct {
 
 	// engMu is the engine's Locker: it serializes the receive loop's
 	// bursts against scrapes, Crash and Restart. The flush that ends every
-	// hold empties dirty (destinations with queued forwards) and retired
+	// hold empties dirty (destinations queued on this hold) and retired
 	// (stash buffers released meanwhile), so both are empty whenever it is
 	// free. stash is the engine's Alloc and where released stash buffers
 	// go back; every call to it runs under engMu. dsts interns one
@@ -364,17 +373,28 @@ func (r *Relay) RegisterMetrics(reg *metrics.Registry) {
 }
 
 // relayDatapath serves engine output (NAK retransmissions) over the
-// relay's socket. Socket writes do not retain the packet, so the engine's
-// pooled stash entries go out without copying. Called under engMu,
-// always from the receive-loop goroutine — which also makes r.conn stable
-// for the duration (rebinds only happen after the loop exits).
+// relay's socket. A requester the relay already forwards to gets the
+// packet on that destination's queue, ahead of its forwards, and release
+// keeps the queued stash entry alive as it does a forward's. Any other
+// requester is written at once: a NAK is outside input, and interning its
+// requester would grow the destination set from the network. Socket
+// writes do not retain the packet, so the engine's pooled stash entries go
+// out without copying. Called under engMu, always from the receive-loop
+// goroutine — which also makes r.conn stable for the duration (rebinds
+// only happen after the loop exits).
 type relayDatapath struct{ r *Relay }
 
 func (d relayDatapath) SendControl(dst wire.Addr, pkt []byte) { d.SendData(dst, pkt) }
 
 func (d relayDatapath) SendData(dst wire.Addr, pkt []byte) {
-	if _, err := d.r.conn.WriteToUDPAddrPort(pkt, addrPort(dst)); err != nil {
-		d.r.countTxErr(1)
+	r, ap := d.r, addrPort(dst)
+	if q := r.dsts[ap]; q != nil {
+		r.reserve(q, len(pkt))
+		q.rtx = append(q.rtx, pkt)
+		return
+	}
+	if _, err := r.conn.WriteToUDPAddrPort(pkt, ap); err != nil {
+		r.countTxErr(1)
 	}
 }
 
@@ -471,7 +491,7 @@ func (r *Relay) Close() error {
 // loop is the receive loop: read a burst, hand its packets to the engine
 // in arrival order and flush the forward queues, all under one hold of
 // engMu. Ring buffers stay valid until the next ReadBatch, which is after
-// every queued forward has been flushed.
+// every queued forward has been written.
 func (r *Relay) loop(bc *batchConn) {
 	defer r.wg.Done()
 	var now int64
@@ -561,29 +581,45 @@ func (r *Relay) prune() {
 	}
 }
 
-// queue is the engine's Emit: append pkt to f's queue, and on the flow's
-// first packet of the burst list it on its destination, marking that
-// dirty. pkt points into the batch ring or a stash buffer; the ring
-// outlives this lock hold's flush, and release makes the buffer do so.
+// queue is the engine's Emit: make room for pkt on f's destination,
+// append it to f's queue, and on the flow's first packet since the
+// destination's last send list the flow on it. pkt points into the batch
+// ring or a stash buffer; the ring outlives this lock hold's flush, and
+// release makes the buffer do so.
 func (r *Relay) queue(f *relayFlow, pkt []byte) {
 	q := f.Dst
+	r.reserve(q.dst, len(pkt))
 	if len(q.pkts) == 0 {
-		d := q.dst
-		if len(d.flows) == 0 {
-			r.dirty = append(r.dirty, d)
-		}
-		d.flows = append(d.flows, f)
+		q.dst.flows = append(q.dst.flows, f)
 	}
 	q.pkts = append(q.pkts, pkt)
+}
+
+// reserve accounts one more packet of size bytes on d, first sending d's
+// queue if the packet would not fit the same GSO super-datagram, and
+// lists d as dirty for the rest of the lock hold.
+func (r *Relay) reserve(d *destination, size int) {
+	if d.n == maxGSOSegs || d.n > 0 && d.bytes+size > maxGSOBytes {
+		r.send(d)
+	}
+	if !d.dirty {
+		d.dirty = true
+		r.dirty = append(r.dirty, d)
+	}
+	d.n++
+	d.bytes += size
 }
 
 // recycle returns a released stash buffer to the relay's stash log; tests
 // swap it to see every trimmed, evicted or crashed entry on its way back.
 var recycle = (*wire.StashLog).Put
 
-// release is the engine's Buffer.Release. A queued forward may point at b,
-// so b returns to the stash log only after flush — at once when nothing is
-// queued (Crash, Restart, a burst's first packet). Caller holds engMu.
+// release is the engine's Buffer.Release. A queued packet may point at b,
+// so while any destination is dirty b returns to the stash log only after
+// flush — at once when none is (Crash, Restart, a burst's first packet). A
+// send mid-burst leaves its destination dirty, so that rule needs no
+// knowledge of which destination a buffer was queued on. Caller holds
+// engMu.
 func (r *Relay) release(b []byte) {
 	if len(r.dirty) == 0 {
 		recycle(r.stash, b)
@@ -592,32 +628,43 @@ func (r *Relay) release(b []byte) {
 	r.retired = append(r.retired, b)
 }
 
-// flush drains every dirty destination with one batched write: its flows'
-// queued forwards gathered flow by flow, so each flow's packets stay in
-// order and contiguous — equal-size flows still merge into one GSO run, a
-// flow of another size starts a run of its own. Each flow is credited the
-// share of the kernel-accepted prefix it owns; failed tails are dropped
-// (loss recovery is the protocol's job) and counted in
-// dmtp.live.tx.errors. Then the retired buffers are recycled. Caller
-// holds engMu.
+// send writes d's queue with one batched write: its retransmissions,
+// then its flows' forwards gathered flow by flow, so each flow's packets
+// stay in order and contiguous — equal-size flows still merge into one
+// GSO run, a flow of another size starts a run of its own. Each flow is
+// credited the share of the kernel-accepted prefix it owns; failed tails
+// are dropped (loss recovery is the protocol's job) and counted in
+// dmtp.live.tx.errors. d stays dirty. Caller holds engMu.
+func (r *Relay) send(d *destination) {
+	pkts := append(d.pkts[:0], d.rtx...)
+	for _, f := range d.flows {
+		pkts = append(pkts, f.Dst.pkts...)
+	}
+	sent, err := r.bc.WriteBatchTo(pkts, d.addr)
+	if err != nil {
+		r.countTxErr(len(pkts) - sent)
+	}
+	sent = max(sent-len(d.rtx), 0)
+	for _, f := range d.flows {
+		n := min(sent, len(f.Dst.pkts))
+		f.Sent(n)
+		sent -= n
+		f.Dst.pkts = f.Dst.pkts[:0]
+	}
+	d.pkts = pkts[:0]
+	d.rtx = d.rtx[:0]
+	d.flows = d.flows[:0]
+	d.n, d.bytes = 0, 0
+}
+
+// flush ends a lock hold: it sends what every dirty destination still
+// queues, then recycles the retired buffers. Caller holds engMu.
 func (r *Relay) flush() {
 	for _, d := range r.dirty {
-		pkts := d.pkts[:0]
-		for _, f := range d.flows {
-			pkts = append(pkts, f.Dst.pkts...)
+		if d.n > 0 {
+			r.send(d)
 		}
-		sent, err := r.bc.WriteBatchTo(pkts, d.addr)
-		if err != nil {
-			r.countTxErr(len(pkts) - sent)
-		}
-		for _, f := range d.flows {
-			n := min(sent, len(f.Dst.pkts))
-			f.Sent(n)
-			sent -= n
-			f.Dst.pkts = f.Dst.pkts[:0]
-		}
-		d.pkts = pkts[:0]
-		d.flows = d.flows[:0]
+		d.dirty = false
 	}
 	r.dirty = r.dirty[:0]
 	for _, b := range r.retired {

@@ -4,10 +4,11 @@ package live
 // idle expiry, the crash-clears-flows invariant (no stale forward address
 // survives a restart), per-flow NAK-service isolation across a crash, the
 // multi-flow forward path's zero-alloc gate, the shared per-destination
-// send (one per destination, each flow one contiguous run in it, exact
-// per-flow credit, a bounded destination set), the retransmission's
-// zero-alloc gate, and a
-// -race torture test hammering the one engine lock from many flows,
+// send (one per destination per GSO super-datagram, written as soon as
+// one fills, each flow one contiguous run in it, exact per-flow credit, a
+// bounded destination set), retransmissions riding the requester's queue
+// and their zero-alloc gate, released buffers outliving mid-burst sends,
+// and a -race torture test hammering the one engine lock from many flows,
 // scrapers and a crasher.
 
 import (
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,6 +38,91 @@ func mode0Pkt(t *testing.T, exp uint32, payload string) []byte {
 		t.Fatal(err)
 	}
 	return append(enc, payload...)
+}
+
+// upgradedLen is the length of mode-0 packet pkt once the live relay has
+// upgraded it: the core header and payload, plus the onward mode's
+// extensions.
+func upgradedLen(pkt []byte) int {
+	extLen, _ := (wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped).ExtLen()
+	return len(pkt) + extLen
+}
+
+// seqSink is a loopback socket that records the sequence number of every
+// datagram it reads, in arrival order (zero for one that does not check).
+type seqSink struct {
+	conn *net.UDPConn
+	mu   sync.Mutex
+	seqs []uint64
+}
+
+func newSeqSink(t *testing.T) *seqSink {
+	t.Helper()
+	c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadBuffer(4 << 20)
+	s := &seqSink{conn: c}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 2048)
+		for {
+			n, _, err := c.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			var seq uint64
+			v := wire.View(buf[:n])
+			if _, err := v.Check(); err == nil {
+				seq, _ = v.Seq()
+			}
+			s.mu.Lock()
+			s.seqs = append(s.seqs, seq)
+			s.mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		c.Close()
+		<-done
+	})
+	return s
+}
+
+// got returns the sequence numbers read so far.
+func (s *seqSink) got() []uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.seqs)
+}
+
+// addr is the sink's address, as a NAK names its requester.
+func (s *seqSink) addr(t *testing.T) wire.Addr {
+	t.Helper()
+	a, err := toWireAddr(s.conn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// waitSeqs waits until the sink has read n datagrams and returns their
+// sequence numbers.
+func (s *seqSink) waitSeqs(t *testing.T, n int) []uint64 {
+	t.Helper()
+	waitFor(t, 5*time.Second, func() bool { return len(s.got()) >= n }, fmt.Sprintf("%d datagrams at the sink", n))
+	return s.got()
+}
+
+// ascending reports whether seqs is from, from+1, …
+func ascending(seqs []uint64, from uint64) bool {
+	for i, seq := range seqs {
+		if seq != from+uint64(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestRelayFlowIdleExpiry drives the flow table on a fake clock: a flow
@@ -472,7 +559,8 @@ func TestRelayOneWritePerDestination(t *testing.T) {
 // carries each flow as one run, so on the kernel path a burst costs at
 // most two write syscalls — one GSO run per flow, as with a queue per
 // flow. Sending in arrival order would cut a GSO run at every size
-// change: one syscall per pair.
+// change: one syscall per pair. A burst too large for one super-datagram
+// is held to one run per flow per super-datagram sent.
 func TestRelayMixedSizeFlowsShareDestination(t *testing.T) {
 	const (
 		perFlow = 8
@@ -522,6 +610,168 @@ func TestRelayMixedSizeFlowsShareDestination(t *testing.T) {
 		if got := after.GSOSegments - before.GSOSegments; got != 2*perFlow*bursts {
 			t.Fatalf("%d of %d packets rode GSO", got, 2*perFlow*bursts)
 		}
+	}
+
+	// 64 + 64 interleaved in one burst: the destination's super-datagram
+	// fills after 32 of each flow, which go in one send, and flush sends
+	// the other 64. One write of the whole burst at its end took 3
+	// syscalls: a 59-packet run of 1 KiB, the other 5 closed by one 256 B
+	// packet, then the 63 left.
+	before = relay.BatchStats()
+	relay.engMu.Lock()
+	for i := 0; i < maxGSOSegs; i++ {
+		relay.eng.Handle(srcA, big, 0)
+		relay.eng.Handle(srcB, small, 0)
+	}
+	relay.flush()
+	relay.engMu.Unlock()
+	after = relay.BatchStats()
+	if got := after.SentPackets - before.SentPackets; got != 2*maxGSOSegs {
+		t.Fatalf("sent %d packets, want %d", got, 2*maxGSOSegs)
+	}
+	if caps.GSO {
+		const flows, sends = 2, 2
+		if got := after.Syscalls - before.Syscalls; got > flows*sends {
+			t.Fatalf("%d write syscalls for %d + %d interleaved packets, want at most one run per flow per super-datagram sent, %d", got, maxGSOSegs, maxGSOSegs, flows*sends)
+		}
+	}
+}
+
+// TestRelayCutThrough hands one flow 129 packets under the engine lock
+// without ending the burst. The destination is written each time its
+// queue holds a full GSO super-datagram — 64 packets of 256 B, or as many
+// 1 KiB packets as maxGSOBytes allows — so the sink holds two of them
+// before flush, and flush writes the rest. That is three write syscalls,
+// what one write of the whole burst at its end costs.
+func TestRelayCutThrough(t *testing.T) {
+	const burst = 2*maxGSOSegs + 1
+	for _, size := range []int{256, 1024} {
+		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
+			sink := newSeqSink(t)
+			relay, err := NewRelay(RelayConfig{
+				Listen:        "127.0.0.1:0",
+				CapacityBytes: testCapacity,
+				Forward:       sink.conn.LocalAddr().String(),
+				MaxAge:        time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer relay.Close()
+			if !relay.BatchCaps().GSO {
+				t.Skip("no GSO: a super-datagram is not one write")
+			}
+			pkt := mode0Pkt(t, 831, string(bytes.Repeat([]byte{'c'}, size)))
+			perSend := min(maxGSOSegs, maxGSOBytes/upgradedLen(pkt))
+			src := wire.AddrFrom(10, 0, 0, 1, 4000)
+
+			before := relay.BatchStats()
+			relay.engMu.Lock()
+			for i := 0; i < burst; i++ {
+				relay.eng.Handle(src, pkt, 0)
+			}
+			mid := relay.BatchStats()
+			if got := mid.SentPackets - before.SentPackets; got != uint64(2*perSend) {
+				t.Fatalf("%d of %d packets written before the burst ended, want two super-datagrams of %d", got, burst, perSend)
+			}
+			early := sink.waitSeqs(t, 2*perSend)
+			relay.flush()
+			relay.engMu.Unlock()
+
+			after := relay.BatchStats()
+			if got := after.SentPackets - before.SentPackets; got != burst {
+				t.Fatalf("sent %d packets, want %d", got, burst)
+			}
+			if got := after.Syscalls - before.Syscalls; got != 3 {
+				t.Fatalf("%d write syscalls for a burst of %d, want 3", got, burst)
+			}
+			if seqs := sink.waitSeqs(t, burst); len(seqs) != burst || !ascending(seqs, 1) || !ascending(early, 1) {
+				t.Fatalf("sink read %v (%v before flush), want 1..%d", seqs, early, burst)
+			}
+		})
+	}
+}
+
+// TestRelayRetransmitsRideTheQueue: a NAK from a requester the relay
+// already forwards to queues its retransmissions on that destination,
+// ahead of the forwards queued in the same burst, so k retransmissions
+// cost ⌈k/64⌉ writes rather than k. A NAK from any other requester is
+// still served, written at once, and leaves the destination set alone.
+func TestRelayRetransmitsRideTheQueue(t *testing.T) {
+	const k = 100
+	sink, other := newSeqSink(t), newSeqSink(t)
+	relay, err := NewRelay(RelayConfig{
+		Listen:        "127.0.0.1:0",
+		CapacityBytes: testCapacity,
+		Forward:       sink.conn.LocalAddr().String(),
+		MaxAge:        time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	if !relay.BatchCaps().GSO {
+		t.Skip("no GSO: a super-datagram is not one write")
+	}
+	exp := wire.NewExperimentID(841, 0)
+	pkt := mode0Pkt(t, 841, string(bytes.Repeat([]byte{'r'}, 256)))
+	src := wire.AddrFrom(10, 0, 0, 1, 4000)
+	burst := func(pkts ...[]byte) {
+		relay.engMu.Lock()
+		defer relay.engMu.Unlock()
+		for _, p := range pkts {
+			relay.eng.Handle(src, p, 0)
+		}
+		relay.flush()
+	}
+	nak := func(requester wire.Addr, from, to uint64) []byte {
+		enc, err := (&wire.NAK{Experiment: exp, Requester: requester, Ranges: []wire.SeqRange{{From: from, To: to}}}).AppendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	data := make([][]byte, k)
+	for i := range data {
+		data[i] = pkt
+	}
+	burst(data...)
+	sink.waitSeqs(t, k)
+
+	before := relay.BatchStats()
+	burst(nak(sink.addr(t), 1, k))
+	if got := relay.BatchStats().Syscalls - before.Syscalls; got != (k+maxGSOSegs-1)/maxGSOSegs {
+		t.Fatalf("%d write syscalls for a NAK of %d held packets, want %d", got, k, (k+maxGSOSegs-1)/maxGSOSegs)
+	}
+	if seqs := sink.waitSeqs(t, 2*k); len(seqs) != 2*k || !ascending(seqs[k:], 1) {
+		t.Fatalf("retransmissions reached the sink as %v, want 1..%d", seqs[k:], k)
+	}
+
+	// A forward and then a NAK in one burst: one write, retransmission first.
+	burst(pkt, nak(sink.addr(t), 1, 2))
+	if seqs := sink.waitSeqs(t, 2*k+3); !slices.Equal(seqs[2*k:], []uint64{1, 2, k + 1}) {
+		t.Fatalf("burst of forward %d and NAK 1..2 reached the sink as %v, want [1 2 %d]", k+1, seqs[2*k:], k+1)
+	}
+
+	// A requester the relay does not forward to: served at once, nothing
+	// interned, nothing through the batch path.
+	dsts, rtx := relay.destinations(), relay.Stats().Retransmits
+	before = relay.BatchStats()
+	burst(nak(other.addr(t), 1, k))
+	if seqs := other.waitSeqs(t, k); len(seqs) != k || !ascending(seqs, 1) {
+		t.Fatalf("uninterned requester got %v, want 1..%d", seqs, k)
+	}
+	if got := relay.Stats().Retransmits - rtx; got != k {
+		t.Fatalf("%d retransmissions to the uninterned requester, want %d", got, k)
+	}
+	if n := relay.destinations(); n != dsts {
+		t.Fatalf("a NAK changed the destination set: %d → %d", dsts, n)
+	}
+	if got := relay.BatchStats().Syscalls - before.Syscalls; got != 0 {
+		t.Fatalf("%d batched writes for an uninterned requester, want 0", got)
+	}
+	if st := relay.Stats(); st.TxErrors != 0 {
+		t.Fatalf("%d tx errors", st.TxErrors)
 	}
 }
 
@@ -697,8 +947,9 @@ func TestRelayDestinationSetBounded(t *testing.T) {
 }
 
 // TestRelayRetransmitAllocs gates the control send: once warm, serving a
-// NAK — decode, stash lookup, the retransmission's socket write through
-// relayDatapath — allocates nothing.
+// NAK — decode, stash lookup, the retransmission queued on the requester's
+// destination by relayDatapath and the flush that writes it — allocates
+// nothing.
 func TestRelayRetransmitAllocs(t *testing.T) {
 	sink, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -732,6 +983,7 @@ func TestRelayRetransmitAllocs(t *testing.T) {
 	retransmit := func() {
 		relay.engMu.Lock()
 		relay.eng.Handle(requester, nak, 0)
+		relay.flush()
 		relay.engMu.Unlock()
 	}
 	retransmit() // warm: the NAK decode target's ranges
@@ -1054,17 +1306,20 @@ func TestRelayShardTortureManyFlows(t *testing.T) {
 }
 
 // TestRelayBurstForwardOutlivesRelease guards the one aliasing the live
-// relay has: its forward queues hold references into stash buffers until
-// the flush that ends a burst, and the engine may let a buffer go — an
-// eviction, a cumulative-ACK trim — while it is still queued. Released
-// buffers are poisoned here before they go back to the relay's stash log,
-// so a buffer recycled ahead of its forward reaches the sink as poison,
-// whether or not the log carves it again before the flush.
+// relay has: its destination queues hold references into stash buffers
+// until they are written, mid-burst or at the flush that ends it, and the
+// engine may let a buffer go — an eviction, a cumulative-ACK trim — while
+// it is still queued. Released buffers are poisoned here before they go
+// back to the relay's stash log, so a buffer recycled ahead of its write
+// reaches the sink as poison, whether or not the log carves it again
+// first.
 //
 // Each round is queued on the relay's (unwrapped, kernel-batched) socket
 // while the test holds the engine lock — a relay descheduled for a moment —
 // so the relay meets it as real bursts: at most one short read it made
-// before blocking, then everything else.
+// before blocking, then everything else. A round is more than one
+// super-datagram, so trims and evictions also land after mid-burst sends.
+// The mid-burst case then pins the order down with two destinations.
 func TestRelayBurstForwardOutlivesRelease(t *testing.T) {
 	orig := recycle
 	recycle = func(l *wire.StashLog, b []byte) {
@@ -1077,7 +1332,7 @@ func TestRelayBurstForwardOutlivesRelease(t *testing.T) {
 
 	const (
 		rounds   = 24
-		perRound = 64
+		perRound = 160
 		batch    = 8 // sender flush size; the acked variant ACKs after every flush
 		expNum   = 4242
 	)
@@ -1090,8 +1345,7 @@ func TestRelayBurstForwardOutlivesRelease(t *testing.T) {
 		}
 		return m
 	}
-	extLen, _ := (wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped).ExtLen()
-	upLen := wire.CoreHeaderLen + extLen + len(msg(0))
+	upLen := upgradedLen(mode0Pkt(t, expNum, string(msg(0))))
 
 	for _, tc := range []struct {
 		name     string
@@ -1227,4 +1481,71 @@ func TestRelayBurstForwardOutlivesRelease(t *testing.T) {
 			}
 		})
 	}
+
+	// Two destinations, driven packet by packet under the engine lock. B's
+	// two packets queue first; A's 65th packet writes A's first
+	// super-datagram mid-burst. Then a trim releases one of B's queued
+	// packets and an eviction the other, and A's 129th packet writes A's
+	// second super-datagram mid-burst. B's queue is written only at the
+	// flush, so a buffer recycled at a mid-burst send rather than after
+	// the burst's last write reaches sink B as poison.
+	t.Run("mid-burst", func(t *testing.T) {
+		const expA, expB1, expB2 = 4301, 4302, 4303
+		sinkA, sinkB := newSeqSink(t), newSeqSink(t)
+		payload := string(bytes.Repeat([]byte{'m'}, 200))
+		pktA, pktB1, pktB2 := mode0Pkt(t, expA, payload), mode0Pkt(t, expB1, payload), mode0Pkt(t, expB2, payload)
+		// Room for B's two and A's first 65. The trim frees one slot, so
+		// A's 67th insert evicts the oldest entry, B1's, and every later
+		// one an entry of A's.
+		relay, err := NewRelay(RelayConfig{
+			Listen:        "127.0.0.1:0",
+			CapacityBytes: (2 + maxGSOSegs + 1) * upgradedLen(pktA),
+			Resolver: func(_ wire.Addr, exp wire.ExperimentID) string {
+				if uint32(exp)>>8 == expA {
+					return sinkA.conn.LocalAddr().String()
+				}
+				return sinkB.conn.LocalAddr().String()
+			},
+			MaxAge: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer relay.Close()
+		if !relay.BatchCaps().Mmsg {
+			t.Skip("portable path: writes are not counted")
+		}
+		srcA, srcB := wire.AddrFrom(10, 0, 0, 1, 4000), wire.AddrFrom(10, 0, 0, 2, 4000)
+		const burstA = 2*maxGSOSegs + 1
+		written := func() uint64 { return relay.BatchStats().SentPackets }
+		base := written()
+
+		relay.engMu.Lock()
+		relay.eng.Handle(srcB, pktB1, 0)
+		relay.eng.Handle(srcB, pktB2, 0)
+		for i := 0; i < maxGSOSegs+1; i++ {
+			relay.eng.Handle(srcA, pktA, 0)
+		}
+		firstSend := written() - base
+		relay.eng.Buffer().Trim(wire.NewExperimentID(expB2, 0), 1)
+		for i := maxGSOSegs + 1; i < burstA; i++ {
+			relay.eng.Handle(srcA, pktA, 0)
+		}
+		secondSend := written() - base
+		relay.flush()
+		relay.engMu.Unlock()
+
+		if firstSend != maxGSOSegs || secondSend != 2*maxGSOSegs {
+			t.Fatalf("A's mid-burst sends wrote %d, then %d packets in all; want %d, then %d", firstSend, secondSend, maxGSOSegs, 2*maxGSOSegs)
+		}
+		if st := relay.Stats(); st.Trimmed != 1 || st.Evicted != burstA-maxGSOSegs-2 {
+			t.Fatalf("trimmed %d, evicted %d; want 1 and %d", st.Trimmed, st.Evicted, burstA-maxGSOSegs-2)
+		}
+		if seqs := sinkA.waitSeqs(t, burstA); len(seqs) != burstA || !ascending(seqs, 1) {
+			t.Fatalf("sink A read %v, want 1..%d", seqs, burstA)
+		}
+		if seqs := sinkB.waitSeqs(t, 2); !slices.Equal(seqs, []uint64{1, 1}) {
+			t.Fatalf("sink B read sequence numbers %v, want [1 1]: B's released buffers were recycled before their write", seqs)
+		}
+	})
 }
