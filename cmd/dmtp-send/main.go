@@ -25,7 +25,7 @@ func main() {
 	slice := flag.Uint("slice", 0, "instrument slice")
 	size := flag.Int("size", 7680, "message payload bytes")
 	rate := flag.Float64("rate", 1000, "messages per second")
-	batch := flag.Int("batch", 1, "coalesce up to this many messages per flush (sendmmsg/GSO on Linux)")
+	batch := flag.Int("batch", 1, "flush-ring depth: messages written per flush (sendmmsg/GSO on Linux)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /events and pprof on this address (off when empty)")
 	traceSample := flag.Int("trace-sample", 0, "emit an in-band trace on every Nth message (0 = off)")
 	traceOut := flag.String("trace-out", "", "write the flight-recorder timeline as Perfetto trace JSON on exit")
@@ -101,13 +101,13 @@ func main() {
 	elapsed := time.Since(start)
 	fmt.Printf("dmtp-send: %d messages (%d bytes each) in %v from %s\n",
 		snd.Sent(), *size, elapsed.Round(time.Millisecond), snd.LocalAddr())
-	if *batch > 1 {
-		bs := snd.BatchStats()
-		if bs.Syscalls > 0 {
-			fmt.Printf("dmtp-send: batch caps %+v, %.1f pkts/syscall, %d GSO segments, %d fallbacks\n",
-				snd.BatchCaps(), float64(bs.SentPackets)/float64(bs.Syscalls), bs.GSOSegments, bs.Fallbacks)
-		}
+	bs := snd.BatchStats()
+	perSyscall := 1.0 // the portable path writes one packet per syscall
+	if bs.Syscalls > 0 {
+		perSyscall = float64(bs.SentPackets) / float64(bs.Syscalls)
 	}
+	fmt.Printf("dmtp-send: batch caps %+v, %.1f pkts/syscall, %d GSO segments, %d fallbacks\n",
+		snd.BatchCaps(), perSyscall, bs.GSOSegments, bs.Fallbacks)
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

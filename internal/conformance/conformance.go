@@ -85,9 +85,9 @@ type Scenario struct {
 	// receivers; the transcripts then carry the reconstructed span
 	// structures, which must match across substrates.
 	TraceSample int
-	// BatchSize, when > 1, runs the live senders through their batched
-	// flush ring — and, on supporting kernels, the sendmmsg/GSO batch
-	// datapath. The simulator has no syscall layer, so this only affects
+	// BatchSize is the depth of the live senders' flush ring (zero: a
+	// ring of one), which on supporting kernels is written with
+	// sendmmsg/GSO. The simulator has no syscall layer, so this only affects
 	// the live run; the replay must stay byte-identical regardless,
 	// which is exactly what a differential run with BatchSize set
 	// proves. The lockstep driver is unaffected: it already barriers on

@@ -38,9 +38,9 @@ type BufferConfig struct {
 	// evicted first. Zero means 64 MiB.
 	CapacityBytes int
 	// Cipher, when non-nil and the upgrade mode includes FeatEncrypted,
-	// encrypts payloads at the DTN (Req 5; the sensor stays cheap).
-	Cipher   Cipher
-	KeyEpoch uint32
+	// encrypts payloads at the DTN (Req 5; the sensor stays cheap) under
+	// key epoch 0.
+	Cipher Cipher
 	// Routes overrides egress for specific destinations (e.g. control
 	// traffic heading back into the DAQ network); everything else leaves
 	// via ForwardPort.
@@ -58,18 +58,6 @@ type BufferConfig struct {
 	// spread across (zero means 1) — the same partitioning the live relay
 	// runs, so conformance can diff the two.
 	Shards int
-	// MaxFlows bounds the flow table; registrations beyond it are
-	// rejected. Zero means unlimited.
-	MaxFlows int
-	// FlowTTL is how long an idle flow stays registered in virtual time
-	// (default 60s).
-	FlowTTL time.Duration
-	// Resolver, when non-nil, maps a new flow (frame source address +
-	// experiment ID) to its downstream address and egress port. A zero
-	// address rejects the flow. Nil routes every flow to
-	// Forward/ForwardPort — resolved at registration, mirroring the
-	// live relay's per-flow resolution.
-	Resolver func(src wire.Addr, exp wire.ExperimentID) (wire.Addr, int)
 	// Recorder, when non-nil, receives flight-recorder events (reshape
 	// plus the buffer engine's nak-served / nak-miss / evict / trim /
 	// crash / restart) stamped with virtual time. Nil disables recording.
@@ -80,11 +68,9 @@ type BufferConfig struct {
 	// buffer instead of the cold-start write-off path. The directory is
 	// created if missing; an unusable directory panics — on the simulator
 	// substrate a bad journal path is a harness configuration error, and
-	// NewBufferNode has no error return to thread it through.
+	// NewBufferNode has no error return to thread it through. The
+	// journal syncs with its default policy, journal.SyncBatch.
 	JournalDir string
-	// JournalSync is the journal fsync policy (journal.SyncBatch when
-	// empty, or SyncNone).
-	JournalSync string
 }
 
 // BufferStats are cumulative buffer-node counters: the engine's stash,
@@ -138,10 +124,7 @@ func NewBufferHandler(nw *netsim.Network, cfg BufferConfig) *BufferNode {
 		Datapath:    nodeDatapath{node: func() *netsim.Node { return b.node }, nw: nw, port: cfg.ForwardPort},
 		Alloc:       func(n int) []byte { return make([]byte, n) }, // heap; the GC collects
 		JournalDir:  cfg.JournalDir,
-		JournalSync: cfg.JournalSync,
 		Resolve:     b.resolve,
-		MaxFlows:    cfg.MaxFlows,
-		FlowTTL:     cfg.FlowTTL,
 		UpgradeFrom: cfg.UpgradeFrom,
 		ConfigID:    cfg.Upgrade.ConfigID,
 		Features:    cfg.Upgrade.Features,
@@ -164,13 +147,10 @@ func NewBufferHandler(nw *netsim.Network, cfg BufferConfig) *BufferNode {
 	return b
 }
 
-// resolve is the engine's flow-registration hook.
-func (b *BufferNode) resolve(src wire.Addr, exp wire.ExperimentID) (route, bool) {
-	if b.cfg.Resolver == nil {
-		return route{b.cfg.Forward, b.cfg.ForwardPort}, true
-	}
-	dst, port := b.cfg.Resolver(src, exp)
-	return route{dst, port}, !dst.IsZero()
+// resolve is the engine's flow-registration hook: every flow goes to
+// Forward via ForwardPort.
+func (b *BufferNode) resolve(wire.Addr, wire.ExperimentID) (route, bool) {
+	return route{b.cfg.Forward, b.cfg.ForwardPort}, true
 }
 
 // emit is the engine's Emit. The frame gets an independent copy: a netsim
@@ -188,12 +168,12 @@ func (b *BufferNode) emit(f *dmtp.Flow[route], pkt []byte) {
 }
 
 // seal is the engine's PostStamp when the upgrade mode encrypts: payloads
-// are encrypted at the DTN (Req 5; the sensor stays cheap), keyed by epoch
-// with the sequence number as nonce.
+// are encrypted at the DTN (Req 5; the sensor stays cheap), under key epoch
+// 0 with the sequence number as nonce.
 func (b *BufferNode) seal(up wire.View, seq uint64) {
 	nonce := uint32(seq)
-	up.SetCipher(wire.CipherExt{KeyEpoch: b.cfg.KeyEpoch, Nonce: nonce})
-	b.cfg.Cipher.Seal(b.cfg.KeyEpoch, nonce, up.Payload())
+	up.SetCipher(wire.CipherExt{Nonce: nonce})
+	b.cfg.Cipher.Seal(0, nonce, up.Payload())
 }
 
 // Stats returns a snapshot of the node's counters.

@@ -18,7 +18,6 @@ type E2Config struct {
 	MsgBytes int           // message size (default 7680)
 	WANDelay time.Duration // one-way WAN delay (default 15 ms)
 	WANLoss  float64       // WAN corruption loss (default 1e-4)
-	DAQLoss  float64       // DAQ-net loss (default 0: no congestion there)
 	RateBps  float64       // link rate (default 10 Gbps)
 }
 
@@ -85,7 +84,7 @@ func E2Fig2Baseline(cfg E2Config) E2Results {
 	campus := baseline.NewTCPReceiver(nw, "campus", campusAddr, storageAddr, 2)
 
 	nw.Connect(sensor.Node(), gw.Node(), netsim.LinkConfig{
-		RateBps: cfg.RateBps, Delay: 10 * time.Microsecond, LossProb: cfg.DAQLoss, QueueBytes: 32 << 20})
+		RateBps: cfg.RateBps, Delay: 10 * time.Microsecond, QueueBytes: 32 << 20})
 	nw.Connect(gw.Node(), storage.Node(), netsim.LinkConfig{
 		RateBps: cfg.RateBps, Delay: cfg.WANDelay, LossProb: cfg.WANLoss, QueueBytes: 64 << 20})
 	nw.Connect(storage.Node(), campus.Node(), netsim.LinkConfig{

@@ -15,12 +15,13 @@ import (
 const benchPayloadLen = 1024
 
 // BenchmarkLiveLoopback measures live-path send throughput over a real UDP
-// loopback socket: sender → receiver on 127.0.0.1, mode-0 datagrams, the
-// receiver draining and counting deliveries. The headline metric is msgs/s
-// on the send side; delivered/s is reported for cross-checking (UDP may
-// shed load under overrun, which does not gate the benchmark). Expect
-// 0 allocs/op: deliveries are views of the receive ring, so neither end
-// allocates per message (TestLoopbackAllocsPerMessage is the gate).
+// loopback socket: sender (a flush ring of one, so one write per Send) →
+// receiver on 127.0.0.1, mode-0 datagrams, the receiver draining and
+// counting deliveries. The headline metric is msgs/s on the send side;
+// delivered/s is reported for cross-checking (UDP may shed load under
+// overrun, which does not gate the benchmark). Expect 0 allocs/op:
+// deliveries are views of the receive ring, so neither end allocates per
+// message (TestLoopbackAllocsPerMessage is the gate).
 func BenchmarkLiveLoopback(b *testing.B) {
 	var delivered atomic.Uint64
 	recv, err := NewReceiver(ReceiverConfig{

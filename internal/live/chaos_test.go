@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -68,14 +69,7 @@ func newChaosRig(t *testing.T, spec faults.Spec, rcfg ReceiverConfig, relayOpts 
 		recv.Close()
 		t.Fatal(err)
 	}
-	snd, err := NewSenderWithConfig(SenderConfig{
-		Dst:           relay.Addr(),
-		Experiment:    777,
-		SendTimeout:   100 * time.Millisecond,
-		Redials:       5,
-		RedialBackoff: time.Millisecond,
-		Counters:      rig.plan.Counters(),
-	})
+	snd, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: 777})
 	if err != nil {
 		relay.Close()
 		recv.Close()
@@ -83,7 +77,7 @@ func newChaosRig(t *testing.T, spec faults.Spec, rcfg ReceiverConfig, relayOpts 
 	}
 	rig.snd, rig.relay, rig.recv = snd, relay, recv
 	t.Cleanup(func() {
-		snd.Close()
+		rig.snd.Close()
 		relay.Close()
 		recv.Close()
 	})
@@ -366,41 +360,78 @@ func TestLiveChaosReorderAndDuplication(t *testing.T) {
 	}
 }
 
-// TestLiveSenderReconnectsAfterRelayDeath exercises the sender's
-// send-timeout/redial path: a crashed relay surfaces as ECONNREFUSED (via
-// ICMP) on the connected UDP socket, the sender redials and re-sends, and
-// delivery resumes after the relay restarts.
+// TestLiveSenderReconnectsAfterRelayDeath exercises the flush's
+// redial-and-resend at a ring of one and a ring of eight: a crashed relay
+// surfaces as ECONNREFUSED (via ICMP) on the connected UDP socket, the
+// flush redials and rewrites the unsent tail, and every tracked message
+// of both phases is delivered once the relay restarts.
 func TestLiveSenderReconnectsAfterRelayDeath(t *testing.T) {
-	rig := newChaosRig(t, faults.Spec{Seed: 1}, ReceiverConfig{Seed: 1})
+	for _, depth := range []int{1, 8} {
+		t.Run(fmt.Sprintf("ring=%d", depth), func(t *testing.T) {
+			rig := newChaosRig(t, faults.Spec{Seed: 1}, ReceiverConfig{Seed: 1})
+			// Swap the rig's sender for one of this depth that records
+			// its reconnects.
+			rec := metrics.NewFlightRecorder(64)
+			rig.snd.Close()
+			snd, err := NewSenderWithConfig(SenderConfig{Dst: rig.relay.Addr(), Experiment: 777, BatchSize: depth, Recorder: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rig.snd = snd
 
-	rig.sendTracked("p1", 5)
-	rig.driveUntilDelivered(5, 5*time.Second)
+			rig.sendTracked("p1", 5)
+			rig.driveUntilDelivered(5, 5*time.Second)
 
-	rig.relay.Crash()
-	// Probe the dead relay. The first write lands in the void; the ICMP
-	// port-unreachable it provokes fails a subsequent write, which makes
-	// the sender redial and re-send inside Send (so no error escapes).
-	for i := 0; i < 20; i++ {
-		rig.flush()
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err := rig.relay.Restart(); err != nil {
-		t.Fatal(err)
-	}
-	rig.sendTracked("p2", 5)
-	rig.driveUntilDelivered(10, 5*time.Second)
+			rig.relay.Crash()
+			// Probe the dead relay until a write fails. The first write
+			// lands in the void; the ICMP port-unreachable it provokes
+			// fails a later one, which makes the flush redial and resend
+			// (so no error escapes Send). One more probe then lands in the
+			// void from the socket the sender holds now, so the first
+			// write after the restart fails too: phase 2 rides a flush
+			// that has to redial and resend it.
+			deadline := time.Now().Add(5 * time.Second)
+			for snd.Stats().SendErrors == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("no write failed against the dead relay: %+v", snd.Stats())
+				}
+				rig.flush()
+				time.Sleep(time.Millisecond)
+			}
+			sent := snd.Stats().Sent
+			rig.flush()
+			for snd.Stats().Sent == sent {
+				if time.Now().After(deadline) {
+					t.Fatalf("the last probe was never written: %+v", snd.Stats())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := rig.relay.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			rig.sendTracked("p2", 5)
+			rig.driveUntilDelivered(10, 5*time.Second)
 
-	st := rig.snd.Stats()
-	// ICMP delivery is kernel-dependent; when errors did surface, each
-	// must have been answered by a successful redial.
-	if st.SendErrors > 0 && st.Reconnects == 0 {
-		t.Fatalf("send errors without reconnects: %+v", st)
+			st := snd.Stats()
+			if st.SendErrors < 2 || st.Reconnects < st.SendErrors {
+				t.Fatalf("want a failed write before and after the restart, each answered by a redial: %+v", st)
+			}
+			var events int
+			for _, ev := range rec.Snapshot() {
+				if ev.Kind != metrics.EvReconnect {
+					continue
+				}
+				events++
+				if ev.Aux == 0 {
+					t.Fatalf("reconnect event carries no failed writes: %+v", ev)
+				}
+			}
+			if events == 0 {
+				t.Fatalf("no reconnect event recorded; stats %+v", st)
+			}
+			t.Logf("sender stats after relay death: %+v, %d reconnect events", st, events)
+		})
 	}
-	if st.SendErrors > 0 && rig.plan.Counters().Get(telemetry.CounterReconnect) != st.Reconnects {
-		t.Fatalf("reconnect counter %d != stats %d",
-			rig.plan.Counters().Get(telemetry.CounterReconnect), st.Reconnects)
-	}
-	t.Logf("sender stats after relay death: %+v", st)
 }
 
 // TestLiveRestartErrors pins the Restart contract: only a crashed, open

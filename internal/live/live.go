@@ -3,7 +3,8 @@
 // this paper notes "userspace transport possible, no programmable-HW
 // path"). Three processes-worth of roles are provided:
 //
-//   - Sender: the instrument source, emitting mode-0 datagrams;
+//   - Sender: the instrument source, emitting mode-0 datagrams through
+//     one flush ring that redials and resends when a write fails;
 //   - Relay: the software network element / first-line DTN, which upgrades
 //     the mode in flight (sequence numbers, buffer pointer, origin
 //     timestamp, age budget), buffers packets, and serves NAKs — the same
@@ -11,12 +12,12 @@
 //   - Receiver: loss detection, NAK-based recovery from the relay, the
 //     destination timeliness check, and message delivery.
 //
-// Every role accepts a Wrap hook that decorates its socket; internal/faults
-// provides a middleware that injects deterministic fault plans there, and
-// the Relay's Crash/Restart pair models a relay process dying and coming
-// back with a cold retransmission buffer. The cmd/dmtp-send,
-// cmd/dmtp-relay and cmd/dmtp-recv tools wrap these roles for interactive
-// use on loopback or a real LAN.
+// The Relay and the Receiver accept a Wrap hook that decorates their
+// socket; internal/faults provides a middleware that injects deterministic
+// fault plans there, and the Relay's Crash/Restart pair models a relay
+// process dying and coming back with a cold retransmission buffer. The
+// cmd/dmtp-send, cmd/dmtp-relay and cmd/dmtp-recv tools wrap these roles
+// for interactive use on loopback or a real LAN.
 package live
 
 import (
@@ -29,7 +30,6 @@ import (
 
 	"repro/internal/dmtp"
 	"repro/internal/metrics"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -71,32 +71,14 @@ type SenderConfig struct {
 	Dst string
 	// Experiment is the 24-bit experiment number.
 	Experiment uint32
-	// SendTimeout bounds each socket write; zero means 100 ms.
-	SendTimeout time.Duration
-	// Redials bounds reconnect attempts per Send after a write error
-	// (relay death surfaces as ECONNREFUSED on a connected UDP socket);
-	// zero means 3.
-	Redials int
-	// RedialBackoff is the initial delay between reconnect attempts,
-	// doubling each retry; zero means 5 ms.
-	RedialBackoff time.Duration
-	// BatchSize, when > 1, batches socket writes: Send encodes into a
-	// small ring of per-connection buffers and returns immediately; the
-	// ring is flushed — one lock acquisition and one write-deadline check
-	// for the whole batch — when BatchSize packets are pending or
-	// FlushInterval elapses. Batched sends are fire-and-forget: write
-	// errors are counted in Stats and the socket is redialled on the next
-	// flush, but individual messages in a failed flush are not resent
-	// (loss recovery is the protocol's job, via NAKs). Zero or 1 keeps
-	// the synchronous per-send path with its redial loop.
+	// BatchSize is the depth of the flush ring Send encodes into; zero
+	// means 1. A full ring is written at once — one write-deadline check
+	// and, on the kernel path, one sendmmsg or GSO super-send — so a ring
+	// of one is written inside every Send.
 	BatchSize int
-	// FlushInterval bounds how long a batched packet may wait in the ring
-	// before being flushed; zero means 500 µs. Ignored unless BatchSize > 1.
+	// FlushInterval bounds how long a packet may wait in a partly filled
+	// ring before it is written; zero means 500 µs.
 	FlushInterval time.Duration
-	// Wrap, when non-nil, decorates the socket (fault middleware).
-	Wrap func(UDPConn) UDPConn
-	// Counters, when non-nil, records reconnects for observability.
-	Counters *telemetry.CounterSet
 	// Recorder, when non-nil, receives reconnect events. Nil disables
 	// flight recording.
 	Recorder *metrics.FlightRecorder
@@ -107,21 +89,14 @@ type SenderConfig struct {
 	TraceSample int
 }
 
-func (c SenderConfig) withDefaults() SenderConfig {
-	if c.SendTimeout == 0 {
-		c.SendTimeout = 100 * time.Millisecond
-	}
-	if c.Redials == 0 {
-		c.Redials = 3
-	}
-	if c.RedialBackoff == 0 {
-		c.RedialBackoff = 5 * time.Millisecond
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 500 * time.Microsecond
-	}
-	return c
-}
+// The sender's write budget. sendTimeout bounds each socket write. A
+// flush whose write fails redials up to redials times, sleeping
+// redialBackoff before the first redial and doubling it before each next.
+const (
+	sendTimeout   = 100 * time.Millisecond
+	redials       = 3
+	redialBackoff = 5 * time.Millisecond
+)
 
 // SenderStats are cumulative sender counters.
 type SenderStats struct {
@@ -130,34 +105,36 @@ type SenderStats struct {
 	Reconnects uint64 // successful redials after a write error
 }
 
-// Sender emits DAQ messages as mode-0 DMTP datagrams over UDP. On write
-// errors it redials and resends with bounded exponential backoff, so a
-// relay restart does not wedge the source.
+// Sender emits DAQ messages as mode-0 DMTP datagrams over UDP. Every
+// message goes through one flush ring; a flush whose write fails redials
+// and resends with bounded exponential backoff, so a relay restart does
+// not wedge the source.
 type Sender struct {
 	cfg   SenderConfig
 	raddr *net.UDPAddr
 
-	mu    sync.Mutex
-	conn  UDPConn
+	mu sync.Mutex
+	// bconn is the kernel-batch datapath over the connected socket; nil
+	// from a failed write until the next flush redials.
+	bconn *batchConn
 	stats SenderStats
+	// failed counts the consecutive failed writes; the reconnect event
+	// carries it.
+	failed uint64
 	// encap builds the mode-0 packets and counts messages (not send
 	// attempts), which drives trace sampling and trace-ID assignment.
 	encap dmtp.Encap
-	// pkt is the per-connection encode buffer reused by every unary Send;
-	// growth persists, so steady-state sends allocate nothing.
-	pkt []byte
 	// deadlineArmed is when the socket write deadline was last set; the
-	// deadline is only re-armed after SendTimeout/4 so the per-send
+	// deadline is only re-armed after sendTimeout/4 so the per-send
 	// deadline syscall cost is amortized across many writes.
 	deadlineArmed time.Time
 
-	// Batch-mode state: a ring of encoded packets awaiting one flush.
-	// The flush timer is armed only when the ring goes non-empty (first
-	// enqueue) so an idle sender schedules no wakeups and the
+	// The flush ring: batch[:batchN] are encoded packets awaiting one
+	// flush. The flush timer is armed only when the ring goes non-empty
+	// (first enqueue) so an idle sender schedules no wakeups and the
 	// packets-per-syscall histogram sees no empty flushes.
 	batch  [][]byte
 	batchN int
-	bconn  *batchConn // batched writer over conn; rebuilt by dial
 	flushT *time.Timer
 	done   chan struct{}
 	closed bool
@@ -171,8 +148,8 @@ type Sender struct {
 func (s *Sender) BatchStats() BatchStats { return s.bstats.snapshot() }
 
 // BatchCaps reports which kernel batching features the sender's socket
-// probed to (zero value until the first batched dial, or always on the
-// unary path).
+// probed to (the zero value while the socket is down between a failed
+// write and the redial).
 func (s *Sender) BatchCaps() BatchCaps {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -182,16 +159,11 @@ func (s *Sender) BatchCaps() BatchCaps {
 	return s.bconn.Caps()
 }
 
-// countTxErr records n packets dropped by a fire-and-forget write.
-func (s *Sender) countTxErr(n int) {
-	if c := s.txErr.Load(); c != nil && n > 0 {
-		c.Add(uint64(n))
-	}
-}
-
-// NewSenderWithConfig dials with full control over timeouts and middleware.
+// NewSenderWithConfig dials cfg.Dst and starts the ring's flush timer.
 func NewSenderWithConfig(cfg SenderConfig) (*Sender, error) {
-	cfg = cfg.withDefaults()
+	if cfg.FlushInterval == 0 {
+		cfg.FlushInterval = 500 * time.Microsecond
+	}
 	raddr, err := net.ResolveUDPAddr("udp4", cfg.Dst)
 	if err != nil {
 		return nil, fmt.Errorf("live: resolve %q: %w", cfg.Dst, err)
@@ -200,45 +172,34 @@ func NewSenderWithConfig(cfg SenderConfig) (*Sender, error) {
 		cfg:   cfg,
 		raddr: raddr,
 		encap: dmtp.Encap{Experiment: cfg.Experiment, TraceSample: cfg.TraceSample},
-		pkt:   make([]byte, 0, 2048),
+		batch: make([][]byte, max(cfg.BatchSize, 1)),
+		done:  make(chan struct{}),
 	}
 	if err := s.dial(); err != nil {
 		return nil, err
 	}
-	if cfg.BatchSize > 1 {
-		s.batch = make([][]byte, cfg.BatchSize)
-		for i := range s.batch {
-			s.batch[i] = make([]byte, 0, 2048)
-		}
-		s.done = make(chan struct{})
-		s.flushT = time.NewTimer(time.Hour)
-		if !s.flushT.Stop() {
-			<-s.flushT.C
-		}
-		s.wg.Add(1)
-		go s.flushLoop()
+	for i := range s.batch {
+		s.batch[i] = make([]byte, 0, 2048)
 	}
+	s.flushT = time.NewTimer(time.Hour)
+	if !s.flushT.Stop() {
+		<-s.flushT.C
+	}
+	s.wg.Add(1)
+	go s.flushLoop()
 	return s, nil
 }
 
-// dial (re)establishes the connected socket. Callers hold s.mu or are the
-// constructor.
+// dial (re)establishes the connected socket and the kernel-batch
+// datapath over it (sendmmsg + GSO where the socket supports them;
+// senders never read, so no receive ring is built). Callers hold s.mu or
+// are the constructor.
 func (s *Sender) dial() error {
 	conn, err := net.DialUDP("udp4", nil, s.raddr)
 	if err != nil {
 		return fmt.Errorf("live: dial %v: %w", s.raddr, err)
 	}
-	var c UDPConn = conn
-	if s.cfg.Wrap != nil {
-		c = s.cfg.Wrap(c)
-	}
-	s.conn = c
-	if s.cfg.BatchSize > 1 {
-		// Batched flushes go through the kernel-batch datapath when the
-		// socket supports it (sendmmsg + GSO); senders never read, so no
-		// receive ring is built.
-		s.bconn = newBatchConn(c, &s.bstats, false)
-	}
+	s.bconn = newBatchConn(conn, &s.bstats, false)
 	s.deadlineArmed = time.Time{} // fresh socket: next write re-arms
 	return nil
 }
@@ -254,88 +215,22 @@ func (s *Sender) traceNow() int64 {
 
 // armDeadlineLocked refreshes the socket write deadline only once a quarter
 // of the send budget has elapsed since the last refresh. Every write still
-// sees at least ¾·SendTimeout of margin, and the steady-state fast path
+// sees at least ¾·sendTimeout of margin, and the steady-state fast path
 // skips the per-send deadline update, which costs a substantial fraction of
 // the write itself on loopback.
 func (s *Sender) armDeadlineLocked() {
 	t := time.Now()
-	if !s.deadlineArmed.IsZero() && t.Sub(s.deadlineArmed) < s.cfg.SendTimeout/4 {
+	if !s.deadlineArmed.IsZero() && t.Sub(s.deadlineArmed) < sendTimeout/4 {
 		return
 	}
-	s.conn.SetWriteDeadline(t.Add(s.cfg.SendTimeout))
+	s.bconn.c.SetWriteDeadline(t.Add(sendTimeout))
 	s.deadlineArmed = t
 }
 
-// Send emits one message for the given instrument slice, retrying through
-// reconnects when the relay is down. It returns the last error once the
-// redial budget is exhausted. With BatchSize > 1 the message is instead
-// queued for the next batch flush (see SenderConfig.BatchSize).
+// Send encodes one message for the given instrument slice into the flush
+// ring. When that fills the ring, Send flushes it and returns the flush's
+// error: the last write error once the redial budget is spent.
 func (s *Sender) Send(msg []byte, slice uint8) error {
-	if s.cfg.BatchSize > 1 {
-		return s.sendBatched(msg, slice)
-	}
-	backoff := s.cfg.RedialBackoff
-	var lastErr error
-	var pkt []byte // encoded once per message; every attempt sends these bytes
-	for attempt := 0; attempt <= s.cfg.Redials; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return fmt.Errorf("live: sender closed")
-		}
-		if s.conn == nil {
-			if err := s.dial(); err != nil {
-				lastErr = err
-				s.mu.Unlock()
-				continue
-			}
-			s.stats.Reconnects++
-			s.cfg.Counters.Inc(telemetry.CounterReconnect)
-			s.cfg.Recorder.Record(metrics.EvReconnect, 0, 0, uint64(attempt))
-		}
-		fresh := pkt == nil
-		if fresh {
-			// Encode under the lock into the connection's reusable buffer.
-			// A retry resends the same bytes, so a traced message keeps the
-			// ID of its ordinal however many attempts it takes.
-			var err error
-			if pkt, err = s.encap.AppendPacket(s.pkt[:0], s.traceNow(), msg, slice); err != nil {
-				s.mu.Unlock()
-				return err
-			}
-			s.pkt = pkt[:0] // keep any growth for subsequent sends
-		}
-		s.armDeadlineLocked()
-		_, err := s.conn.Write(pkt)
-		if err == nil {
-			s.stats.Sent++
-			s.mu.Unlock()
-			return nil
-		}
-		// Relay death: a connected UDP socket reports ECONNREFUSED from
-		// the ICMP port-unreachable of an earlier send. Drop the socket
-		// and redial so the retry re-emits this message.
-		lastErr = err
-		s.stats.SendErrors++
-		s.conn.Close()
-		s.conn = nil
-		s.bconn = nil
-		if fresh {
-			// s.pkt is another Send's to overwrite once the lock drops.
-			pkt = append([]byte(nil), pkt...)
-		}
-		s.mu.Unlock()
-	}
-	return fmt.Errorf("live: send: %w", lastErr)
-}
-
-// sendBatched queues one encoded message in the ring, flushing inline when
-// the ring fills. The returned error is from the flush, if one ran.
-func (s *Sender) sendBatched(msg []byte, slice uint8) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -347,7 +242,7 @@ func (s *Sender) sendBatched(msg []byte, slice uint8) error {
 	}
 	s.batch[s.batchN] = enc
 	s.batchN++
-	if s.batchN >= len(s.batch) {
+	if s.batchN == len(s.batch) {
 		return s.flushLocked()
 	}
 	if s.batchN == 1 {
@@ -360,37 +255,53 @@ func (s *Sender) sendBatched(msg []byte, slice uint8) error {
 	return nil
 }
 
-// flushLocked writes every queued packet as one batch — a single
-// deadline check and, on the kernel path, a single sendmmsg (or GSO
-// super-send) for the whole ring. On a write error the socket is
-// dropped (redialled by the next flush) and the unsent packets of this
-// batch are counted as send errors.
+// flushLocked writes every queued packet as one batch. A write error
+// drops the socket — relay death surfaces as ECONNREFUSED, the ICMP
+// port-unreachable of an earlier write failing a later one on the
+// connected socket — and the flush redials within the write budget and
+// rewrites only the unsent tail, so each packet leaves once, with the
+// bytes (and trace ID) it was encoded with. A tail still unsent when the
+// budget is spent is given up, counted in dmtp.live.tx.errors, and the
+// last error returned. The backoff sleeps hold s.mu: the unsent tail lives
+// in the ring, and a Send that waits for it is held back instead of
+// queueing past a dead relay.
 func (s *Sender) flushLocked() error {
 	n := s.batchN
-	if n == 0 {
-		return nil
-	}
 	s.batchN = 0
-	if s.conn == nil {
-		if err := s.dial(); err != nil {
-			s.stats.SendErrors += uint64(n)
-			s.countTxErr(n)
-			return err
+	sent := 0
+	backoff := redialBackoff
+	var err error
+	for attempt := 0; sent < n; attempt++ {
+		if attempt > 0 {
+			if attempt > redials {
+				if c := s.txErr.Load(); c != nil {
+					c.Add(uint64(n - sent))
+				}
+				return fmt.Errorf("live: send: %w", err)
+			}
+			time.Sleep(backoff)
+			backoff *= 2
 		}
-		s.stats.Reconnects++
-		s.cfg.Counters.Inc(telemetry.CounterReconnect)
-		s.cfg.Recorder.Record(metrics.EvReconnect, 0, 0, 0)
-	}
-	s.armDeadlineLocked()
-	sent, err := s.bconn.WriteBatch(s.batch[:n])
-	s.stats.Sent += uint64(sent)
-	if err != nil {
-		s.stats.SendErrors += uint64(n - sent)
-		s.countTxErr(n - sent)
-		s.conn.Close()
-		s.conn = nil
+		if s.bconn == nil {
+			if err = s.dial(); err != nil {
+				continue
+			}
+			s.stats.Reconnects++
+			s.cfg.Recorder.Record(metrics.EvReconnect, 0, 0, s.failed)
+		}
+		s.armDeadlineLocked()
+		var k int
+		k, err = s.bconn.WriteBatch(s.batch[sent:n])
+		sent += k
+		s.stats.Sent += uint64(k)
+		if err == nil {
+			s.failed = 0
+			continue
+		}
+		s.stats.SendErrors++
+		s.failed++
+		s.bconn.c.Close()
 		s.bconn = nil
-		return fmt.Errorf("live: batched send: %w", err)
 	}
 	return nil
 }
@@ -445,10 +356,10 @@ func (s *Sender) RegisterMetrics(reg *metrics.Registry) {
 func (s *Sender) LocalAddr() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.conn == nil {
+	if s.bconn == nil {
 		return ""
 	}
-	return s.conn.LocalAddr().String()
+	return s.bconn.c.LocalAddr().String()
 }
 
 // Close flushes any queued batch and releases the socket.
@@ -461,17 +372,13 @@ func (s *Sender) Close() error {
 	s.closed = true
 	s.flushLocked()
 	var err error
-	if s.conn != nil {
-		err = s.conn.Close()
-		s.conn = nil
+	if s.bconn != nil {
+		err = s.bconn.c.Close()
+		s.bconn = nil
 	}
-	if s.flushT != nil {
-		s.flushT.Stop()
-	}
+	s.flushT.Stop()
 	s.mu.Unlock()
-	if s.done != nil {
-		close(s.done)
-	}
+	close(s.done)
 	s.wg.Wait()
 	return err
 }

@@ -51,8 +51,8 @@ const (
 	// EvBackPressure: a congestion signal reached the sender. Aux = the
 	// signal level (255 = pause).
 	EvBackPressure
-	// EvReconnect: the live sender redialled after a socket write error.
-	// Aux = consecutive send errors before the redial succeeded.
+	// EvReconnect: the live sender's flush redialled after a socket write
+	// error. Aux = consecutive failed writes before the redial succeeded.
 	EvReconnect
 	// EvInjectedDrop: a scripted fault dropped a packet on purpose. Seq =
 	// the dropped sequence.

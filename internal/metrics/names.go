@@ -114,9 +114,10 @@ const (
 	MetricLiveBatchGSOSegments    = "dmtp.live.batch.gso_segments"
 	MetricLiveBatchGROSplits      = "dmtp.live.batch.gro_splits"
 	MetricLiveBatchFallbacks      = "dmtp.live.batch.fallbacks"
-	// MetricLiveTxErrors counts packets silently dropped by fire-and-forget
-	// socket writes (relay forwards, control sends, batched flush tails) —
-	// failures that have no retry path, unlike dmtp.tx.send_errors.
+	// MetricLiveTxErrors counts packets dropped by failed socket writes:
+	// relay forwards and receiver control sends, which have no retry
+	// path, and the sender packets a flush gives up once its redial
+	// budget is spent.
 	MetricLiveTxErrors = "dmtp.live.tx.errors"
 
 	// Packet-pool metrics: the live relay's wire.StashLog, the only role
@@ -211,7 +212,7 @@ var Catalog = []Info{
 	{MetricJournalRecoveryReplayed, KindGauge, "records", "stash entries the most recent journal recovery rebuilt; appended − tombstoned must equal this"},
 	{MetricTxSent, KindGauge, "packets", "data packets emitted by the sender"},
 	{MetricTxSentBytes, KindGauge, "bytes", "wire bytes emitted by the sender (simulator substrate)"},
-	{MetricTxSendErrors, KindGauge, "errors", "socket writes that failed (live substrate)"},
+	{MetricTxSendErrors, KindGauge, "errors", "socket writes that failed, one per failed flush write, however many packets it carried (live substrate)"},
 	{MetricTxReconnects, KindGauge, "events", "successful redials after a write error (live substrate)"},
 	{MetricTxQueued, KindGauge, "packets", "packets that waited for pacing tokens (simulator substrate)"},
 	{MetricTxBackPressure, KindGauge, "signals", "back-pressure signals received by the sender (simulator substrate)"},
@@ -234,7 +235,7 @@ var Catalog = []Info{
 	{MetricLiveBatchGSOSegments, KindCounter, "packets", "wire packets coalesced into UDP GSO super-datagrams on send"},
 	{MetricLiveBatchGROSplits, KindCounter, "packets", "wire packets recovered by splitting GRO-coalesced datagrams on receive"},
 	{MetricLiveBatchFallbacks, KindCounter, "operations", "batch operations served by the portable single-syscall path"},
-	{MetricLiveTxErrors, KindCounter, "packets", "packets dropped by failed fire-and-forget socket writes (no retry path)"},
+	{MetricLiveTxErrors, KindCounter, "packets", "packets dropped by failed socket writes: relay forwards and receiver control sends (no retry path), and the sender packets given up once the flush's redial budget is spent"},
 	{MetricPoolGets, KindGauge, "buffers", "stash entries the relay asked its stash log for (live relay only)"},
 	{MetricPoolHits, KindGauge, "buffers", "stash entries carved from the log's arena (live relay only)"},
 	{MetricPoolMisses, KindGauge, "buffers", "stash entries that fell back to a heap allocation: no empty segment, or larger than one (live relay only)"},

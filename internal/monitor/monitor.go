@@ -21,7 +21,6 @@ package monitor
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -47,13 +46,9 @@ type Config struct {
 	Interval time.Duration
 	// History is each ring series' capacity in points (default 512).
 	History int
-	// Client overrides the scrape HTTP client (nil: 5 s timeout default).
-	Client *http.Client
 	// OnAlert, when non-nil, is invoked (outside the monitor lock) once
 	// for each newly raised alert.
 	OnAlert func(Alert)
-	// Now overrides the clock (test hook); nil means time.Now.
-	Now func() time.Time
 }
 
 // Alert is one latched invariant violation. An alert is raised when a
@@ -161,7 +156,6 @@ type targetState struct {
 type Monitor struct {
 	cfg    Config
 	client metrics.ScrapeClient
-	now    func() time.Time
 
 	mu          sync.Mutex
 	targets     []*targetState
@@ -193,15 +187,10 @@ func New(cfg Config) *Monitor {
 	}
 	m := &Monitor{
 		cfg:         cfg,
-		client:      metrics.ScrapeClient{Client: cfg.Client},
-		now:         cfg.Now,
 		fleetSeries: make(map[string]*metrics.Series),
 		alerts:      make(map[string]*Alert),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
-	}
-	if m.now == nil {
-		m.now = time.Now
 	}
 	for _, t := range cfg.Targets {
 		m.targets = append(m.targets, &targetState{
@@ -265,7 +254,7 @@ func (m *Monitor) ScrapeOnce() {
 		}(i, t.cfg.URL)
 	}
 	wg.Wait()
-	at := m.now().UnixNano()
+	at := time.Now().UnixNano()
 
 	var newAlerts []Alert
 	m.mu.Lock()
@@ -421,7 +410,7 @@ func (m *Monitor) appendFleetLocked(at int64) {
 func (m *Monitor) Fleet() Fleet {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f := Fleet{UnixNano: m.now().UnixNano()}
+	f := Fleet{UnixNano: time.Now().UnixNano()}
 	for _, t := range m.targets {
 		f.Targets = append(f.Targets, TargetHealth{
 			Name:               t.cfg.Name,

@@ -14,7 +14,6 @@ import (
 const (
 	CounterRecovered     = "recover.retransmit"
 	CounterPermanentLoss = "recover.permanent_loss"
-	CounterReconnect     = "recover.reconnect"
 )
 
 // CounterSet is a thread-safe registry of named monotonic counters. Unlike
