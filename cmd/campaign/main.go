@@ -38,7 +38,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Println("campaign selftest: oracles detect a biased gap-detection floor and a record-dropping journal replay; healthy cells pass")
+		fmt.Println("campaign selftest: oracles detect a biased gap-detection floor, a record-dropping journal replay and miscounted eviction runs; healthy cells pass")
 		return
 	}
 

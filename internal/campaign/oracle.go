@@ -137,17 +137,23 @@ func mapPrefix(prefix string, in []string) []string {
 	return out
 }
 
-// kindCount tallies flight-recorder events of one kind. It returns ok ==
-// false when the ring wrapped (events were overwritten), in which case
-// counts are not comparable to cumulative stats.
-func kindCount(rec *metrics.FlightRecorder, kind metrics.EventKind) (uint64, bool) {
+// kindCount tallies flight-recorder events of one kind: how many there
+// are, or with aux the sum of their Aux fields (for events that stand for
+// a run of several, like evict). It returns ok == false when the ring
+// wrapped (events were overwritten), in which case counts are not
+// comparable to cumulative stats.
+func kindCount(rec *metrics.FlightRecorder, kind metrics.EventKind, aux bool) (uint64, bool) {
 	events := rec.Snapshot()
 	if rec.Total() != uint64(len(events)) {
 		return 0, false
 	}
 	var n uint64
 	for _, e := range events {
-		if e.Kind == kind {
+		switch {
+		case e.Kind != kind:
+		case aux:
+			n += e.Aux
+		default:
 			n++
 		}
 	}
@@ -197,23 +203,25 @@ func checkOracles(env *cellEnv, led *ledger, res *CellResult) []string {
 		{metrics.EvRecovered, st.Recovered, "recovered vs Recovered"},
 	}
 	for _, p := range recvPairs {
-		if n, ok := kindCount(env.recvRec, p.kind); ok && n != p.want {
+		if n, ok := kindCount(env.recvRec, p.kind, false); ok && n != p.want {
 			out = append(out, fmt.Sprintf("oracle/flight: receiver %s: %d events, %d counted", p.name, n, p.want))
 		}
 	}
 	for i, b := range env.buffers {
+		// Stats records a pending eviction run, so it is read first.
+		bs := b.Stats()
 		bufPairs := []struct {
 			kind metrics.EventKind
+			aux  bool // an evict event stands for Aux evictions
 			want uint64
 			name string
 		}{
-			{metrics.EvReshape, b.Stats().Upgraded, "reshape vs Upgraded"},
-			{metrics.EvNAKServed, b.Stats().NAKs, "nak-served vs NAKs"},
-			{metrics.EvEvict, b.Stats().Evicted, "evict vs Evicted"},
-			{metrics.EvCrash, b.Stats().Crashes, "crash vs Crashes"},
+			{metrics.EvNAKServed, false, bs.NAKs, "nak-served vs NAKs"},
+			{metrics.EvEvict, true, bs.Evicted, "evict Aux vs Evicted"},
+			{metrics.EvCrash, false, bs.Crashes, "crash vs Crashes"},
 		}
 		for _, p := range bufPairs {
-			if n, ok := kindCount(env.bufRecs[i], p.kind); ok && n != p.want {
+			if n, ok := kindCount(env.bufRecs[i], p.kind, p.aux); ok && n != p.want {
 				out = append(out, fmt.Sprintf("oracle/flight: buffer %d %s: %d events, %d counted", i, p.name, n, p.want))
 			}
 		}

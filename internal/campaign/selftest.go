@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/dmtp"
 	"repro/internal/journal"
@@ -13,7 +15,10 @@ import (
 // via dmtp.GapFloorBias (a silently untracked single-packet gap the
 // delivery ledger must report), and a journal replay that drops every
 // third appended record via journal.ReplayDropBias (a broken recovery
-// the replay-balance and durable-zero-loss oracles must report). A
+// the replay-balance and durable-zero-loss oracles must report), and
+// eviction runs recorded one entry long via dmtp.EvictRunBias (a flight
+// recorder that disagrees with the stash counters, which the flight
+// oracle must report). A
 // harness whose oracles cannot fire is not evidence (the same argument
 // the conformance suite's self-test makes).
 //
@@ -64,6 +69,23 @@ func SelfTest() error {
 	journal.ReplayDropBias = 0
 	if brokenReplay.Outcome == "ok" {
 		return fmt.Errorf("campaign selftest: oracles passed a record-dropping journal replay — the harness cannot detect broken recovery")
+	}
+
+	// The flight oracle must fire too: a healthy cell whose stashes evict,
+	// then the same cell recording every eviction run one entry long.
+	evicting := Cell{Seed: 1, Topology: "chain", Fault: "clean", Workload: "storm"}
+	er := runCell(evicting, spec)
+	if er.Outcome != "ok" {
+		return fmt.Errorf("campaign selftest: healthy evicting cell reported %v", er.Violations)
+	}
+	if er.Evicted == 0 {
+		return fmt.Errorf("campaign selftest: evicting cell never evicted: %+v", er)
+	}
+	dmtp.EvictRunBias = 1
+	brokenRuns := runCell(evicting, spec)
+	dmtp.EvictRunBias = 0
+	if !slices.ContainsFunc(brokenRuns.Violations, func(v string) bool { return strings.HasPrefix(v, "oracle/flight:") }) {
+		return fmt.Errorf("campaign selftest: the flight oracle passed miscounted eviction runs: %v", brokenRuns.Violations)
 	}
 	return nil
 }

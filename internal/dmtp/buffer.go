@@ -83,7 +83,8 @@ type BufferConfig struct {
 	Stats *BufferStats
 	// Recorder, when non-nil, receives flight-recorder events (nak-served,
 	// nak-miss, evict, trim, crash, restart) stamped with Clock. Recording
-	// is lock- and allocation-free; nil disables it entirely.
+	// is lock- and allocation-free; nil disables it entirely. Evictions are
+	// recorded per run, not per entry: see evictRun.
 	Recorder *metrics.FlightRecorder
 	// Clock stamps Recorder events — except the evictions RelayEngine.Handle
 	// triggers, which carry Handle's now. Nil defaults to WallClock; the
@@ -148,6 +149,27 @@ func (h *evictHeap) Pop() any {
 	return st
 }
 
+// evictRun is a run of capacity evictions that share one now, held in
+// plain fields while it grows and recorded as one EvEvict: Seq the first
+// victim's sequence, Aux the entries evicted, Exp the victims' experiment
+// (0 when the run spans several). Recording per entry would put the
+// recorder's locked instructions on every insert of a full stash. A run is
+// recorded when an eviction arrives with another now, before any other
+// event the engine records, and when Stats is read, so the evict events
+// of an unwrapped ring sum to BufferStats.Evicted whenever anyone reads it.
+type evictRun struct {
+	at  int64
+	exp wire.ExperimentID
+	seq uint64
+	n   uint64 // entries; 0 when no run is pending
+}
+
+// EvictRunBias exists solely so the campaign self-test can prove its
+// flight oracle counts eviction runs: a nonzero bias is added to every
+// recorded run's entry count, which must make that oracle fire. It must be
+// zero outside that self-test.
+var EvictRunBias uint64
+
 // BufferEngine is the retransmission-buffer state machine shared by the
 // simulator's BufferNode and the live Relay: per-experiment sequence
 // assignment, a FIFO-evicted stash that owns its entries, NAK service,
@@ -166,6 +188,7 @@ type BufferEngine struct {
 	stamp  uint64    // last insertion ordinal handed out
 	bytes  int
 	down   bool // crashed: adapters discard traffic until Restart
+	evicts evictRun
 }
 
 // NewBufferEngine builds an engine over the given datapath.
@@ -188,8 +211,12 @@ func NewBufferEngine(dp Datapath, cfg BufferConfig) *BufferEngine {
 	}
 }
 
-// Stats returns a snapshot of the engine counters.
-func (b *BufferEngine) Stats() BufferStats { return *b.stats }
+// Stats returns a snapshot of the engine counters, recording the pending
+// eviction run first.
+func (b *BufferEngine) Stats() BufferStats {
+	b.flushEvicts()
+	return *b.stats
+}
 
 // BufferedBytes returns current buffer occupancy.
 func (b *BufferEngine) BufferedBytes() int { return b.bytes }
@@ -263,6 +290,7 @@ func (b *BufferEngine) Crash() {
 	b.down = true
 	b.stats.Crashes++
 	if b.cfg.Recorder != nil {
+		b.flushEvicts()
 		b.cfg.Recorder.RecordAt(b.cfg.Clock.Now(), metrics.EvCrash, 0, 0, uint64(b.bytes))
 	}
 	for len(b.oldest) > 0 {
@@ -274,6 +302,7 @@ func (b *BufferEngine) Crash() {
 func (b *BufferEngine) Restart() {
 	b.down = false
 	if b.cfg.Recorder != nil {
+		b.flushEvicts()
 		b.cfg.Recorder.RecordAt(b.cfg.Clock.Now(), metrics.EvRestart, 0, 0, 0)
 	}
 }
@@ -339,8 +368,7 @@ func (b *BufferEngine) restore(st *expStash, seq uint64, pkt []byte, now int64) 
 			b.cfg.Journal.Tombstone(victim.exp, old.seq)
 		}
 		if b.cfg.Recorder != nil {
-			b.cfg.Recorder.RecordAt(now, metrics.EvEvict,
-				uint64(victim.exp), old.seq, uint64(len(old.pkt)))
+			b.noteEvict(now, victim.exp, old.seq)
 		}
 	}
 	// Reclaim the dead prefix only once it is half a full slice, so a
@@ -359,6 +387,31 @@ func (b *BufferEngine) restore(st *expStash, seq uint64, pkt []byte, now int64) 
 	b.stats.Buffered++
 	b.stats.BufferedBytes += uint64(len(pkt))
 	return true
+}
+
+// noteEvict adds the eviction of (exp, seq) at now to the pending run,
+// recording the run first when it holds evictions of another now.
+func (b *BufferEngine) noteEvict(now int64, exp wire.ExperimentID, seq uint64) {
+	r := &b.evicts
+	if r.n > 0 && r.at != now {
+		b.flushEvicts()
+	}
+	switch {
+	case r.n == 0:
+		*r = evictRun{at: now, exp: exp, seq: seq}
+	case r.exp != exp:
+		r.exp = 0
+	}
+	r.n++
+}
+
+// flushEvicts records the pending eviction run, if any, stamped with its
+// now.
+func (b *BufferEngine) flushEvicts() {
+	if r := b.evicts; r.n > 0 {
+		b.evicts.n = 0
+		b.cfg.Recorder.RecordAt(r.at, metrics.EvEvict, uint64(r.exp), r.seq, r.n+EvictRunBias)
+	}
 }
 
 // RestoreSeq raises exp's sequence-assignment counter to at least seq.
@@ -406,6 +459,7 @@ func (b *BufferEngine) ServeNAK(nak *wire.NAK) {
 	missed := nak.TotalMissing() - served
 	b.stats.Misses += missed
 	if b.cfg.Recorder != nil && len(nak.Ranges) > 0 {
+		b.flushEvicts()
 		now := b.cfg.Clock.Now()
 		b.cfg.Recorder.RecordAt(now, metrics.EvNAKServed,
 			uint64(nak.Experiment), nak.Ranges[0].From, served)
@@ -431,6 +485,7 @@ func (b *BufferEngine) Trim(exp wire.ExperimentID, cum uint64) {
 		b.cfg.Journal.TrimTo(exp, cum)
 	}
 	if n > 0 && b.cfg.Recorder != nil {
+		b.flushEvicts()
 		b.cfg.Recorder.RecordAt(b.cfg.Clock.Now(), metrics.EvTrim, uint64(exp), cum, uint64(n))
 	}
 }

@@ -24,8 +24,9 @@ type Message struct {
 	// Latency is the time from the origin timestamp to the engine-clock
 	// reading that ingested the packet, or -1 without an origin timestamp.
 	// The live receiver reads its clock once per socket read, so there this
-	// is origin → the read that delivered the packet, up to one burst's
-	// ingest time earlier than the callback. Aged and Late are judged
+	// is origin → the read that delivered the packet, earlier than the
+	// callback by the time the read's earlier datagrams took to ingest and
+	// deliver. Aged and Late are judged
 	// against the same reading.
 	Latency time.Duration
 	// Aged reports the in-network age flag.

@@ -34,7 +34,7 @@ type RelayConfig[D fmt.Stringer] struct {
 	// Buffer is the template for every shard's BufferEngine, with
 	// CapacityBytes the relay's total (split evenly) and Stats and Journal
 	// left for the engine to fill per shard. Its Clock also stamps flow
-	// idle times, its Recorder also gets reshape and injected-drop events.
+	// idle times, its Recorder also gets injected-drop events.
 	Buffer BufferConfig
 	// Datapath carries NAK retransmissions.
 	Datapath Datapath
@@ -191,10 +191,6 @@ type RelayEngine[D fmt.Stringer] struct {
 	upgraded      uint64 // also drives boundary trace sampling
 	injectedDrops uint64
 	forwarded     uint64
-
-	// reshapeC counts reshapes into ConfigID; installed by
-	// RegisterMetrics, nil (and skipped) until then.
-	reshapeC *metrics.Counter
 }
 
 // NewRelayEngine builds the shards, opens the journal when configured and
@@ -378,12 +374,10 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 	if e.cfg.PostStamp != nil {
 		e.cfg.PostStamp(up, seq)
 	}
+	// No flight event and no shared counter per packet: upgraded is what
+	// dmtp.relay.reshapes.config<ConfigID> reads at scrape time.
 	e.upgraded = n
 	f.upgraded++
-	if e.reshapeC != nil {
-		e.reshapeC.Inc()
-	}
-	e.cfg.Buffer.Recorder.RecordAt(now, metrics.EvReshape, uint64(exp), seq, uint64(e.cfg.ConfigID))
 	if sequenced {
 		// The stash takes ownership of the buffer: downstream elements
 		// mutate headers in flight, and the buffer must retransmit the
@@ -394,6 +388,7 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 		f.buf.stash(f.run, seq, up, now)
 		if e.cfg.DropEveryN > 0 && seq%uint64(e.cfg.DropEveryN) == 0 {
 			e.injectedDrops++
+			f.buf.flushEvicts() // the stash's evictions come first in the ring
 			e.cfg.Buffer.Recorder.RecordAt(now, metrics.EvInjectedDrop, uint64(exp), seq, 0)
 			return
 		}
@@ -626,7 +621,7 @@ func (e *RelayEngine[D]) Flows() []FlowInfo {
 
 // RegisterMetrics publishes the relay's metric set on reg — dmtp.buf.*
 // (with per-shard occupancy), dmtp.relay.*, the flow-table family, the
-// reshape counter for ConfigID, the journal family when journaled — as
+// reshape count for ConfigID, the journal family when journaled — as
 // gauges sampled under the lock at scrape time only. Both substrates
 // register through here, so their metric names match by construction; the
 // live adapter adds wire.pool.* (RegisterPoolMetrics) from its stash log.
@@ -648,6 +643,8 @@ func (e *RelayEngine[D]) RegisterMetrics(reg *metrics.Registry) {
 		return s.BufferedBytes - s.ReleasedBytes - uint64(s.Occupancy)
 	})
 	gauge(metrics.MetricRelayUpgraded, func(s RelayStats) uint64 { return s.Upgraded })
+	// Every upgrade is a reshape into ConfigID.
+	gauge(metrics.MetricRelayReshapePrefix+strconv.Itoa(int(e.cfg.ConfigID)), func(s RelayStats) uint64 { return s.Upgraded })
 	gauge(metrics.MetricRelayForwarded, func(s RelayStats) uint64 { return s.Forwarded })
 	gauge(metrics.MetricRelayInjectedDrops, func(s RelayStats) uint64 { return s.InjectedDrops })
 	for i, buf := range e.sb.shards {
@@ -662,9 +659,6 @@ func (e *RelayEngine[D]) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterFunc(metrics.MetricRelayFlowsOpened, func() int64 { return int64(flows().Opened) })
 	reg.RegisterFunc(metrics.MetricRelayFlowsExpired, func() int64 { return int64(flows().Expired) })
 	reg.RegisterFunc(metrics.MetricRelayFlowsRejected, func() int64 { return int64(flows().Rejected) })
-	e.lock()
-	e.reshapeC = reg.Counter(metrics.MetricRelayReshapePrefix + strconv.Itoa(int(e.cfg.ConfigID)))
-	e.unlock()
 	if e.jset != nil {
 		e.jset.RegisterMetrics(reg)
 	}

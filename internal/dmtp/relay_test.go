@@ -552,7 +552,8 @@ func TestRelayEngineBoundaryTrace(t *testing.T) {
 // TestRelayEvictionStampedWithHandleNow: an eviction that an upgrade
 // triggers carries the now Handle was given, not a later clock reading —
 // the live relay reads its clock once per burst and hands that reading to
-// every packet of it.
+// every packet of it. The eviction is recorded as a run, once Stats has
+// been read.
 func TestRelayEvictionStampedWithHandleNow(t *testing.T) {
 	rec := metrics.NewFlightRecorder(16)
 	r := newRelayRig(t, func(c *RelayConfig[testDst]) {
@@ -571,14 +572,80 @@ func TestRelayEvictionStampedWithHandleNow(t *testing.T) {
 	}
 	r.eng.Handle(rigSrcA, pkt, burst)
 	r.eng.Handle(rigSrcA, pkt, burst) // evicts seq 1
-	var evicts []metrics.Event
+	r.eng.Stats()                     // records the pending run
+	evicts := eventsOf(rec, metrics.EvEvict)
+	if len(evicts) != 1 || evicts[0].Seq != 1 || evicts[0].Aux != 1 || evicts[0].At != burst {
+		t.Fatalf("evict events %+v, want one run of 1 from seq 1 at %d (Handle's now), not %d (the clock)", evicts, burst, r.clock.Now())
+	}
+}
+
+// eventsOf returns rec's events of kind k, oldest first.
+func eventsOf(rec *metrics.FlightRecorder, k metrics.EventKind) []metrics.Event {
+	var out []metrics.Event
 	for _, e := range rec.Snapshot() {
-		if e.Kind == metrics.EvEvict {
-			evicts = append(evicts, e)
+		if e.Kind == k {
+			out = append(out, e)
 		}
 	}
-	if len(evicts) != 1 || evicts[0].Seq != 1 || evicts[0].At != burst {
-		t.Fatalf("evict events %+v, want one for seq 1 at %d (Handle's now), not %d (the clock)", evicts, burst, r.clock.Now())
+	return out
+}
+
+// TestRelayRecordsRunsNotPackets: the relay records no event per packet.
+// A burst that evicts on every insert records no reshape and one evict
+// event for all its evictions; its reshapes are read off the upgrade count
+// at scrape time. The next burst, at another now, is a run of its own, and
+// Crash records a pending run before the crash.
+func TestRelayRecordsRunsNotPackets(t *testing.T) {
+	rec := metrics.NewFlightRecorder(64)
+	r := newRelayRig(t, func(c *RelayConfig[testDst]) {
+		c.Buffer.CapacityBytes = 1 // every insert evicts what is held
+		c.Buffer.Recorder = rec
+	})
+	reg := metrics.NewRegistry()
+	r.eng.RegisterMetrics(reg)
+	const burst = 512
+	send := func() {
+		for i := 0; i < burst; i++ {
+			r.ingest(rigSrcA, expA)
+		}
+	}
+	t1 := r.clock.Now()
+	send()
+	if n := rec.Total(); n != 0 {
+		t.Fatalf("a %d-packet burst recorded %d events before anyone read the stats: %v", burst, n, rec.Snapshot())
+	}
+	st := r.eng.Stats()
+	if st.Evicted != burst-1 {
+		t.Fatalf("evicted %d, want %d", st.Evicted, burst-1)
+	}
+	evicts := eventsOf(rec, metrics.EvEvict)
+	want := metrics.Event{At: t1, Kind: metrics.EvEvict, KindName: "evict", Exp: uint64(expA), Seq: 1, Aux: st.Evicted}
+	if len(evicts) != 1 || evicts[0] != want {
+		t.Fatalf("evict events %+v, want %+v", evicts, want)
+	}
+	if n := len(eventsOf(rec, metrics.EvReshape)); n != 0 {
+		t.Fatalf("%d reshape events, want none", n)
+	}
+	if got, ok := metrics.SampleValue(reg.Snapshot(), metrics.MetricRelayReshapePrefix+"1"); !ok || got != int64(r.eng.Stats().Upgraded) {
+		t.Fatalf("reshape sample %d (exported %v), want Upgraded %d", got, ok, r.eng.Stats().Upgraded)
+	}
+
+	r.clock.Advance(time.Millisecond)
+	t2 := r.clock.Now()
+	send()
+	r.eng.Stats()
+	evicts = eventsOf(rec, metrics.EvEvict)
+	want = metrics.Event{At: t2, Kind: metrics.EvEvict, KindName: "evict", Exp: uint64(expA), Seq: burst, Aux: burst}
+	if len(evicts) != 2 || evicts[1] != want {
+		t.Fatalf("evict events after a second burst %+v, want a second run %+v", evicts, want)
+	}
+
+	r.clock.Advance(time.Millisecond)
+	send()
+	r.eng.Crash(nil)
+	events := rec.Snapshot()
+	if n := len(events); n < 2 || events[n-2].Kind != metrics.EvEvict || events[n-2].Aux != burst || events[n-1].Kind != metrics.EvCrash {
+		t.Fatalf("events after a third burst and a crash %v, want its run of %d then the crash", events, burst)
 	}
 }
 

@@ -87,70 +87,90 @@ func FuzzUpgradeRecipe(f *testing.F) {
 
 // BenchmarkRelayUpgrade times RelayEngine.Handle per upgraded packet as
 // the live relay runs it: the live relay's onward mode and Upgrade, two
-// shards, a flight recorder and the reshape counter, stash entries from a
-// wire.StashLog as the live relay's are, and every flow trimmed each trim
-// packets as a cumulative ACK would. One flow of 1 KiB packets is the
-// daq1k workloads' shape, 64 flows of 256 B flows64's. A trim depth of
-// 1024 keeps the stash inside a 2 MiB L2; 4096, about 2 ms at flows64's
-// rate, lets it leave the way it does live.
+// shards, a flight recorder and the registered metrics, stash entries from
+// a wire.StashLog as the live relay's are, one clock reading per burst of
+// 64 packets, and every flow trimmed each trim packets as a cumulative ACK
+// would. One flow of 1 KiB packets is the daq1k workloads' shape, 64 flows
+// of 256 B flows64's. A trim depth of 1024 keeps the stash inside a 2 MiB
+// L2; 4096, about 2 ms at flows64's rate, lets it leave the way it does
+// live. The evict case never trims: the 64 MiB stash is filled before the
+// timer starts, so every insert evicts the oldest entry, cold in memory,
+// as daq1k_unacked's relay does once its receiver sends no ACKs.
 func BenchmarkRelayUpgrade(b *testing.B) {
 	for _, bc := range []struct {
-		flows, size int
+		flows, size, trim int // trim 0: never trimmed, evicting
 	}{
-		{1, 1024},
-		{64, 256},
+		{1, 1024, 1024},
+		{1, 1024, 4096},
+		{1, 1024, 0},
+		{64, 256, 1024},
+		{64, 256, 4096},
 	} {
-		for _, trim := range []int{1024, 4096} {
-			b.Run(fmt.Sprintf("flows=%d/size=%d/trim=%d", bc.flows, bc.size, trim), func(b *testing.B) {
-				stash := wire.NewStashLog(DefaultCapacityBytes)
-				eng, err := NewRelayEngine(RelayConfig[testDst]{
-					Shards: 2,
-					Buffer: BufferConfig{
-						Release:  stash.Put,
-						Recorder: metrics.NewFlightRecorder(0),
-					},
-					Datapath: nopDatapath{},
-					Alloc:    stash.Get,
-					Resolve:  func(wire.Addr, wire.ExperimentID) (testDst, bool) { return "rx", true },
-					ConfigID: 1,
-					Features: liveUpgrade,
-					Upgrade:  Upgrade{MaxAge: 500 * time.Millisecond, DeadlineBudget: time.Second},
-					Emit:     func(f *Flow[testDst], _ []byte) { f.Sent(1) },
-				})
+		name := fmt.Sprintf("flows=%d/size=%d/trim=%d", bc.flows, bc.size, bc.trim)
+		if bc.trim == 0 {
+			name = fmt.Sprintf("flows=%d/size=%d/evict", bc.flows, bc.size)
+		}
+		b.Run(name, func(b *testing.B) {
+			stash := wire.NewStashLog(DefaultCapacityBytes)
+			eng, err := NewRelayEngine(RelayConfig[testDst]{
+				Shards: 2,
+				Buffer: BufferConfig{
+					Release:  stash.Put,
+					Recorder: metrics.NewFlightRecorder(0),
+				},
+				Datapath: nopDatapath{},
+				Alloc:    stash.Get,
+				Resolve:  func(wire.Addr, wire.ExperimentID) (testDst, bool) { return "rx", true },
+				ConfigID: 1,
+				Features: liveUpgrade,
+				Upgrade:  Upgrade{MaxAge: 500 * time.Millisecond, DeadlineBudget: time.Second},
+				Emit:     func(f *Flow[testDst], _ []byte) { f.Sent(1) },
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			eng.SetSelf(rigSelf)
+			eng.RegisterMetrics(metrics.NewRegistry())
+			exps := make([]wire.ExperimentID, bc.flows)
+			pkts := make([]wire.View, bc.flows)
+			for i := range pkts {
+				exps[i] = wire.NewExperimentID(777, uint8(i))
+				enc, err := (&wire.Header{Experiment: exps[i]}).AppendTo(nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer eng.Close()
-				eng.SetSelf(rigSelf)
-				eng.RegisterMetrics(metrics.NewRegistry())
-				exps := make([]wire.ExperimentID, bc.flows)
-				pkts := make([]wire.View, bc.flows)
-				for i := range pkts {
-					exps[i] = wire.NewExperimentID(777, uint8(i))
-					enc, err := (&wire.Header{Experiment: exps[i]}).AppendTo(nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					pkts[i] = append(enc, make([]byte, bc.size)...)
+				pkts[i] = append(enc, make([]byte, bc.size)...)
+			}
+			now := rigStart
+			handle := func(i int) {
+				if i%64 == 0 {
+					now += int64(time.Microsecond)
 				}
-				now := rigStart
-				handle := func(i int) {
-					eng.Handle(rigSrcA, pkts[i%bc.flows], now)
-					if i%trim == trim-1 {
-						for _, exp := range exps {
-							eng.Buffer().Trim(exp, eng.Buffer().SeqOf(exp))
-						}
+				eng.Handle(rigSrcA, pkts[i%bc.flows], now)
+				if bc.trim > 0 && i%bc.trim == bc.trim-1 {
+					for _, exp := range exps {
+						eng.Buffer().Trim(exp, eng.Buffer().SeqOf(exp))
 					}
 				}
-				for i := 0; i < 4*trim; i++ {
-					handle(i) // warm: flow registration, the recipe, the stash log
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					handle(i)
-				}
-			})
-		}
+			}
+			// Warm: flow registration, the recipe, the stash log, and
+			// for the evict case a full stash.
+			warm := 4 * bc.trim
+			if bc.trim == 0 {
+				warm = 2 * DefaultCapacityBytes / bc.size
+			}
+			for i := 0; i < warm; i++ {
+				handle(i)
+			}
+			if bc.trim == 0 && eng.Stats().Evicted == 0 {
+				b.Fatal("the stash never filled")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				handle(i)
+			}
+		})
 	}
 }

@@ -88,8 +88,7 @@ type BatchStats struct {
 
 // batchInstruments are the registry instruments behind the
 // dmtp.live.batch.* metric family, installed by RegisterMetrics
-// (nil until then — recording is skipped, matching the reshape-counter
-// pattern).
+// (nil until then — recording is skipped).
 type batchInstruments struct {
 	perSyscall *metrics.Histogram // packets moved per batched syscall
 	gsoSegs    *metrics.Counter
@@ -205,8 +204,8 @@ func (bc *batchConn) Caps() BatchCaps { return bc.caps }
 
 // ReadBatch blocks until at least one datagram is available and returns
 // the number received into the ring (1 on the portable path). The
-// datagrams are visited with PacketsSrc; their buffers are valid only
-// until the next ReadBatch.
+// datagrams are visited with Datagram or PacketsSrc; their buffers are
+// valid only until the next ReadBatch.
 func (bc *batchConn) ReadBatch() (int, error) {
 	if bc.k != nil {
 		return bc.k.readBatch()
@@ -227,22 +226,30 @@ func (bc *batchConn) ReadBatch() (int, error) {
 	return 1, nil
 }
 
-// PacketsSrc invokes fn once per wire packet of the last ReadBatch (n is
-// ReadBatch's return) with the packet's source address — what the relay
-// demultiplexes flows on — splitting GRO-coalesced datagrams at their
-// segment boundaries. GRO only coalesces datagrams of a single flow, so
-// split segments inherit their datagram's source. A zero src means the
+// Datagram invokes fn once per wire packet of datagram i of the last
+// ReadBatch (0 ≤ i < its return) with the packet's source address — what
+// the relay demultiplexes flows on — splitting a GRO-coalesced datagram at
+// its segment boundaries. GRO only coalesces datagrams of a single flow,
+// so split segments inherit their datagram's source. A zero src means the
 // source could not be captured (non-IPv4 peer); callers treat those as
 // unroutable. pkt is valid until the next ReadBatch, on either path: fn
 // may queue it, provided the queue is drained before the caller reads
 // again.
-func (bc *batchConn) PacketsSrc(n int, fn func(pkt []byte, src wire.Addr)) {
+func (bc *batchConn) Datagram(i int, fn func(pkt []byte, src wire.Addr)) {
 	if bc.k != nil {
-		bc.k.packetsSrc(n, fn)
+		bc.k.datagram(i, fn)
 		return
 	}
-	if n > 0 {
+	if i == 0 {
 		fn(bc.rbuf[:bc.rlen], bc.rsrc)
+	}
+}
+
+// PacketsSrc visits the n datagrams of the last ReadBatch (n is its
+// return) in arrival order, as Datagram does each.
+func (bc *batchConn) PacketsSrc(n int, fn func(pkt []byte, src wire.Addr)) {
+	for i := 0; i < n; i++ {
+		bc.Datagram(i, fn)
 	}
 }
 

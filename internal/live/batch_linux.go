@@ -219,36 +219,34 @@ func (k *kernelBatch) readBatch() (int, error) {
 	return n, nil
 }
 
-// packetsSrc visits each wire packet of the last readBatch with its
-// datagram's source address, splitting GRO-coalesced datagrams at their
-// segment boundaries (the last segment may be shorter). GRO only
+// datagram visits each wire packet of ring slot i of the last readBatch
+// with the slot's source address, splitting a GRO-coalesced datagram at
+// its segment boundaries (the last segment may be shorter). GRO only
 // coalesces datagrams of one flow, so all segments split from a slot
 // share that slot's source.
-func (k *kernelBatch) packetsSrc(n int, fn func(pkt []byte, src wire.Addr)) {
-	if n > len(k.rhdrs) {
-		n = len(k.rhdrs)
+func (k *kernelBatch) datagram(i int, fn func(pkt []byte, src wire.Addr)) {
+	if i >= len(k.rhdrs) {
+		return
 	}
-	for i := 0; i < n; i++ {
-		var src wire.Addr
-		if k.rnames[i].Family == syscall.AF_INET {
-			src.IP = k.rnames[i].Addr
-			// sin_port is network byte order in the raw sockaddr.
-			p := k.rnames[i].Port
-			src.Port = p>>8 | p<<8
+	var src wire.Addr
+	if k.rnames[i].Family == syscall.AF_INET {
+		src.IP = k.rnames[i].Addr
+		// sin_port is network byte order in the raw sockaddr.
+		p := k.rnames[i].Port
+		src.Port = p>>8 | p<<8
+	}
+	buf := k.rbufs[i][:k.rlens[i]]
+	seg := k.rsegs[i]
+	if seg <= 0 || len(buf) <= seg {
+		fn(buf, src)
+		return
+	}
+	for off := 0; off < len(buf); off += seg {
+		end := off + seg
+		if end > len(buf) {
+			end = len(buf)
 		}
-		buf := k.rbufs[i][:k.rlens[i]]
-		seg := k.rsegs[i]
-		if seg <= 0 || len(buf) <= seg {
-			fn(buf, src)
-			continue
-		}
-		for off := 0; off < len(buf); off += seg {
-			end := off + seg
-			if end > len(buf) {
-				end = len(buf)
-			}
-			fn(buf[off:end], src)
-		}
+		fn(buf[off:end], src)
 	}
 }
 

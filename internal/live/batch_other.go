@@ -20,5 +20,5 @@ type kernelBatch struct{}
 func newKernelBatch(*net.UDPConn, *batchStats, bool, *BatchCaps) *kernelBatch { return nil }
 
 func (*kernelBatch) readBatch() (int, error)                          { return 0, nil }
-func (*kernelBatch) packetsSrc(int, func([]byte, wire.Addr))          {}
+func (*kernelBatch) datagram(int, func([]byte, wire.Addr))            {}
 func (*kernelBatch) writeBatch([][]byte, netip.AddrPort) (int, error) { return 0, nil }

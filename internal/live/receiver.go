@@ -97,15 +97,18 @@ type ReceiverStats struct {
 // application callbacks are flushed after the lock is released.
 //
 // With the wall clock only the read goroutine drives the engine (Close
-// stops it): after each read it ingests the burst, fires every timer due
-// at the read's reading, and dispatches the lot, so the NAKs and ACKs a
-// read finds due leave in one batched send per destination.
+// stops it): it ingests a read datagram by datagram, delivering each
+// datagram's messages before it ingests the next, then fires every timer
+// due at the read's reading and dispatches what they queued, so the NAKs
+// and ACKs a read finds due leave in one batched send per destination.
+// Delivering per datagram rather than per read keeps the time from a
+// message's arrival to its OnMessage from growing with the read's size.
 //
 // Delivered payloads are views of the receive ring, which rests on one
 // invariant: pendMsgs is empty whenever r.mu is free. Only Ingest delivers
 // (Ordered parking, the one way a timer fire could, is not exposed here),
 // and readLoop takes the flush before it unlocks; so an injected clock's
-// fire never flushes messages, and every OnMessage of a burst runs on the
+// fire never flushes messages, and every OnMessage of a read runs on the
 // read goroutine before the next ReadBatch reuses the ring.
 type Receiver struct {
 	cfg   ReceiverConfig
@@ -117,8 +120,9 @@ type Receiver struct {
 	mu     sync.Mutex
 	eng    *dmtp.ReceiverEngine
 	closed bool
-	// burstNow is the clock reading shared by the burst being ingested and
-	// the timers fired after it (see rxClock.Now); zero between bursts.
+	// burstNow is the clock reading shared by the read being ingested and
+	// the timers fired after it (see rxClock.Now); zero whenever r.mu is
+	// free.
 	burstNow int64
 	// timers holds the engine's timers when no Clock is injected; readLoop
 	// fires them.
@@ -369,10 +373,11 @@ func (r *Receiver) Close() error {
 	return err
 }
 
-// readLoop ingests each burst and fires the timers due at its reading
-// under one hold of the lock. A read that fails — the deadline at the
-// earliest pending timer passing on an idle socket, most often — ingests
-// nothing and fires all the same.
+// readLoop ingests each read datagram by datagram under the lock, and
+// releases it to dispatch a datagram's messages before ingesting the next;
+// once the read is ingested it fires the timers due at the read's reading.
+// A read that fails — the deadline at the earliest pending timer passing
+// on an idle socket, most often — ingests nothing and fires all the same.
 func (r *Receiver) readLoop() {
 	defer r.wg.Done()
 	ingest := func(pkt []byte, _ wire.Addr) {
@@ -388,16 +393,33 @@ func (r *Receiver) readLoop() {
 		if err != nil {
 			n = 0
 		}
-		// Queued messages point into the ring: the flush is taken under
-		// this hold of the lock and dispatched before the next ReadBatch.
+		// Queued messages point into the ring: each flush is taken under
+		// the hold of the lock that queued it and dispatched before the next
+		// ReadBatch.
 		r.mu.Lock()
 		if r.closed {
 			r.mu.Unlock()
 			return
 		}
-		r.burstNow = r.clock.Now()
-		r.bc.PacketsSrc(n, ingest)
-		r.timers.Fire(r.burstNow)
+		now := r.clock.Now()
+		r.burstNow = now
+		for i := 0; i < n; i++ {
+			r.bc.Datagram(i, ingest)
+			if len(r.pendMsgs) == 0 {
+				continue
+			}
+			f := r.takeFlushLocked()
+			r.burstNow = 0 // an injected clock's fire meanwhile reads afresh
+			r.mu.Unlock()
+			r.dispatch(f)
+			r.mu.Lock()
+			if r.closed {
+				r.mu.Unlock()
+				return
+			}
+			r.burstNow = now
+		}
+		r.timers.Fire(now)
 		r.burstNow = 0
 		next, _ := r.timers.NextAt()
 		f := r.takeFlushLocked()

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -255,6 +256,66 @@ func TestReceiverBatchesACKs(t *testing.T) {
 	}
 	if grown := peak - base; grown > 4 {
 		t.Fatalf("%d goroutines more than before the receiver, with %d streams ACKing", grown, streams)
+	}
+}
+
+// TestReceiverDeliversEachDatagram: when one read returns two
+// super-datagrams, the first one's messages reach OnMessage before the
+// second one is ingested. The read goroutine is held inside the callback
+// for a first packet while both are sent, so the next read finds them
+// queued together.
+func TestReceiverDeliversEachDatagram(t *testing.T) {
+	const per = 8 // packets per super-datagram
+	var (
+		self     atomic.Pointer[Receiver]
+		held     = make(chan struct{})
+		release  = make(chan struct{})
+		received []uint64 // Stats().Received as each message is delivered, by seq
+	)
+	recv, err := NewReceiver(ReceiverConfig{
+		Listen: "127.0.0.1:0",
+		OnMessage: func(m Message) {
+			if m.Seq == 1 {
+				close(held)
+				<-release
+			}
+			received = append(received, self.Load().Stats().Received)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	self.Store(recv)
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // before Close, which waits for the read goroutine
+	if !recv.bc.Caps().Mmsg {
+		t.Skip("no recvmmsg: every read returns one datagram")
+	}
+	relay := newRelayStub(t, recv)
+	relay.send(relay.pkt(0, 1))
+	<-held
+	syscalls := recv.BatchStats().Syscalls
+	for first := uint64(2); first < 2+2*per; first += per {
+		pkts := make([][]byte, per)
+		for i := range pkts {
+			pkts[i] = relay.pkt(0, first+uint64(i))
+		}
+		relay.send(pkts...)
+	}
+	unblock()
+	waitFor(t, 5*time.Second, func() bool { return recv.Stats().Delivered == 1+2*per }, "every message delivered")
+	if reads := recv.BatchStats().Syscalls - syscalls; reads != 1 {
+		t.Fatalf("the two super-datagrams took %d reads, want 1", reads)
+	}
+	// Close waits for the read goroutine, so every callback has returned
+	// and received is complete.
+	recv.Close()
+	for i, n := range received[1 : 1+per] {
+		if n > 1+per {
+			t.Fatalf("seq %d delivered with %d packets ingested, want the second super-datagram not yet ingested (at most %d): %v", 2+i, n, 1+per, received)
+		}
 	}
 }
 

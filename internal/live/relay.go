@@ -79,8 +79,8 @@ type RelayConfig struct {
 	// nil means the wall clock. The conformance suite injects a
 	// dmtp.FakeClock here.
 	Clock dmtp.Clock
-	// Recorder, when non-nil, receives flight-recorder events (reshape,
-	// injected-drop, plus the buffer engine's nak-served / nak-miss /
+	// Recorder, when non-nil, receives flight-recorder events
+	// (injected-drop, plus the buffer engine's nak-served / nak-miss /
 	// evict / trim / crash / restart). Nil disables flight recording.
 	Recorder *metrics.FlightRecorder
 	// TraceSample, when positive, originates a sampled in-band trace on

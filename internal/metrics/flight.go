@@ -10,7 +10,8 @@ import (
 // EventKind names one flight-recorder event type. The set covers every
 // protocol decision an operator needs when reconstructing "what happened
 // just before the flow stalled": loss detection, the NAK round trip,
-// write-offs, buffer lifecycle, and mode reshapes. OBSERVABILITY.md
+// write-offs and buffer lifecycle. No kind is recorded for every packet,
+// so the ring holds decisions and bursts, not traffic. OBSERVABILITY.md
 // documents the per-kind meaning of the Seq and Aux fields.
 type EventKind uint8
 
@@ -35,10 +36,14 @@ const (
 	// written off as permanent loss.
 	EvWriteOff
 	// EvReshape: a packet's mode was rewritten in flight. Seq = assigned
-	// sequence number, Aux = the new config ID.
+	// sequence number, Aux = the new config ID. The relay records none
+	// (a per-packet event would flood the ring); dmtp.relay.upgraded and
+	// dmtp.relay.reshapes.config* count its reshapes instead.
 	EvReshape
-	// EvEvict: the retransmission stash evicted its oldest entry for
-	// capacity. Seq = evicted sequence, Aux = entry size in bytes.
+	// EvEvict: a run of capacity evictions (oldest first) that share one
+	// timestamp — one burst's, on the live relay. Seq = the first evicted
+	// sequence, Aux = entries evicted, Exp = their experiment, or 0 when
+	// the run spans several.
 	EvEvict
 	// EvTrim: a cumulative ACK trimmed the stash. Seq = the cumulative
 	// sequence, Aux = entries released.

@@ -88,8 +88,8 @@ const (
 	MetricRelayInjectedDrops = "dmtp.relay.injected_drops"
 	MetricRelayRepointed     = "dmtp.relay.repointed"
 	MetricRelayDroppedDown   = "dmtp.relay.dropped_down"
-	// MetricRelayReshapePrefix is a counter family: one counter per
-	// observed post-reshape config ID, e.g. "dmtp.relay.reshapes.config1".
+	// MetricRelayReshapePrefix is a gauge family: one gauge per
+	// post-reshape config ID, e.g. "dmtp.relay.reshapes.config1".
 	MetricRelayReshapePrefix = "dmtp.relay.reshapes.config"
 
 	// Flow-table (many-flow relay demultiplexing) metrics.
@@ -222,7 +222,7 @@ var Catalog = []Info{
 	{MetricRelayInjectedDrops, KindGauge, "packets", "packets deliberately dropped by -drop-every fault injection"},
 	{MetricRelayRepointed, KindGauge, "packets", "transit packets re-homed to this buffer (StashTransit, simulator substrate)"},
 	{MetricRelayDroppedDown, KindGauge, "packets", "frames discarded while the buffer was crashed (simulator substrate)"},
-	{MetricRelayReshapePrefix + "*", KindCounter, "packets", "reshapes performed, one counter per resulting config ID"},
+	{MetricRelayReshapePrefix + "*", KindGauge, "packets", "reshapes performed, one gauge per resulting config ID (the relay's upgrade count, read at scrape time)"},
 	{MetricRelayFlowsActive, KindGauge, "flows", "flows currently registered in the relay's flow table"},
 	{MetricRelayFlowsOpened, KindGauge, "flows", "flows ever registered (first packet seen)"},
 	{MetricRelayFlowsExpired, KindGauge, "flows", "flows dropped after exceeding the idle TTL"},

@@ -21,32 +21,21 @@ func SampleValue(samples []Sample, name string) (int64, bool) {
 	return 0, false
 }
 
-// ScrapeClient fetches remote registries over HTTP — the monitor's side
-// of the /metrics?format=json contract served by internal/debugsrv.
-type ScrapeClient struct {
-	// Client is the underlying HTTP client; nil uses a private client
-	// with a 5 s timeout.
-	Client *http.Client
-}
-
-// defaultScrapeClient backs zero-value ScrapeClients: monitors talk to
-// loopback or LAN daemons, so a short timeout beats hanging a scrape
-// sweep on one dead target.
-var defaultScrapeClient = &http.Client{Timeout: 5 * time.Second}
+// scrapeClient is Scrape's HTTP client: monitors talk to loopback or LAN
+// daemons, so a short timeout beats hanging a scrape sweep on one dead
+// target.
+var scrapeClient = &http.Client{Timeout: 5 * time.Second}
 
 // Scrape fetches base's /metrics?format=json endpoint and decodes the
-// sample array. base is a host:port or http:// URL prefix (the path is
-// appended).
-func (c ScrapeClient) Scrape(base string) ([]Sample, error) {
-	hc := c.Client
-	if hc == nil {
-		hc = defaultScrapeClient
-	}
+// sample array — the monitor's side of the contract served by
+// internal/debugsrv. base is a host:port or http:// URL prefix (the path
+// is appended).
+func Scrape(base string) ([]Sample, error) {
 	url := base
 	if !strings.HasPrefix(url, "http://") && !strings.HasPrefix(url, "https://") {
 		url = "http://" + url
 	}
-	resp, err := hc.Get(url + "/metrics?format=json")
+	resp, err := scrapeClient.Get(url + "/metrics?format=json")
 	if err != nil {
 		return nil, err
 	}

@@ -154,8 +154,7 @@ type targetState struct {
 // Monitor scrapes a fleet and evaluates the runtime watchdogs. Create
 // with New; drive with Start/Stop or ScrapeOnce.
 type Monitor struct {
-	cfg    Config
-	client metrics.ScrapeClient
+	cfg Config
 
 	mu          sync.Mutex
 	targets     []*targetState
@@ -249,7 +248,7 @@ func (m *Monitor) ScrapeOnce() {
 		wg.Add(1)
 		go func(i int, url string) {
 			defer wg.Done()
-			samples, err := m.client.Scrape(url)
+			samples, err := metrics.Scrape(url)
 			results[i] = result{samples, err}
 		}(i, t.cfg.URL)
 	}
