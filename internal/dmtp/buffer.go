@@ -155,8 +155,9 @@ func (h *evictHeap) Pop() any {
 // (0 when the run spans several). Recording per entry would put the
 // recorder's locked instructions on every insert of a full stash. A run is
 // recorded when an eviction arrives with another now, before any other
-// event the engine records, and when Stats is read, so the evict events
-// of an unwrapped ring sum to BufferStats.Evicted whenever anyone reads it.
+// event the engine records, when Stats is read and when the adapter ends
+// a lock hold (RelayEngine.RecordPending), so the evict events of an
+// unwrapped ring sum to BufferStats.Evicted whenever anyone reads it.
 type evictRun struct {
 	at  int64
 	exp wire.ExperimentID

@@ -571,6 +571,17 @@ func (e *RelayEngine[D]) JournalRecoveries() []*journal.Recovered {
 	return e.jset.Recoveries()
 }
 
+// RecordPending records what the shards hold back from the flight
+// recorder, the eviction run of the last now Handle was given, so a relay
+// that evicts and then goes quiet shows that run without a stats read. An
+// adapter whose lock holds each pass Handle one now calls it at the end of
+// every such hold, which keeps each run one event. Caller holds the lock.
+func (e *RelayEngine[D]) RecordPending() {
+	for _, buf := range e.sb.shards {
+		buf.flushEvicts()
+	}
+}
+
 // Stats returns a snapshot of the counters.
 func (e *RelayEngine[D]) Stats() RelayStats {
 	e.lock()

@@ -93,9 +93,13 @@ func FuzzUpgradeRecipe(f *testing.F) {
 // would. One flow of 1 KiB packets is the daq1k workloads' shape, 64 flows
 // of 256 B flows64's. A trim depth of 1024 keeps the stash inside a 2 MiB
 // L2; 4096, about 2 ms at flows64's rate, lets it leave the way it does
-// live. The evict case never trims: the 64 MiB stash is filled before the
-// timer starts, so every insert evicts the oldest entry, cold in memory,
-// as daq1k_unacked's relay does once its receiver sends no ACKs.
+// live. The evict cases never trim: each shard's 64 MiB stash (one shard
+// for one flow, both for 64) is filled before the timer starts, so every
+// insert evicts the oldest entry, cold in memory, as daq1k_unacked's relay
+// does once its receiver sends no ACKs; with 64 flows of 256 B each entry
+// is 5 cache lines, not 17. The stash log is sized for both shards, and
+// any entry it could not carve fails the benchmark: a heap fallback is an
+// allocation on a fraction of packets, which allocs/op rounds to 0.
 func BenchmarkRelayUpgrade(b *testing.B) {
 	for _, bc := range []struct {
 		flows, size, trim int // trim 0: never trimmed, evicting
@@ -105,15 +109,17 @@ func BenchmarkRelayUpgrade(b *testing.B) {
 		{1, 1024, 0},
 		{64, 256, 1024},
 		{64, 256, 4096},
+		{64, 256, 0},
 	} {
 		name := fmt.Sprintf("flows=%d/size=%d/trim=%d", bc.flows, bc.size, bc.trim)
 		if bc.trim == 0 {
 			name = fmt.Sprintf("flows=%d/size=%d/evict", bc.flows, bc.size)
 		}
 		b.Run(name, func(b *testing.B) {
-			stash := wire.NewStashLog(DefaultCapacityBytes)
+			const shards = 2
+			stash := wire.NewStashLog(shards * DefaultCapacityBytes)
 			eng, err := NewRelayEngine(RelayConfig[testDst]{
-				Shards: 2,
+				Shards: shards,
 				Buffer: BufferConfig{
 					Release:  stash.Put,
 					Recorder: metrics.NewFlightRecorder(0),
@@ -155,10 +161,11 @@ func BenchmarkRelayUpgrade(b *testing.B) {
 				}
 			}
 			// Warm: flow registration, the recipe, the stash log, and
-			// for the evict case a full stash.
+			// for the evict cases a full stash whose per-flow slot slices
+			// have stopped growing: twice what both shards hold.
 			warm := 4 * bc.trim
 			if bc.trim == 0 {
-				warm = 2 * DefaultCapacityBytes / bc.size
+				warm = 2 * shards * DefaultCapacityBytes / bc.size
 			}
 			for i := 0; i < warm; i++ {
 				handle(i)
@@ -170,6 +177,9 @@ func BenchmarkRelayUpgrade(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				handle(i)
+			}
+			if st := stash.Stats(); st.Misses() > 0 {
+				b.Fatalf("%d of %d stash entries were heap allocations", st.Misses(), st.Gets)
 			}
 		})
 	}

@@ -657,9 +657,11 @@ func (r *Relay) send(d *destination) {
 	d.n, d.bytes = 0, 0
 }
 
-// flush ends a lock hold: it sends what every dirty destination still
-// queues, then recycles the retired buffers. Caller holds engMu.
+// flush ends a lock hold: it records the engine's pending eviction run,
+// sends what every dirty destination still queues, then recycles the
+// retired buffers. Caller holds engMu.
 func (r *Relay) flush() {
+	r.eng.RecordPending()
 	for _, d := range r.dirty {
 		if d.n > 0 {
 			r.send(d)

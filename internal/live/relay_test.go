@@ -8,8 +8,8 @@ package live
 // one fills, each flow one contiguous run in it, exact per-flow credit, a
 // bounded destination set), retransmissions riding the requester's queue
 // and their zero-alloc gate, released buffers outliving mid-burst sends,
-// and a -race torture test hammering the one engine lock from many flows,
-// scrapers and a crasher.
+// eviction runs recorded when their burst ends, and a -race torture test
+// hammering the one engine lock from many flows, scrapers and a crasher.
 
 import (
 	"bytes"
@@ -689,6 +689,61 @@ func TestRelayCutThrough(t *testing.T) {
 				t.Fatalf("sink read %v (%v before flush), want 1..%d", seqs, early, burst)
 			}
 		})
+	}
+}
+
+// TestRelayRecordsEvictionRunAtBurstEnd: the relay records a burst's
+// eviction run when the burst's lock hold ends, so the flight recorder
+// holds it once the evicting packets have been forwarded, with no stats
+// read or scrape in between; a later Stats call finds nothing pending.
+func TestRelayRecordsEvictionRunAtBurstEnd(t *testing.T) {
+	const n = 64
+	sink := newSeqSink(t)
+	rec := metrics.NewFlightRecorder(0)
+	relay, err := NewRelay(RelayConfig{
+		Listen:        "127.0.0.1:0",
+		CapacityBytes: 16 << 10,
+		Forward:       sink.conn.LocalAddr().String(),
+		MaxAge:        time.Hour,
+		Recorder:      rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	conn, err := net.Dial("udp4", relay.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	pkt := mode0Pkt(t, 832, string(bytes.Repeat([]byte{'e'}, 1000)))
+	for range n {
+		if _, err := conn.Write(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sink.waitSeqs(t, n)
+
+	// The sink has read every packet, so every hold that evicted has
+	// ended; taking the lock orders the reads below after the last one.
+	relay.engMu.Lock()
+	var runs, evicted uint64
+	for _, ev := range rec.Snapshot() {
+		if ev.Kind == metrics.EvEvict {
+			runs++
+			evicted += ev.Aux
+		}
+	}
+	total := rec.Total()
+	relay.engMu.Unlock()
+	if runs == 0 {
+		t.Fatalf("no evict event in %d recorded after %d packets of %d B into a 16 KiB stash", total, n, len(pkt))
+	}
+	if st := relay.Stats(); evicted != st.Evicted {
+		t.Fatalf("evict events before the stats read sum to %d, Evicted is %d", evicted, st.Evicted)
+	}
+	if got := rec.Total(); got != total {
+		t.Fatalf("the stats read recorded %d more events: a run was still pending", got-total)
 	}
 }
 

@@ -165,12 +165,84 @@ func TestStashLog(t *testing.T) {
 	}
 }
 
+// TestStashLogNext holds next, the offset Get carves at and write-prefetches
+// one entry ahead, to the address the next Get of that size returns, in
+// every way Get can place an entry; the prefetched bytes must end inside
+// their segment even when the last entry ends at a segment boundary or at
+// the arena's end.
+func TestStashLogNext(t *testing.T) {
+	const seg = stashSegment
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		setup    func(l *StashLog)
+		n        int // the next Get's length
+		want     int // its arena offset; -1 for a heap buffer
+	}{
+		{"within a segment", seg, func(l *StashLog) {
+			l.Get(100)
+			l.Get(1084)
+		}, 1084, 128 + 1088},
+		{"past a segment's end, the most recently emptied segment", 4 * seg * 8 / 9, func(l *StashLog) {
+			var whole [4][]byte
+			for i := range whole {
+				whole[i] = l.Get(seg)
+			}
+			l.Put(whole[0])
+			l.Put(whole[1])
+		}, 1, seg},
+		{"an entry ending at a segment boundary, the next segment", 2 * seg * 8 / 9, func(l *StashLog) {
+			l.Get(seg - 64)
+			l.Get(64)
+		}, 64, seg},
+		{"the current segment, drained, before an empty one", 2 * seg * 8 / 9, func(l *StashLog) {
+			a, b := l.Get(seg/2), l.Get(seg/2-64)
+			l.Put(a)
+			l.Put(b)
+		}, seg / 2, 0},
+		{"within the arena's last segment", 2 * seg * 8 / 9, func(l *StashLog) {
+			l.Get(seg)
+			l.Get(100)
+		}, 100, seg + 128},
+		{"an entry ending at the arena's end, nothing empty", 2 * seg * 8 / 9, func(l *StashLog) {
+			l.Get(seg)
+			l.Get(seg)
+		}, 64, -1},
+		{"a segment too full, nothing empty", seg * 8 / 9, func(l *StashLog) {
+			l.Get(seg - 64)
+		}, 128, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewStashLog(tc.capacity)
+			tc.setup(l)
+			sz := (tc.n + stashAlign - 1) &^ (stashAlign - 1)
+			if got := l.next(sz); got != tc.want {
+				t.Fatalf("next(%d) = %d, want %d", sz, got, tc.want)
+			}
+			if tc.want >= 0 && (tc.want%stashAlign != 0 || tc.want%seg+sz > seg || tc.want+sz > len(l.arena)) {
+				t.Fatalf("the table's offset %d for %d B is not an entry in one segment", tc.want, sz)
+			}
+			b := l.Get(tc.n)
+			if tc.want < 0 {
+				if l.segOf(b) >= 0 {
+					t.Fatalf("Get(%d) carved at +%d, want a heap buffer", tc.n, addr(b)-addr(l.arena))
+				}
+				return
+			}
+			if l.segOf(b) < 0 || int(addr(b)-addr(l.arena)) != tc.want {
+				t.Fatalf("Get(%d) returned segment %d, want the entry at +%d", tc.n, l.segOf(b), tc.want)
+			}
+		})
+	}
+}
+
 // FuzzStashLog drives random Get/Put sequences on a log of one to four
 // segments against a model of what is live: every Get is cap == len and
 // aligned, no two live entries overlap, a pattern written at Get is intact
 // at Put, each segment's count is the model's, the empty segments are
-// exactly the ones holding nothing apart from the one being written, and
-// a fallback happens only when nothing could be carved.
+// exactly the ones holding nothing apart from the one being written, a
+// fallback happens only when nothing could be carved, and every carved
+// entry is where next (Get's prefetch target) said it would be.
 func FuzzStashLog(f *testing.F) {
 	f.Add(byte(0), []byte{0, 0x10, 0, 0, 0x10, 0, 1, 0, 0, 2, 0, 0})
 	f.Add(byte(3), []byte{0, 0xff, 0xff, 0, 0xff, 0xff, 0, 0xff, 0xff, 0, 0xff, 0xff, 0, 0xff, 0xff, 1, 2, 0, 0, 0xff, 0xff, 1, 0, 0})
@@ -197,6 +269,13 @@ func FuzzStashLog(f *testing.F) {
 				}
 				sz := (size + stashAlign - 1) &^ (stashAlign - 1)
 				carve := size > 0 && sz <= stashSegment && (l.off+sz <= stashSegment || l.live[l.cur] == 0 || len(l.empty) > 0)
+				at := -1
+				if size > 0 && sz <= stashSegment {
+					at = l.next(sz)
+					if (at >= 0) != carve || at >= 0 && (at%stashAlign != 0 || at%stashSegment+sz > stashSegment) {
+						t.Fatalf("next(%d) = %d, want an aligned entry inside one segment iff Get carves (%v)", sz, at, carve)
+					}
+				}
 				b := l.Get(size)
 				gets++
 				if len(b) != size || cap(b) != size {
@@ -208,6 +287,9 @@ func FuzzStashLog(f *testing.F) {
 				}
 				if carve {
 					hits++
+					if got := int(addr(b) - addr(l.arena)); got != at {
+						t.Fatalf("Get(%d) carved at +%d, next said +%d", size, got, at)
+					}
 					if addr(b)%stashAlign != 0 {
 						t.Fatalf("Get(%d) at %#x, not aligned", size, addr(b))
 					}
