@@ -12,7 +12,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"repro/internal/blackbox"
@@ -112,7 +111,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	usr1 := make(chan os.Signal, 1)
-	signal.Notify(usr1, syscall.SIGUSR1)
+	notifyFlowDump(usr1)
 	tick := time.NewTicker(5 * time.Second)
 	defer tick.Stop()
 	for {

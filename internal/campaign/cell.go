@@ -395,7 +395,7 @@ func runCell(cell Cell, spec Spec) CellResult {
 	res.TailLoss = int64(res.Upgraded) - led.sequencedObserved()
 	res.ElapsedVirtualNs = int64(nw.Now())
 	if span := lastDelivery - firstDelivery; span > 0 {
-		res.GoodputMbps = float64(recv.Meter.Bytes*8) / span.Seconds() / 1e6
+		res.GoodputMbps = float64(recv.DeliveredBytes*8) / span.Seconds() / 1e6
 	}
 	res.OWDP50Ns = recv.LatencyHist.Quantile(0.5)
 	res.OWDP99Ns = recv.LatencyHist.Quantile(0.99)

@@ -149,8 +149,8 @@ func NewBufferHandler(nw *netsim.Network, cfg BufferConfig) *BufferNode {
 
 // resolve is the engine's flow-registration hook: every flow goes to
 // Forward via ForwardPort.
-func (b *BufferNode) resolve(wire.Addr, wire.ExperimentID) (route, bool) {
-	return route{b.cfg.Forward, b.cfg.ForwardPort}, true
+func (b *BufferNode) resolve(wire.Addr, wire.ExperimentID) route {
+	return route{b.cfg.Forward, b.cfg.ForwardPort}
 }
 
 // emit is the engine's Emit. The frame gets an independent copy: a netsim

@@ -94,8 +94,8 @@ type Receiver struct {
 	LatencyHist *telemetry.Histogram
 	// RecoveryHist records gap-detection→recovery latency.
 	RecoveryHist *telemetry.Histogram
-	// Meter counts delivered goodput bytes.
-	Meter telemetry.Meter
+	// DeliveredBytes counts delivered payload bytes (goodput).
+	DeliveredBytes uint64
 	// OrderedHOL records, for ordered delivery, how long each fully
 	// received message waited behind earlier gaps.
 	OrderedHOL *telemetry.Histogram
@@ -212,7 +212,7 @@ func (r *Receiver) finalizePayload(v wire.View) []byte {
 
 // handOver delivers a finalized message to the application.
 func (r *Receiver) handOver(msg Message) {
-	r.Meter.Add(len(msg.Payload))
+	r.DeliveredBytes += uint64(len(msg.Payload))
 	if r.cfg.OnMessage != nil {
 		r.cfg.OnMessage(msg)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -75,8 +74,6 @@ type Sender struct {
 	src   daq.Source
 	enc   dmtp.Encap
 	pacer *dmtp.Pacer
-
-	meter telemetry.Meter
 }
 
 // NewSender creates a sender and registers its node on the network.
@@ -107,9 +104,6 @@ func NewSender(nw *netsim.Network, name string, addr wire.Addr, cfg SenderConfig
 
 // Node returns the sender's network node.
 func (s *Sender) Node() *netsim.Node { return s.node }
-
-// Meter returns the sender's emission meter.
-func (s *Sender) Meter() telemetry.Meter { return s.meter }
 
 // RegisterMetrics publishes the sender's dmtp.tx.* counters on reg, so a
 // simulator sender exports the same names a live one does (the live-only
@@ -194,7 +188,6 @@ func (s *Sender) sendNow(pkt []byte) {
 	s.node.SendTo(s.cfg.Dst, pkt)
 	s.Stats.Sent++
 	s.Stats.SentBytes += uint64(len(pkt))
-	s.meter.Add(len(pkt))
 }
 
 func (s *Sender) maybeDone() {

@@ -203,7 +203,7 @@ func TestSenderEmitPopulatesModeExtensions(t *testing.T) {
 		// Emitted at t=0; origin nanos is 0 by construction here.
 		t.Fatalf("origin %d", ts)
 	}
-	if rig.snd.Meter().Frames != 1 {
-		t.Fatal("meter not updated")
+	if rig.snd.Stats.Sent != 1 {
+		t.Fatalf("sent %d, want 1", rig.snd.Stats.Sent)
 	}
 }

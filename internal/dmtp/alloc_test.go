@@ -1,6 +1,7 @@
 package dmtp
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -206,6 +207,51 @@ func TestShardedStashZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEvictingStashZeroAlloc gates a full stash shared by many
+// experiments, where every insert evicts: once each experiment's window
+// has settled — one growth of its slot slice past the window at fill —
+// the inserts allocate nothing, however long the slices have been
+// reclaiming their dead prefixes. Growing in append's 1.25× steps instead
+// reallocates each slice more than once after the stash fills.
+func TestEvictingStashZeroAlloc(t *testing.T) {
+	const (
+		nexp   = 16
+		window = 1000 // entries each experiment holds once the stash is full
+	)
+	pkt := make([]byte, 64)
+	b := NewBufferEngine(nopDatapath{}, BufferConfig{CapacityBytes: nexp * window * len(pkt)})
+	exps := make([]wire.ExperimentID, nexp)
+	for i := range exps {
+		exps[i] = wire.NewExperimentID(uint32(1000+i), 0)
+	}
+	var seq uint64
+	round := func() {
+		seq++
+		for _, exp := range exps {
+			b.Stash(exp, seq, pkt)
+		}
+	}
+	for range window + window/10 {
+		round() // fill, then a tenth of a window of evicting inserts
+	}
+	if st := b.Stats(); st.Evicted != nexp*window/10 {
+		t.Fatalf("warm-up evicted %d, want %d: the stash is not full", st.Evicted, nexp*window/10)
+	}
+	// Count every allocation over two windows of rounds, rather than an
+	// integer average per round (testing.AllocsPerRun), which rounds a
+	// growth per experiment every few hundred rounds down to zero.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 2 * window {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("%d evicting inserts into a full %d-experiment stash made %d allocations, want 0", 2*window*nexp, nexp, n)
+	}
+}
+
 // TestJournaledStashZeroAlloc extends the stash gate to the durable
 // path: with a write-ahead journal attached, the per-packet ingest loop
 // — sequence assignment, stash (which frames an append record onto the
@@ -261,7 +307,7 @@ func TestRelayUpgradeZeroAlloc(t *testing.T) {
 		Buffer:      BufferConfig{Release: stash.Put, Recorder: metrics.NewFlightRecorder(64)},
 		Datapath:    nopDatapath{},
 		Alloc:       stash.Get,
-		Resolve:     func(wire.Addr, wire.ExperimentID) (testDst, bool) { return "rx", true },
+		Resolve:     func(wire.Addr, wire.ExperimentID) testDst { return "rx" },
 		ConfigID:    1,
 		Features:    liveUpgrade,
 		Upgrade:     Upgrade{MaxAge: time.Second, DeadlineBudget: time.Second},

@@ -372,10 +372,17 @@ func (b *BufferEngine) restore(st *expStash, seq uint64, pkt []byte, now int64) 
 			b.noteEvict(now, victim.exp, old.seq)
 		}
 	}
-	// Reclaim the dead prefix only once it is half a full slice, so a
-	// steady window neither grows nor copies per packet.
-	if len(st.slots) == cap(st.slots) && st.head*2 >= len(st.slots) {
-		st.slots = st.slots[:copy(st.slots, st.slots[st.head:])]
+	// A full slice moves its held entries down over the dead prefix when
+	// that is half of it, else into a new slice of twice their count, so a
+	// steady window grows once and then neither grows nor copies per
+	// packet.
+	if len(st.slots) == cap(st.slots) {
+		held := st.held()
+		if st.head*2 >= len(st.slots) {
+			st.slots = st.slots[:copy(st.slots, held)]
+		} else {
+			st.slots = append(make([]stashSlot, 0, 2*len(held)), held...)
+		}
 		st.head = 0
 	}
 	b.stamp++

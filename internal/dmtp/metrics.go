@@ -52,7 +52,8 @@ type FlowStats struct {
 	Opened uint64
 	// Expired counts flows dropped after exceeding the idle TTL.
 	Expired uint64
-	// Rejected counts refused registrations (table full, or no route).
+	// Rejected counts registrations refused because the table was full
+	// (MaxFlows).
 	Rejected uint64
 }
 

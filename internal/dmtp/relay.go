@@ -20,9 +20,9 @@ import (
 	"repro/internal/wire"
 )
 
-// defaultFlowTTL is how long a flow may stay idle before the relay
-// forgets it (and a fresh first packet re-registers and re-resolves it).
-const defaultFlowTTL = 60 * time.Second
+// flowTTL is how long a flow may stay idle before the relay forgets it
+// (and a fresh first packet re-registers it).
+const flowTTL = 60 * time.Second
 
 // RelayConfig configures a RelayEngine. D is the adapter's per-flow
 // destination: whatever Resolve returns is kept on the flow and handed
@@ -52,13 +52,13 @@ type RelayConfig[D fmt.Stringer] struct {
 	// holds the lock". Nil suits a single-goroutine substrate.
 	Locker sync.Locker
 
-	// Resolve maps a new flow to its destination; false rejects the flow.
-	// Called once per registration, not per packet.
-	Resolve func(src wire.Addr, exp wire.ExperimentID) (D, bool)
+	// Resolve gives a new flow its destination. Called once per
+	// registration, not per packet.
+	Resolve func(src wire.Addr, exp wire.ExperimentID) D
 	// MaxFlows bounds the flow table across all shards (zero: unlimited);
-	// FlowTTL is how long an idle flow stays registered (default 60s).
+	// registrations beyond it are rejected. A flow idle for flowTTL is
+	// forgotten.
 	MaxFlows int
-	FlowTTL  time.Duration
 
 	// UpgradeFrom is the config ID of arriving sensor traffic; anything
 	// else passes through unmodified along its flow. ConfigID and Features
@@ -200,9 +200,6 @@ func NewRelayEngine[D fmt.Stringer](cfg RelayConfig[D]) (*RelayEngine[D], error)
 	if cfg.Buffer.Clock == nil {
 		cfg.Buffer.Clock = WallClock{}
 	}
-	if cfg.FlowTTL <= 0 {
-		cfg.FlowTTL = defaultFlowTTL
-	}
 	nsh := max(cfg.Shards, 1)
 	bcfg := cfg.Buffer
 	if bcfg.CapacityBytes > 0 && nsh > 1 {
@@ -322,8 +319,8 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 		// process death: nothing is handled until Restart.
 		return
 	}
-	// Register the flow before spending a sequence number, so a rejected
-	// flow (table full, resolver refusal) consumes no sequencing state.
+	// Register the flow before spending a sequence number, so a flow the
+	// full table rejects consumes no sequencing state.
 	f := e.flowFor(src, exp, now)
 	if f == nil {
 		return
@@ -415,7 +412,7 @@ func (e *RelayEngine[D]) handleControl(buf *BufferEngine, v wire.View) {
 
 // flowFor returns the registered flow for (src, exp), registering it on
 // first packet: the destination is resolved now and kept for the flow's
-// lifetime. Nil means the registration was rejected. The flow index is
+// lifetime. Nil means the table was full. The flow index is
 // tried first; a miss falls back to the table and leaves the flow in its
 // slot.
 func (e *RelayEngine[D]) flowFor(src wire.Addr, exp wire.ExperimentID, now int64) *Flow[D] {
@@ -434,13 +431,8 @@ func (e *RelayEngine[D]) flowFor(src wire.Addr, exp wire.ExperimentID, now int64
 			e.fstats.Rejected++
 			return nil
 		}
-		dst, ok := e.cfg.Resolve(src, exp)
-		if !ok {
-			e.fstats.Rejected++
-			return nil
-		}
 		buf := e.sb.Shard(exp)
-		f = &Flow[D]{Dst: dst, eng: e, key: k, buf: buf, run: buf.expFor(exp)}
+		f = &Flow[D]{Dst: e.cfg.Resolve(src, exp), eng: e, key: k, buf: buf, run: buf.expFor(exp)}
 		e.flows[k] = f
 		e.fstats.Opened++
 	}
@@ -449,11 +441,11 @@ func (e *RelayEngine[D]) flowFor(src wire.Addr, exp wire.ExperimentID, now int64
 	return f
 }
 
-// Sweep lazily expires flows idle for FlowTTL or longer, at most once per
+// Sweep lazily expires flows idle for flowTTL or longer, at most once per
 // half-TTL. The adapter's packet goroutine calls it between packets or
 // bursts with the lock released, so it costs nothing on the packet path.
 func (e *RelayEngine[D]) Sweep(now int64) {
-	ttl := int64(e.cfg.FlowTTL)
+	const ttl = int64(flowTTL)
 	if now-e.lastSweep < ttl/2 {
 		return
 	}
@@ -473,9 +465,9 @@ func (e *RelayEngine[D]) Sweep(now int64) {
 
 // Crash models the relay process dying: every shard's retransmission
 // buffer is lost and the flow table is cleared (a real restart re-learns
-// its sessions — and re-resolves their destinations, so no stale forward
-// address survives). Without a journal, post-Restart NAKs meet a cold
-// buffer — the condition NAK-based recovery must degrade gracefully under.
+// its sessions, each from its next packet). Without a journal,
+// post-Restart NAKs meet a cold buffer — the condition NAK-based recovery
+// must degrade gracefully under.
 // With one, the log is flushed once quiesce (non-nil where the packet path
 // runs on its own goroutine) has stopped that path: every append the
 // shards enqueued is then in the writer's queue and the barrier pushes it

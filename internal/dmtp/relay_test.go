@@ -35,7 +35,7 @@ type relayRig struct {
 	eng   *RelayEngine[testDst]
 	clock *FakeClock
 	dp    *recDatapath
-	route map[wire.ExperimentID]testDst // absent: Resolve refuses
+	route map[wire.ExperimentID]testDst // Resolve's answer per experiment
 	out   []emitted
 	log   []string
 	// allocated lists every buffer Alloc handed out, by its first byte;
@@ -73,11 +73,7 @@ func newRelayRig(t *testing.T, mutate func(*RelayConfig[testDst])) *relayRig {
 			r.allocated = append(r.allocated, &b[0])
 			return b
 		},
-		Resolve: func(_ wire.Addr, exp wire.ExperimentID) (testDst, bool) {
-			d, ok := r.route[exp]
-			return d, ok
-		},
-		FlowTTL:  time.Second,
+		Resolve:  func(_ wire.Addr, exp wire.ExperimentID) testDst { return r.route[exp] },
 		ConfigID: 1,
 		Features: wire.FeatSequenced | wire.FeatReliable | wire.FeatTimestamped,
 		Emit: func(f *Flow[testDst], pkt []byte) {
@@ -204,15 +200,19 @@ func TestRelayEngine(t *testing.T) {
 			},
 		},
 		{
-			name: "resolver refusal consumes no sequence number",
+			name:   "a MaxFlows refusal registers once the table has room",
+			mutate: func(c *RelayConfig[testDst]) { c.MaxFlows = 1 },
 			run: func(t *testing.T, r *relayRig) {
-				delete(r.route, expB)
+				r.ingest(rigSrcA, expA)
+				r.ingest(rigSrcA, expB) // table full: refused, nothing remembered
+				r.wantFlows(FlowStats{Active: 1, Opened: 1, Rejected: 1})
+				// Past the TTL the sweep frees the slot, and expB's next
+				// packet registers the flow and takes its first sequence.
+				r.clock.Advance(flowTTL)
+				r.eng.Sweep(r.clock.Now())
 				r.ingest(rigSrcA, expB)
-				r.wantFlows(FlowStats{Rejected: 1})
-				r.wantOut()
-				if seq := r.eng.Buffer().SeqOf(expB); seq != 0 {
-					t.Fatalf("refused flow consumed sequence %d", seq)
-				}
+				r.wantFlows(FlowStats{Active: 1, Opened: 2, Expired: 1, Rejected: 1})
+				r.wantOut(emitted{"rx-a", 1}, emitted{"rx-b", 1})
 			},
 		},
 		{
@@ -235,14 +235,14 @@ func TestRelayEngine(t *testing.T) {
 				r.ingest(rigSrcA, expA) // idle == TTL at the sweep: expires
 				r.clock.Advance(1)
 				r.ingest(rigSrcA, expB) // idle == TTL − 1ns: survives
-				r.clock.Advance(time.Second/2 - 2)
+				r.clock.Advance(flowTTL/2 - 2)
 				r.eng.Sweep(r.clock.Now()) // not yet half a TTL since construction
 				r.wantFlows(FlowStats{Active: 2, Opened: 2})
-				r.clock.AdvanceTo(rigStart + int64(time.Second))
+				r.clock.AdvanceTo(rigStart + int64(flowTTL))
 				r.eng.Sweep(r.clock.Now())
 				r.wantFlows(FlowStats{Active: 1, Opened: 2, Expired: 1})
 				if flows := r.eng.Flows(); len(flows) != 1 || flows[0].Experiment != expB ||
-					flows[0].IdleNs != int64(time.Second)-1 {
+					flows[0].IdleNs != int64(flowTTL)-1 {
 					t.Fatalf("surviving flows %+v", flows)
 				}
 				// The expired flow re-registers (and re-resolves) on its next
@@ -262,7 +262,7 @@ func TestRelayEngine(t *testing.T) {
 				}
 				r.route[expC] = "rx-c"
 				r.ingest(rigSrcA, expA)
-				r.clock.Advance(time.Second)
+				r.clock.Advance(flowTTL)
 				r.eng.Sweep(r.clock.Now())
 				r.wantFlows(FlowStats{Opened: 1, Expired: 1})
 				// The same key comes back re-registered and re-resolved; a

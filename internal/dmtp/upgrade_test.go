@@ -126,7 +126,7 @@ func BenchmarkRelayUpgrade(b *testing.B) {
 				},
 				Datapath: nopDatapath{},
 				Alloc:    stash.Get,
-				Resolve:  func(wire.Addr, wire.ExperimentID) (testDst, bool) { return "rx", true },
+				Resolve:  func(wire.Addr, wire.ExperimentID) testDst { return "rx" },
 				ConfigID: 1,
 				Features: liveUpgrade,
 				Upgrade:  Upgrade{MaxAge: 500 * time.Millisecond, DeadlineBudget: time.Second},

@@ -7,7 +7,6 @@ import (
 	"repro/internal/daq"
 	"repro/internal/netsim"
 	"repro/internal/p4sim"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -114,7 +113,7 @@ func A5DeadlineAQM(messages int, seed int64) A5Results {
 
 // Table renders the AQM comparison.
 func (r A5Results) Table() string {
-	t := telemetry.NewTable("queue policy", "queue-full drops", "aged evicted", "fresh delivered")
+	t := NewTable("queue policy", "queue-full drops", "aged evicted", "fresh delivered")
 	t.Row("drop-tail (today)", r.DropsPlain, 0, r.FreshDeliveredPlain)
 	t.Row("deadline-aware", r.DropsAware, r.AgedEvicted, r.FreshDeliveredAware)
 	return t.String()

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/pilot"
-	"repro/internal/telemetry"
 )
 
 // A6Row is one buffer-capacity operating point.
@@ -50,7 +49,7 @@ func A6BufferSizing(capacities []int, messages int, seed int64) []A6Row {
 
 // A6Table renders the sizing sweep.
 func A6Table(rows []A6Row) string {
-	t := telemetry.NewTable("buffer capacity", "recovered", "lost", "peak occupancy")
+	t := NewTable("buffer capacity", "recovered", "lost", "peak occupancy")
 	for _, r := range rows {
 		t.Row(fmtBytes(r.CapacityBytes), r.Recovered, r.Lost, fmtBytes(r.BufferPeak))
 	}

@@ -94,7 +94,7 @@ func A1BufferPlacement(positions []float64, messages int, loss float64, seed int
 
 // A1Table renders the placement sweep.
 func A1Table(rows []A1Row) string {
-	t := telemetry.NewTable("buffer position", "recovery p50", "recovery p99", "FCT", "recovered", "lost")
+	t := NewTable("buffer position", "recovery p50", "recovery p99", "FCT", "recovered", "lost")
 	for _, r := range rows {
 		label := "at source (0.0)"
 		switch {
@@ -204,7 +204,7 @@ func A2HOLBlocking(loss float64, messages int, seed int64) A2Results {
 
 // Table renders the HOL comparison.
 func (r A2Results) Table() string {
-	t := telemetry.NewTable("transport", "blocking p50", "blocking p99", "max")
+	t := NewTable("transport", "blocking p50", "blocking p99", "max")
 	t.Row("TCP bytestream", fmtDur(r.TCPHOLp50), fmtDur(r.TCPHOLp99), fmtDur(r.TCPHOLMax))
 	t.Row("DMTP datagrams", time.Duration(0), fmtDur(r.DMTPBlockP99), "-")
 	t.Row("DMTP + ordered delivery", time.Duration(0), fmtDur(r.OrderedHOLp99), fmtDur(r.OrderedHOLMax))
@@ -323,7 +323,7 @@ func A4CapacityPlanning(messages int, seed int64) A4Results {
 
 // Table renders the coexistence comparison.
 func (r A4Results) Table() string {
-	t := telemetry.NewTable("scheme", "drops/retransmits", "delivered utilization")
+	t := NewTable("scheme", "drops/retransmits", "delivered utilization")
 	t.Row("DMTP paced @45%×2", r.DMTPDrops, r.DMTPUtil)
 	t.Row("TCP greedy ×2", r.TCPRetransmits, r.TCPUtil)
 	return t.String()

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/campaign"
-	"repro/internal/telemetry"
 )
 
 // C1Campaign runs one seeded campaign sweep (internal/campaign): every
@@ -45,7 +44,7 @@ func C1Table(m *campaign.Matrix) string {
 		a.duplicates += r.Duplicates
 		a.crashes += r.Crashes
 	}
-	t := telemetry.NewTable("fault", "cells", "ok", "violations", "delivered", "recovered", "lost", "dups", "crashes")
+	t := NewTable("fault", "cells", "ok", "violations", "delivered", "recovered", "lost", "dups", "crashes")
 	for _, f := range campaign.Faults {
 		a := byFault[f]
 		if a == nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/daq"
 	"repro/internal/netsim"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -130,7 +129,7 @@ func E2Fig2Baseline(cfg E2Config) E2Results {
 // Table renders the Fig. 2 measurement as the per-leg feature matrix the
 // figure draws, annotated with the measured numbers.
 func (r E2Results) Table() string {
-	t := telemetry.NewTable("segment", "transport", "reliability", "measured")
+	t := NewTable("segment", "transport", "reliability", "measured")
 	t.Row("DAQ net (①→②)", "UDP", "none (silent loss)", fmtU(r.UDPLost)+" datagrams lost")
 	t.Row("WAN (②→④)", "tuned TCP", "from-source retransmit", fmtU(r.WANRetransmits)+" retransmits, "+fmtU(r.WANTimeouts)+" RTOs")
 	t.Row("campus (④→⑤)", "TCP", "from-storage retransmit", fmtU(r.CampusRetransmits)+" retransmits")

@@ -78,7 +78,7 @@ func E3LossSweep(losses []float64, messages int, seed int64) []E3LossRow {
 
 // E3LossTable renders the sweep.
 func E3LossTable(rows []E3LossRow) string {
-	t := telemetry.NewTable("WAN loss", "DMTP FCT", "DMTP rec p50", "TCP FCT", "TCP retx", "TCP RTOs", "TCP/DMTP FCT")
+	t := NewTable("WAN loss", "DMTP FCT", "DMTP rec p50", "TCP FCT", "TCP retx", "TCP RTOs", "TCP/DMTP FCT")
 	for _, r := range rows {
 		t.Row(r.Loss, fmtDur(r.DMTPFCT), fmtDur(r.DMTPRecoveryP50), fmtDur(r.TCPFCT), r.TCPRetransmits, r.TCPTimeouts, r.Speedup)
 	}
@@ -218,7 +218,7 @@ func E3AlertFanout(alerts int, seed int64) E3AlertResults {
 
 // Table renders the alert-fanout comparison.
 func (r E3AlertResults) Table() string {
-	t := telemetry.NewTable("distribution", "alert latency p50", "p99")
+	t := NewTable("distribution", "alert latency p50", "p99")
 	t.Row("DMTP in-network duplication", fmtDur(r.DMTPp50), fmtDur(r.DMTPp99))
 	t.Row("TCP store-and-forward", fmtDur(r.BaseP50), fmtDur(r.BaseP99))
 	return t.String()
@@ -293,7 +293,7 @@ func E3BackPressure(messages int, seed int64) E3BackPressureResults {
 
 // Table renders the back-pressure comparison.
 func (r E3BackPressureResults) Table() string {
-	t := telemetry.NewTable("back-pressure", "bottleneck drops", "signals")
+	t := NewTable("back-pressure", "bottleneck drops", "signals")
 	t.Row("off (today)", r.WithoutSignals, 0)
 	t.Row("on (multi-modal)", r.WithSignals, r.SignalsSent)
 	return t.String()

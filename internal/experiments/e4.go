@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/pilot"
-	"repro/internal/telemetry"
 )
 
 // E4Row is one pilot-study configuration and its outcome.
@@ -41,7 +40,7 @@ func E4Pilot(messages int, seed int64) []E4Row {
 
 // E4Table renders the pilot matrix.
 func E4Table(rows []E4Row) string {
-	t := telemetry.NewTable("run", "sent", "delivered", "recovered", "lost", "aged", "util", "lat p50", "rec p50")
+	t := NewTable("run", "sent", "delivered", "recovered", "lost", "aged", "util", "lat p50", "rec p50")
 	for _, r := range rows {
 		res := r.Results
 		t.Row(r.Label, res.Sent, res.Distinct, res.Recovered, res.Lost, res.Aged,

@@ -8,7 +8,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -196,7 +195,7 @@ func E5FaultTolerance(messages int, seed int64) []E5Row {
 
 // E5Table renders the fault-tolerance matrix.
 func E5Table(rows []E5Row) string {
-	t := telemetry.NewTable("scenario", "sent", "delivered", "recovered", "lost", "naks", "inj drops", "crashes", "rec p50", "rec p99")
+	t := NewTable("scenario", "sent", "delivered", "recovered", "lost", "naks", "inj drops", "crashes", "rec p50", "rec p99")
 	for _, r := range rows {
 		t.Row(r.Label, r.Sent, r.Delivered, r.Recovered, r.Lost, r.NAKsSent,
 			r.InjectedDrops, r.Crashes, fmtDur(r.RecoveryP50), fmtDur(r.RecoveryP99))

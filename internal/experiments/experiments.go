@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/daq"
-	"repro/internal/telemetry"
 )
 
 // E1Row is one row of the reproduced Table 1.
@@ -57,7 +56,7 @@ func E1Table1(scale float64, messages int, seed int64) []E1Row {
 
 // E1TableString renders the rows as a paper-style table.
 func E1TableString(rows []E1Row) string {
-	t := telemetry.NewTable("experiment", "paper DAQ rate", "scale", "target", "measured", "ratio")
+	t := NewTable("experiment", "paper DAQ rate", "scale", "target", "measured", "ratio")
 	for _, r := range rows {
 		t.Row(r.Name, fmtRate(r.PaperRateBps), r.Scale, fmtRate(r.TargetBps), fmtRate(r.MeasuredBps), r.MeasuredBps/r.TargetBps)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/tracespan"
 	"repro/internal/wire"
 )
@@ -117,7 +116,7 @@ func TraceOWD(messages int, seed int64) TraceOWDResult {
 
 // Table renders the per-segment OWD profile.
 func (r TraceOWDResult) Table() string {
-	t := telemetry.NewTable("segment", "spans", "owd p50", "owd p99")
+	t := NewTable("segment", "spans", "owd p50", "owd p99")
 	for _, s := range r.Segments {
 		t.Row(s.Segment, s.Count, fmtDur(s.P50), fmtDur(s.P99))
 	}

@@ -274,8 +274,8 @@ func (bc *batchConn) WriteBatch(pkts [][]byte) (sent int, err error) {
 }
 
 // WriteBatchTo is WriteBatch for an unconnected socket: every packet
-// goes to addr (the relay's forward leg — one call per destination per
-// burst, which is exactly the shape GSO coalesces).
+// goes to addr (the relay's forward leg — one call per GSO
+// super-datagram, which is exactly the shape GSO coalesces).
 func (bc *batchConn) WriteBatchTo(pkts [][]byte, addr netip.AddrPort) (sent int, err error) {
 	if bc.k != nil {
 		return bc.k.writeBatch(pkts, addr)

@@ -103,6 +103,7 @@ type SenderStats struct {
 	Sent       uint64
 	SendErrors uint64 // socket writes that failed (relay death, timeout)
 	Reconnects uint64 // successful redials after a write error
+	TxErrors   uint64 // packets given up once a flush's redial budget is spent
 }
 
 // Sender emits DAQ messages as mode-0 DMTP datagrams over UDP. Every
@@ -261,10 +262,10 @@ func (s *Sender) Send(msg []byte, slice uint8) error {
 // connected socket — and the flush redials within the write budget and
 // rewrites only the unsent tail, so each packet leaves once, with the
 // bytes (and trace ID) it was encoded with. A tail still unsent when the
-// budget is spent is given up, counted in dmtp.live.tx.errors, and the
-// last error returned. The backoff sleeps hold s.mu: the unsent tail lives
-// in the ring, and a Send that waits for it is held back instead of
-// queueing past a dead relay.
+// budget is spent is given up, counted in TxErrors and
+// dmtp.live.tx.errors, and the last error returned. The backoff sleeps
+// hold s.mu: the unsent tail lives in the ring, and a Send that waits for
+// it is held back instead of queueing past a dead relay.
 func (s *Sender) flushLocked() error {
 	n := s.batchN
 	s.batchN = 0
@@ -274,6 +275,7 @@ func (s *Sender) flushLocked() error {
 	for attempt := 0; sent < n; attempt++ {
 		if attempt > 0 {
 			if attempt > redials {
+				s.stats.TxErrors += uint64(n - sent)
 				if c := s.txErr.Load(); c != nil {
 					c.Add(uint64(n - sent))
 				}

@@ -210,3 +210,37 @@ func TestSeqsToRanges(t *testing.T) {
 		t.Fatalf("ranges %v", got)
 	}
 }
+
+// TestSenderCountsAbandonedTail: a flush that spends its redial budget
+// counts the packets it gives up in Stats().TxErrors, with no metrics
+// registry attached. The relay is gone for good: the socket fails every
+// write after the first k, and no redial succeeds (the sender's address
+// is IPv6, which a udp4 dial refuses before it connects).
+func TestSenderCountsAbandonedTail(t *testing.T) {
+	const ring, k = 8, 3
+	snd, err := NewSenderWithConfig(SenderConfig{Dst: "127.0.0.1:9", Experiment: 901, BatchSize: ring, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snd.Close()
+	stub := newStubConn()
+	stub.failFrom = k
+	snd.mu.Lock()
+	snd.bconn.c.Close()
+	snd.bconn = newBatchConn(stub, &snd.bstats, false)
+	snd.raddr = &net.UDPAddr{IP: net.IPv6loopback, Port: 9}
+	snd.mu.Unlock()
+
+	for i := range ring {
+		err = snd.Send([]byte("tail"), 0)
+		if i < ring-1 && err != nil {
+			t.Fatalf("Send %d flushed early: %v", i, err)
+		}
+	}
+	if err == nil {
+		t.Fatal("the flush that gave up its tail returned no error")
+	}
+	if st := snd.Stats(); st.Sent != k || st.TxErrors != ring-k || st.SendErrors != 1 || st.Reconnects != 0 {
+		t.Fatalf("stats %+v; want %d sent, %d tx errors, one failed write and no reconnect", st, k, ring-k)
+	}
+}

@@ -35,7 +35,7 @@ func newRelayStub(t *testing.T, recv *Receiver) *relayStub {
 		t.Fatal(err)
 	}
 	conn.SetReadBuffer(4 << 20)
-	to, err := resolveAddrPort(recv.Addr())
+	to, err := netip.ParseAddrPort(recv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

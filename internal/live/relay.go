@@ -8,16 +8,15 @@ package live
 //   - Each burst from the batch datapath is handed to the engine packet
 //     by packet, in arrival order, under one hold of the engine lock.
 //
-//   - Each downstream address is one destination, shared by every flow
-//     that resolved to it, and its queue holds at most one GSO
-//     super-datagram: the packet that would overflow it first writes the
-//     queue with one WriteBatchTo, and the burst's end writes the rest.
-//     Each write gathers its flows' packets contiguously, so a flow's
-//     equal-size run stays one GSO send however the flows interleaved on
-//     arrival. NAK retransmissions join the requester's destination queue
-//     ahead of its forwards. A stash buffer the engine releases mid-burst
-//     is recycled only after the burst's last write, since a queued packet
-//     may still reference it.
+//   - Every flow forwards to the one downstream address, Forward, whose
+//     queue holds at most one GSO super-datagram: the packet that would
+//     overflow it first writes the queue with one WriteBatchTo, and the
+//     burst's end writes the rest. Each write gathers its flows' packets
+//     contiguously, so a flow's equal-size run stays one GSO send however
+//     the flows interleaved on arrival. A NAK retransmission to Forward
+//     joins the queue ahead of its forwards. A stash buffer the engine
+//     releases while packets are queued is recycled only after the burst's
+//     last write, since a queued packet may still reference it.
 
 import (
 	"cmp"
@@ -38,15 +37,10 @@ import (
 type RelayConfig struct {
 	// Listen is the UDP address to bind, e.g. "127.0.0.1:17580".
 	Listen string
-	// Forward is where upgraded packets are sent by default (the
-	// receiver). A flow's destination is resolved when the flow is
-	// registered; Resolver, when set, takes precedence. Empty is
-	// allowed only with a Resolver.
+	// Forward is the one downstream address (the receiver, or the next
+	// segment's relay) every flow's packets are forwarded to, e.g.
+	// "127.0.0.1:17581". Required; it is resolved once, at NewRelay.
 	Forward string
-	// Resolver, when non-nil, maps a new flow (source address +
-	// experiment ID) to its downstream address. Returning "" rejects
-	// the flow. Called once per flow registration, not per packet.
-	Resolver func(src wire.Addr, exp wire.ExperimentID) string
 	// Shards is the number of partitions experiments are spread across.
 	// A shard is an eviction domain (CapacityBytes is split evenly, each
 	// shard evicts its own oldest) and a journal file set with its own
@@ -55,10 +49,8 @@ type RelayConfig struct {
 	Shards int
 	// MaxFlows bounds the flow table across all shards; registrations
 	// beyond it are rejected (counted in dmtp.relay.flows.rejected).
-	// Zero means unlimited.
+	// Zero means unlimited. A flow idle for a minute is forgotten.
 	MaxFlows int
-	// FlowTTL is how long an idle flow stays registered (default 60s).
-	FlowTTL time.Duration
 	// MaxAge is the age budget installed into upgraded packets.
 	MaxAge time.Duration
 	// DeadlineBudget is the delivery budget; zero disables deadlines.
@@ -114,17 +106,14 @@ type RelayStats struct {
 	TxErrors uint64
 }
 
-// destination is one downstream address, shared by every flow that
-// resolved to it. Its queue is at most one GSO super-datagram: rtx holds
-// the retransmissions queued for it, flows the flows with forward-leg
-// packets queued, in the order each first queued one, and n and bytes
-// count both. send gathers them into pkts — retransmissions first, then
-// flow by flow — for one batched WriteBatchTo. dirty marks membership in
-// the relay's dirty list, which lasts until flush even when a send has
-// emptied the queue mid-burst.
+// destination is the relay's one downstream address, shared by every
+// flow. Its queue is at most one GSO super-datagram: rtx holds the
+// retransmissions queued for it, flows the flows with forward-leg packets
+// queued, in the order each first queued one, and n and bytes count both.
+// send gathers them into pkts — retransmissions first, then flow by flow —
+// for one batched WriteBatchTo.
 type destination struct {
 	addr     netip.AddrPort
-	dirty    bool
 	rtx      [][]byte
 	flows    []*relayFlow
 	n, bytes int
@@ -145,8 +134,8 @@ type relayFlow = dmtp.Flow[*forwardQueue]
 
 // Relay is the live-path network element + buffer: dmtp.RelayEngine
 // adapted to UDP sockets, with stash entries carved from the relay's own
-// log and forwarding gathered into one send per downstream address per
-// GSO super-datagram.
+// log and forwarding gathered into one send to Forward per GSO
+// super-datagram.
 type Relay struct {
 	cfg RelayConfig
 
@@ -161,28 +150,15 @@ type Relay struct {
 
 	// engMu is the engine's Locker: it serializes the receive loop's
 	// bursts against scrapes, Crash and Restart. The flush that ends every
-	// hold empties dirty (destinations queued on this hold) and retired
-	// (stash buffers released meanwhile), so both are empty whenever it is
-	// free. stash is the engine's Alloc and where released stash buffers
-	// go back; every call to it runs under engMu. dsts interns one
-	// destination per downstream address; it holds only destinations some
-	// registered flow may use (Crash clears it, prune drops the rest once
-	// per half FlowTTL).
+	// hold empties dst's queue and retired (stash buffers released while
+	// it held packets), so both are empty whenever it is free. stash is
+	// the engine's Alloc and where released stash buffers go back; every
+	// call to it runs under engMu.
 	engMu   sync.Mutex
 	eng     *dmtp.RelayEngine[*forwardQueue]
 	stash   *wire.StashLog
-	dsts    map[netip.AddrPort]*destination
-	dirty   []*destination
+	dst     destination
 	retired [][]byte
-
-	// fwd is the default downstream for flows the Resolver does not
-	// cover. Registered flows keep the destination they resolved — only
-	// registration (first packet, or the first packet after a crash or
-	// idle expiry) reads this.
-	fwd netip.AddrPort
-	// pruned is the relay-clock time of the last prune; only the loop
-	// goroutine touches it.
-	pruned int64
 
 	txErrN atomic.Uint64
 	txErr  atomic.Pointer[metrics.Counter]
@@ -224,23 +200,18 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = dmtp.WallClock{}
 	}
-	if cfg.FlowTTL <= 0 {
-		// The engine's default, made explicit: prune runs on its sweep's
-		// half-TTL schedule.
-		cfg.FlowTTL = 60 * time.Second
+	if cfg.Forward == "" {
+		return nil, fmt.Errorf("live: relay needs a Forward address")
 	}
+	fwd, err := net.ResolveUDPAddr("udp4", cfg.Forward)
+	if err != nil {
+		return nil, fmt.Errorf("live: resolve forward %q: %w", cfg.Forward, err)
+	}
+	// The unmapped IPv4 form, which relayDatapath compares requesters in.
+	ap := fwd.AddrPort()
 	// The stash log exists before the engine: a journal restore Allocs.
-	r := &Relay{cfg: cfg, dsts: make(map[netip.AddrPort]*destination), pruned: cfg.Clock.Now(),
+	r := &Relay{cfg: cfg, dst: destination{addr: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())},
 		stash: wire.NewStashLog(cmp.Or(cfg.CapacityBytes, dmtp.DefaultCapacityBytes))}
-	if cfg.Forward != "" {
-		fwd, err := resolveAddrPort(cfg.Forward)
-		if err != nil {
-			return nil, fmt.Errorf("live: resolve forward %q: %w", cfg.Forward, err)
-		}
-		r.fwd = fwd
-	} else if cfg.Resolver == nil {
-		return nil, fmt.Errorf("live: relay needs a Forward address or a Resolver")
-	}
 
 	eng, err := dmtp.NewRelayEngine(dmtp.RelayConfig[*forwardQueue]{
 		Shards: cfg.Shards,
@@ -257,7 +228,6 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		Locker:      &r.engMu,
 		Resolve:     r.resolve,
 		MaxFlows:    cfg.MaxFlows,
-		FlowTTL:     cfg.FlowTTL,
 		// The live relay reshapes every mode-0 packet into config 1.
 		ConfigID:    1,
 		Features:    wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped,
@@ -373,24 +343,22 @@ func (r *Relay) RegisterMetrics(reg *metrics.Registry) {
 }
 
 // relayDatapath serves engine output (NAK retransmissions) over the
-// relay's socket. A requester the relay already forwards to gets the
-// packet on that destination's queue, ahead of its forwards, and release
-// keeps the queued stash entry alive as it does a forward's. Any other
-// requester is written at once: a NAK is outside input, and interning its
-// requester would grow the destination set from the network. Socket
-// writes do not retain the packet, so the engine's pooled stash entries go
-// out without copying. Called under engMu, always from the receive-loop
-// goroutine — which also makes r.conn stable for the duration (rebinds
-// only happen after the loop exits).
+// relay's socket. A requester at the Forward address gets the packet on
+// the destination's queue, ahead of its forwards, and release keeps the
+// queued stash entry alive as it does a forward's. Any other requester is
+// written at once. Socket writes do not retain the packet, so the engine's
+// pooled stash entries go out without copying. Called under engMu, always
+// from the receive-loop goroutine — which also makes r.conn stable for
+// the duration (rebinds only happen after the loop exits).
 type relayDatapath struct{ r *Relay }
 
 func (d relayDatapath) SendControl(dst wire.Addr, pkt []byte) { d.SendData(dst, pkt) }
 
 func (d relayDatapath) SendData(dst wire.Addr, pkt []byte) {
 	r, ap := d.r, addrPort(dst)
-	if q := r.dsts[ap]; q != nil {
-		r.reserve(q, len(pkt))
-		q.rtx = append(q.rtx, pkt)
+	if ap == r.dst.addr {
+		r.reserve(len(pkt))
+		r.dst.rtx = append(r.dst.rtx, pkt)
 		return
 	}
 	if _, err := r.conn.WriteToUDPAddrPort(pkt, ap); err != nil {
@@ -414,11 +382,6 @@ func (r *Relay) Crash() {
 	crashed := r.eng.Crash(func() {
 		conn.Close()
 		r.wg.Wait()
-		// The flow table is gone and the loop with it: no flow uses any
-		// destination, and Restart's flows resolve afresh.
-		r.engMu.Lock()
-		clear(r.dsts)
-		r.engMu.Unlock()
 	})
 	if crashed && r.cfg.Blackbox != nil {
 		r.cfg.Blackbox("crash")
@@ -519,92 +482,36 @@ func (r *Relay) loop(bc *batchConn) {
 		r.flush()
 		r.engMu.Unlock()
 		r.eng.Sweep(now)
-		if now-r.pruned >= int64(r.cfg.FlowTTL)/2 {
-			r.pruned = now
-			r.prune()
-		}
 	}
 }
 
-// resolve is the engine's flow-registration hook: the downstream address
-// comes from Resolver when set, else the current default forward, and
-// the flow's queue hangs off the relay's one destination for that
-// address. Caller holds engMu.
-func (r *Relay) resolve(src wire.Addr, exp wire.ExperimentID) (*forwardQueue, bool) {
-	dst := r.fwd
-	if r.cfg.Resolver != nil {
-		s := r.cfg.Resolver(src, exp)
-		if s == "" {
-			return nil, false
-		}
-		a, err := resolveAddrPort(s)
-		if err != nil {
-			return nil, false
-		}
-		dst = a
-	}
-	d := r.dsts[dst]
-	if d == nil {
-		d = &destination{addr: dst}
-		r.dsts[dst] = d
-	}
-	return &forwardQueue{dst: d}, true
+// resolve is the engine's flow-registration hook: every flow queues on
+// the relay's one destination.
+func (r *Relay) resolve(wire.Addr, wire.ExperimentID) *forwardQueue {
+	return &forwardQueue{dst: &r.dst}
 }
 
-// resolveAddrPort resolves a "host:port" string to the IPv4 form
-// destinations are interned under.
-func resolveAddrPort(s string) (netip.AddrPort, error) {
-	a, err := net.ResolveUDPAddr("udp4", s)
-	if err != nil {
-		return netip.AddrPort{}, err
-	}
-	ap := a.AddrPort()
-	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()), nil
-}
-
-// prune forgets every destination no registered flow uses; the loop runs
-// it on the engine sweep's half-TTL schedule, so an expired flow's
-// destination goes within one more half TTL. Only the receive loop
-// registers flows, and it is the caller, so the snapshot cannot go stale
-// before the lock is retaken.
-func (r *Relay) prune() {
-	used := make(map[string]bool)
-	for _, f := range r.eng.Flows() {
-		used[f.Dst] = true
-	}
-	r.engMu.Lock()
-	defer r.engMu.Unlock()
-	for a := range r.dsts {
-		if !used[a.String()] {
-			delete(r.dsts, a)
-		}
-	}
-}
-
-// queue is the engine's Emit: make room for pkt on f's destination,
+// queue is the engine's Emit: make room for pkt on the destination,
 // append it to f's queue, and on the flow's first packet since the
 // destination's last send list the flow on it. pkt points into the batch
 // ring or a stash buffer; the ring outlives this lock hold's flush, and
 // release makes the buffer do so.
 func (r *Relay) queue(f *relayFlow, pkt []byte) {
+	r.reserve(len(pkt))
 	q := f.Dst
-	r.reserve(q.dst, len(pkt))
 	if len(q.pkts) == 0 {
-		q.dst.flows = append(q.dst.flows, f)
+		r.dst.flows = append(r.dst.flows, f)
 	}
 	q.pkts = append(q.pkts, pkt)
 }
 
-// reserve accounts one more packet of size bytes on d, first sending d's
-// queue if the packet would not fit the same GSO super-datagram, and
-// lists d as dirty for the rest of the lock hold.
-func (r *Relay) reserve(d *destination, size int) {
+// reserve accounts one more packet of size bytes on the destination,
+// first sending its queue if the packet would not fit the same GSO
+// super-datagram.
+func (r *Relay) reserve(size int) {
+	d := &r.dst
 	if d.n == maxGSOSegs || d.n > 0 && d.bytes+size > maxGSOBytes {
-		r.send(d)
-	}
-	if !d.dirty {
-		d.dirty = true
-		r.dirty = append(r.dirty, d)
+		r.send()
 	}
 	d.n++
 	d.bytes += size
@@ -615,27 +522,26 @@ func (r *Relay) reserve(d *destination, size int) {
 var recycle = (*wire.StashLog).Put
 
 // release is the engine's Buffer.Release. A queued packet may point at b,
-// so while any destination is dirty b returns to the stash log only after
-// flush — at once when none is (Crash, Restart, a burst's first packet). A
-// send mid-burst leaves its destination dirty, so that rule needs no
-// knowledge of which destination a buffer was queued on. Caller holds
-// engMu.
+// so while the destination holds queued packets b returns to the stash
+// log only after flush — at once when it holds none (Crash, Restart, a
+// burst's first packet, just after a send). Caller holds engMu.
 func (r *Relay) release(b []byte) {
-	if len(r.dirty) == 0 {
+	if r.dst.n == 0 {
 		recycle(r.stash, b)
 		return
 	}
 	r.retired = append(r.retired, b)
 }
 
-// send writes d's queue with one batched write: its retransmissions,
-// then its flows' forwards gathered flow by flow, so each flow's packets
-// stay in order and contiguous — equal-size flows still merge into one
-// GSO run, a flow of another size starts a run of its own. Each flow is
-// credited the share of the kernel-accepted prefix it owns; failed tails
-// are dropped (loss recovery is the protocol's job) and counted in
-// dmtp.live.tx.errors. d stays dirty. Caller holds engMu.
-func (r *Relay) send(d *destination) {
+// send writes the destination's queue with one batched write: its
+// retransmissions, then its flows' forwards gathered flow by flow, so
+// each flow's packets stay in order and contiguous — equal-size flows
+// still merge into one GSO run, a flow of another size starts a run of
+// its own. Each flow is credited the share of the kernel-accepted prefix
+// it owns; failed tails are dropped (loss recovery is the protocol's job)
+// and counted in dmtp.live.tx.errors. Caller holds engMu.
+func (r *Relay) send() {
+	d := &r.dst
 	pkts := append(d.pkts[:0], d.rtx...)
 	for _, f := range d.flows {
 		pkts = append(pkts, f.Dst.pkts...)
@@ -658,17 +564,13 @@ func (r *Relay) send(d *destination) {
 }
 
 // flush ends a lock hold: it records the engine's pending eviction run,
-// sends what every dirty destination still queues, then recycles the
-// retired buffers. Caller holds engMu.
+// sends what the destination still queues, then recycles the retired
+// buffers. Caller holds engMu.
 func (r *Relay) flush() {
 	r.eng.RecordPending()
-	for _, d := range r.dirty {
-		if d.n > 0 {
-			r.send(d)
-		}
-		d.dirty = false
+	if r.dst.n > 0 {
+		r.send()
 	}
-	r.dirty = r.dirty[:0]
 	for _, b := range r.retired {
 		recycle(r.stash, b)
 	}

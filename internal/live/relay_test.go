@@ -20,7 +20,6 @@ import (
 	"net/netip"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,12 +47,14 @@ func upgradedLen(pkt []byte) int {
 	return len(pkt) + extLen
 }
 
-// seqSink is a loopback socket that records the sequence number of every
-// datagram it reads, in arrival order (zero for one that does not check).
+// seqSink is a loopback socket that records the sequence number and
+// experiment number of every datagram it reads, in arrival order (zero for
+// one that does not check).
 type seqSink struct {
 	conn *net.UDPConn
 	mu   sync.Mutex
 	seqs []uint64
+	exps []uint32
 }
 
 func newSeqSink(t *testing.T) *seqSink {
@@ -74,12 +75,15 @@ func newSeqSink(t *testing.T) *seqSink {
 				return
 			}
 			var seq uint64
+			var exp uint32
 			v := wire.View(buf[:n])
 			if _, err := v.Check(); err == nil {
 				seq, _ = v.Seq()
+				exp = uint32(v.Experiment()) >> 8
 			}
 			s.mu.Lock()
 			s.seqs = append(s.seqs, seq)
+			s.exps = append(s.exps, exp)
 			s.mu.Unlock()
 		}
 	}()
@@ -95,6 +99,17 @@ func (s *seqSink) got() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return slices.Clone(s.seqs)
+}
+
+// byExp returns the sequence numbers read so far, per experiment number.
+func (s *seqSink) byExp() map[uint32][]uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m := make(map[uint32][]uint64)
+	for i, exp := range s.exps {
+		m[exp] = append(m[exp], s.seqs[i])
+	}
+	return m
 }
 
 // addr is the sink's address, as a NAK names its requester.
@@ -126,8 +141,8 @@ func ascending(seqs []uint64, from uint64) bool {
 }
 
 // TestRelayFlowIdleExpiry drives the flow table on a fake clock: a flow
-// idle past FlowTTL is dropped by the sweep the next burst triggers, and
-// counted in dmtp.relay.flows.expired.
+// idle past the engine's 60 s TTL is dropped by the sweep the next burst
+// triggers, and counted in dmtp.relay.flows.expired.
 func TestRelayFlowIdleExpiry(t *testing.T) {
 	recv, err := NewReceiver(ReceiverConfig{Listen: "127.0.0.1:0"})
 	if err != nil {
@@ -140,7 +155,6 @@ func TestRelayFlowIdleExpiry(t *testing.T) {
 		Listen:        "127.0.0.1:0",
 		CapacityBytes: testCapacity,
 		Forward:       recv.Addr(),
-		FlowTTL:       time.Second,
 		Clock:         fc,
 	})
 	if err != nil {
@@ -158,9 +172,9 @@ func TestRelayFlowIdleExpiry(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool { return relay.FlowStats().Active == 1 }, "flow A registration")
 
-	// Two fake seconds of idleness, then a packet on a second flow: the
+	// 61 fake seconds of idleness, then a packet on a second flow: the
 	// burst triggers the sweep, which must expire only the idle flow.
-	fc.AdvanceTo(int64(2 * time.Second))
+	fc.AdvanceTo(int64(61 * time.Second))
 	sndB, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: 702})
 	if err != nil {
 		t.Fatal(err)
@@ -181,63 +195,61 @@ func TestRelayFlowIdleExpiry(t *testing.T) {
 	}
 }
 
-// TestRelayCrashClearsFlowsAndReResolves is the stale-forward-address
-// regression test, run with two concurrent flows. Before the crash each
-// flow recovers its injected drops through per-flow NAK service. Crash
-// must empty the flow table; after Restart the flows re-register and
-// re-resolve, so flow B lands on its *new* receiver instead of the
-// address it had resolved before the crash — and each flow's NAK service
-// keeps working against the rebuilt table without touching the other
-// flow's stream.
+// TestRelayCrashClearsFlowsAndReResolves runs two concurrent flows to one
+// receiver through a crash. Before the crash each flow recovers its own
+// injected drops through per-flow NAK service. Crash must empty the flow
+// table; after Restart the flows re-register on their next packets, and
+// each flow's NAK service keeps working against the rebuilt table without
+// touching the other flow's stream.
 func TestRelayCrashClearsFlowsAndReResolves(t *testing.T) {
-	mkRecv := func(wantExp uint32, wrong *atomic.Uint64) *Receiver {
-		r, err := NewReceiver(ReceiverConfig{
-			Listen:   "127.0.0.1:0",
-			NAKDelay: 2 * time.Millisecond,
-			NAKRetry: 10 * time.Millisecond,
-			MaxNAKs:  10,
-			OnMessage: func(m Message) {
-				if uint32(m.Experiment)>>8 != wantExp {
-					wrong.Add(1)
-				}
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { r.Close() })
-		return r
+	const expA, expB = 777, 888
+	var mu sync.Mutex
+	delivered, recovered := map[uint32]int{}, map[uint32]int{}
+	recv, err := NewReceiver(ReceiverConfig{
+		Listen:   "127.0.0.1:0",
+		NAKDelay: 2 * time.Millisecond,
+		NAKRetry: 10 * time.Millisecond,
+		MaxNAKs:  10,
+		OnMessage: func(m Message) {
+			exp := uint32(m.Experiment) >> 8
+			mu.Lock()
+			defer mu.Unlock()
+			delivered[exp]++
+			if m.Recovered {
+				recovered[exp]++
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var wrongA, wrongB atomic.Uint64
-	recvA := mkRecv(777, &wrongA)
-	recvB := mkRecv(888, &wrongB)
-	recvB2 := mkRecv(888, &wrongB)
+	defer recv.Close()
+	// counts reports each flow's deliveries and recoveries so far.
+	counts := func() (dA, dB, rA, rB int) {
+		mu.Lock()
+		defer mu.Unlock()
+		return delivered[expA], delivered[expB], recovered[expA], recovered[expB]
+	}
 
-	var routeMu sync.Mutex
-	route := map[uint32]string{777: recvA.Addr(), 888: recvB.Addr()}
 	relay, err := NewRelay(RelayConfig{
 		Listen:        "127.0.0.1:0",
 		CapacityBytes: testCapacity,
-		Resolver: func(_ wire.Addr, exp wire.ExperimentID) string {
-			routeMu.Lock()
-			defer routeMu.Unlock()
-			return route[uint32(exp)>>8]
-		},
-		Shards:     2,
-		MaxAge:     5 * time.Second,
-		DropEveryN: 10,
+		Forward:       recv.Addr(),
+		Shards:        2,
+		MaxAge:        5 * time.Second,
+		DropEveryN:    10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer relay.Close()
 
-	sndA, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: 777})
+	sndA, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: expA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sndA.Close()
-	sndB, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: 888})
+	sndB, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: expB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,24 +266,35 @@ func TestRelayCrashClearsFlowsAndReResolves(t *testing.T) {
 			}
 		}
 	}
+	// settled waits until each flow has delivered n messages with no gap
+	// open, and checks that each recovered at least rec more than the
+	// counts in from (its own injected drops; loopback may lose more). It
+	// returns the recovered counts.
+	settled := func(n, rec int, from [2]int, phase string) [2]int {
+		t.Helper()
+		waitFor(t, 10*time.Second, func() bool {
+			dA, dB, _, _ := counts()
+			return dA == n && dB == n && recv.OutstandingGaps() == 0
+		}, phase+" delivery on both flows")
+		dA, dB, rA, rB := counts()
+		if dA != n || dB != n || rA-from[0] < rec || rB-from[1] < rec {
+			t.Fatalf("%s: delivered A %d, B %d; recovered A %d, B %d (from %v); want %d delivered and %d more recovered per flow",
+				phase, dA, dB, rA, rB, from, n, rec)
+		}
+		return [2]int{rA, rB}
+	}
 
 	// Phase 1: 45 messages per flow; seqs 10/20/30/40 of each are dropped
 	// at the relay and recovered by that flow's own NAKs.
 	send(sndA, 45)
 	send(sndB, 45)
-	waitFor(t, 10*time.Second, func() bool {
-		return recvA.Stats().Delivered == 45 && recvB.Stats().Delivered == 45 &&
-			recvA.OutstandingGaps() == 0 && recvB.OutstandingGaps() == 0
-	}, "phase-1 delivery on both flows")
-	if recvA.Stats().Recovered == 0 || recvB.Stats().Recovered == 0 {
-		t.Fatalf("no per-flow recovery: A %+v, B %+v", recvA.Stats(), recvB.Stats())
-	}
+	rec := settled(45, 4, [2]int{}, "phase-1")
 	if fs := relay.FlowStats(); fs.Active != 2 || fs.Opened != 2 {
 		t.Fatalf("phase-1 flow stats: %+v", fs)
 	}
 	for _, f := range relay.Flows() {
-		if f.Upgraded != 45 {
-			t.Fatalf("flow %v upgraded %d, want 45", f.Experiment, f.Upgraded)
+		if f.Upgraded != 45 || f.Dst != recv.Addr() {
+			t.Fatalf("flow %v upgraded %d to %s, want 45 to %s", f.Experiment, f.Upgraded, f.Dst, recv.Addr())
 		}
 	}
 
@@ -283,13 +306,6 @@ func TestRelayCrashClearsFlowsAndReResolves(t *testing.T) {
 	if fs := relay.FlowStats(); fs.Active != 0 {
 		t.Fatalf("flow stats after crash: %+v", fs)
 	}
-
-	// Flow B's receiver moves while the relay is down. A relay that
-	// revived its pre-crash flow entries would keep forwarding to the old
-	// address; re-registration must resolve the new one.
-	routeMu.Lock()
-	route[888] = recvB2.Addr()
-	routeMu.Unlock()
 	if err := relay.Restart(); err != nil {
 		t.Fatal(err)
 	}
@@ -298,20 +314,7 @@ func TestRelayCrashClearsFlowsAndReResolves(t *testing.T) {
 	// must be recovered from the post-restart stash, per flow).
 	send(sndA, 23)
 	send(sndB, 23)
-	waitFor(t, 10*time.Second, func() bool {
-		return recvA.Stats().Delivered == 68 && recvB2.Stats().Delivered == 23 &&
-			recvA.OutstandingGaps() == 0 && recvB2.OutstandingGaps() == 0
-	}, "phase-2 delivery after restart")
-
-	if got := recvB.Stats().Delivered; got != 45 {
-		t.Fatalf("old receiver B got %d deliveries, want 45 (stale forward address revived)", got)
-	}
-	if recvB2.Stats().Recovered == 0 {
-		t.Fatalf("flow B's post-restart drops were not NAK-recovered: %+v", recvB2.Stats())
-	}
-	if wrongA.Load() != 0 || wrongB.Load() != 0 {
-		t.Fatalf("cross-flow deliveries: A saw %d foreign, B saw %d", wrongA.Load(), wrongB.Load())
-	}
+	settled(68, 2, rec, "phase-2")
 	if fs := relay.FlowStats(); fs.Active != 2 || fs.Opened != 4 {
 		t.Fatalf("phase-2 flow stats: %+v", fs)
 	}
@@ -417,143 +420,6 @@ func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 	}
 }
 
-// destinations is the size of the relay's interned destination set.
-func (r *Relay) destinations() int {
-	r.engMu.Lock()
-	defer r.engMu.Unlock()
-	return len(r.dsts)
-}
-
-// TestRelayOneWritePerDestination sends bursts of 64 flows that a
-// Resolver splits over two sinks: each burst costs two write syscalls on
-// the kernel path, one per destination, and each sink sees every one of
-// its flows' sequence numbers ascending — sharing a queue keeps each
-// flow's order.
-func TestRelayOneWritePerDestination(t *testing.T) {
-	const (
-		nflows = 64
-		bursts = 20
-		expLo  = 1000
-	)
-	type sinkLog struct {
-		conn *net.UDPConn
-		mu   sync.Mutex
-		seqs map[uint32][]uint64
-		n    int
-	}
-	var sinks [2]*sinkLog
-	var readers sync.WaitGroup
-	for i := range sinks {
-		c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.SetReadBuffer(4 << 20)
-		s := &sinkLog{conn: c, seqs: make(map[uint32][]uint64)}
-		sinks[i] = s
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			buf := make([]byte, 2048)
-			for {
-				n, _, err := c.ReadFromUDP(buf)
-				if err != nil {
-					return
-				}
-				v := wire.View(buf[:n])
-				if _, err := v.Check(); err != nil {
-					continue
-				}
-				seq, err := v.Seq()
-				if err != nil {
-					continue
-				}
-				exp := uint32(v.Experiment()) >> 8
-				s.mu.Lock()
-				s.seqs[exp] = append(s.seqs[exp], seq)
-				s.n++
-				s.mu.Unlock()
-			}
-		}()
-	}
-	defer func() {
-		for _, s := range sinks {
-			s.conn.Close()
-		}
-		readers.Wait()
-	}()
-
-	relay, err := NewRelay(RelayConfig{
-		Listen:        "127.0.0.1:0",
-		CapacityBytes: testCapacity,
-		Resolver: func(_ wire.Addr, exp wire.ExperimentID) string {
-			return sinks[(uint32(exp)>>8)%2].conn.LocalAddr().String()
-		},
-		Shards: 2,
-		MaxAge: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
-
-	pkts := make([][]byte, nflows)
-	for i := range pkts {
-		pkts[i] = mode0Pkt(t, uint32(expLo+i), "one-destination-per-send")
-	}
-	src := wire.AddrFrom(10, 0, 0, 1, 4000)
-	before := relay.BatchStats()
-	for b := 0; b < bursts; b++ {
-		relay.engMu.Lock()
-		for _, p := range pkts {
-			relay.eng.Handle(src, p, 0)
-		}
-		relay.flush()
-		relay.engMu.Unlock()
-	}
-	if relay.BatchCaps().Mmsg {
-		if got := relay.BatchStats().Syscalls - before.Syscalls; got != 2*bursts {
-			t.Fatalf("%d write syscalls for %d bursts over two destinations, want %d", got, bursts, 2*bursts)
-		}
-	}
-	if n := relay.destinations(); n != 2 {
-		t.Fatalf("%d interned destinations, want 2", n)
-	}
-
-	waitFor(t, 10*time.Second, func() bool {
-		for _, s := range sinks {
-			s.mu.Lock()
-			n := s.n
-			s.mu.Unlock()
-			if n < nflows/2*bursts {
-				return false
-			}
-		}
-		return true
-	}, "every forward at its sink")
-	for i, s := range sinks {
-		s.mu.Lock()
-		if len(s.seqs) != nflows/2 {
-			t.Errorf("sink %d saw %d flows, want %d", i, len(s.seqs), nflows/2)
-		}
-		for exp, seqs := range s.seqs {
-			if exp%2 != uint32(i) {
-				t.Errorf("sink %d got experiment %d, resolved to the other sink", i, exp)
-			}
-			if len(seqs) != bursts {
-				t.Errorf("sink %d, experiment %d: %d packets, want %d", i, exp, len(seqs), bursts)
-			}
-			for k, seq := range seqs {
-				if seq != uint64(k+1) {
-					t.Errorf("sink %d, experiment %d: sequence numbers %v, want 1..%d ascending", i, exp, seqs, bursts)
-					break
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-}
-
 // TestRelayMixedSizeFlowsShareDestination interleaves a 1 KiB flow and a
 // 256 B flow to one destination, A1 B1 A2 B2 …: the shared send still
 // carries each flow as one run, so on the kernel path a burst costs at
@@ -637,16 +503,22 @@ func TestRelayMixedSizeFlowsShareDestination(t *testing.T) {
 	}
 }
 
-// TestRelayCutThrough hands one flow 129 packets under the engine lock
-// without ending the burst. The destination is written each time its
+// TestRelayCutThrough hands 129 packets to the relay under the engine
+// lock without ending the burst. The destination is written each time its
 // queue holds a full GSO super-datagram — 64 packets of 256 B, or as many
 // 1 KiB packets as maxGSOBytes allows — so the sink holds two of them
 // before flush, and flush writes the rest. That is three write syscalls,
-// what one write of the whole burst at its end costs.
+// what one write of the whole burst at its end costs, whether the packets
+// belong to one flow or round-robin over 64 flows sharing the queue; and
+// the sink reads each flow's sequence numbers ascending.
 func TestRelayCutThrough(t *testing.T) {
 	const burst = 2*maxGSOSegs + 1
-	for _, size := range []int{256, 1024} {
-		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
+	for _, tc := range []struct{ size, flows int }{{256, 1}, {1024, 1}, {256, 64}} {
+		name := fmt.Sprintf("%dB", tc.size)
+		if tc.flows > 1 {
+			name += fmt.Sprintf("-%dflows", tc.flows)
+		}
+		t.Run(name, func(t *testing.T) {
 			sink := newSeqSink(t)
 			relay, err := NewRelay(RelayConfig{
 				Listen:        "127.0.0.1:0",
@@ -661,20 +533,34 @@ func TestRelayCutThrough(t *testing.T) {
 			if !relay.BatchCaps().GSO {
 				t.Skip("no GSO: a super-datagram is not one write")
 			}
-			pkt := mode0Pkt(t, 831, string(bytes.Repeat([]byte{'c'}, size)))
-			perSend := min(maxGSOSegs, maxGSOBytes/upgradedLen(pkt))
+			pkts := make([][]byte, tc.flows)
+			for i := range pkts {
+				pkts[i] = mode0Pkt(t, uint32(831+i), string(bytes.Repeat([]byte{'c'}, tc.size)))
+			}
+			perSend := min(maxGSOSegs, maxGSOBytes/upgradedLen(pkts[0]))
 			src := wire.AddrFrom(10, 0, 0, 1, 4000)
+			// inOrder reports whether every flow's sequence numbers in m
+			// ascend from 1.
+			inOrder := func(m map[uint32][]uint64) bool {
+				for _, seqs := range m {
+					if !ascending(seqs, 1) {
+						return false
+					}
+				}
+				return true
+			}
 
 			before := relay.BatchStats()
 			relay.engMu.Lock()
 			for i := 0; i < burst; i++ {
-				relay.eng.Handle(src, pkt, 0)
+				relay.eng.Handle(src, pkts[i%tc.flows], 0)
 			}
 			mid := relay.BatchStats()
 			if got := mid.SentPackets - before.SentPackets; got != uint64(2*perSend) {
 				t.Fatalf("%d of %d packets written before the burst ended, want two super-datagrams of %d", got, burst, perSend)
 			}
-			early := sink.waitSeqs(t, 2*perSend)
+			sink.waitSeqs(t, 2*perSend)
+			early := sink.byExp()
 			relay.flush()
 			relay.engMu.Unlock()
 
@@ -683,10 +569,11 @@ func TestRelayCutThrough(t *testing.T) {
 				t.Fatalf("sent %d packets, want %d", got, burst)
 			}
 			if got := after.Syscalls - before.Syscalls; got != 3 {
-				t.Fatalf("%d write syscalls for a burst of %d, want 3", got, burst)
+				t.Fatalf("%d write syscalls for a burst of %d over %d flows, want 3", got, burst, tc.flows)
 			}
-			if seqs := sink.waitSeqs(t, burst); len(seqs) != burst || !ascending(seqs, 1) || !ascending(early, 1) {
-				t.Fatalf("sink read %v (%v before flush), want 1..%d", seqs, early, burst)
+			sink.waitSeqs(t, burst)
+			if seqs := sink.byExp(); len(sink.got()) != burst || len(seqs) != tc.flows || !inOrder(seqs) || !inOrder(early) {
+				t.Fatalf("sink read %v (%v before flush), want %d flows each ascending from 1, %d packets in all", seqs, early, tc.flows, burst)
 			}
 		})
 	}
@@ -751,7 +638,7 @@ func TestRelayRecordsEvictionRunAtBurstEnd(t *testing.T) {
 // already forwards to queues its retransmissions on that destination,
 // ahead of the forwards queued in the same burst, so k retransmissions
 // cost ⌈k/64⌉ writes rather than k. A NAK from any other requester is
-// still served, written at once, and leaves the destination set alone.
+// still served, written at once.
 func TestRelayRetransmitsRideTheQueue(t *testing.T) {
 	const k = 100
 	sink, other := newSeqSink(t), newSeqSink(t)
@@ -809,21 +696,18 @@ func TestRelayRetransmitsRideTheQueue(t *testing.T) {
 	}
 
 	// A requester the relay does not forward to: served at once, nothing
-	// interned, nothing through the batch path.
-	dsts, rtx := relay.destinations(), relay.Stats().Retransmits
+	// through the batch path.
+	rtx := relay.Stats().Retransmits
 	before = relay.BatchStats()
 	burst(nak(other.addr(t), 1, k))
 	if seqs := other.waitSeqs(t, k); len(seqs) != k || !ascending(seqs, 1) {
-		t.Fatalf("uninterned requester got %v, want 1..%d", seqs, k)
+		t.Fatalf("the other requester got %v, want 1..%d", seqs, k)
 	}
 	if got := relay.Stats().Retransmits - rtx; got != k {
-		t.Fatalf("%d retransmissions to the uninterned requester, want %d", got, k)
-	}
-	if n := relay.destinations(); n != dsts {
-		t.Fatalf("a NAK changed the destination set: %d → %d", dsts, n)
+		t.Fatalf("%d retransmissions to the other requester, want %d", got, k)
 	}
 	if got := relay.BatchStats().Syscalls - before.Syscalls; got != 0 {
-		t.Fatalf("%d batched writes for an uninterned requester, want 0", got)
+		t.Fatalf("%d batched writes for the other requester, want 0", got)
 	}
 	if st := relay.Stats(); st.TxErrors != 0 {
 		t.Fatalf("%d tx errors", st.TxErrors)
@@ -831,9 +715,9 @@ func TestRelayRetransmitsRideTheQueue(t *testing.T) {
 }
 
 // TestRelayFlushCreditsAcceptedPrefix checks the forward leg's per-flow
-// accounting when a shared write fails part-way. Flows A and B share a
-// destination, C has its own; over the portable path a stub socket accepts
-// k packets and fails the rest. The shared write carries each flow's
+// accounting when a shared write fails part-way. Flows A, B and C share
+// the one forward address; over the portable path a stub socket accepts k
+// packets and fails the rest. The shared write carries each flow's
 // packets contiguously, each flow is credited exactly its packets in the
 // accepted prefix, the unsent tail is counted as tx errors, and
 // upgraded = forwarded + injected drops + tx errors.
@@ -842,10 +726,9 @@ func TestRelayFlushCreditsAcceptedPrefix(t *testing.T) {
 		expA, expB, expC = 501, 502, 503
 		rounds           = 4
 	)
-	shared, own := netip.MustParseAddrPort("127.0.0.1:9"), netip.MustParseAddrPort("127.0.0.1:10")
+	fwd := netip.MustParseAddrPort("127.0.0.1:9")
 	// DropEveryN 3 withholds each flow's seq 3, so the burst arrives as
-	// A1 B1 C1 A2 B2 C2 A4 B4 C4 and leaves as A1 A2 A4 B1 B2 B4 to the
-	// shared destination, then C1 C2 C4.
+	// A1 B1 C1 A2 B2 C2 A4 B4 C4 and leaves as A1 A2 A4 B1 B2 B4 C1 C2 C4.
 	order := []uint32{expA, expA, expA, expB, expB, expB, expC, expC, expC}
 	for _, tc := range []struct {
 		failFrom int
@@ -858,14 +741,9 @@ func TestRelayFlushCreditsAcceptedPrefix(t *testing.T) {
 			relay, err := NewRelay(RelayConfig{
 				Listen:        "127.0.0.1:0",
 				CapacityBytes: testCapacity,
-				Resolver: func(_ wire.Addr, exp wire.ExperimentID) string {
-					if uint32(exp)>>8 == expC {
-						return own.String()
-					}
-					return shared.String()
-				},
-				MaxAge:     time.Hour,
-				DropEveryN: 3,
+				Forward:       fwd.String(),
+				MaxAge:        time.Hour,
+				DropEveryN:    3,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -900,12 +778,8 @@ func TestRelayFlushCreditsAcceptedPrefix(t *testing.T) {
 					t.Errorf("write %d carried experiment %d, want %d (each flow contiguous: %v)", i, exp, order[i], order)
 				}
 				wrote[exp]++
-				want := shared
-				if exp == expC {
-					want = own
-				}
-				if stub.to[i] != want {
-					t.Errorf("experiment %d's packet went to %v, want %v", exp, stub.to[i], want)
+				if stub.to[i] != fwd {
+					t.Errorf("experiment %d's packet went to %v, want %v", exp, stub.to[i], fwd)
 				}
 			}
 			var forwarded uint64
@@ -929,75 +803,6 @@ func TestRelayFlushCreditsAcceptedPrefix(t *testing.T) {
 				t.Errorf("upgraded %d != forwarded %d + injected drops %d + tx errors %d", st.Upgraded, st.Forwarded, st.InjectedDrops, txErrs)
 			}
 		})
-	}
-}
-
-// TestRelayDestinationSetBounded gives every new flow a fresh downstream
-// port: once idle flows expire and a sweep runs, the interned destination
-// set keeps only live flows' destinations; Crash empties it, and a flow
-// after Restart resolves afresh.
-func TestRelayDestinationSetBounded(t *testing.T) {
-	var ports atomic.Uint32
-	fc := dmtp.NewFakeClock(0)
-	relay, err := NewRelay(RelayConfig{
-		Listen:        "127.0.0.1:0",
-		CapacityBytes: testCapacity,
-		Resolver: func(wire.Addr, wire.ExperimentID) string {
-			return fmt.Sprintf("127.0.0.1:%d", 45000+ports.Add(1))
-		},
-		FlowTTL: time.Second,
-		Clock:   fc,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
-	send := func(exp uint32) {
-		t.Helper()
-		snd, err := NewSenderWithConfig(SenderConfig{Dst: relay.Addr(), Experiment: exp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer snd.Close()
-		if err := snd.Send([]byte("d"), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for exp := uint32(601); exp <= 603; exp++ {
-		send(exp)
-	}
-	waitFor(t, 5*time.Second, func() bool { return relay.FlowStats().Opened == 3 }, "three registrations")
-	if n := relay.destinations(); n != 3 {
-		t.Fatalf("%d destinations for three flows with fresh ports, want 3", n)
-	}
-
-	// Past the TTL, a fourth flow's burst triggers the sweep that expires
-	// the first three.
-	fc.AdvanceTo(int64(2 * time.Second))
-	send(604)
-	waitFor(t, 5*time.Second, func() bool {
-		return relay.FlowStats().Expired == 3 && relay.destinations() == 1
-	}, "expired flows' destinations pruned")
-	flows := relay.Flows()
-	if len(flows) != 1 || flows[0].Dst != "127.0.0.1:45004" {
-		t.Fatalf("surviving flows: %+v", flows)
-	}
-
-	relay.Crash()
-	if n := relay.destinations(); n != 0 {
-		t.Fatalf("%d destinations survived the crash", n)
-	}
-	if err := relay.Restart(); err != nil {
-		t.Fatal(err)
-	}
-	send(604)
-	waitFor(t, 5*time.Second, func() bool { return relay.FlowStats().Active == 1 }, "re-registration after restart")
-	if flows := relay.Flows(); len(flows) != 1 || flows[0].Dst != "127.0.0.1:45005" {
-		t.Fatalf("flow after restart did not re-resolve: %+v", flows)
-	}
-	if n := relay.destinations(); n != 1 {
-		t.Fatalf("%d destinations after restart, want 1", n)
 	}
 }
 
@@ -1374,7 +1179,7 @@ func TestRelayShardTortureManyFlows(t *testing.T) {
 // so the relay meets it as real bursts: at most one short read it made
 // before blocking, then everything else. A round is more than one
 // super-datagram, so trims and evictions also land after mid-burst sends.
-// The mid-burst case then pins the order down with two destinations.
+// The mid-burst case then pins the order down packet by packet.
 func TestRelayBurstForwardOutlivesRelease(t *testing.T) {
 	orig := recycle
 	recycle = func(l *wire.StashLog, b []byte) {
@@ -1537,31 +1342,24 @@ func TestRelayBurstForwardOutlivesRelease(t *testing.T) {
 		})
 	}
 
-	// Two destinations, driven packet by packet under the engine lock. B's
-	// two packets queue first; A's 65th packet writes A's first
-	// super-datagram mid-burst. Then a trim releases one of B's queued
-	// packets and an eviction the other, and A's 129th packet writes A's
-	// second super-datagram mid-burst. B's queue is written only at the
-	// flush, so a buffer recycled at a mid-burst send rather than after
-	// the burst's last write reaches sink B as poison.
+	// One destination, driven packet by packet under the engine lock. B1
+	// and B2 queue first, then A's packets; the stash holds 63 entries, so
+	// A's 62nd insert evicts B1 while it is queued, and a trim then
+	// releases B2, also queued. A's 63rd packet finds 64 queued and writes
+	// them mid-burst, B1 and B2 first; A's 127th writes A's next 64, and
+	// flush the last. A buffer recycled before the write that carries it
+	// reaches the sink as poison.
 	t.Run("mid-burst", func(t *testing.T) {
 		const expA, expB1, expB2 = 4301, 4302, 4303
-		sinkA, sinkB := newSeqSink(t), newSeqSink(t)
+		sink := newSeqSink(t)
 		payload := string(bytes.Repeat([]byte{'m'}, 200))
 		pktA, pktB1, pktB2 := mode0Pkt(t, expA, payload), mode0Pkt(t, expB1, payload), mode0Pkt(t, expB2, payload)
-		// Room for B's two and A's first 65. The trim frees one slot, so
-		// A's 67th insert evicts the oldest entry, B1's, and every later
-		// one an entry of A's.
+		const held = maxGSOSegs - 1
 		relay, err := NewRelay(RelayConfig{
 			Listen:        "127.0.0.1:0",
-			CapacityBytes: (2 + maxGSOSegs + 1) * upgradedLen(pktA),
-			Resolver: func(_ wire.Addr, exp wire.ExperimentID) string {
-				if uint32(exp)>>8 == expA {
-					return sinkA.conn.LocalAddr().String()
-				}
-				return sinkB.conn.LocalAddr().String()
-			},
-			MaxAge: time.Hour,
+			CapacityBytes: held * upgradedLen(pktA),
+			Forward:       sink.conn.LocalAddr().String(),
+			MaxAge:        time.Hour,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -1571,36 +1369,36 @@ func TestRelayBurstForwardOutlivesRelease(t *testing.T) {
 			t.Skip("portable path: writes are not counted")
 		}
 		srcA, srcB := wire.AddrFrom(10, 0, 0, 1, 4000), wire.AddrFrom(10, 0, 0, 2, 4000)
-		const burstA = 2*maxGSOSegs + 1
+		const burstA = 2*maxGSOSegs - 1
 		written := func() uint64 { return relay.BatchStats().SentPackets }
 		base := written()
 
 		relay.engMu.Lock()
 		relay.eng.Handle(srcB, pktB1, 0)
 		relay.eng.Handle(srcB, pktB2, 0)
-		for i := 0; i < maxGSOSegs+1; i++ {
+		for i := 0; i < maxGSOSegs-2; i++ {
 			relay.eng.Handle(srcA, pktA, 0)
 		}
-		firstSend := written() - base
+		queued := written() - base
 		relay.eng.Buffer().Trim(wire.NewExperimentID(expB2, 0), 1)
-		for i := maxGSOSegs + 1; i < burstA; i++ {
+		for i := maxGSOSegs - 2; i < burstA; i++ {
 			relay.eng.Handle(srcA, pktA, 0)
 		}
-		secondSend := written() - base
+		sends := written() - base
 		relay.flush()
 		relay.engMu.Unlock()
 
-		if firstSend != maxGSOSegs || secondSend != 2*maxGSOSegs {
-			t.Fatalf("A's mid-burst sends wrote %d, then %d packets in all; want %d, then %d", firstSend, secondSend, maxGSOSegs, 2*maxGSOSegs)
+		if queued != 0 || sends != 2*maxGSOSegs {
+			t.Fatalf("%d packets written before the trim, %d before flush; want 0 and %d", queued, sends, 2*maxGSOSegs)
 		}
-		if st := relay.Stats(); st.Trimmed != 1 || st.Evicted != burstA-maxGSOSegs-2 {
-			t.Fatalf("trimmed %d, evicted %d; want 1 and %d", st.Trimmed, st.Evicted, burstA-maxGSOSegs-2)
+		if st := relay.Stats(); st.Trimmed != 1 || st.Evicted != burstA+2-held-1 {
+			t.Fatalf("trimmed %d, evicted %d; want 1 and %d", st.Trimmed, st.Evicted, burstA+2-held-1)
 		}
-		if seqs := sinkA.waitSeqs(t, burstA); len(seqs) != burstA || !ascending(seqs, 1) {
-			t.Fatalf("sink A read %v, want 1..%d", seqs, burstA)
-		}
-		if seqs := sinkB.waitSeqs(t, 2); !slices.Equal(seqs, []uint64{1, 1}) {
-			t.Fatalf("sink B read sequence numbers %v, want [1 1]: B's released buffers were recycled before their write", seqs)
+		sink.waitSeqs(t, burstA+2)
+		got := sink.byExp()
+		if len(sink.got()) != burstA+2 || len(got) != 3 || len(got[expA]) != burstA || !ascending(got[expA], 1) ||
+			!slices.Equal(got[expB1], []uint64{1}) || !slices.Equal(got[expB2], []uint64{1}) {
+			t.Fatalf("sink read %v per experiment (experiment 0: poison); want A 1..%d, B1 [1], B2 [1]: a released buffer was recycled before its write", got, burstA)
 		}
 	})
 }

@@ -226,7 +226,7 @@ var Catalog = []Info{
 	{MetricRelayFlowsActive, KindGauge, "flows", "flows currently registered in the relay's flow table"},
 	{MetricRelayFlowsOpened, KindGauge, "flows", "flows ever registered (first packet seen)"},
 	{MetricRelayFlowsExpired, KindGauge, "flows", "flows dropped after exceeding the idle TTL"},
-	{MetricRelayFlowsRejected, KindGauge, "flows", "flow registrations refused (table full, or no route)"},
+	{MetricRelayFlowsRejected, KindGauge, "flows", "flow registrations refused: the table was full (MaxFlows)"},
 	{MetricTraceSampled, KindGauge, "messages", "sampled traced messages delivered to the span collector"},
 	{MetricTraceDropped, KindGauge, "records", "trace records discarded by the collector's bounded ring"},
 	{MetricTraceRecoveryNs, KindHist, "ns", "gap-detection → delivery latency of NAK-recovered sampled messages"},

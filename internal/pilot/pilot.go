@@ -268,7 +268,7 @@ func Run(cfg Config) (Results, error) {
 	res.ModeTransitions = dtn1.Stats().Upgraded
 	res.Elapsed = lastDelivery
 	if span := lastDelivery - firstDelivery; span > 0 {
-		res.GoodputBps = float64(receiver.Meter.Bytes*8) / span.Seconds()
+		res.GoodputBps = float64(receiver.DeliveredBytes*8) / span.Seconds()
 		res.LinkUtilization = res.GoodputBps / cfg.LinkRateBps
 	}
 	res.LatencyP50 = time.Duration(receiver.LatencyHist.Quantile(0.5))

@@ -1,15 +1,17 @@
-// Package telemetry provides the measurement instruments the experiment
-// harness uses: log-bucketed latency histograms with quantile estimation,
-// byte/rate accounting, and per-flow completion records. All instruments
-// are plain single-threaded values; simulated components update them from
-// event-loop callbacks, and the live path guards them with its own locks.
+// Package telemetry provides the two measurement instruments the endpoints
+// and the experiment harness share: Histogram, a log-bucketed histogram
+// with quantile estimation, a plain single-threaded value (simulated
+// components update it from event-loop callbacks, the live path guards it
+// with its own locks); and CounterSet, named counters safe for concurrent
+// use. Both stay here, rather than moving to their users, because the
+// benchmark module (bench/) times and uses them by these names; they can
+// move once the benchmark is re-baselined (ROADMAP item 6).
 package telemetry
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 	"time"
 )
 
@@ -183,91 +185,4 @@ func (h *Histogram) String() string {
 		time.Duration(h.Quantile(0.99)),
 		time.Duration(h.max),
 		time.Duration(h.Mean()))
-}
-
-// Meter accumulates a byte count over an interval and reports throughput.
-type Meter struct {
-	Bytes  uint64
-	Frames uint64
-}
-
-// Add records a frame of n bytes.
-func (m *Meter) Add(n int) {
-	m.Bytes += uint64(n)
-	m.Frames++
-}
-
-// RateBps returns the average throughput in bits per second over elapsed.
-func (m *Meter) RateBps(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.Bytes*8) / elapsed.Seconds()
-}
-
-// RateGbps returns the average throughput in gigabits per second.
-func (m *Meter) RateGbps(elapsed time.Duration) float64 {
-	return m.RateBps(elapsed) / 1e9
-}
-
-// Table is a minimal fixed-width text table writer used by cmd/benchtab and
-// EXPERIMENTS.md generation to print paper-style result rows.
-type Table struct {
-	header []string
-	rows   [][]string
-}
-
-// NewTable creates a table with the given column headers.
-func NewTable(cols ...string) *Table { return &Table{header: cols} }
-
-// Row appends a row; values are rendered with %v.
-func (t *Table) Row(vals ...any) {
-	row := make([]string, len(vals))
-	for i, v := range vals {
-		switch x := v.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.3g", x)
-		default:
-			row[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
-// String renders the table with aligned columns.
-func (t *Table) String() string {
-	widths := make([]int, len(t.header))
-	for i, hdr := range t.header {
-		widths[i] = len(hdr)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			if i < len(cells)-1 {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	sep := make([]string, len(t.header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, r := range t.rows {
-		writeRow(r)
-	}
-	return b.String()
 }

@@ -199,34 +199,3 @@ func TestHistogramString(t *testing.T) {
 		t.Fatalf("string %q", h.String())
 	}
 }
-
-func TestMeterRates(t *testing.T) {
-	var m Meter
-	m.Add(125_000_000) // 1 Gbit
-	if r := m.RateGbps(time.Second); math.Abs(r-1) > 1e-9 {
-		t.Fatalf("rate %v Gbps", r)
-	}
-	if m.RateBps(0) != 0 {
-		t.Fatal("zero elapsed must not divide by zero")
-	}
-	if m.Frames != 1 {
-		t.Fatalf("frames %d", m.Frames)
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	tb := NewTable("experiment", "rate")
-	tb.Row("DUNE", 120.0)
-	tb.Row("Mu2e", 0.16)
-	out := tb.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("table has %d lines:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "experiment") {
-		t.Fatalf("header line %q", lines[0])
-	}
-	if !strings.Contains(lines[2], "DUNE") || !strings.Contains(lines[2], "120") {
-		t.Fatalf("row %q", lines[2])
-	}
-}
