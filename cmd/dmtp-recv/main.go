@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/blackbox"
 	"repro/internal/debugsrv"
-	"repro/internal/dmtp"
 	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/tracespan"
@@ -73,7 +72,7 @@ func main() {
 		metrics.RegisterProcessMetrics(reg)
 		metrics.RegisterFlightMetrics(reg, rec)
 		if tracer != nil {
-			dmtp.RegisterTraceMetrics(reg, tracer)
+			tracer.RegisterMetrics(reg)
 		}
 	}
 	if *debugAddr != "" {

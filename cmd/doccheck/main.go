@@ -49,6 +49,10 @@ var defaultPackages = []string{
 	"./internal/monitor",
 	"./internal/monitor/oracles",
 	"./internal/blackbox",
+	"./internal/live",
+	"./internal/p4sim",
+	"./internal/wire",
+	"./internal/core",
 }
 
 func main() {

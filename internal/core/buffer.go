@@ -210,14 +210,14 @@ func (b *BufferNode) BufferedBytes() int { return b.eng.Stats().Occupancy }
 func (b *BufferNode) SeqOf(exp wire.ExperimentID) uint64 { return b.eng.Buffer().SeqOf(exp) }
 
 // RegisterMetrics publishes the node's metric set on reg: the engine's
-// (shared with the live relay, so names match by construction) plus the
-// adapter's transit and crash-discard counters. The simulator loop is
-// single-threaded: sample the registry from loop context or after the run
-// has drained.
+// (shared with the live relay, so names match by construction) with the
+// adapter's transit and crash-discard counters in the same set. The
+// simulator loop is single-threaded: sample the registry from loop context
+// or after the run has drained.
 func (b *BufferNode) RegisterMetrics(reg *metrics.Registry) {
-	b.eng.RegisterMetrics(reg)
-	reg.RegisterFunc(metrics.MetricRelayRepointed, func() int64 { return int64(b.repointed) })
-	reg.RegisterFunc(metrics.MetricRelayDroppedDown, func() int64 { return int64(b.droppedDown) })
+	b.eng.RegisterMetricsWith(reg, []string{metrics.MetricRelayRepointed, metrics.MetricRelayDroppedDown}, func(dst []int64) {
+		dst[0], dst[1] = int64(b.repointed), int64(b.droppedDown)
+	})
 }
 
 // Attach implements netsim.Handler.
@@ -257,6 +257,7 @@ func (b *BufferNode) HandleFrame(ingress *netsim.Port, f *netsim.Frame) {
 	b.eng.Sweep(now)
 	v := wire.View(f.Data)
 	if _, err := v.Check(); err != nil {
+		b.eng.CountMalformed()
 		return
 	}
 	if v.IsControl() {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -212,5 +213,25 @@ func TestBufferPerExperimentSequences(t *testing.T) {
 	}
 	if len(seqs[b]) != 1 || seqs[b][0] != 1 {
 		t.Fatalf("slice B seqs %v", seqs[b])
+	}
+}
+
+// TestBufferCountsMalformed: a datagram too short to check and a NAK whose
+// ranges are cut short each raise dmtp.relay.malformed by exactly one.
+func TestBufferCountsMalformed(t *testing.T) {
+	rig := newBufferRig(t, nil)
+	reg := metrics.NewRegistry()
+	rig.buf.RegisterMetrics(reg)
+	nak, err := (&wire.NAK{Experiment: wire.NewExperimentID(4, 0), Requester: rig.downAddr,
+		Ranges: []wire.SeqRange{{From: 1, To: 1}}}).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, bad := range [][]byte{{0, 0, 0}, nak[:len(nak)-1]} {
+		rig.downN.SendTo(rig.bufAddr, bad)
+		rig.nw.Loop().Run()
+		if got, _ := metrics.SampleValue(reg.Snapshot(), metrics.MetricRelayMalformed); got != int64(i+1) {
+			t.Fatalf("after %d malformed datagrams: %s %d", i+1, metrics.MetricRelayMalformed, got)
+		}
 	}
 }

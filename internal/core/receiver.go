@@ -173,13 +173,12 @@ func (r *Receiver) Attach(n *netsim.Node) {
 func (r *Receiver) OutstandingGaps() int { return r.eng.OutstandingGaps() }
 
 // RegisterMetrics publishes the receiver's dmtp.rx.* metric set on reg via
-// the shared helpers, so a simulator receiver exports exactly the names a
+// the shared helper, so a simulator receiver exports exactly the names a
 // live daemon does. The simulator loop is single-threaded: sample the
 // registry from loop context or after the run has drained.
 func (r *Receiver) RegisterMetrics(reg *metrics.Registry) {
-	dmtp.RegisterReceiverMetrics(reg, func() dmtp.ReceiverStats { return r.Stats })
-	dmtp.RegisterReceiverGauges(reg, r.OutstandingGaps, func() (int64, int64) {
-		return r.LatencyHist.Quantile(0.5), r.LatencyHist.Quantile(0.99)
+	dmtp.RegisterReceiverMetrics(reg, nil, func([]int64) (dmtp.ReceiverStats, int, int64, int64) {
+		return r.Stats, r.OutstandingGaps(), r.LatencyHist.Quantile(0.5), r.LatencyHist.Quantile(0.99)
 	})
 }
 

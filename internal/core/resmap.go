@@ -22,6 +22,7 @@ const (
 	KindTelemetry
 )
 
+// String names the resource kind ("buffer", "mode-changer", …).
 func (k ResourceKind) String() string {
 	switch k {
 	case KindBuffer:

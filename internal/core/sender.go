@@ -111,11 +111,13 @@ func (s *Sender) Node() *netsim.Node { return s.node }
 // single-threaded: sample the registry from loop context or after the run
 // has drained.
 func (s *Sender) RegisterMetrics(reg *metrics.Registry) {
-	reg.RegisterFunc(metrics.MetricTxSent, func() int64 { return int64(s.Stats.Sent) })
-	reg.RegisterFunc(metrics.MetricTxSentBytes, func() int64 { return int64(s.Stats.SentBytes) })
-	reg.RegisterFunc(metrics.MetricTxQueued, func() int64 { return int64(s.Stats.Queued) })
-	reg.RegisterFunc(metrics.MetricTxBackPressure, func() int64 { return int64(s.Stats.BackPressure) })
-	reg.RegisterFunc(metrics.MetricTxDeadlineMisses, func() int64 { return int64(s.Stats.DeadlineMiss) })
+	reg.RegisterSet([]string{metrics.MetricTxSent, metrics.MetricTxSentBytes, metrics.MetricTxQueued,
+		metrics.MetricTxBackPressure, metrics.MetricTxDeadlineMisses}, func(dst []int64) {
+		st := s.Stats
+		for i, v := range [...]uint64{st.Sent, st.SentBytes, st.Queued, st.BackPressure, st.DeadlineMiss} {
+			dst[i] = int64(v)
+		}
+	})
 }
 
 // Attach implements netsim.Handler.

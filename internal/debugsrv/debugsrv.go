@@ -4,8 +4,8 @@
 // needs to answer "why is this flow stalled" without restarting a daemon.
 //
 // The server is opt-in (the cmd/dmtp-* daemons pass -debug-addr) and
-// off-datapath: scraping samples the registry's func gauges under the
-// publishers' own locks, and costs the datapath nothing when nobody is
+// off-datapath: scraping samples the registry's sets, each under one hold
+// of its publisher's own lock, and costs the datapath nothing when nobody is
 // scraping. The server's own traffic is itself observable via the
 // debug.http_requests counter and the debug.scrape_ns histogram.
 //

@@ -230,8 +230,8 @@ func TestDebugEndpointsLiveLoopback(t *testing.T) {
 		t.Errorf("prom Content-Type = %q, want version=0.0.4", ct)
 	}
 	prom := string(promBody)
-	// The receiver exports dmtp.rx.delivered through a sampled func gauge,
-	// so its exposition type is gauge.
+	// The receiver exports dmtp.rx.delivered through its sampled set, so
+	// its exposition type is gauge.
 	if !strings.Contains(prom, "# TYPE dmtp_rx_delivered gauge") {
 		t.Errorf("prom output lacks TYPE line for dmtp_rx_delivered:\n%.400s", prom)
 	}
@@ -656,10 +656,10 @@ func TestDebugNewRequiresRegistry(t *testing.T) {
 
 // TestSimLiveMetricNameParity pins the name-parity claim: the simulator
 // adapters and the live adapters export identical dmtp.rx.* and dmtp.buf.*
-// name sets, because both register through the shared helpers in
-// internal/dmtp. It also pins that wire.pool.* is the live relay's alone —
-// its stash log — and that no other role, on either substrate, publishes a
-// packet pool.
+// name sets, because both register through internal/dmtp. It also pins
+// that wire.pool.* is the live relay's alone — its stash log — that no
+// other role, on either substrate, publishes a packet pool, and that every
+// role emits each metric with its catalogued kind.
 func TestSimLiveMetricNameParity(t *testing.T) {
 	namesWith := func(reg *metrics.Registry, prefix string) []string {
 		var out []string
@@ -742,6 +742,24 @@ func TestSimLiveMetricNameParity(t *testing.T) {
 	} {
 		if n := namesWith(tc.reg, "wire.pool."); len(n) > 0 {
 			t.Errorf("%s publishes %v; wire.pool.* is the live relay's stash log", tc.role, n)
+		}
+	}
+
+	// Every sample of every role is emitted with the kind metrics.Catalog
+	// gives its name (or its family).
+	catalogKind := func(name string) (metrics.Kind, bool) {
+		for _, info := range metrics.Catalog {
+			if info.Name == name || strings.HasSuffix(info.Name, "*") && strings.HasPrefix(name, strings.TrimSuffix(info.Name, "*")) {
+				return info.Kind, true
+			}
+		}
+		return "", false
+	}
+	for _, reg := range []*metrics.Registry{simRecvReg, simBufReg, simSendReg, liveRecvReg, liveRelayReg, liveSendReg} {
+		for _, s := range reg.Snapshot() {
+			if want, ok := catalogKind(s.Name); !ok || s.Kind != want {
+				t.Errorf("%s emitted as %s, catalogued as %q", s.Name, s.Kind, want)
+			}
 		}
 	}
 }

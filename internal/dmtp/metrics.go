@@ -1,47 +1,54 @@
 package dmtp
 
-import (
-	"repro/internal/metrics"
-	"repro/internal/tracespan"
-	"repro/internal/wire"
-)
+import "repro/internal/metrics"
 
-// This file holds the shared metric-registration helpers. Both substrate
-// adapters publish their receiver counters through these functions (the
-// relay's go through RelayEngine.RegisterMetrics), which use only the
-// canonical name constants from internal/metrics — so a simulator run and
-// a live daemon export identical metric names by construction.
+// This file holds the receiver's metric set. Both substrate adapters
+// publish their receivers through RegisterReceiverMetrics (and their relays
+// through RelayEngine.RegisterMetrics), which use only the canonical name
+// constants from internal/metrics — so a simulator run and a live daemon
+// export identical metric names by construction.
 //
-// All helpers register sampled func gauges: the adapter supplies a snapshot
-// closure that is invoked only when the registry is scraped, so the
-// steady-state datapath cost of registration is zero.
+// Every publisher registers one sampled set (metrics.Registry.RegisterSet):
+// the registry calls it once per scrape and the adapter reads all of its
+// values under one hold of its own lock, so one scrape's values come from
+// one instant and the datapath pays nothing until somebody scrapes.
 
-// RegisterReceiverMetrics publishes the dmtp.rx.* counter set on reg,
-// sampling snap at scrape time. snap must be safe to call from the scrape
-// goroutine (adapters typically wrap Stats() in their own lock).
-func RegisterReceiverMetrics(reg *metrics.Registry, snap func() ReceiverStats) {
-	reg.RegisterFunc(metrics.MetricRxReceived, func() int64 { return int64(snap().Received) })
-	reg.RegisterFunc(metrics.MetricRxBytes, func() int64 { return int64(snap().Bytes) })
-	reg.RegisterFunc(metrics.MetricRxDelivered, func() int64 { return int64(snap().Delivered) })
-	reg.RegisterFunc(metrics.MetricRxDuplicates, func() int64 { return int64(snap().Duplicates) })
-	reg.RegisterFunc(metrics.MetricRxGapsDetected, func() int64 { return int64(snap().GapsSeen) })
-	reg.RegisterFunc(metrics.MetricRxNAKsSent, func() int64 { return int64(snap().NAKsSent) })
-	reg.RegisterFunc(metrics.MetricRxRecovered, func() int64 { return int64(snap().Recovered) })
-	reg.RegisterFunc(metrics.MetricRxWriteOffs, func() int64 { return int64(snap().Lost) })
-	reg.RegisterFunc(metrics.MetricRxAged, func() int64 { return int64(snap().Aged) })
-	reg.RegisterFunc(metrics.MetricRxLate, func() int64 { return int64(snap().Late) })
-	reg.RegisterFunc(metrics.MetricRxUnsequenced, func() int64 { return int64(snap().Unsequenced) })
-	reg.RegisterFunc(metrics.MetricRxRejected, func() int64 { return int64(snap().Rejected) })
+// receiverNames are the dmtp.rx.* names, in the order
+// RegisterReceiverMetrics fills them.
+var receiverNames = []string{
+	metrics.MetricRxReceived,
+	metrics.MetricRxBytes,
+	metrics.MetricRxDelivered,
+	metrics.MetricRxDuplicates,
+	metrics.MetricRxGapsDetected,
+	metrics.MetricRxNAKsSent,
+	metrics.MetricRxRecovered,
+	metrics.MetricRxWriteOffs,
+	metrics.MetricRxAged,
+	metrics.MetricRxLate,
+	metrics.MetricRxUnsequenced,
+	metrics.MetricRxRejected,
+	metrics.MetricRxOutstandingGaps,
+	metrics.MetricRxLatencyP50,
+	metrics.MetricRxLatencyP99,
 }
 
-// RegisterReceiverGauges publishes the receiver's instantaneous gauges:
-// outstanding gaps and latency quantiles. latency may return (0, 0) when no
-// latency histogram is wired; gaps and latency are sampled at scrape time
-// under the adapter's lock.
-func RegisterReceiverGauges(reg *metrics.Registry, gaps func() int, latency func() (p50, p99 int64)) {
-	reg.RegisterFunc(metrics.MetricRxOutstandingGaps, func() int64 { return int64(gaps()) })
-	reg.RegisterFunc(metrics.MetricRxLatencyP50, func() int64 { p50, _ := latency(); return p50 })
-	reg.RegisterFunc(metrics.MetricRxLatencyP99, func() int64 { _, p99 := latency(); return p99 })
+// RegisterReceiverMetrics publishes the dmtp.rx.* set on reg, followed by
+// the adapter's own names in extra, as one set. read runs once per scrape:
+// it fills dst (len(extra) long) with extra's values and returns the
+// receiver's engine stats, outstanding gaps and latency quantiles (zero
+// when no latency histogram is wired), all read under one hold of the
+// adapter's lock. read must be safe to call from the scrape goroutine.
+func RegisterReceiverMetrics(reg *metrics.Registry, extra []string, read func(dst []int64) (s ReceiverStats, gaps int, p50, p99 int64)) {
+	n := len(receiverNames)
+	reg.RegisterSet(append(receiverNames[:n:n], extra...), func(dst []int64) {
+		s, gaps, p50, p99 := read(dst[n:])
+		for i, v := range [...]uint64{s.Received, s.Bytes, s.Delivered, s.Duplicates, s.GapsSeen,
+			s.NAKsSent, s.Recovered, s.Lost, s.Aged, s.Late, s.Unsequenced, s.Rejected} {
+			dst[i] = int64(v)
+		}
+		dst[12], dst[13], dst[14] = int64(gaps), p50, p99
+	})
 }
 
 // FlowStats are a relay's flow-table counters (see dmtp.relay.flows.*).
@@ -55,24 +62,4 @@ type FlowStats struct {
 	// Rejected counts registrations refused because the table was full
 	// (MaxFlows).
 	Rejected uint64
-}
-
-// RegisterTraceMetrics publishes the dmtp.trace.* set on reg: the collector's
-// sampled/dropped gauges plus the per-segment one-way-delay and recovery-
-// latency histograms. Like the other Register* helpers it pins the canonical
-// names on both substrates; the histograms are fed by Collector.Observe.
-func RegisterTraceMetrics(reg *metrics.Registry, c *tracespan.Collector) {
-	c.RegisterMetrics(reg)
-}
-
-// RegisterPoolMetrics publishes a packet pool's traffic counters
-// (wire.pool.*) on reg, sampled from stats at scrape time. Only the live
-// relay registers them, for its stash log: no other role owns a pool whose
-// traffic says anything. stats must be safe to call from the scrape
-// goroutine.
-func RegisterPoolMetrics(reg *metrics.Registry, stats func() wire.PoolStats) {
-	reg.RegisterFunc(metrics.MetricPoolGets, func() int64 { return int64(stats().Gets) })
-	reg.RegisterFunc(metrics.MetricPoolHits, func() int64 { return int64(stats().Hits) })
-	reg.RegisterFunc(metrics.MetricPoolMisses, func() int64 { return int64(stats().Misses()) })
-	reg.RegisterFunc(metrics.MetricPoolOversize, func() int64 { return int64(stats().Oversize) })
 }

@@ -159,6 +159,9 @@ type RelayStats struct {
 	Upgraded      uint64
 	Forwarded     uint64
 	InjectedDrops uint64
+	// Malformed counts datagrams the relay could not read: one that failed
+	// View.Check (CountMalformed) or a NAK or ACK that would not decode.
+	Malformed uint64
 }
 
 // RelayEngine is the substrate-agnostic relay state machine. All of its
@@ -191,6 +194,7 @@ type RelayEngine[D fmt.Stringer] struct {
 	upgraded      uint64 // also drives boundary trace sampling
 	injectedDrops uint64
 	forwarded     uint64
+	malformed     uint64
 }
 
 // NewRelayEngine builds the shards, opens the journal when configured and
@@ -393,22 +397,29 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 	e.cfg.Emit(f, up)
 }
 
-// handleControl serves NAKs and ACKs addressed to the relay.
+// handleControl serves NAKs and ACKs addressed to the relay; one that
+// does not decode is counted malformed.
 func (e *RelayEngine[D]) handleControl(buf *BufferEngine, v wire.View) {
 	switch v.ConfigID() {
 	case wire.ConfigNAK:
 		if err := e.nak.DecodeFrom(v); err != nil {
+			e.malformed++
 			return
 		}
 		buf.ServeNAK(&e.nak)
 	case wire.ConfigAck:
 		ack, err := wire.DecodeAck(v)
 		if err != nil {
+			e.malformed++
 			return
 		}
 		buf.Trim(ack.Experiment, ack.CumulativeSeq)
 	}
 }
+
+// CountMalformed counts one datagram that failed View.Check, which the
+// adapter runs before Handle. Caller holds the lock.
+func (e *RelayEngine[D]) CountMalformed() { e.malformed++ }
 
 // flowFor returns the registered flow for (src, exp), registering it on
 // first packet: the destination is resolved now and kept for the flow's
@@ -578,7 +589,12 @@ func (e *RelayEngine[D]) RecordPending() {
 func (e *RelayEngine[D]) Stats() RelayStats {
 	e.lock()
 	defer e.unlock()
-	s := RelayStats{Upgraded: e.upgraded, Forwarded: e.forwarded, InjectedDrops: e.injectedDrops}
+	return e.stats()
+}
+
+// stats is Stats for a caller that holds the lock.
+func (e *RelayEngine[D]) stats() RelayStats {
+	s := RelayStats{Upgraded: e.upgraded, Forwarded: e.forwarded, InjectedDrops: e.injectedDrops, Malformed: e.malformed}
 	for _, buf := range e.sb.shards {
 		s.BufferStats.Add(buf.Stats())
 		s.Occupancy += buf.BufferedBytes()
@@ -590,6 +606,11 @@ func (e *RelayEngine[D]) Stats() RelayStats {
 func (e *RelayEngine[D]) FlowStats() FlowStats {
 	e.lock()
 	defer e.unlock()
+	return e.flowStats()
+}
+
+// flowStats is FlowStats for a caller that holds the lock.
+func (e *RelayEngine[D]) flowStats() FlowStats {
 	s := e.fstats
 	s.Active = uint64(len(e.flows))
 	return s
@@ -622,46 +643,67 @@ func (e *RelayEngine[D]) Flows() []FlowInfo {
 	return out
 }
 
-// RegisterMetrics publishes the relay's metric set on reg — dmtp.buf.*
-// (with per-shard occupancy), dmtp.relay.*, the flow-table family, the
-// reshape count for ConfigID, the journal family when journaled — as
-// gauges sampled under the lock at scrape time only. Both substrates
-// register through here, so their metric names match by construction; the
-// live adapter adds wire.pool.* (RegisterPoolMetrics) from its stash log.
-func (e *RelayEngine[D]) RegisterMetrics(reg *metrics.Registry) {
-	gauge := func(name string, f func(RelayStats) uint64) {
-		reg.RegisterFunc(name, func() int64 { return int64(f(e.Stats())) })
+// RegisterMetrics publishes the relay's metric set on reg, with no
+// adapter values (RegisterMetricsWith).
+func (e *RelayEngine[D]) RegisterMetrics(reg *metrics.Registry) { e.RegisterMetricsWith(reg, nil, nil) }
+
+// RegisterMetricsWith publishes the relay's metric set on reg as one
+// sampled set — dmtp.buf.* (with per-shard occupancy), dmtp.relay.*, the
+// flow-table family and the reshape count for ConfigID — followed by the
+// adapter's own names in extra, whose values fill writes into its dst
+// (len(extra) long). A scrape reads every value, fill's included, under one
+// hold of the lock, so a law across two of them holds in every scrape. The
+// journal family, when journaled, is a set of its own. Both substrates
+// register through here, so their metric names match by construction.
+func (e *RelayEngine[D]) RegisterMetricsWith(reg *metrics.Registry, extra []string, fill func(dst []int64)) {
+	names := []string{
+		metrics.MetricBufStashed,
+		metrics.MetricBufStashedBytes,
+		metrics.MetricBufEvicted,
+		metrics.MetricBufTrimmed,
+		metrics.MetricBufRefused,
+		metrics.MetricBufNAKsServed,
+		metrics.MetricBufRetransmits,
+		metrics.MetricBufNAKMisses,
+		metrics.MetricBufCrashes,
+		metrics.MetricBufOccupancyBytes,
+		metrics.MetricBufStashImbalance,
+		metrics.MetricRelayUpgraded,
+		metrics.MetricRelayReshapePrefix + strconv.Itoa(int(e.cfg.ConfigID)),
+		metrics.MetricRelayForwarded,
+		metrics.MetricRelayInjectedDrops,
+		metrics.MetricRelayMalformed,
+		metrics.MetricRelayFlowsActive,
+		metrics.MetricRelayFlowsOpened,
+		metrics.MetricRelayFlowsExpired,
+		metrics.MetricRelayFlowsRejected,
 	}
-	gauge(metrics.MetricBufStashed, func(s RelayStats) uint64 { return s.Buffered })
-	gauge(metrics.MetricBufStashedBytes, func(s RelayStats) uint64 { return s.BufferedBytes })
-	gauge(metrics.MetricBufEvicted, func(s RelayStats) uint64 { return s.Evicted })
-	gauge(metrics.MetricBufTrimmed, func(s RelayStats) uint64 { return s.Trimmed })
-	gauge(metrics.MetricBufRefused, func(s RelayStats) uint64 { return s.Refused })
-	gauge(metrics.MetricBufNAKsServed, func(s RelayStats) uint64 { return s.NAKs })
-	gauge(metrics.MetricBufRetransmits, func(s RelayStats) uint64 { return s.Retransmits })
-	gauge(metrics.MetricBufNAKMisses, func(s RelayStats) uint64 { return s.Misses })
-	gauge(metrics.MetricBufCrashes, func(s RelayStats) uint64 { return s.Crashes })
-	gauge(metrics.MetricBufOccupancyBytes, func(s RelayStats) uint64 { return uint64(s.Occupancy) })
-	gauge(metrics.MetricBufStashImbalance, func(s RelayStats) uint64 {
-		return s.BufferedBytes - s.ReleasedBytes - uint64(s.Occupancy)
+	for i := range e.sb.shards {
+		names = append(names, metrics.MetricBufShardOccupancyPrefix+strconv.Itoa(i))
+	}
+	n := len(names)
+	reg.RegisterSet(append(names, extra...), func(dst []int64) {
+		e.lock()
+		defer e.unlock()
+		s, f := e.stats(), e.flowStats()
+		vals := [...]uint64{
+			s.Buffered, s.BufferedBytes, s.Evicted, s.Trimmed, s.Refused,
+			s.NAKs, s.Retransmits, s.Misses, s.Crashes, uint64(s.Occupancy),
+			s.BufferedBytes - s.ReleasedBytes - uint64(s.Occupancy),
+			// Every upgrade is a reshape into ConfigID.
+			s.Upgraded, s.Upgraded, s.Forwarded, s.InjectedDrops, s.Malformed,
+			f.Active, f.Opened, f.Expired, f.Rejected,
+		}
+		for i, v := range vals {
+			dst[i] = int64(v)
+		}
+		for i, buf := range e.sb.shards {
+			dst[len(vals)+i] = int64(buf.BufferedBytes())
+		}
+		if fill != nil {
+			fill(dst[n:])
+		}
 	})
-	gauge(metrics.MetricRelayUpgraded, func(s RelayStats) uint64 { return s.Upgraded })
-	// Every upgrade is a reshape into ConfigID.
-	gauge(metrics.MetricRelayReshapePrefix+strconv.Itoa(int(e.cfg.ConfigID)), func(s RelayStats) uint64 { return s.Upgraded })
-	gauge(metrics.MetricRelayForwarded, func(s RelayStats) uint64 { return s.Forwarded })
-	gauge(metrics.MetricRelayInjectedDrops, func(s RelayStats) uint64 { return s.InjectedDrops })
-	for i, buf := range e.sb.shards {
-		reg.RegisterFunc(metrics.MetricBufShardOccupancyPrefix+strconv.Itoa(i), func() int64 {
-			e.lock()
-			defer e.unlock()
-			return int64(buf.BufferedBytes())
-		})
-	}
-	flows := e.FlowStats
-	reg.RegisterFunc(metrics.MetricRelayFlowsActive, func() int64 { return int64(flows().Active) })
-	reg.RegisterFunc(metrics.MetricRelayFlowsOpened, func() int64 { return int64(flows().Opened) })
-	reg.RegisterFunc(metrics.MetricRelayFlowsExpired, func() int64 { return int64(flows().Expired) })
-	reg.RegisterFunc(metrics.MetricRelayFlowsRejected, func() int64 { return int64(flows().Rejected) })
 	if e.jset != nil {
 		e.jset.RegisterMetrics(reg)
 	}

@@ -8,6 +8,7 @@ package dmtp
 import (
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -646,6 +647,99 @@ func TestRelayRecordsRunsNotPackets(t *testing.T) {
 	events := rec.Snapshot()
 	if n := len(events); n < 2 || events[n-2].Kind != metrics.EvEvict || events[n-2].Aux != burst || events[n-1].Kind != metrics.EvCrash {
 		t.Fatalf("events after a third burst and a crash %v, want its run of %d then the crash", events, burst)
+	}
+}
+
+// stepLocker is a RelayConfig.Locker that counts its holds and, while
+// step is set, runs step at the end of every hold: the receive loop
+// handling one more packet between any two holds of a scrape.
+type stepLocker struct {
+	mu    sync.Mutex
+	holds int
+	step  func()
+}
+
+func (l *stepLocker) Lock() {
+	l.mu.Lock()
+	l.holds++
+}
+
+func (l *stepLocker) Unlock() {
+	if step := l.step; step != nil {
+		step()
+	}
+	l.mu.Unlock()
+}
+
+// TestRelayScrapeIsOneHold: one scrape of a 2-shard relay's registry takes
+// the engine's lock once, so all its values come from one instant. With a
+// packet handled at the end of every hold, stashed, upgraded and forwarded
+// — always equal on a relay that neither drops nor fails a write — still
+// read equal in every scrape.
+func TestRelayScrapeIsOneHold(t *testing.T) {
+	l := &stepLocker{}
+	r := newRelayRig(t, func(c *RelayConfig[testDst]) {
+		c.Shards = 2
+		c.Locker = l
+	})
+	reg := metrics.NewRegistry()
+	r.eng.RegisterMetrics(reg)
+	l.holds = 0
+	reg.Snapshot()
+	if l.holds != 1 {
+		t.Fatalf("one scrape took the engine lock %d times, want 1", l.holds)
+	}
+
+	n := 0
+	l.step = func() {
+		r.ingest(rigSrcA, []wire.ExperimentID{expA, expB}[n%2])
+		n++
+	}
+	for i := range 4 {
+		snap := reg.Snapshot()
+		var got [3]int64
+		for k, name := range []string{metrics.MetricBufStashed, metrics.MetricRelayUpgraded, metrics.MetricRelayForwarded} {
+			got[k], _ = metrics.SampleValue(snap, name)
+		}
+		if got != [3]int64{int64(i), int64(i), int64(i)} {
+			t.Fatalf("scrape %d read stashed, upgraded, forwarded = %v, want %d each", i, got, i)
+		}
+	}
+}
+
+// TestRelayCountsMalformed: a datagram that fails View.Check (counted by
+// the adapter through CountMalformed) and a NAK or ACK that will not
+// decode each raise dmtp.relay.malformed by one, and nothing else.
+func TestRelayCountsMalformed(t *testing.T) {
+	r := newRelayRig(t, nil)
+	reg := metrics.NewRegistry()
+	r.eng.RegisterMetrics(reg)
+	malformed := func() int64 {
+		v, ok := metrics.SampleValue(reg.Snapshot(), metrics.MetricRelayMalformed)
+		if !ok {
+			t.Fatalf("%s not exported", metrics.MetricRelayMalformed)
+		}
+		return v
+	}
+	r.eng.CountMalformed()
+	if got := malformed(); got != 1 {
+		t.Fatalf("after one failed check: malformed %d, want 1", got)
+	}
+	nak, err := (&wire.NAK{Experiment: expA, Requester: rigReq, Ranges: []wire.SeqRange{{From: 1, To: 1}}}).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.handle(rigReq, nak[:len(nak)-1]) // its one range cut short
+	ack, err := (&wire.Ack{Experiment: expA, CumulativeSeq: 1, Acker: rigReq}).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.handle(rigReq, ack[:wire.CoreHeaderLen+1])
+	if got := malformed(); got != 3 {
+		t.Fatalf("after an undecodable NAK and ACK: malformed %d, want 3", got)
+	}
+	if st := r.eng.Stats(); st.NAKs != 0 || st.Trimmed != 0 {
+		t.Fatalf("undecodable control packets were served: %+v", st)
 	}
 }
 

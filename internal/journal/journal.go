@@ -169,6 +169,9 @@ type Journal struct {
 	// Pending, and written catching up with staged is the Flush barrier.
 	staged, written uint64
 	closed          bool
+	// blocked, when set (tests only), runs under mu each time put starts
+	// waiting on a full stage, after its wait's clock has started.
+	blocked func()
 
 	// wg waits for the writer; closeOnce guards double-Close; closeErr is
 	// the writer's shutdown outcome.
@@ -299,6 +302,9 @@ func (j *Journal) put(typ byte, exp wire.ExperimentID, seq uint64, payload []byt
 	}
 	if full() {
 		start := time.Now()
+		if j.blocked != nil {
+			j.blocked()
+		}
 		for full() {
 			j.cond.Wait()
 		}

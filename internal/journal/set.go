@@ -13,8 +13,8 @@ import (
 type Set struct {
 	js []*Journal
 	// recMu guards recs: Replay swaps recoveries while a concurrent
-	// metrics scrape may be reading them through the gauges
-	// RegisterMetrics installs.
+	// metrics scrape may be reading them through the set RegisterMetrics
+	// installs.
 	recMu sync.Mutex
 	recs  []*Recovered
 }
@@ -127,41 +127,41 @@ func (s *Set) Close() error {
 	return first
 }
 
-// RegisterMetrics publishes the dmtp.journal.* family on reg: scrape-time
-// func gauges over the summed shard counters, plus the shared fsync
-// latency histogram, which every shard's writer observes into once
-// installed. Both substrates register through this method, so the names
-// match by construction.
+// RegisterMetrics publishes the dmtp.journal.* family on reg: one sampled
+// set over the summed shard counters and the latest recovery, plus the
+// shared fsync latency histogram, which every shard's writer observes into
+// once installed. The recovery sums come from one Recoveries call, so
+// appended − tombstoned == replayed — the fleet monitor's journal-balance
+// watchdog — compares the numbers of one recovery. Both substrates
+// register through this method, so the names match by construction.
 func (s *Set) RegisterMetrics(reg *metrics.Registry) {
-	snap := s.Stats
-	reg.RegisterFunc(metrics.MetricJournalAppends, func() int64 { return int64(snap().Appends) })
-	reg.RegisterFunc(metrics.MetricJournalAppendBytes, func() int64 { return int64(snap().AppendBytes) })
-	reg.RegisterFunc(metrics.MetricJournalTombstones, func() int64 { return int64(snap().Tombstones) })
-	reg.RegisterFunc(metrics.MetricJournalFsyncs, func() int64 { return int64(snap().Fsyncs) })
-	reg.RegisterFunc(metrics.MetricJournalSegmentsRecycled, func() int64 { return int64(snap().SegmentsRecycled) })
-	reg.RegisterFunc(metrics.MetricJournalReplayed, func() int64 { return int64(snap().Replayed) })
-	reg.RegisterFunc(metrics.MetricJournalTruncatedTails, func() int64 { return int64(snap().TruncatedTails) })
-	reg.RegisterFunc(metrics.MetricJournalWriteErrors, func() int64 { return int64(snap().WriteErrors) })
-	reg.RegisterFunc(metrics.MetricJournalAppendBlockedNs, func() int64 { return int64(snap().AppendBlockedNs) })
-	reg.RegisterFunc(metrics.MetricJournalPending, func() int64 { return int64(s.Pending()) })
-	// The latest recovery's balance, summed across shards: the fleet
-	// monitor's journal-balance watchdog checks appended − tombstoned ==
-	// replayed on every scrape window.
-	recSum := func(f func(*Recovered) uint64) int64 {
-		var total int64
-		for _, rec := range s.Recoveries() {
-			total += int64(f(rec))
+	reg.RegisterSet([]string{
+		metrics.MetricJournalAppends,
+		metrics.MetricJournalAppendBytes,
+		metrics.MetricJournalTombstones,
+		metrics.MetricJournalFsyncs,
+		metrics.MetricJournalSegmentsRecycled,
+		metrics.MetricJournalReplayed,
+		metrics.MetricJournalTruncatedTails,
+		metrics.MetricJournalWriteErrors,
+		metrics.MetricJournalAppendBlockedNs,
+		metrics.MetricJournalPending,
+		metrics.MetricJournalRecoveryAppended,
+		metrics.MetricJournalRecoveryTombstoned,
+		metrics.MetricJournalRecoveryReplayed,
+	}, func(dst []int64) {
+		st := s.Stats()
+		var rec Recovered
+		for _, r := range s.Recoveries() {
+			rec.Appended += r.Appended
+			rec.Tombstoned += r.Tombstoned
+			rec.Replayed += r.Replayed
 		}
-		return total
-	}
-	reg.RegisterFunc(metrics.MetricJournalRecoveryAppended, func() int64 {
-		return recSum(func(r *Recovered) uint64 { return r.Appended })
-	})
-	reg.RegisterFunc(metrics.MetricJournalRecoveryTombstoned, func() int64 {
-		return recSum(func(r *Recovered) uint64 { return r.Tombstoned })
-	})
-	reg.RegisterFunc(metrics.MetricJournalRecoveryReplayed, func() int64 {
-		return recSum(func(r *Recovered) uint64 { return r.Replayed })
+		for i, v := range [...]uint64{st.Appends, st.AppendBytes, st.Tombstones, st.Fsyncs,
+			st.SegmentsRecycled, st.Replayed, st.TruncatedTails, st.WriteErrors, st.AppendBlockedNs,
+			uint64(s.Pending()), rec.Appended, rec.Tombstoned, rec.Replayed} {
+			dst[i] = int64(v)
+		}
 	})
 	h := reg.Histogram(metrics.MetricJournalFsyncNs)
 	for _, j := range s.js {

@@ -92,12 +92,21 @@ func TestJournalSlowDisk(t *testing.T) {
 
 	// (b) The next one blocks; one fsync completing lets the writer take
 	// the stage, which unblocks it and leaves room for a stage-full more
-	// while the writer sits in its next fsync.
-	unblocked := make(chan struct{})
+	// while the writer sits in its next fsync. The append's wait is timed
+	// from before it reports itself blocked, and the 50 ms staysBlocked
+	// holds it start after that report.
+	blocked, unblocked := make(chan struct{}), make(chan struct{})
+	j.mu.Lock()
+	j.blocked = func() {
+		close(blocked)
+		j.blocked = nil // under j.mu, like every call
+	}
+	j.mu.Unlock()
 	go func() {
 		appendN(1)
 		close(unblocked)
 	}()
+	<-blocked
 	staysBlocked(t, unblocked, "Append onto a full stage")
 	d.release <- struct{}{}
 	<-unblocked

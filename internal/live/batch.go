@@ -86,28 +86,20 @@ type BatchStats struct {
 	Fallbacks uint64
 }
 
-// batchInstruments are the registry instruments behind the
-// dmtp.live.batch.* metric family, installed by RegisterMetrics
-// (nil until then — recording is skipped).
-type batchInstruments struct {
-	perSyscall *metrics.Histogram // packets moved per batched syscall
-	gsoSegs    *metrics.Counter
-	groSplits  *metrics.Counter
-	fallbacks  *metrics.Counter
-}
-
 // batchStats is the always-on atomic counter set shared by a role and
 // its batchConns (a sender's batchConn is rebuilt on redial; the stats
-// survive). The registry instruments are attached late and atomically
-// so the read/write loops never race RegisterMetrics.
+// survive). The role's metric set reads it at scrape time (fill); the
+// packets-per-syscall histogram is the one instrument the datapath feeds
+// in place, attached late and atomically so the read/write loops never
+// race RegisterMetrics.
 type batchStats struct {
-	syscalls  atomic.Uint64
-	sentPkts  atomic.Uint64
-	recvPkts  atomic.Uint64
-	gsoSegs   atomic.Uint64
-	groSplits atomic.Uint64
-	fallbacks atomic.Uint64
-	inst      atomic.Pointer[batchInstruments]
+	syscalls   atomic.Uint64
+	sentPkts   atomic.Uint64
+	recvPkts   atomic.Uint64
+	gsoSegs    atomic.Uint64
+	groSplits  atomic.Uint64
+	fallbacks  atomic.Uint64
+	perSyscall atomic.Pointer[metrics.Histogram]
 }
 
 // snapshot returns the exported stats view.
@@ -122,47 +114,34 @@ func (s *batchStats) snapshot() BatchStats {
 	}
 }
 
-// install attaches the dmtp.live.batch.* instruments from reg. Roles
-// sharing one registry share the instruments (get-or-create), so a
-// whole pipeline's batching efficiency aggregates naturally.
+// liveNames are the names every live role ends its metric set with, in
+// the order fill writes them: its transmit errors and its batch counters.
+var liveNames = []string{
+	metrics.MetricLiveTxErrors,
+	metrics.MetricLiveBatchGSOSegments,
+	metrics.MetricLiveBatchGROSplits,
+	metrics.MetricLiveBatchFallbacks,
+}
+
+// fill writes txErrs and the batch counters into dst in liveNames order.
+func (s *batchStats) fill(dst []int64, txErrs uint64) {
+	dst[0] = int64(txErrs)
+	dst[1] = int64(s.gsoSegs.Load())
+	dst[2] = int64(s.groSplits.Load())
+	dst[3] = int64(s.fallbacks.Load())
+}
+
+// install attaches the packets-per-syscall histogram from reg; each role
+// has a registry of its own.
 func (s *batchStats) install(reg *metrics.Registry) {
-	s.inst.Store(&batchInstruments{
-		perSyscall: reg.Histogram(metrics.MetricLiveBatchPktsPerSyscall),
-		gsoSegs:    reg.Counter(metrics.MetricLiveBatchGSOSegments),
-		groSplits:  reg.Counter(metrics.MetricLiveBatchGROSplits),
-		fallbacks:  reg.Counter(metrics.MetricLiveBatchFallbacks),
-	})
+	s.perSyscall.Store(reg.Histogram(metrics.MetricLiveBatchPktsPerSyscall))
 }
 
 // syscallMoved records one batched syscall that moved pkts packets.
 func (s *batchStats) syscallMoved(pkts int) {
 	s.syscalls.Add(1)
-	if m := s.inst.Load(); m != nil {
-		m.perSyscall.Observe(int64(pkts))
-	}
-}
-
-// gso records pkts packets coalesced into one GSO super-datagram.
-func (s *batchStats) gso(pkts int) {
-	s.gsoSegs.Add(uint64(pkts))
-	if m := s.inst.Load(); m != nil {
-		m.gsoSegs.Add(uint64(pkts))
-	}
-}
-
-// gro records pkts packets split out of one GRO-coalesced datagram.
-func (s *batchStats) gro(pkts int) {
-	s.groSplits.Add(uint64(pkts))
-	if m := s.inst.Load(); m != nil {
-		m.groSplits.Add(uint64(pkts))
-	}
-}
-
-// fallback records one batch operation served by the portable loop.
-func (s *batchStats) fallback() {
-	s.fallbacks.Add(1)
-	if m := s.inst.Load(); m != nil {
-		m.fallbacks.Inc()
+	if h := s.perSyscall.Load(); h != nil {
+		h.Observe(int64(pkts))
 	}
 }
 
@@ -210,7 +189,7 @@ func (bc *batchConn) ReadBatch() (int, error) {
 	if bc.k != nil {
 		return bc.k.readBatch()
 	}
-	bc.stats.fallback()
+	bc.stats.fallbacks.Add(1)
 	n, from, err := bc.c.ReadFromUDP(bc.rbuf)
 	if err != nil {
 		return 0, err
@@ -262,7 +241,7 @@ func (bc *batchConn) WriteBatch(pkts [][]byte) (sent int, err error) {
 	if bc.k != nil {
 		return bc.k.writeBatch(pkts, netip.AddrPort{})
 	}
-	bc.stats.fallback()
+	bc.stats.fallbacks.Add(1)
 	for _, p := range pkts {
 		if _, err := bc.c.Write(p); err != nil {
 			return sent, err
@@ -280,7 +259,7 @@ func (bc *batchConn) WriteBatchTo(pkts [][]byte, addr netip.AddrPort) (sent int,
 	if bc.k != nil {
 		return bc.k.writeBatch(pkts, addr)
 	}
-	bc.stats.fallback()
+	bc.stats.fallbacks.Add(1)
 	for _, p := range pkts {
 		if _, err := bc.c.WriteToUDPAddrPort(p, addr); err != nil {
 			return sent, err

@@ -109,7 +109,7 @@ func newKernelBatch(uc *net.UDPConn, stats *batchStats, wantRead bool, caps *Bat
 		}
 	})
 	if cerr != nil || !mmsg {
-		stats.fallback()
+		stats.fallbacks.Add(1)
 		return nil
 	}
 	caps.Mmsg, caps.GSO, caps.GRO = true, gso, gro
@@ -208,7 +208,7 @@ func (k *kernelBatch) readBatch() (int, error) {
 		k.rsegs[i] = seg
 		if seg > 0 && k.rlens[i] > seg {
 			m := (k.rlens[i] + seg - 1) / seg
-			k.stats.gro(m)
+			k.stats.groSplits.Add(uint64(m))
 			pkts += m
 		} else {
 			pkts++
@@ -283,7 +283,7 @@ func (k *kernelBatch) writeBatch(pkts [][]byte, addr netip.AddrPort) (int, error
 		if !k.setAddr(addr) {
 			// Non-IPv4 destination: the mmsg path only carries the
 			// sockaddr_in fast case; fall back to single writes.
-			k.stats.fallback()
+			k.stats.fallbacks.Add(1)
 			sent := 0
 			for _, p := range pkts {
 				if _, err := k.uc.WriteToUDPAddrPort(p, addr); err != nil {
@@ -311,7 +311,7 @@ func (k *kernelBatch) writeBatch(pkts [][]byte, addr netip.AddrPort) (int, error
 					// disable GSO for this socket and resend the
 					// same run via sendmmsg.
 					k.caps.GSO = false
-					k.stats.fallback()
+					k.stats.fallbacks.Add(1)
 					continue
 				}
 				return sent, err
@@ -385,7 +385,7 @@ func (k *kernelBatch) sendGSO(pkts [][]byte, name *syscall.RawSockaddrInet4) err
 		return syscall.EIO
 	}
 	k.stats.syscallMoved(len(pkts))
-	k.stats.gso(len(pkts))
+	k.stats.gsoSegs.Add(uint64(len(pkts)))
 	k.stats.sentPkts.Add(uint64(len(pkts)))
 	return nil
 }

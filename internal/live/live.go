@@ -25,7 +25,6 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dmtp"
@@ -142,7 +141,6 @@ type Sender struct {
 	wg     sync.WaitGroup
 
 	bstats batchStats
-	txErr  atomic.Pointer[metrics.Counter]
 }
 
 // BatchStats returns the sender's kernel-batch datapath counters.
@@ -276,9 +274,6 @@ func (s *Sender) flushLocked() error {
 		if attempt > 0 {
 			if attempt > redials {
 				s.stats.TxErrors += uint64(n - sent)
-				if c := s.txErr.Load(); c != nil {
-					c.Add(uint64(n - sent))
-				}
 				return fmt.Errorf("live: send: %w", err)
 			}
 			time.Sleep(backoff)
@@ -342,16 +337,17 @@ func (s *Sender) Stats() SenderStats {
 	return s.stats
 }
 
-// RegisterMetrics publishes the sender's dmtp.tx.* counters on reg as
-// sampled gauges (read under the sender lock only at scrape time), plus its
-// kernel-batch and transmit-error counters.
+// RegisterMetrics publishes the sender's dmtp.tx.* counters, its
+// transmit errors and its kernel-batch counters on reg as one set, read
+// under one hold of the sender lock at scrape time only.
 func (s *Sender) RegisterMetrics(reg *metrics.Registry) {
-	snap := s.Stats
-	reg.RegisterFunc(metrics.MetricTxSent, func() int64 { return int64(snap().Sent) })
-	reg.RegisterFunc(metrics.MetricTxSendErrors, func() int64 { return int64(snap().SendErrors) })
-	reg.RegisterFunc(metrics.MetricTxReconnects, func() int64 { return int64(snap().Reconnects) })
+	names := []string{metrics.MetricTxSent, metrics.MetricTxSendErrors, metrics.MetricTxReconnects}
+	reg.RegisterSet(append(names, liveNames...), func(dst []int64) {
+		st := s.Stats()
+		dst[0], dst[1], dst[2] = int64(st.Sent), int64(st.SendErrors), int64(st.Reconnects)
+		s.bstats.fill(dst[3:], st.TxErrors)
+	})
 	s.bstats.install(reg)
-	s.txErr.Store(reg.Counter(metrics.MetricLiveTxErrors))
 }
 
 // LocalAddr returns the sender's bound address.

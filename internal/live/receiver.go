@@ -152,21 +152,12 @@ type Receiver struct {
 	// txErrs counts control packets dropped by failed fire-and-forget
 	// writes in dispatch, which runs outside r.mu — hence atomics.
 	txErrs atomic.Uint64
-	txErr  atomic.Pointer[metrics.Counter]
 	bstats batchStats
 }
 
 // BatchStats returns the receiver's kernel-batch datapath counters: its
 // reads, and its control sends.
 func (r *Receiver) BatchStats() BatchStats { return r.bstats.snapshot() }
-
-// countTxErr records n control packets dropped by a failed write.
-func (r *Receiver) countTxErr(n int) {
-	r.txErrs.Add(uint64(n))
-	if c := r.txErr.Load(); c != nil {
-		c.Add(uint64(n))
-	}
-}
 
 type gapEvent struct {
 	exp wire.ExperimentID
@@ -339,23 +330,17 @@ func (r *Receiver) OutstandingGaps() int {
 }
 
 // RegisterMetrics publishes the receiver's dmtp.rx.* metric set on reg via
-// the shared helpers (so names match the simulator), plus the shared
-// packet-pool counters. All sampled values are read under the receiver lock
-// only at scrape time.
+// the shared helper (so names match the simulator), with its transmit
+// errors and kernel-batch counters in the same set. A scrape reads every
+// value under one hold of the receiver lock.
 func (r *Receiver) RegisterMetrics(reg *metrics.Registry) {
-	engSnap := func() dmtp.ReceiverStats {
+	dmtp.RegisterReceiverMetrics(reg, liveNames, func(dst []int64) (dmtp.ReceiverStats, int, int64, int64) {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		return r.eng.Stats()
-	}
-	dmtp.RegisterReceiverMetrics(reg, engSnap)
-	dmtp.RegisterReceiverGauges(reg, r.OutstandingGaps, func() (int64, int64) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return r.LatencyHist.Quantile(0.5), r.LatencyHist.Quantile(0.99)
+		r.bstats.fill(dst, r.txErrs.Load())
+		return r.eng.Stats(), r.eng.OutstandingGaps(), r.LatencyHist.Quantile(0.5), r.LatencyHist.Quantile(0.99)
 	})
 	r.bstats.install(reg)
-	r.txErr.Store(reg.Counter(metrics.MetricLiveTxErrors))
 }
 
 // Close stops the receiver.
@@ -513,7 +498,7 @@ func (r *Receiver) sendControl(sends []ctrlSend) {
 			}
 		}
 		if sent, err := r.bc.WriteBatchTo(pkts, addrPort(dst)); err != nil {
-			r.countTxErr(len(pkts) - sent)
+			r.txErrs.Add(uint64(len(pkts) - sent))
 		}
 		clear(pkts)
 		r.ctrlPkts, sends = pkts[:0], rest

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -335,5 +336,71 @@ func TestReceiverCloseWithDeadlinePending(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("Close took %v with a read deadline pending", d)
+	}
+}
+
+// TestReceiverScrapeIsOneHold: a scrape reads the receiver under one hold
+// of its lock, so its values come from one instant. A mode-0 packet is
+// received, delivered and counted unsequenced within one hold, so while a
+// stream of them arrives every scrape reads the three equal; a scrape that
+// took the lock once per value reads them apart whenever the read loop
+// gets in between.
+func TestReceiverScrapeIsOneHold(t *testing.T) {
+	recv, err := NewReceiver(ReceiverConfig{Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	reg := metrics.NewRegistry()
+	recv.RegisterMetrics(reg)
+	raddr, err := net.ResolveUDPAddr("udp4", recv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialUDP("udp4", nil, raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	pkt := mode0Pkt(t, 5, "x")
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				conn.Write(pkt)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+
+	read := func() (rcv, dlv, uns int64) {
+		snap := reg.Snapshot()
+		rcv, _ = metrics.SampleValue(snap, metrics.MetricRxReceived)
+		dlv, _ = metrics.SampleValue(snap, metrics.MetricRxDelivered)
+		uns, _ = metrics.SampleValue(snap, metrics.MetricRxUnsequenced)
+		return rcv, dlv, uns
+	}
+	// Scrape until thirty scrapes have seen the stream move on since
+	// the one before, checking every scrape.
+	deadline := time.Now().Add(10 * time.Second)
+	prev, moved := int64(0), 0
+	for i := 0; moved < 30; i++ {
+		rcv, dlv, uns := read()
+		if rcv != dlv || dlv != uns {
+			t.Fatalf("scrape %d read received %d, delivered %d, unsequenced %d: not one instant", i, rcv, dlv, uns)
+		}
+		if rcv != prev {
+			prev, moved = rcv, moved+1
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the stream moved on in only %d of %d scrapes", moved, i+1)
+		}
 	}
 }

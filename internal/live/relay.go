@@ -161,7 +161,6 @@ type Relay struct {
 	retired [][]byte
 
 	txErrN atomic.Uint64
-	txErr  atomic.Pointer[metrics.Counter]
 
 	// bc is the batch datapath over the current socket (rebuilt by
 	// bind on Restart). Like conn it is stable while a receive loop
@@ -182,17 +181,6 @@ func (r *Relay) BatchCaps() BatchCaps {
 		return BatchCaps{}
 	}
 	return r.bc.Caps()
-}
-
-// countTxErr records n packets dropped by fire-and-forget writes.
-func (r *Relay) countTxErr(n int) {
-	if n <= 0 {
-		return
-	}
-	r.txErrN.Add(uint64(n))
-	if c := r.txErr.Load(); c != nil {
-		c.Add(uint64(n))
-	}
 }
 
 // NewRelay binds the relay and starts its receive loop.
@@ -327,19 +315,20 @@ func (r *Relay) Flows() []dmtp.FlowInfo { return r.eng.Flows() }
 // across shards.
 func (r *Relay) BufferedBytes() int { return r.eng.Stats().Occupancy }
 
-// RegisterMetrics publishes the relay's metric set on reg: the engine's
-// (dmtp.buf.*, dmtp.relay.*, flow table, journal — shared with the
-// simulator, so names match by construction), wire.pool.* from the relay's
-// stash log, and the adapter's kernel-batch and transmit-error counters.
+// RegisterMetrics publishes the relay's metric set on reg as one set: the
+// engine's (dmtp.buf.*, dmtp.relay.*, flow table — shared with the
+// simulator, so names match by construction), then wire.pool.* from the
+// relay's stash log and the adapter's transmit-error and kernel-batch
+// counters, all read under the one hold of engMu the engine's sample
+// takes. The journal family, when journaled, is a set of its own.
 func (r *Relay) RegisterMetrics(reg *metrics.Registry) {
-	r.eng.RegisterMetrics(reg)
-	dmtp.RegisterPoolMetrics(reg, func() wire.PoolStats {
-		r.engMu.Lock()
-		defer r.engMu.Unlock()
-		return r.stash.Stats()
+	names := []string{metrics.MetricPoolGets, metrics.MetricPoolHits, metrics.MetricPoolMisses, metrics.MetricPoolOversize}
+	r.eng.RegisterMetricsWith(reg, append(names, liveNames...), func(dst []int64) {
+		p := r.stash.Stats()
+		dst[0], dst[1], dst[2], dst[3] = int64(p.Gets), int64(p.Hits), int64(p.Misses()), int64(p.Oversize)
+		r.bstats.fill(dst[4:], r.txErrN.Load())
 	})
 	r.bstats.install(reg)
-	r.txErr.Store(reg.Counter(metrics.MetricLiveTxErrors))
 }
 
 // relayDatapath serves engine output (NAK retransmissions) over the
@@ -362,7 +351,7 @@ func (d relayDatapath) SendData(dst wire.Addr, pkt []byte) {
 		return
 	}
 	if _, err := r.conn.WriteToUDPAddrPort(pkt, ap); err != nil {
-		r.countTxErr(1)
+		r.txErrN.Add(1)
 	}
 }
 
@@ -461,6 +450,7 @@ func (r *Relay) loop(bc *batchConn) {
 	handle := func(pkt []byte, src wire.Addr) {
 		v := wire.View(pkt)
 		if _, err := v.Check(); err != nil {
+			r.eng.CountMalformed()
 			return
 		}
 		r.eng.Handle(src, v, now)
@@ -548,7 +538,7 @@ func (r *Relay) send() {
 	}
 	sent, err := r.bc.WriteBatchTo(pkts, d.addr)
 	if err != nil {
-		r.countTxErr(len(pkts) - sent)
+		r.txErrN.Add(uint64(len(pkts) - sent))
 	}
 	sent = max(sent-len(d.rtx), 0)
 	for _, f := range d.flows {

@@ -795,9 +795,13 @@ func TestRelayFlushCreditsAcceptedPrefix(t *testing.T) {
 				t.Errorf("RelayStats.Forwarded %d, flows sum to %d, want %d", st.Forwarded, forwarded, tc.failFrom)
 			}
 			emitted := uint64(3 * (rounds - 1)) // each flow's seq 3 is withheld
-			txErrs := reg.Counter(metrics.MetricLiveTxErrors).Value()
+			// dmtp.live.tx.errors is a gauge of the relay's set, read from
+			// a snapshot: asking the registry for a counter of that name
+			// would make a second, empty instrument.
+			sample, _ := metrics.SampleValue(reg.Snapshot(), metrics.MetricLiveTxErrors)
+			txErrs := uint64(sample)
 			if txErrs != st.TxErrors || txErrs != emitted-uint64(tc.failFrom) {
-				t.Errorf("tx errors: counter %d, stats %d, want %d", txErrs, st.TxErrors, emitted-uint64(tc.failFrom))
+				t.Errorf("tx errors: sample %d, stats %d, want %d", txErrs, st.TxErrors, emitted-uint64(tc.failFrom))
 			}
 			if st.Upgraded != 3*rounds || st.InjectedDrops != 3 || st.Upgraded != st.Forwarded+st.InjectedDrops+txErrs {
 				t.Errorf("upgraded %d != forwarded %d + injected drops %d + tx errors %d", st.Upgraded, st.Forwarded, st.InjectedDrops, txErrs)
@@ -1401,4 +1405,46 @@ func TestRelayBurstForwardOutlivesRelease(t *testing.T) {
 			t.Fatalf("sink read %v per experiment (experiment 0: poison); want A 1..%d, B1 [1], B2 [1]: a released buffer was recycled before its write", got, burstA)
 		}
 	})
+}
+
+// TestRelayCountsMalformed: a datagram too short to check and a NAK whose
+// ranges are cut short each raise dmtp.relay.malformed by exactly one. A
+// good packet sent after each, on the same socket, marks when the relay
+// has read it.
+func TestRelayCountsMalformed(t *testing.T) {
+	const exp = 601
+	sink := newSeqSink(t)
+	relay, err := NewRelay(RelayConfig{Listen: "127.0.0.1:0", Forward: sink.conn.LocalAddr().String(), MaxAge: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	reg := metrics.NewRegistry()
+	relay.RegisterMetrics(reg)
+	raddr, err := net.ResolveUDPAddr("udp4", relay.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialUDP("udp4", nil, raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	nak, err := (&wire.NAK{Experiment: wire.NewExperimentID(exp, 0), Requester: wire.AddrFrom(127, 0, 0, 1, 9),
+		Ranges: []wire.SeqRange{{From: 1, To: 1}}}).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, bad := range [][]byte{{0, 0, 0}, nak[:len(nak)-1]} {
+		if _, err := conn.Write(bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(mode0Pkt(t, exp, "x")); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 5*time.Second, func() bool { return relay.Stats().Upgraded == uint64(i+1) }, "the marker packet")
+		if got, _ := metrics.SampleValue(reg.Snapshot(), metrics.MetricRelayMalformed); got != int64(i+1) {
+			t.Fatalf("after %d malformed datagrams: %s %d", i+1, metrics.MetricRelayMalformed, got)
+		}
+	}
 }

@@ -4,22 +4,26 @@
 // lock-free ring of recent protocol events, recorded by both substrates'
 // engines and dumped by /events and the crash black boxes.
 //
-// Three instrument families exist:
+// A Registry publishes values two ways:
 //
-//   - Counter / Gauge / Histogram: atomic instruments the hot path updates
-//     in place. Updating any of them performs no allocation and takes no
-//     lock, so PR 2's zero-allocation steady state survives instrumentation
-//     (guarded by AllocsPerRun tests in alloc_test.go).
-//   - Func gauges: callbacks sampled only when a snapshot is taken. The
-//     transport adapters publish their existing mutex- or loop-guarded
-//     stats structs this way (see dmtp.RegisterReceiverMetrics and
-//     friends), so the datapath keeps its PR 3 telemetry hooks and pays
-//     nothing until somebody actually scrapes /metrics.
+//   - Counter / Gauge / Histogram: atomic instruments updated in place.
+//     Updating any of them performs no allocation and takes no lock, so
+//     the zero-allocation steady state survives instrumentation (guarded
+//     by AllocsPerRun tests in alloc_test.go). They carry distributions —
+//     packets per syscall, fsync and trace latencies — and the debug
+//     endpoint's and fleet monitor's own counts.
+//   - Sampled sets (RegisterSet): one per publisher — a relay, a receiver,
+//     a sender, a journal. The registry calls a set's sample once per
+//     Snapshot, WriteText or WriteProm, and the publisher reads its own
+//     stats struct under one hold of its own lock, so every value of one
+//     scrape comes from one instant and a law across two of them can be
+//     checked on it. Each event is counted once, in its engine's stats;
+//     the datapath pays nothing until somebody scrapes.
 //
-// Both substrates register through the same helpers in internal/dmtp, so a
-// simulator receiver and a live UDP receiver export the same metric names
-// — the catalogue in names.go, documented for operators in
-// OBSERVABILITY.md (a test diffs the two).
+// Both substrates register through internal/dmtp, so a simulator
+// receiver and a live UDP receiver export the same metric names — the
+// catalogue in names.go, documented for operators in OBSERVABILITY.md (a
+// test diffs the two).
 //
 // A Registry renders as text (one metric per line, sorted) or JSON, and
 // two snapshots diff into the per-experiment metric deltas cmd/benchtab
@@ -180,15 +184,30 @@ type Sample struct {
 
 // Registry is a concurrent name → instrument table. Counter/Gauge/Histogram
 // return a live instrument (get-or-create, so two components naming the
-// same metric share one instrument); RegisterFunc installs a sampled gauge.
-// All methods are safe for concurrent use; instrument updates themselves
-// never touch the registry lock.
+// same metric share one instrument); RegisterSet installs a publisher's
+// sampled values. All methods are safe for concurrent use; instrument
+// updates themselves never touch the registry lock.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	funcs    map[string]func() int64
+	// sampled maps each name a sampled set publishes to that set and the
+	// name's index in it; a later set takes a name over from an earlier one.
+	sampled map[string]setSlot
+}
+
+// sampleSet is one publisher's sampled values: sample fills dst, n long,
+// one value per name, in the order the names were registered.
+type sampleSet struct {
+	n      int
+	sample func(dst []int64)
+}
+
+// setSlot is where a sampled name's value lands in its set's dst.
+type setSlot struct {
+	set *sampleSet
+	i   int
 }
 
 // NewRegistry returns an empty registry.
@@ -197,7 +216,7 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		funcs:    make(map[string]func() int64),
+		sampled:  make(map[string]setSlot),
 	}
 }
 
@@ -237,19 +256,26 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// RegisterFunc installs (or replaces) a sampled gauge: fn is invoked only
-// when a snapshot is taken, so it may take the publisher's own locks. fn
-// must be safe to call from any goroutine.
-func (r *Registry) RegisterFunc(name string, fn func() int64) {
+// RegisterSet installs a set of sampled gauges, one per name: sample is
+// invoked once per Snapshot, WriteText or WriteProm, outside the registry
+// lock, and fills dst (len(names) long) with the value of names[i] in
+// dst[i]. Every value of the set therefore comes from one call, so a
+// publisher that reads them under one hold of its own lock exports values
+// of one instant. A name already registered by an earlier set now comes
+// from this one. sample must be safe to call from any goroutine.
+func (r *Registry) RegisterSet(names []string, sample func(dst []int64)) {
+	s := &sampleSet{n: len(names), sample: sample}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.funcs[name] = fn
+	for i, n := range names {
+		r.sampled[n] = setSlot{s, i}
+	}
 }
 
 // Names returns every registered metric name, sorted.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.funcs))
+	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.sampled))
 	for n := range r.counters {
 		names = append(names, n)
 	}
@@ -259,7 +285,7 @@ func (r *Registry) Names() []string {
 	for n := range r.hists {
 		names = append(names, n)
 	}
-	for n := range r.funcs {
+	for n := range r.sampled {
 		names = append(names, n)
 	}
 	r.mu.RUnlock()
@@ -267,41 +293,67 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Snapshot samples every instrument (invoking func gauges) and returns the
-// samples sorted by name.
-func (r *Registry) Snapshot() []Sample {
+// reading is one metric as a scrape read it: a value for counters, gauges
+// and sampled sets; the live instrument for histograms, whose renderings
+// differ between Snapshot and WriteProm.
+type reading struct {
+	name  string
+	kind  Kind
+	value int64
+	h     *Histogram
+	slot  setSlot
+}
+
+// read is the one scrape path behind Snapshot, WriteText and WriteProm: it
+// collects the instruments and sets under the read lock, then runs each
+// set's sample once, outside it — a sample may take its publisher's locks,
+// and a publisher might be mid-update while also creating a metric on this
+// registry. The readings come back sorted by name.
+func (r *Registry) read() []reading {
 	r.mu.RLock()
-	out := make([]Sample, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.funcs))
+	out := make([]reading, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.sampled))
 	for n, c := range r.counters {
-		out = append(out, Sample{Name: n, Kind: KindCounter, Value: int64(c.Value())})
+		out = append(out, reading{name: n, kind: KindCounter, value: int64(c.Value())})
 	}
 	for n, g := range r.gauges {
-		out = append(out, Sample{Name: n, Kind: KindGauge, Value: g.Value()})
+		out = append(out, reading{name: n, kind: KindGauge, value: g.Value()})
 	}
 	for n, h := range r.hists {
-		out = append(out, Sample{
-			Name: n, Kind: KindHist, Value: int64(h.Count()),
-			Mean: h.Mean(), P50: h.Quantile(0.5), P99: h.Quantile(0.99), Max: h.Max(),
-		})
+		out = append(out, reading{name: n, kind: KindHist, h: h})
 	}
-	fns := make([]struct {
-		name string
-		fn   func() int64
-	}, 0, len(r.funcs))
-	for n, fn := range r.funcs {
-		fns = append(fns, struct {
-			name string
-			fn   func() int64
-		}{n, fn})
+	for n, sl := range r.sampled {
+		out = append(out, reading{name: n, kind: KindGauge, slot: sl})
 	}
 	r.mu.RUnlock()
-	// Func gauges run outside the registry lock: they may take the
-	// publisher's locks, and a publisher might be mid-update while also
-	// creating a metric on this registry.
-	for _, f := range fns {
-		out = append(out, Sample{Name: f.name, Kind: KindGauge, Value: f.fn()})
+	vals := make(map[*sampleSet][]int64)
+	for i, m := range out {
+		if m.slot.set == nil {
+			continue
+		}
+		dst, ok := vals[m.slot.set]
+		if !ok {
+			dst = make([]int64, m.slot.set.n)
+			m.slot.set.sample(dst)
+			vals[m.slot.set] = dst
+		}
+		out[i].value = dst[m.slot.i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// Snapshot samples every instrument (running each set once) and returns
+// the samples sorted by name.
+func (r *Registry) Snapshot() []Sample {
+	rs := r.read()
+	out := make([]Sample, len(rs))
+	for i, m := range rs {
+		out[i] = Sample{Name: m.name, Kind: m.kind, Value: m.value}
+		if h := m.h; h != nil {
+			out[i].Value = int64(h.Count())
+			out[i].Mean, out[i].P50, out[i].P99, out[i].Max = h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max()
+		}
+	}
 	return out
 }
 

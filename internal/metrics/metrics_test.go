@@ -74,7 +74,7 @@ func TestRegistrySnapshotAndText(t *testing.T) {
 	r.Counter("z.count").Add(3)
 	r.Gauge("a.gauge").Set(-2)
 	r.Histogram("m.hist").Observe(100)
-	r.RegisterFunc("f.fn", func() int64 { return 42 })
+	r.RegisterSet([]string{"f.fn"}, func(dst []int64) { dst[0] = 42 })
 
 	snap := r.Snapshot()
 	if len(snap) != 4 {
@@ -94,11 +94,11 @@ func TestRegistrySnapshotAndText(t *testing.T) {
 }
 
 func TestRegistryFuncGaugeMayUseRegistry(t *testing.T) {
-	// Func gauges run outside the registry lock, so a publisher callback
+	// Sets are sampled outside the registry lock, so a publisher callback
 	// that itself touches the registry must not deadlock.
 	r := NewRegistry()
-	r.RegisterFunc("self.referential", func() int64 {
-		return int64(r.Counter("side.effect").Value())
+	r.RegisterSet([]string{"self.referential"}, func(dst []int64) {
+		dst[0] = int64(r.Counter("side.effect").Value())
 	})
 	done := make(chan struct{})
 	go func() {
@@ -108,7 +108,49 @@ func TestRegistryFuncGaugeMayUseRegistry(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Snapshot deadlocked on a registry-using func gauge")
+		t.Fatal("Snapshot deadlocked on a registry-using set")
+	}
+}
+
+// TestRegistrySetSampledOncePerScrape: each scrape surface runs a set's
+// sample exactly once, and every name of the set reads from that one call.
+// A later set takes over a name it shares with an earlier one; an earlier
+// set left publishing nothing is not sampled at all.
+func TestRegistrySetSampledOncePerScrape(t *testing.T) {
+	r := NewRegistry()
+	calls := 0
+	r.RegisterSet([]string{"s.a", "s.b"}, func(dst []int64) {
+		calls++
+		dst[0], dst[1] = int64(calls), int64(calls)
+	})
+	var b strings.Builder
+	for i, scrape := range []func(){
+		func() { r.Snapshot() },
+		func() { r.WriteText(&b) },
+		func() { r.WriteProm(&b) },
+	} {
+		scrape()
+		if calls != i+1 {
+			t.Fatalf("scrape surface %d: %d sample calls in all, want %d", i, calls, i+1)
+		}
+	}
+	snap := r.Snapshot()
+	if a, _ := SampleValue(snap, "s.a"); a != 4 || snap[1].Value != 4 {
+		t.Fatalf("s.a, s.b = %d, %d from the fourth scrape, want 4, 4", a, snap[1].Value)
+	}
+
+	r.RegisterSet([]string{"s.b"}, func(dst []int64) { dst[0] = -1 })
+	if b, _ := SampleValue(r.Snapshot(), "s.b"); b != -1 {
+		t.Fatalf("s.b = %d, want -1 from the set that took it over", b)
+	}
+	r.RegisterSet([]string{"s.a"}, func(dst []int64) { dst[0] = -2 })
+	before := calls
+	snap = r.Snapshot()
+	if calls != before || len(snap) != 2 || snap[0].Value != -2 || snap[1].Value != -1 {
+		t.Fatalf("after both names were taken over: %d calls of the first set, snapshot %+v", calls-before, snap)
+	}
+	if got := r.Names(); len(got) != 2 {
+		t.Fatalf("Names %v, want s.a and s.b once each", got)
 	}
 }
 

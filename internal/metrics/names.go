@@ -88,6 +88,9 @@ const (
 	MetricRelayInjectedDrops = "dmtp.relay.injected_drops"
 	MetricRelayRepointed     = "dmtp.relay.repointed"
 	MetricRelayDroppedDown   = "dmtp.relay.dropped_down"
+	// MetricRelayMalformed counts datagrams the relay could not read: a
+	// failed View.Check, or a NAK or ACK that would not decode.
+	MetricRelayMalformed = "dmtp.relay.malformed"
 	// MetricRelayReshapePrefix is a gauge family: one gauge per
 	// post-reshape config ID, e.g. "dmtp.relay.reshapes.config1".
 	MetricRelayReshapePrefix = "dmtp.relay.reshapes.config"
@@ -99,7 +102,7 @@ const (
 	MetricRelayFlowsRejected = "dmtp.relay.flows.rejected"
 
 	// In-band tracing metrics (internal/tracespan, registered through
-	// dmtp.RegisterTraceMetrics on both substrates).
+	// tracespan.Collector.RegisterMetrics on both substrates).
 	MetricTraceSampled    = "dmtp.trace.sampled"
 	MetricTraceDropped    = "dmtp.trace.dropped"
 	MetricTraceRecoveryNs = "dmtp.trace.recovery_ns"
@@ -222,6 +225,7 @@ var Catalog = []Info{
 	{MetricRelayInjectedDrops, KindGauge, "packets", "packets deliberately dropped by -drop-every fault injection"},
 	{MetricRelayRepointed, KindGauge, "packets", "transit packets re-homed to this buffer (StashTransit, simulator substrate)"},
 	{MetricRelayDroppedDown, KindGauge, "packets", "frames discarded while the buffer was crashed (simulator substrate)"},
+	{MetricRelayMalformed, KindGauge, "packets", "datagrams the relay could not read: failed the header check, or a NAK or ACK that would not decode"},
 	{MetricRelayReshapePrefix + "*", KindGauge, "packets", "reshapes performed, one gauge per resulting config ID (the relay's upgrade count, read at scrape time)"},
 	{MetricRelayFlowsActive, KindGauge, "flows", "flows currently registered in the relay's flow table"},
 	{MetricRelayFlowsOpened, KindGauge, "flows", "flows ever registered (first packet seen)"},
@@ -232,10 +236,10 @@ var Catalog = []Info{
 	{MetricTraceRecoveryNs, KindHist, "ns", "gap-detection → delivery latency of NAK-recovered sampled messages"},
 	{MetricTraceSegmentOWDPrefix + "*", KindHist, "ns", "per-segment one-way delay of sampled messages, one histogram per hop-span position"},
 	{MetricLiveBatchPktsPerSyscall, KindHist, "packets", "wire packets moved per batched syscall (sendmmsg/recvmmsg/GSO super-send)"},
-	{MetricLiveBatchGSOSegments, KindCounter, "packets", "wire packets coalesced into UDP GSO super-datagrams on send"},
-	{MetricLiveBatchGROSplits, KindCounter, "packets", "wire packets recovered by splitting GRO-coalesced datagrams on receive"},
-	{MetricLiveBatchFallbacks, KindCounter, "operations", "batch operations served by the portable single-syscall path"},
-	{MetricLiveTxErrors, KindCounter, "packets", "packets dropped by failed socket writes: relay forwards and receiver control sends (no retry path), and the sender packets given up once the flush's redial budget is spent"},
+	{MetricLiveBatchGSOSegments, KindGauge, "packets", "wire packets coalesced into UDP GSO super-datagrams on send"},
+	{MetricLiveBatchGROSplits, KindGauge, "packets", "wire packets recovered by splitting GRO-coalesced datagrams on receive"},
+	{MetricLiveBatchFallbacks, KindGauge, "operations", "batch operations served by the portable single-syscall path"},
+	{MetricLiveTxErrors, KindGauge, "packets", "packets dropped by failed socket writes: relay forwards and receiver control sends (no retry path), and the sender packets given up once the flush's redial budget is spent"},
 	{MetricPoolGets, KindGauge, "buffers", "stash entries the relay asked its stash log for (live relay only)"},
 	{MetricPoolHits, KindGauge, "buffers", "stash entries carved from the log's arena (live relay only)"},
 	{MetricPoolMisses, KindGauge, "buffers", "stash entries that fell back to a heap allocation: no empty segment, or larger than one (live relay only)"},

@@ -6,31 +6,24 @@ import (
 )
 
 // RegisterProcessMetrics publishes process-level sampled gauges (uptime,
-// goroutines, heap, GC cycles) on reg. runtime.ReadMemStats runs only at
-// snapshot time, so steady-state cost is zero.
+// goroutines, heap, GC cycles) on reg as one set: runtime.ReadMemStats
+// runs once per scrape and never between, so steady-state cost is zero.
 func RegisterProcessMetrics(reg *Registry) {
 	start := time.Now()
-	reg.RegisterFunc(MetricProcUptime, func() int64 {
-		return int64(time.Since(start) / time.Second)
-	})
-	reg.RegisterFunc(MetricProcGoroutines, func() int64 {
-		return int64(runtime.NumGoroutine())
-	})
-	reg.RegisterFunc(MetricProcHeapBytes, func() int64 {
+	reg.RegisterSet([]string{MetricProcUptime, MetricProcGoroutines, MetricProcHeapBytes, MetricProcGCRuns}, func(dst []int64) {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
-	})
-	reg.RegisterFunc(MetricProcGCRuns, func() int64 {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return int64(m.NumGC)
+		dst[0] = int64(time.Since(start) / time.Second)
+		dst[1] = int64(runtime.NumGoroutine())
+		dst[2] = int64(m.HeapAlloc)
+		dst[3] = int64(m.NumGC)
 	})
 }
 
 // RegisterFlightMetrics publishes the recorder's own counters (events ever
 // recorded, ring capacity) on reg. Safe with a nil recorder.
 func RegisterFlightMetrics(reg *Registry, rec *FlightRecorder) {
-	reg.RegisterFunc(MetricFlightRecorded, func() int64 { return int64(rec.Total()) })
-	reg.RegisterFunc(MetricFlightCapacity, func() int64 { return int64(rec.Cap()) })
+	reg.RegisterSet([]string{MetricFlightRecorded, MetricFlightCapacity}, func(dst []int64) {
+		dst[0], dst[1] = int64(rec.Total()), int64(rec.Cap())
+	})
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -68,65 +67,25 @@ func promMeta(w io.Writer, pname, name, typ string) error {
 // WriteProm renders the registry in the Prometheus text-exposition format
 // (version 0.0.4), so external scrapers work against /metrics?format=prom
 // without dmtp-mon in the path. Counters emit as counter, gauges and
-// sampled func gauges as gauge, and histograms as the full
-// _bucket{le=…}/_sum/_count triplet with cumulative power-of-two buckets
-// (bucket i's upper bound is 2^i − 1, matching Histogram's bit-length
-// binning; empty tail buckets are elided). Catalogued metrics carry their
-// help text as # HELP with v0.0.4 escaping.
+// sampled sets as gauge, and histograms as the full _bucket{le=…}/_sum/
+// _count triplet with cumulative power-of-two buckets (bucket i's upper
+// bound is 2^i − 1, matching Histogram's bit-length binning; empty tail
+// buckets are elided). Catalogued metrics carry their help text as # HELP
+// with v0.0.4 escaping. Like Snapshot, it runs each set's sample once.
 func (r *Registry) WriteProm(w io.Writer) error {
-	type named struct {
-		name string
-		c    *Counter
-		g    *Gauge
-		h    *Histogram
-		fn   func() int64
-	}
-	r.mu.RLock()
-	all := make([]named, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.funcs))
-	for n, c := range r.counters {
-		all = append(all, named{name: n, c: c})
-	}
-	for n, g := range r.gauges {
-		all = append(all, named{name: n, g: g})
-	}
-	for n, h := range r.hists {
-		all = append(all, named{name: n, h: h})
-	}
-	for n, fn := range r.funcs {
-		all = append(all, named{name: n, fn: fn})
-	}
-	r.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
-
-	for _, m := range all {
+	for _, m := range r.read() {
 		pname := promName(m.name)
-		switch {
-		case m.c != nil:
-			if err := promMeta(w, pname, m.name, "counter"); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", pname, m.c.Value()); err != nil {
-				return err
-			}
-		case m.g != nil:
-			if err := promMeta(w, pname, m.name, "gauge"); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", pname, m.g.Value()); err != nil {
-				return err
-			}
-		case m.fn != nil:
-			// Func gauges run outside the registry lock, same as Snapshot.
-			if err := promMeta(w, pname, m.name, "gauge"); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", pname, m.fn()); err != nil {
-				return err
-			}
-		case m.h != nil:
+		if m.h != nil {
 			if err := writePromHist(w, pname, m.name, m.h); err != nil {
 				return err
 			}
+			continue
+		}
+		if err := promMeta(w, pname, m.name, string(m.kind)); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "%s %d\n", pname, m.value); err != nil {
+			return err
 		}
 	}
 	return nil

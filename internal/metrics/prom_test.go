@@ -37,7 +37,7 @@ func TestWritePromGolden(t *testing.T) {
 	h.Observe(0) // bucket 0, le "0"
 	h.Observe(1) // bucket 1, le "1"
 	h.Observe(5) // bucket 3, le "7" (bucket 2 empty but within the tail)
-	reg.RegisterFunc("zz.func", func() int64 { return 42 })
+	reg.RegisterSet([]string{"zz.func"}, func(dst []int64) { dst[0] = 42 })
 
 	var b strings.Builder
 	if err := reg.WriteProm(&b); err != nil {

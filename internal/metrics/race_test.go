@@ -9,7 +9,7 @@ import (
 
 // TestRegistryScrapeVsRegisterRace exercises every scrape surface
 // (Snapshot, WriteText, WriteProm) concurrently with instrument creation
-// and func-gauge registration. Run under -race this proves a monitor
+// and set registration. Run under -race this proves a monitor
 // scraping a daemon mid-startup (instruments still being registered)
 // never observes torn registry state.
 func TestRegistryScrapeVsRegisterRace(t *testing.T) {
@@ -25,7 +25,7 @@ func TestRegistryScrapeVsRegisterRace(t *testing.T) {
 				reg.Gauge(fmt.Sprintf("race.gauge.%d.%d", w, i%13)).Set(int64(i))
 				reg.Histogram(fmt.Sprintf("race.hist.%d.%d", w, i%7)).Observe(int64(i))
 				if i%29 == 0 {
-					reg.RegisterFunc(fmt.Sprintf("race.func.%d.%d", w, i), func() int64 { return int64(i) })
+					reg.RegisterSet([]string{fmt.Sprintf("race.func.%d.%d", w, i)}, func(dst []int64) { dst[0] = int64(i) })
 				}
 			}
 		}(w)

@@ -505,27 +505,20 @@ func (m *Monitor) RegisterMetrics(reg *metrics.Registry) {
 	m.scrapeErrC.Store(reg.Counter(metrics.MetricMonScrapeErrors))
 	m.raisedC.Store(reg.Counter(metrics.MetricMonAlertsRaised))
 	m.scrapeH.Store(reg.Histogram(metrics.MetricMonScrapeNs))
-	reg.RegisterFunc(metrics.MetricMonTargetsUp, func() int64 {
+	reg.RegisterSet([]string{metrics.MetricMonTargetsUp, metrics.MetricMonAlertsActive}, func(dst []int64) {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		var up int64
+		dst[0], dst[1] = 0, 0
 		for _, t := range m.targets {
 			if t.up {
-				up++
+				dst[0]++
 			}
 		}
-		return up
-	})
-	reg.RegisterFunc(metrics.MetricMonAlertsActive, func() int64 {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		var active int64
 		for _, a := range m.alerts {
 			if a.Active {
-				active++
+				dst[1]++
 			}
 		}
-		return active
 	})
 }
 

@@ -172,10 +172,10 @@ func NewCollector(max int) *Collector {
 
 // RegisterMetrics wires the collector's histograms and gauges into reg
 // under the canonical names in internal/metrics: the per-segment
-// one-way-delay histogram family, the recovery-latency histogram, and
-// sampled/dropped gauges. Both substrates register through
-// dmtp.RegisterTraceMetrics, which calls this, so they export identical
-// names by construction.
+// one-way-delay histogram family, the recovery-latency histogram, and the
+// sampled/dropped gauges as one set, read under one hold of the
+// collector's lock. Both substrates register through here, so they export
+// identical names by construction.
 func (c *Collector) RegisterMetrics(reg *metrics.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -183,15 +183,10 @@ func (c *Collector) RegisterMetrics(reg *metrics.Registry) {
 		c.segHist[i] = reg.Histogram(metrics.MetricTraceSegmentOWDPrefix + strconv.Itoa(i+1))
 	}
 	c.recHist = reg.Histogram(metrics.MetricTraceRecoveryNs)
-	reg.RegisterFunc(metrics.MetricTraceSampled, func() int64 {
+	reg.RegisterSet([]string{metrics.MetricTraceSampled, metrics.MetricTraceDropped}, func(dst []int64) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return int64(c.sampled)
-	})
-	reg.RegisterFunc(metrics.MetricTraceDropped, func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return int64(c.dropped)
+		dst[0], dst[1] = int64(c.sampled), int64(c.dropped)
 	})
 }
 

@@ -15,6 +15,7 @@ import (
 // MAC is an Ethernet hardware address.
 type MAC [6]byte
 
+// String renders m in colon-separated hex, e.g. "02:00:00:00:00:01".
 func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
@@ -179,6 +180,7 @@ const (
 	EncapUDP
 )
 
+// String names the encapsulation ("none", "ethernet", "ipv4", "udp").
 func (e Encap) String() string {
 	switch e {
 	case EncapNone:

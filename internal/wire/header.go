@@ -27,6 +27,7 @@ func AddrFrom(a, b, c, d byte, port uint16) Addr {
 // IsZero reports whether a is the zero address, used to mean "unset".
 func (a Addr) IsZero() bool { return a == Addr{} }
 
+// String renders a as "ip:port".
 func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d:%d", a.IP[0], a.IP[1], a.IP[2], a.IP[3], a.Port)
 }
@@ -60,6 +61,7 @@ func (e ExperimentID) Experiment() uint32 { return uint32(e) >> 8 }
 // Slice returns the 8-bit instrument-slice number.
 func (e ExperimentID) Slice() uint8 { return uint8(e) }
 
+// String renders e as "exp N/slice S".
 func (e ExperimentID) String() string {
 	return fmt.Sprintf("exp %d/slice %d", e.Experiment(), e.Slice())
 }
