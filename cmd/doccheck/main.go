@@ -5,10 +5,12 @@
 //
 //	go run ./cmd/doccheck ./internal/dmtp ./internal/metrics
 //
-// With no arguments it checks the default package set. Exit status 1 and
-// one "file:line: symbol" diagnostic per missing comment; exported fields
-// and interface methods inside documented types are exempt (their type's
-// comment is the contract), as are test files.
+// With no arguments it checks the default package set, and also that every
+// repository path DESIGN.md and README.md cite exists (paths.go). Exit
+// status 1 and one "file:line: symbol" diagnostic per missing comment or
+// missing path; exported fields and interface methods inside documented
+// types are exempt (their type's comment is the contract), as are test
+// files.
 //
 // A second mode audits documentation snippets against the daemons'
 // actual flag sets:
@@ -74,10 +76,20 @@ func main() {
 		}
 		exit(len(findings), err, "declarations are reached from no main package")
 	}
+	bad := 0
+	what := "exported symbols lack doc comments"
 	if len(pkgs) == 0 {
 		pkgs = defaultPackages
+		missing, err := checkPaths(".", pathDocs)
+		if err != nil {
+			exit(0, err, "")
+		}
+		for _, f := range missing {
+			fmt.Println(f)
+		}
+		bad = len(missing)
+		what = "undocumented exported symbols or cited paths that do not exist"
 	}
-	bad := 0
 	for _, pkg := range pkgs {
 		n, err := checkDir(strings.TrimPrefix(pkg, "./"))
 		if err != nil {
@@ -85,7 +97,7 @@ func main() {
 		}
 		bad += n
 	}
-	exit(bad, nil, "exported symbols lack doc comments")
+	exit(bad, nil, what)
 }
 
 // exit ends the run: status 2 on err, 1 with a count of what is wrong when

@@ -31,10 +31,6 @@ import (
 // that names a reachable or missing declaration is itself a finding, so
 // the list can only shrink.
 var unusedAllow = map[string]string{
-	"repro/internal/p4sim.ModeChanger":     "rebuilt on wire.Recipe and installed in the pilot by the mode-transition table work (ROADMAP item 14)",
-	"repro/internal/p4sim.NewModeChanger":  "ModeChanger's constructor (ROADMAP item 14)",
-	"repro/internal/p4sim.ModeAction":      "ModeChanger's rule action (ROADMAP item 14)",
-	"repro/internal/p4sim.modeKey":         "ModeChanger's rule key (ROADMAP item 14)",
 	"repro/internal/netsim.Sink":           "the downstream-node fixture of the discovery, netsim and baseline tests",
 	"repro/internal/metrics.CatalogCovers": "the oracle the catalogue tests check OBSERVABILITY.md against",
 }

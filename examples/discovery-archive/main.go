@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/daq"
 	"repro/internal/discovery"
+	"repro/internal/dmtp"
 	"repro/internal/h5lite"
 	"repro/internal/netsim"
 	"repro/internal/p4sim"
@@ -44,8 +45,7 @@ func main() {
 	nw.AddNode("facility", dstAddr, discovery.NewWrap(receiver, dstAgent))
 
 	dtn := core.NewBufferHandler(nw, core.BufferConfig{
-		UpgradeFrom: core.ModeBare.ConfigID,
-		Upgrade:     core.ModeWAN,
+		Upgrade:     dmtp.ModeWAN,
 		Forward:     dstAddr,
 		ForwardPort: 1,
 		MaxAge:      200 * time.Millisecond,
@@ -77,7 +77,7 @@ func main() {
 	swNode := nw.AddNode("border", wire.Addr{}, discovery.NewWrap(sw, swAgent))
 
 	sensor := core.NewSender(nw, "sensor", sensorAddr, core.SenderConfig{
-		Experiment: 0xA8C, Dst: dtnAddr, Mode: core.ModeBare,
+		Experiment: 0xA8C, Dst: dtnAddr, Mode: dmtp.ModeBare,
 	})
 	nw.Connect(sensor.Node(), dtnNode, netsim.LinkConfig{RateBps: netsim.Gbps(100), Delay: 10 * time.Microsecond, QueueBytes: 32 << 20})
 	nw.Connect(swNode, dtnNode, netsim.LinkConfig{RateBps: netsim.Gbps(100), Delay: 10 * time.Microsecond, QueueBytes: 32 << 20})

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/p4sim"
 	"repro/internal/wire"
@@ -34,8 +35,7 @@ func main() {
 		},
 	})
 	dtn := core.NewBufferNode(nw, "dtn1", dtnAddr, core.BufferConfig{
-		UpgradeFrom: core.ModeBare.ConfigID,
-		Upgrade:     core.ModeWAN,
+		Upgrade:     dmtp.ModeWAN,
 		Forward:     dstAddr,
 		ForwardPort: 1,
 		MaxAge:      100 * time.Millisecond,
@@ -47,7 +47,7 @@ func main() {
 	sensor := core.NewSender(nw, "detector", sensorAddr, core.SenderConfig{
 		Experiment: 0xD0E,
 		Dst:        dtnAddr,
-		Mode:       core.ModeBare,
+		Mode:       dmtp.ModeBare,
 	})
 	nw.Connect(sensor.Node(), dtn.Node(), netsim.LinkConfig{RateBps: netsim.Gbps(100), Delay: 10 * time.Microsecond})
 	nw.Connect(dtn.Node(), border, netsim.LinkConfig{RateBps: netsim.Gbps(100), Delay: 100 * time.Microsecond})

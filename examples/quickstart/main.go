@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -40,8 +41,7 @@ func main() {
 
 	// The first-line DTN: mode upgrade + retransmission buffer.
 	dtn := core.NewBufferNode(nw, "dtn1", dtnAddr, core.BufferConfig{
-		UpgradeFrom: core.ModeBare.ConfigID,
-		Upgrade:     core.ModeWAN,
+		Upgrade:     dmtp.ModeWAN,
 		Forward:     dstAddr,
 		ForwardPort: 1,
 		MaxAge:      200 * time.Millisecond,
@@ -52,7 +52,7 @@ func main() {
 	sensor := core.NewSender(nw, "sensor", sensorAddr, core.SenderConfig{
 		Experiment: 42,
 		Dst:        dtnAddr,
-		Mode:       core.ModeBare,
+		Mode:       dmtp.ModeBare,
 	})
 
 	nw.Connect(sensor.Node(), dtn.Node(), netsim.LinkConfig{
@@ -64,9 +64,9 @@ func main() {
 	sensor.Stream(daq.NewLArTPC(daq.DefaultLArTPC(0, 500, 7)))
 	nw.Loop().Run()
 
-	fmt.Printf("sent      %d messages (mode %q)\n", sensor.Stats.Sent, core.ModeBare.Name)
+	fmt.Printf("sent      %d messages (mode %q)\n", sensor.Stats.Sent, dmtp.ModeBare.Name)
 	fmt.Printf("upgraded  %d at the DTN (mode %q: features %v)\n",
-		dtn.Stats().Upgraded, core.ModeWAN.Name, core.ModeWAN.Features)
+		dtn.Stats().Upgraded, dmtp.ModeWAN.Name, dmtp.ModeWAN.Features)
 	fmt.Printf("delivered %d (%d recovered via %d NAKs served by the DTN buffer)\n",
 		delivered, recovered, dtn.Stats().NAKs)
 	fmt.Printf("losses remaining: %d\n", receiver.Stats.Lost)

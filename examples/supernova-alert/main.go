@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/p4sim"
 	"repro/internal/telemetry"
@@ -69,7 +70,7 @@ func main() {
 	dune := core.NewSender(nw, "dune", duneAddr, core.SenderConfig{
 		Experiment:     0xD0E, // DUNE
 		Dst:            subscribers[0].addr,
-		Mode:           core.ModeAlert,
+		Mode:           dmtp.ModeAlert,
 		DupGroup:       1,
 		DupScope:       1,
 		DeadlineBudget: 200 * time.Millisecond,
@@ -85,7 +86,7 @@ func main() {
 	nw.Loop().Run()
 
 	fmt.Printf("supernova burst: %d interaction records in DMTP mode %q (%v)\n",
-		dune.Stats.Sent, core.ModeAlert.Name, core.ModeAlert.Features)
+		dune.Stats.Sent, dmtp.ModeAlert.Name, dmtp.ModeAlert.Features)
 	fmt.Printf("in-network duplications at the border: %d\n\n", dup.Duplicated)
 	for _, s := range subs {
 		fmt.Printf("  %-20s %s\n", s.name+":", s.hist)

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/p4sim"
 	"repro/internal/telemetry"
@@ -57,8 +58,7 @@ func main() {
 	})
 
 	dtn := core.NewBufferNode(nw, "base-dtn", dtnAddr, core.BufferConfig{
-		UpgradeFrom:    core.ModeBare.ConfigID,
-		Upgrade:        core.ModeWAN,
+		Upgrade:        dmtp.ModeWAN,
 		Forward:        usAddr,
 		ForwardPort:    1,
 		MaxAge:         150 * time.Millisecond, // 2× the WAN crossing
@@ -76,7 +76,7 @@ func main() {
 	scope := core.NewSender(nw, "rubin", scopeAddr, core.SenderConfig{
 		Experiment: 0x50B1, // Rubin
 		Dst:        dtnAddr,
-		Mode:       core.ModeBare,
+		Mode:       dmtp.ModeBare,
 	})
 
 	nw.Connect(scope.Node(), dtn.Node(), netsim.LinkConfig{
@@ -94,7 +94,7 @@ func main() {
 	nw.Loop().Run()
 
 	fmt.Printf("telescope sent %d messages; DTN upgraded %d to mode %q\n",
-		scope.Stats.Sent, dtn.Stats().Upgraded, core.ModeWAN.Name)
+		scope.Stats.Sent, dtn.Stats().Upgraded, dmtp.ModeWAN.Name)
 	fmt.Printf("delivered: %d image segments, %d alerts (%d recovered from the base DTN)\n",
 		images, alerts, recovered)
 	fmt.Printf("bulk  latency: %s\n", bulkLat)

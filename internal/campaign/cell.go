@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dmtp"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -21,21 +22,11 @@ const (
 	cellMsgSize  = 1024
 )
 
-// upgradeMode is the mode the relay installs: the conformance feature set
-// (sequenced, reliable, age-tracked, timely, timestamped) without
-// back-pressure, so no congestion control perturbs the fault schedule.
-var upgradeMode = core.Mode{
-	Name:     "camp",
-	ConfigID: 1,
-	Features: wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked |
-		wire.FeatTimely | wire.FeatTimestamped,
-}
-
 // passMode is the storm workload's pass-through mode: a config the relay
 // does not upgrade, carrying only an origin timestamp. Its packets cross
 // the relay unreshaped and arrive unsequenced — the "mixed-config" part
 // of the reshape storm.
-var passMode = core.Mode{
+var passMode = dmtp.Mode{
 	Name:     "pass",
 	ConfigID: 2,
 	Features: wire.FeatTimestamped,
@@ -82,7 +73,7 @@ type senderSpec struct {
 	name  string
 	addr  wire.Addr
 	exp   uint32
-	mode  core.Mode
+	mode  dmtp.Mode
 	slice uint8
 	count int
 	start time.Duration
@@ -101,7 +92,7 @@ func workloadSpecs(topology, workload string, n int) []senderSpec {
 			specs = append(specs, senderSpec{
 				name: fmt.Sprintf("fan%d", i),
 				addr: wire.AddrFrom(10, 0, 0, byte(10+i), 4000),
-				exp:  uint32(404 + 101*i), mode: core.ModeBare,
+				exp:  uint32(404 + 101*i), mode: dmtp.ModeBare,
 				count: n,
 				start: cellInterval + time.Duration(i+1)*(cellInterval/4),
 				every: cellInterval,
@@ -116,7 +107,7 @@ func workloadSpecs(topology, workload string, n int) []senderSpec {
 func baseWorkloadSpecs(workload string, n int) []senderSpec {
 	steady := senderSpec{
 		name: "sensorA", addr: wire.AddrFrom(10, 0, 0, 1, 4000),
-		exp: 101, mode: core.ModeBare,
+		exp: 101, mode: dmtp.ModeBare,
 		count: n, start: cellInterval, every: cellInterval, size: cellMsgSize,
 	}
 	switch workload {
@@ -137,7 +128,7 @@ func baseWorkloadSpecs(workload string, n int) []senderSpec {
 		// relay plus a pass-through config the relay leaves untouched.
 		b := senderSpec{
 			name: "sensorB", addr: wire.AddrFrom(10, 0, 0, 2, 4000),
-			exp: 202, mode: core.ModeBare,
+			exp: 202, mode: dmtp.ModeBare,
 			count: 2 * n / 3, start: cellInterval * 3 / 2, every: cellInterval * 3 / 2, size: 768,
 		}
 		c := senderSpec{
@@ -234,8 +225,9 @@ func runCell(cell Cell, spec Spec) CellResult {
 
 	bufCfg := func(rec *metrics.FlightRecorder) core.BufferConfig {
 		return core.BufferConfig{
-			UpgradeFrom:   core.ModeBare.ConfigID,
-			Upgrade:       upgradeMode,
+			// No back-pressure, so no congestion control perturbs the
+			// fault schedule.
+			Upgrade:       dmtp.ModeLive,
 			Forward:       cellRecvAddr,
 			ForwardPort:   0,
 			MaxAge:        time.Hour,

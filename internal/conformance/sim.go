@@ -5,23 +5,13 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dmtp"
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/tracespan"
 	"repro/internal/wire"
 )
-
-// confMode mirrors the live relay's upgrade exactly (ConfigID 1 with the
-// sequenced/reliable/age/timely/timestamped feature set and no
-// back-pressure extension), so both substrates emit byte-compatible
-// upgraded headers.
-var confMode = core.Mode{
-	Name:     "conf",
-	ConfigID: 1,
-	Features: wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked |
-		wire.FeatTimely | wire.FeatTimestamped,
-}
 
 // RunSim executes the scenario on the simulator substrate: one sender
 // node per flow feeds a (sharded) BufferNode that forwards every flow to
@@ -63,8 +53,7 @@ func RunSim(sc Scenario) *Transcript {
 		Tracer: tracer,
 	})
 	dtn := core.NewBufferNode(nw, "dtn", dtnAddr, core.BufferConfig{
-		UpgradeFrom: core.ModeBare.ConfigID,
-		Upgrade:     confMode,
+		Upgrade:     dmtp.ModeLive, // the live relay's mode: both emit the same bytes
 		Forward:     recvAddr,
 		ForwardPort: len(sc.Flows),
 		MaxAge:      time.Hour,
@@ -76,7 +65,7 @@ func RunSim(sc Scenario) *Transcript {
 		senders[i] = core.NewSender(nw, fmt.Sprintf("sensor%d", i), addr, core.SenderConfig{
 			Experiment:  fl.Experiment,
 			Dst:         dtnAddr,
-			Mode:        core.ModeBare,
+			Mode:        dmtp.ModeBare,
 			TraceSample: sc.TraceSample,
 		})
 	}

@@ -13,11 +13,9 @@ import (
 
 // BufferConfig configures a first-line DTN buffer node (DTN 1 in Fig. 4).
 type BufferConfig struct {
-	// UpgradeFrom is the config ID of arriving sensor traffic (usually
-	// ModeBare's).
-	UpgradeFrom uint8
-	// Upgrade is the mode installed for the WAN crossing (usually ModeWAN).
-	Upgrade Mode
+	// Upgrade is the mode installed on arriving sensor traffic in
+	// dmtp.ModeBare for the WAN crossing (usually dmtp.ModeWAN).
+	Upgrade dmtp.Mode
 	// Forward is the downstream destination (DTN 2).
 	Forward wire.Addr
 	// ForwardPort is the egress port toward the WAN; other ports face the
@@ -121,13 +119,11 @@ func NewBufferHandler(nw *netsim.Network, cfg BufferConfig) *BufferNode {
 		Buffer: dmtp.BufferConfig{CapacityBytes: cfg.CapacityBytes, Recorder: cfg.Recorder, Clock: loopClock{nw}},
 		// Retransmissions leave via the WAN egress; the datapath clones
 		// stash entries before framing them (the engine keeps ownership).
-		Datapath:    nodeDatapath{node: func() *netsim.Node { return b.node }, nw: nw, port: cfg.ForwardPort},
-		Alloc:       func(n int) []byte { return make([]byte, n) }, // heap; the GC collects
-		JournalDir:  cfg.JournalDir,
-		Resolve:     b.resolve,
-		UpgradeFrom: cfg.UpgradeFrom,
-		ConfigID:    cfg.Upgrade.ConfigID,
-		Features:    cfg.Upgrade.Features,
+		Datapath:   nodeDatapath{node: func() *netsim.Node { return b.node }, nw: nw, port: cfg.ForwardPort},
+		Alloc:      func(n int) []byte { return make([]byte, n) }, // heap; the GC collects
+		JournalDir: cfg.JournalDir,
+		Resolve:    b.resolve,
+		Mode:       cfg.Upgrade,
 		Upgrade: dmtp.Upgrade{
 			MaxAge:           cfg.MaxAge,
 			DeadlineBudget:   cfg.DeadlineBudget,

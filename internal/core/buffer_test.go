@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dmtp"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/wire"
@@ -29,8 +30,7 @@ func newBufferRig(t *testing.T, mutate func(*BufferConfig)) *bufferRig {
 		downAddr: wire.AddrFrom(10, 0, 2, 1, 1),
 	}
 	cfg := BufferConfig{
-		UpgradeFrom: ModeBare.ConfigID,
-		Upgrade:     ModeWAN,
+		Upgrade:     dmtp.ModeWAN,
 		Forward:     r.downAddr,
 		ForwardPort: 1,
 		MaxAge:      100 * time.Millisecond,
@@ -49,7 +49,7 @@ func newBufferRig(t *testing.T, mutate func(*BufferConfig)) *bufferRig {
 
 func (r *bufferRig) sendBare(t *testing.T, payload string) {
 	t.Helper()
-	h := wire.Header{ConfigID: ModeBare.ConfigID, Experiment: wire.NewExperimentID(4, 0)}
+	h := wire.Header{ConfigID: dmtp.ModeBare.ConfigID, Experiment: wire.NewExperimentID(4, 0)}
 	data, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestBufferRoutesTransitControl(t *testing.T) {
 }
 
 func TestBufferPassesThroughForeignModes(t *testing.T) {
-	// Traffic already in another mode (not UpgradeFrom) addressed to the
+	// Traffic already in another mode (not config 0) addressed to the
 	// buffer is forwarded downstream untouched.
 	rig := newBufferRig(t, nil)
 	var got wire.View
@@ -196,7 +196,7 @@ func TestBufferPerExperimentSequences(t *testing.T) {
 		}
 	}
 	send := func(exp wire.ExperimentID) {
-		h := wire.Header{ConfigID: ModeBare.ConfigID, Experiment: exp}
+		h := wire.Header{ConfigID: dmtp.ModeBare.ConfigID, Experiment: exp}
 		data, err := h.AppendTo(nil)
 		if err != nil {
 			t.Fatal(err)
@@ -213,6 +213,30 @@ func TestBufferPerExperimentSequences(t *testing.T) {
 	}
 	if len(seqs[b]) != 1 || seqs[b][0] != 1 {
 		t.Fatalf("slice B seqs %v", seqs[b])
+	}
+}
+
+// TestReceiverCountsMalformed: a datagram too short to check and a data
+// packet cut one byte short each raise dmtp.rx.malformed by exactly one.
+func TestReceiverCountsMalformed(t *testing.T) {
+	nw := netsim.New(1)
+	recvAddr := wire.AddrFrom(10, 0, 2, 1, 1)
+	recv := NewReceiver(nw, "recv", recvAddr, ReceiverConfig{})
+	up := nw.AddNode("up", wire.AddrFrom(10, 0, 1, 1, 1), &netsim.Host{})
+	nw.Connect(up, recv.Node(), netsim.LinkConfig{RateBps: netsim.Gbps(10), Delay: time.Microsecond})
+	reg := metrics.NewRegistry()
+	recv.RegisterMetrics(reg)
+	h := wire.Header{ConfigID: dmtp.ModeLive.ConfigID, Features: dmtp.ModeLive.Features, Experiment: wire.NewExperimentID(4, 0)}
+	data, err := h.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, bad := range [][]byte{{0, 0, 0}, data[:len(data)-1]} {
+		up.SendTo(recvAddr, bad)
+		nw.Loop().Run()
+		if got, _ := metrics.SampleValue(reg.Snapshot(), metrics.MetricRxMalformed); got != int64(i+1) {
+			t.Fatalf("after %d malformed datagrams: %s %d", i+1, metrics.MetricRxMalformed, got)
+		}
 	}
 }
 

@@ -6,12 +6,13 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/dmtp"
 	"repro/internal/wire"
 )
 
 func TestPilotModesEncode(t *testing.T) {
 	seen := map[uint8]string{}
-	for _, m := range []Mode{ModeBare, ModeWAN, ModeDeliver, ModeAlert} {
+	for _, m := range []dmtp.Mode{dmtp.ModeBare, dmtp.ModeWAN, dmtp.ModeDeliver, dmtp.ModeAlert} {
 		if m.ConfigID >= wire.ControlBase || !m.Features.Valid() {
 			t.Fatalf("mode %q: config ID %#02x, features %v", m.Name, m.ConfigID, m.Features)
 		}
@@ -108,11 +109,11 @@ func TestPlanReproducesPilotModes(t *testing.T) {
 		t.Fatalf("%d plans", len(plans))
 	}
 	// Segment 0 (DAQ net, no upstream buffer): bare / mode 0.
-	if plans[0].Mode.ConfigID != ModeBare.ConfigID {
+	if plans[0].Mode.ConfigID != dmtp.ModeBare.ConfigID {
 		t.Fatalf("daq segment mode %q", plans[0].Mode.Name)
 	}
 	// Segment 1 (WAN, buffer at DTN1 upstream): recoverable WAN mode.
-	if plans[1].Mode.ConfigID != ModeWAN.ConfigID {
+	if plans[1].Mode.ConfigID != dmtp.ModeWAN.ConfigID {
 		t.Fatalf("wan segment mode %q", plans[1].Mode.Name)
 	}
 	if plans[1].Buffer != wire.AddrFrom(10, 0, 1, 1, 7000) {
@@ -122,7 +123,7 @@ func TestPlanReproducesPilotModes(t *testing.T) {
 		t.Fatal("wan budgets unset")
 	}
 	// Final segment: delivery mode (timeliness check at destination).
-	if plans[2].Mode.ConfigID != ModeDeliver.ConfigID {
+	if plans[2].Mode.ConfigID != dmtp.ModeDeliver.ConfigID {
 		t.Fatalf("final segment mode %q", plans[2].Mode.Name)
 	}
 }
@@ -134,7 +135,7 @@ func TestPlanWithoutBuffersStaysBare(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range plans {
-		if p.Mode.ConfigID != ModeBare.ConfigID {
+		if p.Mode.ConfigID != dmtp.ModeBare.ConfigID {
 			t.Fatalf("segment %q mode %q", p.Segment.Name, p.Mode.Name)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/p4sim"
 	"repro/internal/wire"
@@ -39,8 +40,7 @@ func newPilotPath(t *testing.T, seed int64, wanLoss float64, rcfg ReceiverConfig
 	p.receiver = NewReceiver(p.nw, "dtn2", p.dtn2Addr, rcfg)
 
 	cfg := BufferConfig{
-		UpgradeFrom:      ModeBare.ConfigID,
-		Upgrade:          ModeWAN,
+		Upgrade:          dmtp.ModeWAN,
 		Forward:          p.dtn2Addr,
 		ForwardPort:      1,
 		MaxAge:           200 * time.Millisecond,
@@ -68,7 +68,7 @@ func newPilotPath(t *testing.T, seed int64, wanLoss float64, rcfg ReceiverConfig
 	p.sender = NewSender(p.nw, "sensor", p.sensorAddr, SenderConfig{
 		Experiment: 42,
 		Dst:        p.dtn1Addr,
-		Mode:       ModeBare,
+		Mode:       dmtp.ModeBare,
 	})
 
 	p.nw.Connect(p.sender.Node(), p.dtn1.Node(), netsim.LinkConfig{RateBps: netsim.Gbps(100), Delay: 10 * time.Microsecond})
@@ -229,7 +229,7 @@ func TestEndToEndDeadlineNotificationReachesSensor(t *testing.T) {
 
 func TestEndToEndEncryptedPayloads(t *testing.T) {
 	cipher := NewXORKeystream(0x0123456789ABCDEF)
-	modeEnc := ModeWAN
+	modeEnc := dmtp.ModeWAN
 	modeEnc.Features |= wire.FeatEncrypted
 	p := newPilotPath(t, 6, 0,
 		ReceiverConfig{Cipher: cipher},

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -24,15 +25,14 @@ func orderedPath(t *testing.T, ordered bool, loss float64) (*netsim.Network, *Re
 		},
 	})
 	dtn := NewBufferNode(nw, "dtn", dtnAddr, BufferConfig{
-		UpgradeFrom: ModeBare.ConfigID,
-		Upgrade:     ModeWAN,
+		Upgrade:     dmtp.ModeWAN,
 		Forward:     dstAddr,
 		ForwardPort: 1,
 		MaxAge:      time.Second,
 		Routes:      map[wire.Addr]int{sensorAddr: 0},
 	})
 	snd := NewSender(nw, "sensor", sensorAddr, SenderConfig{
-		Experiment: 5, Dst: dtnAddr, Mode: ModeBare,
+		Experiment: 5, Dst: dtnAddr, Mode: dmtp.ModeBare,
 	})
 	nw.Connect(snd.Node(), dtn.Node(), netsim.LinkConfig{RateBps: netsim.Gbps(10), Delay: 10 * time.Microsecond})
 	nw.Connect(dtn.Node(), rcv.Node(), netsim.LinkConfig{
@@ -102,15 +102,14 @@ func TestOrderedDeliverySkipsWrittenOffLosses(t *testing.T) {
 		},
 	})
 	dtn := NewBufferNode(nw, "dtn", dtnAddr, BufferConfig{
-		UpgradeFrom:   ModeBare.ConfigID,
-		Upgrade:       ModeWAN,
+		Upgrade:       dmtp.ModeWAN,
 		Forward:       dstAddr,
 		ForwardPort:   1,
 		MaxAge:        time.Second,
 		CapacityBytes: 4096, // nearly no buffer: most NAKs miss
 		Routes:        map[wire.Addr]int{sensorAddr: 0},
 	})
-	snd := NewSender(nw, "sensor", sensorAddr, SenderConfig{Experiment: 5, Dst: dtnAddr, Mode: ModeBare})
+	snd := NewSender(nw, "sensor", sensorAddr, SenderConfig{Experiment: 5, Dst: dtnAddr, Mode: dmtp.ModeBare})
 	nw.Connect(snd.Node(), dtn.Node(), netsim.LinkConfig{RateBps: netsim.Gbps(10), Delay: 10 * time.Microsecond})
 	nw.Connect(dtn.Node(), rcv.Node(), netsim.LinkConfig{
 		RateBps: netsim.Gbps(10), Delay: 15 * time.Millisecond, LossProb: 0.05})

@@ -186,6 +186,7 @@ func (r *Receiver) RegisterMetrics(reg *metrics.Registry) {
 func (r *Receiver) HandleFrame(_ *netsim.Port, f *netsim.Frame) {
 	v := wire.View(f.Data)
 	if _, err := v.Check(); err != nil {
+		r.eng.CountMalformed()
 		return
 	}
 	if v.IsControl() {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -22,15 +23,14 @@ func reorderPath(t *testing.T, nakDelay time.Duration) (*netsim.Network, *Sender
 		NAKRetry: 40 * time.Millisecond,
 	})
 	dtn := NewBufferNode(nw, "dtn", dtnAddr, BufferConfig{
-		UpgradeFrom: ModeBare.ConfigID,
-		Upgrade:     ModeWAN,
+		Upgrade:     dmtp.ModeWAN,
 		Forward:     dstAddr,
 		ForwardPort: 1,
 		MaxAge:      time.Second,
 		Routes:      map[wire.Addr]int{sensorAddr: 0},
 	})
 	snd := NewSender(nw, "sensor", sensorAddr, SenderConfig{
-		Experiment: 3, Dst: dtnAddr, Mode: ModeBare,
+		Experiment: 3, Dst: dtnAddr, Mode: dmtp.ModeBare,
 	})
 	nw.Connect(snd.Node(), dtn.Node(), netsim.LinkConfig{RateBps: netsim.Gbps(10), Delay: 10 * time.Microsecond})
 	// Jitter up to 300 µs on a 10 ms WAN: heavy reordering, zero loss.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -30,23 +31,21 @@ func repointPath(t *testing.T, repoint bool, loss float64) (*netsim.Network, *Bu
 		MaxNAKs:  8,
 	})
 	mid := NewBufferNode(nw, "mid", midAddr, BufferConfig{
-		UpgradeFrom:  0xEE, // never matches: MID only adopts transit
-		Upgrade:      ModeWAN,
+		Upgrade:      dmtp.ModeWAN,
 		Forward:      dstAddr,
 		ForwardPort:  1,
 		StashTransit: repoint,
 		Routes:       map[wire.Addr]int{sensorAddr: 0, dtn1Addr: 0},
 	})
 	dtn1 := NewBufferNode(nw, "dtn1", dtn1Addr, BufferConfig{
-		UpgradeFrom: ModeBare.ConfigID,
-		Upgrade:     ModeWAN,
+		Upgrade:     dmtp.ModeWAN,
 		Forward:     dstAddr,
 		ForwardPort: 1,
 		MaxAge:      time.Second,
 		Routes:      map[wire.Addr]int{sensorAddr: 0},
 	})
 	snd := NewSender(nw, "sensor", sensorAddr, SenderConfig{
-		Experiment: 4, Dst: dtn1Addr, Mode: ModeBare,
+		Experiment: 4, Dst: dtn1Addr, Mode: dmtp.ModeBare,
 	})
 	nw.Connect(snd.Node(), dtn1.Node(), netsim.LinkConfig{RateBps: netsim.Gbps(10), Delay: 10 * time.Microsecond})
 	nw.Connect(dtn1.Node(), mid.Node(), netsim.LinkConfig{RateBps: netsim.Gbps(10), Delay: 20 * time.Millisecond})
@@ -134,12 +133,12 @@ func TestRefusedTransitKeepsUpstreamPointer(t *testing.T) {
 	upN := nw.AddNode("up", upAddr, up)
 	downN := nw.AddNode("down", downAddr, down)
 	dtn1 := NewBufferNode(nw, "dtn1", dtn1Addr, BufferConfig{
-		UpgradeFrom: ModeBare.ConfigID, Upgrade: ModeWAN,
+		Upgrade: dmtp.ModeWAN,
 		Forward: downAddr, ForwardPort: 1,
 		Routes: map[wire.Addr]int{upAddr: 0},
 	})
 	mid := NewBufferNode(nw, "mid", midAddr, BufferConfig{
-		UpgradeFrom: 0xEE, Upgrade: ModeWAN, // never matches: MID only adopts transit
+		Upgrade: dmtp.ModeWAN,
 		Forward: downAddr, ForwardPort: 1, StashTransit: true,
 		Routes: map[wire.Addr]int{upAddr: 0, dtn1Addr: 0},
 	})
@@ -170,7 +169,7 @@ func TestRefusedTransitKeepsUpstreamPointer(t *testing.T) {
 	}
 	nakSeq2 := wire.NAK{Experiment: exp, Requester: downAddr, Ranges: []wire.SeqRange{{From: 2, To: 2}}}
 
-	h := wire.Header{ConfigID: ModeBare.ConfigID, Experiment: exp}
+	h := wire.Header{ConfigID: dmtp.ModeBare.ConfigID, Experiment: exp}
 	bare, err := h.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dmtp"
 	"repro/internal/wire"
 )
 
@@ -119,7 +120,7 @@ func (m *ResourceMap) ResourcesIn(seg int) []Resource {
 type SegmentPlan struct {
 	Segment Segment
 	// Mode the stream should carry across this segment.
-	Mode Mode
+	Mode dmtp.Mode
 	// Buffer is the retransmission source receivers on this segment
 	// should NAK (zero when the mode is not reliable).
 	Buffer wire.Addr
@@ -160,11 +161,11 @@ func Plan(m *ResourceMap, pol PlanPolicy) ([]SegmentPlan, error) {
 	}
 	plans := make([]SegmentPlan, len(m.Segments))
 	for i, seg := range m.Segments {
-		p := SegmentPlan{Segment: seg, Mode: ModeBare}
+		p := SegmentPlan{Segment: seg, Mode: dmtp.ModeBare}
 		// A segment is recoverable when a buffer sits at or upstream of
 		// its entrance (strictly before this segment).
 		if buf, ok := m.NearestBuffer(i - 1); ok {
-			p.Mode = ModeWAN
+			p.Mode = dmtp.ModeWAN
 			p.Buffer = buf.Addr
 			p.MaxAge = time.Duration(pol.AgeBudgetFactor) * pathRTT
 			p.DeadlineBudget = deadline
@@ -176,9 +177,9 @@ func Plan(m *ResourceMap, pol PlanPolicy) ([]SegmentPlan, error) {
 		// two-segment pilot the WAN is the last segment and must keep
 		// its retransmission pointer.
 		if i == len(m.Segments)-1 && i >= 2 &&
-			p.Mode.ConfigID == ModeWAN.ConfigID &&
-			plans[i-1].Mode.ConfigID == ModeWAN.ConfigID {
-			p.Mode = ModeDeliver
+			p.Mode.ConfigID == dmtp.ModeWAN.ConfigID &&
+			plans[i-1].Mode.ConfigID == dmtp.ModeWAN.ConfigID {
+			p.Mode = dmtp.ModeDeliver
 		}
 		plans[i] = p
 	}

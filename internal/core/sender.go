@@ -18,9 +18,9 @@ type SenderConfig struct {
 	Experiment uint32
 	// Dst is the next stage — normally the first-line DTN (DTN 1).
 	Dst wire.Addr
-	// Mode is the emission mode; sensors use ModeBare (paper §5.3: "DAQ
-	// data starts out in mode 0 at the sensor").
-	Mode Mode
+	// Mode is the emission mode; sensors use dmtp.ModeBare (paper §5.3:
+	// "DAQ data starts out in mode 0 at the sensor").
+	Mode dmtp.Mode
 	// RateMbps, when nonzero, paces emission with a token bucket instead
 	// of sending at the workload's natural schedule.
 	RateMbps uint32

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -42,7 +43,7 @@ func (r *senderRig) injectControl(t *testing.T, data []byte) {
 func TestSenderPacingLimitsRate(t *testing.T) {
 	// 100 messages of ~1 KB offered instantly, paced at 8 Mbps → the
 	// drain should take ≈ 100 KB × 8 / 8 Mbps ≈ 100 ms.
-	rig := newSenderRig(t, SenderConfig{Experiment: 1, Mode: ModeBare, RateMbps: 8}, netsim.Gbps(10))
+	rig := newSenderRig(t, SenderConfig{Experiment: 1, Mode: dmtp.ModeBare, RateMbps: 8}, netsim.Gbps(10))
 	rig.snd.Stream(daq.NewGeneric(daq.GenericConfig{
 		MessageSize: 1000 - daq.HeaderLen, Interval: time.Nanosecond, Count: 100, Seed: 1,
 	}))
@@ -60,7 +61,7 @@ func TestSenderPacingLimitsRate(t *testing.T) {
 }
 
 func TestSenderUnpacedFollowsSchedule(t *testing.T) {
-	rig := newSenderRig(t, SenderConfig{Experiment: 1, Mode: ModeBare}, netsim.Gbps(10))
+	rig := newSenderRig(t, SenderConfig{Experiment: 1, Mode: dmtp.ModeBare}, netsim.Gbps(10))
 	rig.snd.Stream(daq.NewGeneric(daq.GenericConfig{
 		MessageSize: 100, Interval: time.Millisecond, Count: 10, Seed: 1,
 	}))
@@ -77,7 +78,7 @@ func TestSenderUnpacedFollowsSchedule(t *testing.T) {
 }
 
 func TestSenderBackPressureSlowsAndRecovers(t *testing.T) {
-	rig := newSenderRig(t, SenderConfig{Experiment: 1, Mode: ModeBare, RecoverInterval: 5 * time.Millisecond}, netsim.Gbps(10))
+	rig := newSenderRig(t, SenderConfig{Experiment: 1, Mode: dmtp.ModeBare, RecoverInterval: 5 * time.Millisecond}, netsim.Gbps(10))
 	// Offer 200 messages over 20 ms; inject a back-pressure signal early.
 	rig.snd.Stream(daq.NewGeneric(daq.GenericConfig{
 		MessageSize: 1000, Interval: 100 * time.Microsecond, Count: 200, Seed: 1,
@@ -112,7 +113,7 @@ func TestSenderBackPressureSlowsAndRecovers(t *testing.T) {
 }
 
 func TestSenderPauseOnLevel255(t *testing.T) {
-	rig := newSenderRig(t, SenderConfig{Experiment: 1, Mode: ModeBare, RecoverInterval: 10 * time.Millisecond}, netsim.Gbps(10))
+	rig := newSenderRig(t, SenderConfig{Experiment: 1, Mode: dmtp.ModeBare, RecoverInterval: 10 * time.Millisecond}, netsim.Gbps(10))
 	sig := wire.BackPressureSignal{Level: 255, Reporter: wire.AddrFrom(9, 9, 9, 9, 9)}
 	data, err := sig.AppendTo(nil)
 	if err != nil {
@@ -139,7 +140,7 @@ func TestSenderPauseOnLevel255(t *testing.T) {
 }
 
 func TestSenderCountsDeadlineMisses(t *testing.T) {
-	rig := newSenderRig(t, SenderConfig{Experiment: 1, Mode: ModeBare}, netsim.Gbps(10))
+	rig := newSenderRig(t, SenderConfig{Experiment: 1, Mode: dmtp.ModeBare}, netsim.Gbps(10))
 	note := wire.DeadlineExceeded{Experiment: wire.NewExperimentID(1, 0), Seq: 3, Reporter: wire.AddrFrom(9, 9, 9, 9, 9)}
 	data, err := note.AppendTo(nil)
 	if err != nil {
@@ -153,7 +154,7 @@ func TestSenderCountsDeadlineMisses(t *testing.T) {
 }
 
 func TestSenderIgnoresDataAndGarbage(t *testing.T) {
-	rig := newSenderRig(t, SenderConfig{Experiment: 1, Mode: ModeBare}, netsim.Gbps(10))
+	rig := newSenderRig(t, SenderConfig{Experiment: 1, Mode: dmtp.ModeBare}, netsim.Gbps(10))
 	h := wire.Header{ConfigID: 1}
 	data, err := h.AppendTo(nil)
 	if err != nil {
@@ -168,7 +169,7 @@ func TestSenderIgnoresDataAndGarbage(t *testing.T) {
 }
 
 func TestSenderEmitPopulatesModeExtensions(t *testing.T) {
-	mode := Mode{Name: "rich", ConfigID: 6,
+	mode := dmtp.Mode{Name: "rich", ConfigID: 6,
 		Features: wire.FeatTimestamped | wire.FeatDuplicate | wire.FeatBackPressure | wire.FeatTimely}
 	rig := newSenderRig(t, SenderConfig{
 		Experiment:     7,

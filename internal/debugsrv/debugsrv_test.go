@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/debugsrv"
+	"repro/internal/dmtp"
 	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -675,10 +676,9 @@ func TestSimLiveMetricNameParity(t *testing.T) {
 	nw := netsim.New(1)
 	simRecv := core.NewReceiver(nw, "recv", wire.AddrFrom(10, 0, 2, 1, 7000), core.ReceiverConfig{})
 	simBuf := core.NewBufferNode(nw, "dtn", wire.AddrFrom(10, 0, 1, 1, 7000), core.BufferConfig{
-		UpgradeFrom: core.ModeBare.ConfigID,
-		Upgrade:     core.ModeWAN,
-		Forward:     wire.AddrFrom(10, 0, 2, 1, 7000),
-		MaxAge:      time.Hour,
+		Upgrade: dmtp.ModeWAN,
+		Forward: wire.AddrFrom(10, 0, 2, 1, 7000),
+		MaxAge:  time.Hour,
 	})
 	simSend := core.NewSender(nw, "sensor", wire.AddrFrom(10, 0, 0, 1, 7000), core.SenderConfig{
 		Dst: wire.AddrFrom(10, 0, 1, 1, 7000),

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -151,10 +152,10 @@ func TestResourceMapFeedsPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plans[0].Mode.ConfigID != core.ModeBare.ConfigID {
+	if plans[0].Mode.ConfigID != dmtp.ModeBare.ConfigID {
 		t.Fatalf("segment 0 mode %q", plans[0].Mode.Name)
 	}
-	if plans[1].Mode.ConfigID != core.ModeWAN.ConfigID {
+	if plans[1].Mode.ConfigID != dmtp.ModeWAN.ConfigID {
 		t.Fatalf("segment 1 mode %q", plans[1].Mode.Name)
 	}
 	if plans[1].Buffer != selfs[0].Origin {

@@ -308,8 +308,7 @@ func TestRelayUpgradeZeroAlloc(t *testing.T) {
 		Datapath:    nopDatapath{},
 		Alloc:       stash.Get,
 		Resolve:     func(wire.Addr, wire.ExperimentID) testDst { return "rx" },
-		ConfigID:    1,
-		Features:    liveUpgrade,
+		Mode:        ModeLive,
 		Upgrade:     Upgrade{MaxAge: time.Second, DeadlineBudget: time.Second},
 		TraceSample: 3,
 		Emit:        func(f *Flow[testDst], _ []byte) { f.Sent(1) },

@@ -1,11 +1,12 @@
-// Package dmtp holds the substrate-agnostic DMTP protocol engines: the
-// state machines that define the protocol's behaviour — encapsulation and
-// pacing (SenderEngine: Encap + Pacer), the relay element (RelayEngine:
-// flow table, mode upgrade and journal lifecycle over sharded
-// BufferEngines, which own the stash, NAK service and cumulative trim),
-// and sequence-gap detection, NAK scheduling with capped jittered
-// exponential backoff, reorder/flush and the destination timeliness check
-// (ReceiverEngine).
+// Package dmtp holds the mode table (Mode, ModeBare … ModeAlert) and the
+// substrate-agnostic DMTP protocol engines: the state machines that define
+// the protocol's behaviour — encapsulation and pacing (SenderEngine: Encap
+// + Pacer), the relay element (RelayEngine: flow table, the one mode
+// change — config 0 upgraded, every other config passed through — and the
+// journal lifecycle over sharded BufferEngines, which own the stash, NAK
+// service and cumulative trim), and sequence-gap detection, NAK scheduling
+// with capped jittered exponential backoff, reorder/flush and the
+// destination timeliness check (ReceiverEngine).
 //
 // The engines never touch a socket, a simulator loop, or the wall clock
 // directly. They are driven purely through three narrow contracts:
@@ -71,6 +72,66 @@ type Datapath interface {
 	// anything a relay's Emit still retains.
 	SendData(dst wire.Addr, pkt []byte)
 }
+
+// Mode is a named transport mode: a config ID and the feature set its
+// configuration bits must carry (paper §5.2: "The combination of fields 1
+// and 2 indicate the transport's mode"). The feature bits, not the config
+// ID, decide the header's layout.
+type Mode struct {
+	Name     string
+	ConfigID uint8
+	Features wire.Features
+}
+
+// configBare is mode 0's config ID: DAQ data starts out in it at the
+// sensor, and it is the one config a RelayEngine upgrades.
+const configBare = 0
+
+// The mode table: the pilot study's modes (paper §5.4), and ModeLive, the
+// config 1 that the live relay installs.
+var (
+	// ModeBare is mode 0: unreliable transport from the sensor to DTN 1.
+	// The header only identifies the experiment.
+	ModeBare = Mode{Name: "bare", ConfigID: configBare}
+
+	// ModeWAN is the age-sensitive, recoverable-loss mode between DTN 1
+	// and DTN 2: sequenced, reliable (buffer-backed), age-tracked against
+	// a budget, deadline-checked, origin-timestamped, and able to carry
+	// back-pressure.
+	ModeWAN = Mode{
+		Name:     "wan",
+		ConfigID: 1,
+		Features: ModeLive.Features | wire.FeatBackPressure,
+	}
+
+	// ModeLive is ModeWAN without the back-pressure extension: config 1 as
+	// the live relay installs it. Conformance and the campaign install it
+	// on the simulator too, so both substrates emit the same bytes.
+	ModeLive = Mode{
+		Name:     "live",
+		ConfigID: 1,
+		Features: wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked |
+			wire.FeatTimely | wire.FeatTimestamped,
+	}
+
+	// ModeDeliver is the destination-side mode: the timeliness check
+	// happens at the receiver; the retransmission pointer is dropped once
+	// the stream leaves the recoverable segment.
+	ModeDeliver = Mode{
+		Name:     "deliver",
+		ConfigID: 2,
+		Features: wire.FeatSequenced | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped,
+	}
+
+	// ModeAlert is the in-network duplication mode used for multi-domain
+	// alerts (Req 10): timestamped, deadline-checked, duplicated toward a
+	// distribution group.
+	ModeAlert = Mode{
+		Name:     "alert",
+		ConfigID: 3,
+		Features: wire.FeatTimely | wire.FeatTimestamped | wire.FeatDuplicate,
+	}
+)
 
 // GapFloorBias exists solely so the conformance suite can prove it
 // detects engine divergence (see internal/conformance): a nonzero bias

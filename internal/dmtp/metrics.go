@@ -28,6 +28,7 @@ var receiverNames = []string{
 	metrics.MetricRxLate,
 	metrics.MetricRxUnsequenced,
 	metrics.MetricRxRejected,
+	metrics.MetricRxMalformed,
 	metrics.MetricRxOutstandingGaps,
 	metrics.MetricRxLatencyP50,
 	metrics.MetricRxLatencyP99,
@@ -44,10 +45,10 @@ func RegisterReceiverMetrics(reg *metrics.Registry, extra []string, read func(ds
 	reg.RegisterSet(append(receiverNames[:n:n], extra...), func(dst []int64) {
 		s, gaps, p50, p99 := read(dst[n:])
 		for i, v := range [...]uint64{s.Received, s.Bytes, s.Delivered, s.Duplicates, s.GapsSeen,
-			s.NAKsSent, s.Recovered, s.Lost, s.Aged, s.Late, s.Unsequenced, s.Rejected} {
+			s.NAKsSent, s.Recovered, s.Lost, s.Aged, s.Late, s.Unsequenced, s.Rejected, s.Malformed} {
 			dst[i] = int64(v)
 		}
-		dst[12], dst[13], dst[14] = int64(gaps), p50, p99
+		dst[13], dst[14], dst[15] = int64(gaps), p50, p99
 	})
 }
 

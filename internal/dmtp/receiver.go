@@ -56,6 +56,9 @@ type ReceiverStats struct {
 	// while Delivered stands still, it means the window has lost the
 	// stream's baseline and resync (see resyncRun) is not restoring it.
 	Rejected uint64
+	// Malformed counts datagrams the adapter could not read: they failed
+	// View.Check and never reached Ingest (CountMalformed).
+	Malformed uint64
 }
 
 // DefaultMaxSeqJump is the forward sequence jump a receiver accepts from
@@ -281,6 +284,10 @@ func NewReceiverEngine(clock Clock, dp Datapath, cfg ReceiverConfig) *ReceiverEn
 // SetSelf installs the engine's own address — the NAK requester and ack
 // acker field. Adapters call it once bound (socket) or attached (node).
 func (e *ReceiverEngine) SetSelf(a wire.Addr) { e.self = a }
+
+// CountMalformed counts one datagram that failed View.Check, which the
+// adapter drops before Ingest.
+func (e *ReceiverEngine) CountMalformed() { e.stats.Malformed++ }
 
 // Stats returns a snapshot of the engine counters.
 func (e *ReceiverEngine) Stats() ReceiverStats { return *e.stats }

@@ -60,15 +60,13 @@ type RelayConfig[D fmt.Stringer] struct {
 	// forgotten.
 	MaxFlows int
 
-	// UpgradeFrom is the config ID of arriving sensor traffic; anything
-	// else passes through unmodified along its flow. ConfigID and Features
-	// are the mode installed for the onward leg (an incoming FeatTraced is
-	// preserved on top) and Upgrade the header fields stamped into it;
-	// Upgrade.Self arrives later through SetSelf.
-	UpgradeFrom uint8
-	ConfigID    uint8
-	Features    wire.Features
-	Upgrade     Upgrade
+	// Mode is installed for the onward leg on every arriving packet in
+	// ModeBare (an incoming FeatTraced is preserved on top), and Upgrade
+	// holds the header fields stamped into it; Upgrade.Self arrives later
+	// through SetSelf. A packet in any other config passes through
+	// unmodified along its flow.
+	Mode    Mode
+	Upgrade Upgrade
 	// TraceSample, when positive, originates a sampled in-band trace on
 	// every TraceSample'th upgraded packet that does not already carry one
 	// — adding FeatTraced is just another config rewrite at the boundary.
@@ -284,7 +282,7 @@ func (e *RelayEngine[D]) SetSelf(self wire.Addr) {
 }
 
 // recipe returns the compiled upgrade of packets with feature set in into
-// ConfigID with feature set out, compiling it on first use from
+// Mode's config ID with feature set out, compiling it on first use from
 // ReshapeInto and StampUpgrade with the engine's Upgrade.
 func (e *RelayEngine[D]) recipe(in, out wire.Features) (*wire.Recipe, error) {
 	k := [2]wire.Features{in, out}
@@ -292,7 +290,7 @@ func (e *RelayEngine[D]) recipe(in, out wire.Features) (*wire.Recipe, error) {
 		return r, nil
 	}
 	u := e.cfg.Upgrade
-	r, err := wire.CompileReshape(in, e.cfg.ConfigID, out, func(up wire.View, seq uint64, now int64) {
+	r, err := wire.CompileReshape(in, e.cfg.Mode.ConfigID, out, func(up wire.View, seq uint64, now int64) {
 		StampUpgrade(up, seq, now, u)
 	})
 	if err != nil {
@@ -329,8 +327,8 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 	if f == nil {
 		return
 	}
-	if v.ConfigID() != e.cfg.UpgradeFrom {
-		// Already upgraded or an unknown mode: pass through along the
+	if v.ConfigID() != configBare {
+		// Already upgraded or in another mode: pass through along the
 		// packet's registered flow.
 		e.cfg.Emit(f, v)
 		return
@@ -338,7 +336,7 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 	// An in-band trace rides along through the upgrade; the relay can also
 	// originate one at the boundary.
 	have := v.Features()
-	feats := e.cfg.Features | have&wire.FeatTraced
+	feats := e.cfg.Mode.Features | have&wire.FeatTraced
 	n := e.upgraded + 1
 	originate := e.cfg.TraceSample > 0 && !feats.Has(wire.FeatTraced) && n%uint64(e.cfg.TraceSample) == 0
 	if originate {
@@ -370,13 +368,13 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 		_ = up.SetTrace(wire.TraceExt{TraceID: uint32(n), Flags: wire.TraceSampledFlag})
 	}
 	if up.TraceSampled() {
-		_ = up.AppendHopStamp(wire.TraceReshapeHop(e.cfg.ConfigID), now)
+		_ = up.AppendHopStamp(wire.TraceReshapeHop(e.cfg.Mode.ConfigID), now)
 	}
 	if e.cfg.PostStamp != nil {
 		e.cfg.PostStamp(up, seq)
 	}
 	// No flight event and no shared counter per packet: upgraded is what
-	// dmtp.relay.reshapes.config<ConfigID> reads at scrape time.
+	// dmtp.relay.reshapes.config<Mode.ConfigID> reads at scrape time.
 	e.upgraded = n
 	f.upgraded++
 	if sequenced {
@@ -649,7 +647,7 @@ func (e *RelayEngine[D]) RegisterMetrics(reg *metrics.Registry) { e.RegisterMetr
 
 // RegisterMetricsWith publishes the relay's metric set on reg as one
 // sampled set — dmtp.buf.* (with per-shard occupancy), dmtp.relay.*, the
-// flow-table family and the reshape count for ConfigID — followed by the
+// flow-table family and the reshape count for Mode.ConfigID — followed by the
 // adapter's own names in extra, whose values fill writes into its dst
 // (len(extra) long). A scrape reads every value, fill's included, under one
 // hold of the lock, so a law across two of them holds in every scrape. The
@@ -669,7 +667,7 @@ func (e *RelayEngine[D]) RegisterMetricsWith(reg *metrics.Registry, extra []stri
 		metrics.MetricBufOccupancyBytes,
 		metrics.MetricBufStashImbalance,
 		metrics.MetricRelayUpgraded,
-		metrics.MetricRelayReshapePrefix + strconv.Itoa(int(e.cfg.ConfigID)),
+		metrics.MetricRelayReshapePrefix + strconv.Itoa(int(e.cfg.Mode.ConfigID)),
 		metrics.MetricRelayForwarded,
 		metrics.MetricRelayInjectedDrops,
 		metrics.MetricRelayMalformed,
@@ -690,7 +688,7 @@ func (e *RelayEngine[D]) RegisterMetricsWith(reg *metrics.Registry, extra []stri
 			s.Buffered, s.BufferedBytes, s.Evicted, s.Trimmed, s.Refused,
 			s.NAKs, s.Retransmits, s.Misses, s.Crashes, uint64(s.Occupancy),
 			s.BufferedBytes - s.ReleasedBytes - uint64(s.Occupancy),
-			// Every upgrade is a reshape into ConfigID.
+			// Every upgrade is a reshape into Mode.ConfigID.
 			s.Upgraded, s.Upgraded, s.Forwarded, s.InjectedDrops, s.Malformed,
 			f.Active, f.Opened, f.Expired, f.Rejected,
 		}

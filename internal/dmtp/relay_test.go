@@ -74,9 +74,8 @@ func newRelayRig(t *testing.T, mutate func(*RelayConfig[testDst])) *relayRig {
 			r.allocated = append(r.allocated, &b[0])
 			return b
 		},
-		Resolve:  func(_ wire.Addr, exp wire.ExperimentID) testDst { return r.route[exp] },
-		ConfigID: 1,
-		Features: wire.FeatSequenced | wire.FeatReliable | wire.FeatTimestamped,
+		Resolve: func(_ wire.Addr, exp wire.ExperimentID) testDst { return r.route[exp] },
+		Mode:    Mode{ConfigID: 1, Features: wire.FeatSequenced | wire.FeatReliable | wire.FeatTimestamped},
 		Emit: func(f *Flow[testDst], pkt []byte) {
 			seq, _ := wire.View(pkt).Seq()
 			r.out = append(r.out, emitted{f.Dst, seq})

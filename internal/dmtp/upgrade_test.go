@@ -10,42 +10,54 @@ import (
 	"repro/internal/wire"
 )
 
-// liveUpgrade is the onward feature set the live relay installs.
-const liveUpgrade = wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped
-
 // fuzzAddr makes an Addr of the low 48 bits of x; zero is the unset address.
 func fuzzAddr(x uint64) wire.Addr {
 	return wire.AddrFrom(byte(x>>40), byte(x>>32), byte(x>>24), byte(x>>16), uint16(x))
 }
 
+// upgradeModes are the table modes a relay can install from config 0.
+var upgradeModes = []Mode{ModeWAN, ModeLive, ModeDeliver, ModeAlert}
+
 // FuzzUpgradeRecipe checks the relay's compiled upgrade against its
 // reference model, ReshapeInto followed by StampUpgrade, byte for byte:
-// any pair of feature sets, any incoming header bytes, any Upgrade, seq and
-// now, and payloads of 0–9000 bytes, written over a dirty buffer.
+// any data config ID (both must refuse a control one), any pair of feature sets, any incoming header bytes, any
+// Upgrade, seq and now, and payloads of 0–9000 bytes, written over a dirty
+// buffer. The seeds upgrade config-0 packets of several feature sets into
+// each table mode, keeping an incoming trace as the relay does.
 func FuzzUpgradeRecipe(f *testing.F) {
 	nonzero := bytes.Repeat([]byte{0x5a, 0xc3, 0x01}, 42) // every field set, origin timestamp included
-	for _, in := range []struct {
+	type seed struct {
+		config     uint8
 		have, want wire.Features
 		hdr        []byte // the incoming header from the experiment ID on
-	}{
-		{0, liveUpgrade, nil},
-		{wire.FeatTraced, liveUpgrade | wire.FeatTraced, nonzero},
-		{wire.FeatTimestamped, liveUpgrade, nil}, // origin timestamp zero
-		{wire.FeatTimestamped, liveUpgrade, nonzero},
-		{wire.FeatAgeTracked, liveUpgrade, nonzero},
-		{wire.FeatBackPressure, liveUpgrade | wire.FeatBackPressure, nonzero},
-		{wire.FeatTimely | wire.FeatSequenced, liveUpgrade, nonzero},
-		{wire.AllFeatures, 0, nonzero},
-	} {
+	}
+	seeds := []seed{{0, wire.AllFeatures, 0, nonzero}}
+	for _, m := range upgradeModes {
+		for _, in := range []struct {
+			have wire.Features
+			hdr  []byte
+		}{
+			{0, nil},
+			{wire.FeatTraced, nonzero},
+			{wire.FeatTimestamped, nil}, // origin timestamp zero
+			{wire.FeatTimestamped, nonzero},
+			{wire.FeatAgeTracked, nonzero},
+			{wire.FeatBackPressure, nonzero},
+			{wire.FeatTimely | wire.FeatSequenced, nonzero},
+		} {
+			seeds = append(seeds, seed{m.ConfigID, in.have, m.Features | in.have&wire.FeatTraced, in.hdr})
+		}
+	}
+	for _, in := range seeds {
 		for i, size := range []uint16{0, 1024, 9000} {
 			maxAge, budget, addrs := int64(0), int64(0), uint64(0)
 			if i > 0 {
 				maxAge, budget, addrs = int64(500*time.Millisecond), int64(time.Second), 0x7f0000014494
 			}
-			f.Add(uint16(in.have), uint16(in.want), in.hdr, maxAge, budget, addrs, addrs+1, addrs+2, uint64(i), int64(time.Hour), size)
+			f.Add(in.config, uint16(in.have), uint16(in.want), in.hdr, maxAge, budget, addrs, addrs+1, addrs+2, uint64(i), int64(time.Hour), size)
 		}
 	}
-	f.Fuzz(func(t *testing.T, in, out uint16, hdr []byte, maxAge, budget int64, self, notify, sink, seq uint64, now int64, size uint16) {
+	f.Fuzz(func(t *testing.T, config uint8, in, out uint16, hdr []byte, maxAge, budget int64, self, notify, sink, seq uint64, now int64, size uint16) {
 		have, want := wire.Features(in)&wire.AllFeatures, wire.Features(out)&wire.AllFeatures
 		u := Upgrade{
 			Self:             fuzzAddr(self),
@@ -67,14 +79,23 @@ func FuzzUpgradeRecipe(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		ref, err := v.ReshapeInto(nil, 1, want)
+		stamp := func(up wire.View, seq uint64, now int64) { StampUpgrade(up, seq, now, u) }
+		if config >= wire.ControlBase {
+			// A control config ID is no data mode: both must refuse it.
+			if _, err := v.ReshapeInto(nil, config, want); err == nil {
+				t.Fatalf("ReshapeInto took control config %#x", config)
+			}
+			if _, err := wire.CompileReshape(have, config, want, stamp); err == nil {
+				t.Fatalf("CompileReshape took control config %#x", config)
+			}
+			return
+		}
+		ref, err := v.ReshapeInto(nil, config, want)
 		if err != nil {
 			t.Fatal(err)
 		}
 		StampUpgrade(ref, seq, now, u)
-		r, err := wire.CompileReshape(have, 1, want, func(up wire.View, seq uint64, now int64) {
-			StampUpgrade(up, seq, now, u)
-		})
+		r, err := wire.CompileReshape(have, config, want, stamp)
 		if err != nil {
 			t.Fatalf("%v → %v with %+v: %v", have, want, u, err)
 		}
@@ -127,8 +148,7 @@ func BenchmarkRelayUpgrade(b *testing.B) {
 				Datapath: nopDatapath{},
 				Alloc:    stash.Get,
 				Resolve:  func(wire.Addr, wire.ExperimentID) testDst { return "rx" },
-				ConfigID: 1,
-				Features: liveUpgrade,
+				Mode:     ModeLive,
 				Upgrade:  Upgrade{MaxAge: 500 * time.Millisecond, DeadlineBudget: time.Second},
 				Emit:     func(f *Flow[testDst], _ []byte) { f.Sent(1) },
 			})
@@ -182,5 +202,37 @@ func BenchmarkRelayUpgrade(b *testing.B) {
 				b.Fatalf("%d of %d stash entries were heap allocations", st.Misses(), st.Gets)
 			}
 		})
+	}
+}
+
+// TestUpgradeModesCompile checks that every table mode a relay can install
+// from config 0 compiles into a recipe, with and without an incoming trace,
+// and that the upgraded packet checks and reads back as that mode.
+func TestUpgradeModesCompile(t *testing.T) {
+	u := Upgrade{Self: rigSelf, MaxAge: time.Second, DeadlineBudget: time.Second, DeadlineNotify: rigSelf, BackPressureSink: rigSelf}
+	for _, m := range upgradeModes {
+		if m.ConfigID == ModeBare.ConfigID {
+			t.Fatalf("mode %q upgrades config 0 into itself", m.Name)
+		}
+		for _, have := range []wire.Features{0, wire.FeatTraced} {
+			want := m.Features | have
+			r, err := wire.CompileReshape(have, m.ConfigID, want, func(up wire.View, seq uint64, now int64) {
+				StampUpgrade(up, seq, now, u)
+			})
+			if err != nil {
+				t.Fatalf("%s from %v: %v", m.Name, have, err)
+			}
+			pkt, err := (&wire.Header{Features: have, Experiment: wire.NewExperimentID(7, 0)}).AppendTo(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			up := r.Apply(nil, wire.View(append(pkt, "payload"...)), 9, rigStart)
+			if _, err := up.Check(); err != nil {
+				t.Fatalf("%s from %v: %v", m.Name, have, err)
+			}
+			if up.ConfigID() != m.ConfigID || up.Features() != want || string(up.Payload()) != "payload" {
+				t.Fatalf("%s from %v: config %d, features %v, payload %q", m.Name, have, up.ConfigID(), up.Features(), up.Payload())
+			}
+		}
 	}
 }

@@ -574,7 +574,7 @@ func TestCorruptSeqOnlyRejected(t *testing.T) {
 // BenchmarkReceiverIngest measures in-order ingest. The gaps=k cases take a
 // Sequenced|Reliable packet with k gaps held open and no payload finalize:
 // their cost must not depend on k. The live case takes the live relay's
-// onward packet (liveUpgrade's five fields, origin timestamp and deadline
+// onward packet (ModeLive's five fields, origin timestamp and deadline
 // in range, 1 KiB payload) with the default payload finalize, as the live
 // receiver runs it. None may allocate.
 func BenchmarkReceiverIngest(b *testing.B) {
@@ -585,7 +585,7 @@ func BenchmarkReceiverIngest(b *testing.B) {
 		})
 	}
 	b.Run("live", func(b *testing.B) {
-		h := wire.Header{ConfigID: 1, Features: liveUpgrade, Experiment: wire.NewExperimentID(7, 0)}
+		h := wire.Header{ConfigID: ModeLive.ConfigID, Features: ModeLive.Features, Experiment: wire.NewExperimentID(7, 0)}
 		h.Retransmit.Buffer = rigSelf
 		h.Age.MaxAgeMicros = uint32(500 * time.Millisecond / time.Microsecond)
 		h.Deadline.DeadlineNanos = uint64(rigStart + int64(time.Second))

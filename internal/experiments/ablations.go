@@ -7,6 +7,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/p4sim"
 	"repro/internal/telemetry"
@@ -61,15 +62,14 @@ func A1BufferPlacement(positions []float64, messages int, loss float64, seed int
 			},
 		})
 		buf := core.NewBufferNode(nw, "buffer", bufAddr, core.BufferConfig{
-			UpgradeFrom: core.ModeBare.ConfigID,
-			Upgrade:     core.ModeWAN,
+			Upgrade:     dmtp.ModeWAN,
 			Forward:     dstAddr,
 			ForwardPort: 1,
 			MaxAge:      time.Second,
 			Routes:      map[wire.Addr]int{sensorAddr: 0},
 		})
 		snd := core.NewSender(nw, "sensor", sensorAddr, core.SenderConfig{
-			Experiment: 9, Dst: bufAddr, Mode: core.ModeBare,
+			Experiment: 9, Dst: bufAddr, Mode: dmtp.ModeBare,
 		})
 		nw.Connect(snd.Node(), buf.Node(), netsim.LinkConfig{RateBps: 10e9, Delay: d1, QueueBytes: 64 << 20})
 		nw.Connect(buf.Node(), rcv.Node(), netsim.LinkConfig{RateBps: 10e9, Delay: d2, LossProb: loss, QueueBytes: 64 << 20})
@@ -174,15 +174,14 @@ func A2HOLBlocking(loss float64, messages int, seed int64) A2Results {
 			},
 		})
 		buf := core.NewBufferNode(nw, "dtn1", bAddr, core.BufferConfig{
-			UpgradeFrom: core.ModeBare.ConfigID,
-			Upgrade:     core.ModeWAN,
+			Upgrade:     dmtp.ModeWAN,
 			Forward:     rAddr,
 			ForwardPort: 1,
 			MaxAge:      time.Second,
 			Routes:      map[wire.Addr]int{sAddr: 0},
 		})
 		snd := core.NewSender(nw, "src", sAddr, core.SenderConfig{
-			Experiment: 9, Dst: bAddr, Mode: core.ModeBare,
+			Experiment: 9, Dst: bAddr, Mode: dmtp.ModeBare,
 		})
 		nw.Connect(snd.Node(), buf.Node(), netsim.LinkConfig{RateBps: 10e9, Delay: 10 * time.Microsecond})
 		nw.Connect(buf.Node(), rcv.Node(), netsim.LinkConfig{
@@ -249,7 +248,7 @@ func A4CapacityPlanning(messages int, seed int64) A4Results {
 		fwd := p4sim.NewForwarder().Route(dstAddr, 2)
 		sw := p4sim.NewSwitch(fwd, 400*time.Nanosecond, fwd)
 		swNode := nw.AddNode("shared", wire.Addr{}, sw)
-		mode := core.Mode{Name: "paced", ConfigID: 5, Features: wire.FeatSequenced | wire.FeatTimestamped}
+		mode := dmtp.Mode{Name: "paced", ConfigID: 5, Features: wire.FeatSequenced | wire.FeatTimestamped}
 		for i := 0; i < 2; i++ {
 			addr := wire.AddrFrom(10, 60, 0, byte(i+1), 1)
 			snd := core.NewSender(nw, "src"+strconv.Itoa(i), addr, core.SenderConfig{

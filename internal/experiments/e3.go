@@ -7,6 +7,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/p4sim"
 	"repro/internal/pilot"
@@ -148,7 +149,7 @@ func E3AlertFanout(alerts int, seed int64) E3AlertResults {
 		sender := core.NewSender(nw, "dune", srcAddr, core.SenderConfig{
 			Experiment: 1,
 			Dst:        researcherAddrs[0],
-			Mode:       core.ModeAlert,
+			Mode:       dmtp.ModeAlert,
 			DupGroup:   7,
 			DupScope:   1,
 		})
@@ -257,7 +258,7 @@ func E3BackPressure(messages int, seed int64) E3BackPressureResults {
 		sw := p4sim.NewSwitch(fwd, 400*time.Nanosecond, stages...)
 		swNode := nw.AddNode("bottleneck", wire.Addr{}, sw)
 
-		mode := core.Mode{Name: "bp", ConfigID: 4,
+		mode := dmtp.Mode{Name: "bp", ConfigID: 4,
 			Features: wire.FeatSequenced | wire.FeatBackPressure | wire.FeatTimestamped}
 		snd := core.NewSender(nw, "src", srcAddr, core.SenderConfig{
 			Experiment:      5,

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -58,8 +59,7 @@ func newE5Path(simSeed int64, spec faults.Spec, rcfg core.ReceiverConfig) *e5Pat
 	}
 	p.receiver = core.NewReceiver(p.nw, "recv", recvAddr, rcfg)
 	p.dtn1 = core.NewBufferNode(p.nw, "dtn1", dtn1Addr, core.BufferConfig{
-		UpgradeFrom: core.ModeBare.ConfigID,
-		Upgrade:     core.ModeWAN,
+		Upgrade:     dmtp.ModeWAN,
 		Forward:     recvAddr,
 		ForwardPort: 1,
 		MaxAge:      time.Second,
@@ -68,7 +68,7 @@ func newE5Path(simSeed int64, spec faults.Spec, rcfg core.ReceiverConfig) *e5Pat
 	p.sender = core.NewSender(p.nw, "sensor", sensorAddr, core.SenderConfig{
 		Experiment: 42,
 		Dst:        dtn1Addr,
-		Mode:       core.ModeBare,
+		Mode:       dmtp.ModeBare,
 	})
 
 	p.nw.Connect(p.sender.Node(), p.dtn1.Node(),

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dmtp"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -50,12 +51,6 @@ func TraceOWD(messages int, seed int64) TraceOWDResult {
 	reg := metrics.NewRegistry()
 	tracer.RegisterMetrics(reg)
 
-	mode := core.Mode{
-		Name:     "traced",
-		ConfigID: 1,
-		Features: wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked |
-			wire.FeatTimely | wire.FeatTimestamped,
-	}
 	recv := core.NewReceiver(nw, "recv", wire.AddrFrom(10, 0, 2, 1, 7000), core.ReceiverConfig{
 		NAKDelay:    1500 * time.Microsecond,
 		NAKRetry:    4 * time.Millisecond,
@@ -66,8 +61,7 @@ func TraceOWD(messages int, seed int64) TraceOWDResult {
 		Tracer:      tracer,
 	})
 	dtn := core.NewBufferNode(nw, "dtn", wire.AddrFrom(10, 0, 1, 1, 7000), core.BufferConfig{
-		UpgradeFrom: core.ModeBare.ConfigID,
-		Upgrade:     mode,
+		Upgrade:     dmtp.ModeLive,
 		Forward:     wire.AddrFrom(10, 0, 2, 1, 7000),
 		ForwardPort: 1,
 		MaxAge:      time.Hour,
@@ -75,7 +69,7 @@ func TraceOWD(messages int, seed int64) TraceOWDResult {
 	snd := core.NewSender(nw, "sensor", wire.AddrFrom(10, 0, 0, 1, 4000), core.SenderConfig{
 		Experiment:  777,
 		Dst:         wire.AddrFrom(10, 0, 1, 1, 7000),
-		Mode:        core.ModeBare,
+		Mode:        dmtp.ModeBare,
 		TraceSample: 1,
 	})
 	nw.Connect(snd.Node(), dtn.Node(),

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -62,8 +63,7 @@ func newChaosPath(t *testing.T, simSeed int64, spec faults.Spec, rcfg core.Recei
 	p.receiver = core.NewReceiver(p.nw, "recv", recvAddr, rcfg)
 
 	p.dtn1 = core.NewBufferNode(p.nw, "dtn1", dtn1Addr, core.BufferConfig{
-		UpgradeFrom: core.ModeBare.ConfigID,
-		Upgrade:     core.ModeWAN,
+		Upgrade:     dmtp.ModeWAN,
 		Forward:     recvAddr,
 		ForwardPort: 1,
 		MaxAge:      time.Second,
@@ -72,7 +72,7 @@ func newChaosPath(t *testing.T, simSeed int64, spec faults.Spec, rcfg core.Recei
 	p.sender = core.NewSender(p.nw, "sensor", sensorAddr, core.SenderConfig{
 		Experiment: 42,
 		Dst:        dtn1Addr,
-		Mode:       core.ModeBare,
+		Mode:       dmtp.ModeBare,
 	})
 
 	p.nw.Connect(p.sender.Node(), p.dtn1.Node(),

@@ -367,10 +367,13 @@ func (r *Receiver) readLoop() {
 	defer r.wg.Done()
 	ingest := func(pkt []byte, _ wire.Addr) {
 		v := wire.View(pkt)
-		if _, err := v.Check(); err != nil || v.IsControl() {
+		if _, err := v.Check(); err != nil {
+			r.eng.CountMalformed()
 			return
 		}
-		r.eng.Ingest(v)
+		if !v.IsControl() {
+			r.eng.Ingest(v)
+		}
 	}
 	var deadline int64 // the read deadline set on the socket; 0 for none
 	for {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dmtp"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
@@ -336,6 +337,46 @@ func TestReceiverCloseWithDeadlinePending(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("Close took %v with a read deadline pending", d)
+	}
+}
+
+// TestReceiverCountsMalformed: a datagram too short to check and a data
+// packet cut one byte short each raise dmtp.rx.malformed by exactly one. A
+// mode-0 packet sent after each, on the same socket, marks when the
+// receiver has read it.
+func TestReceiverCountsMalformed(t *testing.T) {
+	recv, err := NewReceiver(ReceiverConfig{Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	reg := metrics.NewRegistry()
+	recv.RegisterMetrics(reg)
+	raddr, err := net.ResolveUDPAddr("udp4", recv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialUDP("udp4", nil, raddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	h := wire.Header{ConfigID: dmtp.ModeLive.ConfigID, Features: dmtp.ModeLive.Features, Experiment: wire.NewExperimentID(5, 0)}
+	data, err := h.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, bad := range [][]byte{{0, 0, 0}, data[:len(data)-1]} {
+		if _, err := conn.Write(bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(mode0Pkt(t, 5, "x")); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 5*time.Second, func() bool { return recv.Stats().Delivered == uint64(i+1) }, "the marker packet")
+		if got, _ := metrics.SampleValue(reg.Snapshot(), metrics.MetricRxMalformed); got != int64(i+1) {
+			t.Fatalf("after %d malformed datagrams: %s %d", i+1, metrics.MetricRxMalformed, got)
+		}
 	}
 }
 

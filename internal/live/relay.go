@@ -216,9 +216,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		Locker:      &r.engMu,
 		Resolve:     r.resolve,
 		MaxFlows:    cfg.MaxFlows,
-		// The live relay reshapes every mode-0 packet into config 1.
-		ConfigID:    1,
-		Features:    wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped,
+		Mode:        dmtp.ModeLive,
 		Upgrade:     dmtp.Upgrade{MaxAge: cfg.MaxAge, DeadlineBudget: cfg.DeadlineBudget},
 		TraceSample: cfg.TraceSample,
 		DropEveryN:  cfg.DropEveryN,

@@ -43,7 +43,7 @@ func mode0Pkt(t *testing.T, exp uint32, payload string) []byte {
 // upgraded it: the core header and payload, plus the onward mode's
 // extensions.
 func upgradedLen(pkt []byte) int {
-	extLen, _ := (wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped).ExtLen()
+	extLen, _ := dmtp.ModeLive.Features.ExtLen()
 	return len(pkt) + extLen
 }
 

@@ -74,12 +74,17 @@ func TestDeliveredPayloadIsRingView(t *testing.T) {
 				recovered int
 				kept      []byte // message 0's payload, retained un-cloned on purpose
 			)
+			// Every drop is recovered on the first NAK on an idle machine,
+			// but a starved one can hold a NAK's round trip for longer than
+			// 8 NAKs capped at 50 ms apart (~230 ms): the gap was written off
+			// with every retransmission still on its way. Twelve NAKs capped
+			// at 1 s apart give it about 4 s.
 			recv, err := NewReceiver(ReceiverConfig{
 				Listen:      "127.0.0.1:0",
 				NAKDelay:    time.Millisecond,
 				NAKRetry:    5 * time.Millisecond,
-				NAKRetryMax: 50 * time.Millisecond,
-				MaxNAKs:     8,
+				NAKRetryMax: time.Second,
+				MaxNAKs:     12,
 				Wrap:        tc.wrap,
 				OnMessage: func(m Message) {
 					if len(m.Payload) < 8 {
@@ -165,20 +170,26 @@ func TestDeliveredPayloadIsRingView(t *testing.T) {
 			}
 			mu.Unlock()
 
+			// The sender → relay leg is mode 0, with nothing to recover a
+			// datagram the relay's socket sheds, so at most 64 messages are
+			// let ahead of the relay's upgrades.
 			for i := uint64(1); i < n; i++ {
 				if err := snd.Send(viewBody(i), 0); err != nil {
 					t.Fatal(err)
 				}
-				if i%32 == 31 {
-					time.Sleep(time.Millisecond) // don't outrun loopback
-				}
+				waitFor(t, 5*time.Second, func() bool { return relay.Stats().Upgraded+64 > i }, "the relay to keep up")
 			}
-			probeUntil(20*time.Second, func() { snd.Send([]byte("flush"), 0) }, recv.OutstandingGaps,
+			flushes := 0
+			probeUntil(20*time.Second, func() { flushes++; snd.Send([]byte("flush"), 0) }, recv.OutstandingGaps,
 				func() bool { return delivered() >= n })
 			mu.Lock()
 			defer mu.Unlock()
 			if corrupt != 0 || len(seen) != n {
-				t.Fatalf("%d of %d payloads delivered intact, %d corrupt", len(seen), n, corrupt)
+				// Where the shortfall came from: short of n+flushes upgrades
+				// is loss before the relay; write-offs are gaps given up after
+				// MaxNAKs.
+				t.Fatalf("%d of %d payloads delivered intact, %d corrupt; the relay upgraded %d of %d messages and flushes sent, the receiver wrote off %d",
+					len(seen), n, corrupt, relay.Stats().Upgraded, n+flushes, recv.Stats().PermanentLoss)
 			}
 			for idx, c := range seen {
 				if c != 1 {

@@ -22,6 +22,7 @@ const (
 	MetricRxLate            = "dmtp.rx.late"
 	MetricRxUnsequenced     = "dmtp.rx.unsequenced"
 	MetricRxRejected        = "dmtp.rx.rejected"
+	MetricRxMalformed       = "dmtp.rx.malformed"
 	MetricRxOutstandingGaps = "dmtp.rx.outstanding_gaps"
 	MetricRxLatencyP50      = "dmtp.rx.latency_p50_ns"
 	MetricRxLatencyP99      = "dmtp.rx.latency_p99_ns"
@@ -184,6 +185,7 @@ var Catalog = []Info{
 	{MetricRxLate, KindGauge, "packets", "packets that missed their delivery deadline"},
 	{MetricRxUnsequenced, KindGauge, "packets", "packets delivered outside any sequenced stream (mode 0)"},
 	{MetricRxRejected, KindGauge, "packets", "packets dropped by the MaxSeqJump guard: sequence number implausibly far ahead"},
+	{MetricRxMalformed, KindGauge, "packets", "datagrams the receiver could not read: failed the header check"},
 	{MetricRxOutstandingGaps, KindGauge, "seqs", "sequence numbers currently awaiting recovery"},
 	{MetricRxLatencyP50, KindGauge, "ns", "median origin→delivery latency"},
 	{MetricRxLatencyP99, KindGauge, "ns", "99th-percentile origin→delivery latency"},

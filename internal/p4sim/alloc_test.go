@@ -4,13 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dmtp"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
 // buildPilotChain returns a pipeline shaped like the pilot's border switch —
-// every non-reshaping per-packet stage — plus a packet that exercises all of
-// them.
+// age tracker, deadline marker, experiment counter, forwarder — plus a
+// packet in the live relay's mode that exercises all of them.
 func buildPilotChain(t *testing.T) (*Pipeline, wire.View, *Meta) {
 	t.Helper()
 	fwd := NewForwarder().Route(wire.Addr{IP: [4]byte{10, 0, 0, 2}, Port: 1}, 1)
@@ -21,8 +22,8 @@ func buildPilotChain(t *testing.T) (*Pipeline, wire.View, *Meta) {
 		fwd,
 	)
 	h := wire.Header{
-		ConfigID:   1,
-		Features:   wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped,
+		ConfigID:   dmtp.ModeLive.ConfigID,
+		Features:   dmtp.ModeLive.Features,
 		Experiment: wire.NewExperimentID(12, 1),
 	}
 	h.Age.MaxAgeMicros = 1 << 30

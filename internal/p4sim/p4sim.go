@@ -14,6 +14,11 @@
 //   - stateful objects are match-action tables, register arrays, and
 //     counters, as on Tofino.
 //
+// Its stages — age tracker, deadline marker, duplicator, back-pressure
+// monitor, forwarder, experiment counter — read header fields and rewrite
+// some in place, but none changes a packet's mode: internal/dmtp owns the
+// mode table, and its RelayEngine is the one element that changes a mode.
+//
 // The pipeline is attached to the simulated network by Switch
 // (a netsim.Handler), which parses frames, runs the pipeline after a fixed
 // pipeline latency, and emits the resulting unicast/multicast copies and

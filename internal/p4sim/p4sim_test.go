@@ -57,105 +57,6 @@ func TestRegisterArray(t *testing.T) {
 	}()
 }
 
-func TestModeChangerActivatesAndConfigures(t *testing.T) {
-	mc := NewModeChanger()
-	buffer := wire.AddrFrom(10, 0, 0, 1, 7000)
-	notify := wire.AddrFrom(10, 0, 0, 9, 7001)
-	mc.Rule(WildcardPort, 0, ModeAction{
-		NewConfigID:      2,
-		Set:              wire.FeatSequenced | wire.FeatReliable | wire.FeatAgeTracked | wire.FeatTimely | wire.FeatTimestamped,
-		RetransmitBuffer: buffer,
-		MaxAgeMicros:     5000,
-		DeadlineBudget:   20 * time.Millisecond,
-		DeadlineNotify:   notify,
-	})
-	ctx := NewContext(nil)
-	p := NewPipeline(ctx, mc)
-	pkt := dataPacket(t, wire.Header{ConfigID: 0, Experiment: wire.NewExperimentID(7, 1)}, "data")
-	meta := &Meta{Now: sim.Time(time.Second), EgressPort: -1}
-	out := runOne(t, p, pkt, meta)
-
-	if out.ConfigID() != 2 {
-		t.Fatalf("config %d", out.ConfigID())
-	}
-	if buf, _ := out.RetransmitBuffer(); buf != buffer {
-		t.Fatalf("buffer %v", buf)
-	}
-	age, err := out.Age()
-	if err != nil || age.MaxAgeMicros != 5000 {
-		t.Fatalf("age %+v %v", age, err)
-	}
-	deadline, n, err := out.Deadline()
-	if err != nil || n != notify {
-		t.Fatalf("deadline ext %v %v", n, err)
-	}
-	if deadline != uint64(time.Second+20*time.Millisecond) {
-		t.Fatalf("deadline %d", deadline)
-	}
-	ts, err := out.OriginTimestamp()
-	if err != nil || ts != uint64(time.Second) {
-		t.Fatalf("origin %d %v", ts, err)
-	}
-	if string(out.Payload()) != "data" {
-		t.Fatal("payload lost")
-	}
-	if mc.Transitions != 1 {
-		t.Fatalf("transitions %d", mc.Transitions)
-	}
-}
-
-func TestModeChangerPortSpecificBeatsWildcard(t *testing.T) {
-	mc := NewModeChanger()
-	mc.Rule(1, 0, ModeAction{NewConfigID: 5})
-	mc.Rule(WildcardPort, 0, ModeAction{NewConfigID: 9})
-	p := NewPipeline(NewContext(nil), mc)
-
-	pkt := dataPacket(t, wire.Header{}, "")
-	out := runOne(t, p, pkt, &Meta{IngressPort: 1, EgressPort: -1})
-	if out.ConfigID() != 5 {
-		t.Fatalf("port rule not preferred: %d", out.ConfigID())
-	}
-	pkt2 := dataPacket(t, wire.Header{}, "")
-	out2 := runOne(t, p, pkt2, &Meta{IngressPort: 3, EgressPort: -1})
-	if out2.ConfigID() != 9 {
-		t.Fatalf("wildcard not applied: %d", out2.ConfigID())
-	}
-}
-
-func TestModeChangerRepointsBuffer(t *testing.T) {
-	mc := NewModeChanger()
-	closer := wire.AddrFrom(10, 0, 0, 2, 7000)
-	mc.Rule(WildcardPort, 2, ModeAction{
-		NewConfigID:      3,
-		RetransmitBuffer: closer,
-		RepointBuffer:    true,
-	})
-	p := NewPipeline(NewContext(nil), mc)
-	h := wire.Header{ConfigID: 2, Features: wire.FeatReliable}
-	h.Retransmit.Buffer = wire.AddrFrom(10, 0, 0, 1, 7000)
-	pkt := dataPacket(t, h, "")
-	out := runOne(t, p, pkt, &Meta{EgressPort: -1})
-	if buf, _ := out.RetransmitBuffer(); buf != closer {
-		t.Fatalf("buffer not repointed: %v", buf)
-	}
-}
-
-func TestModeChangerIgnoresControlAndUnmatched(t *testing.T) {
-	mc := NewModeChanger()
-	mc.Rule(WildcardPort, 0, ModeAction{NewConfigID: 1})
-	p := NewPipeline(NewContext(nil), mc)
-	ctrl := dataPacket(t, wire.Header{ConfigID: wire.ConfigNAK}, "")
-	out := runOne(t, p, ctrl, &Meta{EgressPort: -1})
-	if out.ConfigID() != wire.ConfigNAK {
-		t.Fatal("control packet reshaped")
-	}
-	other := dataPacket(t, wire.Header{ConfigID: 7}, "")
-	out2 := runOne(t, p, other, &Meta{EgressPort: -1})
-	if out2.ConfigID() != 7 {
-		t.Fatal("unmatched packet reshaped")
-	}
-}
-
 func TestAgeTrackerStaticDelta(t *testing.T) {
 	at := &AgeTracker{PortDeltaMicros: map[int]uint32{WildcardPort: 100, 2: 700}}
 	p := NewPipeline(NewContext(nil), at)

@@ -7,160 +7,10 @@ import (
 	"repro/internal/wire"
 )
 
-// WildcardPort matches any ingress port in ModeChanger rules.
+// WildcardPort is the port key of a per-port table entry that applies to
+// any ingress port without an entry of its own (AgeTracker's
+// PortDeltaMicros).
 const WildcardPort = -1
-
-// ModeAction describes how a packet's mode is rewritten when a rule hits:
-// which features to activate or deactivate, and the configuration values to
-// install into newly added extension fields (paper §5.2: "Activating a mode
-// involves updating the core header and adding mode-specific extension
-// headers").
-type ModeAction struct {
-	NewConfigID uint8
-	Set, Clear  wire.Features
-
-	// RetransmitBuffer is installed when FeatReliable is newly set, and
-	// also overwrites the existing buffer when RepointBuffer is true —
-	// the "more recent retransmission buffer" rewrite of §5.1.
-	RetransmitBuffer wire.Addr
-	RepointBuffer    bool
-
-	// MaxAgeMicros is installed when FeatAgeTracked is newly set.
-	MaxAgeMicros uint32
-
-	// DeadlineBudget and DeadlineNotify configure FeatTimely: the
-	// deadline is set to now + budget when the feature is newly set.
-	DeadlineBudget time.Duration
-	DeadlineNotify wire.Addr
-
-	// PaceRateMbps/PaceBurstKB configure FeatPaced when newly set.
-	PaceRateMbps uint32
-	PaceBurstKB  uint32
-
-	// BackPressureSink configures FeatBackPressure when newly set.
-	BackPressureSink wire.Addr
-
-	// DupGroup/DupScope configure FeatDuplicate when newly set.
-	DupGroup uint32
-	DupScope uint8
-
-	// TraceEvery, when positive, originates a sampled in-band trace on
-	// every TraceEvery'th transition whose packet does not already carry
-	// one — adding FeatTraced is just another config rewrite at the mode
-	// boundary. Packets arriving with a sampled trace keep it regardless
-	// (unless Clear strips FeatTraced) and get a reshape hop stamp.
-	TraceEvery int
-}
-
-type modeKey struct {
-	port     int
-	configID uint8
-}
-
-// ModeChanger is the mode-transition table: it matches (ingress port,
-// config ID) and rewrites the packet's mode. It is the central mechanism of
-// the paper — "the transport's mode is changed by on-path network
-// elements" (§5.3).
-type ModeChanger struct {
-	rules map[modeKey]ModeAction
-	// Transitions counts applied mode changes.
-	Transitions uint64
-}
-
-// NewModeChanger returns an empty mode table.
-func NewModeChanger() *ModeChanger {
-	return &ModeChanger{rules: make(map[modeKey]ModeAction)}
-}
-
-// Rule installs a mode transition for packets arriving on port (or
-// WildcardPort) in mode fromConfigID.
-func (m *ModeChanger) Rule(port int, fromConfigID uint8, act ModeAction) *ModeChanger {
-	m.rules[modeKey{port, fromConfigID}] = act
-	return m
-}
-
-// Name implements Stage.
-func (m *ModeChanger) Name() string { return "mode-changer" }
-
-// Process implements Stage.
-func (m *ModeChanger) Process(ctx *Context, pkt wire.View, meta *Meta) (wire.View, error) {
-	if pkt.IsControl() {
-		return nil, nil
-	}
-	act, ok := m.rules[modeKey{meta.IngressPort, pkt.ConfigID()}]
-	if !ok {
-		act, ok = m.rules[modeKey{WildcardPort, pkt.ConfigID()}]
-		if !ok {
-			return nil, nil
-		}
-	}
-	before := pkt.Features()
-	want := before&^act.Clear | act.Set
-	originate := act.TraceEvery > 0 && !want.Has(wire.FeatTraced) &&
-		(m.Transitions+1)%uint64(act.TraceEvery) == 0
-	if originate {
-		want |= wire.FeatTraced
-	}
-	out, err := pkt.Reshape(act.NewConfigID, want)
-	if err != nil {
-		return nil, err
-	}
-	added := want &^ before
-	if added.Has(wire.FeatReliable) || (act.RepointBuffer && want.Has(wire.FeatReliable)) {
-		if err := out.SetRetransmitBuffer(act.RetransmitBuffer); err != nil {
-			return nil, err
-		}
-	}
-	if added.Has(wire.FeatAgeTracked) {
-		if err := out.SetMaxAge(act.MaxAgeMicros); err != nil {
-			return nil, err
-		}
-	}
-	if added.Has(wire.FeatTimely) {
-		deadline := ctx.Now().Add(act.DeadlineBudget).Nanos()
-		if err := out.SetDeadline(deadline, act.DeadlineNotify); err != nil {
-			return nil, err
-		}
-	}
-	if added.Has(wire.FeatPaced) {
-		if err := out.SetPace(wire.PaceExt{RateMbps: act.PaceRateMbps, BurstKB: act.PaceBurstKB}); err != nil {
-			return nil, err
-		}
-	}
-	if added.Has(wire.FeatBackPressure) {
-		if err := out.SetBackPressure(wire.BackPressureExt{Sink: act.BackPressureSink}); err != nil {
-			return nil, err
-		}
-	}
-	if added.Has(wire.FeatDuplicate) {
-		if err := out.SetDup(wire.DupExt{Group: act.DupGroup, Scope: act.DupScope}); err != nil {
-			return nil, err
-		}
-	}
-	if added.Has(wire.FeatTimestamped) {
-		if err := out.SetOriginTimestamp(ctx.Now().Nanos()); err != nil {
-			return nil, err
-		}
-	}
-	if originate {
-		if err := out.SetTrace(wire.TraceExt{
-			TraceID:      uint32(m.Transitions + 1),
-			Flags:        wire.TraceSampledFlag,
-			OriginConfig: pkt.ConfigID(),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if out.TraceSampled() {
-		// The reshape itself is a hop: the stamp's config annotation records
-		// the mode the packet was rewritten into.
-		if err := out.AppendHopStamp(wire.TraceReshapeHop(act.NewConfigID), int64(ctx.Now().Nanos())); err != nil {
-			return nil, err
-		}
-	}
-	m.Transitions++
-	return out, nil
-}
 
 // AgeTracker accumulates packet age and sets the aged flag (paper §5.4:
 // "An element updates an 'age' field, and it additionally updates an 'aged'

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daq"
+	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/p4sim"
 	"repro/internal/wire"
@@ -192,7 +193,6 @@ func Run(cfg Config) (Results, error) {
 	})
 
 	dtn1 := core.NewBufferNode(nw, "dtn1", DTN1Addr, core.BufferConfig{
-		UpgradeFrom:      core.ModeBare.ConfigID,
 		Upgrade:          wanMode,
 		Forward:          DTN2Addr,
 		ForwardPort:      1,
@@ -225,7 +225,7 @@ func Run(cfg Config) (Results, error) {
 	sender := core.NewSender(nw, "sensor", SensorAddr, core.SenderConfig{
 		Experiment: 0xD0ED, // DUNE-ish tag
 		Dst:        DTN1Addr,
-		Mode:       core.ModeBare,
+		Mode:       dmtp.ModeBare,
 	})
 
 	nw.Connect(sender.Node(), dtn1.Node(), netsim.LinkConfig{
