@@ -13,6 +13,32 @@ package live
 // closures themselves are allocated once at setup, so the steady-state
 // batched path performs zero allocations.
 //
+// The two per-burst calls, recvmmsg in readFn and sendmmsg in writeFn,
+// run through syscall.RawSyscall6: the goroutine keeps its P for the
+// call instead of announcing a syscall the scheduler may hand the P away
+// during. That is sound only for a call that cannot sleep, and each of
+// them is one:
+//   - Neither waits on socket state. Both pass MSG_DONTWAIT, so however
+//     the fd's O_NONBLOCK is set, no data or no buffer space is an
+//     immediate EAGAIN, which returns false from the closure and parks
+//     the goroutine on the netpoller, outside the call.
+//   - What is left is bounded CPU work: one GSO send of at most
+//     maxGSOSegs segments (under 64 KiB), or a sendmmsg or recvmmsg of at
+//     most batchRingSize slots of up to 64 KiB. A loopback send also runs
+//     the receiving socket's softirq inside the call. That is CPU work
+//     too, and the likely reason Syscall6 cost more here: a GSO send
+//     that outlasts a sysmon tick has its P handed to another thread,
+//     and takes it back afterwards.
+//   - The remaining ways to sleep are a page fault on a Go-heap ring or
+//     stash entry the kernel copies to or from, and a GFP_KERNEL skb
+//     allocation under memory reclaim. Beside them, on oversubscribed
+//     CPUs, the kernel may preempt the thread inside the call. Each holds
+//     the P, and a GC stop-the-world waits for it, for as long as the
+//     fault, the reclaim or the preemption lasts; EXPERIMENTS.md ("Raw
+//     batch syscalls") measures the stop latency this adds.
+// The setup probes in newKernelBatch run once per socket and stay on
+// Syscall6.
+//
 // The build is restricted to 64-bit targets because syscall.Msghdr
 // field widths (Iovlen, Controllen) differ on 32-bit architectures;
 // other targets use the portable fallback in batch_other.go.
@@ -124,8 +150,9 @@ func newKernelBatch(uc *net.UDPConn, stats *batchStats, wantRead bool, caps *Bat
 	ch.Level = syscall.IPPROTO_UDP
 	ch.Type = udpSegment
 	k.writeFn = func(fd uintptr) bool {
-		n, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-			uintptr(unsafe.Pointer(&k.shdrs[0])), uintptr(k.svlen), 0, 0, 0)
+		n, _, errno := syscall.RawSyscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&k.shdrs[0])), uintptr(k.svlen),
+			uintptr(syscall.MSG_DONTWAIT), 0, 0)
 		if errno == syscall.EAGAIN {
 			return false
 		}
@@ -155,7 +182,7 @@ func newKernelBatch(uc *net.UDPConn, stats *batchStats, wantRead bool, caps *Bat
 			k.rhdrs[i].Hdr.Name = (*byte)(unsafe.Pointer(&k.rnames[i]))
 		}
 		k.readFn = func(fd uintptr) bool {
-			n, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+			n, _, errno := syscall.RawSyscall6(syscall.SYS_RECVMMSG, fd,
 				uintptr(unsafe.Pointer(&k.rhdrs[0])), uintptr(len(k.rhdrs)),
 				uintptr(syscall.MSG_DONTWAIT), 0, 0)
 			if errno == syscall.EAGAIN {

@@ -9,9 +9,13 @@ package live
 
 import (
 	"bytes"
+	"errors"
 	"net"
+	"os"
+	"runtime"
 	"syscall"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/wire"
@@ -263,5 +267,61 @@ func TestKernelBatchManySmallMessages(t *testing.T) {
 	}
 	if rs.GROSplits > 0 {
 		t.Logf("GRO coalesced %d packets across %d syscalls", rs.GROSplits, rs.Syscalls)
+	}
+}
+
+// TestKernelBatchReadCannotBlockThread holds the first half of the
+// argument that lets readFn run recvmmsg as a raw syscall: the call passes
+// MSG_DONTWAIT, so it cannot wait in the kernel even on a socket whose fd
+// is in blocking mode. On the idle socket it must return EAGAIN, park on
+// the netpoller and come back with the 50 ms read deadline. A read without
+// the flag sleeps in the kernel past the deadline, holding its P; after 5 s
+// the watchdog sends the socket a datagram to wake it, and the test fails
+// instead of hanging.
+func TestKernelBatchReadCannotBlockThread(t *testing.T) {
+	// A second P, so that the watchdog can run beside a read that holds one.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	rconn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rconn.Close()
+	rd := newBatchConn(rconn, &batchStats{}, true)
+	if !rd.Caps().Mmsg {
+		t.Skip("kernel lacks recvmmsg")
+	}
+	rc, err := rconn.SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serr error
+	if err := rc.Control(func(fd uintptr) { serr = syscall.SetNonblock(int(fd), false) }); err != nil || serr != nil {
+		t.Fatalf("setting the fd blocking: %v, %v", err, serr)
+	}
+	if err := rconn.SetReadDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := rd.ReadBatch()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("ReadBatch on an idle blocking-mode socket returned %v after %v, want its deadline", err, time.Since(start))
+		}
+	case <-time.After(5 * time.Second):
+		wake, err := net.DialUDP("udp4", nil, rconn.LocalAddr().(*net.UDPAddr))
+		if err == nil {
+			wake.Write([]byte("wake"))
+			wake.Close()
+			<-done
+		}
+		t.Fatal("ReadBatch slept in the kernel past its 50 ms deadline: recvmmsg waited on the blocking-mode fd")
 	}
 }

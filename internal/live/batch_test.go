@@ -199,12 +199,19 @@ func TestBatchedChaosRecovery(t *testing.T) {
 
 	// Probe the sequence space with flush traffic until every tracked
 	// payload has landed (a dropped tail is only revealed by later
-	// packets) and no gaps remain.
+	// packets) and no gaps remain. Every drop here is recoverable, so
+	// the first write-off ends the probe and fails the test.
+	start := time.Now()
+	wroteOff := func() bool { return recv.Stats().PermanentLoss > 0 }
 	probeUntil(20*time.Second, func() { snd.Send([]byte("flush"), 0) }, recv.OutstandingGaps, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(delivered) >= tracked
-	})
+	}, wroteOff)
+	if wroteOff() {
+		t.Fatalf("the receiver wrote off %d sequence numbers within %v; every drop here is recoverable (relay %+v)",
+			recv.Stats().PermanentLoss, time.Since(start).Round(time.Millisecond), relay.Stats())
+	}
 	mu.Lock()
 	got := len(delivered)
 	for p, n := range delivered {

@@ -2,11 +2,14 @@ package live
 
 import (
 	"fmt"
+	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -182,52 +185,105 @@ func BenchmarkRelayIngest(b *testing.B) {
 // flush, as an ACK in the burst would. One op is one burst. Beside ns/op
 // it reports the relay's write syscalls per burst and packets per write:
 // how the forward leg cuts a burst into GSO super-datagrams.
+//
+// Each size runs unscraped and with a goroutine rendering the relay's
+// registry, as a /metrics scrape does, every millisecond. A scrape reads
+// the relay's set under engMu, so it waits for the burst in progress and
+// holds up the next. The scraped case reports that hold-up directly: the
+// time the burst loop waited for engMu, per scrape (stall-ns/scrape). Its
+// ns/op beside the unscraped case's adds what the scraper's own CPU and
+// garbage cost the loop.
 func BenchmarkRelayBurst(b *testing.B) {
 	const burst = 256
 	for _, size := range []int{1024, 256} {
-		b.Run(fmt.Sprintf("size=%dB", size), func(b *testing.B) {
-			sink, err := net.ListenPacket("udp4", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
+		for _, scrape := range []time.Duration{0, time.Millisecond} {
+			name := fmt.Sprintf("size=%dB/scrape=none", size)
+			if scrape > 0 {
+				name = fmt.Sprintf("size=%dB/scrape=%v", size, scrape)
 			}
-			defer sink.Close()
-			relay, err := NewRelay(RelayConfig{Listen: "127.0.0.1:0", Forward: sink.LocalAddr().String(), MaxAge: time.Hour})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer relay.Close()
-			if !relay.BatchCaps().Mmsg {
-				b.Skip("portable path: no write syscalls to count")
-			}
-			exp := wire.NewExperimentID(7, 0)
-			enc, err := (&wire.Header{Experiment: exp}).AppendTo(nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pkt := wire.View(append(enc, make([]byte, size)...))
-			src := wire.AddrFrom(10, 0, 0, 1, 4000)
-			var seq uint64
-			before := relay.BatchStats()
-			b.SetBytes(int64(burst * size))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				relay.engMu.Lock()
-				for k := 0; k < burst; k++ {
-					relay.eng.Handle(src, pkt, 0)
+			b.Run(name, func(b *testing.B) { benchRelayBurst(b, burst, size, scrape) })
+		}
+	}
+}
+
+func benchRelayBurst(b *testing.B, burst, size int, scrape time.Duration) {
+	sink, err := net.ListenPacket("udp4", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sink.Close()
+	relay, err := NewRelay(RelayConfig{Listen: "127.0.0.1:0", Forward: sink.LocalAddr().String(), MaxAge: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer relay.Close()
+	if !relay.BatchCaps().Mmsg {
+		b.Skip("portable path: no write syscalls to count")
+	}
+	exp := wire.NewExperimentID(7, 0)
+	enc, err := (&wire.Header{Experiment: exp}).AppendTo(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pkt := wire.View(append(enc, make([]byte, size)...))
+	src := wire.AddrFrom(10, 0, 0, 1, 4000)
+
+	var scrapes atomic.Uint64
+	stop := make(chan struct{})
+	var scraper sync.WaitGroup
+	if scrape > 0 {
+		reg := metrics.NewRegistry()
+		relay.RegisterMetrics(reg)
+		scraper.Add(1)
+		go func() {
+			defer scraper.Done()
+			tick := time.NewTicker(scrape)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+					reg.WriteText(io.Discard)
+					scrapes.Add(1)
 				}
-				seq += burst
-				relay.eng.Buffer().Trim(exp, seq)
-				relay.flush()
-				relay.engMu.Unlock()
 			}
-			b.StopTimer()
-			after := relay.BatchStats()
-			writes := after.Syscalls - before.Syscalls
-			b.ReportMetric(float64(writes)/float64(b.N), "writes/burst")
-			if writes > 0 {
-				b.ReportMetric(float64(after.SentPackets-before.SentPackets)/float64(writes), "pkts/write")
-			}
-		})
+		}()
+	}
+
+	var seq uint64
+	before := relay.BatchStats()
+	b.SetBytes(int64(burst * size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	scrapes.Store(0)
+	var stalled time.Duration
+	for i := 0; i < b.N; i++ {
+		if !relay.engMu.TryLock() { // a scrape holds it
+			t0 := time.Now()
+			relay.engMu.Lock()
+			stalled += time.Since(t0)
+		}
+		for k := 0; k < burst; k++ {
+			relay.eng.Handle(src, pkt, 0)
+		}
+		seq += uint64(burst)
+		relay.eng.Buffer().Trim(exp, seq)
+		relay.flush()
+		relay.engMu.Unlock()
+	}
+	b.StopTimer()
+	n := scrapes.Load()
+	close(stop)
+	scraper.Wait()
+	after := relay.BatchStats()
+	writes := after.Syscalls - before.Syscalls
+	b.ReportMetric(float64(writes)/float64(b.N), "writes/burst")
+	if writes > 0 {
+		b.ReportMetric(float64(after.SentPackets-before.SentPackets)/float64(writes), "pkts/write")
+	}
+	if scrape > 0 && n > 0 {
+		b.ReportMetric(float64(n)/float64(b.N), "scrapes/op")
+		b.ReportMetric(float64(stalled.Nanoseconds())/float64(n), "stall-ns/scrape")
 	}
 }

@@ -111,7 +111,7 @@ func (rig *chaosRig) flush() { rig.snd.Send([]byte("flush"), 0) }
 // remain outstanding.
 func (rig *chaosRig) driveUntilDelivered(want int, timeout time.Duration) {
 	rig.t.Helper()
-	if probeUntil(timeout, rig.flush, rig.recv.OutstandingGaps, func() bool { return rig.deliveredTracked() >= want }) {
+	if probeUntil(timeout, rig.flush, rig.recv.OutstandingGaps, func() bool { return rig.deliveredTracked() >= want }, nil) {
 		return
 	}
 	rig.t.Fatalf("timed out: delivered %d/%d tracked payloads, %d gaps outstanding\nrecv %+v\nsender %+v\nrelay %+v\nplan %s",
@@ -133,7 +133,7 @@ func (rig *chaosRig) settle(timeout time.Duration) {
 		st := rig.recv.Stats()
 		return st.Received-st.Duplicates == up
 	}
-	if !probeUntil(timeout, rig.flush, rig.recv.OutstandingGaps, received) {
+	if !probeUntil(timeout, rig.flush, rig.recv.OutstandingGaps, received, nil) {
 		rig.t.Fatalf("timed out settling: recv %+v relay %+v", rig.recv.Stats(), rig.relay.Stats())
 	}
 }

@@ -41,9 +41,17 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string)
 // injection pauses until the previous probe's gap has closed and stops
 // for good once the target is met, which makes the exit condition a
 // fixed point rather than a scheduling accident.
-func probeUntil(timeout time.Duration, flush func(), gaps func() int, done func() bool) bool {
+//
+// A test in which any write-off is a failure passes writtenOff, and
+// probeUntil gives up as soon as it reports one: done() may then never
+// hold, and flushing on for the rest of the timeout would only delay the
+// report. A nil writtenOff keeps probing to the deadline.
+func probeUntil(timeout time.Duration, flush func(), gaps func() int, done, writtenOff func() bool) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
+		if writtenOff != nil && writtenOff() {
+			return false
+		}
 		if gaps() == 0 {
 			if done() {
 				return true

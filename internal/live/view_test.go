@@ -179,17 +179,19 @@ func TestDeliveredPayloadIsRingView(t *testing.T) {
 				}
 				waitFor(t, 5*time.Second, func() bool { return relay.Stats().Upgraded+64 > i }, "the relay to keep up")
 			}
+			// Any write-off fails the test, so the probe stops at the first.
 			flushes := 0
+			start := time.Now()
 			probeUntil(20*time.Second, func() { flushes++; snd.Send([]byte("flush"), 0) }, recv.OutstandingGaps,
-				func() bool { return delivered() >= n })
+				func() bool { return delivered() >= n }, func() bool { return recv.Stats().PermanentLoss > 0 })
 			mu.Lock()
 			defer mu.Unlock()
-			if corrupt != 0 || len(seen) != n {
+			if corrupt != 0 || len(seen) != n || recv.Stats().PermanentLoss > 0 {
 				// Where the shortfall came from: short of n+flushes upgrades
 				// is loss before the relay; write-offs are gaps given up after
 				// MaxNAKs.
-				t.Fatalf("%d of %d payloads delivered intact, %d corrupt; the relay upgraded %d of %d messages and flushes sent, the receiver wrote off %d",
-					len(seen), n, corrupt, relay.Stats().Upgraded, n+flushes, recv.Stats().PermanentLoss)
+				t.Fatalf("%d of %d payloads delivered intact, %d corrupt; the relay upgraded %d of %d messages and flushes sent, the receiver wrote off %d; probed for %v",
+					len(seen), n, corrupt, relay.Stats().Upgraded, n+flushes, recv.Stats().PermanentLoss, time.Since(start).Round(time.Millisecond))
 			}
 			for idx, c := range seen {
 				if c != 1 {
@@ -419,15 +421,18 @@ func TestReceiverReadsClockOncePerBurst(t *testing.T) {
 // count, with or without -race.
 //
 // A stream ACKs at most once per interval, so no window holds more than
-// slices × (elapsed/interval + 1) control packets. Every read fires the
-// ACK of each stream that has fallen due, so the ACKs per message follow
-// the receiver's reads per message, and maxCtrl bounds them. On a 2-vCPU
-// Xeon 64 slices ACKing every millisecond read 0.09–0.11 per message;
-// slowed by what other tests left running, up to 0.37; starved on one
-// CPU, 0.42–0.46, which fails. Under -race a relay that writes each burst
-// at its end reads 0.12–0.14, and this one, writing each GSO
-// super-datagram as it fills, 0.18–0.25: the slowed receiver reads about
-// 1.6 times as often. One slice reads under 0.007 in all of these.
+// slices × (elapsed/interval + 1) control packets. The sender paces its
+// slices: each gets a run of sliceRun messages before the next one does.
+// A stream ACKs once per interval from its first packet until four
+// intervals after its last, so a run delivered over d costs at most
+// d/interval + 6 ACKs, and the ACKs per message stay under
+// (d/interval + 6)/sliceRun: 6/64 ≈ 0.09 plus one over the messages
+// delivered per interval, whatever share of the CPU the trio gets. Sent
+// round robin, all 64 streams would ACK every millisecond however slowly
+// the messages came, and the ratio would follow the delivery rate: 0.42–0.47
+// starved on one CPU beside two busy loops. Paced, 64 slices read
+// 0.060–0.063 on a 2-vCPU Xeon, 0.020–0.024 under -race and 0.062–0.068
+// starved as above.
 //
 // A receiver that copies each payload out of the ring adds ≈ 1.1
 // allocations per message; timers fired on goroutines of their own cost
@@ -435,6 +440,7 @@ func TestReceiverReadsClockOncePerBurst(t *testing.T) {
 // where this one read 0.11–0.12).
 func TestLoopbackAllocsPerMessage(t *testing.T) {
 	const bound = 0.05
+	const sliceRun = 64
 	perCtrl := testing.AllocsPerRun(100, func() { (&wire.Ack{CumulativeSeq: 1}).AppendTo(nil) })
 	for _, tc := range []struct {
 		name        string
@@ -472,7 +478,7 @@ func TestLoopbackAllocsPerMessage(t *testing.T) {
 			// send keeps at most 512 messages in flight, so loopback sheds nothing.
 			send := func(n int) {
 				for i := 0; i < n; i++ {
-					if err := snd.Send(payload, uint8(sent%uint64(tc.slices))); err != nil {
+					if err := snd.Send(payload, uint8(sent/sliceRun%uint64(tc.slices))); err != nil {
 						t.Fatal(err)
 					}
 					sent++
@@ -485,7 +491,9 @@ func TestLoopbackAllocsPerMessage(t *testing.T) {
 				}
 				waitFor(t, 5*time.Second, func() bool { return delivered.Load() == sent }, "the window to drain")
 			}
-			send(2000) // warm: rings, pools, flows, streams, the stash and the gap list reach their sizes
+			// Warm: rings, pools, flows, streams, the stash and the gap list reach
+			// their sizes, and every slice has had a run.
+			send(max(2000, tc.slices*sliceRun))
 
 			const n = 20000
 			var before, after runtime.MemStats
