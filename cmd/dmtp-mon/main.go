@@ -17,15 +17,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"time"
 
-	"repro/internal/blackbox"
 	"repro/internal/debugsrv"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
+	"repro/internal/tracespan"
 )
 
 func main() {
@@ -39,7 +40,7 @@ func main() {
 	flag.Parse()
 
 	if *postmortem != "" {
-		if err := runPostmortem(*postmortem, *traceOut); err != nil {
+		if err := runPostmortem(os.Stdout, *postmortem, *traceOut); err != nil {
 			fmt.Fprintln(os.Stderr, "dmtp-mon:", err)
 			os.Exit(1)
 		}
@@ -69,9 +70,9 @@ func main() {
 		dbg, err := debugsrv.New(debugsrv.Config{
 			Addr:        *listenAddr,
 			Registry:    reg,
-			Fleet:       func() debugsrv.FleetInfo { return fleetInfo(mon.Fleet()) },
-			Alerts:      func() []debugsrv.AlertInfo { return alertInfos(mon.Alerts()) },
-			Series:      func(name string, n int) ([]debugsrv.SeriesPoint, bool) { return seriesPoints(mon, name, n) },
+			Fleet:       mon.Fleet,
+			Alerts:      mon.Alerts,
+			Series:      mon.SeriesPoints,
 			SeriesNames: mon.SeriesNames,
 		})
 		if err != nil {
@@ -130,84 +131,73 @@ func parseTargets(s string) ([]monitor.Target, error) {
 	return out, nil
 }
 
-// runPostmortem loads a black-box file, prints the report, and optionally
-// exports the Perfetto trace.
-func runPostmortem(path, traceOut string) error {
-	box, err := blackbox.Read(path)
+// runPostmortem loads a black-box file, prints its report to w, and
+// optionally exports the box's events as Perfetto trace JSON.
+func runPostmortem(w io.Writer, path, traceOut string) error {
+	box, err := metrics.ReadBox(path)
 	if err != nil {
 		return err
 	}
-	if err := box.WriteReport(os.Stdout); err != nil {
-		return err
-	}
+	writeReport(w, box)
 	if traceOut != "" {
 		f, err := os.Create(traceOut)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := box.WriteTrace(f); err != nil {
+		err = tracespan.WriteFlightTrace(f, box.Events)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
-		fmt.Printf("\ntrace written to %s\n", traceOut)
+		fmt.Fprintf(w, "\ntrace written to %s\n", traceOut)
 	}
 	return nil
 }
 
-// fleetInfo converts the monitor's fleet snapshot into debugsrv's
-// transport-agnostic form.
-func fleetInfo(f monitor.Fleet) debugsrv.FleetInfo {
-	out := debugsrv.FleetInfo{
-		UnixNano:          f.UnixNano,
-		DeliveredPerSec:   f.DeliveredPerSec,
-		NAKsPerSec:        f.NAKsPerSec,
-		RetransmitsPerSec: f.RetransmitsPerSec,
-		FlowChurnPerSec:   f.FlowChurnPerSec,
-		FlowsActive:       f.FlowsActive,
-		OutstandingGaps:   f.OutstandingGaps,
-		JournalPending:    f.JournalPending,
-		AlertsActive:      f.AlertsActive,
+// writeReport pretty-prints a box: the header, the nonzero metrics, every
+// gap's recovery lifecycle the ring still covers, and the event timeline.
+func writeReport(w io.Writer, b *metrics.Box) {
+	at := time.Unix(0, b.UnixNano).UTC()
+	fmt.Fprintf(w, "black box: role=%s pid=%d captured=%s\n", b.Role, b.PID, at.Format(time.RFC3339Nano))
+	fmt.Fprintf(w, "reason: %s\n", b.Reason)
+
+	fmt.Fprintf(w, "\n== final metrics (nonzero) ==\n")
+	for _, s := range b.Metrics {
+		if s.Kind == metrics.KindHist {
+			fmt.Fprintf(w, "%-44s count=%d mean=%d p50=%d p99=%d max=%d\n", s.Name, s.Value, s.Mean, s.P50, s.P99, s.Max)
+		} else if s.Value != 0 {
+			fmt.Fprintf(w, "%-44s %d\n", s.Name, s.Value)
+		}
 	}
-	for _, t := range f.Targets {
-		out.Targets = append(out.Targets, debugsrv.TargetInfo{
-			Name:               t.Name,
-			URL:                t.URL,
-			Up:                 t.Up,
-			Err:                t.Err,
-			UptimeSec:          t.UptimeSec,
-			Restarts:           t.Restarts,
-			LastScrapeUnixNano: t.LastScrapeUnixNano,
-		})
+
+	if spans := metrics.RecoverySpans(b.Events); len(spans) > 0 {
+		fmt.Fprintf(w, "\n== recovery spans (reconstructed from the flight ring) ==\n")
+		for _, sp := range spans {
+			fmt.Fprintf(w, "exp=%#x seq=%d  gap opened %s  ", sp.Exp, sp.Seq, eventTime(sp.OpenedAt))
+			if sp.Outcome == 0 {
+				fmt.Fprintln(w, "UNRESOLVED at crash")
+				continue
+			}
+			outcome := "recovered"
+			if sp.Outcome == metrics.EvWriteOff {
+				outcome = "written-off"
+			}
+			fmt.Fprintf(w, "%s after %s (%d NAKs)\n", outcome, time.Duration(sp.ClosedAt-sp.OpenedAt), sp.NAKs)
+		}
 	}
-	return out
+
+	fmt.Fprintf(w, "\n== event timeline (%d events) ==\n", len(b.Events))
+	for _, ev := range b.Events {
+		fmt.Fprintln(w, ev.String())
+	}
 }
 
-// alertInfos converts the monitor's alert log for /alerts.
-func alertInfos(alerts []monitor.Alert) []debugsrv.AlertInfo {
-	out := make([]debugsrv.AlertInfo, 0, len(alerts))
-	for _, a := range alerts {
-		out = append(out, debugsrv.AlertInfo{
-			UnixNano: a.UnixNano,
-			Target:   a.Target,
-			Check:    a.Check,
-			Metric:   a.Metric,
-			Detail:   a.Detail,
-			Count:    a.Count,
-			Active:   a.Active,
-		})
+// eventTime renders an event timestamp as Event.String does, unpadded.
+func eventTime(at int64) string {
+	if at >= int64(1)<<53 {
+		return time.Unix(0, at).UTC().Format("15:04:05.000000")
 	}
-	return out
-}
-
-// seriesPoints converts one monitor ring series for /series.
-func seriesPoints(mon *monitor.Monitor, name string, n int) ([]debugsrv.SeriesPoint, bool) {
-	pts, ok := mon.SeriesPoints(name, n)
-	if !ok {
-		return nil, false
-	}
-	out := make([]debugsrv.SeriesPoint, len(pts))
-	for i, p := range pts {
-		out[i] = debugsrv.SeriesPoint{At: p.At, Value: p.Value}
-	}
-	return out, true
+	return time.Duration(at).String()
 }

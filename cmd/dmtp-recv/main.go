@@ -12,7 +12,6 @@ import (
 	"os/signal"
 	"time"
 
-	"repro/internal/blackbox"
 	"repro/internal/debugsrv"
 	"repro/internal/live"
 	"repro/internal/metrics"
@@ -37,7 +36,7 @@ func main() {
 		dir := *blackboxDir
 		defer func() {
 			if v := recover(); v != nil {
-				if path, err := blackbox.Write(dir, "receiver", fmt.Sprintf("panic: %v", v), reg, rec); err == nil {
+				if path, err := metrics.WriteBox(dir, "receiver", fmt.Sprintf("panic: %v", v), reg, rec); err == nil {
 					fmt.Fprintf(os.Stderr, "dmtp-recv: black box written to %s\n", path)
 				}
 				panic(v)

@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/blackbox"
 	"repro/internal/debugsrv"
 	"repro/internal/live"
 	"repro/internal/metrics"
@@ -34,7 +33,7 @@ func main() {
 	maxFlows := flag.Int("max-flows", 0, "flow-table bound; registrations beyond it are rejected (0 = unlimited)")
 	journalDir := flag.String("journal-dir", "", "stash write-ahead journal directory; on restart the stash is replayed from it (off when empty)")
 	journalSync := flag.String("journal-sync", "batch", "journal fsync policy: batch or none")
-	blackboxDir := flag.String("blackbox-dir", "", "write a crash black box (flight ring + final metrics) here on panic or relay crash; defaults to -journal-dir when set")
+	blackboxDir := flag.String("blackbox-dir", "", "write a crash black box (flight ring + final metrics) here on panic; defaults to -journal-dir when set")
 	flag.Parse()
 	if *blackboxDir == "" {
 		*blackboxDir = *journalDir
@@ -49,7 +48,11 @@ func main() {
 		dir := *blackboxDir
 		defer func() {
 			if v := recover(); v != nil {
-				writeBlackbox(dir, fmt.Sprintf("panic: %v", v), reg, rec)
+				if path, err := metrics.WriteBox(dir, "relay", fmt.Sprintf("panic: %v", v), reg, rec); err != nil {
+					fmt.Fprintln(os.Stderr, "dmtp-relay:", err)
+				} else {
+					fmt.Fprintf(os.Stderr, "dmtp-relay: black box written to %s\n", path)
+				}
 				panic(v)
 			}
 		}()
@@ -66,11 +69,6 @@ func main() {
 		MaxFlows:       *maxFlows,
 		JournalDir:     *journalDir,
 		JournalSync:    *journalSync,
-		Blackbox: func(reason string) {
-			if *blackboxDir != "" {
-				writeBlackbox(*blackboxDir, reason, reg, rec)
-			}
-		},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dmtp-relay:", err)
@@ -164,17 +162,6 @@ func debugFlows(relay *live.Relay) []debugsrv.FlowInfo {
 		})
 	}
 	return out
-}
-
-// writeBlackbox persists a crash black box and logs the path (errors are
-// reported, not fatal — the daemon is already going down).
-func writeBlackbox(dir, reason string, reg *metrics.Registry, rec *metrics.FlightRecorder) {
-	path, err := blackbox.Write(dir, "relay", reason, reg, rec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dmtp-relay:", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "dmtp-relay: black box written to %s\n", path)
 }
 
 // writeFlightTrace dumps the recorder's timeline as trace-event JSON.

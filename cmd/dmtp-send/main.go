@@ -10,7 +10,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/blackbox"
 	"repro/internal/daq"
 	"repro/internal/debugsrv"
 	"repro/internal/live"
@@ -41,7 +40,7 @@ func main() {
 		dir := *blackboxDir
 		defer func() {
 			if v := recover(); v != nil {
-				if path, err := blackbox.Write(dir, "sender", fmt.Sprintf("panic: %v", v), reg, rec); err == nil {
+				if path, err := metrics.WriteBox(dir, "sender", fmt.Sprintf("panic: %v", v), reg, rec); err == nil {
 					fmt.Fprintf(os.Stderr, "dmtp-send: black box written to %s\n", path)
 				}
 				panic(v)

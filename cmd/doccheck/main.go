@@ -50,7 +50,6 @@ var defaultPackages = []string{
 	"./internal/journal",
 	"./internal/monitor",
 	"./internal/monitor/oracles",
-	"./internal/blackbox",
 	"./internal/live",
 	"./internal/p4sim",
 	"./internal/wire",

@@ -1,6 +1,11 @@
 package conformance
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -29,11 +34,15 @@ func acceptanceScenario() Scenario {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/<Test>.json from the simulator transcripts")
+
 // runBoth runs sc on both substrates and fails the test on any divergence
-// between the transcripts or any transcript-oracle finding on either.
+// between the transcripts, any transcript-oracle finding on either, or a
+// simulator transcript that differs from the test's golden.
 func runBoth(t *testing.T, sc Scenario) (simTr, liveTr *Transcript) {
 	t.Helper()
 	simTr = RunSim(sc)
+	checkGolden(t, simTr)
 	liveTr, err := RunLive(sc)
 	if err != nil {
 		t.Fatalf("live run: %v", err)
@@ -48,6 +57,32 @@ func runBoth(t *testing.T, sc Scenario) (simTr, liveTr *Transcript) {
 		t.Errorf("live oracle: %s", f)
 	}
 	return simTr, liveTr
+}
+
+// checkGolden compares tr, as indented JSON, with testdata/<Test>.json;
+// with -update it rewrites the file instead. A change that moves a golden
+// says why in CHANGES.md.
+func checkGolden(t *testing.T, tr *Transcript) {
+	t.Helper()
+	got, err := json.MarshalIndent(tr, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", t.Name()+".json")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (go test -run '^%s$' -update writes it)", err, t.Name())
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("simulator transcript differs from %s:\n%s", path, got)
+	}
 }
 
 // recoveredIn counts a flow's recovered deliveries.

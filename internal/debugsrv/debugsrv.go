@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/monitor"
 	"repro/internal/tracespan"
 )
 
@@ -72,61 +73,16 @@ type Config struct {
 	Ready func() (bool, string)
 	// Fleet backs /fleet with the monitor's aggregate snapshot. Nil 404s
 	// the route (only dmtp-mon wires it).
-	Fleet func() FleetInfo
+	Fleet func() monitor.Fleet
 	// Alerts backs /alerts with the monitor's alert log. Nil 404s the
 	// route.
-	Alerts func() []AlertInfo
+	Alerts func() []monitor.Alert
 	// Series backs /series?name=&n= with one ring series' recent points
 	// (ok=false 404s the name). Nil 404s the route.
-	Series func(name string, n int) (pts []SeriesPoint, ok bool)
+	Series func(name string, n int) (pts []metrics.Point, ok bool)
 	// SeriesNames lists the series /series can serve (the route's index
 	// view). Nil with Series set serves an empty index.
 	SeriesNames func() []string
-}
-
-// FleetInfo is the /fleet document: aggregate fleet health as computed by
-// the monitor. Mirrors monitor.Fleet so debugsrv stays decoupled from the
-// monitor package; cmd/dmtp-mon converts.
-type FleetInfo struct {
-	UnixNano          int64        `json:"unix_nano"`
-	Targets           []TargetInfo `json:"targets"`
-	DeliveredPerSec   float64      `json:"delivered_per_sec"`
-	NAKsPerSec        float64      `json:"naks_per_sec"`
-	RetransmitsPerSec float64      `json:"retransmits_per_sec"`
-	FlowChurnPerSec   float64      `json:"flow_churn_per_sec"`
-	FlowsActive       int64        `json:"flows_active"`
-	OutstandingGaps   int64        `json:"outstanding_gaps"`
-	JournalPending    int64        `json:"journal_pending"`
-	AlertsActive      int          `json:"alerts_active"`
-}
-
-// TargetInfo is one scraped daemon's status inside FleetInfo.
-type TargetInfo struct {
-	Name               string `json:"name"`
-	URL                string `json:"url"`
-	Up                 bool   `json:"up"`
-	Err                string `json:"err,omitempty"`
-	UptimeSec          int64  `json:"uptime_sec"`
-	Restarts           uint64 `json:"restarts"`
-	LastScrapeUnixNano int64  `json:"last_scrape_unix_nano"`
-}
-
-// AlertInfo is one invariant alert inside the /alerts document. Mirrors
-// monitor.Alert.
-type AlertInfo struct {
-	UnixNano int64  `json:"unix_nano"`
-	Target   string `json:"target"`
-	Check    string `json:"check"`
-	Metric   string `json:"metric,omitempty"`
-	Detail   string `json:"detail"`
-	Count    uint64 `json:"count"`
-	Active   bool   `json:"active"`
-}
-
-// SeriesPoint is one ring time-series sample inside the /series document.
-type SeriesPoint struct {
-	At    int64 `json:"at"`
-	Value int64 `json:"value"`
 }
 
 // FlowInfo is one registered flow as served by /flows. The daemon
@@ -355,7 +311,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
 		if alerts == nil {
-			alerts = []AlertInfo{}
+			alerts = []monitor.Alert{}
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -419,7 +375,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	if q.Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
 		if pts == nil {
-			pts = []SeriesPoint{}
+			pts = []metrics.Point{}
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -15,6 +15,7 @@ import (
 	"repro/internal/dmtp"
 	"repro/internal/live"
 	"repro/internal/metrics"
+	"repro/internal/monitor"
 	"repro/internal/netsim"
 	"repro/internal/tracespan"
 	"repro/internal/wire"
@@ -214,8 +215,8 @@ func TestDebugEndpointsLiveLoopback(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, recvAddr, "/events?format=json")), &events); err != nil {
 		t.Fatalf("/events?format=json: %v", err)
 	}
-	if len(events) == 0 || events[0].KindName == "" {
-		t.Errorf("/events?format=json events lack kind names: %+v", events[:min(3, len(events))])
+	if len(events) == 0 || events[0].Kind == 0 {
+		t.Errorf("/events?format=json events lack kinds: %+v", events[:min(3, len(events))])
 	}
 
 	// Prometheus exposition: right content type, sanitized names, TYPE
@@ -297,7 +298,7 @@ func TestDebugEventsFilters(t *testing.T) {
 		t.Fatalf("?kind=nak-sent returned %d events, want 5: %+v", len(events), events)
 	}
 	for _, ev := range events {
-		if ev.KindName != "nak-sent" {
+		if ev.Kind != metrics.EvNAKSent {
 			t.Fatalf("?kind=nak-sent leaked %+v", ev)
 		}
 	}
@@ -305,7 +306,7 @@ func TestDebugEventsFilters(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, srv.Addr(), "/events?n=3&format=json")), &events); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 3 || events[2].Seq != 5 || events[2].KindName != "recovered" {
+	if len(events) != 3 || events[2].Seq != 5 || events[2].Kind != metrics.EvRecovered {
 		t.Fatalf("?n=3 should keep the 3 newest events: %+v", events)
 	}
 
@@ -455,19 +456,19 @@ func TestHealthzReadinessJournaledRestart(t *testing.T) {
 // on servers that don't wire them.
 func TestMonRoutesWithStubHooks(t *testing.T) {
 	reg := metrics.NewRegistry()
-	fleet := debugsrv.FleetInfo{
+	fleet := monitor.Fleet{
 		NAKsPerSec:   2.5,
 		FlowsActive:  3,
 		AlertsActive: 1,
-		Targets: []debugsrv.TargetInfo{
+		Targets: []monitor.TargetHealth{
 			{Name: "relay", URL: "127.0.0.1:1", Up: true, UptimeSec: 9},
 			{Name: "recv", URL: "127.0.0.1:2", Up: false, Err: "connection refused"},
 		},
 	}
-	alerts := []debugsrv.AlertInfo{
+	alerts := []monitor.Alert{
 		{Target: "relay", Check: "stash-balance", Detail: "imbalance 64", Count: 3, Active: true},
 	}
-	series := map[string][]debugsrv.SeriesPoint{
+	series := map[string][]metrics.Point{
 		"relay/dmtp.rx.delivered": {{At: 1, Value: 10}, {At: 2, Value: 20}},
 	}
 	srv, err := debugsrv.New(debugssrvConfigWithHooks(reg, fleet, alerts, series))
@@ -476,7 +477,7 @@ func TestMonRoutesWithStubHooks(t *testing.T) {
 	}
 	defer srv.Close()
 
-	var gotFleet debugsrv.FleetInfo
+	var gotFleet monitor.Fleet
 	if err := json.Unmarshal([]byte(get(t, srv.Addr(), "/fleet?format=json")), &gotFleet); err != nil {
 		t.Fatalf("/fleet: %v", err)
 	}
@@ -490,7 +491,7 @@ func TestMonRoutesWithStubHooks(t *testing.T) {
 		}
 	}
 
-	var gotAlerts []debugsrv.AlertInfo
+	var gotAlerts []monitor.Alert
 	if err := json.Unmarshal([]byte(get(t, srv.Addr(), "/alerts?format=json")), &gotAlerts); err != nil {
 		t.Fatalf("/alerts: %v", err)
 	}
@@ -504,7 +505,7 @@ func TestMonRoutesWithStubHooks(t *testing.T) {
 	if idx := get(t, srv.Addr(), "/series"); !strings.Contains(idx, "relay/dmtp.rx.delivered") {
 		t.Errorf("/series index = %q", idx)
 	}
-	var pts []debugsrv.SeriesPoint
+	var pts []metrics.Point
 	if err := json.Unmarshal([]byte(get(t, srv.Addr(), "/series?format=json&name=relay/dmtp.rx.delivered")), &pts); err != nil {
 		t.Fatalf("/series: %v", err)
 	}
@@ -545,13 +546,13 @@ func TestMonRoutesWithStubHooks(t *testing.T) {
 }
 
 // debugssrvConfigWithHooks builds a Config with all monitor hooks stubbed.
-func debugssrvConfigWithHooks(reg *metrics.Registry, fleet debugsrv.FleetInfo, alerts []debugsrv.AlertInfo, series map[string][]debugsrv.SeriesPoint) debugsrv.Config {
+func debugssrvConfigWithHooks(reg *metrics.Registry, fleet monitor.Fleet, alerts []monitor.Alert, series map[string][]metrics.Point) debugsrv.Config {
 	return debugsrv.Config{
 		Addr:     "127.0.0.1:0",
 		Registry: reg,
-		Fleet:    func() debugsrv.FleetInfo { return fleet },
-		Alerts:   func() []debugsrv.AlertInfo { return alerts },
-		Series: func(name string, n int) ([]debugsrv.SeriesPoint, bool) {
+		Fleet:    func() monitor.Fleet { return fleet },
+		Alerts:   func() []monitor.Alert { return alerts },
+		Series: func(name string, n int) ([]metrics.Point, bool) {
 			pts, ok := series[name]
 			return pts, ok
 		},

@@ -480,8 +480,8 @@ func (e *RelayEngine[D]) Sweep(now int64) {
 // With one, the log is flushed once quiesce (non-nil where the packet path
 // runs on its own goroutine) has stopped that path: every append the
 // shards enqueued is then in the writer's queue and the barrier pushes it
-// to disk. Crash reports false, and does nothing, when already down.
-func (e *RelayEngine[D]) Crash(quiesce func()) bool {
+// to disk. Crash does nothing when already down.
+func (e *RelayEngine[D]) Crash(quiesce func()) {
 	e.lock()
 	down := e.down()
 	if !down {
@@ -493,7 +493,7 @@ func (e *RelayEngine[D]) Crash(quiesce func()) bool {
 	}
 	e.unlock()
 	if down {
-		return false
+		return
 	}
 	if quiesce != nil {
 		quiesce()
@@ -501,7 +501,6 @@ func (e *RelayEngine[D]) Crash(quiesce func()) bool {
 	if e.jset != nil {
 		e.jset.Flush()
 	}
-	return true
 }
 
 // Restart brings a crashed relay back with an empty flow table. Without a

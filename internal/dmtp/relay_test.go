@@ -302,12 +302,11 @@ func TestRelayEngine(t *testing.T) {
 			run: func(t *testing.T, r *relayRig) {
 				r.ingest(rigSrcA, expA)
 				r.ingest(rigSrcA, expB)
-				if !r.eng.Crash(nil) || !r.eng.Down() {
+				r.eng.Crash(nil)
+				if !r.eng.Down() {
 					t.Fatal("Crash did not take the relay down")
 				}
-				if r.eng.Crash(nil) {
-					t.Fatal("second Crash reported a fresh crash")
-				}
+				r.eng.Crash(func() { t.Fatal("second Crash quiesced a relay already down") })
 				r.wantFlows(FlowStats{Opened: 2})
 				if n := len(r.eng.Flows()); n != 0 {
 					t.Fatalf("%d flows survived the crash", n)
@@ -619,7 +618,7 @@ func TestRelayRecordsRunsNotPackets(t *testing.T) {
 		t.Fatalf("evicted %d, want %d", st.Evicted, burst-1)
 	}
 	evicts := eventsOf(rec, metrics.EvEvict)
-	want := metrics.Event{At: t1, Kind: metrics.EvEvict, KindName: "evict", Exp: uint64(expA), Seq: 1, Aux: st.Evicted}
+	want := metrics.Event{At: t1, Kind: metrics.EvEvict, Exp: uint64(expA), Seq: 1, Aux: st.Evicted}
 	if len(evicts) != 1 || evicts[0] != want {
 		t.Fatalf("evict events %+v, want %+v", evicts, want)
 	}
@@ -635,7 +634,7 @@ func TestRelayRecordsRunsNotPackets(t *testing.T) {
 	send()
 	r.eng.Stats()
 	evicts = eventsOf(rec, metrics.EvEvict)
-	want = metrics.Event{At: t2, Kind: metrics.EvEvict, KindName: "evict", Exp: uint64(expA), Seq: burst, Aux: burst}
+	want = metrics.Event{At: t2, Kind: metrics.EvEvict, Exp: uint64(expA), Seq: burst, Aux: burst}
 	if len(evicts) != 2 || evicts[1] != want {
 		t.Fatalf("evict events after a second burst %+v, want a second run %+v", evicts, want)
 	}

@@ -91,12 +91,6 @@ type RelayConfig struct {
 	// JournalSync is the journal fsync policy: journal.SyncBatch when
 	// empty (one group-committed fsync per writer take), or SyncNone.
 	JournalSync string
-	// Blackbox, when non-nil, is invoked at the end of Crash(), after the
-	// receive loop has drained and the journal (if any) has flushed — the
-	// point where the daemon's final state is stable. The hook persists a
-	// crash black box (flight-recorder dump plus final metrics snapshot;
-	// see internal/blackbox); reason names the trigger ("crash").
-	Blackbox func(reason string)
 }
 
 // RelayStats are the engine's relay counters plus the adapter's count of
@@ -366,13 +360,10 @@ func (r *Relay) Crash() {
 	}
 	conn := r.conn
 	r.mu.Unlock()
-	crashed := r.eng.Crash(func() {
+	r.eng.Crash(func() {
 		conn.Close()
 		r.wg.Wait()
 	})
-	if crashed && r.cfg.Blackbox != nil {
-		r.cfg.Blackbox("crash")
-	}
 }
 
 // Restart rebinds the crashed relay on its original address with an

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -33,7 +34,7 @@ const (
 	// many NAKs it took.
 	EvRecovered
 	// EvWriteOff: recovery abandoned after MaxNAKs. Seq = the sequence
-	// written off as permanent loss.
+	// written off as permanent loss, Aux = the NAKs spent before giving up.
 	EvWriteOff
 	// EvReshape: a packet's mode was rewritten in flight. Seq = assigned
 	// sequence number, Aux = the new config ID. The relay records none
@@ -89,6 +90,21 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("kind-%d", uint8(k))
 }
 
+// MarshalText encodes the kind as its name, so an event's JSON reads
+// "kind": "nak-sent" and decodes back to the same kind.
+func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText decodes a kind name written by MarshalText. A name that
+// is not a defined kind is an error.
+func (k *EventKind) UnmarshalText(text []byte) error {
+	kind, ok := EventKindFromName(string(text))
+	if !ok {
+		return fmt.Errorf("metrics: unknown event kind %q", text)
+	}
+	*k = kind
+	return nil
+}
+
 // EventKindNames lists every defined kind name in declaration order —
 // the valid vocabulary for /events?kind= filtering, surfaced in error
 // responses so a typo comes back with the fix attached.
@@ -114,9 +130,7 @@ func EventKindFromName(name string) (EventKind, bool) {
 // start on the simulator (see FlightRecorder.RecordAt).
 type Event struct {
 	At   int64     `json:"at"`
-	Kind EventKind `json:"-"`
-	// KindName is Kind's string form, populated when dumping to JSON.
-	KindName string `json:"kind"`
+	Kind EventKind `json:"kind"`
 	// Exp is the numeric experiment ID the event belongs to (0 when the
 	// event is not stream-scoped, e.g. crash/restart).
 	Exp uint64 `json:"exp"`
@@ -298,8 +312,53 @@ func (r *FlightRecorder) Snapshot() []Event {
 		if s.ver.Load() != v1 || ev.Kind == 0 {
 			continue // torn by a wrapping writer; drop it
 		}
-		ev.KindName = ev.Kind.String()
 		out = append(out, ev)
 	}
+	return out
+}
+
+// RecoverySpan is one missing sequence number's lifecycle as the flight
+// ring tells it: from the EvGapDetected that opened it to the EvRecovered
+// or EvWriteOff that closed it.
+type RecoverySpan struct {
+	Exp, Seq uint64
+	OpenedAt int64
+	// ClosedAt is when the gap closed; 0 while it is open.
+	ClosedAt int64
+	// NAKs is the closing event's Aux: the NAKs the recovery or the
+	// write-off took.
+	NAKs uint64
+	// Outcome is EvRecovered or EvWriteOff, or 0 when the ring holds no
+	// resolution for the gap.
+	Outcome EventKind
+}
+
+// RecoverySpans matches each gap-detected event to its resolution per
+// sequence number and returns the spans in order of opening. A gap whose
+// resolution the ring no longer holds (or that was still open) comes back
+// with a zero Outcome.
+func RecoverySpans(events []Event) []RecoverySpan {
+	type key struct{ exp, seq uint64 }
+	open := make(map[key]int) // index into out
+	var out []RecoverySpan
+	for _, ev := range events {
+		switch ev.Kind {
+		case EvGapDetected:
+			// Seq..Aux is the contiguous missing run; track each seq.
+			for seq := ev.Seq; seq <= max(ev.Aux, ev.Seq); seq++ {
+				k := key{ev.Exp, seq}
+				if _, dup := open[k]; dup {
+					continue
+				}
+				open[k] = len(out)
+				out = append(out, RecoverySpan{Exp: ev.Exp, Seq: seq, OpenedAt: ev.At})
+			}
+		case EvRecovered, EvWriteOff:
+			if i, ok := open[key{ev.Exp, ev.Seq}]; ok && out[i].Outcome == 0 {
+				out[i].ClosedAt, out[i].NAKs, out[i].Outcome = ev.At, ev.Aux, ev.Kind
+			}
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].OpenedAt < out[j].OpenedAt })
 	return out
 }

@@ -44,7 +44,7 @@ func TestFlightRecorderOrdering(t *testing.T) {
 		if ev.Seq != uint64(i+1) || ev.At != int64(i+1) {
 			t.Fatalf("event %d out of order: %+v", i, ev)
 		}
-		if ev.Kind != EvNAKSent || ev.KindName != "nak-sent" || ev.Exp != 7 {
+		if ev.Kind != EvNAKSent || ev.Exp != 7 {
 			t.Fatalf("event %d fields wrong: %+v", i, ev)
 		}
 	}
