@@ -54,6 +54,7 @@ var defaultPackages = []string{
 	"./internal/p4sim",
 	"./internal/wire",
 	"./internal/core",
+	"./internal/discovery",
 }
 
 func main() {

@@ -54,7 +54,7 @@ func main() {
 	dtnAgent := discovery.NewAgent(discovery.Config{
 		Self: wire.ResourceAdvert{
 			Origin:        dtnAddr,
-			Kind:          wire.AdvertKindBuffer,
+			Kind:          wire.ResourceBuffer,
 			Segment:       0,
 			CapacityBytes: 256 << 20,
 		},
@@ -68,7 +68,7 @@ func main() {
 	swAgent := discovery.NewAgent(discovery.Config{
 		Self: wire.ResourceAdvert{
 			Origin:  wire.AddrFrom(10, 8, 9, 1, 0),
-			Kind:    wire.AdvertKindModeChanger,
+			Kind:    wire.ResourceModeChanger,
 			Segment: 1,
 		},
 		Interval: 5 * time.Millisecond,
@@ -92,12 +92,12 @@ func main() {
 	nw.Loop().RunFor(30 * time.Millisecond) // let discovery converge
 
 	// --- Phase 2: plan from the *discovered* map.
-	segments := []core.Segment{
+	segments := []discovery.Segment{
 		{Name: "daq", RTT: 20 * time.Microsecond, RateBps: 100e9},
 		{Name: "wan", RTT: 30 * time.Millisecond, RateBps: 100e9, LossProb: 0.005, Shared: true},
 	}
 	rmap := dstAgent.ResourceMap(segments)
-	plans, err := core.Plan(rmap, core.PlanPolicy{})
+	plans, err := discovery.Plan(rmap, discovery.PlanPolicy{})
 	if err != nil {
 		panic(err)
 	}

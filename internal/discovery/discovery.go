@@ -3,21 +3,25 @@
 // workloads can use". The paper suggests piggy-backing on BGP; this
 // reproduction floods ResourceAdvert control packets hop by hop between
 // participating elements, which preserves the behaviour that matters —
-// every participant converges on the same resource map, from which
-// core.Plan derives mode-change rules — without importing a BGP stack.
+// every participant converges on the same resource map, from which Plan
+// derives mode-change rules — without importing a BGP stack.
 //
 // An Agent attaches to any netsim element via Wrap (a decorating handler):
 // adverts are consumed and re-flooded with decremented TTL; all other
 // frames pass through to the wrapped element untouched. Agents advertise
 // their own resource periodically for a bounded number of rounds (so
 // simulations drain) and expire entries that stop being refreshed.
+//
+// The package also plans: ResourceMap is the paper's map of in-network
+// programmable resources (§6), and Plan assigns each path segment a mode
+// from dmtp's table (§5.3). The pilot builds the map by hand; an Agent
+// assembles it from what it learned.
 package discovery
 
 import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -188,33 +192,24 @@ func (a *Agent) Snapshot() []Entry {
 	return out
 }
 
-// ResourceMap assembles a core.ResourceMap from the discovered entries and
-// the operator-supplied segment descriptions — the dynamic replacement for
-// the statically configured map the pilot "pre-supposes" (§5.4).
-func (a *Agent) ResourceMap(segments []core.Segment) *core.ResourceMap {
-	m := &core.ResourceMap{Segments: segments}
+// ResourceMap assembles a ResourceMap from the discovered entries and the
+// operator-supplied segment descriptions — the dynamic replacement for the
+// statically configured map the pilot "pre-supposes" (§5.4). An entry of a
+// kind this build does not know is skipped.
+func (a *Agent) ResourceMap(segments []Segment) *ResourceMap {
+	m := &ResourceMap{Segments: segments}
 	for _, e := range a.Snapshot() {
-		var kind core.ResourceKind
-		switch e.Advert.Kind {
-		case wire.AdvertKindBuffer:
-			kind = core.KindBuffer
-		case wire.AdvertKindModeChanger:
-			kind = core.KindModeChanger
-		case wire.AdvertKindDuplicator:
-			kind = core.KindDuplicator
-		case wire.AdvertKindTelemetry:
-			kind = core.KindTelemetry
-		default:
+		if e.Advert.Kind == 0 || e.Advert.Kind > wire.ResourceTelemetry {
 			continue
 		}
 		seg := int(e.Advert.Segment)
 		if seg >= len(segments) {
 			seg = len(segments) - 1
 		}
-		m.Resources = append(m.Resources, core.Resource{
+		m.Resources = append(m.Resources, Resource{
 			Name:          e.Advert.Origin.String(),
 			Addr:          e.Advert.Origin,
-			Kind:          kind,
+			Kind:          e.Advert.Kind,
 			Segment:       seg,
 			CapacityBytes: int(e.Advert.CapacityBytes),
 		})

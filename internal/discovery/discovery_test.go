@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dmtp"
 	"repro/internal/netsim"
 	"repro/internal/wire"
@@ -36,7 +35,7 @@ func line(t *testing.T, selfs []wire.ResourceAdvert, cfgMut func(*Config)) (*net
 func bufferAdvert(i byte, segment uint8) wire.ResourceAdvert {
 	return wire.ResourceAdvert{
 		Origin:        wire.AddrFrom(10, 0, i, 1, 1),
-		Kind:          wire.AdvertKindBuffer,
+		Kind:          wire.ResourceBuffer,
 		Segment:       segment,
 		CapacityBytes: 1 << 30,
 	}
@@ -132,7 +131,7 @@ func TestResourceMapFeedsPlanner(t *testing.T) {
 	selfs := []wire.ResourceAdvert{
 		bufferAdvert(0, 0),
 		{},
-		{Origin: wire.AddrFrom(10, 0, 2, 1, 1), Kind: wire.AdvertKindModeChanger, Segment: 1},
+		{Origin: wire.AddrFrom(10, 0, 2, 1, 1), Kind: wire.ResourceModeChanger, Segment: 1},
 	}
 	nw, agents := line(t, selfs, nil)
 	for _, a := range agents {
@@ -140,7 +139,7 @@ func TestResourceMapFeedsPlanner(t *testing.T) {
 	}
 	nw.Loop().Run()
 
-	segments := []core.Segment{
+	segments := []Segment{
 		{Name: "daq", RTT: 100 * time.Microsecond},
 		{Name: "wan", RTT: 30 * time.Millisecond, Shared: true},
 	}
@@ -148,7 +147,7 @@ func TestResourceMapFeedsPlanner(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	plans, err := core.Plan(m, core.PlanPolicy{})
+	plans, err := Plan(m, PlanPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +159,29 @@ func TestResourceMapFeedsPlanner(t *testing.T) {
 	}
 	if plans[1].Buffer != selfs[0].Origin {
 		t.Fatalf("planner picked buffer %v", plans[1].Buffer)
+	}
+}
+
+func TestResourceMapSkipsUnknownKinds(t *testing.T) {
+	selfs := []wire.ResourceAdvert{
+		{Origin: wire.AddrFrom(10, 0, 0, 1, 1), Kind: 77},
+		{Origin: wire.AddrFrom(10, 0, 1, 1, 1), Kind: wire.ResourceTelemetry},
+	}
+	nw, agents := line(t, selfs, nil)
+	for _, a := range agents {
+		a.Start()
+	}
+	nw.Loop().Run()
+
+	if n := len(agents[1].Snapshot()); n != 2 {
+		t.Fatalf("agent learned %d adverts, want 2", n)
+	}
+	m := agents[1].ResourceMap([]Segment{{Name: "daq"}})
+	if len(m.Resources) != 1 || m.Resources[0].Kind != wire.ResourceTelemetry {
+		t.Fatalf("resources %+v: want only the telemetry element", m.Resources)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -282,14 +282,37 @@ func (a *Ack) DecodeFrom(b []byte) error {
 	return nil
 }
 
-// Resource kinds carried in advertisements; they mirror core.ResourceKind
-// but live here so the wire layer stays dependency-free.
+// ResourceKind classifies an in-network programmable resource. It is the
+// one kind enum: adverts carry it as one byte, and the resource map and
+// planner (internal/discovery) use it as is.
+type ResourceKind uint8
+
+// Resource kinds.
 const (
-	AdvertKindBuffer      uint8 = 1
-	AdvertKindModeChanger uint8 = 2
-	AdvertKindDuplicator  uint8 = 3
-	AdvertKindTelemetry   uint8 = 4
+	// ResourceBuffer is a retransmission buffer (FPGA NIC or DTN store).
+	ResourceBuffer ResourceKind = iota + 1
+	// ResourceModeChanger is a programmable element that can rewrite modes.
+	ResourceModeChanger
+	// ResourceDuplicator can clone streams toward distribution groups.
+	ResourceDuplicator
+	// ResourceTelemetry exports per-experiment counters.
+	ResourceTelemetry
 )
+
+// String names the resource kind ("buffer", "mode-changer", …).
+func (k ResourceKind) String() string {
+	switch k {
+	case ResourceBuffer:
+		return "buffer"
+	case ResourceModeChanger:
+		return "mode-changer"
+	case ResourceDuplicator:
+		return "duplicator"
+	case ResourceTelemetry:
+		return "telemetry"
+	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
+}
 
 // ResourceAdvert announces an in-network programmable resource — the
 // paper's §6 open challenge: "a map of in-network programmable resources
@@ -301,8 +324,8 @@ const (
 type ResourceAdvert struct {
 	// Origin is the advertised resource's address.
 	Origin Addr
-	// Kind classifies the resource (AdvertKind*).
-	Kind uint8
+	// Kind classifies the resource.
+	Kind ResourceKind
 	// Segment is the origin's position hint: the index of the path
 	// segment at whose downstream edge the resource sits.
 	Segment uint8
@@ -325,7 +348,7 @@ func (a *ResourceAdvert) AppendTo(b []byte) ([]byte, error) {
 	}
 	var body [advertBodyLen]byte
 	a.Origin.put(body[0:6])
-	body[6] = a.Kind
+	body[6] = uint8(a.Kind)
 	body[7] = a.Segment
 	be.PutUint64(body[8:16], a.CapacityBytes)
 	be.PutUint32(body[16:20], a.SeqNo)
@@ -358,7 +381,7 @@ func (a *ResourceAdvert) DecodeFrom(b []byte) error {
 		return fmt.Errorf("%w: advert body %d bytes", ErrTruncated, len(body))
 	}
 	a.Origin = addrFromBytes(body[0:6])
-	a.Kind = body[6]
+	a.Kind = ResourceKind(body[6])
 	a.Segment = body[7]
 	a.CapacityBytes = be.Uint64(body[8:16])
 	a.SeqNo = be.Uint32(body[16:20])

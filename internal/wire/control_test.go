@@ -141,3 +141,11 @@ func TestControlPacketsSurviveStripEncap(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestResourceKindStrings(t *testing.T) {
+	for _, k := range []ResourceKind{ResourceBuffer, ResourceModeChanger, ResourceDuplicator, ResourceTelemetry, ResourceKind(77)} {
+		if k.String() == "" {
+			t.Fatal("empty kind string")
+		}
+	}
+}

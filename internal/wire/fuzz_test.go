@@ -61,7 +61,7 @@ func FuzzControlDecode(f *testing.F) {
 	if enc, err := sig.AppendTo(nil); err == nil {
 		f.Add(enc)
 	}
-	ad := ResourceAdvert{Origin: AddrFrom(9, 9, 9, 9, 9), Kind: AdvertKindBuffer, SeqNo: 1, TTL: 3}
+	ad := ResourceAdvert{Origin: AddrFrom(9, 9, 9, 9, 9), Kind: ResourceBuffer, SeqNo: 1, TTL: 3}
 	if enc, err := ad.AppendTo(nil); err == nil {
 		f.Add(enc)
 	}
