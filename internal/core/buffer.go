@@ -36,9 +36,8 @@ type BufferConfig struct {
 	// evicted first. Zero means 64 MiB.
 	CapacityBytes int
 	// Cipher, when non-nil and the upgrade mode includes FeatEncrypted,
-	// encrypts payloads at the DTN (Req 5; the sensor stays cheap) under
-	// key epoch 0.
-	Cipher Cipher
+	// encrypts payloads at the DTN (dmtp.RelayConfig.Cipher).
+	Cipher dmtp.Cipher
 	// Routes overrides egress for specific destinations (e.g. control
 	// traffic heading back into the DAQ network); everything else leaves
 	// via ForwardPort.
@@ -91,7 +90,7 @@ type route struct {
 // retransmissions on NAK — the paper's "closer source" that shortens
 // recovery RTT relative to retransmitting from the instrument (§5.1).
 // All of that is dmtp.RelayEngine; this type adapts it to the simulator
-// substrate: netsim ports, transit routing and adoption, the cipher seal.
+// substrate: netsim ports, transit routing and adoption.
 type BufferNode struct {
 	cfg  BufferConfig
 	node *netsim.Node
@@ -130,10 +129,8 @@ func NewBufferHandler(nw *netsim.Network, cfg BufferConfig) *BufferNode {
 			DeadlineNotify:   cfg.DeadlineNotify,
 			BackPressureSink: cfg.BackPressureSink,
 		},
-		Emit: b.emit,
-	}
-	if cfg.Cipher != nil && cfg.Upgrade.Features.Has(wire.FeatEncrypted) {
-		ecfg.PostStamp = b.seal
+		Cipher: cfg.Cipher,
+		Emit:   b.emit,
 	}
 	eng, err := dmtp.NewRelayEngine(ecfg)
 	if err != nil {
@@ -161,15 +158,6 @@ func (b *BufferNode) emit(f *dmtp.Flow[route], pkt []byte) {
 		Born: b.nw.Now(),
 	})
 	f.Sent(1)
-}
-
-// seal is the engine's PostStamp when the upgrade mode encrypts: payloads
-// are encrypted at the DTN (Req 5; the sensor stays cheap), under key epoch
-// 0 with the sequence number as nonce.
-func (b *BufferNode) seal(up wire.View, seq uint64) {
-	nonce := uint32(seq)
-	up.SetCipher(wire.CipherExt{Nonce: nonce})
-	b.cfg.Cipher.Seal(0, nonce, up.Payload())
 }
 
 // Stats returns a snapshot of the node's counters.

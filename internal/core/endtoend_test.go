@@ -228,7 +228,7 @@ func TestEndToEndDeadlineNotificationReachesSensor(t *testing.T) {
 }
 
 func TestEndToEndEncryptedPayloads(t *testing.T) {
-	cipher := NewXORKeystream(0x0123456789ABCDEF)
+	cipher := dmtp.NewXORKeystream(0x0123456789ABCDEF)
 	modeEnc := dmtp.ModeWAN
 	modeEnc.Features |= wire.FeatEncrypted
 	p := newPilotPath(t, 6, 0,

@@ -48,8 +48,9 @@ type ReceiverConfig struct {
 	// AckInterval, when nonzero, emits cumulative ACKs to the buffer so
 	// it can trim acknowledged packets.
 	AckInterval time.Duration
-	// Cipher decrypts FeatEncrypted payloads.
-	Cipher Cipher
+	// Cipher, when non-nil, decrypts every payload that carries a cipher
+	// extension (dmtp.ReceiverConfig.Cipher).
+	Cipher dmtp.Cipher
 	// Ordered buffers sequenced messages and delivers them in sequence
 	// order instead of on arrival. DMTP itself is message-based (Req 7);
 	// this opt-in exists for consumers that genuinely need ordering and
@@ -118,12 +119,6 @@ func NewReceiverHandler(nw *netsim.Network, cfg ReceiverConfig) *Receiver {
 	if cfg.NAKRetry == 0 {
 		cfg.NAKRetry = 5 * time.Millisecond
 	}
-	if cfg.NAKRetryMax == 0 {
-		cfg.NAKRetryMax = 500 * time.Millisecond
-	}
-	if cfg.MaxNAKs == 0 {
-		cfg.MaxNAKs = 5
-	}
 	r := &Receiver{
 		cfg:          cfg,
 		nw:           nw,
@@ -133,25 +128,25 @@ func NewReceiverHandler(nw *netsim.Network, cfg ReceiverConfig) *Receiver {
 	}
 	r.eng = dmtp.NewReceiverEngine(loopClock{nw}, nodeDatapath{node: func() *netsim.Node { return r.node }, nw: nw, port: -1},
 		dmtp.ReceiverConfig{
-			NAKDelay:        cfg.NAKDelay,
-			NAKRetry:        cfg.NAKRetry,
-			NAKRetryMax:     cfg.NAKRetryMax,
-			MaxNAKs:         cfg.MaxNAKs,
-			Seed:            cfg.Seed,
-			MaxSeqJump:      cfg.MaxSeqJump,
-			AckInterval:     cfg.AckInterval,
-			Ordered:         cfg.Ordered,
-			OnGap:           cfg.OnGap,
-			OnNAK:           cfg.OnNAK,
-			Counters:        cfg.Counters,
-			FinalizePayload: r.finalizePayload,
-			Deliver:         r.handOver,
-			Stats:           &r.Stats,
-			LatencyHist:     r.LatencyHist,
-			RecoveryHist:    r.RecoveryHist,
-			OrderedHOL:      r.OrderedHOL,
-			Recorder:        cfg.Recorder,
-			Tracer:          cfg.Tracer,
+			NAKDelay:     cfg.NAKDelay,
+			NAKRetry:     cfg.NAKRetry,
+			NAKRetryMax:  cfg.NAKRetryMax,
+			MaxNAKs:      cfg.MaxNAKs,
+			Seed:         cfg.Seed,
+			MaxSeqJump:   cfg.MaxSeqJump,
+			AckInterval:  cfg.AckInterval,
+			Ordered:      cfg.Ordered,
+			OnGap:        cfg.OnGap,
+			OnNAK:        cfg.OnNAK,
+			Counters:     cfg.Counters,
+			Cipher:       cfg.Cipher,
+			Deliver:      r.handOver,
+			Stats:        &r.Stats,
+			LatencyHist:  r.LatencyHist,
+			RecoveryHist: r.RecoveryHist,
+			OrderedHOL:   r.OrderedHOL,
+			Recorder:     cfg.Recorder,
+			Tracer:       cfg.Tracer,
 		})
 	return r
 }
@@ -193,21 +188,6 @@ func (r *Receiver) HandleFrame(_ *netsim.Port, f *netsim.Frame) {
 		return // receivers ignore control traffic addressed to them
 	}
 	r.eng.Ingest(v)
-}
-
-// finalizePayload decrypts FeatEncrypted payloads; plain payloads alias
-// the frame (simulator frames outlive delivery).
-func (r *Receiver) finalizePayload(v wire.View) []byte {
-	payload := v.Payload()
-	if r.cfg.Cipher != nil {
-		if ext, err := v.Cipher(); err == nil {
-			// Decrypt a copy: the view may alias a buffered frame.
-			dec := append([]byte(nil), payload...)
-			r.cfg.Cipher.Open(ext.KeyEpoch, ext.Nonce, dec)
-			return dec
-		}
-	}
-	return payload
 }
 
 // handOver delivers a finalized message to the application.

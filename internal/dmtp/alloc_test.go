@@ -33,8 +33,8 @@ func tracedSeqPacket(t *testing.T, seq uint64, flags uint8) wire.View {
 // TestIngestUntracedZeroAlloc locks in the PR invariant on the receive
 // path: with a span collector configured, in-order ingestion of untraced
 // and sampled-out packets allocates nothing — the collector is only ever
-// reached behind the TraceSampled gate — and, FinalizePayload being nil,
-// the delivered payload is the ingested packet's own bytes, not a copy.
+// reached behind the TraceSampled gate — and, with no Cipher, the
+// delivered payload is the ingested packet's own bytes, not a copy.
 func TestIngestUntracedZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -91,7 +91,7 @@ func TestIngestUntracedZeroAlloc(t *testing.T) {
 // list has its capacity, opening gaps and closing them by reordered
 // arrivals — the newest one, and one from the middle of the list —
 // allocates nothing; a lost number costs no heap object, and neither does
-// a delivered one (FinalizePayload is nil: deliveries alias the packet).
+// a delivered one (no Cipher: deliveries alias the packet).
 // The NAK timer is not part of the claim: an older gap stays open
 // throughout and keeps one pending, as sustained loss does.
 func TestGapOpenCloseZeroAlloc(t *testing.T) {
@@ -146,9 +146,6 @@ func TestCampaignScenarioLoopZeroAlloc(t *testing.T) {
 		NAKRetryMax: 500 * time.Millisecond,
 		MaxNAKs:     3,
 		Recorder:    rec,
-		// As in TestIngestUntracedZeroAlloc: the default finalize copies the
-		// payload (one unavoidable alloc); bypass it to measure the engines.
-		FinalizePayload: func(wire.View) []byte { return nil },
 	})
 	warm := seqPacket(t, 1, wire.AddrFrom(10, 0, 0, 1, 100), "payload")
 	stash := append([]byte(nil), warm...) // engine-owned stash copy, allocated in setup

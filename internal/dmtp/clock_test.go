@@ -191,12 +191,11 @@ func (c *queueClock) Schedule(at int64, fn func()) Timer { return c.q.Schedule(a
 func TestTimerArmsWithoutAllocating(t *testing.T) {
 	c := &queueClock{now: 1}
 	eng := NewReceiverEngine(c, nopDatapath{}, ReceiverConfig{
-		NAKDelay:        time.Millisecond,
-		NAKRetry:        5 * time.Millisecond,
-		NAKRetryMax:     500 * time.Millisecond,
-		MaxNAKs:         3,
-		AckInterval:     time.Millisecond,
-		FinalizePayload: func(wire.View) []byte { return nil },
+		NAKDelay:    time.Millisecond,
+		NAKRetry:    5 * time.Millisecond,
+		NAKRetryMax: 500 * time.Millisecond,
+		MaxNAKs:     3,
+		AckInterval: time.Millisecond,
 	})
 	pkt := seqPacket(t, 1, wire.AddrFrom(10, 0, 0, 1, 100), "payload")
 	seq := uint64(1)

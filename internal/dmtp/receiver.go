@@ -17,8 +17,8 @@ import (
 type Message struct {
 	Experiment wire.ExperimentID
 	Seq        uint64 // 0 when the stream is unsequenced
-	// Payload is a view of the packet the message arrived in (the
-	// simulator's decrypted payloads are the one copy). It is valid until
+	// Payload is a view of the packet the message arrived in (a payload
+	// opened by ReceiverConfig.Cipher is the one copy). It is valid until
 	// the delivery callback returns; a caller that keeps it clones it.
 	Payload []byte
 	// Latency is the time from the origin timestamp to the engine-clock
@@ -79,9 +79,10 @@ const maxNAKRanges = 90
 // MaxSeqJump behind a running stream catches up after resyncRun packets.
 const resyncRun = 8
 
-// ReceiverConfig configures a ReceiverEngine. Adapters apply their own
-// substrate defaults (the simulator's reorder tolerance is hundreds of
-// microseconds, the live path's is milliseconds) before construction.
+// ReceiverConfig configures a ReceiverEngine. NAKDelay and NAKRetry have
+// no engine default: adapters apply their own substrate's (the
+// simulator's reorder tolerance is hundreds of microseconds, the live
+// path's is milliseconds) before construction.
 type ReceiverConfig struct {
 	// NAKDelay is the reorder tolerance: how long after detecting a gap
 	// the first NAK is sent.
@@ -90,11 +91,12 @@ type ReceiverConfig struct {
 	// the round trip to the nearest buffer. Retries back off
 	// exponentially with seeded jitter, capped at NAKRetryMax.
 	NAKRetry time.Duration
-	// NAKRetryMax caps the exponential backoff between retries. Without
-	// the cap a large MaxNAKs overflows the shift into a sub-tick spin.
+	// NAKRetryMax caps the exponential backoff between retries; zero
+	// means 500 ms. Without the cap a large MaxNAKs overflows the shift
+	// into a sub-tick spin.
 	NAKRetryMax time.Duration
 	// MaxNAKs bounds recovery attempts per sequence number before the
-	// packet is declared lost.
+	// packet is declared lost; zero means 5.
 	MaxNAKs int
 	// Seed drives the retry jitter, for deterministic tests.
 	Seed int64
@@ -112,8 +114,8 @@ type ReceiverConfig struct {
 	// Ordered buffers sequenced messages and delivers them in sequence
 	// order instead of on arrival (the head-of-line-blocking ablation).
 	// Parked messages are held across Ingest calls, so the substrate's
-	// frames must be immutable or FinalizePayload must copy: the simulator
-	// qualifies, the live adapter's receive ring does not and never sets it.
+	// frames must be immutable: the simulator's are, the live adapter's
+	// receive ring is not and never sets it.
 	Ordered bool
 	// OnGap reports each sequence number written off as permanently
 	// lost after MaxNAKs — the deliver-with-gap degradation signal.
@@ -124,11 +126,11 @@ type ReceiverConfig struct {
 	// Counters, when non-nil, records recoveries and permanent losses
 	// (normally shared with a faults.Plan's counter set).
 	Counters *telemetry.CounterSet
-	// FinalizePayload extracts the delivered payload from a view; the
-	// simulator decrypts here. Nil means v.Payload() itself: the message
+	// Cipher, when non-nil, opens every payload that carries a cipher
+	// extension: the message gets a decrypted copy. Any other payload
 	// aliases the ingested packet, which the adapter must keep intact
 	// until Deliver's message has been handed to the application.
-	FinalizePayload func(v wire.View) []byte
+	Cipher Cipher
 	// Deliver hands each finalized message to the adapter. Called
 	// synchronously from Ingest and timer fires; adapters that must not
 	// run application callbacks under their own locks queue here.
@@ -267,6 +269,12 @@ func NewReceiverEngine(clock Clock, dp Datapath, cfg ReceiverConfig) *ReceiverEn
 	stats := cfg.Stats
 	if stats == nil {
 		stats = &ReceiverStats{}
+	}
+	if cfg.NAKRetryMax == 0 {
+		cfg.NAKRetryMax = 500 * time.Millisecond
+	}
+	if cfg.MaxNAKs == 0 {
+		cfg.MaxNAKs = 5
 	}
 	if cfg.MaxSeqJump == 0 {
 		cfg.MaxSeqJump = DefaultMaxSeqJump
@@ -444,10 +452,12 @@ func (e *ReceiverEngine) observeTrace(v wire.View, msg Message, now, detected in
 // finalize extracts the payload of v, whose layout is l, and completes the
 // message.
 func (e *ReceiverEngine) finalize(v wire.View, l *wire.Layout, msg Message) Message {
-	if e.cfg.FinalizePayload != nil {
-		msg.Payload = e.cfg.FinalizePayload(v)
-	} else {
-		msg.Payload = v[l.HeaderLen():]
+	msg.Payload = v[l.HeaderLen():]
+	if e.cfg.Cipher != nil {
+		if ext, err := v.Cipher(); err == nil {
+			msg.Payload = append([]byte(nil), msg.Payload...)
+			e.cfg.Cipher.Open(ext.KeyEpoch, ext.Nonce, msg.Payload)
+		}
 	}
 	return msg
 }

@@ -4,7 +4,7 @@ package dmtp
 // substrate adapters (core.BufferNode, live.Relay) drive it, so the flow
 // table, the upgrade recipe and the journal lifecycle exist once;
 // substrate-only behaviour enters as data — the Upgrade value, the buffer
-// hooks, Emit, PostStamp — never as a branch on who is calling.
+// hooks, Emit, Cipher — never as a branch on who is calling.
 
 import (
 	"cmp"
@@ -71,9 +71,12 @@ type RelayConfig[D fmt.Stringer] struct {
 	// every TraceSample'th upgraded packet that does not already carry one
 	// — adding FeatTraced is just another config rewrite at the boundary.
 	TraceSample int
-	// PostStamp, when non-nil, runs on each upgraded packet after its
-	// header is stamped and before it is stashed.
-	PostStamp func(up wire.View, seq uint64)
+	// Cipher, when non-nil, seals each upgraded packet whose onward
+	// features include FeatEncrypted (Req 5; the sensor stays cheap): the
+	// payload is encrypted under key epoch 0 with the sequence number as
+	// nonce, which the cipher extension carries, after the hop stamp and
+	// before the stash.
+	Cipher Cipher
 	// DropEveryN, when > 0, stashes but does not emit every Nth sequenced
 	// packet — fault injection so demos exercise recovery.
 	DropEveryN int
@@ -370,8 +373,10 @@ func (e *RelayEngine[D]) Handle(src wire.Addr, v wire.View, now int64) {
 	if up.TraceSampled() {
 		_ = up.AppendHopStamp(wire.TraceReshapeHop(e.cfg.Mode.ConfigID), now)
 	}
-	if e.cfg.PostStamp != nil {
-		e.cfg.PostStamp(up, seq)
+	if e.cfg.Cipher != nil && feats.Has(wire.FeatEncrypted) {
+		nonce := uint32(seq)
+		_ = up.SetCipher(wire.CipherExt{Nonce: nonce}) // feats has the field
+		e.cfg.Cipher.Seal(0, nonce, up.Payload())
 	}
 	// No flight event and no shared counter per packet: upgraded is what
 	// dmtp.relay.reshapes.config<Mode.ConfigID> reads at scrape time.

@@ -51,6 +51,9 @@ type refWindow struct {
 }
 
 func newRefWindow(cfg ReceiverConfig) *refWindow {
+	if cfg.MaxNAKs == 0 {
+		cfg.MaxNAKs = 5 // the engine's default
+	}
 	return &refWindow{
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
@@ -227,14 +230,13 @@ const (
 // after the write-off and count as duplicates.
 func runWindowSchedule(t testing.TB, sc windowSchedule) {
 	cfg := ReceiverConfig{
-		NAKDelay:        winNAKDelay,
-		NAKRetry:        winNAKRetry,
-		NAKRetryMax:     winNAKRetryMax,
-		MaxNAKs:         sc.maxNAKs,
-		Seed:            sc.seed,
-		Ordered:         sc.ordered,
-		AckInterval:     sc.ackInterval,
-		FinalizePayload: func(wire.View) []byte { return nil },
+		NAKDelay:    winNAKDelay,
+		NAKRetry:    winNAKRetry,
+		NAKRetryMax: winNAKRetryMax,
+		MaxNAKs:     sc.maxNAKs,
+		Seed:        sc.seed,
+		Ordered:     sc.ordered,
+		AckInterval: sc.ackInterval,
 	}
 	ref := newRefWindow(cfg)
 	fc := NewFakeClock(0)
@@ -280,8 +282,8 @@ func runWindowSchedule(t testing.TB, sc windowSchedule) {
 				losing = sc.burst + 1
 			}
 			losing--
-			ignores[seq] = rng.Intn(sc.maxNAKs + 1)
-			if ignores[seq] == sc.maxNAKs {
+			ignores[seq] = rng.Intn(ref.cfg.MaxNAKs + 1)
+			if ignores[seq] == ref.cfg.MaxNAKs {
 				ignores[seq] = -1 // never retransmitted
 			}
 			continue
@@ -360,7 +362,7 @@ func TestReceiverWindowMatchesReference(t *testing.T) {
 		{loss: 50, maxNAKs: 2},                        // alternating gaps
 		{loss: 5, burst: 40, reorder: 10, maxNAKs: 3}, // long bursts
 		{loss: 20, dup: 30, maxNAKs: 1},               // one request, then written off
-		{loss: 10, reorder: 50, maxNAKs: 0},           // written off at the first fire
+		{loss: 10, reorder: 50, maxNAKs: 0},           // zero: the engine's default, five
 		{loss: 10, reorder: 20, dup: 5, maxNAKs: 3, ordered: true},
 		{loss: 30, burst: 5, maxNAKs: 2, ordered: true},
 		{loss: 10, reorder: 20, dup: 5, maxNAKs: 3, ackInterval: 50 * time.Microsecond},
@@ -414,9 +416,8 @@ func TestNAKSplitsAtDatagramSize(t *testing.T) {
 	var onNAK int
 	eng := NewReceiverEngine(fc, dp, ReceiverConfig{
 		NAKDelay: time.Millisecond, NAKRetry: 5 * time.Millisecond, NAKRetryMax: 500 * time.Millisecond,
-		MaxNAKs:         3,
-		OnNAK:           func(wire.ExperimentID, []wire.SeqRange) { onNAK++ },
-		FinalizePayload: func(wire.View) []byte { return nil },
+		MaxNAKs: 3,
+		OnNAK:   func(wire.ExperimentID, []wire.SeqRange) { onNAK++ },
 	})
 	pkt := seqPacket(t, 1, wire.AddrFrom(10, 0, 0, 1, 100), "payload")
 	start := time.Now()
@@ -572,16 +573,16 @@ func TestCorruptSeqOnlyRejected(t *testing.T) {
 }
 
 // BenchmarkReceiverIngest measures in-order ingest. The gaps=k cases take a
-// Sequenced|Reliable packet with k gaps held open and no payload finalize:
-// their cost must not depend on k. The live case takes the live relay's
-// onward packet (ModeLive's five fields, origin timestamp and deadline
-// in range, 1 KiB payload) with the default payload finalize, as the live
-// receiver runs it. None may allocate.
+// Sequenced|Reliable packet with k gaps held open: their cost must not
+// depend on k. The live case takes the live relay's onward packet
+// (ModeLive's five fields, origin timestamp and deadline in range, 1 KiB
+// payload), as the live receiver runs it. Every delivery aliases its
+// packet, and none may allocate.
 func BenchmarkReceiverIngest(b *testing.B) {
 	for _, gaps := range []int{0, 64, 4096} {
 		b.Run(fmt.Sprintf("gaps=%d", gaps), func(b *testing.B) {
 			pkt := seqPacket(b, 1, wire.AddrFrom(10, 0, 0, 1, 100), "payload")
-			benchIngest(b, pkt, func(wire.View) []byte { return nil }, gaps)
+			benchIngest(b, pkt, gaps)
 		})
 	}
 	b.Run("live", func(b *testing.B) {
@@ -594,17 +595,16 @@ func BenchmarkReceiverIngest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchIngest(b, append(enc, make([]byte, 1024)...), nil, 0)
+		benchIngest(b, append(enc, make([]byte, 1024)...), 0)
 	})
 }
 
 // benchIngest times in-order ingest of pkt, renumbered each step, after
 // opening gaps gaps, and fails if a step allocates.
-func benchIngest(b *testing.B, pkt wire.View, finalize func(wire.View) []byte, gaps int) {
+func benchIngest(b *testing.B, pkt wire.View, gaps int) {
 	eng := NewReceiverEngine(NewFakeClock(rigStart), nopDatapath{}, ReceiverConfig{
 		NAKDelay: time.Millisecond, NAKRetry: 5 * time.Millisecond, NAKRetryMax: 500 * time.Millisecond,
-		MaxNAKs:         3,
-		FinalizePayload: finalize,
+		MaxNAKs: 3,
 	})
 	seq := alternatingGaps(b, eng, pkt, gaps)
 	step := func() {

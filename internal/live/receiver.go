@@ -182,12 +182,6 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.NAKRetry == 0 {
 		cfg.NAKRetry = 20 * time.Millisecond
 	}
-	if cfg.NAKRetryMax == 0 {
-		cfg.NAKRetryMax = 500 * time.Millisecond
-	}
-	if cfg.MaxNAKs == 0 {
-		cfg.MaxNAKs = 5
-	}
 	if cfg.Counters == nil {
 		cfg.Counters = telemetry.NewCounterSet()
 	}
