@@ -64,7 +64,8 @@ func main() {
 	nw.Loop().Run()
 
 	fmt.Printf("one detector, one link, two experiments:\n\n")
-	for slice, n := range map[uint8]string{1: "group A (beam study)", 2: "group B (supernova hunt)"} {
+	for i, n := range []string{"group A (beam study)", "group B (supernova hunt)"} {
+		slice := uint8(i + 1)
 		fmt.Printf("  slice %d — %-25s delivered %4d messages\n", slice, n+":", perSlice[slice])
 	}
 	fmt.Println("\nper-slice counters at the border switch (header-only, Req 8):")
